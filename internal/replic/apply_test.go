@@ -1,0 +1,267 @@
+package replic
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/wire"
+)
+
+// applyNode is a Node with no stream behind it: the tests hand groups
+// straight to applyReady, the way streamOnce does after reassembly.
+func applyNode(t testing.TB, geom engine.Config) (*Node, *engine.Engine) {
+	t.Helper()
+	eng, err := engine.New(geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := Attach(eng, wire.NewServer(eng), Config{Engine: geom})
+	t.Cleanup(func() {
+		n.Close()
+		eng.Close()
+	})
+	return n, eng
+}
+
+func pushRec(shard uint32, lsn, value uint64) Record {
+	return Record{Kind: RecOp, Op: OpPush, Shard: shard, LSN: lsn, Value: value, Meta: value}
+}
+
+func popRec(shard uint32, lsn, value uint64) Record {
+	return Record{Kind: RecOp, Op: OpPop, Shard: shard, LSN: lsn, Value: value, Meta: value}
+}
+
+// logString renders a log as one token per record — s<shard>@<lsn> for
+// an op, d for a dedup record — with | closing each group.
+func logString(l *Log) string {
+	var b strings.Builder
+	for seq := uint64(0); seq < l.Seq(); {
+		recs := l.ReadFrom(seq, MaxRecordsPerFrame)
+		for _, r := range recs {
+			if r.Kind == RecDedup {
+				b.WriteString("d")
+			} else {
+				fmt.Fprintf(&b, "s%d@%d", r.Shard, r.LSN)
+			}
+			if r.End {
+				b.WriteString("|")
+			}
+			b.WriteString(" ")
+		}
+		seq += uint64(len(recs))
+	}
+	return strings.TrimSpace(b.String())
+}
+
+// TestApplyReadyReachability drives applyReady through the stream
+// orders a follower can see. Each step hands it more groups (numbered
+// on from the previous step, as the stream would) and checks what stays
+// buffered and where the frontier lands; each case ends on the follower
+// log's content and the engine's per-shard drain.
+func TestApplyReadyReachability(t *testing.T) {
+	const ringSize = 16
+	longRun := make([]Record, 5*ringSize)
+	longLog := make([]string, len(longRun))
+	longDrain := make([]uint64, len(longRun))
+	for i := range longRun {
+		longRun[i] = pushRec(0, uint64(i+1), uint64(1000-i))
+		longLog[i] = fmt.Sprintf("s0@%d", i+1)
+		longDrain[len(longRun)-1-i] = uint64(1000 - i)
+	}
+
+	type step struct {
+		groups       [][]Record
+		wantBuffered int
+		wantFrontier uint64
+	}
+	dedup := Record{Kind: RecDedup, Session: 9, ReqID: 1, Resp: []byte{1}}
+	cases := []struct {
+		name      string
+		pre       []Record // applied to the engine before the first step
+		steps     []step
+		wantLog   string
+		wantDrain [2][]uint64
+	}{
+		{
+			name: "in order",
+			steps: []step{{
+				groups: [][]Record{
+					{pushRec(0, 1, 10), pushRec(1, 1, 20), dedup},
+					{pushRec(0, 2, 5), popRec(0, 3, 5)},
+				},
+				wantFrontier: 5,
+			}},
+			wantLog:   "s0@1 s1@1 d| s0@2 s0@3|",
+			wantDrain: [2][]uint64{{10}, {20}},
+		},
+		{
+			// The later group holds the earlier LSN: applied in LSN order,
+			// logged in stream order. The pop proves the order — it only
+			// matches if 3 went in before it.
+			name: "cross-group inversion on one shard",
+			steps: []step{{
+				groups: [][]Record{
+					{popRec(0, 2, 3), pushRec(0, 3, 7)},
+					{pushRec(0, 1, 3)},
+				},
+				wantFrontier: 3,
+			}},
+			wantLog:   "s0@2 s0@3| s0@1|",
+			wantDrain: [2][]uint64{{7}, nil},
+		},
+		{
+			// The doc comment's pair: neither group is applyable before
+			// the other, only both together.
+			name: "mutual inversion",
+			pre:  []Record{pushRec(0, 1, 1), pushRec(0, 2, 2), pushRec(0, 3, 3)},
+			steps: []step{{
+				groups: [][]Record{
+					{pushRec(0, 5, 50), pushRec(1, 1, 60)},
+					{pushRec(0, 4, 40), pushRec(1, 2, 70)},
+				},
+				wantFrontier: 4,
+			}},
+			wantLog:   "s0@5 s1@1| s0@4 s1@2|",
+			wantDrain: [2][]uint64{{1, 2, 3, 40, 50}, {60, 70}},
+		},
+		{
+			// A gap holds its group back, and the groups that chained
+			// through it on another shard with it; the missing LSN's
+			// arrival releases them all.
+			name: "gap stays buffered",
+			steps: []step{
+				{
+					groups: [][]Record{
+						{pushRec(0, 1, 10)},
+						{pushRec(0, 3, 30), pushRec(1, 1, 60)},
+						{pushRec(1, 2, 70)},
+					},
+					wantBuffered: 2,
+					wantFrontier: 1,
+				},
+				{
+					groups:       [][]Record{{pushRec(0, 2, 20)}},
+					wantFrontier: 5,
+				},
+			},
+			wantLog:   "s0@1| s0@3 s1@1| s1@2| s0@2|",
+			wantDrain: [2][]uint64{{10, 20, 30}, {60, 70}},
+		},
+		{
+			// A group the engine already holds (a stream death cut its
+			// bookkeeping short) is not applied again, but it is logged,
+			// its dedup entry installed, and the frontier moves over it.
+			// The second group is half replay, half new.
+			name: "replay at or below the shard lsn",
+			pre:  []Record{pushRec(0, 1, 10), pushRec(0, 2, 11)},
+			steps: []step{{
+				groups: [][]Record{
+					{pushRec(0, 1, 10), dedup},
+					{pushRec(0, 2, 11), pushRec(0, 3, 12)},
+				},
+				wantFrontier: 4,
+			}},
+			wantLog:   "s0@1 d| s0@2 s0@3|",
+			wantDrain: [2][]uint64{{10, 11, 12}, nil},
+		},
+		{
+			name: "run longer than the ring",
+			steps: []step{{
+				groups:       [][]Record{longRun},
+				wantFrontier: uint64(len(longRun)),
+			}},
+			wantLog:   strings.Join(longLog, " ") + "|",
+			wantDrain: [2][]uint64{longDrain, nil},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, eng := applyNode(t, engine.Config{Shards: 2, Order: 2, Levels: 8, RingSize: ringSize, BatchSize: 4})
+			for _, r := range tc.pre {
+				res := make([]engine.Result, 1)
+				op := []engine.Op{engine.PushOp(core.Element{Value: r.Value, Meta: r.Meta})}
+				if err := eng.ApplyReplica(int(r.Shard), op, res); err != nil || res[0].Err != nil || res[0].LSN != r.LSN {
+					t.Fatalf("pre-apply %+v: %v %+v", r, err, res[0])
+				}
+			}
+			var (
+				buffered []grp
+				seq      uint64
+			)
+			for si, st := range tc.steps {
+				for _, recs := range st.groups {
+					recs = slices.Clone(recs)
+					recs[len(recs)-1].End = true
+					buffered = append(buffered, grp{start: seq + 1, end: seq + uint64(len(recs)), recs: recs})
+					seq += uint64(len(recs))
+				}
+				var err error
+				if buffered, err = n.applyReady(buffered); err != nil {
+					t.Fatalf("step %d: %v", si, err)
+				}
+				if len(buffered) != st.wantBuffered {
+					t.Errorf("step %d: %d groups stay buffered, want %d", si, len(buffered), st.wantBuffered)
+				}
+				if fr, _ := n.advanceFrontier(); fr != st.wantFrontier {
+					t.Errorf("step %d: frontier %d, want %d", si, fr, st.wantFrontier)
+				}
+			}
+			if got := logString(n.log); got != tc.wantLog {
+				t.Errorf("follower log:\n got %s\nwant %s", got, tc.wantLog)
+			}
+			if n.streamFatal.Load() {
+				t.Error("stream latched fatal")
+			}
+			eng.Close()
+			for sh, want := range tc.wantDrain {
+				els, err := eng.ShardDrain(sh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]uint64, len(els))
+				for i, el := range els {
+					got[i] = el.Value
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("shard %d drain %v, want %v", sh, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestApplyReadyDetectsDivergence feeds applyReady records the engine
+// cannot reproduce. Each must come back as an error with the stream
+// latched fatal, and the offending group must not be logged.
+func TestApplyReadyDetectsDivergence(t *testing.T) {
+	cases := []struct {
+		name string
+		recs []Record
+	}{
+		{"pop of another element", []Record{pushRec(0, 1, 10), popRec(0, 2, 11)}},
+		{"pop from an empty shard", []Record{popRec(0, 1, 10)}},
+		{"one lsn twice", []Record{pushRec(0, 1, 10), pushRec(0, 1, 10)}},
+		{"shard out of range", []Record{pushRec(2, 1, 10)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, _ := applyNode(t, engine.Config{Shards: 2, Order: 2, Levels: 8})
+			recs := slices.Clone(tc.recs)
+			recs[len(recs)-1].End = true
+			_, err := n.applyReady([]grp{{start: 1, end: uint64(len(recs)), recs: recs}})
+			if err == nil || !n.streamFatal.Load() {
+				t.Fatalf("err %v, fatal latch %v: divergence not detected", err, n.streamFatal.Load())
+			}
+			if n.log.Seq() != 0 {
+				t.Fatalf("diverged group reached the log (%s)", logString(n.log))
+			}
+			if fr, _ := n.advanceFrontier(); fr != 0 {
+				t.Fatalf("frontier %d moved over a diverged group", fr)
+			}
+		})
+	}
+}

@@ -1,0 +1,121 @@
+package replic
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+)
+
+// benchGroup is the group shape of the serving ladder's serve_sync_b64
+// workload: 64 op records over 2 shards, pushes and pops in equal parts.
+const benchGroup = 64
+
+// benchChunk is how many groups a benchmark runs between resets of the
+// state that grows with history (the genesis-retained log), so that its
+// memory is bounded however far b.N goes: 1024 groups are 65 536
+// records, 5 MiB of log.
+const benchChunk = 1024
+
+var benchGeom = engine.Config{Shards: 2, Order: 2, Levels: 11}
+
+// reportPerRecord adds ns/record beside the per-group ns/op.
+func reportPerRecord(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchGroup), "ns/record")
+}
+
+// BenchmarkLogAppend appends 64-record groups to a log that starts
+// empty every benchChunk groups — growing from nothing is part of what
+// a log costs.
+func BenchmarkLogAppend(b *testing.B) {
+	group := make([]Record, benchGroup)
+	for i := range group {
+		group[i] = pushRec(uint32(i%2), uint64(i), uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var l *Log
+	for i := 0; i < b.N; i++ {
+		if i%benchChunk == 0 {
+			l = NewLog()
+		}
+		l.AppendGroup(group)
+	}
+	reportPerRecord(b)
+}
+
+// BenchmarkFollowerApply times applyReady on one in-order group per
+// call, as a follower keeping up with its primary sees them. The
+// history is a real one: a second engine plays the primary, untimed,
+// a chunk of groups ahead.
+func BenchmarkFollowerApply(b *testing.B) {
+	prim, err := engine.New(benchGeom)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer prim.Close()
+	n, _ := applyNode(b, benchGeom)
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]engine.Op, benchGroup/2)
+	res := make([]engine.Result, len(ops))
+	// nextGroup runs one batch on the primary — per shard, pushes and
+	// pops alternating — and returns its records.
+	nextGroup := func(pops bool) []Record {
+		recs := make([]Record, 0, benchGroup)
+		for sh := 0; sh < 2; sh++ {
+			for i := range ops {
+				if pops && i%2 == 1 {
+					ops[i] = engine.PopOp()
+				} else {
+					v := uint64(rng.Int63n(1 << 30))
+					ops[i] = engine.PushOp(core.Element{Value: v, Meta: v})
+				}
+			}
+			if err := prim.ApplyReplica(sh, ops, res); err != nil {
+				b.Fatal(err)
+			}
+			for i, r := range res {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+				rec := Record{Kind: RecOp, Op: OpPush, Shard: uint32(sh), LSN: r.LSN,
+					Value: ops[i].Elem.Value, Meta: ops[i].Elem.Meta}
+				if ops[i].Kind == engine.OpPop {
+					rec.Op, rec.Value, rec.Meta = OpPop, r.Elem.Value, r.Elem.Meta
+				}
+				recs = append(recs, rec)
+			}
+		}
+		recs[len(recs)-1].End = true
+		return recs
+	}
+	one := make([]grp, 1)
+	apply := func(recs []Record) {
+		one[0] = grp{start: 1, end: uint64(len(recs)), recs: recs}
+		if rest, err := n.applyReady(one); err != nil || len(rest) != 0 {
+			b.Fatalf("apply: %v, %d groups left buffered", err, len(rest))
+		}
+	}
+	for i := 0; i < 32; i++ { // half fill, so no pop finds its shard empty
+		apply(nextGroup(false))
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	chunk := make([][]Record, 0, benchChunk)
+	for i := 0; i < b.N; i++ {
+		if len(chunk) == 0 {
+			b.StopTimer()
+			for range min(benchChunk, b.N-i) {
+				chunk = append(chunk, nextGroup(true))
+			}
+			n.log = NewLog()
+			clear(n.appliedGroups)
+			b.StartTimer()
+		}
+		apply(chunk[0])
+		chunk = chunk[1:]
+	}
+	reportPerRecord(b)
+}

@@ -2,6 +2,13 @@ package replic
 
 import "sync"
 
+// segRecords is the fixed record count of one log segment (320 KiB of
+// 80-byte records): large enough that the per-segment allocation is
+// amortised over thousands of appends, small enough that allocating
+// (and zeroing) the next one under the log mutex costs microseconds,
+// not the milliseconds a whole-log regrow did.
+const segRecords = 4096
+
 // Log is the primary's in-memory replication log: records numbered
 // from sequence 1, appended in atomic groups (one executed batch's op
 // records plus its dedup record land under one lock acquisition, so a
@@ -9,14 +16,26 @@ import "sync"
 // Senders block in ReadFrom until records arrive; Wake unblocks them
 // so a dying stream can exit.
 //
+// Storage is a list of fixed-size segments. An append fills the tail
+// segment and opens a new one when it is full; a record, once written,
+// is never moved or copied again, so appends cost the same at sequence
+// one and at sequence one hundred million, and a slice ReadFrom handed
+// out stays valid while later appends land behind it. A group may
+// straddle a segment boundary — sequence numbers and End flags do not
+// know about segments.
+//
 // The log is retained from genesis: a fresh follower attaches at
 // sequence 0 and replays everything. That bounds this design to
-// histories that fit in memory — snapshot-shipping for late joiners is
-// future work (see DESIGN.md §6).
+// histories that fit in memory — dropping whole segments below every
+// follower's ack, and snapshot-shipping for late joiners, are future
+// work (see DESIGN.md §6).
 type Log struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	recs []Record // recs[i] has sequence i+1
+	// segs[i] holds sequences i*segRecords+1 .. ; every segment but the
+	// last is full, and each is allocated once at capacity segRecords.
+	segs [][]Record
+	tip  uint64
 }
 
 // NewLog returns an empty log.
@@ -35,8 +54,17 @@ func (l *Log) AppendGroup(recs []Record) uint64 {
 		recs[i].End = i == len(recs)-1
 	}
 	l.mu.Lock()
-	l.recs = append(l.recs, recs...)
-	tip := uint64(len(l.recs))
+	for rest := recs; len(rest) > 0; {
+		if len(l.segs) == 0 || len(l.segs[len(l.segs)-1]) == segRecords {
+			l.segs = append(l.segs, make([]Record, 0, segRecords))
+		}
+		tail := &l.segs[len(l.segs)-1]
+		n := min(len(rest), segRecords-len(*tail))
+		*tail = append(*tail, rest[:n]...)
+		rest = rest[n:]
+	}
+	l.tip += uint64(len(recs))
+	tip := l.tip
 	l.mu.Unlock()
 	l.cond.Broadcast()
 	return tip
@@ -46,28 +74,28 @@ func (l *Log) AppendGroup(recs []Record) uint64 {
 func (l *Log) Seq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return uint64(len(l.recs))
+	return l.tip
 }
 
 // ReadFrom blocks until records after seq exist (or Wake is called),
-// then returns up to max of them. The returned slice aliases log
-// memory; records are never mutated after append. An empty return
-// means a wakeup with nothing new — callers check their stop condition
-// and loop.
+// then returns up to max of them — never past the end of the segment
+// that holds sequence seq+1, so a caller streaming the log sees a short
+// read at each segment boundary and simply asks again. The returned
+// slice aliases log memory; records are never mutated after append. An
+// empty return means a wakeup with nothing new — callers check their
+// stop condition and loop.
 func (l *Log) ReadFrom(seq uint64, max int) []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if uint64(len(l.recs)) <= seq {
+	if l.tip <= seq {
 		l.cond.Wait()
 	}
-	if uint64(len(l.recs)) <= seq {
+	if l.tip <= seq {
 		return nil
 	}
-	end := uint64(len(l.recs))
-	if end > seq+uint64(max) {
-		end = seq + uint64(max)
-	}
-	return l.recs[seq:end]
+	seg := l.segs[seq/segRecords]
+	off := int(seq % segRecords)
+	return seg[off:min(off+max, len(seg))]
 }
 
 // Wake unblocks every ReadFrom waiter.

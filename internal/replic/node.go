@@ -1,12 +1,13 @@
 package replic
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,14 @@ type grp struct {
 	recs       []Record
 }
 
+// opRef locates one buffered op record for an apply pass: the shard
+// and LSN it sorts by, and the group and record index to find it again.
+type opRef struct {
+	shard      uint32
+	lsn        uint64
+	group, idx int32
+}
+
 // newLogID mints a random nonzero log identity. Each node stamps its
 // own log with one at birth; a resume position is only honoured
 // against the log identity it was minted on.
@@ -138,7 +147,7 @@ type Node struct {
 	tipAtAttach atomic.Uint64
 	attached    atomic.Bool
 	caughtUp    atomic.Bool
-	streamFatal atomic.Bool   // primary refused us or changed identity: stop dialing
+	streamFatal atomic.Bool   // primary refused us, changed identity, or we diverged: stop dialing
 	primLogID   atomic.Uint64 // identity of the log streamPos was minted on (0 = none yet)
 	fconn       atomic.Pointer[net.Conn]
 
@@ -147,6 +156,13 @@ type Node struct {
 	// deletes entries as they become contiguous. Owned by the follower
 	// goroutine — no lock.
 	appliedGroups map[uint64]uint64
+
+	// applyReady's scratch, reused across passes. Owned by the follower
+	// goroutine — no lock.
+	refs  []opRef
+	ready []bool
+	ops   []engine.Op
+	res   []engine.Result
 
 	// Telemetry state (follower side): when the last stream frame
 	// arrived (UnixNano) and the highest stream sequence received —
@@ -449,16 +465,22 @@ func (n *Node) onBatch(session, reqID uint64, ops []engine.Op, results []engine.
 	if !n.cfg.Sync || n.followers.Load() == 0 {
 		return nil
 	}
-	return func() { n.waitAck(seq) }
+	// The gate runs later, on the connection's writer; the ack round
+	// trip it reports starts here, where the group entered the log.
+	var logged time.Time
+	if n.ackLatency != nil {
+		logged = time.Now()
+	}
+	return func() { n.waitAck(seq, logged) }
 }
 
 // waitAck blocks until a follower acknowledges seq or SyncTimeout
 // passes (which marks the node Degraded: the response is released
-// without proof of replication).
-func (n *Node) waitAck(seq uint64) {
-	if n.ackLatency != nil {
-		start := time.Now()
-		defer func() { n.ackLatency.Observe(uint64(time.Since(start))) }()
+// without proof of replication). logged, when nonzero, is when the
+// group was appended; the ack-latency histogram gets the time since.
+func (n *Node) waitAck(seq uint64, logged time.Time) {
+	if !logged.IsZero() {
+		defer func() { n.ackLatency.Observe(uint64(time.Since(logged))) }()
 	}
 	n.amu.Lock()
 	if n.ackSeq >= seq {
@@ -467,7 +489,7 @@ func (n *Node) waitAck(seq uint64) {
 	}
 	if n.followers.Load() == 0 {
 		n.amu.Unlock()
-		n.degraded.Store(true)
+		n.setDegraded("sync response released with no follower attached")
 		return
 	}
 	w := ackWaiter{seq: seq, ch: make(chan struct{})}
@@ -618,6 +640,7 @@ func (n *Node) handleRepl(conn net.Conn, hello wire.Frame) {
 
 	next := resume
 	lastSent := time.Now()
+	var payload []byte // reused: WriteFrame is done with it when it returns
 	for !stop.Load() {
 		select {
 		case <-n.closed:
@@ -636,7 +659,7 @@ func (n *Node) handleRepl(conn net.Conn, hello wire.Frame) {
 		}
 		ok := true
 		for _, chunk := range chunkRecords(recs) {
-			payload := AppendReplRecords(nil, next+1, chunk)
+			payload = AppendReplRecords(payload[:0], next+1, chunk)
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.StreamTimeout))
 			if err := wire.WriteFrame(conn, wire.TReplRecords, 0, payload); err != nil {
 				ok = false
@@ -854,17 +877,20 @@ func (n *Node) streamOnce() error {
 		if first != recvSeq+1 {
 			return fmt.Errorf("replic: stream gap: got seq %d, want %d", first, recvSeq+1)
 		}
+		// A group wholly inside this frame is handed on as a slice of the
+		// frame's own records; only one that straddles frames is copied
+		// into pending.
+		from := 0
 		for i := range recs {
-			seq := first + uint64(i)
-			if len(pending) == 0 {
-				pendingStart = seq
-			}
-			pending = append(pending, recs[i])
 			if !recs[i].End {
 				continue
 			}
-			g := grp{start: pendingStart, end: seq, recs: pending}
-			pending = nil
+			g := grp{start: first + uint64(from), end: first + uint64(i), recs: recs[from : i+1]}
+			if len(pending) > 0 {
+				g.start, g.recs = pendingStart, append(pending, g.recs...)
+				pending = nil
+			}
+			from = i + 1
 			// A stream that died and resumed at the frontier re-sends
 			// groups already applied ahead of it — skip those; their
 			// frontier bookkeeping is still in appliedGroups.
@@ -873,6 +899,12 @@ func (n *Node) streamOnce() error {
 			}
 			buffered = append(buffered, g)
 		}
+		if from < len(recs) {
+			if len(pending) == 0 {
+				pendingStart = first + uint64(from)
+			}
+			pending = append(pending, recs[from:]...)
+		}
 		recvSeq = first + uint64(len(recs)) - 1
 		n.remoteSeq.Store(recvSeq)
 
@@ -880,20 +912,10 @@ func (n *Node) streamOnce() error {
 			return err
 		}
 
-		// Advance the frontier over contiguously applied groups, then
-		// acknowledge it: an ack covers only groups whose ops and dedup
-		// entries have fully landed.
-		fr := n.streamPos.Load()
-		for {
-			end, ok := n.appliedGroups[fr+1]
-			if !ok {
-				break
-			}
-			delete(n.appliedGroups, fr+1)
-			fr = end
-		}
-		if fr != n.streamPos.Load() {
-			n.streamPos.Store(fr)
+		// Acknowledge the new frontier: an ack covers only groups whose
+		// ops and dedup entries have fully landed.
+		fr, moved := n.advanceFrontier()
+		if moved {
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.StreamTimeout))
 			if err := wire.WriteFrame(conn, wire.TReplAck, 0, AppendSeq(nil, fr)); err != nil {
 				return err
@@ -903,6 +925,25 @@ func (n *Node) streamOnce() error {
 			n.transition("caught_up", fr, n.tipAtAttach.Load())
 		}
 	}
+}
+
+// advanceFrontier moves the stream position over every contiguously
+// applied group and reports the new frontier and whether it moved.
+func (n *Node) advanceFrontier() (uint64, bool) {
+	old := n.streamPos.Load()
+	fr := old
+	for {
+		end, ok := n.appliedGroups[fr+1]
+		if !ok {
+			break
+		}
+		delete(n.appliedGroups, fr+1)
+		fr = end
+	}
+	if fr != old {
+		n.streamPos.Store(fr)
+	}
+	return fr, fr != old
 }
 
 // applyReady applies every buffered group that is LSN-reachable and
@@ -915,6 +956,16 @@ func (n *Node) streamOnce() error {
 // the engine's applied LSNs through the ops of the groups that remain;
 // the fixpoint is the largest set applyable together.
 //
+// The pass pays its fixed costs once, not once per record: the op
+// records of every buffered group are gathered into one slice sorted by
+// (shard, LSN), reachability is a walk along each shard's run of it,
+// and each shard's run goes to the engine in a single ApplyReplica
+// call. Every result is still checked against its record — error, LSN,
+// and for a pop the element — and any mismatch is divergence: the
+// follower's state is no longer the primary's, re-streaming cannot
+// repair it (the replay filter would skip the very op that went wrong),
+// so the stream is latched fatal and nothing past it is acknowledged.
+//
 // Each surviving group lands whole: its ops (per shard, in LSN order),
 // then its log append and dedup install as one unit. Engine state, own
 // log, and dedup cache therefore always agree at group granularity —
@@ -923,88 +974,90 @@ func (n *Node) applyReady(buffered []grp) ([]grp, error) {
 	if len(buffered) == 0 {
 		return buffered, nil
 	}
-	applied := make(map[uint32]uint64)
-	lsnOf := func(shard uint32) uint64 {
-		l, ok := applied[shard]
-		if !ok {
-			l = n.eng.ShardLSN(int(shard))
-			applied[shard] = l
-		}
-		return l
-	}
-	ready := make([]bool, len(buffered))
-	for i := range ready {
-		ready[i] = true
-	}
-	for {
-		// LSNs the current candidate set offers, per shard.
-		offer := map[uint32]map[uint64]bool{}
-		for i, g := range buffered {
-			if !ready[i] {
+	refs := n.refs[:0]
+	for gi := range buffered {
+		for ri := range buffered[gi].recs {
+			r := &buffered[gi].recs[ri]
+			if r.Kind != RecOp {
 				continue
 			}
-			for _, r := range g.recs {
-				if r.Kind != RecOp {
-					continue
-				}
-				if offer[r.Shard] == nil {
-					offer[r.Shard] = map[uint64]bool{}
-				}
-				offer[r.Shard][r.LSN] = true
+			if int(r.Shard) >= n.eng.Shards() {
+				return nil, n.diverged("record names shard %d of %d", r.Shard, n.eng.Shards())
 			}
-		}
-		// Extend each shard's applied chain as far as the offers reach.
-		reach := map[uint32]uint64{}
-		for shard, set := range offer {
-			l := lsnOf(shard)
-			for set[l+1] {
-				l++
-			}
-			reach[shard] = l
-		}
-		changed := false
-		for i, g := range buffered {
-			if !ready[i] {
-				continue
-			}
-			for _, r := range g.recs {
-				if r.Kind == RecOp && r.LSN > reach[r.Shard] {
-					ready[i] = false
-					changed = true
-					break
-				}
-			}
-		}
-		if !changed {
-			break
+			refs = append(refs, opRef{shard: r.Shard, lsn: r.LSN, group: int32(gi), idx: int32(ri)})
 		}
 	}
-	// Apply the ready set's ops per shard in LSN order. An op at or
-	// below the applied frontier is a replay of a group whose apply a
-	// stream death cut short — skip it; the group still completes now.
-	var toApply []Record
-	for i, g := range buffered {
-		if !ready[i] {
-			continue
+	slices.SortFunc(refs, func(a, b opRef) int {
+		if c := cmp.Compare(a.shard, b.shard); c != 0 {
+			return c
 		}
-		for _, r := range g.recs {
-			if r.Kind == RecOp && r.LSN > lsnOf(r.Shard) {
-				toApply = append(toApply, r)
-			}
-		}
-	}
-	sort.Slice(toApply, func(a, b int) bool {
-		if toApply[a].Shard != toApply[b].Shard {
-			return toApply[a].Shard < toApply[b].Shard
-		}
-		return toApply[a].LSN < toApply[b].LSN
+		return cmp.Compare(a.lsn, b.lsn)
 	})
-	for _, r := range toApply {
-		if err := n.applyOne(r); err != nil {
+	ready := n.ready[:0]
+	for range buffered {
+		ready = append(ready, true)
+	}
+	// Walk each shard's chain from the engine's applied LSN as far as the
+	// candidate groups' ops reach; an op beyond a gap drops its group,
+	// which may break another shard's chain, hence the repeat.
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < len(refs); {
+			shard := refs[i].shard
+			l := n.eng.ShardLSN(int(shard))
+			for ; i < len(refs) && refs[i].shard == shard; i++ {
+				switch ref := refs[i]; {
+				case !ready[ref.group], ref.lsn <= l:
+				case ref.lsn == l+1:
+					l++
+				default:
+					ready[ref.group] = false
+					changed = true
+				}
+			}
+		}
+	}
+	// Apply the ready set's ops, one engine hand-off per shard. An op at
+	// or below the applied LSN is a replay of a group the follower already
+	// holds — skip it; the group still completes now.
+	applied, ops, res := 0, n.ops, n.res
+	for i := 0; i < len(refs); {
+		shard := refs[i].shard
+		base := n.eng.ShardLSN(int(shard))
+		run := refs[i:i]
+		ops = ops[:0]
+		for ; i < len(refs) && refs[i].shard == shard; i++ {
+			ref := refs[i]
+			if !ready[ref.group] || ref.lsn <= base {
+				continue
+			}
+			run = append(run, ref) // compacts in place: len(run) never passes i
+			if r := &buffered[ref.group].recs[ref.idx]; r.Op == OpPush {
+				ops = append(ops, engine.PushOp(core.Element{Value: r.Value, Meta: r.Meta}))
+			} else {
+				ops = append(ops, engine.PopOp())
+			}
+		}
+		res = slices.Grow(res[:0], len(ops))[:len(ops)]
+		if err := n.eng.ApplyReplica(int(shard), ops, res); err != nil {
 			return nil, err
 		}
+		for k, ref := range run {
+			rec, r := &buffered[ref.group].recs[ref.idx], res[k]
+			switch {
+			case r.Err != nil:
+				return nil, n.diverged("apply shard %d lsn %d: %v", rec.Shard, rec.LSN, r.Err)
+			case r.LSN != rec.LSN:
+				return nil, n.diverged("shard %d applied lsn %d, primary says %d", rec.Shard, r.LSN, rec.LSN)
+			case rec.Op == OpPop && (r.Elem.Value != rec.Value || r.Elem.Meta != rec.Meta):
+				return nil, n.diverged("shard %d lsn %d popped (%d,%d), primary popped (%d,%d)",
+					rec.Shard, rec.LSN, r.Elem.Value, r.Elem.Meta, rec.Value, rec.Meta)
+			}
+		}
+		applied += len(run)
 	}
-	n.recordsInc.Add(uint64(len(toApply)))
+	n.refs, n.ready, n.ops, n.res = refs, ready, ops, res
+	n.recordsInc.Add(uint64(applied))
 	// Every ready group is now fully in the engine: log it, install its
 	// dedup entry, and record it for frontier advance.
 	rest := buffered[:0]
@@ -1025,32 +1078,13 @@ func (n *Node) applyReady(buffered []grp) ([]grp, error) {
 	return rest, nil
 }
 
-// applyOne applies one op record to the follower's engine and checks
-// the result against the primary's: same LSN, and for pops the same
-// element. Any mismatch is divergence — fatal for the stream.
-func (n *Node) applyOne(rec Record) error {
-	var ops [1]engine.Op
-	if rec.Op == OpPush {
-		ops[0] = engine.PushOp(core.Element{Value: rec.Value, Meta: rec.Meta})
-	} else {
-		ops[0] = engine.PopOp()
-	}
-	var res [1]engine.Result
-	if err := n.eng.ApplyReplica(int(rec.Shard), ops[:], res[:]); err != nil {
-		return err
-	}
-	r := res[0]
-	if r.Err != nil {
-		return fmt.Errorf("replic: apply shard %d lsn %d: %w", rec.Shard, rec.LSN, r.Err)
-	}
-	if r.LSN != rec.LSN {
-		return fmt.Errorf("replic: shard %d applied lsn %d, primary says %d", rec.Shard, r.LSN, rec.LSN)
-	}
-	if rec.Op == OpPop && (r.Elem.Value != rec.Value || r.Elem.Meta != rec.Meta) {
-		return fmt.Errorf("replic: divergence: shard %d lsn %d popped (%d,%d), primary popped (%d,%d)",
-			rec.Shard, rec.LSN, r.Elem.Value, r.Elem.Meta, rec.Value, rec.Meta)
-	}
-	return nil
+// diverged latches the stream fatal and returns the error that ends it:
+// the follower's engine no longer mirrors the primary's history.
+// runFollower sees the latch, marks the node Degraded (firing the
+// incident hook) and stops dialing.
+func (n *Node) diverged(format string, args ...any) error {
+	n.streamFatal.Store(true)
+	return fmt.Errorf("replic: divergence: "+format, args...)
 }
 
 // errString decodes a TError payload's message.

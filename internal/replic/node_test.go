@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/wire"
 )
@@ -528,5 +529,85 @@ func TestPromoteMidStreamUnblocksFollower(t *testing.T) {
 	}
 	if !fol.srv.Serving() {
 		t.Fatal("promoted follower not serving")
+	}
+}
+
+// TestFollowerDivergenceIsFatal perturbs a follower's engine behind the
+// stream's back so the primary's next pop cannot be reproduced. The
+// follower must stop for good: no ack past the last sound group, the
+// incident hook fired, the node degraded, and no redial — a redial
+// would re-stream the group, the replay filter would skip the op that
+// already went wrong, and the divergence would be acknowledged away.
+func TestFollowerDivergenceIsFatal(t *testing.T) {
+	geom := engine.Config{Shards: 1, Order: 2, Levels: 8}
+	prim := startNode(t, geom, Config{})
+	defer prim.stop(2 * time.Second)
+	incidents := make(chan string, 4) // repl_fatal and repl_degraded, with room to spare
+	fol := startNode(t, geom, Config{
+		PrimaryAddr: prim.addr,
+		OnIncident:  func(trigger, reason string) { incidents <- trigger },
+	})
+	defer fol.stop(2 * time.Second)
+	waitUntil(t, "follower attach", func() bool { return fol.node.Ready() })
+
+	// An element the primary never saw, at the LSN the primary's first
+	// push will take: the follower skips that push as a replay, and from
+	// then on holds 1 where the primary holds 7.
+	res := make([]engine.Result, 1)
+	if err := fol.eng.ApplyReplica(0, []engine.Op{engine.PushOp(core.Element{Value: 1, Meta: 1})}, res); err != nil || res[0].Err != nil {
+		t.Fatalf("perturbing the follower: %v %v", err, res[0].Err)
+	}
+
+	c, err := wire.Dial(prim.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do([]wire.Op{{Kind: wire.OpPush, Value: 7, Meta: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	sound := prim.node.LogSeq()
+	waitUntil(t, "ack of the group before the divergence", func() bool { return prim.node.AckSeq() == sound })
+	if r, err := c.Do([]wire.Op{{Kind: wire.OpPop}}); err != nil || r[0].Value != 7 {
+		t.Fatalf("primary pop: %v %+v", err, r)
+	}
+
+	for fatal := false; !fatal; {
+		select {
+		case trigger := <-incidents:
+			fatal = trigger == "repl_fatal"
+		case <-time.After(5 * time.Second):
+			t.Fatal("divergence raised no repl_fatal incident")
+		}
+	}
+	waitUntil(t, "stream teardown", func() bool { return prim.node.Status().Followers == 0 })
+	// Many redial periods (5ms each): a follower that was going to come
+	// back would have.
+	time.Sleep(100 * time.Millisecond)
+	if got := prim.node.Status().Followers; got != 0 {
+		t.Fatalf("diverged follower redialed (%d attached)", got)
+	}
+	if got := prim.node.AckSeq(); got != sound {
+		t.Fatalf("primary holds ack %d, want %d: the diverged pop was acknowledged", got, sound)
+	}
+	if got := fol.node.Status().AckSeq; got != sound {
+		t.Fatalf("follower frontier %d, want %d", got, sound)
+	}
+	if !fol.node.Status().Degraded {
+		t.Fatal("diverged follower not degraded")
+	}
+}
+
+// TestSyncReleaseWithoutFollowerIsAnIncident: a gated response whose
+// follower detached before the gate ran is released unreplicated — a
+// degrade edge like any other, so it must reach the incident hook.
+func TestSyncReleaseWithoutFollowerIsAnIncident(t *testing.T) {
+	var triggers []string
+	n, _ := applyNode(t, testGeom)
+	n.cfg.OnIncident = func(trigger, reason string) { triggers = append(triggers, trigger) }
+	n.waitAck(1, time.Time{})
+	n.waitAck(2, time.Time{})
+	if !n.Status().Degraded || len(triggers) != 1 || triggers[0] != "repl_degraded" {
+		t.Fatalf("degraded %v, incidents %v: want one repl_degraded", n.Status().Degraded, triggers)
 	}
 }

@@ -3,6 +3,7 @@ package replic
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -158,6 +159,68 @@ func TestLogGroupsAndReadFrom(t *testing.T) {
 			return
 		case <-time.After(time.Millisecond):
 		}
+	}
+}
+
+// TestLogSegmentBoundaries appends across a segment boundary: a group
+// that straddles it keeps its single End, sequence numbers run on, no
+// read crosses a segment, and a reader can resume anywhere inside one.
+// Every record's LSN is its own sequence, so a misplaced one shows.
+func TestLogSegmentBoundaries(t *testing.T) {
+	l := NewLog()
+	next := uint64(0)
+	group := func(n int) []Record {
+		recs := make([]Record, n)
+		for i := range recs {
+			next++
+			recs[i] = Record{Kind: RecOp, Op: OpPush, LSN: next}
+		}
+		return recs
+	}
+	if tip := l.AppendGroup(group(segRecords - 2)); tip != segRecords-2 {
+		t.Fatalf("tip %d, want %d", tip, segRecords-2)
+	}
+	// Two records of this group close segment 0, three open segment 1.
+	if tip := l.AppendGroup(group(5)); tip != segRecords+3 || l.Seq() != segRecords+3 {
+		t.Fatalf("tip %d seq %d, want %d", tip, l.Seq(), segRecords+3)
+	}
+	l.AppendGroup(group(2*segRecords + 7)) // a group longer than a segment
+
+	head := l.ReadFrom(segRecords-2, MaxRecordsPerFrame)
+	tail := l.ReadFrom(segRecords, 3)
+	if len(head) != 2 || len(tail) != 3 {
+		t.Fatalf("straddling group read as %d + %d records, want 2 + 3", len(head), len(tail))
+	}
+	for i, r := range slices.Concat(head, tail) {
+		if want := uint64(segRecords - 1 + i); r.LSN != want || r.End != (i == 4) {
+			t.Fatalf("straddling group record %d: lsn %d end %v, want lsn %d end %v", i, r.LSN, r.End, want, i == 4)
+		}
+	}
+
+	// Stream the whole log the way a sender does, from a resume point in
+	// the middle of segment 0.
+	const resume = 1000
+	ends := 0
+	for seq := uint64(resume); seq < l.Seq(); {
+		recs := l.ReadFrom(seq, MaxRecordsPerFrame)
+		if len(recs) == 0 {
+			t.Fatalf("empty read at %d below the tip %d", seq, l.Seq())
+		}
+		if first, last := seq/segRecords, (seq+uint64(len(recs))-1)/segRecords; first != last {
+			t.Fatalf("read of %d records after %d spans segments %d..%d", len(recs), seq, first, last)
+		}
+		for i, r := range recs {
+			if want := seq + uint64(i) + 1; r.LSN != want {
+				t.Fatalf("sequence %d holds the record appended as %d", want, r.LSN)
+			}
+			if r.End {
+				ends++
+			}
+		}
+		seq += uint64(len(recs))
+	}
+	if ends != 3 {
+		t.Fatalf("%d group ends past the resume point, want 3", ends)
 	}
 }
 

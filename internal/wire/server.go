@@ -65,8 +65,13 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // It is the replication tap — the node layer turns each call into an
 // atomic log group. The ops/results slices are reused across requests;
 // implementations must copy what they keep. A non-nil returned func is
-// awaited before the response is released to the client (synchronous
-// replication gating).
+// the response's gate (synchronous replication): the connection's
+// writer calls it — once, after flushing the responses ahead of this
+// one — and only encodes the response when it returns, so the reader
+// is already executing the connection's next frame while the gate
+// blocks. It must return in bounded time (replic bounds it with
+// SyncTimeout) and be safe to call from a goroutine other than the one
+// the hook ran on.
 type BatchHook func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func()
 
 // AdminHandler answers TAdmin frames. ReplHandler takes ownership of a
@@ -109,7 +114,9 @@ type (
 // engine, hand the response to the writer) and a writer goroutine that
 // coalesces responses: it collects every response already queued before
 // flushing, so a pipelined client costs one syscall per pipeline
-// window, not one per response.
+// window, not one per response. The writer is also where a response
+// gated by the batch hook waits for its gate (see writeLoop), so a
+// replication round trip never stalls the connection's reader.
 type Server struct {
 	eng *engine.Engine
 	cfg ServerConfig
@@ -266,12 +273,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // response is one encoded frame headed for a connection's writer. sp,
 // when non-nil, is the request's trace span: the writer stamps
-// StageWrite once the bytes hit the socket and finishes the span.
+// StageWrite once the bytes hit the socket and finishes the span. wait,
+// when non-nil, is the batch hook's gate: the writer calls it and stamps
+// StageAck before the response may join a write.
 type response struct {
 	typ     Type
 	id      uint64
 	payload []byte
 	sp      *obs.Span
+	wait    func()
 }
 
 // serveConn runs one connection's read-execute loop plus its coalescing
@@ -352,7 +362,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				Version:  Version,
 				Shards:   uint32(s.eng.Shards()),
 				Capacity: uint64(s.eng.Cap()),
-			}), nil}
+			}), nil, nil}
 		case TBatch:
 			if !s.serving.Load() {
 				sendErr(out, f.ID, StatusNotPrimary, errors.New("replication follower: not serving queue traffic"))
@@ -374,7 +384,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sess.mu.Lock()
 				if resp, ok := sess.cache[f.ID]; ok {
 					sess.mu.Unlock()
-					out <- response{TBatchOK, f.ID, resp, sp}
+					out <- response{TBatchOK, f.ID, resp, sp, nil}
 					continue
 				}
 				if f.ID <= sess.evictedMax {
@@ -392,7 +402,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				if sess != nil {
 					sess.mu.Unlock()
 				}
-				out <- response{TBatchOK, f.ID, appendShedResults(nil, len(wireOps)), sp}
+				out <- response{TBatchOK, f.ID, appendShedResults(nil, len(wireOps)), sp, nil}
 				continue
 			}
 			// Front-door triage: ownership-refused pushes and peeks are
@@ -468,11 +478,13 @@ func (s *Server) serveConn(conn net.Conn) {
 				sess.put(f.ID, payload, s.cfg.DedupWindow)
 				sess.mu.Unlock()
 			}
-			if wait != nil {
-				wait()
+			// A gated response's ack belongs to the writer, which waits
+			// for it there so this goroutine can turn to the next frame;
+			// the bounded out channel caps how many can be un-acked.
+			if wait == nil {
+				sp.Stamp(obs.StageAck)
 			}
-			sp.Stamp(obs.StageAck)
-			out <- response{TBatchOK, f.ID, payload, sp}
+			out <- response{TBatchOK, f.ID, payload, sp, wait}
 		case TAdmin:
 			cmd, err := ParseAdmin(f.Payload)
 			if err != nil {
@@ -484,7 +496,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(out, f.ID, StatusInvalid, err)
 				return
 			}
-			out <- response{TAdminOK, f.ID, AppendAdminInfo(nil, info), nil}
+			out <- response{TAdminOK, f.ID, AppendAdminInfo(nil, info), nil, nil}
 		case TClusterHello:
 			if s.onClusterHello == nil {
 				sendErr(out, f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
@@ -495,7 +507,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(out, f.ID, StatusInvalid, err)
 				return
 			}
-			out <- response{TClusterMap, f.ID, s.onClusterHello(since), nil}
+			out <- response{TClusterMap, f.ID, s.onClusterHello(since), nil, nil}
 		case TClusterMap:
 			if s.onClusterSink == nil {
 				sendErr(out, f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
@@ -504,7 +516,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// The sink decides adoption; the reply (possibly empty)
 			// carries the local map back when it is the newer one, so a
 			// single gossip exchange converges both peers.
-			out <- response{TClusterMap, f.ID, s.onClusterSink(f.Payload), nil}
+			out <- response{TClusterMap, f.ID, s.onClusterSink(f.Payload), nil, nil}
 		case TReplFetch:
 			if s.onFetch == nil {
 				sendErr(out, f.ID, StatusInvalid, errors.New("anti-entropy fetch not enabled"))
@@ -515,7 +527,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(out, f.ID, StatusInvalid, err)
 				continue
 			}
-			out <- response{TReplChunk, f.ID, resp, nil}
+			out <- response{TReplChunk, f.ID, resp, nil, nil}
 		case TReplHello:
 			if s.onRepl == nil {
 				sendErr(out, f.ID, StatusInvalid, errors.New("replication not enabled"))
@@ -587,7 +599,7 @@ func statusOf(err error) Status {
 func sendErr(out chan<- response, id uint64, code Status, err error) {
 	payload := append([]byte{byte(code)}, err.Error()...)
 	select {
-	case out <- response{TError, id, payload, nil}:
+	case out <- response{TError, id, payload, nil, nil}:
 	default:
 	}
 }
@@ -597,48 +609,62 @@ func sendErr(out chan<- response, id uint64, code Status, err error) {
 // queued into the same buffer, write once. Each flushed response's
 // span gets its StageWrite stamp after the socket write and is
 // finished (aggregated, sampled, pooled) here.
+//
+// It is also where a gated response waits for its follower ack. Before
+// blocking in a gate the writer flushes what it has already encoded —
+// those responses are released and must not sit behind another's round
+// trip — and a gated response is encoded only once its gate returns, so
+// no response reaches the socket before its ack (or its sync timeout)
+// and responses leave in the order the reader queued them.
 func writeLoop(conn net.Conn, out <-chan response, writeTimeout time.Duration, tracer *obs.Tracer) {
 	buf := make([]byte, 0, 64<<10)
 	var spans []*obs.Span
-	for r := range out {
-		buf = AppendFrame(buf[:0], r.typ, r.id, r.payload)
-		spans = spans[:0]
-		if r.sp != nil {
-			spans = append(spans, r.sp)
-		}
-	coalesce:
-		for {
-			select {
-			case more, ok := <-out:
-				if !ok {
-					break coalesce
-				}
-				buf = AppendFrame(buf, more.typ, more.id, more.payload)
-				if more.sp != nil {
-					spans = append(spans, more.sp)
-				}
-			default:
-				break coalesce
-			}
+	// flush writes the encoded responses and finishes their spans; false
+	// means the connection is dead.
+	flush := func() bool {
+		if len(buf) == 0 {
+			return true
 		}
 		if writeTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		}
-		if _, err := conn.Write(buf); err != nil {
-			// Reader will notice the dead conn; just stop writing.
-			// Finish pending spans unstamped — their last stage stays
-			// wherever execution got to.
-			for _, sp := range spans {
-				tracer.Finish(sp)
-			}
-			for r := range out {
-				tracer.Finish(r.sp)
-			}
-			return
-		}
+		_, err := conn.Write(buf)
 		for _, sp := range spans {
-			sp.Stamp(obs.StageWrite)
+			// On a failed write the span finishes unstamped — its last
+			// stage stays wherever execution got to.
+			if err == nil {
+				sp.Stamp(obs.StageWrite)
+			}
 			tracer.Finish(sp)
+		}
+		buf, spans = buf[:0], spans[:0]
+		return err == nil
+	}
+	dead := false
+	for r := range out {
+		if dead {
+			// The reader notices the dead conn on its own; until it closes
+			// out, just finish the spans of responses nobody will read.
+			tracer.Finish(r.sp)
+			continue
+		}
+		if r.wait != nil {
+			if dead = !flush(); dead {
+				tracer.Finish(r.sp)
+				continue
+			}
+			r.wait()
+			r.sp.Stamp(obs.StageAck)
+		}
+		buf = AppendFrame(buf, r.typ, r.id, r.payload)
+		if r.sp != nil {
+			spans = append(spans, r.sp)
+		}
+		// Coalesce while more is queued (this goroutine is the only
+		// receiver, so a nonempty queue cannot drain under it); write once
+		// it is not.
+		if len(out) == 0 {
+			dead = !flush()
 		}
 	}
 }

@@ -160,3 +160,79 @@ func TestPipelinedClients(t *testing.T) {
 		return true
 	})
 }
+
+// TestSyncGatePipelined pins the gate's contract now that it runs on the
+// connection's writer: while one response's gate blocks, the reader goes
+// on to execute the frames behind it (the hook sees all of them), yet
+// nothing reaches the socket before its own gate returns, and the
+// responses leave in request order.
+func TestSyncGatePipelined(t *testing.T) {
+	e, err := engine.New(engine.Config{Shards: 1, Order: 2, Levels: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const frames = 3
+	hooked := make(chan uint64, frames)
+	gates := make([]chan struct{}, frames+1)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	srv := NewServer(e)
+	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
+		hooked <- reqID
+		return func() { <-gates[reqID] }
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for id := uint64(1); id <= frames; id++ {
+		payload := AppendOps(nil, []Op{{Kind: OpPush, Value: id, Meta: id}})
+		if err := WriteFrame(conn, TBatch, id, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every frame executes while the first gate is still shut.
+	for id := uint64(1); id <= frames; id++ {
+		select {
+		case got := <-hooked:
+			if got != id {
+				t.Fatalf("hook saw request %d, want %d", got, id)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d never executed: the reader is waiting behind a gate", id)
+		}
+	}
+	// Open the later gates first: their responses must still wait for
+	// the first one's.
+	close(gates[3])
+	close(gates[2])
+	conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if f, err := ReadFrame(conn); err == nil {
+		t.Fatalf("response %d written before gate 1 opened", f.ID)
+	}
+	close(gates[1])
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for id := uint64(1); id <= frames; id++ {
+		f, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != TBatchOK || f.ID != id {
+			t.Fatalf("response type %d id %d, want TBatchOK id %d", f.Type, f.ID, id)
+		}
+	}
+}

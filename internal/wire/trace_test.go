@@ -14,8 +14,9 @@ import (
 	"repro/internal/obs"
 )
 
-// startTracedServer is startServer with a request tracer installed.
-func startTracedServer(t *testing.T, cfg engine.Config, topts obs.TracerOptions) (string, *obs.Tracer, func()) {
+// startTracedServer is startServer with a request tracer installed,
+// and a batch hook when one is given.
+func startTracedServer(t *testing.T, cfg engine.Config, topts obs.TracerOptions, hook BatchHook) (string, *obs.Tracer, func()) {
 	t.Helper()
 	e, err := engine.New(cfg)
 	if err != nil {
@@ -30,6 +31,9 @@ func startTracedServer(t *testing.T, cfg engine.Config, topts obs.TracerOptions)
 		t.Fatal("tracer disabled")
 	}
 	srv := NewServerConfig(e, ServerConfig{Tracer: tracer})
+	if hook != nil {
+		srv.SetBatchHook(hook)
+	}
 	done := make(chan struct{})
 	go func() {
 		srv.Serve(ln)
@@ -50,7 +54,21 @@ func startTracedServer(t *testing.T, cfg engine.Config, topts obs.TracerOptions)
 // asserts every finished span's stamped stages are non-decreasing and
 // consistent with its outcome: decode and write always stamped, and the
 // engine stages present exactly when the request reached the engine.
+// The gated case installs a batch hook whose gate blocks: the ack stamp
+// then comes from the connection's writer, after the gate returns — it
+// must still fall between commit and write, at least the block later
+// than commit.
 func TestSpanStageMonotonic(t *testing.T) {
+	const block = 200 * time.Microsecond
+	t.Run("ungated", func(t *testing.T) { testSpanStages(t, nil, 0) })
+	t.Run("gated", func(t *testing.T) {
+		testSpanStages(t, func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
+			return func() { time.Sleep(block) }
+		}, block)
+	})
+}
+
+func testSpanStages(t *testing.T, hook BatchHook, minAck time.Duration) {
 	reg := obs.NewRegistry()
 	var (
 		mu    sync.Mutex
@@ -58,7 +76,7 @@ func TestSpanStageMonotonic(t *testing.T) {
 	)
 	addr, tracer, stop := startTracedServer(t,
 		engine.Config{Shards: 4, Order: 2, Levels: 6},
-		obs.TracerOptions{Registry: reg, Prefix: "t"})
+		obs.TracerOptions{Registry: reg, Prefix: "t"}, hook)
 	tracer.OnFinish = func(track int64, ts [obs.NumStages]int64) {
 		mu.Lock()
 		spans = append(spans, ts)
@@ -113,6 +131,9 @@ func TestSpanStageMonotonic(t *testing.T) {
 			}
 			prev = v
 		}
+		if d := time.Duration(ts[obs.StageAck] - ts[obs.StageCommit]); d < minAck {
+			t.Errorf("span %d: ack %v after commit, the gate blocks %v", i, d, minAck)
+		}
 	}
 	// Every executed batch fed all eight stage histograms.
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
@@ -132,7 +153,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	rec := obs.NewTraceRecorder()
 	addr, _, stop := startTracedServer(t,
 		engine.Config{Shards: 2, Order: 2, Levels: 6},
-		obs.TracerOptions{Registry: reg, Prefix: "t", Recorder: rec, SampleEvery: 8})
+		obs.TracerOptions{Registry: reg, Prefix: "t", Recorder: rec, SampleEvery: 8}, nil)
 	defer stop()
 
 	hs := httptest.NewServer(obs.HandlerOpts(reg, obs.HandlerOptions{Trace: rec}))
