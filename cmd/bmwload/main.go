@@ -289,6 +289,12 @@ func main() {
 		}
 		fmt.Printf("bmwload: cluster redirects=%d map_refreshes=%d map_version=%d per-node ops:%s\n",
 			cs.Redirects, cs.MapRefreshes, cs.MapVersion, nodeLine)
+		// Merge round trips per popped element: 1 or more when every
+		// pop travels alone, under 1 when a batch's pops share rounds.
+		roundsPerPop := float64(cs.PopRounds) / float64(max(cnt.popOK.Load(), 1))
+		fmt.Printf("bmwload: cluster pop_rounds=%d pop_rounds_per_ok_pop=%.3f\n", cs.PopRounds, roundsPerPop)
+		clusterMetrics["load_cluster_pop_rounds"] = metric{float64(cs.PopRounds), "count", "lower"}
+		clusterMetrics["load_cluster_pop_rounds_per_ok_pop"] = metric{roundsPerPop, "ratio", "lower"}
 		clusterMetrics["load_cluster_redirects"] = metric{float64(cs.Redirects), "count", "lower"}
 		clusterMetrics["load_cluster_map_refreshes"] = metric{float64(cs.MapRefreshes), "count", "lower"}
 		clusterMetrics["load_cluster_map_version"] = metric{float64(cs.MapVersion), "count", "higher"}

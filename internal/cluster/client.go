@@ -38,8 +38,8 @@ type Options struct {
 
 // NodeStats is one node's slice of the client's traffic.
 type NodeStats struct {
-	// Ops counts wire operations sent to the node (pushes, pops, and
-	// the merge's peek probes).
+	// Ops counts wire operations sent to the node (pushes, the merge's
+	// bounded pops — hits and misses — and its peek probes).
 	Ops    uint64
 	Pushes uint64
 	Pops   uint64
@@ -56,6 +56,12 @@ type Stats struct {
 	// MapRefreshes counts map-refresh sweeps (redirects and explicit
 	// Refresh calls).
 	MapRefreshes uint64
+	// PopRounds counts the pop merge's sequential round trips: one per
+	// bounded-pop frame sent to a node, one per parallel sweep of head
+	// probes. Divided by the OK pops it is the merge's round trips per
+	// pop — 1 or more when every pop travels alone, well under 1 when
+	// runs of pops batch.
+	PopRounds uint64
 	// PerNode is keyed by node id.
 	PerNode map[uint32]NodeStats
 }
@@ -69,20 +75,23 @@ type nodeConn struct {
 
 // Client routes queue operations across a cluster: pushes go straight
 // to the owner node under the live map (retrying StatusNotOwner
-// redirects with a map refresh), and PopMin is the cross-node strict
+// redirects with a map refresh), and pops run the cross-node strict
 // merge — an atomically-refreshed per-node head cache, drained from
-// the globally minimal head, mirroring the engine's merge across
-// shards. Each node gets one ResilientClient (failover order =
-// Addrs), so a node-local failover is absorbed below the routing
-// layer while a map change re-points it. Safe for concurrent use;
-// under concurrent callers the merge is exact per node and
-// best-effort globally, exactly like the engine's intra-process merge
-// under concurrent submitters.
+// the globally minimal head in bounded batches (see popRun), mirroring
+// the engine's merge across shards. Each node gets one ResilientClient
+// (failover order = Addrs), so a node-local failover is absorbed below
+// the routing layer while a map change re-points it. Safe for
+// concurrent use; under concurrent callers the merge is exact per node
+// and best-effort globally, exactly like the engine's intra-process
+// merge under concurrent submitters.
 type Client struct {
 	opts Options
 
 	redirects atomic.Uint64
 	refreshes atomic.Uint64
+	popRounds atomic.Uint64
+
+	scratch sync.Pool // of *scratch
 
 	mu     sync.Mutex
 	m      *Map
@@ -154,6 +163,7 @@ func (c *Client) Stats() Stats {
 		MapVersion:   c.m.Version,
 		Redirects:    c.redirects.Load(),
 		MapRefreshes: c.refreshes.Load(),
+		PopRounds:    c.popRounds.Load(),
 		PerNode:      map[uint32]NodeStats{},
 	}
 	for id, nc := range c.nodes {
@@ -279,128 +289,143 @@ func (c *Client) Refresh(minVersion uint64) {
 	}
 }
 
+// scratch is one call's working memory: index lists and frame buffers,
+// pooled so a steady Do loop does not rebuild them every call.
+// Concurrent callers each take their own, so nothing in it is shared.
+type scratch struct {
+	pushes []int       // op indices of the call's pushes
+	pops   []int       // op indices of the current run of pops
+	groups [][]int     // by map node index: the pushes routed there
+	frames [][]wire.Op // by map node index: the frame sent there
+	frame  []wire.Op   // the pop merge's frame
+}
+
+func (c *Client) getScratch() *scratch {
+	if sc, ok := c.scratch.Get().(*scratch); ok {
+		sc.pushes, sc.pops = sc.pushes[:0], sc.pops[:0]
+		return sc
+	}
+	return &scratch{}
+}
+
 // Do executes a batch of operations across the cluster and returns one
 // result per op, in order. Like engine.Submit, the ops in one batch
 // are logically concurrent: pushes fan out to their owner nodes in
-// parallel, then pops and peeks run through the strict merge. An error
-// is terminal for the whole call (a node unreachable within its retry
-// budget, or an indeterminate retry — wire.ErrDedupMiss).
+// parallel, then pops and peeks run through the strict merge, each
+// maximal run of pops (pushes between them do not break it) as one
+// bounded batch. An error is terminal for the whole call (a node
+// unreachable within its retry budget, or an indeterminate retry —
+// wire.ErrDedupMiss).
 func (c *Client) Do(ops []wire.Op) ([]wire.Result, error) {
 	results := make([]wire.Result, len(ops))
-	var pushes []int
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
 	for i, op := range ops {
 		if op.Kind == wire.OpPush {
-			pushes = append(pushes, i)
+			sc.pushes = append(sc.pushes, i)
 		}
 	}
-	if err := c.doPushes(ops, pushes, results); err != nil {
+	if err := c.doPushes(sc, ops, results); err != nil {
 		return nil, err
 	}
 	for i, op := range ops {
 		switch op.Kind {
+		case wire.OpPush:
 		case wire.OpPop:
-			r, err := c.PopMin()
-			if err != nil {
+			sc.pops = append(sc.pops, i)
+		case wire.OpPeek:
+			if err := c.popRun(sc, results); err != nil {
 				return nil, err
 			}
-			results[i] = r
-		case wire.OpPeek:
 			r, err := c.PeekMin()
 			if err != nil {
 				return nil, err
 			}
 			results[i] = r
+		default:
+			results[i] = wire.Result{Status: wire.StatusInvalid}
 		}
+	}
+	if err := c.popRun(sc, results); err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
 // Push routes one push to its owner.
 func (c *Client) Push(value, meta uint64) (wire.Result, error) {
-	ops := []wire.Op{{Kind: wire.OpPush, Value: value, Meta: meta}}
-	results := make([]wire.Result, 1)
-	if err := c.doPushes(ops, []int{0}, results); err != nil {
-		return wire.Result{}, err
-	}
-	return results[0], nil
+	ops := [1]wire.Op{{Kind: wire.OpPush, Value: value, Meta: meta}}
+	var results [1]wire.Result
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
+	sc.pushes = append(sc.pushes, 0)
+	err := c.doPushes(sc, ops[:], results[:])
+	return results[0], err
 }
 
-// doPushes routes ops[idxs] to their owners, in parallel per node,
+// doPushes routes ops[sc.pushes] to their owners, in parallel per node,
 // re-routing StatusNotOwner refusals after a map refresh for up to
 // RedirectMax rounds. Unresolved refusals keep their StatusNotOwner
 // result — the caller sees the disagreement instead of an op silently
 // dropped.
-func (c *Client) doPushes(ops []wire.Op, idxs []int, results []wire.Result) error {
-	pending := idxs
+func (c *Client) doPushes(sc *scratch, ops []wire.Op, results []wire.Result) error {
+	pending := sc.pushes
 	for round := 0; len(pending) > 0; round++ {
 		m := c.Map()
-		groups := map[int][]int{}
+		for len(sc.groups) < len(m.Nodes) {
+			sc.groups = append(sc.groups, nil)
+			sc.frames = append(sc.frames, nil)
+		}
+		for ni := range sc.groups {
+			sc.groups[ni] = sc.groups[ni][:0]
+		}
+		owners, last := 0, 0
 		for _, i := range pending {
-			op := ops[i]
-			groups[m.NodeFor(m.KeyOf(op.Value, op.Meta))] = append(groups[m.NodeFor(m.KeyOf(op.Value, op.Meta))], i)
+			ni := m.NodeFor(m.KeyOf(ops[i].Value, ops[i].Meta))
+			if len(sc.groups[ni]) == 0 {
+				owners, last = owners+1, ni
+			}
+			sc.groups[ni] = append(sc.groups[ni], i)
 		}
 		var (
-			wg       sync.WaitGroup
-			gmu      sync.Mutex
-			firstErr error
-			retry    []int
-			maxVer   uint64
+			retry  []int
+			maxVer uint64
+			err    error
 		)
-		for ni, gidx := range groups {
-			nc, err := c.node(&m.Nodes[ni])
-			if err != nil {
-				return err
+		if owners == 1 {
+			// One owner (always so for a single push): no fan-out to
+			// wait for, so no goroutine either.
+			retry, maxVer, err = c.pushGroup(sc, m, last, ops, results)
+		} else {
+			var (
+				wg  sync.WaitGroup
+				gmu sync.Mutex
+			)
+			for ni := range m.Nodes {
+				if len(sc.groups[ni]) == 0 {
+					continue
+				}
+				wg.Add(1)
+				go func(ni int) {
+					defer wg.Done()
+					gretry, gver, gerr := c.pushGroup(sc, m, ni, ops, results)
+					gmu.Lock()
+					defer gmu.Unlock()
+					retry = append(retry, gretry...)
+					maxVer = max(maxVer, gver)
+					if err == nil {
+						err = gerr
+					}
+				}(ni)
 			}
-			wg.Add(1)
-			go func(id uint32, nc *nodeConn, gidx []int) {
-				defer wg.Done()
-				batch := make([]wire.Op, len(gidx))
-				for k, i := range gidx {
-					batch[k] = ops[i]
-				}
-				res, err := nc.rc.Do(batch)
-				nc.ops.Add(uint64(len(batch)))
-				gmu.Lock()
-				defer gmu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				if len(res) != len(gidx) {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("cluster: node %d answered %d results for %d ops", id, len(res), len(gidx))
-					}
-					return
-				}
-				for k, r := range res {
-					i := gidx[k]
-					if r.Status == wire.StatusNotOwner {
-						retry = append(retry, i)
-						if r.Value > maxVer {
-							maxVer = r.Value
-						}
-						results[i] = r
-						continue
-					}
-					results[i] = r
-					if r.Status == wire.StatusOK {
-						nc.pushes.Add(1)
-						c.noteOwnPush(id, ops[i].Value)
-					}
-				}
-			}(m.Nodes[ni].ID, nc, gidx)
+			wg.Wait()
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
+		if err != nil {
+			return err
 		}
-		if len(retry) == 0 {
-			return nil
-		}
-		if round >= c.opts.RedirectMax {
-			// Results already carry StatusNotOwner for the leftovers.
+		if len(retry) == 0 || round >= c.opts.RedirectMax {
+			// Past RedirectMax the results already carry StatusNotOwner
+			// for the leftovers.
 			return nil
 		}
 		c.redirects.Add(uint64(len(retry)))
@@ -410,9 +435,50 @@ func (c *Client) doPushes(ops []wire.Op, idxs []int, results []wire.Result) erro
 	return nil
 }
 
-// noteOwnPush folds the client's own acknowledged push into the head
-// cache: a sequential caller's next PopMin sees its own write without
-// an extra probe round trip.
+// pushGroup sends sc.groups[ni] — the pushes map m routes to node index
+// ni — as one frame and files the results. It returns the ops refused
+// with StatusNotOwner and the newest map version a refusal named. Safe
+// to run for different ni of one scratch at once: each touches only
+// its own group, frame and result slots.
+func (c *Client) pushGroup(sc *scratch, m *Map, ni int, ops []wire.Op, results []wire.Result) (retry []int, maxVer uint64, err error) {
+	nc, err := c.node(&m.Nodes[ni])
+	if err != nil {
+		return nil, 0, err
+	}
+	gidx := sc.groups[ni]
+	frame := sc.frames[ni][:0]
+	for _, i := range gidx {
+		frame = append(frame, ops[i])
+	}
+	sc.frames[ni] = frame
+	res, err := nc.rc.Do(frame)
+	nc.ops.Add(uint64(len(frame)))
+	if err != nil {
+		return nil, 0, err
+	}
+	acked, minAcked := uint64(0), uint64(headEmpty)
+	for k, r := range res {
+		i := gidx[k]
+		results[i] = r
+		switch r.Status {
+		case wire.StatusNotOwner:
+			retry = append(retry, i)
+			maxVer = max(maxVer, r.Value)
+		case wire.StatusOK:
+			acked++
+			minAcked = min(minAcked, ops[i].Value)
+		}
+	}
+	if acked > 0 {
+		nc.pushes.Add(acked)
+		c.noteOwnPush(m.Nodes[ni].ID, minAcked)
+	}
+	return retry, maxVer, nil
+}
+
+// noteOwnPush folds the client's own acknowledged pushes (value is the
+// smallest of a frame's) into the head cache: a sequential caller's
+// next pop sees its own writes without an extra probe round trip.
 func (c *Client) noteOwnPush(id uint32, value uint64) {
 	c.mu.Lock()
 	if h, ok := c.heads[id]; ok && value < h {
@@ -421,33 +487,59 @@ func (c *Client) noteOwnPush(id uint32, value uint64) {
 	c.mu.Unlock()
 }
 
-// PopMin pops the cluster's global minimum: probe any node whose head
-// is unknown, drain from the node holding the smallest cached head,
-// and fold the pop's piggybacked peek back into the cache. A pop that
-// loses a stale-head race (the believed-minimal node answers empty)
-// corrects that head and retries against the next; when every head
-// reads empty, one full re-probe round confirms before StatusEmpty is
-// returned. Exact for a sequential caller; exact per node and
-// best-effort globally under concurrency, like the engine's merge.
+// PopMin pops the cluster's global minimum: the one-pop case of the
+// merge Do runs for every run of pops.
 func (c *Client) PopMin() (wire.Result, error) {
-	confirmedEmpty := false
-	m := c.Map()
-	for attempt := 0; attempt < 16+4*len(m.Nodes); attempt++ {
-		m = c.Map()
-		if err := c.ensureHeads(m); err != nil {
-			return wire.Result{}, err
+	var results [1]wire.Result
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
+	sc.pops = append(sc.pops, 0)
+	err := c.popRun(sc, results[:])
+	return results[0], err
+}
+
+// popRun is the cross-node strict merge for a run of pops, filling
+// results[sc.pops] in order. Each round picks the node with the
+// smallest cached head and sends it, in one frame, a bounded pop per
+// pop still owed — bound = the smallest head cached for any other
+// node, so the node yields exactly the prefix of the global order it
+// holds and misses from there on — plus a peek that refreshes its
+// cached head. Hits fill the run in order; the next round goes to
+// whichever node now heads the cache. A round that hits nothing (a
+// stale head: someone else popped it) still corrects that head from
+// the peek. When every cached head reads empty the cache is dropped,
+// and the rest of the run is answered StatusEmpty only straight after
+// a probe of every node found them all empty — one confirming round
+// for the whole run. Exact for a sequential caller (elements tied on
+// rank are interchangeable); exact per node and best-effort globally
+// under concurrency, like the engine's merge — and the bound means a
+// stale cache can only make a node yield less, never out of turn.
+func (c *Client) popRun(sc *scratch, results []wire.Result) error {
+	idxs := sc.pops
+	sc.pops = sc.pops[:0]
+	for idle := 0; len(idxs) > 0; idle++ {
+		m := c.Map()
+		if idle > 16+4*len(m.Nodes) {
+			return errors.New("cluster: pop did not converge (heads churning faster than probes)")
 		}
-		id, head := c.minHead(m)
+		probedAll, err := c.ensureHeads(m)
+		if err != nil {
+			return err
+		}
+		id, head, bound, complete := c.minHeads(m)
+		if !complete {
+			continue // a concurrent caller dropped heads after our probe
+		}
 		if head == headEmpty {
-			if confirmedEmpty {
-				return wire.Result{Status: wire.StatusEmpty}, nil
+			if probedAll {
+				for _, i := range idxs {
+					results[i] = wire.Result{Status: wire.StatusEmpty}
+				}
+				return nil
 			}
-			// Believed empty everywhere — re-probe every node once to
-			// rule out staleness before reporting empty.
-			c.mu.Lock()
-			c.heads = map[uint32]uint64{}
-			c.mu.Unlock()
-			confirmedEmpty = true
+			// Believed empty everywhere, on heads cached a while ago:
+			// drop them so the next round probes every node afresh.
+			c.forgetHeads()
 			continue
 		}
 		n := m.ByID(id)
@@ -456,53 +548,68 @@ func (c *Client) PopMin() (wire.Result, error) {
 		}
 		nc, err := c.node(n)
 		if err != nil {
-			return wire.Result{}, err
+			return err
 		}
-		res, err := nc.rc.Do([]wire.Op{{Kind: wire.OpPop}, {Kind: wire.OpPeek}})
-		nc.ops.Add(2)
+		frame := sc.frame[:0]
+		for range idxs[:min(len(idxs), wire.MaxBatchOps-1)] {
+			frame = append(frame, wire.Op{Kind: wire.OpPopBounded, Value: bound})
+		}
+		frame = append(frame, wire.Op{Kind: wire.OpPeek})
+		sc.frame = frame
+		res, err := nc.rc.Do(frame)
+		c.popRounds.Add(1)
+		nc.ops.Add(uint64(len(frame)))
 		if err != nil {
-			return wire.Result{}, err
+			return err
 		}
-		if len(res) != 2 {
-			return wire.Result{}, fmt.Errorf("cluster: node %d answered %d results for pop+peek", id, len(res))
+		peek := len(res) - 1
+		c.setHead(id, res[peek])
+		hits := uint64(0)
+		for _, r := range res[:peek] {
+			if r.Status == wire.StatusMiss {
+				continue
+			}
+			// Anything but a miss answers a pop: a hit, or a refusal
+			// (overload, shutdown) the caller should see.
+			if r.Status == wire.StatusOK {
+				hits++
+			}
+			results[idxs[0]] = r
+			idxs = idxs[1:]
+			idle = -1
 		}
-		c.setHead(id, res[1])
-		r := res[0]
-		if r.Status == wire.StatusEmpty {
-			// Stale-head race: the cache said this node held the
-			// minimum, the node disagreed. Its head is corrected from
-			// the piggyback; try the next-best node.
-			confirmedEmpty = false
-			continue
-		}
-		if r.Status == wire.StatusOK {
-			nc.pops.Add(1)
-		}
-		return r, nil
+		nc.pops.Add(hits)
 	}
-	return wire.Result{}, errors.New("cluster: pop did not converge (heads churning faster than probes)")
+	return nil
 }
 
 // PeekMin reads the cluster's global minimum without removing it,
 // probing every node fresh.
 func (c *Client) PeekMin() (wire.Result, error) {
 	m := c.Map()
-	c.mu.Lock()
-	c.heads = map[uint32]uint64{}
-	c.mu.Unlock()
-	if err := c.ensureHeads(m); err != nil {
+	c.forgetHeads()
+	if _, err := c.ensureHeads(m); err != nil {
 		return wire.Result{}, err
 	}
-	_, head := c.minHead(m)
+	_, head, _, _ := c.minHeads(m)
 	if head == headEmpty {
 		return wire.Result{Status: wire.StatusEmpty}, nil
 	}
 	return wire.Result{Status: wire.StatusOK, Value: head}, nil
 }
 
-// ensureHeads probes (in parallel) every map node whose head is not
-// cached.
-func (c *Client) ensureHeads(m *Map) error {
+// forgetHeads drops every cached head, forcing the next ensureHeads to
+// probe all nodes.
+func (c *Client) forgetHeads() {
+	c.mu.Lock()
+	clear(c.heads)
+	c.mu.Unlock()
+}
+
+// ensureHeads probes (in parallel, one merge round) every map node
+// whose head is not cached. probedAll reports that this was all of
+// them: the cache now holds nothing older than this call.
+func (c *Client) ensureHeads(m *Map) (probedAll bool, err error) {
 	var unknown []*Node
 	c.mu.Lock()
 	for i := range m.Nodes {
@@ -512,8 +619,9 @@ func (c *Client) ensureHeads(m *Map) error {
 	}
 	c.mu.Unlock()
 	if len(unknown) == 0 {
-		return nil
+		return false, nil
 	}
+	c.popRounds.Add(1)
 	var (
 		wg       sync.WaitGroup
 		gmu      sync.Mutex
@@ -522,19 +630,17 @@ func (c *Client) ensureHeads(m *Map) error {
 	for _, n := range unknown {
 		nc, err := c.node(n)
 		if err != nil {
-			return err
+			wg.Wait()
+			return false, err
 		}
 		wg.Add(1)
 		go func(id uint32, nc *nodeConn) {
 			defer wg.Done()
 			res, err := nc.rc.Do([]wire.Op{{Kind: wire.OpPeek}})
 			nc.ops.Add(1)
-			if err != nil || len(res) != 1 {
+			if err != nil {
 				gmu.Lock()
 				if firstErr == nil {
-					if err == nil {
-						err = fmt.Errorf("cluster: node %d answered %d results for peek", id, len(res))
-					}
 					firstErr = err
 				}
 				gmu.Unlock()
@@ -544,32 +650,44 @@ func (c *Client) ensureHeads(m *Map) error {
 		}(n.ID, nc)
 	}
 	wg.Wait()
-	return firstErr
+	return len(unknown) == len(m.Nodes), firstErr
 }
 
-// setHead folds a peek result into the head cache.
+// setHead folds a peek result into the head cache. A peek that was
+// refused (a shed frame) says nothing about the node: its head goes
+// back to unknown.
 func (c *Client) setHead(id uint32, r wire.Result) {
 	c.mu.Lock()
-	if r.Status == wire.StatusOK {
+	switch r.Status {
+	case wire.StatusOK:
 		c.heads[id] = r.Value
-	} else {
+	case wire.StatusEmpty:
 		c.heads[id] = headEmpty
+	default:
+		delete(c.heads, id)
 	}
 	c.mu.Unlock()
 }
 
-// minHead returns the node id holding the smallest cached head
-// (headEmpty when every cached head is empty). Nodes missing from the
-// cache are ignored — callers ensureHeads first.
-func (c *Client) minHead(m *Map) (uint32, uint64) {
+// minHeads returns the node id holding the smallest cached head, that
+// head (headEmpty when every cached head is empty), and the smallest
+// head among the other nodes — the bound up to which the first node
+// may be drained without overtaking a sibling. complete is false when
+// some map node has no cached head; those are left out.
+func (c *Client) minHeads(m *Map) (id uint32, head, bound uint64, complete bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	bestID, best := uint32(0), uint64(headEmpty)
+	head, bound, complete = headEmpty, headEmpty, true
 	for i := range m.Nodes {
-		id := m.Nodes[i].ID
-		if h, ok := c.heads[id]; ok && h < best {
-			bestID, best = id, h
+		h, ok := c.heads[m.Nodes[i].ID]
+		switch {
+		case !ok:
+			complete = false
+		case h < head:
+			id, head, bound = m.Nodes[i].ID, h, head
+		case h < bound:
+			bound = h
 		}
 	}
-	return bestID, best
+	return id, head, bound, complete
 }

@@ -17,8 +17,9 @@ import (
 
 // startServedMap binds n loopback listeners, lets the caller build the
 // cluster map from the real addresses, then serves every node of that
-// map (engine + owner gate + map handlers). Teardown via t.Cleanup.
-func startServedMap(t *testing.T, n int, build func(addrs []string) *Map) (*Map, []*State) {
+// map (a hash-routed engine of the given shard count + owner gate + map
+// handlers). Teardown via t.Cleanup.
+func startServedMap(t testing.TB, n, shards int, build func(addrs []string) *Map) (*Map, []*State) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -36,7 +37,7 @@ func startServedMap(t *testing.T, n int, build func(addrs []string) *Map) (*Map,
 	}
 	states := make([]*State, n)
 	for i, nd := range m.Nodes {
-		eng, err := engine.New(engine.Config{Shards: 2, Order: 2, Levels: 10, Routing: engine.RouteHash})
+		eng, err := engine.New(engine.Config{Shards: shards, Order: 2, Levels: 10, Routing: engine.RouteHash})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func hashMap3(addrs []string) *Map {
 	}
 }
 
-func newTestClient(t *testing.T, m *Map) *Client {
+func newTestClient(t testing.TB, m *Map) *Client {
 	t.Helper()
 	cl, err := NewClient(Options{
 		Map:            m,
@@ -119,7 +120,7 @@ func TestClientDifferential(t *testing.T) {
 		{"hash", hashMap3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, _ := startServedMap(t, 3, tc.build)
+			m, _ := startServedMap(t, 3, 2, tc.build)
 			cl := newTestClient(t, m)
 			golden := refpq.New()
 			rng := rand.New(rand.NewSource(42))
@@ -188,7 +189,7 @@ func TestClientDifferential(t *testing.T) {
 // the minimum, and must recover by re-probing and returning the true
 // global minimum.
 func TestClientStaleHeadRace(t *testing.T) {
-	m, _ := startServedMap(t, 3, rankMap3)
+	m, _ := startServedMap(t, 3, 2, rankMap3)
 	cl := newTestClient(t, m)
 
 	for _, v := range []uint64{10, 20, 800000} { // 10,20 → node 1; 800000 → node 3
@@ -224,7 +225,7 @@ func TestClientStaleHeadRace(t *testing.T) {
 // node: the merge must skip past the empty band without stalling, and
 // routing must never have pushed to it.
 func TestClientEmptyBandNode(t *testing.T) {
-	m, _ := startServedMap(t, 3, rankMap3)
+	m, _ := startServedMap(t, 3, 2, rankMap3)
 	cl := newTestClient(t, m)
 
 	vals := []uint64{5, 700001, 17, 900000, 2, 1048575, 44, 800000}
@@ -254,7 +255,7 @@ func TestClientEmptyBandNode(t *testing.T) {
 // with StatusNotOwner, and the client must refresh to the live map and
 // re-route within the same call.
 func TestClientRedirectRefresh(t *testing.T) {
-	m, _ := startServedMap(t, 3, func(addrs []string) *Map {
+	m, _ := startServedMap(t, 3, 2, func(addrs []string) *Map {
 		m := rankMap3(addrs)
 		m.Version = 2 // the cluster serves v2
 		return m
@@ -285,12 +286,13 @@ func TestClientRedirectRefresh(t *testing.T) {
 }
 
 // TestClientConcurrentConservation hammers one shared client from
-// several goroutines and checks conservation: every acked push is
+// several goroutines — half of them one op a call, half in batches
+// through Do — and checks conservation: every acked push is
 // popped exactly once, no loss, no duplication. Global order is
 // best-effort under concurrency, so only the multiset is asserted.
 // Primarily a data-race exercise for the head cache and redirect path.
 func TestClientConcurrentConservation(t *testing.T) {
-	m, _ := startServedMap(t, 3, rankMap3)
+	m, _ := startServedMap(t, 3, 2, rankMap3)
 	cl := newTestClient(t, m)
 
 	const workers, opsPer = 4, 150
@@ -303,6 +305,34 @@ func TestClientConcurrentConservation(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 100))
 			for i := 0; i < opsPer; i++ {
+				if w%2 == 1 {
+					// Odd workers go through Do, eight ops a call: the
+					// bounded runs and the pooled scratch under contention.
+					ops := make([]wire.Op, 8)
+					for j := range ops {
+						ops[j] = wire.Op{Kind: wire.OpPop}
+						if rng.Intn(10) < 6 {
+							ops[j] = wire.Op{Kind: wire.OpPush, Value: rng.Uint64() % (1 << 20), Meta: uint64(w)<<32 | uint64(i*8+j)}
+						}
+					}
+					res, err := cl.Do(ops)
+					if err != nil {
+						t.Errorf("worker %d Do: %v", w, err)
+						return
+					}
+					mu.Lock()
+					for j, r := range res {
+						switch {
+						case r.Status != wire.StatusOK:
+						case ops[j].Kind == wire.OpPush:
+							pushed = append(pushed, ops[j].Value)
+						default:
+							popped = append(popped, r.Value)
+						}
+					}
+					mu.Unlock()
+					continue
+				}
 				if rng.Intn(10) < 6 {
 					v := rng.Uint64() % (1 << 20)
 					meta := uint64(w)<<32 | uint64(i)

@@ -59,6 +59,10 @@ var (
 	ErrClosed = errors.New("engine: closed")
 	// ErrInvalidOp reports an operation of unknown kind.
 	ErrInvalidOp = errors.New("engine: invalid operation")
+	// ErrMiss reports a bounded pop that took nothing: the queue was
+	// empty or its head ranked above the bound. A normal outcome, not a
+	// fault — nothing was mutated and no LSN consumed.
+	ErrMiss = errors.New("engine: bounded pop missed")
 )
 
 // OpKind identifies a request kind.
@@ -68,9 +72,17 @@ type OpKind uint8
 const (
 	OpPush OpKind = iota
 	OpPop
+	// OpPopBounded pops the head iff its rank is at most Elem.Value, and
+	// otherwise changes nothing (ErrMiss). It is what lets a merging
+	// parent — the cluster client, one level up — ask for a whole run
+	// of pops in one batch without overshooting a sibling's head. A hit
+	// is a plain pop to everything downstream (same Result, same LSN
+	// sequence).
+	OpPopBounded
 )
 
-// Op is one request: a push carrying an element, or a pop.
+// Op is one request: a push carrying an element, a pop, or a bounded
+// pop carrying its bound in Elem.Value.
 type Op struct {
 	Kind OpKind
 	Elem core.Element
@@ -81,6 +93,11 @@ func PushOp(e core.Element) Op { return Op{Kind: OpPush, Elem: e} }
 
 // PopOp builds a pop request.
 func PopOp() Op { return Op{Kind: OpPop} }
+
+// PopBoundedOp builds a bounded pop: take the head iff its rank <= bound.
+func PopBoundedOp(bound uint64) Op {
+	return Op{Kind: OpPopBounded, Elem: core.Element{Value: bound}}
+}
 
 // Result is one request's outcome. Elem is meaningful for a successful
 // pop. Shard and LSN identify where and in what order a successful
@@ -437,6 +454,28 @@ func (e *Engine) routePop() int {
 	return best
 }
 
+// routePopBounded is routePop for a bounded pop: alongside the shard
+// with the smallest published head it returns bound tightened to the
+// smallest head among the other shards. The target shard then stops
+// at the first element a sibling could undercut, so a batch of bounded
+// pops — all routed here from one snapshot — never takes from one
+// shard an element ranked above another shard's head.
+func (e *Engine) routePopBounded(bound uint64) (int, uint64) {
+	best, bestHead, second := -1, uint64(emptyHead), uint64(emptyHead)
+	for i, s := range e.shards {
+		if s.length.Load() == 0 {
+			continue
+		}
+		h := s.headV.Load()
+		if best == -1 || h < bestHead {
+			best, bestHead, second = i, h, bestHead
+		} else if h < second {
+			second = h
+		}
+	}
+	return best, min(bound, second)
+}
+
 // PeekMin returns the engine's current global minimum — the smallest
 // published shard head — without removing it, or ok=false when every
 // shard publishes empty. It is the node-local half of the cluster's
@@ -528,6 +567,12 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 			sh = e.routePop()
 			if sh < 0 {
 				results[i] = Result{Err: core.ErrEmpty}
+				continue
+			}
+		case OpPopBounded:
+			sh, op.Elem.Value = e.routePopBounded(op.Elem.Value)
+			if sh < 0 {
+				results[i] = Result{Err: ErrMiss}
 				continue
 			}
 		default:
@@ -675,6 +720,12 @@ func (s *shard) run() {
 					s.fulls.Inc()
 				}
 				en.b.results[en.idx] = Result{Err: err}
+			case OpPopBounded:
+				if head, err := s.q.Peek(); err != nil || head.Value > en.op.Elem.Value {
+					en.b.results[en.idx] = Result{Err: ErrMiss}
+					continue
+				}
+				fallthrough
 			case OpPop:
 				el, err := s.q.Pop()
 				switch {

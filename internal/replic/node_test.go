@@ -183,6 +183,102 @@ func TestReplicationCatchUpAndPromote(t *testing.T) {
 	}
 }
 
+// TestBoundedPopsReplicate drives a sync primary with the cluster
+// merge's frames — runs of bounded pops plus a peek, most ending in
+// misses, some cut short by the other shard's head — between pushes.
+// A hit must reach the follower as the pop it was and a miss as
+// nothing at all: same per-shard LSNs, same length, and the promoted
+// follower drains exactly what the primary still held.
+func TestBoundedPopsReplicate(t *testing.T) {
+	geom := engine.Config{Shards: 2, Order: 2, Levels: 10, Routing: engine.RouteHash}
+	prim := startNode(t, geom, Config{Sync: true, SyncTimeout: 5 * time.Second})
+	defer prim.stop(2 * time.Second)
+	fol := startNode(t, geom, Config{PrimaryAddr: prim.addr})
+	defer fol.stop(2 * time.Second)
+	waitUntil(t, "follower attach", func() bool { return fol.node.Ready() })
+
+	c, err := wire.Dial(prim.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// An all-miss frame on the empty primary logs nothing.
+	before := prim.node.LogSeq()
+	if res, err := c.Do([]wire.Op{{Kind: wire.OpPopBounded, Value: 1 << 40}, {Kind: wire.OpPeek}}); err != nil || res[0].Status != wire.StatusMiss {
+		t.Fatalf("miss on empty primary: %+v %v", res, err)
+	}
+	if got := prim.node.LogSeq(); got != before {
+		t.Fatalf("a miss advanced the log %d -> %d", before, got)
+	}
+
+	var held []uint64
+	hits, misses := 0, 0
+	for round := uint64(0); round < 40; round++ {
+		var pushes []wire.Op
+		for k := uint64(0); k < 8; k++ {
+			v := (round*8+k)*2654435761%100000 + 1
+			pushes = append(pushes, wire.Op{Kind: wire.OpPush, Value: v, Meta: round*8 + k})
+			held = append(held, v)
+		}
+		if res, err := c.Do(pushes); err != nil || res[7].Status != wire.StatusOK {
+			t.Fatalf("round %d pushes: %+v %v", round, res, err)
+		}
+		// The median of what is held: roughly half a frame hits.
+		sort.Slice(held, func(i, j int) bool { return held[i] < held[j] })
+		frame := make([]wire.Op, 6, 7)
+		for i := range frame {
+			frame[i] = wire.Op{Kind: wire.OpPopBounded, Value: held[3]}
+		}
+		res, err := c.Do(append(frame, wire.Op{Kind: wire.OpPeek}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res[:6] {
+			switch r.Status {
+			case wire.StatusOK:
+				if r.Value != held[0] {
+					t.Fatalf("round %d: hit %d, primary minimum is %d", round, r.Value, held[0])
+				}
+				held = held[1:]
+				hits++
+			case wire.StatusMiss:
+				misses++
+			default:
+				t.Fatalf("round %d: %+v", round, r)
+			}
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("%d hits, %d misses: the frames exercised one outcome only", hits, misses)
+	}
+
+	waitUntil(t, "follower ack at tip", func() bool { return prim.node.AckSeq() == prim.node.LogSeq() })
+	if prim.node.Status().Degraded || fol.node.Status().Degraded {
+		t.Fatal("a node degraded")
+	}
+	for i := 0; i < geom.Shards; i++ {
+		if p, f := prim.eng.ShardLSN(i), fol.eng.ShardLSN(i); p != f {
+			t.Fatalf("shard %d LSN: primary %d, follower %d", i, p, f)
+		}
+	}
+	if p, f := prim.eng.Len(), fol.eng.Len(); p != f || p != len(held) {
+		t.Fatalf("lengths: primary %d, follower %d, reference %d", p, f, len(held))
+	}
+	fol.node.Promote()
+	fc, err := wire.Dial(fol.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	for i, want := range held {
+		res, err := fc.Do([]wire.Op{{Kind: wire.OpPop}})
+		if err != nil || res[0].Status != wire.StatusOK || res[0].Value != want {
+			t.Fatalf("promoted follower drain[%d] = %+v %v, want %d", i, res, err, want)
+		}
+	}
+}
+
 // TestRetryDedup re-sends an already-executed request id on a fresh
 // connection with the same session: the server must replay the cached
 // response without re-applying the ops.
@@ -539,6 +635,13 @@ func TestPromoteMidStreamUnblocksFollower(t *testing.T) {
 // would re-stream the group, the replay filter would skip the op that
 // already went wrong, and the divergence would be acknowledged away.
 func TestFollowerDivergenceIsFatal(t *testing.T) {
+	// A bounded pop's hit is logged as a plain pop carrying the popped
+	// element, so it is checked — and caught — exactly like one.
+	t.Run("pop", func(t *testing.T) { testFollowerDivergence(t, wire.Op{Kind: wire.OpPop}) })
+	t.Run("bounded-pop", func(t *testing.T) { testFollowerDivergence(t, wire.Op{Kind: wire.OpPopBounded, Value: 100}) })
+}
+
+func testFollowerDivergence(t *testing.T, pop wire.Op) {
 	geom := engine.Config{Shards: 1, Order: 2, Levels: 8}
 	prim := startNode(t, geom, Config{})
 	defer prim.stop(2 * time.Second)
@@ -568,7 +671,7 @@ func TestFollowerDivergenceIsFatal(t *testing.T) {
 	}
 	sound := prim.node.LogSeq()
 	waitUntil(t, "ack of the group before the divergence", func() bool { return prim.node.AckSeq() == sound })
-	if r, err := c.Do([]wire.Op{{Kind: wire.OpPop}}); err != nil || r[0].Value != 7 {
+	if r, err := c.Do([]wire.Op{pop}); err != nil || r[0].Status != wire.StatusOK || r[0].Value != 7 {
 		t.Fatalf("primary pop: %v %+v", err, r)
 	}
 

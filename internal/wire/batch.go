@@ -24,9 +24,18 @@ const (
 	// the merge affordable. Peeks mutate nothing and are never
 	// replicated.
 	OpPeek OpKind = 3
+	// OpPopBounded pops the head iff its rank is at most the bound in
+	// Value (StatusOK with the element) and otherwise changes nothing
+	// (StatusMiss). It is the cluster merge's batch primitive: a run of
+	// K of them with bound = the smallest head cached for any other node
+	// takes every element this node owes the global order in one round
+	// trip and stops where a sibling takes over. A hit replicates as a
+	// plain pop; a miss is never replicated.
+	OpPopBounded OpKind = 4
 )
 
-// Op is one queue operation in a TBatch payload.
+// Op is one queue operation in a TBatch payload. Value and Meta are the
+// element of a push; Value alone is the bound of a bounded pop.
 type Op struct {
 	Kind  OpKind
 	Value uint64
@@ -72,10 +81,14 @@ const (
 	// holding an older map knows a refresh will re-route the op and a
 	// client already at that version knows the disagreement is real.
 	StatusNotOwner Status = 9
+	// StatusMiss: a bounded pop took nothing — the node was empty or its
+	// head ranked above the bound. A normal outcome of the cluster merge,
+	// not a fault: nothing changed, nothing was replicated.
+	StatusMiss Status = 10
 )
 
 // maxStatus is the largest defined status, for decode validation.
-const maxStatus = StatusNotOwner
+const maxStatus = StatusMiss
 
 // String names the status for logs.
 func (s Status) String() string {
@@ -100,6 +113,8 @@ func (s Status) String() string {
 		return "dedup-miss"
 	case StatusNotOwner:
 		return "not-owner"
+	case StatusMiss:
+		return "miss"
 	}
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
@@ -113,12 +128,14 @@ type Result struct {
 }
 
 // Payload sizes: an op is 1 byte of kind plus 16 bytes of element for
-// pushes; pops and peeks are the bare kind byte; a result is a fixed
-// 17 bytes so decoding needs no knowledge of the originating ops.
+// pushes or 8 bytes of bound for bounded pops; pops and peeks are the
+// bare kind byte; a result is a fixed 17 bytes so decoding needs no
+// knowledge of the originating ops.
 const (
-	opPopSize  = 1
-	opPushSize = 1 + 16
-	resultSize = 1 + 16
+	opPopSize        = 1
+	opPushSize       = 1 + 16
+	opPopBoundedSize = 1 + 8
+	resultSize       = 1 + 16
 )
 
 // AppendOps appends the TBatch payload encoding of ops to dst.
@@ -129,9 +146,12 @@ func AppendOps(dst []byte, ops []Op) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
 	for _, op := range ops {
 		dst = append(dst, byte(op.Kind))
-		if op.Kind == OpPush {
+		switch op.Kind {
+		case OpPush:
 			dst = binary.LittleEndian.AppendUint64(dst, op.Value)
 			dst = binary.LittleEndian.AppendUint64(dst, op.Meta)
+		case OpPopBounded:
+			dst = binary.LittleEndian.AppendUint64(dst, op.Value)
 		}
 	}
 	return dst
@@ -168,6 +188,12 @@ func ParseOps(p []byte) ([]Op, error) {
 				Meta:  binary.LittleEndian.Uint64(p[9:17]),
 			})
 			p = p[opPushSize:]
+		case OpPopBounded:
+			if len(p) < opPopBoundedSize {
+				return nil, fmt.Errorf("%w: bounded pop truncated at %d", ErrBadFrame, i)
+			}
+			ops = append(ops, Op{Kind: OpPopBounded, Value: binary.LittleEndian.Uint64(p[1:9])})
+			p = p[opPopBoundedSize:]
 		default:
 			return nil, fmt.Errorf("%w: op kind %d", ErrBadFrame, kind)
 		}

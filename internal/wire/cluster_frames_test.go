@@ -201,3 +201,44 @@ func TestPeekOpRoundTrip(t *testing.T) {
 		t.Fatalf("draining [pop, peek]: %+v %v", res, err)
 	}
 }
+
+// TestPopBoundedOverTheWire is the merge frame's contract end to end:
+// [bounded pop x K, peek] takes the elements at or under the bound in
+// order, answers StatusMiss (not StatusEmpty, not an error) from the
+// first one over it, and the peek reads the head the misses left in
+// place.
+func TestPopBoundedOverTheWire(t *testing.T) {
+	addr := startClusterTestServer(t, nil, nil, nil)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	miss := Result{Status: StatusMiss}
+	if res, err := c.Do([]Op{{Kind: OpPopBounded, Value: 1 << 60}, {Kind: OpPeek}}); err != nil ||
+		res[0] != miss || res[1].Status != StatusEmpty {
+		t.Fatalf("bounded pop on an empty node: %+v %v", res, err)
+	}
+	// One flow id, so one shard of the node's two: the frame's yield is
+	// then the bound's doing alone (engine tests cover the cross-shard
+	// tightening).
+	for _, v := range []uint64{40, 10, 30, 20} {
+		if res, err := c.Do([]Op{{Kind: OpPush, Value: v, Meta: 7}}); err != nil || res[0].Status != StatusOK {
+			t.Fatalf("push %d: %+v %v", v, res, err)
+		}
+	}
+	frame := []Op{{Kind: OpPopBounded, Value: 25}, {Kind: OpPopBounded, Value: 25},
+		{Kind: OpPopBounded, Value: 25}, {Kind: OpPopBounded, Value: 25}, {Kind: OpPeek}}
+	res, err := c.Do(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{{Status: StatusOK, Value: 10, Meta: 7}, {Status: StatusOK, Value: 20, Meta: 7},
+		miss, miss, {Status: StatusOK, Value: 30, Meta: 7}}
+	for i := range want {
+		if res[i] != want[i] {
+			t.Fatalf("result %d = %+v, want %+v (all: %+v)", i, res[i], want[i], res)
+		}
+	}
+}

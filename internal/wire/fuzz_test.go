@@ -20,6 +20,12 @@ func FuzzFrameDecode(f *testing.F) {
 		{Kind: OpPush, Value: 7, Meta: 9}, {Kind: OpPop},
 	})))
 	f.Add(AppendFrame(nil, TBatchOK, 3, AppendResults(nil, []Result{{Status: StatusOK, Value: 1, Meta: 2}})))
+	f.Add(AppendFrame(nil, TBatch, 4, AppendOps(nil, []Op{
+		{Kind: OpPopBounded, Value: 1 << 29}, {Kind: OpPopBounded, Value: 1 << 29}, {Kind: OpPeek},
+	})))
+	f.Add(AppendFrame(nil, TBatchOK, 5, AppendResults(nil, []Result{
+		{Status: StatusOK, Value: 5, Meta: 6}, {Status: StatusMiss}, {Status: StatusOK, Value: 9},
+	})))
 	f.Add(AppendFrame(nil, TAdmin, 6, AppendAdmin(nil, AdminPromote)))
 	f.Add(AppendFrame(nil, TAdminOK, 7, AppendAdminInfo(nil, AdminInfo{
 		Role: RoleFollower, Serving: false, LogSeq: 12, AckSeq: 11, ShardLSNs: []uint64{5, 6},
@@ -100,6 +106,10 @@ func FuzzFrameDecode(f *testing.F) {
 func FuzzBatchCodecs(f *testing.F) {
 	f.Add(AppendOps(nil, []Op{{Kind: OpPush, Value: 3, Meta: 4}, {Kind: OpPop}}))
 	f.Add(AppendResults(nil, []Result{{Status: StatusEmpty}}))
+	f.Add(AppendOps(nil, []Op{{Kind: OpPopBounded, Value: 1<<64 - 1}, {Kind: OpPopBounded}, {Kind: OpPeek}}))
+	f.Add(AppendResults(nil, []Result{{Status: StatusOK, Value: 2, Meta: 3}, {Status: StatusMiss}}))
+	bounded := AppendOps(nil, []Op{{Kind: OpPush, Value: 3, Meta: 4}, {Kind: OpPopBounded, Value: 8}})
+	f.Add(bounded[:len(bounded)-5]) // torn inside the bound
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if ops, err := ParseOps(b); err == nil {

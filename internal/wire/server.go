@@ -429,6 +429,9 @@ func (s *Server) serveConn(conn net.Conn) {
 					engIdx = append(engIdx, wi)
 				case OpPeek:
 					peeks = append(peeks, wi)
+				case OpPopBounded:
+					ops = append(ops, engine.PopBoundedOp(op.Value))
+					engIdx = append(engIdx, wi)
 				default:
 					ops = append(ops, engine.PopOp())
 					engIdx = append(engIdx, wi)
@@ -441,9 +444,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.eng.SubmitTraced(ops, results, sp)
 			if sp != nil {
 				for i := range results {
-					if results[i].Err != nil {
-						// Errored spans are admitted to the flight
-						// recorder unconditionally.
+					// A bounded pop's miss is the merge finding where a
+					// sibling takes over, not a fault. Errored spans are
+					// admitted to the flight recorder unconditionally.
+					if err := results[i].Err; err != nil && !errors.Is(err, engine.ErrMiss) {
 						sp.MarkError()
 						break
 					}
@@ -590,6 +594,8 @@ func statusOf(err error) Status {
 		return StatusBackpressure
 	case errors.Is(err, engine.ErrClosed):
 		return StatusClosed
+	case errors.Is(err, engine.ErrMiss):
+		return StatusMiss
 	default:
 		return StatusInvalid
 	}

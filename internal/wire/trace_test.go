@@ -216,3 +216,54 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		t.Fatal("no spans aggregated during load")
 	}
 }
+
+// TestBoundedPopMissIsNotAnErroredSpan: the cluster merge ends every
+// node's turn with misses, so a healthy client produces them on most
+// frames. They must not mark the request span errored — errored spans
+// enter the flight recorder unconditionally and would flood it. The
+// plain pop on an empty node is the control: it still does, which also
+// proves the recorder is wired.
+func TestBoundedPopMissIsNotAnErroredSpan(t *testing.T) {
+	flight := obs.NewFlightRecorder(256)
+	addr, _, stop := startTracedServer(t,
+		engine.Config{Shards: 1, Order: 2, Levels: 6},
+		obs.TracerOptions{Registry: obs.NewRegistry(), Prefix: "t", Flight: flight,
+			// Only errored spans are admitted: nothing is slow enough,
+			// and the one-in-N sample never comes up.
+			FlightSlowNs: int64(time.Hour), FlightSampleEvery: 1 << 30}, nil)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	merge := []Op{{Kind: OpPopBounded, Value: 5}, {Kind: OpPopBounded, Value: 5}, {Kind: OpPeek}}
+	for _, push := range []bool{false, true} { // misses on an empty node, then on a head above the bound
+		if push {
+			if _, err := cl.Do([]Op{{Kind: OpPush, Value: 9, Meta: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			res, err := cl.Do(merge)
+			if err != nil || res[0].Status != StatusMiss || res[1].Status != StatusMiss {
+				t.Fatalf("merge frame: %+v %v", res, err)
+			}
+		}
+	}
+	if res, err := cl.Do([]Op{{Kind: OpPop}, {Kind: OpPop}}); err != nil || res[1].Status != StatusEmpty {
+		t.Fatalf("control pops: %+v %v", res, err)
+	}
+	cl.Close()
+	stop() // every span is finished once the server has shut down
+
+	var erred int
+	for _, ev := range flight.Dump().Events {
+		if ev.Kind == obs.FlightSpan.String() && ev.C == 1 {
+			erred++
+		}
+	}
+	if erred != 1 {
+		t.Fatalf("%d errored spans in the flight recorder, want 1 (the control); %d events in all", erred, flight.Recorded())
+	}
+}

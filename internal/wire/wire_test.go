@@ -36,6 +36,7 @@ func TestTornFrameNeverReturnedAsData(t *testing.T) {
 	full := AppendFrame(nil, TBatch, 7, AppendOps(nil, []Op{
 		{Kind: OpPush, Value: 10, Meta: 20},
 		{Kind: OpPop},
+		{Kind: OpPopBounded, Value: 30},
 	}))
 	for cut := 0; cut < len(full); cut++ {
 		if _, _, err := DecodeFrame(full[:cut]); !errors.Is(err, ErrTruncated) {
@@ -86,6 +87,9 @@ func TestOpsRoundTrip(t *testing.T) {
 		{Kind: OpPop},
 		{Kind: OpPush, Value: 1<<63 + 5, Meta: 0},
 		{Kind: OpPop},
+		{Kind: OpPopBounded, Value: 1<<64 - 1},
+		{Kind: OpPeek},
+		{Kind: OpPopBounded, Value: 0},
 	}
 	got, err := ParseOps(AppendOps(nil, ops))
 	if err != nil {
@@ -104,6 +108,7 @@ func TestOpsRoundTrip(t *testing.T) {
 		{Status: StatusOK, Value: 9, Meta: 8},
 		{Status: StatusEmpty},
 		{Status: StatusBackpressure},
+		{Status: StatusMiss},
 	}
 	gr, err := ParseResults(AppendResults(nil, results))
 	if err != nil {
@@ -113,6 +118,34 @@ func TestOpsRoundTrip(t *testing.T) {
 		if gr[i] != results[i] {
 			t.Fatalf("result %d: %+v != %+v", i, gr[i], results[i])
 		}
+	}
+	if _, err := ParseResults(AppendResults(nil, []Result{{Status: maxStatus + 1}})); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("status past maxStatus: err = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestOpsPayloadTruncation sweeps every strict prefix of a batch payload
+// holding each op kind: a payload cut anywhere — inside the count, a
+// push's element or a bounded pop's bound, or between ops — is
+// ErrBadFrame, never a shorter batch.
+func TestOpsPayloadTruncation(t *testing.T) {
+	full := AppendOps(nil, []Op{
+		{Kind: OpPopBounded, Value: 77},
+		{Kind: OpPush, Value: 1, Meta: 2},
+		{Kind: OpPop},
+		{Kind: OpPeek},
+		{Kind: OpPopBounded, Value: 1 << 40},
+	})
+	if want := 4 + opPopBoundedSize + opPushSize + 2*opPopSize + opPopBoundedSize; len(full) != want {
+		t.Fatalf("payload is %d bytes, want %d", len(full), want)
+	}
+	for cut := 0; cut < len(full); cut++ {
+		if ops, err := ParseOps(full[:cut]); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("prefix %d/%d: ops=%v err=%v, want ErrBadFrame", cut, len(full), ops, err)
+		}
+	}
+	if _, err := ParseOps(append(full[:len(full):len(full)], 0)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("trailing byte: err = %v, want ErrBadFrame", err)
 	}
 }
 
