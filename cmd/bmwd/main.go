@@ -1,7 +1,7 @@
 // bmwd serves a sharded BMW-Tree scheduling engine over the wire
-// protocol: a fleet of shard goroutines, each exclusively owning one
-// queue (core golden model, pifo shift register, or a cycle-accurate
-// rbmw/rpubmw simulator), fronted by a length-prefixed binary protocol
+// protocol: a fleet of shards, each one queue (core golden model, pifo
+// shift register, or a cycle-accurate rbmw/rpubmw simulator) behind an
+// execution lock, fronted by a length-prefixed binary protocol
 // on TCP.
 //
 // Replication: with -follow the daemon starts as a hot standby — it
@@ -378,8 +378,9 @@ func main() {
 			inc.CaptureAsync("overload", fmt.Sprintf("shard %d tripped at occupancy %d", shard, occ))
 		},
 		OnPanic: func(shard int, r any) {
-			// Synchronous: the shard goroutine is about to re-panic and
-			// kill the process — this bundle is the last chance.
+			// Synchronous: the executing goroutine (the shard's drain
+			// goroutine or a submitter) is about to re-panic and kill
+			// the process — this bundle is the last chance.
 			_, _ = inc.Capture("panic", fmt.Sprintf("shard %d: %v", shard, r))
 		},
 	})

@@ -18,9 +18,10 @@ import (
 //
 // Covered paths:
 //
-//	engine_submit_batch64   one Submit round trip of 64 ops through a
-//	                        prefilled sharded engine (ring, drain,
-//	                        queue apply, completion signal)
+//	engine_submit_batch64   one SubmitInto of 64 ops through a
+//	                        prefilled sharded engine (routing, inline
+//	                        execution under the shard execution
+//	                        locks, recycled submit state: zero)
 //	wire_encode_batch64     AppendOps+AppendFrame of 64 ops into a
 //	                        reused buffer
 //	wire_decode_batch64     DecodeFrame+ParseOps of the same frame

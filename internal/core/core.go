@@ -54,8 +54,8 @@ type slot struct {
 //
 // A Tree is intentionally confined to a single goroutine: as the golden
 // model for single-issue-port hardware it carries no locks on its hot
-// path. Concurrent callers go through internal/engine, which gives each
-// tree an exclusively owning shard goroutine.
+// path. Concurrent callers go through internal/engine, where only the
+// holder of a shard's execution lock touches that shard's tree.
 type Tree struct {
 	m, l     int
 	nodes    []slot // len = numNodes*m; node n occupies [n*m, n*m+m)

@@ -1,16 +1,27 @@
 // Package engine is the sharded, concurrent serving layer over the
-// exact priority queues of this module: N shards, each a goroutine that
-// exclusively owns one queue (software BMW-Tree, PIFO, or a
-// cycle-accurate simulator behind a synchronous adapter), fed by a
-// bounded MPSC request ring with batched submit and drain so the
-// synchronization cost per operation is a small fraction of a mutex
-// round-trip.
+// exact priority queues of this module: N shards, each one queue
+// (software BMW-Tree, PIFO, or a cycle-accurate simulator behind a
+// synchronous adapter) behind an execution lock, with a bounded MPSC
+// request ring and a drain goroutine for the contended case.
 //
 // The bare queues in this module are intentionally single-goroutine —
 // they model hardware with one issue port per cycle and carry zero
 // synchronization on their hot paths. The engine is the one concurrency
-// boundary: all cross-goroutine traffic goes through the rings, and each
-// queue is only ever touched by its owning shard goroutine.
+// boundary: each queue is only ever touched by the holder of its shard's
+// execution lock.
+//
+// Execution is caller-runs. A submit routes and gates its operations
+// against the published shard state, then TryLocks each target shard:
+// when it gets the lock it executes its own group on its own stack — no
+// wake-up, no hand-off, no allocation — and only when the lock is held
+// (another submitter or the drain goroutine is inside) does the group go
+// to the shard's ring, which the drain goroutine executes under the same
+// lock, a batch at a time. The selector is the lock state observed at
+// that instant; there is no option. The ring cannot starve behind inline
+// executors: sync.Mutex refuses TryLock once a waiter has been blocked
+// for 1 ms (starvation mode), so the drain goroutine goes next.
+// ApplyReplica never queues: it must not refuse and has nothing to gain
+// from a hand-off, so it blocks on the lock and executes in place.
 //
 // Ordering semantics: each shard is an exact PIFO — every pop returns a
 // true minimum of the elements currently on that shard. Across shards
@@ -33,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,7 +138,7 @@ const (
 
 // Config parameterises New.
 type Config struct {
-	// Shards is the number of shard goroutines (default 1).
+	// Shards is the number of shards (default 1).
 	Shards int
 	// Kind selects each shard's queue implementation (default KindCore).
 	Kind Kind
@@ -229,10 +239,12 @@ const emptyHead = math.MaxUint64
 
 // Hooks are the engine's incident-wiring points, set once via
 // SetHooks before traffic: the flight recorder receives overload and
-// backpressure edges, OnOverloadTrip fires (from the shard goroutine —
-// keep it non-blocking, e.g. IncidentCapturer.CaptureAsync) when a
-// shard trips into overload, and OnPanic observes a shard goroutine's
-// panic value before the engine re-panics.
+// backpressure edges, OnOverloadTrip fires when a shard trips into
+// overload — from whichever goroutine held the shard's execution lock,
+// which may be a submitter's, so keep it non-blocking (e.g.
+// IncidentCapturer.CaptureAsync) — and OnPanic observes a queue's panic
+// value, on the drain goroutine or a submitter's, before the engine
+// re-panics.
 type Hooks struct {
 	Flight         *obs.FlightRecorder
 	OnOverloadTrip func(shard, occ int)
@@ -245,10 +257,17 @@ type Hooks struct {
 	MetricsPrefix string
 }
 
-// shard is one engine lane: a goroutine, its ring, and its queue.
+// shard is one engine lane: a queue, the execution lock that owns it,
+// and the ring plus drain goroutine that serve the contended case.
 type shard struct {
-	id      int
-	q       shardQueue
+	id int
+	// exec is the execution lock. Its holder owns q, lsn, slowRuns and
+	// closed; execute and publish require it.
+	exec sync.Mutex
+	q    shardQueue
+	// closed is set by Close once the drain goroutine has exited; an
+	// inline executor that sees it backs out to the (closed) ring.
+	closed  bool
 	ring    *ring
 	ringCap int
 	// ov is the admission-control config, swappable at runtime
@@ -257,13 +276,17 @@ type shard struct {
 	ov    atomic.Pointer[Overload]
 	hooks *atomic.Pointer[Hooks]
 
-	// lsn counts this shard's applied mutations; owned by the shard
-	// goroutine, mirrored into lsnPub after each batch for readers.
+	// lsn counts this shard's applied mutations; owned by the execution
+	// lock's holder, mirrored into lsnPub after each execution for
+	// readers.
 	lsn    uint64
 	lsnPub atomic.Uint64
+	// slowRuns counts consecutive executions at or over
+	// Overload.DrainLatencyHigh.
+	slowRuns int
 
-	// Published state, written by the shard after each drained batch
-	// and read by routers: queue length, smallest rank (emptyHead when
+	// Published state, written after each execution and read by
+	// routers: queue length, smallest rank (emptyHead when
 	// empty) with its metadata, the almost-full backpressure signal,
 	// and the overload admission gate. headV/headM are separate words,
 	// so a reader racing a drain can see a (value, meta) pair from two
@@ -275,9 +298,9 @@ type shard struct {
 	almostFull atomic.Bool
 	overloaded atomic.Bool
 	// overUntil is the UnixNano deadline of the overload latch,
-	// refreshed at every drain while tripped. Past it with no drain
-	// having cleared the latch, the push path clears it itself — the
-	// drain loop cannot, because shed pushes never reach the ring.
+	// refreshed at every execution while tripped. Past it with no
+	// execution having cleared the latch, the push path clears it itself
+	// — no execution can, because shed pushes never reach the shard.
 	overUntil atomic.Int64
 
 	// Metrics (nil-safe when the engine is uninstrumented).
@@ -290,12 +313,25 @@ type shard struct {
 	scratch []entry
 }
 
-// batch is one submit call's completion state: results land in place,
-// the last finished entry closes done. sp, when non-nil, is the
-// request-lifecycle span the shards stamp (StageDequeue on first drain,
-// StageApply when the batch completes).
+// batch is one submit call's state: the per-shard entry slabs routing
+// fills, and the completion state — results land in place, pending
+// counts the accepted entries not yet finished, and whoever takes it to
+// zero completes the batch. sp, when non-nil, is the request-lifecycle
+// span (StageDequeue at the first execution, StageApply at completion).
+//
+// Batches are recycled through the engine's free list, so who may touch
+// one is spelled out. The submitter owns it except while entries of it
+// sit in a ring. A drain goroutine touches a batch only through such an
+// entry, and drops the entry before decrementing pending; if its
+// decrement reaches zero the submitter is by construction parked on
+// done, so the goroutine may still stamp sp and must then send on done
+// exactly once — its last access. A decrement that does not reach zero
+// is the last access outright. The submitter recycles only after it has
+// itself taken pending to zero (nobody sends) or received from done, so
+// done — capacity 1, never closed — is empty again at every reuse.
 type batch struct {
 	results []Result
+	slabs   [][]entry
 	pending atomic.Int32
 	done    chan struct{}
 	sp      *obs.Span
@@ -306,10 +342,45 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 	hooks  atomic.Pointer[Hooks]
-	// backpressure counter for submit-side ring rejections across all
-	// shards (per-shard queue-side signals live on the shards).
+	// closed is set at the start of Close; submits that observe it fail
+	// with ErrClosed without touching a shard.
 	closed atomic.Bool
 	wg     sync.WaitGroup
+
+	// free recycles batches so a steady-state submit allocates nothing.
+	// A plain per-engine list rather than a sync.Pool field: a Pool
+	// stays on the runtime's global pool list for two GC cycles and
+	// would keep a closed engine — and everything its hooks reach —
+	// alive that long. It grows to the high-water mark of concurrent
+	// submitters.
+	freeMu sync.Mutex
+	free   []*batch
+}
+
+// getBatch takes a recycled batch, or builds one.
+func (e *Engine) getBatch(results []Result, sp *obs.Span) *batch {
+	var b *batch
+	e.freeMu.Lock()
+	if n := len(e.free); n > 0 {
+		b, e.free = e.free[n-1], e.free[:n-1]
+	}
+	e.freeMu.Unlock()
+	if b == nil {
+		b = &batch{slabs: make([][]entry, len(e.shards)), done: make(chan struct{}, 1)}
+	}
+	b.results, b.sp = results, sp
+	return b
+}
+
+// putBatch recycles b; see batch for why no one else can still hold it.
+func (e *Engine) putBatch(b *batch) {
+	b.results, b.sp = nil, nil
+	for i := range b.slabs {
+		b.slabs[i] = b.slabs[i][:0]
+	}
+	e.freeMu.Lock()
+	e.free = append(e.free, b)
+	e.freeMu.Unlock()
 }
 
 // SetHooks installs the incident-wiring points. Call once, before the
@@ -333,7 +404,7 @@ func (e *Engine) SetOverload(o Overload) {
 }
 
 // New builds the engine, restoring shards from cfg.RestoreDir when set,
-// and starts one goroutine per shard.
+// and starts one drain goroutine per shard.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Kind != KindPIFO && cfg.Order < core.MinOrder {
@@ -363,14 +434,6 @@ func New(cfg Config) (*Engine, error) {
 		e.wg.Add(1)
 		go func(s *shard) {
 			defer e.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if h := e.hooks.Load(); h != nil && h.OnPanic != nil {
-						h.OnPanic(s.id, r)
-					}
-					panic(r)
-				}
-			}()
 			s.run()
 		}(s)
 	}
@@ -501,8 +564,9 @@ func (e *Engine) PeekMin() (core.Element, bool) {
 	return best, ok
 }
 
-// Submit routes each operation to its shard, enqueues the per-shard
-// groups with one ring acquisition each, and waits for all accepted
+// Submit routes each operation to its shard, executes each per-shard
+// group — on this goroutine when the shard's execution lock is free,
+// through the shard's ring otherwise — and waits for all accepted
 // operations to complete. Refused operations (backpressure, closed
 // engine, pop on an engine publishing empty) fail in place without
 // blocking the rest of the batch. The returned slice has one Result
@@ -515,17 +579,17 @@ func (e *Engine) Submit(ops []Op) []Result {
 
 // SubmitInto is Submit writing into a caller-provided result slice
 // (len(results) must equal len(ops)), saving the allocation on hot
-// paths.
+// paths: a steady-state SubmitInto allocates nothing.
 func (e *Engine) SubmitInto(ops []Op, results []Result) {
 	e.SubmitTraced(ops, results, nil)
 }
 
 // SubmitTraced is SubmitInto carrying a request-lifecycle span: the
-// engine stamps StageEnqueue immediately before the first ring insert
-// (so it always precedes the shard's StageDequeue), StageDequeue when a
-// shard drains one of the request's operations, and StageApply when the
-// last accepted operation has executed. A nil span costs one branch per
-// stamp site — the untraced path.
+// engine stamps StageEnqueue immediately before the first group is
+// executed or enqueued (so it always precedes StageDequeue), StageDequeue
+// when one of the request's operations starts executing, and StageApply
+// when the last accepted operation has executed. A nil span costs one
+// branch per stamp site — the untraced path.
 func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 	if len(results) != len(ops) {
 		panic("engine: SubmitInto result slice length mismatch")
@@ -536,8 +600,7 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 		}
 		return
 	}
-	b := &batch{results: results, done: make(chan struct{}), sp: sp}
-	perShard := make([][]entry, len(e.shards))
+	b := e.getBatch(results, sp)
 	accepted := 0
 	for i, op := range ops {
 		var sh int
@@ -545,9 +608,9 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 		case OpPush:
 			sh = e.routePush(op.Elem)
 			if s := e.shards[sh]; s.overloaded.Load() {
-				// An expired latch means no drain has re-judged the
+				// An expired latch means no execution has re-judged the
 				// signal for a full cooloff — admit this push so the
-				// next drain can.
+				// next one can.
 				if time.Now().UnixNano() >= s.overUntil.Load() {
 					if s.overloaded.Swap(false) {
 						s.overloadEdge(false, -1)
@@ -579,44 +642,59 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 			results[i] = Result{Err: ErrInvalidOp}
 			continue
 		}
-		perShard[sh] = append(perShard[sh], entry{op: op, b: b, idx: i})
+		b.slabs[sh] = append(b.slabs[sh], entry{op: op, b: b, idx: i})
 		accepted++
 	}
 	if accepted == 0 {
+		e.putBatch(b)
 		return
 	}
 	b.pending.Store(int32(accepted))
-	// Stamp before the first ring insert: a fast shard may drain (and
-	// stamp StageDequeue) the instant an entry lands, so stamping after
-	// the loop could record enqueue > dequeue.
+	// Stamp before the first group leaves: a drain goroutine may execute
+	// (and stamp StageDequeue) the instant an entry lands in its ring, so
+	// stamping after the loop could record enqueue > dequeue.
 	sp.Stamp(obs.StageEnqueue)
-	refused := int32(0)
-	for sh, es := range perShard {
+	// here counts the accepted entries finished on this goroutine —
+	// executed inline or refused by a ring — and so not counted down by
+	// any drain goroutine.
+	here := int32(0)
+	for sh, es := range b.slabs {
 		if len(es) == 0 {
 			continue
 		}
-		n := e.shards[sh].ring.enqueue(es)
+		s := e.shards[sh]
+		if s.exec.TryLock() {
+			if !s.closed {
+				s.executeAndUnlock(es, s.ring.len())
+				here += int32(len(es))
+				continue
+			}
+			// Closed under us: the closed ring below answers ErrClosed.
+			s.exec.Unlock()
+		}
+		n := s.ring.enqueue(es)
 		err := ErrBackpressure
 		if n < 0 {
 			n, err = 0, ErrClosed
 		}
 		for _, rej := range es[n:] {
 			if err == ErrBackpressure {
-				e.shards[sh].backpressured.Inc()
+				s.backpressured.Inc()
 			}
 			results[rej.idx] = Result{Err: err}
-			refused++
+			here++
 		}
 	}
-	if refused > 0 && b.pending.Add(-refused) == 0 {
-		// Every accepted entry already executed (their decrements came
-		// first); the shard that ran the last one never saw pending hit
-		// zero, so the apply stamp falls to us. First-wins: no-op when a
-		// shard already stamped.
+	if here > 0 && b.pending.Add(-here) == 0 {
+		// Everything this goroutine did not finish itself was already
+		// executed (those decrements came first) without any drain
+		// goroutine seeing pending hit zero, so completion falls to us
+		// and nothing was or will be sent on done. First-wins stamp.
 		sp.Stamp(obs.StageApply)
-		return
+	} else {
+		<-b.done
 	}
-	<-b.done
+	e.putBatch(b)
 }
 
 // Push submits one push. It returns nil on success, ErrBackpressure
@@ -647,9 +725,12 @@ func (e *Engine) Pop() (core.Element, error) {
 	return core.Element{}, core.ErrEmpty
 }
 
-// Close stops the shard goroutines after the rings drain. Submits that
-// raced with Close complete; later submits fail with ErrClosed. Close
-// is idempotent.
+// Close stops the drain goroutines after the rings drain, then marks
+// each shard closed under its execution lock: once Close returns, no
+// executor — drain goroutine, inline submitter or ApplyReplica — is
+// inside a queue or can enter one. Submits that raced with Close
+// complete or fail with ErrClosed; later submits fail with ErrClosed.
+// Close is idempotent.
 func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
@@ -658,10 +739,15 @@ func (e *Engine) Close() {
 		s.ring.close()
 	}
 	e.wg.Wait()
+	for _, s := range e.shards {
+		s.exec.Lock()
+		s.closed = true
+		s.exec.Unlock()
+	}
 }
 
 // ShardDrain empties shard i in pop order. It must only be called
-// after Close, when no shard goroutine is running.
+// after Close has returned, when nothing can execute on the shard.
 func (e *Engine) ShardDrain(i int) ([]core.Element, error) {
 	if !e.closed.Load() {
 		return nil, errors.New("engine: ShardDrain before Close")
@@ -678,9 +764,8 @@ func (e *Engine) ShardDrain(i int) ([]core.Element, error) {
 	return out, nil
 }
 
-// run is the shard goroutine: drain a batch, execute it against the
-// exclusively owned queue, publish the head/length/backpressure
-// signals, then complete the batch entries.
+// run is the shard's drain goroutine: take a batch off the ring,
+// execute it under the execution lock, then complete its entries.
 func (s *shard) run() {
 	for {
 		n, occ := s.ring.drain(s.scratch)
@@ -688,64 +773,8 @@ func (s *shard) run() {
 			return
 		}
 		s.ringOcc.Observe(uint64(occ))
-		s.drained.Observe(uint64(n))
-		ov := *s.ov.Load()
-		var start time.Time
-		if ov.DrainLatencyHigh > 0 {
-			start = time.Now()
-		}
-		// One span clock read covers every traced batch in this drain:
-		// the entries all left the ring at drain time, so the drain
-		// moment IS their dequeue timestamp, and sharing it keeps the
-		// per-entry cost at a nil check when tracing is off.
-		var drainNs int64
-		for i := 0; i < n; i++ {
-			en := &s.scratch[i]
-			if en.b.sp != nil {
-				if drainNs == 0 {
-					drainNs = obs.SpanNow()
-				}
-				en.b.sp.StampAt(obs.StageDequeue, drainNs)
-			}
-			switch en.op.Kind {
-			case OpPush:
-				err := s.q.Push(en.op.Elem)
-				switch {
-				case err == nil:
-					s.pushes.Inc()
-					s.lsn++
-					en.b.results[en.idx] = Result{Err: nil, Shard: int32(s.id), LSN: s.lsn}
-					continue
-				case errors.Is(err, core.ErrFull):
-					s.fulls.Inc()
-				}
-				en.b.results[en.idx] = Result{Err: err}
-			case OpPopBounded:
-				if head, err := s.q.Peek(); err != nil || head.Value > en.op.Elem.Value {
-					en.b.results[en.idx] = Result{Err: ErrMiss}
-					continue
-				}
-				fallthrough
-			case OpPop:
-				el, err := s.q.Pop()
-				switch {
-				case err == nil:
-					s.pops.Inc()
-					s.lsn++
-					en.b.results[en.idx] = Result{Elem: el, Shard: int32(s.id), LSN: s.lsn}
-					continue
-				case errors.Is(err, core.ErrEmpty):
-					s.empties.Inc()
-				}
-				en.b.results[en.idx] = Result{Elem: el, Err: err}
-			default:
-				en.b.results[en.idx] = Result{Err: ErrInvalidOp}
-			}
-		}
-		s.publish()
-		if ov.enabled() {
-			s.updateOverload(ov, occ, start)
-		}
+		s.exec.Lock()
+		s.executeAndUnlock(s.scratch[:n], occ)
 		var applyNs int64
 		for i := 0; i < n; i++ {
 			b := s.scratch[i].b
@@ -757,23 +786,111 @@ func (s *shard) run() {
 					}
 					b.sp.StampAt(obs.StageApply, applyNs)
 				}
-				close(b.done)
+				b.done <- struct{}{}
 			}
 		}
 	}
 }
 
+// executeAndUnlock runs execute under the already-held execution lock
+// and releases it. A queue panic is shown to Hooks.OnPanic and
+// re-panicked on whichever goroutine was executing.
+func (s *shard) executeAndUnlock(es []entry, occ int) {
+	defer func() {
+		r := recover()
+		s.exec.Unlock()
+		if r != nil {
+			if h := s.hooks.Load(); h != nil && h.OnPanic != nil {
+				h.OnPanic(s.id, r)
+			}
+			panic(r)
+		}
+	}()
+	s.execute(es, occ)
+}
+
+// execute applies es to the queue in order, writing each result into
+// its batch, then publishes the head/length/backpressure signals and
+// re-judges overload. occ is the ring occupancy the caller observed.
+// It is the only code that mutates a serving queue — the inline path,
+// the ring drain and ApplyReplica all come through here — and the
+// caller must hold s.exec.
+func (s *shard) execute(es []entry, occ int) {
+	s.drained.Observe(uint64(len(es)))
+	ov := *s.ov.Load()
+	var start time.Time
+	if ov.DrainLatencyHigh > 0 {
+		start = time.Now()
+	}
+	// One span clock read covers every traced batch in this execution:
+	// the entries all start executing now, so this moment IS their
+	// dequeue timestamp, and sharing it keeps the per-entry cost at a
+	// nil check when tracing is off.
+	var drainNs int64
+	for i := range es {
+		en := &es[i]
+		if en.b.sp != nil {
+			if drainNs == 0 {
+				drainNs = obs.SpanNow()
+			}
+			en.b.sp.StampAt(obs.StageDequeue, drainNs)
+		}
+		switch en.op.Kind {
+		case OpPush:
+			err := s.q.Push(en.op.Elem)
+			switch {
+			case err == nil:
+				s.pushes.Inc()
+				s.lsn++
+				en.b.results[en.idx] = Result{Err: nil, Shard: int32(s.id), LSN: s.lsn}
+				continue
+			case errors.Is(err, core.ErrFull):
+				s.fulls.Inc()
+			}
+			en.b.results[en.idx] = Result{Err: err}
+		case OpPopBounded:
+			if head, err := s.q.Peek(); err != nil || head.Value > en.op.Elem.Value {
+				en.b.results[en.idx] = Result{Err: ErrMiss}
+				continue
+			}
+			fallthrough
+		case OpPop:
+			el, err := s.q.Pop()
+			switch {
+			case err == nil:
+				s.pops.Inc()
+				s.lsn++
+				en.b.results[en.idx] = Result{Elem: el, Shard: int32(s.id), LSN: s.lsn}
+				continue
+			case errors.Is(err, core.ErrEmpty):
+				s.empties.Inc()
+			}
+			en.b.results[en.idx] = Result{Elem: el, Err: err}
+		default:
+			en.b.results[en.idx] = Result{Err: ErrInvalidOp}
+		}
+	}
+	s.publish()
+	if ov.enabled() {
+		s.updateOverload(ov, occ, start)
+	}
+}
+
 // updateOverload applies the admission-control hysteresis after one
-// drained batch: trip at the high watermarks, clear only once both
-// signals sit below them again. Edges (not levels) feed the hooks.
+// execution: trip at the high watermarks, clear only once both signals
+// sit below them again. The latency signal is the second consecutive
+// slow execution, not the first — one slow execution is a host stall
+// that happened to land in it, two in a row is a shard that cannot keep
+// up (DESIGN.md section 6a). Edges (not levels) feed the hooks.
 func (s *shard) updateOverload(ov Overload, occ int, start time.Time) {
 	frac := float64(occ) / float64(s.ringCap)
-	slow := false
-	if ov.DrainLatencyHigh > 0 {
-		slow = time.Since(start) >= ov.DrainLatencyHigh
+	if ov.DrainLatencyHigh > 0 && time.Since(start) >= ov.DrainLatencyHigh {
+		s.slowRuns++
+	} else {
+		s.slowRuns = 0
 	}
 	switch {
-	case frac >= ov.HighFrac || slow:
+	case frac >= ov.HighFrac || s.slowRuns >= 2:
 		if !s.overloaded.Swap(true) {
 			s.overloadEdge(true, occ)
 		}
@@ -788,7 +905,7 @@ func (s *shard) updateOverload(ov Overload, occ int, start time.Time) {
 }
 
 // overloadEdge reports one overload latch transition to the hooks.
-// occ is the ring occupancy at the deciding drain (-1 when the edge
+// occ is the ring occupancy at the deciding execution (-1 when the edge
 // came from the push path's cooloff expiry).
 func (s *shard) overloadEdge(tripped bool, occ int) {
 	h := s.hooks.Load()
@@ -839,10 +956,13 @@ func (e *Engine) ShardLSN(i int) uint64 { return e.shards[i].lsnPub.Load() }
 // and every admission gate (backpressure and overload): a follower must
 // apply the primary's history verbatim, in the primary's per-shard LSN
 // order, and the history is known to fit because the primary executed
-// it against identical geometry. When the target ring is momentarily
-// full it waits rather than refusing. Results land one per op, in
-// order, with Shard/LSN stamped exactly as on the primary; it returns
-// ErrClosed if the engine closes mid-apply.
+// it against identical geometry. It never queues: it blocks on the
+// shard's execution lock — at most one execution away, or the mutex's
+// 1 ms starvation hand-off under a stream of inline submitters — and
+// executes on the caller's stack, all of ops or none. Results land one
+// per op, in order, with Shard/LSN stamped exactly as on the primary;
+// it returns ErrClosed, having applied nothing, once the engine has
+// closed.
 func (e *Engine) ApplyReplica(sh int, ops []Op, results []Result) error {
 	if len(results) != len(ops) {
 		panic("engine: ApplyReplica result slice length mismatch")
@@ -853,35 +973,23 @@ func (e *Engine) ApplyReplica(sh int, ops []Op, results []Result) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	b := &batch{results: results, done: make(chan struct{})}
-	es := make([]entry, len(ops))
+	b := e.getBatch(results, nil)
+	es := b.slabs[sh]
 	for i, op := range ops {
-		es[i] = entry{op: op, b: b, idx: i}
+		es = append(es, entry{op: op, b: b, idx: i})
 	}
-	b.pending.Store(int32(len(es)))
-	refused := int32(0)
-	for len(es) > 0 {
-		n := e.shards[sh].ring.enqueue(es)
-		if n < 0 {
-			for _, en := range es {
-				results[en.idx] = Result{Err: ErrClosed}
-			}
-			refused = int32(len(es))
-			break
+	b.slabs[sh] = es
+	s := e.shards[sh]
+	s.exec.Lock()
+	if s.closed {
+		s.exec.Unlock()
+		for i := range results {
+			results[i] = Result{Err: ErrClosed}
 		}
-		es = es[n:]
-		if len(es) > 0 {
-			// Ring full: the shard goroutine is draining it; yield and
-			// retry rather than surface backpressure on the apply path.
-			runtime.Gosched()
-		}
-	}
-	if refused > 0 {
-		if b.pending.Add(-refused) > 0 {
-			<-b.done
-		}
+		e.putBatch(b)
 		return ErrClosed
 	}
-	<-b.done
+	s.executeAndUnlock(es, s.ring.len())
+	e.putBatch(b)
 	return nil
 }

@@ -1,0 +1,591 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/refpq"
+)
+
+// executions reads how many executions shard i has run in total and how
+// many of them were ring drains, from the two instruments that define
+// the split: _drain_batch observes every execution, _ring_occupancy
+// ring drains only.
+func executions(reg *obs.Registry, i int) (all, ring uint64) {
+	snap := reg.Snapshot()
+	p := fmt.Sprintf("eng_shard%d", i)
+	return snap.Histograms[p+"_drain_batch"].Count, snap.Histograms[p+"_ring_occupancy"].Count
+}
+
+// ringDrains reads how many batches shard i's drain goroutine has taken
+// off its ring. An idle drain goroutine empties the ring the moment an
+// entry lands, so a test waiting for "a group went to the ring" watches
+// this count, which only grows, as well as the ring's length (which is
+// what shows it while the goroutine is itself blocked on the lock).
+func ringDrains(reg *obs.Registry, i int) uint64 {
+	_, ring := executions(reg, i)
+	return ring
+}
+
+// forcer is the test's handle for forcing submits onto the ring.
+type forcer struct {
+	mu  sync.Mutex
+	e   *Engine
+	reg *obs.Registry
+}
+
+// viaRing runs submit with the groups it dispatches forced onto the
+// ring: the test holds each shard's execution lock until a group has
+// reached that shard's ring (so a submitter's TryLock there has failed),
+// or until submit has returned having needed no more shards. One forced
+// submit at a time: two of them, each holding one shard's lock while its
+// submit waits on the other shard, would deadlock the test.
+func (f *forcer) viaRing(submit func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	e, reg := f.e, f.reg
+	before := make([]uint64, len(e.shards))
+	held := make([]bool, len(e.shards))
+	for i, s := range e.shards {
+		s.exec.Lock()
+		before[i], held[i] = ringDrains(reg, i), true
+	}
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		submit()
+	}()
+	for done := false; !done; runtime.Gosched() {
+		select {
+		case <-returned:
+			done = true
+		default:
+		}
+		for i, s := range e.shards {
+			if held[i] && (done || ringDrains(reg, i) > before[i] || s.ring.len() > 0) {
+				s.exec.Unlock()
+				held[i] = false
+			}
+		}
+	}
+}
+
+// applied is one successful operation as its submitter saw it.
+type applied struct {
+	kind OpKind
+	res  Result
+	push core.Element // the element pushed, for OpPush
+}
+
+// TestInlineAndRingDifferential is the differential test of caller-runs
+// execution: submitters race mixed push / pop / bounded-pop batches at
+// an engine, every fourth batch forced onto the ring by viaRing, and
+// afterwards each shard's history — the successful results ordered
+// by the LSNs the engine stamped — must be one a refpq reference
+// reproduces exactly: LSNs dense from 1 with no gap or duplicate, every
+// pop the reference minimum at that point, every bounded hit at or under
+// its bound, and the shard's final drain the reference's remainder. Both
+// paths must actually have run.
+func TestInlineAndRingDifferential(t *testing.T) {
+	mixes := []struct {
+		name               string
+		push, pop, bounded int // relative weights
+	}{
+		{"all-kinds", 2, 1, 1},
+		{"push-bounded", 1, 0, 1},
+		{"push-pop", 1, 1, 0},
+	}
+	for _, submitters := range []int{1, 4} {
+		for _, shards := range []int{1, 2} {
+			for _, mix := range mixes {
+				name := fmt.Sprintf("submitters=%d/shards=%d/%s", submitters, shards, mix.name)
+				t.Run(name, func(t *testing.T) {
+					cfg := smallConfig(KindCore, shards)
+					cfg.Routing = RouteHash
+					e, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reg := obs.NewRegistry()
+					e.Instrument(reg, "eng")
+					force := &forcer{e: e, reg: reg}
+
+					histories := make([][]applied, submitters)
+					var wg sync.WaitGroup
+					for w := 0; w < submitters; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							rng := rand.New(rand.NewSource(int64(1000*submitters + 10*shards + w)))
+							ops := make([]Op, 0, 16)
+							res := make([]Result, 16)
+							total := mix.push + mix.pop + mix.bounded
+							for batch := 0; batch < 300; batch++ {
+								ops = ops[:0]
+								for i, n := 0, 1+rng.Intn(16); i < n; i++ {
+									switch r := rng.Intn(total); {
+									case r < mix.push:
+										ops = append(ops, PushOp(core.Element{
+											Value: uint64(rng.Intn(1 << 16)),
+											Meta:  uint64(w)<<32 | uint64(batch)<<8 | uint64(i),
+										}))
+									case r < mix.push+mix.pop:
+										ops = append(ops, PopOp())
+									default:
+										ops = append(ops, PopBoundedOp(uint64(rng.Intn(1<<16))))
+									}
+								}
+								if batch%4 == 0 {
+									force.viaRing(func() { e.SubmitInto(ops, res[:len(ops)]) })
+								} else {
+									e.SubmitInto(ops, res[:len(ops)])
+								}
+								for i, r := range res[:len(ops)] {
+									switch {
+									case r.Err == nil:
+										if ops[i].Kind == OpPopBounded && r.Elem.Value > ops[i].Elem.Value {
+											t.Errorf("bounded pop(%d) took %d", ops[i].Elem.Value, r.Elem.Value)
+										}
+										histories[w] = append(histories[w], applied{kind: ops[i].Kind, res: r, push: ops[i].Elem})
+									case ops[i].Kind == OpPush && (errors.Is(r.Err, ErrBackpressure) || errors.Is(r.Err, core.ErrFull)):
+									case ops[i].Kind == OpPop && errors.Is(r.Err, core.ErrEmpty):
+									case ops[i].Kind == OpPopBounded && errors.Is(r.Err, ErrMiss):
+									default:
+										t.Errorf("op kind %d: unexpected error %v", ops[i].Kind, r.Err)
+									}
+									if r.Err != nil && r.LSN != 0 {
+										t.Errorf("failed op carries LSN %d", r.LSN)
+									}
+								}
+							}
+						}(w)
+					}
+					wg.Wait()
+					e.Close()
+
+					perShard := make([][]applied, shards)
+					for _, h := range histories {
+						for _, a := range h {
+							perShard[a.res.Shard] = append(perShard[a.res.Shard], a)
+						}
+					}
+					for sh, h := range perShard {
+						sort.Slice(h, func(i, j int) bool { return h[i].res.LSN < h[j].res.LSN })
+						ref := refpq.New()
+						pushes, pops := 0, 0
+						for i, a := range h {
+							if a.res.LSN != uint64(i+1) {
+								t.Fatalf("shard %d: LSN %d at position %d — not dense from 1", sh, a.res.LSN, i)
+							}
+							if a.kind == OpPush {
+								ref.Push(refpq.Entry{Value: a.push.Value, Meta: a.push.Meta})
+								pushes++
+								continue
+							}
+							pops++
+							if ref.Len() == 0 || a.res.Elem.Value != ref.MinValue() ||
+								!ref.RemoveExact(refpq.Entry{Value: a.res.Elem.Value, Meta: a.res.Elem.Meta}) {
+								t.Fatalf("shard %d LSN %d: popped %+v, not the reference minimum", sh, a.res.LSN, a.res.Elem)
+							}
+						}
+						if got := e.ShardLSN(sh); got != uint64(len(h)) {
+							t.Fatalf("shard %d: published LSN %d, %d operations succeeded", sh, got, len(h))
+						}
+						drained, err := e.ShardDrain(sh)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if pushes != pops+len(drained) {
+							t.Fatalf("shard %d: %d pushes != %d pops + %d drained", sh, pushes, pops, len(drained))
+						}
+						for _, el := range drained {
+							if el.Value != ref.MinValue() || !ref.RemoveExact(refpq.Entry{Value: el.Value, Meta: el.Meta}) {
+								t.Fatalf("shard %d: drained %+v, not the reference minimum", sh, el)
+							}
+						}
+						all, ring := executions(reg, sh)
+						if ring == 0 || all == ring {
+							t.Fatalf("shard %d: %d executions, %d of them ring drains — both paths must run", sh, all, ring)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCloseRacingInlineSubmitters closes an engine under submitters that
+// are executing inline: every push must end up either acknowledged and
+// then accounted for — popped by someone or in the final drain — or
+// refused, never both and never neither, and ShardDrain straight after
+// Close must not race an executor (the race detector watches the queue).
+func TestCloseRacingInlineSubmitters(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		cfg := smallConfig(KindCore, 2)
+		cfg.Routing = RouteHash
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const submitters = 2
+		var (
+			started sync.WaitGroup
+			wg      sync.WaitGroup
+			mu      sync.Mutex
+			acked   = map[core.Element]bool{}
+			popped  = map[core.Element]int{}
+		)
+		for w := 0; w < submitters; w++ {
+			started.Add(1)
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var myAcked, myPopped []core.Element
+				ops := make([]Op, 8)
+				res := make([]Result, 8)
+				for batch := 0; ; batch++ {
+					for i := range ops {
+						ops[i] = PopOp()
+						if i%2 == 0 {
+							ops[i] = PushOp(core.Element{Value: uint64(batch*7+i) % 997, Meta: uint64(w)<<32 | uint64(batch)<<4 | uint64(i)})
+						}
+					}
+					e.SubmitInto(ops, res)
+					if batch == 0 {
+						started.Done()
+					}
+					closed := false
+					for i, r := range res {
+						closed = closed || errors.Is(r.Err, ErrClosed)
+						switch {
+						case r.Err != nil:
+						case ops[i].Kind == OpPush:
+							myAcked = append(myAcked, ops[i].Elem)
+						default:
+							myPopped = append(myPopped, r.Elem)
+						}
+					}
+					if closed {
+						break
+					}
+				}
+				mu.Lock()
+				for _, el := range myAcked {
+					acked[el] = true
+				}
+				for _, el := range myPopped {
+					popped[el]++
+				}
+				mu.Unlock()
+			}(w)
+		}
+		started.Wait()
+		e.Close()
+		// Drain before the submitters are known to have returned: that
+		// is the window Close has to have shut.
+		var drained []core.Element
+		for sh := 0; sh < e.Shards(); sh++ {
+			d, err := e.ShardDrain(sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drained = append(drained, d...)
+		}
+		wg.Wait()
+		for _, el := range drained {
+			popped[el]++
+		}
+		for el := range acked {
+			if popped[el] != 1 {
+				t.Fatalf("round %d: acknowledged push %+v came out %d times", round, el, popped[el])
+			}
+			delete(popped, el)
+		}
+		for el, n := range popped {
+			t.Fatalf("round %d: %+v came out %d times but its push was never acknowledged", round, el, n)
+		}
+	}
+}
+
+// TestSpanStampsInline checks the lifecycle stamps on the inline path:
+// with no contention nothing touches the ring, and the span still reads
+// enqueue <= dequeue <= apply.
+func TestSpanStampsInline(t *testing.T) {
+	e, err := New(smallConfig(KindCore, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	reg := obs.NewRegistry()
+	e.Instrument(reg, "eng")
+	sp := new(obs.Span)
+	res := make([]Result, 2)
+	e.SubmitTraced([]Op{PushOp(core.Element{Value: 5, Meta: 1}), PopOp()}, res, sp)
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	checkStageOrder(t, sp)
+	if all, ring := executions(reg, 0); all != 1 || ring != 0 {
+		t.Fatalf("%d executions, %d ring drains; want one inline execution", all, ring)
+	}
+}
+
+// TestSpanStampsSplitBatch splits one traced batch across the two
+// paths: shard 0 executes inline, shard 1 — its execution lock held by
+// the test — takes the ring. StageApply must be stamped once, by the
+// completion of the whole batch: after the ring half ran, not when the
+// inline half finished.
+func TestSpanStampsSplitBatch(t *testing.T) {
+	e, err := New(smallConfig(KindCore, 2)) // RouteRank: low ranks to shard 0, high to shard 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	reg := obs.NewRegistry()
+	e.Instrument(reg, "eng")
+
+	e.shards[1].exec.Lock()
+	sp := new(obs.Span)
+	res := make([]Result, 2)
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		e.SubmitTraced([]Op{
+			PushOp(core.Element{Value: 1, Meta: 1}),
+			PushOp(core.Element{Value: 1<<16 - 1, Meta: 2}),
+		}, res, sp)
+	}()
+	// Groups are dispatched in shard order, so once shard 1's drain
+	// goroutine has the entry the inline half on shard 0 has finished.
+	for ringDrains(reg, 1) == 0 && e.shards[1].ring.len() == 0 {
+		runtime.Gosched()
+	}
+	if got := sp.Stages()[obs.StageApply]; got != 0 {
+		t.Fatalf("StageApply stamped at %d with half the batch still queued", got)
+	}
+	released := obs.SpanNow()
+	e.shards[1].exec.Unlock()
+	<-returned
+
+	for i, r := range res {
+		if r.Err != nil || r.Shard != int32(i) || r.LSN != 1 {
+			t.Fatalf("result %d = %+v, want shard %d LSN 1", i, r, i)
+		}
+	}
+	checkStageOrder(t, sp)
+	ts := sp.Stages()
+	if ts[obs.StageDequeue] > released {
+		t.Fatalf("StageDequeue %d after the ring half was released at %d: the inline half did not stamp it", ts[obs.StageDequeue], released)
+	}
+	if ts[obs.StageApply] < released {
+		t.Fatalf("StageApply %d before the ring half was released at %d", ts[obs.StageApply], released)
+	}
+	if all, ring := executions(reg, 0); all != 1 || ring != 0 {
+		t.Fatalf("shard 0: %d executions, %d ring drains; want one inline", all, ring)
+	}
+	if all, ring := executions(reg, 1); all != 1 || ring != 1 {
+		t.Fatalf("shard 1: %d executions, %d ring drains; want one ring drain", all, ring)
+	}
+}
+
+func checkStageOrder(t *testing.T, sp *obs.Span) {
+	t.Helper()
+	ts := sp.Stages()
+	enq, deq, app := ts[obs.StageEnqueue], ts[obs.StageDequeue], ts[obs.StageApply]
+	if enq == 0 || deq == 0 || app == 0 || enq > deq || deq > app {
+		t.Fatalf("stamps enqueue=%d dequeue=%d apply=%d, want all set and ordered", enq, deq, app)
+	}
+}
+
+// hashMetas returns n distinct metadata values that RouteHash sends to
+// shard sh.
+func hashMetas(e *Engine, sh, n int) []uint64 {
+	var out []uint64
+	for m := uint64(1); len(out) < n; m++ {
+		if e.routePush(core.Element{Meta: m}) == sh {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// zeroAllocEngine builds a half-filled engine whose recycled batch has
+// already grown every shard's slab to a full 64-op group, plus the
+// 32-push + 32-pop batch the steady state submits.
+func zeroAllocEngine(tb testing.TB, shards int) (*Engine, []Op, []Result) {
+	tb.Helper()
+	e, err := New(Config{Shards: shards, Order: 4, Levels: 5, Routing: RouteHash})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res := make([]Result, 64)
+	ops := make([]Op, 64)
+	for round := 0; round < 4; round++ {
+		for sh := 0; sh < shards; sh++ {
+			for i, m := range hashMetas(e, sh, 64) {
+				ops[i] = PushOp(core.Element{Value: uint64((round*64+i)*37) % 9973, Meta: m})
+			}
+			e.SubmitInto(ops, res)
+		}
+	}
+	for i := range ops {
+		ops[i] = PopOp()
+		if i%2 == 0 {
+			ops[i] = PushOp(core.Element{Value: uint64(i*131) % 9973, Meta: uint64(i)})
+		}
+	}
+	return e, ops, res
+}
+
+// TestSubmitIntoZeroAlloc pins the recycling: a warmed 64-op SubmitInto
+// allocates nothing — no batch, no completion channel, no entry slab.
+func TestSubmitIntoZeroAlloc(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		e, ops, res := zeroAllocEngine(t, shards)
+		if avg := testing.AllocsPerRun(200, func() { e.SubmitInto(ops, res) }); avg != 0 {
+			t.Errorf("%d shard(s): %v allocations per 64-op SubmitInto, want 0", shards, avg)
+		}
+		e.Close()
+	}
+}
+
+// TestApplyReplicaRacingClose: an ApplyReplica racing Close applies all
+// of its ops or none of them, answers ErrClosed from then on, and what
+// it did apply is exactly what the closed shard holds.
+func TestApplyReplicaRacingClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		e, err := New(smallConfig(KindCore, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := make(chan struct{})
+		appliedCalls := make(chan int)
+		go func() {
+			ops := make([]Op, 4)
+			res := make([]Result, 4)
+			calls := 0
+			for ; ; calls++ {
+				for i := range ops {
+					ops[i] = PopOp() // odd calls take back what even calls put in
+					if calls%2 == 0 {
+						ops[i] = PushOp(core.Element{Value: uint64(calls + i), Meta: uint64(calls*4 + i)})
+					}
+				}
+				if err := e.ApplyReplica(0, ops, res); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("apply: %v", err)
+					}
+					for i, r := range res {
+						if !errors.Is(r.Err, ErrClosed) {
+							t.Errorf("refused apply, result %d = %+v", i, r)
+						}
+					}
+					break
+				}
+				for i, r := range res {
+					if r.Err != nil || r.LSN != uint64(calls*4+i+1) {
+						t.Errorf("call %d result %d = %+v, want LSN %d", calls, i, r, calls*4+i+1)
+					}
+				}
+				if calls == 0 {
+					close(first)
+				}
+			}
+			if err := e.ApplyReplica(0, ops, res); !errors.Is(err, ErrClosed) {
+				t.Errorf("apply after ErrClosed: %v", err)
+			}
+			appliedCalls <- calls
+		}()
+		<-first
+		e.Close()
+		calls := <-appliedCalls
+		if got := e.ShardLSN(0); got != uint64(calls*4) {
+			t.Fatalf("round %d: shard LSN %d after %d applied calls of 4", round, got, calls)
+		}
+		drained, err := e.ShardDrain(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 4 * (calls % 2); len(drained) != want {
+			t.Fatalf("round %d: %d elements left after %d applied calls, want %d", round, len(drained), calls, want)
+		}
+	}
+}
+
+// TestClosedEngineCollectable pins the pool trap: submit state is
+// recycled through a per-engine free list, so a closed engine nothing
+// refers to is garbage at the very next collection. A sync.Pool field
+// would sit on the runtime's global pool list for two cycles and hold
+// the engine — and whatever its hooks reach — that long.
+func TestClosedEngineCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		// The engine itself cannot carry the finalizer (its shards point
+		// back into it, and a cycle through a finalized object is never
+		// collected), so watch something only its hooks reach.
+		reached := new([64]byte)
+		runtime.SetFinalizer(reached, func(*[64]byte) { close(collected) })
+		e, err := New(smallConfig(KindCore, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetHooks(Hooks{OnPanic: func(int, any) { reached[0]++ }})
+		if err := e.Push(core.Element{Value: 1, Meta: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ApplyReplica(1, []Op{PushOp(core.Element{Value: 2, Meta: 2})}, make([]Result, 1)); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("what a closed, unreferenced engine's hooks reach is still alive after one runtime.GC()")
+	}
+}
+
+// panicQueue is a shard queue whose Push panics.
+type panicQueue struct{ shardQueue }
+
+func (panicQueue) Push(core.Element) error { panic("queue bug") }
+
+// TestOnPanicOnSubmitter: a queue panic during an inline execution is
+// shown to Hooks.OnPanic and re-panicked on the submitter's own
+// goroutine, with the execution lock released on the way out.
+func TestOnPanicOnSubmitter(t *testing.T) {
+	e, err := New(smallConfig(KindCore, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.shards[0].q = panicQueue{e.shards[0].q}
+	var hookShard atomic.Int32
+	var hookValue atomic.Value
+	hookShard.Store(-1)
+	e.SetHooks(Hooks{OnPanic: func(shard int, r any) {
+		hookShard.Store(int32(shard))
+		hookValue.Store(r)
+	}})
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		e.Submit([]Op{PushOp(core.Element{Value: 1, Meta: 1})})
+	}()
+	if recovered != "queue bug" {
+		t.Fatalf("submitter recovered %v, want the queue's panic value", recovered)
+	}
+	if hookShard.Load() != 0 || hookValue.Load() != "queue bug" {
+		t.Fatalf("OnPanic saw shard %d value %v", hookShard.Load(), hookValue.Load())
+	}
+	e.Close() // takes every execution lock: hangs if the panic leaked one
+}

@@ -16,13 +16,16 @@ var ringBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 409
 //	<prefix>_shard<i>_pushes_total / _pops_total   successful operations
 //	<prefix>_shard<i>_full_total / _empty_total    queue-level refusals
 //	<prefix>_shard<i>_backpressure_total           admission refusals
-//	<prefix>_shard<i>_ring_occupancy               ring depth at drain
-//	<prefix>_shard<i>_drain_batch                  requests per drain
+//	<prefix>_shard<i>_ring_occupancy               ring depth at each ring drain
+//	<prefix>_shard<i>_drain_batch                  requests per execution, inline or ring
 //	<prefix>_shard<i>_occupancy / _capacity        queue fill
 //	<prefix>_len                                   aggregate length
 //
-// The shard goroutines own their counters (atomics), so the registry is
-// safe to serve over HTTP while the engine is loaded. Call before
+// _drain_batch counts every execution and _ring_occupancy only those
+// that came off the ring, so the difference of their counts is the
+// number of inline executions. The counters are atomics written by the
+// execution lock's holder, so the registry is safe to serve over HTTP
+// while the engine is loaded. Call before
 // submitting traffic; a nil registry leaves the engine uninstrumented.
 func (e *Engine) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
@@ -45,9 +48,9 @@ func (e *Engine) Instrument(reg *obs.Registry, prefix string) {
 			}
 			return 0
 		})
-		reg.Help(p+"_ring_occupancy", "request-ring depth observed at each drain")
+		reg.Help(p+"_ring_occupancy", "request-ring depth observed at each ring drain (inline executions are not counted)")
 		s.ringOcc = reg.Histogram(p+"_ring_occupancy", ringBounds)
-		reg.Help(p+"_drain_batch", "requests executed per ring drain")
+		reg.Help(p+"_drain_batch", "requests per execution, inline on a submitter or drained from the ring")
 		s.drained = reg.Histogram(p+"_drain_batch", ringBounds)
 		reg.GaugeFunc(p+"_occupancy", func() float64 { return float64(s.length.Load()) })
 		reg.GaugeFunc(p+"_capacity", func() float64 { return float64(s.q.Cap()) })

@@ -9,9 +9,6 @@ import (
 	"repro/internal/core"
 )
 
-// TestUpdateOverloadHysteresis exercises the watermark state machine
-// directly: trip at HighFrac, hold between the watermarks, clear only
-// at or below LowFrac, and trip on drain latency alone.
 // testShard builds a bare shard for driving updateOverload directly.
 func testShard(ov Overload) *shard {
 	s := &shard{ringCap: 100, hooks: new(atomic.Pointer[Hooks])}
@@ -19,6 +16,10 @@ func testShard(ov Overload) *shard {
 	return s
 }
 
+// TestUpdateOverloadHysteresis exercises the watermark state machine
+// directly: trip at HighFrac, hold between the watermarks, clear only
+// at or below LowFrac, and trip on drain latency alone — at the second
+// consecutive slow execution, not at one.
 func TestUpdateOverloadHysteresis(t *testing.T) {
 	s := testShard(Overload{HighFrac: 0.8, LowFrac: 0.4})
 	ov := *s.ov.Load()
@@ -41,9 +42,19 @@ func TestUpdateOverloadHysteresis(t *testing.T) {
 	}
 
 	lat := testShard(Overload{HighFrac: 0.99, LowFrac: 0.01, DrainLatencyHigh: time.Millisecond})
-	lat.updateOverload(*lat.ov.Load(), 1, time.Now().Add(-10*time.Millisecond))
+	slow := func() { lat.updateOverload(*lat.ov.Load(), 1, time.Now().Add(-10*time.Millisecond)) }
+	slow()
+	if lat.overloaded.Load() {
+		t.Fatal("one slow execution tripped overload: a single stall must not shed")
+	}
+	lat.updateOverload(*lat.ov.Load(), 1, time.Now())
+	slow()
+	if lat.overloaded.Load() {
+		t.Fatal("two slow executions with a fast one between tripped overload")
+	}
+	slow()
 	if !lat.overloaded.Load() {
-		t.Fatal("slow drain did not trip overload")
+		t.Fatal("two consecutive slow executions did not trip overload")
 	}
 }
 
@@ -125,8 +136,8 @@ func TestOverloadLatchExpiry(t *testing.T) {
 	}
 }
 
-// TestApplyReplica drives one shard's ring directly — the follower
-// apply path — and checks dense LSN stamping, shard isolation, and
+// TestApplyReplica drives one shard directly — the follower apply path
+// — and checks dense LSN stamping, shard isolation, and
 // element fidelity.
 func TestApplyReplica(t *testing.T) {
 	e, err := New(Config{Shards: 2, Order: 2, Levels: 8})

@@ -295,7 +295,7 @@ func WriteEngineManifest(dir string, m CheckpointManifest) error {
 
 // restore loads every shard from a checkpoint fan-out written by
 // Checkpoint. A directory without a manifest is a fresh start. Called
-// from New before the shard goroutines exist, so it owns the queues.
+// from New before anything can execute, so it owns the queues.
 func (e *Engine) restore(dir string) error {
 	m, err := LoadEngineManifest(dir)
 	if errors.Is(err, os.ErrNotExist) {

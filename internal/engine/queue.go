@@ -10,7 +10,8 @@ import (
 	"repro/internal/rpubmw"
 )
 
-// shardQueue is the synchronous queue contract a shard goroutine drives.
+// shardQueue is the synchronous queue contract the holder of a shard's
+// execution lock drives.
 // The software queues (core.Tree, pifo.PIFO) satisfy it directly; the
 // cycle-accurate simulators are wrapped by simAdapter, which turns their
 // clocked issue protocol into synchronous calls.

@@ -10,11 +10,13 @@ type entry struct {
 	idx int
 }
 
-// ring is the bounded MPSC request ring in front of one shard. Many
-// submitters append batches of entries under a single lock acquisition;
-// the shard goroutine drains up to its batch size the same way, so the
-// per-operation synchronization cost is one mutex round-trip divided by
-// the batch size on each side.
+// ring is the bounded MPSC request ring in front of one shard — the
+// contended path: a submitter comes here only when it found the shard's
+// execution lock held (engine.go, SubmitTraced). Many submitters append
+// batches of entries under a single lock acquisition; the shard's drain
+// goroutine takes up to its batch size the same way and executes them
+// under the execution lock, so the per-operation synchronization cost
+// is one mutex round-trip divided by the batch size on each side.
 //
 // The ring never blocks a submitter: enqueue accepts as many entries as
 // fit and reports how many, leaving backpressure policy (typed
@@ -81,6 +83,15 @@ func (r *ring) drain(dst []entry) (n, occupancy int) {
 	r.count -= n
 	r.mu.Unlock()
 	return n, occupancy
+}
+
+// len returns the current occupancy — what an inline executor reports
+// to the overload watermarks in place of drain's figure.
+func (r *ring) len() int {
+	r.mu.Lock()
+	n := r.count
+	r.mu.Unlock()
+	return n
 }
 
 // close marks the ring closed: enqueue refuses new entries, drain keeps

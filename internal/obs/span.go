@@ -37,12 +37,14 @@ const (
 	StageIssue Stage = iota
 	// StageDecode: the frame is fully read, CRC-checked and parsed.
 	StageDecode
-	// StageEnqueue: the request's operations are headed into the shard
-	// rings (stamped immediately before the first ring insert, so it
-	// always precedes StageDequeue).
+	// StageEnqueue: the request's operations are routed and headed for
+	// their shards (stamped immediately before the first group is
+	// executed or put on a ring, so it always precedes StageDequeue).
 	StageEnqueue
-	// StageDequeue: a shard goroutine drained the first of the
-	// request's operations from its ring.
+	// StageDequeue: the first of the request's operations started
+	// executing — inline on the submitter, where it all but coincides
+	// with StageEnqueue, or on a shard's drain goroutine once the ring
+	// wait is over.
 	StageDequeue
 	// StageApply: the last of the request's operations has executed
 	// against its shard queue.

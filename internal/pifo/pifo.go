@@ -25,8 +25,8 @@
 //
 // A PIFO is intentionally confined to a single goroutine: it models
 // hardware with one issue port per cycle and carries no locks on its
-// hot path. Concurrent callers go through internal/engine, which gives
-// each queue an exclusively owning shard goroutine.
+// hot path. Concurrent callers go through internal/engine, where only
+// the holder of a shard's execution lock touches that shard's queue.
 package pifo
 
 import (

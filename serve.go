@@ -4,8 +4,11 @@
 //
 // The bare queues (NewBMWTree, NewPIFO, NewRBMWSim, NewRPUBMWSim) are
 // intentionally single-goroutine; Engine is the concurrency story: each
-// shard goroutine exclusively owns one queue and callers submit batches
-// through per-shard MPSC rings. WireServer/WireClient carry Engine
+// queue is only ever touched by the holder of its shard's execution
+// lock. A submitter that finds the lock free executes its batch on its
+// own stack; one that finds it held hands the batch to the shard's MPSC
+// ring, which a drain goroutine executes under the same lock — the
+// selector is the lock state, not an option. WireServer/WireClient carry Engine
 // batches over a length-prefixed, CRC-checked binary protocol — see
 // cmd/bmwd (daemon) and cmd/bmwload (load generator), and DESIGN.md
 // section 6 for the shard model, frame layout, and backpressure
@@ -17,10 +20,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Engine is the sharded concurrent scheduler: N shard goroutines, each
-// owning one queue, fed by bounded MPSC request rings with batched
-// submit/drain. Push routing is by Meta hash or rank range; Pop is a
-// strict merge across the shard minima.
+// Engine is the sharded concurrent scheduler: N shards, each one queue
+// behind an execution lock — submitters execute on their own stack when
+// the lock is free and go through a bounded MPSC request ring, drained
+// in batches, when it is not. Push routing is by Meta hash or rank
+// range; Pop is a strict merge across the shard minima.
 type Engine = engine.Engine
 
 // EngineConfig sizes an Engine: shard count, per-shard queue kind and
@@ -65,7 +69,8 @@ var (
 
 // EngineHooks are the engine's incident-infrastructure taps: a flight
 // recorder for overload/backpressure edges plus overload-trip and
-// shard-panic callbacks. Installed after construction with
+// shard-panic callbacks, either of which may run on a submitter's
+// goroutine. Installed after construction with
 // Engine.SetHooks so EngineConfig stays comparable.
 type EngineHooks = engine.Hooks
 
@@ -74,8 +79,9 @@ type EngineHooks = engine.Hooks
 // to induce deterministic overload episodes).
 type EngineOverload = engine.Overload
 
-// NewEngine starts the shard goroutines and returns the engine;
-// Close stops them, after which ShardDrain and Checkpoint apply.
+// NewEngine starts the shards' drain goroutines and returns the engine;
+// Close stops them and shuts every shard's execution lock, after which
+// ShardDrain and Checkpoint apply.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // EnginePushOp and EnginePopOp build batch entries for Engine.Submit.
