@@ -1,5 +1,5 @@
 // bmwchaos is the fault-tolerance acceptance harness: it boots an
-// in-process primary/standby pair of bmwd-equivalent nodes, routes a
+// in-process primary/standby pair of bmwd nodes (internal/node), routes a
 // client through a flaky TCP proxy, injects connection faults (resets,
 // stalls, partial writes, byte corruption the wire CRC must catch) and
 // primary kill-and-promote cycles, and checks every acknowledged
@@ -23,10 +23,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"os"
@@ -35,9 +35,9 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/refpq"
-	"repro/internal/replic"
 	"repro/internal/wire"
 )
 
@@ -144,93 +144,25 @@ func (p *chaosProxy) arm(f int32, corruptUpstream bool) {
 	p.armed.Store(f)
 }
 
-// node is one in-process bmwd equivalent: engine + wire server +
-// replication node on a loopback port, with the full incident
-// infrastructure attached — every kill and overload episode must leave
-// a valid bundle behind, exactly as a production bmwd would.
-type node struct {
-	eng  *engine.Engine
-	srv  *wire.Server
-	rn   *replic.Node
-	fr   *obs.FlightRecorder
-	inc  *obs.IncidentCapturer
-	addr string
-	dead bool
-}
-
 // nodeSeq numbers chaos nodes so each gets its own incident directory.
 var nodeSeq atomic.Uint64
 
-func startChaosNode(geom engine.Config, primaryAddr, incRoot string, logf func(string, ...any)) (*node, error) {
-	eng, err := engine.New(geom)
-	if err != nil {
-		return nil, err
-	}
-	fr := obs.NewFlightRecorder(4096)
-	reg := obs.NewRegistry()
-	eng.Instrument(reg, "chaos_engine")
-	srv := wire.NewServerConfig(eng, wire.ServerConfig{
-		WriteTimeout: 10 * time.Second,
-		MaxInflight:  1024,
+// start boots one in-process bmwd (internal/node) on a loopback port, as
+// a sync-replicating primary or, with follow set, its hot standby.
+// Incident rate limiting is effectively off (1ms): the harness injects
+// episodes back to back and asserts a bundle per episode.
+func (h *harness) start(follow string) (*node.Node, error) {
+	return node.Start(node.Config{
+		Engine:              h.geom,
+		Log:                 h.log,
+		Follow:              follow,
+		ReplSync:            true,
+		SyncTimeout:         10 * time.Second,
+		DialRetry:           5 * time.Millisecond,
+		IncidentDir:         filepath.Join(h.incRoot, fmt.Sprintf("node-%d", nodeSeq.Add(1))),
+		IncidentMinInterval: time.Millisecond,
+		IncidentKeep:        64, // repeated trips must not prune an episode's bundle before the audit
 	})
-	n := &node{eng: eng, srv: srv, fr: fr}
-	// Rate limiting is effectively off (1ms): the harness injects
-	// episodes back to back and asserts a bundle per episode.
-	inc, err := obs.NewIncidentCapturer(obs.IncidentOptions{
-		Dir:         filepath.Join(incRoot, fmt.Sprintf("node-%d", nodeSeq.Add(1))),
-		MaxBundles:  64,
-		MinInterval: time.Millisecond,
-		Flight:      fr,
-		Registry:    reg,
-	})
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	n.inc = inc
-	eng.SetHooks(engine.Hooks{
-		Flight: fr,
-		OnOverloadTrip: func(shard, occ int) {
-			inc.CaptureAsync("overload", fmt.Sprintf("shard %d tripped at occupancy %d", shard, occ))
-		},
-		OnPanic: func(shard int, r any) {
-			_, _ = inc.Capture("panic", fmt.Sprintf("shard %d: %v", shard, r))
-		},
-	})
-	n.rn = replic.Attach(eng, srv, replic.Config{
-		Engine:      geom,
-		PrimaryAddr: primaryAddr,
-		Sync:        true,
-		SyncTimeout: 10 * time.Second,
-		DialRetry:   5 * time.Millisecond,
-		Logf:        logf,
-		Flight:      fr,
-		OnIncident: func(trigger, reason string) {
-			inc.CaptureAsync(trigger, reason)
-		},
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	go srv.Serve(ln)
-	n.addr = ln.Addr().String()
-	return n, nil
-}
-
-// kill tears the node down abruptly: a 50ms grace, then connections
-// are force-closed — the crash a failover must survive.
-func (n *node) kill() {
-	if n.dead {
-		return
-	}
-	n.dead = true
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	_ = n.srv.Shutdown(ctx)
-	n.rn.Close()
-	n.eng.Close()
 }
 
 // evidence is the bmwchaos/v1 result document.
@@ -260,17 +192,17 @@ type harness struct {
 	proxy   *chaosProxy
 	rc      *wire.ResilientClient
 	golden  *refpq.Queue
-	prim    *node
-	standby *node
+	prim    *node.Node
+	standby *node.Node
 	ev      *evidence
 	incRoot string
-	verbose bool
+	log     slog.Handler // nil unless -v
 	pushes  uint64
 	pops    uint64
 }
 
 func (h *harness) logf(format string, args ...any) {
-	if h.verbose {
+	if h.log != nil {
 		fmt.Fprintf(os.Stderr, "bmwchaos: "+format+"\n", args...)
 	}
 }
@@ -347,19 +279,9 @@ func (h *harness) faultPhase(nFaults int) error {
 	return nil
 }
 
-// bundleCount returns how many incident bundles exist under the
-// harness's incident root.
-func (h *harness) bundleCount() int {
-	n := 0
-	nodes, _ := os.ReadDir(h.incRoot)
-	for _, d := range nodes {
-		if !d.IsDir() {
-			continue
-		}
-		bs, _ := obs.ListIncidentBundles(filepath.Join(h.incRoot, d.Name()))
-		n += len(bs)
-	}
-	return n
+// captures reads the live primary's own tally of bundles written.
+func (h *harness) captures() uint64 {
+	return h.prim.Registry().Snapshot().Counter("bmwd_incident_captures_total")
 }
 
 // overloadEpisode induces one deterministic overload trip on the live
@@ -369,14 +291,14 @@ func (h *harness) bundleCount() int {
 // clears. Ack-checked ops flow throughout — StatusOverloaded is an
 // acked not-applied outcome, so the golden lockstep holds.
 func (h *harness) overloadEpisode(ep int) error {
-	before := h.bundleCount()
-	h.prim.eng.SetOverload(engine.Overload{
+	before := h.captures()
+	h.prim.Engine().SetOverload(engine.Overload{
 		HighFrac:         0.99,
 		DrainLatencyHigh: time.Nanosecond,
 		Cooloff:          50 * time.Millisecond,
 	})
 	deadline := time.Now().Add(30 * time.Second)
-	for h.bundleCount() == before {
+	for h.captures() == before {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("overload episode %d: no incident bundle within 30s", ep)
 		}
@@ -386,7 +308,7 @@ func (h *harness) overloadEpisode(ep int) error {
 	}
 	// Restore benign config; the tripped latch clears via the 50ms
 	// push-path cooloff and traffic must flow cleanly again.
-	h.prim.eng.SetOverload(engine.Overload{})
+	h.prim.Engine().SetOverload(engine.Overload{})
 	time.Sleep(60 * time.Millisecond)
 	for j := 0; j < 10; j++ {
 		if err := h.oneOp(); err != nil {
@@ -403,11 +325,11 @@ func (h *harness) overloadEpisode(ep int) error {
 func (h *harness) waitReplicated() error {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if tip := h.prim.rn.LogSeq(); h.prim.rn.AckSeq() == tip && h.standby.rn.Ready() {
+		if tip := h.prim.Repl().LogSeq(); h.prim.Repl().AckSeq() == tip && h.standby.Repl().Ready() {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("standby never caught up: ack %d, tip %d", h.prim.rn.AckSeq(), h.prim.rn.LogSeq())
+			return fmt.Errorf("standby never caught up: ack %d, tip %d", h.prim.Repl().AckSeq(), h.prim.Repl().LogSeq())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -425,23 +347,23 @@ func (h *harness) killCycle(cycle int, budget time.Duration) error {
 	if err := h.waitReplicated(); err != nil {
 		return err
 	}
-	tip := h.prim.rn.LogSeq()
+	tip := h.prim.Repl().LogSeq()
 
-	h.logf("cycle %d: killing primary %s at log tip %d", cycle, h.prim.addr, tip)
+	h.logf("cycle %d: killing primary %s at log tip %d", cycle, h.prim.Addr(), tip)
 	// The kill bundle: captured synchronously on the victim before
 	// teardown, the way a production bmwd's SIGQUIT/shutdown hook
 	// would freeze its state.
-	if _, err := h.prim.inc.Capture("kill", fmt.Sprintf("cycle %d: primary killed at log tip %d", cycle, tip)); err != nil {
+	if _, err := h.prim.Capture("kill", fmt.Sprintf("cycle %d: primary killed at log tip %d", cycle, tip)); err != nil {
 		return fmt.Errorf("cycle %d: kill bundle: %w", cycle, err)
 	}
-	h.prim.kill()
+	h.prim.Kill()
 	t0 := time.Now()
-	h.standby.rn.Promote()
-	if got := h.standby.rn.LogSeq(); got != tip {
+	h.standby.Promote()
+	if got := h.standby.Repl().LogSeq(); got != tip {
 		return fmt.Errorf("cycle %d: promoted at log seq %d, want replicated tip %d", cycle, got, tip)
 	}
 	h.ev.PromotedAtTip = append(h.ev.PromotedAtTip, tip)
-	h.proxy.upstream.Store(h.standby.addr)
+	h.proxy.upstream.Store(h.standby.Addr())
 	h.prim = h.standby
 
 	// First post-kill op: the client must reconnect through the proxy
@@ -456,7 +378,7 @@ func (h *harness) killCycle(cycle int, budget time.Duration) error {
 	}
 	h.logf("cycle %d: failover in %v", cycle, failover)
 
-	fresh, err := startChaosNode(h.geom, h.prim.addr, h.incRoot, nil)
+	fresh, err := h.start(h.prim.Addr())
 	if err != nil {
 		return fmt.Errorf("cycle %d: fresh standby: %w", cycle, err)
 	}
@@ -649,28 +571,25 @@ func run(geom engine.Config, faults, overloads, kills int, stall, budget time.Du
 		golden:  refpq.New(),
 		ev:      ev,
 		incRoot: incRoot,
-		verbose: verbose,
 	}
-	logf := func(format string, args ...any) {
-		if verbose {
-			fmt.Fprintf(os.Stderr, "bmwchaos: "+format+"\n", args...)
-		}
+	if verbose {
+		h.log = slog.NewTextHandler(os.Stderr, nil)
 	}
 
-	prim, err := startChaosNode(geom, "", incRoot, logf)
+	prim, err := h.start("")
 	if err != nil {
 		return err
 	}
 	h.prim = prim
-	defer func() { h.prim.kill() }()
-	standby, err := startChaosNode(geom, prim.addr, incRoot, logf)
+	defer func() { h.prim.Kill() }()
+	standby, err := h.start(prim.Addr())
 	if err != nil {
 		return err
 	}
 	h.standby = standby
-	defer func() { h.standby.kill() }()
+	defer func() { h.standby.Kill() }()
 
-	proxy, err := startProxy(prim.addr, stall)
+	proxy, err := startProxy(prim.Addr(), stall)
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,5 @@
 // bmwcluster is the multi-node acceptance harness: it boots an
-// in-process cluster of bmwd-equivalent nodes — each a primary with a
+// in-process cluster of bmwd nodes (internal/node) — each a primary with a
 // sync-replicating hot standby — sharing a versioned cluster map,
 // drives mixed traffic through the routing client in golden lockstep
 // against a reference queue, kills a primary mid-stream (promotion
@@ -27,10 +27,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"os"
@@ -39,8 +39,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/node"
 	"repro/internal/refpq"
-	"repro/internal/replic"
 	"repro/internal/wire"
 )
 
@@ -49,92 +49,30 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// member is one in-process bmwd equivalent joined to the cluster:
-// engine + wire server + replication node + cluster state + gossiper
-// on a loopback port.
-type member struct {
-	id   uint32
-	eng  *engine.Engine
-	srv  *wire.Server
-	rn   *replic.Node
-	st   *cluster.State
-	gsp  *cluster.Gossiper
-	addr string
-	dead bool
-}
-
-// startMember boots one member on a pre-bound listener (the listeners
-// exist before the map so the map can name their addresses). follow
-// is empty for a group's primary, the primary's address for its
-// standby. Both carry the full cluster state: the standby must hold a
-// live map so promotion can mint its successor.
-func startMember(geom engine.Config, m *cluster.Map, id uint32, follow string, ln net.Listener, logf func(string, ...any)) (*member, error) {
-	eng, err := engine.New(geom)
-	if err != nil {
-		return nil, err
-	}
-	srv := wire.NewServerConfig(eng, wire.ServerConfig{
-		WriteTimeout: 10 * time.Second,
-		MaxInflight:  1024,
+// start boots one cluster member (internal/node) on a pre-bound
+// listener — the listeners exist before the map so the map can name
+// their addresses. A group's standby follows its primary and holds the
+// live map too, so promotion can mint its successor.
+func (h *harness) start(m *cluster.Map, id uint32, follow string, ln net.Listener) (*node.Node, error) {
+	return node.Start(node.Config{
+		Engine:         h.geom,
+		Listener:       ln,
+		Log:            h.log,
+		ClusterMap:     m,
+		ClusterNode:    id,
+		GossipInterval: 100 * time.Millisecond,
+		Follow:         follow,
+		ReplSync:       true,
+		SyncTimeout:    10 * time.Second,
+		DialRetry:      5 * time.Millisecond,
 	})
-	st, err := cluster.NewState(m, id)
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	srv.SetOwnerGate(func(op wire.Op) (bool, uint64) {
-		return st.Owns(op.Value, op.Meta)
-	})
-	srv.SetClusterHandlers(st.EncodedIfNewer, st.OfferEncoded)
-	gsp := cluster.NewGossiper(cluster.GossiperConfig{
-		State:     st,
-		SelfAddrs: []string{ln.Addr().String()},
-		Interval:  100 * time.Millisecond,
-		Timeout:   time.Second,
-		Logf:      logf,
-	})
-	rn := replic.Attach(eng, srv, replic.Config{
-		Engine:      geom,
-		PrimaryAddr: follow,
-		Sync:        true,
-		SyncTimeout: 10 * time.Second,
-		DialRetry:   5 * time.Millisecond,
-		Logf:        logf,
-		OnPromote: func() {
-			nm := st.PromoteSelf()
-			if logf != nil {
-				logf("node %d: promotion minted map version %d", id, nm.Version)
-			}
-			gsp.Kick()
-		},
-	})
-	go srv.Serve(ln)
-	go gsp.Run()
-	return &member{
-		id: id, eng: eng, srv: srv, rn: rn, st: st, gsp: gsp,
-		addr: ln.Addr().String(),
-	}, nil
-}
-
-// kill tears the member down abruptly: a 50ms grace, then connections
-// are force-closed — the crash a failover must survive.
-func (mb *member) kill() {
-	if mb.dead {
-		return
-	}
-	mb.dead = true
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	_ = mb.srv.Shutdown(ctx)
-	mb.gsp.Stop()
-	mb.rn.Close()
-	mb.eng.Close()
 }
 
 // group is one replica group: the serving head plus its standby.
 type group struct {
-	prim    *member
-	standby *member
+	id      uint32
+	prim    *node.Node
+	standby *node.Node // nil once promoted
 }
 
 // evidence is the bmwcluster/v1 result document.
@@ -163,19 +101,19 @@ type evidence struct {
 // harness owns the cluster's moving parts and the golden lockstep
 // state.
 type harness struct {
-	geom    engine.Config
-	rng     *rand.Rand
-	cl      *cluster.Client
-	golden  *refpq.Queue
-	groups  []*group
-	ev      *evidence
-	verbose bool
-	pushes  uint64
-	pops    uint64
+	geom   engine.Config
+	rng    *rand.Rand
+	cl     *cluster.Client
+	golden *refpq.Queue
+	groups []*group
+	ev     *evidence
+	log    slog.Handler // nil unless -v
+	pushes uint64
+	pops   uint64
 }
 
 func (h *harness) logf(format string, args ...any) {
-	if h.verbose {
+	if h.log != nil {
 		fmt.Fprintf(os.Stderr, "bmwcluster: "+format+"\n", args...)
 	}
 }
@@ -231,12 +169,12 @@ func (h *harness) oneOp() error {
 func (h *harness) waitReplicated(g *group) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if tip := g.prim.rn.LogSeq(); g.prim.rn.AckSeq() == tip && g.standby.rn.Ready() {
+		if tip := g.prim.Repl().LogSeq(); g.prim.Repl().AckSeq() == tip && g.standby.Repl().Ready() {
 			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("node %d standby never caught up: ack %d, tip %d",
-				g.prim.id, g.prim.rn.AckSeq(), g.prim.rn.LogSeq())
+				g.id, g.prim.Repl().AckSeq(), g.prim.Repl().LogSeq())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -250,8 +188,8 @@ func (h *harness) waitMapSpread(version uint64) (time.Duration, error) {
 	for {
 		behind := 0
 		for _, g := range h.groups {
-			for _, mb := range []*member{g.prim, g.standby} {
-				if mb != nil && !mb.dead && mb.st.Version() < version {
+			for _, mb := range []*node.Node{g.prim, g.standby} {
+				if mb != nil && mb.Cluster().Version() < version {
 					behind++
 				}
 			}
@@ -279,12 +217,12 @@ func (h *harness) killCycle(g *group) error {
 	if err := h.waitReplicated(g); err != nil {
 		return err
 	}
-	wantVer := g.standby.st.Version() + 1
+	wantVer := g.standby.Cluster().Version() + 1
 
-	h.logf("killing node %d primary %s", g.prim.id, g.prim.addr)
-	g.prim.kill()
+	h.logf("killing node %d primary %s", g.id, g.prim.Addr())
+	g.prim.Kill()
 	t0 := time.Now()
-	g.standby.rn.Promote()
+	g.standby.Promote()
 	g.prim = g.standby
 	g.standby = nil
 
@@ -298,7 +236,7 @@ func (h *harness) killCycle(g *group) error {
 	h.ev.FailoverMs = append(h.ev.FailoverMs, float64(failover.Microseconds())/1000)
 	h.ev.KillCycles++
 
-	if got := g.prim.st.Version(); got != wantVer {
+	if got := g.prim.Cluster().Version(); got != wantVer {
 		return fmt.Errorf("promotion minted map version %d, want %d", got, wantVer)
 	}
 	h.ev.PromotedVersion = wantVer
@@ -323,7 +261,7 @@ func (h *harness) killCycle(g *group) error {
 // queued under the old bands stay put — the strict merge drains them
 // from wherever they sit).
 func (h *harness) rebalance() error {
-	cur, err := cluster.FetchMap(h.groups[0].prim.addr, 0, 2*time.Second)
+	cur, err := cluster.FetchMap(h.groups[0].prim.Addr(), 0, 2*time.Second)
 	if err != nil {
 		return fmt.Errorf("rebalance: fetch map: %w", err)
 	}
@@ -349,7 +287,7 @@ func (h *harness) rebalance() error {
 	if err := next.Validate(); err != nil {
 		return fmt.Errorf("rebalance: bad successor map: %w", err)
 	}
-	if _, err := cluster.OfferMap(h.groups[0].prim.addr, next, 2*time.Second); err != nil {
+	if _, err := cluster.OfferMap(h.groups[0].prim.Addr(), next, 2*time.Second); err != nil {
 		return fmt.Errorf("rebalance: offer: %w", err)
 	}
 	spread, err := h.waitMapSpread(next.Version)
@@ -462,16 +400,13 @@ func main() {
 
 func run(geom engine.Config, clMode cluster.Mode, nodes, ops int, kill, rebal bool, seed int64, verbose bool, ev *evidence) error {
 	h := &harness{
-		geom:    geom,
-		rng:     rand.New(rand.NewSource(seed)),
-		golden:  refpq.New(),
-		ev:      ev,
-		verbose: verbose,
+		geom:   geom,
+		rng:    rand.New(rand.NewSource(seed)),
+		golden: refpq.New(),
+		ev:     ev,
 	}
-	logf := func(format string, args ...any) {
-		if verbose {
-			fmt.Fprintf(os.Stderr, "bmwcluster: "+format+"\n", args...)
-		}
+	if verbose {
+		h.log = slog.NewTextHandler(os.Stderr, nil)
 	}
 
 	// Listeners first: the map names real addresses, so every port is
@@ -510,21 +445,22 @@ func run(geom engine.Config, clMode cluster.Mode, nodes, ops int, kill, rebal bo
 	}
 
 	for i := 0; i < nodes; i++ {
-		prim, err := startMember(geom, m, uint32(i+1), "", lns[i].prim, logf)
+		id := uint32(i + 1)
+		prim, err := h.start(m, id, "", lns[i].prim)
 		if err != nil {
 			return err
 		}
-		g := &group{prim: prim}
+		g := &group{id: id, prim: prim}
 		h.groups = append(h.groups, g)
-		defer func() { g.prim.kill() }()
-		standby, err := startMember(geom, m, uint32(i+1), prim.addr, lns[i].standby, logf)
+		defer func() { g.prim.Kill() }()
+		standby, err := h.start(m, id, prim.Addr(), lns[i].standby)
 		if err != nil {
 			return err
 		}
 		g.standby = standby
 		defer func() {
 			if g.standby != nil {
-				g.standby.kill()
+				g.standby.Kill()
 			}
 		}()
 	}

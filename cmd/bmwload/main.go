@@ -38,14 +38,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -57,6 +55,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -104,7 +103,7 @@ type counters struct {
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:9970", "bmwd address to load")
-		inproc   = flag.Bool("inproc", false, "start an in-process engine+server on a loopback port instead of dialing -addr")
+		inproc   = flag.Bool("inproc", false, "start an in-process bmwd node on a loopback port instead of dialing -addr")
 		shards   = flag.Int("shards", 4, "shard count for -inproc")
 		queue    = flag.String("queue", "core", "queue kind for -inproc: core, pifo, rbmw, rpubmw")
 		conns    = flag.Int("conns", 2, "client connections")
@@ -137,17 +136,28 @@ func main() {
 		fatalf("unknown -mode %q (want closed or open)", *mode)
 	}
 
-	target := *addr
-	var (
-		stopInproc func()
-		src        *stageSource
-	)
+	// -inproc starts a bmwd node (internal/node) on loopback ports and
+	// scrapes its obs endpoint like any other: a self-contained smoke test.
+	target, obsAddr := *addr, *metrics
 	if *inproc {
-		target, src, stopInproc = startInproc(*shards, *queue, *sample)
-		defer stopInproc()
+		kind, err := engine.ParseKind(*queue)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		n, err := node.Start(node.Config{
+			Engine:      engine.Config{Shards: *shards, Kind: kind, Order: 2, Levels: 11},
+			HTTPAddr:    "127.0.0.1:0",
+			TraceSample: *sample,
+		})
+		if err != nil {
+			fatalf("inproc node: %v", err)
+		}
+		defer n.Kill() // volatile node: nothing to drain for, nothing to checkpoint
+		target, obsAddr = n.Addr(), n.HTTPAddr()
 	}
-	if *metrics != "" {
-		src = remoteSource(*metrics)
+	var src *scraper
+	if obsAddr != "" {
+		src = &scraper{addr: obsAddr, client: http.Client{Timeout: 10 * time.Second}}
 	}
 	if *traceOut != "" && src == nil {
 		fatalf("-trace-out needs -metrics-addr (a bmwd run with -http and -trace-sample) or -inproc")
@@ -232,7 +242,7 @@ func main() {
 	if src != nil {
 		var err error
 		if startSnap, err = src.snap(); err != nil {
-			fatalf("scrape %s: %v", src.name, err)
+			fatalf("scrape %s: %v", src.addr, err)
 		}
 	}
 
@@ -317,7 +327,7 @@ func main() {
 	if src != nil {
 		endSnap, err := src.snap()
 		if err != nil {
-			fatalf("scrape %s: %v", src.name, err)
+			fatalf("scrape %s: %v", src.addr, err)
 		}
 		fmt.Printf("bmwload: server stage latency us (p50/p99):")
 		for st := obs.Stage(0); st < obs.NumStages; st++ {
@@ -477,86 +487,36 @@ func runWorker(ctx context.Context, c doer, cfg workerCfg, cnt *counters, hist *
 	}
 }
 
-// tracePrefix is the metric-name prefix bmwd (and the inproc server)
-// register the request tracer under.
+// tracePrefix is the metric-name prefix bmwd registers the request
+// tracer under.
 const tracePrefix = "bmwd_trace"
 
-// stageSource is where the run's server-side observability comes from:
-// a scrape of a live bmwd's obs endpoint, or the inproc server's own
-// registry and recorder.
-type stageSource struct {
-	name  string
-	snap  func() (obs.Snapshot, error)
-	trace func() ([]byte, error)
+// scraper reads a bmwd's obs HTTP endpoint: where the run's server-side
+// observability comes from.
+type scraper struct {
+	addr   string
+	client http.Client
 }
 
-// remoteSource scrapes a bmwd -http endpoint.
-func remoteSource(addr string) *stageSource {
-	client := &http.Client{Timeout: 10 * time.Second}
-	get := func(path string) ([]byte, error) {
-		resp, err := client.Get("http://" + addr + path)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s: %s", path, resp.Status)
-		}
-		return io.ReadAll(resp.Body)
+func (sc *scraper) get(path string) ([]byte, error) {
+	resp, err := sc.client.Get("http://" + sc.addr + path)
+	if err != nil {
+		return nil, err
 	}
-	return &stageSource{
-		name: addr,
-		snap: func() (obs.Snapshot, error) {
-			var s obs.Snapshot
-			b, err := get("/metrics.json")
-			if err != nil {
-				return s, err
-			}
-			return s, json.Unmarshal(b, &s)
-		},
-		trace: func() ([]byte, error) { return get("/trace.json") },
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: %s", path, resp.Status)
 	}
+	return io.ReadAll(resp.Body)
 }
 
-// startInproc boots a traced engine + wire server on a loopback port
-// and returns its address, its observability source, and a stop func,
-// letting bmwload double as a self-contained end-to-end smoke test.
-func startInproc(shards int, queue string, sample int) (string, *stageSource, func()) {
-	kind, err := engine.ParseKind(queue)
+func (sc *scraper) snap() (obs.Snapshot, error) {
+	var s obs.Snapshot
+	b, err := sc.get("/metrics.json")
 	if err != nil {
-		fatalf("%v", err)
+		return s, err
 	}
-	eng, err := engine.New(engine.Config{Shards: shards, Kind: kind, Order: 2, Levels: 11})
-	if err != nil {
-		fatalf("inproc engine: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatalf("inproc listen: %v", err)
-	}
-	reg := obs.NewRegistry()
-	rec := obs.NewTraceRecorder()
-	tracer := obs.NewTracer(obs.TracerOptions{
-		Registry:    reg,
-		Prefix:      tracePrefix,
-		Recorder:    rec,
-		SampleEvery: sample,
-	})
-	srv := wire.NewServerConfig(eng, wire.ServerConfig{Tracer: tracer})
-	go srv.Serve(ln)
-	src := &stageSource{
-		name: "inproc",
-		snap: func() (obs.Snapshot, error) { return reg.Snapshot(), nil },
-		trace: func() ([]byte, error) {
-			var buf bytes.Buffer
-			_, err := rec.WriteTo(&buf)
-			return buf.Bytes(), err
-		},
-	}
-	return ln.Addr().String(), src, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		eng.Close()
-	}
+	return s, json.Unmarshal(b, &s)
 }
+
+func (sc *scraper) trace() ([]byte, error) { return sc.get("/trace.json") }

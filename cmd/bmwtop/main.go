@@ -91,6 +91,20 @@ func fetchProbe(c *http.Client, base string) map[string]any {
 	return body
 }
 
+// scrape polls the daemon once and builds the frame for the window
+// since prev; it hands back the snapshot and its time as the next prev.
+func scrape(c *http.Client, addr string, prev obs.Snapshot, prevAt time.Time) (model, obs.Snapshot, time.Time, error) {
+	base := "http://" + addr
+	cur, err := fetchSnapshot(c, base)
+	now := time.Now()
+	if err != nil {
+		return model{}, cur, now, err
+	}
+	m := buildModel(addr, prev, cur, now.Sub(prevAt), fetchProbe(c, base))
+	m.SLO = fetchSLO(c, base)
+	return m, cur, now, nil
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:9971", "bmwd observability HTTP address (its -http flag)")
@@ -109,10 +123,9 @@ func main() {
 		return
 	}
 
-	base := "http://" + *addr
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	prev, err := fetchSnapshot(client, base)
+	prev, err := fetchSnapshot(client, "http://"+*addr)
 	if err != nil {
 		fatalf("cannot reach %s: %v", *addr, err)
 	}
@@ -120,8 +133,7 @@ func main() {
 
 	for {
 		time.Sleep(*interval)
-		cur, err := fetchSnapshot(client, base)
-		now := time.Now()
+		m, cur, now, err := scrape(client, *addr, prev, prevAt)
 		if err != nil {
 			if *once {
 				fatalf("scrape: %v", err)
@@ -129,8 +141,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bmwtop: scrape: %v\n", err)
 			continue
 		}
-		m := buildModel(*addr, prev, cur, now.Sub(prevAt), fetchProbe(client, base))
-		m.SLO = fetchSLO(client, base)
 		if !*once {
 			fmt.Print("\x1b[H\x1b[2J") // home + clear: repaint in place
 		}

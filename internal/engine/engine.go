@@ -50,6 +50,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/persist"
 )
 
 // Typed engine errors. Queue-level ErrFull/ErrEmpty pass through from
@@ -241,10 +242,10 @@ const emptyHead = math.MaxUint64
 // SetHooks before traffic: the flight recorder receives overload and
 // backpressure edges, OnOverloadTrip fires when a shard trips into
 // overload — from whichever goroutine held the shard's execution lock,
-// which may be a submitter's, so keep it non-blocking (e.g.
-// IncidentCapturer.CaptureAsync) — and OnPanic observes a queue's panic
-// value, on the drain goroutine or a submitter's, before the engine
-// re-panics.
+// which may be a submitter's, so keep it non-blocking (internal/node
+// enqueues to its capture goroutine) — and OnPanic observes a queue's
+// panic value, on the drain goroutine or a submitter's, before the
+// engine re-panics.
 type Hooks struct {
 	Flight         *obs.FlightRecorder
 	OnOverloadTrip func(shard, occ int)
@@ -255,6 +256,8 @@ type Hooks struct {
 	// on the daemon registry.
 	Metrics       *obs.Registry
 	MetricsPrefix string
+
+	walPoisoned []*obs.Gauge // per shard, what WALPoisoned reads
 }
 
 // shard is one engine lane: a queue, the execution lock that owns it,
@@ -385,7 +388,15 @@ func (e *Engine) putBatch(b *batch) {
 
 // SetHooks installs the incident-wiring points. Call once, before the
 // engine serves traffic.
-func (e *Engine) SetHooks(h Hooks) { e.hooks.Store(&h) }
+func (e *Engine) SetHooks(h Hooks) {
+	if h.Metrics != nil {
+		for i := range e.shards {
+			h.walPoisoned = append(h.walPoisoned,
+				h.Metrics.Gauge(persist.PoisonedMetric(h.shardMetricsPrefix(i))))
+		}
+	}
+	e.hooks.Store(&h)
+}
 
 // SetOverload replaces the admission-control watermarks on every shard
 // of a live engine (defaults applied as in Config). The zero value

@@ -169,6 +169,28 @@ func LoadEngineManifest(dir string) (*CheckpointManifest, error) {
 	return DecodeEngineManifest(path, b)
 }
 
+// VerifyBinding checks that every shard's MANIFEST.json under dir still
+// carries exactly the self-checksum this manifest sealed. A legacy
+// (unsealed) manifest binds nothing and passes.
+func (m *CheckpointManifest) VerifyBinding(dir string) error {
+	if len(m.ShardChecksums) != m.Shards {
+		return nil
+	}
+	for i, sealed := range m.ShardChecksums {
+		sm, err := persist.LoadManifest(nil, ShardDir(dir, i))
+		if err != nil {
+			return fmt.Errorf("engine: shard %d manifest: %w", i, err)
+		}
+		if sm.Checksum != sealed {
+			return &persist.ManifestError{
+				Path: filepath.Join(dir, manifestName), Field: "shard_checksums",
+				Reason: fmt.Sprintf("shard %d manifest checksum %.12s, sealed %.12s", i, sm.Checksum, sealed),
+			}
+		}
+	}
+	return nil
+}
+
 // ShardDir returns the fan-out subdirectory of shard i.
 func ShardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
@@ -199,6 +221,32 @@ func (s *shard) checkpointTarget() (persist.Checkpointable, error) {
 	return cq, nil
 }
 
+// shardMetricsPrefix is where shard i's persist manager publishes.
+func (h *Hooks) shardMetricsPrefix(i int) string {
+	prefix := h.MetricsPrefix
+	if prefix == "" {
+		prefix = "persist"
+	}
+	return fmt.Sprintf("%s_shard%d", prefix, i)
+}
+
+// WALPoisoned reports whether any shard's checkpoint log has latched a
+// permanent write failure, i.e. the durable state is not to be trusted.
+// It reads the gauges the persist managers publish into Hooks.Metrics
+// and is false without one.
+func (e *Engine) WALPoisoned() bool {
+	h := e.hooks.Load()
+	if h == nil {
+		return false
+	}
+	for _, g := range h.walPoisoned {
+		if g.Value() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Checkpoint writes a per-shard checkpoint fan-out under dir: an
 // engine manifest plus one persist snapshot directory per shard. The
 // engine must be Closed first — checkpointing requires exclusive
@@ -227,11 +275,7 @@ func (e *Engine) Checkpoint(dir string) error {
 			popts.Flight = h.Flight
 			if h.Metrics != nil {
 				popts.Metrics = h.Metrics
-				prefix := h.MetricsPrefix
-				if prefix == "" {
-					prefix = "persist"
-				}
-				popts.MetricsPrefix = fmt.Sprintf("%s_shard%d", prefix, s.id)
+				popts.MetricsPrefix = h.shardMetricsPrefix(s.id)
 			}
 		}
 		m, err := persist.Attach(shardDir(dir, s.id), cq, popts)
@@ -308,25 +352,13 @@ func (e *Engine) restore(dir string) error {
 	if m.config() != want.config() {
 		return fmt.Errorf("engine: checkpoint config %+v does not match engine config %+v", m.config(), want.config())
 	}
-	sealed := len(m.ShardChecksums) == m.Shards
+	// Bind every shard's durable state to the engine root before
+	// restoring from any of it.
+	if err := m.VerifyBinding(dir); err != nil {
+		return err
+	}
 	for _, s := range e.shards {
 		sdir := shardDir(dir, s.id)
-		// Bind the shard's durable state to the engine root before
-		// restoring from it: its MANIFEST.json must carry exactly the
-		// self-checksum ENGINE.json sealed.
-		if sealed {
-			sm, err := persist.LoadManifest(nil, sdir)
-			if err != nil {
-				return fmt.Errorf("engine: shard %d manifest: %w", s.id, err)
-			}
-			if sm.Checksum != m.ShardChecksums[s.id] {
-				return &persist.ManifestError{
-					Path: filepath.Join(dir, manifestName), Field: "shard_checksums",
-					Reason: fmt.Sprintf("shard %d manifest checksum %.12s, sealed %.12s",
-						s.id, sm.Checksum, m.ShardChecksums[s.id]),
-				}
-			}
-		}
 		cq, err := s.checkpointTarget()
 		if err != nil {
 			return err

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/persist"
 )
 
@@ -163,4 +164,49 @@ func TestEngineManifestTornRefusedTyped(t *testing.T) {
 		t.Fatalf("legacy manifest restore: %v", err)
 	}
 	e.Close()
+}
+
+// TestWALPoisonedReadsTheCheckpointGauges ties WALPoisoned to the gauges
+// the shards' checkpoint-time WALs really publish: after a checkpoint
+// the registry holds one poisoned gauge per shard — the WALs found the
+// ones SetHooks bound, they did not register a second set — and raising
+// any of them is what WALPoisoned reports.
+func TestWALPoisonedReadsTheCheckpointGauges(t *testing.T) {
+	const shards = 3
+	e, err := New(smallConfig(KindCore, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e.SetHooks(Hooks{Metrics: reg, MetricsPrefix: "d_persist"})
+	if err := e.Push(core.Element{Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if err := e.Checkpoint(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if _, ok := snap.Counters["d_persist_shard0_wal_records_total"]; !ok {
+		t.Fatal("the checkpoint's WAL did not instrument into Hooks.Metrics")
+	}
+	var gauges []string
+	for name := range snap.Gauges {
+		if strings.HasSuffix(name, "_wal_poisoned") {
+			gauges = append(gauges, name)
+		}
+	}
+	if len(gauges) != shards {
+		t.Fatalf("poisoned gauges after a checkpoint: %v, want %d", gauges, shards)
+	}
+	if e.WALPoisoned() {
+		t.Fatal("poisoned after a clean checkpoint")
+	}
+	for _, name := range gauges {
+		reg.Gauge(name).Set(1)
+		if !e.WALPoisoned() {
+			t.Fatalf("WALPoisoned does not read %s", name)
+		}
+		reg.Gauge(name).Set(0)
+	}
 }

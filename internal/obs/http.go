@@ -20,22 +20,7 @@ import (
 // producer. Long-running commands sample mutable sim state into
 // gauges from their own loop instead.
 func Handler(r *Registry) http.Handler {
-	return HandlerHealth(r, nil, nil)
-}
-
-// HandlerHealth is Handler plus the probe endpoints:
-//
-//	/healthz  liveness — 200 once the process serves HTTP at all
-//	/readyz   readiness — 200 only when ready() returns true
-//
-// healthy/ready may be nil: a nil healthy means always live; a nil
-// ready falls back to healthy (a plain daemon is ready when live).
-// bmwd wires ready to its restore/replication-catchup state, so a
-// follower mid-catchup, or a primary still restoring a checkpoint,
-// reports 503 and stays out of load-balancer rotation without being
-// restarted.
-func HandlerHealth(r *Registry, healthy, ready func() bool) http.Handler {
-	return HandlerOpts(r, HandlerOptions{Healthy: healthy, Ready: ready})
+	return HandlerOpts(r, HandlerOptions{})
 }
 
 // HandlerOptions parameterise HandlerOpts beyond the bare probes.
@@ -58,10 +43,11 @@ type HandlerOptions struct {
 	Flight *FlightRecorder
 }
 
-// HandlerOpts is HandlerHealth with probe detail and trace export. The
-// probes answer with a JSON body — {"ok":bool, ...detail} — under the
-// same 200/503 status contract, so existing status-code checks keep
-// working while curl and bmwtop get the reason.
+// HandlerOpts is Handler plus /healthz (liveness) and /readyz
+// (readiness: 200 only when Ready returns true) and the optional
+// exports. The probes answer with a JSON body — {"ok":bool, ...detail}
+// — so a load balancer checks the status code while curl and bmwtop get
+// the reason a node is out of rotation.
 func HandlerOpts(r *Registry, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	probe := func(check func() bool) http.HandlerFunc {
@@ -132,13 +118,7 @@ func HandlerOpts(r *Registry, opts HandlerOptions) http.Handler {
 // /debug/pprof/trace legitimately stream for their full -seconds
 // argument.
 func NewServer(addr string, r *Registry) *http.Server {
-	return NewServerHealth(addr, r, nil, nil)
-}
-
-// NewServerHealth is NewServer with liveness/readiness probes (see
-// HandlerHealth).
-func NewServerHealth(addr string, r *Registry, healthy, ready func() bool) *http.Server {
-	return NewServerOpts(addr, r, HandlerOptions{Healthy: healthy, Ready: ready})
+	return NewServerOpts(addr, r, HandlerOptions{})
 }
 
 // NewServerOpts is NewServer with full handler options (probe detail,

@@ -109,7 +109,7 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 
 	var ready atomic.Bool
-	gated := httptest.NewServer(HandlerHealth(r, func() bool { return true }, ready.Load))
+	gated := httptest.NewServer(HandlerOpts(r, HandlerOptions{Healthy: func() bool { return true }, Ready: ready.Load}))
 	defer gated.Close()
 	if s := status(t, gated, "/healthz"); s != 200 {
 		t.Fatalf("live /healthz = %d", s)
@@ -122,7 +122,7 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatalf("ready /readyz = %d", s)
 	}
 
-	fallback := httptest.NewServer(HandlerHealth(r, func() bool { return false }, nil))
+	fallback := httptest.NewServer(HandlerOpts(r, HandlerOptions{Healthy: func() bool { return false }}))
 	defer fallback.Close()
 	if s := status(t, fallback, "/healthz"); s != 503 {
 		t.Fatalf("unhealthy /healthz = %d, want 503", s)

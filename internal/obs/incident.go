@@ -170,16 +170,6 @@ func (c *IncidentCapturer) Capture(trigger, reason string) (string, error) {
 	return dir, nil
 }
 
-// CaptureAsync fires Capture on its own goroutine — the form trigger
-// sites on serving paths (overload trips, SLO pages) use so a capture
-// never blocks a shard or the SLO tick. Nil-safe.
-func (c *IncidentCapturer) CaptureAsync(trigger, reason string) {
-	if c == nil {
-		return
-	}
-	go func() { _, _ = c.Capture(trigger, reason) }()
-}
-
 // PanicCapture is the deferred panic handler: on a panic it captures
 // a bundle (trigger "panic", reason the panic value) and re-panics so
 // the process still dies loudly with the original stack. Use:

@@ -221,7 +221,6 @@ func TestIncidentNilDisabled(t *testing.T) {
 	if dir, err := c.Capture("overload", "x"); dir != "" || err != nil {
 		t.Fatalf("nil Capture: %q, %v", dir, err)
 	}
-	c.CaptureAsync("overload", "x")
 	c.Instrument(NewRegistry(), "inc")
 	// Nil-safe PanicCapture still re-panics.
 	func() {

@@ -282,6 +282,10 @@ func NewWALChained(f File, chain ChainState, opts WALOptions) *WAL {
 	return &WAL{f: f, opts: opts, lsn: chain.LSN, durable: chain.LSN, chain: chain}
 }
 
+// PoisonedMetric names the gauge a WAL instrumented under prefix holds
+// at 1 while it is sticky-poisoned, for readers that gate on it.
+func PoisonedMetric(prefix string) string { return prefix + "_wal_poisoned" }
+
 // Instrument registers the writer's counters in reg under prefix
 // (nil-safe: a nil registry leaves every probe disabled).
 func (w *WAL) Instrument(reg *obs.Registry, prefix string) {
@@ -294,8 +298,8 @@ func (w *WAL) Instrument(reg *obs.Registry, prefix string) {
 	w.fsyncs = reg.Counter(prefix + "_wal_fsyncs_total")
 	w.retries = reg.Counter(prefix + "_wal_retry_total")
 	w.chainPoints = reg.Counter(prefix + "_wal_chain_points_total")
-	reg.Help(prefix+"_wal_poisoned", "1 while the log is sticky-poisoned by a permanent write/sync failure")
-	w.poisoned = reg.Gauge(prefix + "_wal_poisoned")
+	reg.Help(PoisonedMetric(prefix), "1 while the log is sticky-poisoned by a permanent write/sync failure")
+	w.poisoned = reg.Gauge(PoisonedMetric(prefix))
 	reg.Help(prefix+"_wal_last_sync_retries", "transient-error retries consumed by the most recent commit+sync")
 	w.lastRetries = reg.Gauge(prefix + "_wal_last_sync_retries")
 	reg.Help(prefix+"_wal_commit_ns", "group-commit write latency (write through the file, excluding fsync)")

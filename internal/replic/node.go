@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,11 +47,8 @@ type Config struct {
 	// sides; heartbeats keep a healthy idle stream under it (default
 	// 15s).
 	StreamTimeout time.Duration
-	// Logf, when set, receives diagnostic lines.
-	Logf func(format string, args ...any)
 	// Logger, when set, receives structured replication events (attach,
-	// detach, refusal, promotion, stream errors) and takes precedence
-	// over Logf.
+	// detach, refusal, promotion, stream errors).
 	Logger *slog.Logger
 	// Flight, when set, receives every replication state transition
 	// (attach, detach, caught-up, promotion, degrade, refusal, fatal
@@ -60,8 +56,8 @@ type Config struct {
 	Flight *obs.FlightRecorder
 	// OnIncident, when set, fires on the transitions worth a bundle:
 	// a follower's unrecoverable stream death and the first degrade.
-	// Called from replication goroutines — keep it non-blocking (e.g.
-	// IncidentCapturer.CaptureAsync).
+	// Called from replication goroutines, a follower's possibly before
+	// Attach has returned — keep it non-blocking (internal/node enqueues).
 	OnIncident func(trigger, reason string)
 	// OnPromote, when set, fires after a promotion completes — the node
 	// is primary and serving. The cluster layer hooks it to bump its
@@ -292,29 +288,11 @@ func (n *Node) admin(cmd wire.AdminCmd) (wire.AdminInfo, error) {
 	return n.Status(), nil
 }
 
-// logf emits a diagnostic line when configured.
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf(format, args...)
-	}
-}
-
-// event emits one structured replication event through the slog
-// handler, falling back to the printf logger with key=value rendering.
+// event emits one structured replication event.
 func (n *Node) event(level slog.Level, msg string, attrs ...any) {
 	if n.cfg.Logger != nil {
 		n.cfg.Logger.Log(context.Background(), level, msg, attrs...)
-		return
 	}
-	if n.cfg.Logf == nil {
-		return
-	}
-	var b strings.Builder
-	b.WriteString(msg)
-	for i := 0; i+1 < len(attrs); i += 2 {
-		fmt.Fprintf(&b, " %v=%v", attrs[i], attrs[i+1])
-	}
-	n.cfg.Logf("%s", b.String())
 }
 
 // transition records one replication state change into the flight
@@ -803,6 +781,15 @@ func (n *Node) streamOnce() error {
 		conn.Close()
 		n.attached.Store(false)
 	}()
+	// A Promote or Close that ran during the dial found no connection
+	// to interrupt; without this look the stream would outlive it.
+	select {
+	case <-n.promote:
+		return nil
+	case <-n.closed:
+		return nil
+	default:
+	}
 
 	resume := n.streamPos.Load()
 	conn.SetDeadline(time.Now().Add(n.cfg.StreamTimeout))
