@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -33,18 +34,30 @@ type Element struct {
 	Meta  uint64
 }
 
-// slot is one of the M element positions inside a node. count is the
-// number of elements in the sub-tree rooted at this slot (including the
-// slot itself); count == 0 means the slot is empty. born is the low 32
-// bits of the logical clock (pushes+pops) at insertion, used by the
-// sojourn probe; it rides in the padding after count, keeping the slot
-// at 24 bytes.
-type slot struct {
-	val   uint64
-	meta  uint64
-	count uint32
-	born  uint32
+// The slots of the tree live in two parallel arrays, split by how often
+// an operation touches them.
+//
+// hot holds what every push and pop reads at every level: node n
+// occupies the 2M words hot[n*2M : n*2M+2M], its M element values
+// followed by its M sub-tree counters. The array starts on a cache-line
+// boundary, so an order-4 node is exactly one 64-byte line and an order-2
+// node half of one — the software analogue of the paper's one SRAM word
+// per node (Section 5.1). A counter is the number of elements in the
+// sub-tree rooted at that slot (the slot itself included); zero marks an
+// empty slot.
+//
+// cold holds, for slot i of node n at index n*M+i, what only moves with
+// an element: its metadata and its born tag (the low 32 bits of the
+// logical clock at insertion, read by the sojourn probe). A push writes
+// it only where the element parks or swaps, a pop where it lifts one or
+// empties a slot; no scan reads it.
+type cold struct {
+	meta uint64
+	born uint32
 }
+
+// lineWords is the number of 64-bit words in a 64-byte cache line.
+const lineWords = 8
 
 // Tree is an order-M, L-level BMW sorting tree.
 //
@@ -58,7 +71,8 @@ type slot struct {
 // holder of a shard's execution lock touches that shard's tree.
 type Tree struct {
 	m, l     int
-	nodes    []slot // len = numNodes*m; node n occupies [n*m, n*m+m)
+	hot      []uint64 // node n: values hot[n*2M:][:M], counters hot[n*2M+M:][:M]
+	cold     []cold   // slot n*M+i: meta and born tag
 	numNodes int
 	size     int
 	capacity int
@@ -74,6 +88,19 @@ type Tree struct {
 
 // clock returns the logical clock: one tick per completed operation.
 func (t *Tree) clock() uint32 { return uint32(t.pushes + t.pops) }
+
+// newHot returns the zeroed hot array of an order-m tree with n nodes,
+// its first word on a cache-line boundary.
+func newHot(m, n int) []uint64 {
+	words := n * 2 * m
+	buf := make([]uint64, words+lineWords-1)
+	off := (lineWords - int(uintptr(unsafe.Pointer(&buf[0]))/8%lineWords)) % lineWords
+	return buf[off : off+words : off+words]
+}
+
+// val and count address slot i of node n in the hot array.
+func (t *Tree) val(n, i int) uint64   { return t.hot[2*t.m*n+i] }
+func (t *Tree) count(n, i int) uint64 { return t.hot[2*t.m*n+t.m+i] }
 
 // Common errors returned by priority-queue implementations in this module.
 var (
@@ -123,7 +150,8 @@ func New(m, l int) *Tree {
 	return &Tree{
 		m:        m,
 		l:        l,
-		nodes:    make([]slot, n*m),
+		hot:      newHot(m, n),
+		cold:     make([]cold, n*m),
 		numNodes: n,
 		capacity: n * m,
 	}
@@ -152,25 +180,18 @@ func (t *Tree) AlmostFull() bool { return t.size >= t.capacity }
 // separately if needed). The persistence harnesses use it to fork a
 // golden reference from a live queue before draining both.
 func (t *Tree) Clone() *Tree {
-	c := &Tree{
-		m:        t.m,
-		l:        t.l,
-		nodes:    append([]slot(nil), t.nodes...),
-		numNodes: t.numNodes,
-		size:     t.size,
-		capacity: t.capacity,
-		pushes:   t.pushes,
-		pops:     t.pops,
-		maxSize:  t.maxSize,
-	}
-	return c
+	c := *t
+	c.hot = newHot(t.m, t.numNodes)
+	copy(c.hot, t.hot)
+	c.cold = append([]cold(nil), t.cold...)
+	c.sojourn = nil
+	return &c
 }
 
 // Reset empties the tree in place.
 func (t *Tree) Reset() {
-	for i := range t.nodes {
-		t.nodes[i] = slot{}
-	}
+	clear(t.hot)
+	clear(t.cold)
 	t.size = 0
 }
 
@@ -184,48 +205,102 @@ func (t *Tree) Push(e Element) error {
 	if t.size >= t.capacity {
 		return ErrFull
 	}
-	val, meta := e.Value, e.Meta
+	t.push(e, t.m)
+	return nil
+}
+
+// push walks one push down the tree with the node scan of width w: the
+// fixed-width loop for w = 4 (the paper's RPU-BMW order, where a node is
+// one cache line), the runtime-M loop for any other w. Both loops take
+// the same decisions, so w selects speed only; New's trees always pass
+// their own order, and the layout tests pass 0 to hold the fixed-width
+// loop to the runtime-M one (BenchmarkWalkWidth times the two). Order
+// 2 runs the runtime-M loop: a fixed-width order-2 walk did not beat it
+// reliably enough to keep (EXPERIMENTS.md E17).
+//
+// Each loop makes one pass over a node's counters for its leftmost
+// least-loaded slot. That is also the leftmost empty slot whenever the
+// node has one, because an empty slot's counter is 0, so the pass
+// decides both "park here" and "descend here".
+func (t *Tree) push(e Element, w int) {
 	born := t.clock()
-	n := 0
-	for {
-		base := n * t.m
-		// Leftmost empty slot, if any.
-		placed := false
-		for i := 0; i < t.m; i++ {
-			if t.nodes[base+i].count == 0 {
-				t.nodes[base+i] = slot{val: val, meta: meta, count: 1, born: born}
-				placed = true
-				break
-			}
-		}
-		if placed {
-			break
-		}
-		// Node full: pick the least-loaded sub-tree, leftmost on ties.
-		min := 0
-		for i := 1; i < t.m; i++ {
-			if t.nodes[base+i].count < t.nodes[base+min].count {
-				min = i
-			}
-		}
-		s := &t.nodes[base+min]
-		s.count++
-		// The smaller of (incoming, sub-tree root) keeps the slot; the
-		// larger continues down the chosen sub-tree. The born tag
-		// travels with its element.
-		if val < s.val {
-			val, s.val = s.val, val
-			meta, s.meta = s.meta, meta
-			born, s.born = s.born, born
-		}
-		n = n*t.m + min + 1
+	switch w {
+	case 4:
+		push4(t.hot, t.cold, e.Value, e.Meta, born)
+	default:
+		pushM(t.hot, t.cold, t.m, e.Value, e.Meta, born)
 	}
 	t.size++
 	t.pushes++
 	if t.size > t.maxSize {
 		t.maxSize = t.size
 	}
-	return nil
+}
+
+// The walks below share one step: at slot s of the current node, either
+// park the element in an empty slot, or count it into the slot's
+// sub-tree and keep the smaller of (incoming, slot element) there while
+// the larger, with its meta and born tag, continues into child s+1.
+// Capacity checks upstream guarantee the walk reaches an empty slot.
+
+func push4(h []uint64, c []cold, val, meta uint64, born uint32) {
+	for n := 0; ; {
+		nd := (*[8]uint64)(h[8*n:])
+		k := least4(nd)
+		s := 4*n + k
+		if nd[4+k] == 0 {
+			nd[k], nd[4+k] = val, 1
+			c[s] = cold{meta: meta, born: born}
+			return
+		}
+		nd[4+k]++
+		if val < nd[k] {
+			val, nd[k] = nd[k], val
+			meta, c[s].meta = c[s].meta, meta
+			born, c[s].born = c[s].born, born
+		}
+		n = s + 1
+	}
+}
+
+func pushM(h []uint64, c []cold, m int, val, meta uint64, born uint32) {
+	for n := 0; ; {
+		vals, cnts := h[2*m*n:][:m], h[2*m*n+m:][:m]
+		k := 0
+		for i := 1; i < m; i++ {
+			if cnts[i] < cnts[k] {
+				k = i
+			}
+		}
+		s := m*n + k
+		if cnts[k] == 0 {
+			vals[k], cnts[k] = val, 1
+			c[s] = cold{meta: meta, born: born}
+			return
+		}
+		cnts[k]++
+		if val < vals[k] {
+			val, vals[k] = vals[k], val
+			meta, c[s].meta = c[s].meta, meta
+			born, c[s].born = c[s].born, born
+		}
+		n = s + 1
+	}
+}
+
+// least4 returns the leftmost slot holding the node's least counter.
+func least4(nd *[8]uint64) int {
+	a, b := 0, 2
+	if nd[5] < nd[4] {
+		a = 1
+	}
+	if nd[7] < nd[6] {
+		b = 3
+	}
+	if nd[4+b] < nd[4+a] {
+		a = b
+	}
+	return a & 3
 }
 
 // Peek returns the smallest element without removing it. The minimum is
@@ -234,9 +309,8 @@ func (t *Tree) Peek() (Element, error) {
 	if t.size == 0 {
 		return Element{}, ErrEmpty
 	}
-	i := t.minSlot(0)
-	s := t.nodes[i]
-	return Element{Value: s.val, Meta: s.meta}, nil
+	i := minM(t.hot[:t.m], t.hot[t.m:2*t.m])
+	return Element{Value: t.hot[i], Meta: t.cold[i].meta}, nil
 }
 
 // Pop removes and returns the smallest element, following the pop
@@ -248,32 +322,93 @@ func (t *Tree) Pop() (Element, error) {
 	if t.size == 0 {
 		return Element{}, ErrEmpty
 	}
-	n := 0
-	i := t.minSlot(0) - 0*t.m // absolute slot index within flat array
-	out := Element{Value: t.nodes[i].val, Meta: t.nodes[i].meta}
-	t.sojourn.Observe(uint64(t.clock() - t.nodes[i].born))
-	// i is the absolute flat index; convert to per-node slot index below.
-	si := i - n*t.m
-	for {
-		s := &t.nodes[n*t.m+si]
-		s.count--
-		if s.count == 0 {
-			// Empty sub-tree below: the slot simply becomes vacant.
-			*s = slot{}
-			break
-		}
-		// Lift the smallest element of the si-th child node.
-		child := n*t.m + si + 1
-		ci := t.minSlot(child)
-		cs := t.nodes[ci]
-		s.val, s.meta = cs.val, cs.meta
-		s.born = cs.born
-		n = child
-		si = ci - child*t.m
+	e, _ := t.pop(t.m)
+	return e, nil
+}
+
+// pop walks one pop down a non-empty tree with the node scan of width w
+// (as for push) and returns the element with its sojourn in clock ticks.
+func (t *Tree) pop(w int) (Element, uint64) {
+	var val uint64
+	var out cold
+	switch w {
+	case 4:
+		val, out = pop4(t.hot, t.cold)
+	default:
+		val, out = popM(t.hot, t.cold, t.m)
 	}
+	sojourn := uint64(t.clock() - out.born)
+	t.sojourn.Observe(sojourn)
 	t.size--
 	t.pops++
-	return out, nil
+	return Element{Value: val, Meta: out.meta}, sojourn
+}
+
+// The pop walks share one step: slot s of the current node has lost its
+// element; uncount it, and either leave it empty (nothing below) or lift
+// the least element of child node s+1 into it and repeat there. An
+// emptied slot is zeroed whole, so snapshots of equal trees are equal.
+
+func pop4(h []uint64, c []cold) (uint64, cold) {
+	nd := (*[8]uint64)(h)
+	k := min4(nd)
+	val, out := nd[k], c[k]
+	for n := 0; ; {
+		s := 4*n + k
+		nd[4+k]--
+		if nd[4+k] == 0 {
+			nd[k], c[s] = 0, cold{}
+			return val, out
+		}
+		cd := (*[8]uint64)(h[8*(s+1):])
+		j := min4(cd)
+		nd[k], c[s] = cd[j], c[4*(s+1)+j]
+		n, k, nd = s+1, j, cd
+	}
+}
+
+func popM(h []uint64, c []cold, m int) (uint64, cold) {
+	vals, cnts := h[:m], h[m:2*m]
+	k := minM(vals, cnts)
+	val, out := vals[k], c[k]
+	for n := 0; ; {
+		s := m*n + k
+		cnts[k]--
+		if cnts[k] == 0 {
+			vals[k], c[s] = 0, cold{}
+			return val, out
+		}
+		cv, cc := h[2*m*(s+1):][:m], h[2*m*(s+1)+m:][:m]
+		j := minM(cv, cc)
+		vals[k], c[s] = cv[j], c[m*(s+1)+j]
+		n, k, vals, cnts = s+1, j, cv, cc
+	}
+}
+
+// min4 and minM return the leftmost occupied slot holding the least
+// value of a non-empty node.
+func min4(nd *[8]uint64) int {
+	a, b := 0, 2
+	if nd[4] == 0 || nd[5] != 0 && nd[1] < nd[0] {
+		a = 1
+	}
+	if nd[6] == 0 || nd[7] != 0 && nd[3] < nd[2] {
+		b = 3
+	}
+	if nd[4+a] == 0 || nd[4+b] != 0 && nd[b] < nd[a] {
+		a = b
+	}
+	return a & 3
+}
+
+func minM(vals, cnts []uint64) int {
+	k := 0
+	for i := 1; i < len(cnts); i++ {
+		if cnts[k] == 0 || cnts[i] != 0 && vals[i] < vals[k] {
+			k = i
+		}
+	}
+	return k
 }
 
 // OpStats returns the number of successful pushes and pops since
@@ -296,7 +431,7 @@ func (t *Tree) LevelOccupancy(lvl int) int {
 	occ := 0
 	for n := start; n < start+count; n++ {
 		for i := 0; i < t.m; i++ {
-			if t.nodes[n*t.m+i].count != 0 {
+			if t.count(n, i) != 0 {
 				occ++
 			}
 		}
@@ -304,47 +439,27 @@ func (t *Tree) LevelOccupancy(lvl int) int {
 	return occ
 }
 
-// minSlot returns the absolute flat index of the smallest valid element
-// in node n. It panics if the node is empty; callers guarantee occupancy
-// via the counters, exactly as the autonomous hardware nodes do.
-func (t *Tree) minSlot(n int) int {
-	base := n * t.m
-	min := -1
-	for i := 0; i < t.m; i++ {
-		if t.nodes[base+i].count == 0 {
-			continue
-		}
-		if min < 0 || t.nodes[base+i].val < t.nodes[base+min].val {
-			min = i
-		}
-	}
-	if min < 0 {
-		panic(fmt.Sprintf("core: minSlot on empty node %d", n))
-	}
-	return base + min
-}
-
 // Slot reports the element and counter at node n, position i. It is used
 // by the hardware simulations and the invariant checker; ok is false for
 // an empty slot.
 func (t *Tree) Slot(n, i int) (e Element, count uint32, ok bool) {
-	s := t.nodes[n*t.m+i]
-	return Element{Value: s.val, Meta: s.meta}, s.count, s.count != 0
+	c := t.count(n, i)
+	return Element{Value: t.val(n, i), Meta: t.cold[n*t.m+i].meta}, uint32(c), c != 0
 }
 
 // SlotState reports the value and counter at node n, position i, in the
 // form required by the shared invariant checker (internal/treecheck).
 func (t *Tree) SlotState(n, i int) (value uint64, count uint32, ok bool) {
-	s := t.nodes[n*t.m+i]
-	return s.val, s.count, s.count != 0
+	c := t.count(n, i)
+	return t.val(n, i), uint32(c), c != 0
 }
 
 // SubtreeCounts returns the counters of the M root elements; their sum is
 // the stored element count (the tree meta-information of Section 3.1).
 func (t *Tree) SubtreeCounts() []uint32 {
 	out := make([]uint32, t.m)
-	for i := 0; i < t.m; i++ {
-		out[i] = t.nodes[i].count
+	for i := range out {
+		out[i] = uint32(t.count(0, i))
 	}
 	return out
 }
@@ -375,22 +490,22 @@ func (t *Tree) CheckInvariants() error {
 // checkSlot validates the sub-tree rooted at slot i of node n and returns
 // its element count.
 func (t *Tree) checkSlot(n, i int) (int, error) {
-	s := t.nodes[n*t.m+i]
-	if s.count == 0 {
+	sc := t.count(n, i)
+	if sc == 0 {
 		// Empty slot: its sub-tree must be empty too.
 		if err := t.checkEmptyBelow(n, i); err != nil {
 			return 0, err
 		}
 		return 0, nil
 	}
+	sv := t.val(n, i)
 	count := 1
 	child := n*t.m + i + 1
 	if child < t.numNodes {
 		for j := 0; j < t.m; j++ {
-			cs := t.nodes[child*t.m+j]
-			if cs.count != 0 && cs.val < s.val {
+			if cv := t.val(child, j); t.count(child, j) != 0 && cv < sv {
 				return 0, fmt.Errorf("core: heap violation: node %d slot %d value %d > child node %d slot %d value %d",
-					n, i, s.val, child, j, cs.val)
+					n, i, sv, child, j, cv)
 			}
 			c, err := t.checkSlot(child, j)
 			if err != nil {
@@ -399,9 +514,9 @@ func (t *Tree) checkSlot(n, i int) (int, error) {
 			count += c
 		}
 	}
-	if uint32(count) != s.count {
+	if uint64(count) != sc {
 		return 0, fmt.Errorf("core: counter violation: node %d slot %d counter %d, actual sub-tree size %d",
-			n, i, s.count, count)
+			n, i, sc, count)
 	}
 	return count, nil
 }
@@ -413,7 +528,7 @@ func (t *Tree) checkEmptyBelow(n, i int) error {
 		return nil
 	}
 	for j := 0; j < t.m; j++ {
-		if t.nodes[child*t.m+j].count != 0 {
+		if t.count(child, j) != 0 {
 			return fmt.Errorf("core: orphan element below empty slot: node %d slot %d", child, j)
 		}
 		if err := t.checkEmptyBelow(child, j); err != nil {
@@ -428,29 +543,23 @@ func (t *Tree) checkEmptyBelow(n, i int) error {
 // insertion-balance metric of Section 3.3: after a push-only workload it
 // is at most 1; interleaved pops can locally unbalance the tree.
 func (t *Tree) MaxImbalance() uint32 {
-	var worst uint32
+	var worst uint64
 	for n := 0; n < t.numNodes; n++ {
-		base := n * t.m
-		lo, hi := t.nodes[base].count, t.nodes[base].count
+		lo, hi := t.count(n, 0), t.count(n, 0)
 		full := true
 		for i := 0; i < t.m; i++ {
-			c := t.nodes[base+i].count
+			c := t.count(n, i)
 			if c == 0 {
 				full = false
 				break
 			}
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
+			lo, hi = min(lo, c), max(hi, c)
 		}
 		if full && hi-lo > worst {
 			worst = hi - lo
 		}
 	}
-	return worst
+	return uint32(worst)
 }
 
 // Depth returns the deepest level (1-based) that holds at least one
@@ -464,7 +573,7 @@ func (t *Tree) Depth() int {
 	for l := 1; l <= t.l; l++ {
 		levelHas := false
 		for k := 0; k < nodesAtLevel*t.m; k++ {
-			if t.nodes[n*t.m+k].count != 0 {
+			if t.count(n+k/t.m, k%t.m) != 0 {
 				levelHas = true
 				break
 			}

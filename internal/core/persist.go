@@ -18,6 +18,10 @@ import (
 // coreSnapVersion is the current snapshot codec version.
 const coreSnapVersion = 1
 
+// snapSlotBytes is the encoded size of one slot, as EncodeSnapshot
+// writes it: val (U64), meta (U64), count (U32), born (U32).
+const snapSlotBytes = 8 + 8 + 4 + 4
+
 var _ persist.Checkpointable = (*Tree)(nil)
 
 // SnapshotKind identifies the golden model's snapshots.
@@ -35,20 +39,24 @@ func (t *Tree) EncodeSnapshot() ([]byte, error) {
 	e.U64(t.pushes)
 	e.U64(t.pops)
 	e.U64(uint64(t.maxSize))
-	e.U32(uint32(len(t.nodes)))
-	for i := range t.nodes {
-		sl := &t.nodes[i]
-		e.U64(sl.val)
-		e.U64(sl.meta)
-		e.U32(sl.count)
-		e.U32(sl.born)
+	e.U32(uint32(len(t.cold)))
+	for n := 0; n < t.numNodes; n++ {
+		for i := 0; i < t.m; i++ {
+			c := &t.cold[n*t.m+i]
+			e.U64(t.val(n, i))
+			e.U64(c.meta)
+			e.U32(uint32(t.count(n, i)))
+			e.U32(c.born)
+		}
 	}
 	return e.B, nil
 }
 
 // RestoreSnapshot loads a payload into the receiver, which must have
 // the same shape as the tree that wrote it. The payload is fully
-// decoded and validated before any receiver state changes.
+// validated before any receiver state changes: once the header and the
+// payload length check out, no slot can fail to decode, so the slots
+// decode straight into the receiver.
 func (t *Tree) RestoreSnapshot(version uint32, payload []byte) error {
 	if version != coreSnapVersion {
 		return fmt.Errorf("core: unsupported snapshot version %d (have %d)", version, coreSnapVersion)
@@ -62,21 +70,23 @@ func (t *Tree) RestoreSnapshot(version uint32, payload []byte) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if m != t.m || l != t.l || n != len(t.nodes) {
+	if m != t.m || l != t.l || n != len(t.cold) {
 		return fmt.Errorf("core: snapshot shape m=%d l=%d slots=%d does not match tree m=%d l=%d slots=%d",
-			m, l, n, t.m, t.l, len(t.nodes))
+			m, l, n, t.m, t.l, len(t.cold))
 	}
 	if size < 0 || size > t.capacity {
 		return fmt.Errorf("core: snapshot size %d out of range [0,%d]", size, t.capacity)
 	}
-	nodes := make([]slot, n)
-	for i := range nodes {
-		nodes[i] = slot{val: d.U64(), meta: d.U64(), count: d.U32(), born: d.U32()}
+	if got, want := d.Remaining(), n*snapSlotBytes; got != want {
+		return fmt.Errorf("core: snapshot has %d slot bytes, want %d for %d slots", got, want, n)
 	}
-	if err := d.Done(); err != nil {
-		return err
+	for s := range t.cold {
+		base := 2 * m * (s / m)
+		t.hot[base+s%m] = d.U64()
+		t.cold[s].meta = d.U64()
+		t.hot[base+m+s%m] = uint64(d.U32())
+		t.cold[s].born = d.U32()
 	}
-	copy(t.nodes, nodes)
 	t.size = size
 	t.pushes, t.pops = pushes, pops
 	t.maxSize = maxSize

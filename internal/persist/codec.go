@@ -118,6 +118,9 @@ func (d *Dec) Len(max int) int {
 	return n
 }
 
+// Remaining returns the number of payload bytes not yet consumed.
+func (d *Dec) Remaining() int { return len(d.b) - d.off }
+
 // Err returns the latched decode error, if any.
 func (d *Dec) Err() error { return d.err }
 
