@@ -426,7 +426,6 @@ func main() {
 		overloads = flag.Int("overloads", 3, "induced overload episodes (each must yield an incident bundle)")
 		kills     = flag.Int("kills", 5, "primary kill-and-promote cycles")
 		shards    = flag.Int("shards", 2, "engine shards per node")
-		queue     = flag.String("queue", "core", "queue kind: core, pifo, rbmw, rpubmw")
 		levels    = flag.Int("l", 10, "tree levels (capacity)")
 		stall     = flag.Duration("stall", 250*time.Millisecond, "stall fault hold time")
 		budget    = flag.Duration("failover-budget", 5*time.Second, "max allowed kill-to-first-success time")
@@ -446,11 +445,7 @@ func main() {
 		return
 	}
 
-	kind, err := engine.ParseKind(*queue)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	geom := engine.Config{Shards: *shards, Kind: kind, Order: 2, Levels: *levels, Routing: engine.RouteRank}
+	geom := engine.Config{Shards: *shards, Order: 2, Levels: *levels, Routing: engine.RouteRank}
 
 	ev := &evidence{Schema: "bmwchaos/v1", Faults: map[string]int{}}
 	incRoot := filepath.Join(*evDir, "incidents")

@@ -351,7 +351,6 @@ func main() {
 		nodes   = flag.Int("nodes", 3, "replica groups in the cluster (each a primary + hot standby)")
 		ops     = flag.Int("ops", 2000, "mixed lockstep ops in the main traffic phase")
 		shards  = flag.Int("shards", 2, "engine shards per node")
-		queue   = flag.String("queue", "core", "queue kind: core, pifo, rbmw, rpubmw")
 		levels  = flag.Int("l", 10, "tree levels (capacity)")
 		mode    = flag.String("mode", "rank", "cluster routing mode: rank or hash")
 		kill    = flag.Bool("kill", true, "kill a primary mid-stream and require promotion + epoch bump")
@@ -362,15 +361,11 @@ func main() {
 	)
 	flag.Parse()
 
-	kind, err := engine.ParseKind(*queue)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	clMode, err := cluster.ParseMode(*mode)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	geom := engine.Config{Shards: *shards, Kind: kind, Order: 2, Levels: *levels, Routing: engine.RouteHash}
+	geom := engine.Config{Shards: *shards, Order: 2, Levels: *levels, Routing: engine.RouteHash}
 
 	ev := &evidence{Schema: "bmwcluster/v1", Nodes: *nodes, Mode: clMode.String(), Ops: *ops}
 	start := time.Now()

@@ -24,8 +24,7 @@ import (
 func manifestTrials(root string, kills int, seed int64) (int, error) {
 	dir := filepath.Join(root, "ckpt")
 	cfg := engine.Config{
-		Shards: 2, Kind: engine.KindCore,
-		Order: 2, Levels: 6, Cap: 126,
+		Shards: 2, Order: 2, Levels: 6,
 		RingSize: 256, BatchSize: 16,
 		Routing: engine.RouteRank, RankBits: 16,
 	}

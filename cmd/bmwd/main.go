@@ -11,8 +11,8 @@
 //
 // Examples:
 //
-//	bmwd -listen :9970 -shards 4 -queue core -route rank
-//	bmwd -listen :9970 -shards 4 -queue rbmw -m 4 -l 6 -http :9971
+//	bmwd -listen :9970 -shards 4 -route rank
+//	bmwd -listen :9970 -shards 4 -m 4 -l 6 -http :9971
 //	bmwd -listen :9970 -persist /var/lib/bmwd   # checkpoint on shutdown
 //	bmwd -listen :9970 -repl-sync               # primary, sync replication
 //	bmwd -listen :9980 -follow 127.0.0.1:9970   # hot standby of :9970
@@ -51,18 +51,17 @@ func fatalf(format string, args ...any) {
 // two differ.
 type options struct {
 	node.Config
-	listen, queue, route, logLevel, clusterMap string
-	clusterNode                                uint
-	version                                    bool
+	listen, route, logLevel, clusterMap string
+	clusterNode                         uint
+	version                             bool
 }
 
 func registerFlags(fs *flag.FlagSet, o *options) {
 	e := &o.Engine
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:9970", "wire protocol listen address")
-	fs.IntVar(&e.Shards, "shards", 4, "number of engine shards (each owns one queue)")
-	fs.StringVar(&o.queue, "queue", "core", "queue kind per shard: core, pifo, rbmw, rpubmw")
-	fs.IntVar(&e.Order, "m", 2, "tree order m (rbmw/rpubmw/core)")
-	fs.IntVar(&e.Levels, "l", 11, "tree levels (rbmw/rpubmw/core)")
+	fs.IntVar(&e.Shards, "shards", 4, "number of engine shards (each owns one BMW tree)")
+	fs.IntVar(&e.Order, "m", 2, "tree order m")
+	fs.IntVar(&e.Levels, "l", 11, "tree levels")
 	fs.IntVar(&e.RingSize, "ring", 1024, "per-shard request ring size")
 	fs.IntVar(&e.BatchSize, "batch", 64, "per-shard max drain batch")
 	fs.StringVar(&o.route, "route", "hash", "push routing: hash (by Meta) or rank (by Value range)")
@@ -107,9 +106,6 @@ func (o *options) resolve() error {
 		o.Engine.Routing = engine.RouteRank
 	default:
 		return fmt.Errorf("unknown -route %q (want hash or rank)", o.route)
-	}
-	if o.Engine.Kind, err = engine.ParseKind(o.queue); err != nil {
-		return err
 	}
 	o.ClusterNode = uint32(o.clusterNode)
 	if o.clusterMap != "" {

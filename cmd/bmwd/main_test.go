@@ -70,7 +70,7 @@ func parse(t *testing.T, args ...string) *options {
 }
 
 func TestConfigFromFlags(t *testing.T) {
-	o := parse(t, "-shards", "2", "-queue", "rpubmw", "-m", "4", "-l", "6",
+	o := parse(t, "-shards", "2", "-m", "4", "-l", "6",
 		"-route", "rank", "-rankbits", "16", "-ring", "64", "-batch", "4",
 		"-overload-high", "0.2", "-overload-drain-latency", "1us",
 		"-persist", "/p", "-scrub-interval", "1s", "-scrub-rate", "0", "-repair-from", "peer:1",
@@ -80,7 +80,7 @@ func TestConfigFromFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := o.Config
-	want := engine.Config{Shards: 2, Kind: engine.KindRPUBMW, Order: 4, Levels: 6,
+	want := engine.Config{Shards: 2, Order: 4, Levels: 6,
 		Routing: engine.RouteRank, RankBits: 16, RingSize: 64, BatchSize: 4,
 		Overload: engine.Overload{HighFrac: 0.2, DrainLatencyHigh: time.Microsecond}}
 	if cfg.Engine != want {
@@ -101,7 +101,6 @@ func TestConfigRejectsBadValues(t *testing.T) {
 	for _, args := range [][]string{
 		{"-log-level", "loud"},
 		{"-route", "random"},
-		{"-queue", "heap"},
 		{"-cluster-map", "/nonexistent/map.json"},
 	} {
 		if err := parse(t, args...).resolve(); err == nil {
@@ -113,7 +112,7 @@ func TestConfigRejectsBadValues(t *testing.T) {
 // The signal loop on a live standby: SIGUSR1 promotes it, SIGQUIT leaves
 // a valid forced bundle while it keeps serving, SIGTERM ends the loop.
 func TestServeSignals(t *testing.T) {
-	geom := engine.Config{Shards: 2, Kind: engine.KindCore, Order: 2, Levels: 8}
+	geom := engine.Config{Shards: 2, Order: 2, Levels: 8}
 	primary, err := node.Start(node.Config{Engine: geom})
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:9970", "bmwd address to load")
 		inproc   = flag.Bool("inproc", false, "start an in-process bmwd node on a loopback port instead of dialing -addr")
 		shards   = flag.Int("shards", 4, "shard count for -inproc")
-		queue    = flag.String("queue", "core", "queue kind for -inproc: core, pifo, rbmw, rpubmw")
 		conns    = flag.Int("conns", 2, "client connections")
 		pipeline = flag.Int("pipeline", 4, "in-flight batches per connection")
 		batch    = flag.Int("batch", 64, "operations per batch")
@@ -140,12 +139,8 @@ func main() {
 	// scrapes its obs endpoint like any other: a self-contained smoke test.
 	target, obsAddr := *addr, *metrics
 	if *inproc {
-		kind, err := engine.ParseKind(*queue)
-		if err != nil {
-			fatalf("%v", err)
-		}
 		n, err := node.Start(node.Config{
-			Engine:      engine.Config{Shards: *shards, Kind: kind, Order: 2, Levels: 11},
+			Engine:      engine.Config{Shards: *shards, Order: 2, Levels: 11},
 			HTTPAddr:    "127.0.0.1:0",
 			TraceSample: *sample,
 		})

@@ -39,7 +39,7 @@ func allocsSuite(seed int64) map[string]Metric {
 	// engine so neither rejects; the engine and result slices live
 	// outside the measured closure.
 	eng, err := bmw.NewEngine(bmw.EngineConfig{
-		Shards: 2, Kind: bmw.EngineCore, Order: 2, Levels: 11,
+		Shards: 2, Order: 2, Levels: 11,
 	})
 	if err != nil {
 		panic(err)

@@ -66,7 +66,6 @@ var engineIntegrity bool
 func engineMops(shards, batch, ops int, seed int64) float64 {
 	eng, err := bmw.NewEngine(bmw.EngineConfig{
 		Shards: shards,
-		Kind:   bmw.EngineCore,
 		Order:  2,
 		Levels: 11,
 	})

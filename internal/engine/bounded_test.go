@@ -11,61 +11,60 @@ import (
 	"repro/internal/obs"
 )
 
-// TestPopBoundedHonoursBound pins the conditional pop on every queue
-// kind: a head at or under the bound is popped exactly like a plain
+// TestPopBoundedHonoursBound pins the conditional pop: a head at or
+// under the bound is popped exactly like a plain
 // pop (element, shard, next LSN), a head over it — or an empty queue —
 // is a miss that leaves length, LSN and the empties counter alone.
-func TestPopBoundedHonoursBound(t *testing.T) {
-	for _, k := range kinds {
-		t.Run(k.String(), func(t *testing.T) {
-			e, err := New(smallConfig(k, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			reg := obs.NewRegistry()
-			e.Instrument(reg, "eng")
-			empties := func() uint64 { return reg.Counter("eng_shard0_empty_total").Value() }
+// It runs under the served tree's kind name.
+func TestPopBoundedHonoursBound(t *testing.T) { t.Run(manifestKind, testPopBoundedHonoursBound) }
 
-			miss := func(bound uint64, when string) {
-				t.Helper()
-				lsn, n := e.ShardLSN(0), e.Len()
-				res := e.Submit([]Op{PopBoundedOp(bound)})
-				if !errors.Is(res[0].Err, ErrMiss) || res[0].LSN != 0 {
-					t.Fatalf("%s: bounded pop(%d) = %+v, want ErrMiss with LSN 0", when, bound, res[0])
-				}
-				if e.ShardLSN(0) != lsn || e.Len() != n {
-					t.Fatalf("%s: miss moved LSN %d->%d or len %d->%d", when, lsn, e.ShardLSN(0), n, e.Len())
-				}
-			}
+func testPopBoundedHonoursBound(t *testing.T) {
+	e, err := New(smallConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	reg := obs.NewRegistry()
+	e.Instrument(reg, "eng")
+	empties := func() uint64 { return reg.Counter("eng_shard0_empty_total").Value() }
 
-			miss(math.MaxUint64, "empty queue")
-			for i, v := range []uint64{30, 10, 20} {
-				if res := e.Submit([]Op{PushOp(core.Element{Value: v, Meta: uint64(i)})}); res[0].Err != nil {
-					t.Fatal(res[0].Err)
-				}
-			}
-			miss(9, "head above bound")
+	miss := func(bound uint64, when string) {
+		t.Helper()
+		lsn, n := e.ShardLSN(0), e.Len()
+		res := e.Submit([]Op{PopBoundedOp(bound)})
+		if !errors.Is(res[0].Err, ErrMiss) || res[0].LSN != 0 {
+			t.Fatalf("%s: bounded pop(%d) = %+v, want ErrMiss with LSN 0", when, bound, res[0])
+		}
+		if e.ShardLSN(0) != lsn || e.Len() != n {
+			t.Fatalf("%s: miss moved LSN %d->%d or len %d->%d", when, lsn, e.ShardLSN(0), n, e.Len())
+		}
+	}
 
-			// Inclusive bound, and one batch stops at the first element
-			// over it: 10 and 20 come out, the third op misses on 30.
-			lsn := e.ShardLSN(0)
-			res := e.Submit([]Op{PopBoundedOp(10), PopBoundedOp(25), PopBoundedOp(25)})
-			for i, want := range []uint64{10, 20} {
-				if res[i].Err != nil || res[i].Elem.Value != want || res[i].Shard != 0 || res[i].LSN != lsn+uint64(i)+1 {
-					t.Fatalf("hit %d = %+v, want %d at LSN %d", i, res[i], want, lsn+uint64(i)+1)
-				}
-			}
-			if !errors.Is(res[2].Err, ErrMiss) {
-				t.Fatalf("third op = %+v, want ErrMiss", res[2])
-			}
-			if e.Len() != 1 || e.ShardLSN(0) != lsn+2 {
-				t.Fatalf("after batch: len %d LSN %d, want 1 and %d", e.Len(), e.ShardLSN(0), lsn+2)
-			}
-			if got := empties(); got != 0 {
-				t.Fatalf("misses counted as %d empty pops", got)
-			}
-		})
+	miss(math.MaxUint64, "empty queue")
+	for i, v := range []uint64{30, 10, 20} {
+		if res := e.Submit([]Op{PushOp(core.Element{Value: v, Meta: uint64(i)})}); res[0].Err != nil {
+			t.Fatal(res[0].Err)
+		}
+	}
+	miss(9, "head above bound")
+
+	// Inclusive bound, and one batch stops at the first element
+	// over it: 10 and 20 come out, the third op misses on 30.
+	lsn := e.ShardLSN(0)
+	res := e.Submit([]Op{PopBoundedOp(10), PopBoundedOp(25), PopBoundedOp(25)})
+	for i, want := range []uint64{10, 20} {
+		if res[i].Err != nil || res[i].Elem.Value != want || res[i].Shard != 0 || res[i].LSN != lsn+uint64(i)+1 {
+			t.Fatalf("hit %d = %+v, want %d at LSN %d", i, res[i], want, lsn+uint64(i)+1)
+		}
+	}
+	if !errors.Is(res[2].Err, ErrMiss) {
+		t.Fatalf("third op = %+v, want ErrMiss", res[2])
+	}
+	if e.Len() != 1 || e.ShardLSN(0) != lsn+2 {
+		t.Fatalf("after batch: len %d LSN %d, want 1 and %d", e.Len(), e.ShardLSN(0), lsn+2)
+	}
+	if got := empties(); got != 0 {
+		t.Fatalf("misses counted as %d empty pops", got)
 	}
 }
 
@@ -81,7 +80,7 @@ func TestPopBoundedTightensAcrossShards(t *testing.T) {
 	for _, routing := range []Routing{RouteRank, RouteHash} {
 		name := map[Routing]string{RouteRank: "rank", RouteHash: "hash"}[routing]
 		t.Run(name, func(t *testing.T) {
-			cfg := smallConfig(KindCore, 2)
+			cfg := smallConfig(2)
 			cfg.Routing = routing
 			e, err := New(cfg)
 			if err != nil {

@@ -7,29 +7,21 @@ import (
 	"testing"
 )
 
-// TestBareQueuesDocumentSingleGoroutineContract asserts that every
-// bare queue implementation the engine shards over documents its
-// intentional single-goroutine design. The queues model hardware with
-// one issue port per cycle and deliberately carry no synchronization;
-// the engine is the only concurrency boundary. If the contract
-// sentence disappears from a queue's documentation, this test fails so
-// the concurrency story stays written down next to the code it
-// governs.
+// TestBareQueuesDocumentSingleGoroutineContract asserts that the bare
+// queue the engine shards over, core.Tree, documents its intentional
+// single-goroutine design. It models hardware with one issue port per
+// cycle and deliberately carries no synchronization; the engine is the
+// only concurrency boundary. If the contract sentence disappears from
+// its documentation, this test fails so the concurrency story stays
+// written down next to the code it governs.
 func TestBareQueuesDocumentSingleGoroutineContract(t *testing.T) {
 	const phrase = "single goroutine"
-	files := []string{
-		filepath.Join("..", "core", "core.go"),
-		filepath.Join("..", "pifo", "pifo.go"),
-		filepath.Join("..", "rbmw", "rbmw.go"),
-		filepath.Join("..", "rpubmw", "rpubmw.go"),
+	f := filepath.Join("..", "core", "core.go")
+	b, err := os.ReadFile(f)
+	if err != nil {
+		t.Fatalf("read %s: %v", f, err)
 	}
-	for _, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatalf("read %s: %v", f, err)
-		}
-		if !strings.Contains(strings.ToLower(string(b)), phrase) {
-			t.Errorf("%s does not document the %q contract", f, phrase)
-		}
+	if !strings.Contains(strings.ToLower(string(b)), phrase) {
+		t.Errorf("%s does not document the %q contract", f, phrase)
 	}
 }

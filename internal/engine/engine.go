@@ -1,14 +1,14 @@
 // Package engine is the sharded, concurrent serving layer over the
-// exact priority queues of this module: N shards, each one queue
-// (software BMW-Tree, PIFO, or a cycle-accurate simulator behind a
-// synchronous adapter) behind an execution lock, with a bounded MPSC
-// request ring and a drain goroutine for the contended case.
+// software BMW-Tree: N shards, each owning one *core.Tree behind an
+// execution lock, with a bounded MPSC request ring and a drain goroutine
+// for the contended case. The cycle-accurate R-BMW and RPU-BMW models
+// are not served: their lockstep tests against core already prove them
+// equivalent to it.
 //
-// The bare queues in this module are intentionally single-goroutine —
-// they model hardware with one issue port per cycle and carry zero
-// synchronization on their hot paths. The engine is the one concurrency
-// boundary: each queue is only ever touched by the holder of its shard's
-// execution lock.
+// The tree is intentionally single-goroutine — it models hardware with
+// one issue port per cycle and carries zero synchronization on its hot
+// paths. The engine is the one concurrency boundary: each tree is only
+// ever touched by the holder of its shard's execution lock.
 //
 // Execution is caller-runs. A submit routes and gates its operations
 // against the published shard state, then TryLocks each target shard:
@@ -137,16 +137,28 @@ const (
 	RouteRank
 )
 
+// Kind named a shard's queue implementation when the engine could serve
+// more than one.
+//
+// Deprecated: every shard owns a *core.Tree; KindCore is the only value
+// New accepts.
+type Kind int
+
+// KindCore is the software BMW-Tree, the only queue the engine serves.
+//
+// Deprecated: leave Config.Kind at its zero value.
+const KindCore Kind = 0
+
 // Config parameterises New.
 type Config struct {
 	// Shards is the number of shards (default 1).
 	Shards int
-	// Kind selects each shard's queue implementation (default KindCore).
+	// Kind must be left zero.
+	//
+	// Deprecated: every shard owns a *core.Tree.
 	Kind Kind
-	// Order and Levels shape the tree-based kinds (defaults 2 and 11).
+	// Order and Levels shape each shard's tree (defaults 2 and 11).
 	Order, Levels int
-	// Cap is the per-shard capacity for KindPIFO (default 4094).
-	Cap int
 	// RingSize bounds each shard's request ring (default 1024).
 	RingSize int
 	// BatchSize caps how many requests a shard drains and executes per
@@ -211,9 +223,6 @@ func (c Config) withDefaults() Config {
 	if c.Levels <= 0 {
 		c.Levels = 11
 	}
-	if c.Cap <= 0 {
-		c.Cap = 4094
-	}
 	if c.RingSize <= 0 {
 		c.RingSize = 1024
 	}
@@ -260,14 +269,14 @@ type Hooks struct {
 	walPoisoned []*obs.Gauge // per shard, what WALPoisoned reads
 }
 
-// shard is one engine lane: a queue, the execution lock that owns it,
+// shard is one engine lane: a tree, the execution lock that owns it,
 // and the ring plus drain goroutine that serve the contended case.
 type shard struct {
 	id int
 	// exec is the execution lock. Its holder owns q, lsn, slowRuns and
 	// closed; execute and publish require it.
 	exec sync.Mutex
-	q    shardQueue
+	q    *core.Tree
 	// closed is set by Close once the drain goroutine has exited; an
 	// inline executor that sees it backs out to the (closed) ring.
 	closed  bool
@@ -418,14 +427,17 @@ func (e *Engine) SetOverload(o Overload) {
 // and starts one drain goroutine per shard.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Kind != KindPIFO && cfg.Order < core.MinOrder {
+	if cfg.Kind != 0 {
+		return nil, fmt.Errorf("engine: queue kind %d: every shard is a core tree", cfg.Kind)
+	}
+	if cfg.Order < core.MinOrder {
 		return nil, fmt.Errorf("engine: order %d below minimum %d", cfg.Order, core.MinOrder)
 	}
 	e := &Engine{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
 			id:      i,
-			q:       newShardQueue(cfg),
+			q:       core.New(cfg.Order, cfg.Levels),
 			ring:    newRing(cfg.RingSize),
 			ringCap: cfg.RingSize,
 			hooks:   &e.hooks,

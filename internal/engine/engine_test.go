@@ -11,16 +11,10 @@ import (
 	"repro/internal/refpq"
 )
 
-// kinds under test; every engine behaviour must hold for all four
-// exact queue implementations.
-var kinds = []Kind{KindCore, KindPIFO, KindRBMW, KindRPUBMW}
-
 // smallConfig is a low-capacity engine for functional tests.
-func smallConfig(k Kind, shards int) Config {
+func smallConfig(shards int) Config {
 	return Config{
-		Shards: shards, Kind: k,
-		Order: 2, Levels: 6, // tree capacity 126 per shard
-		Cap:      126,
+		Shards: shards, Order: 2, Levels: 6, // tree capacity 126 per shard
 		RingSize: 256, BatchSize: 16,
 		Routing: RouteRank, RankBits: 16,
 	}
@@ -32,70 +26,71 @@ func smallConfig(k Kind, shards int) Config {
 // with rank-range routing the popped value identifies the serving
 // shard, so each pop can be checked against that shard's own reference
 // minimum — the per-shard differential drain of the acceptance
-// criteria.
+// criteria. Like every per-tree test here it runs under the served
+// tree's kind name, the one the checkpoint manifest records.
 func TestRankRoutedPopsGloballySorted(t *testing.T) {
-	for _, k := range kinds {
-		t.Run(k.String(), func(t *testing.T) {
-			const shards = 4
-			e, err := New(smallConfig(k, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
+	t.Run(manifestKind, testRankRoutedPopsGloballySorted)
+}
 
-			width := (uint64(1) << 16) / shards
-			shardOf := func(v uint64) int {
-				s := v / width
-				if s >= shards {
-					s = shards - 1
-				}
-				return int(s)
-			}
-			refs := make([]*refpq.Queue, shards)
-			for i := range refs {
-				refs[i] = refpq.New()
-			}
+func testRankRoutedPopsGloballySorted(t *testing.T) {
+	const shards = 4
+	e, err := New(smallConfig(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 
-			rng := rand.New(rand.NewSource(7))
-			pushed := 0
-			for i := 0; i < 300; i++ {
-				el := core.Element{Value: uint64(rng.Intn(1 << 16)), Meta: uint64(i)}
-				err := e.Push(el)
-				if err == nil {
-					refs[shardOf(el.Value)].Push(refpq.Entry{Value: el.Value, Meta: el.Meta})
-					pushed++
-					continue
-				}
-				if !errors.Is(err, ErrBackpressure) && !errors.Is(err, core.ErrFull) {
-					t.Fatalf("push %d: %v", i, err)
-				}
-			}
-			if e.Len() != pushed {
-				t.Fatalf("Len = %d after %d pushes", e.Len(), pushed)
-			}
+	width := (uint64(1) << 16) / shards
+	shardOf := func(v uint64) int {
+		s := v / width
+		if s >= shards {
+			s = shards - 1
+		}
+		return int(s)
+	}
+	refs := make([]*refpq.Queue, shards)
+	for i := range refs {
+		refs[i] = refpq.New()
+	}
 
-			prev := uint64(0)
-			for i := 0; i < pushed; i++ {
-				el, err := e.Pop()
-				if err != nil {
-					t.Fatalf("pop %d/%d: %v", i, pushed, err)
-				}
-				if el.Value < prev {
-					t.Fatalf("pop %d: value %d after %d — merge not sorted", i, el.Value, prev)
-				}
-				prev = el.Value
-				ref := refs[shardOf(el.Value)]
-				if min := ref.MinValue(); el.Value != min {
-					t.Fatalf("pop %d: value %d, shard reference min %d", i, el.Value, min)
-				}
-				if !ref.RemoveExact(refpq.Entry{Value: el.Value, Meta: el.Meta}) {
-					t.Fatalf("pop %d: element (%d,%d) not in shard reference", i, el.Value, el.Meta)
-				}
-			}
-			if _, err := e.Pop(); !errors.Is(err, core.ErrEmpty) {
-				t.Fatalf("pop on empty engine = %v, want ErrEmpty", err)
-			}
-		})
+	rng := rand.New(rand.NewSource(7))
+	pushed := 0
+	for i := 0; i < 300; i++ {
+		el := core.Element{Value: uint64(rng.Intn(1 << 16)), Meta: uint64(i)}
+		err := e.Push(el)
+		if err == nil {
+			refs[shardOf(el.Value)].Push(refpq.Entry{Value: el.Value, Meta: el.Meta})
+			pushed++
+			continue
+		}
+		if !errors.Is(err, ErrBackpressure) && !errors.Is(err, core.ErrFull) {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	if e.Len() != pushed {
+		t.Fatalf("Len = %d after %d pushes", e.Len(), pushed)
+	}
+
+	prev := uint64(0)
+	for i := 0; i < pushed; i++ {
+		el, err := e.Pop()
+		if err != nil {
+			t.Fatalf("pop %d/%d: %v", i, pushed, err)
+		}
+		if el.Value < prev {
+			t.Fatalf("pop %d: value %d after %d — merge not sorted", i, el.Value, prev)
+		}
+		prev = el.Value
+		ref := refs[shardOf(el.Value)]
+		if min := ref.MinValue(); el.Value != min {
+			t.Fatalf("pop %d: value %d, shard reference min %d", i, el.Value, min)
+		}
+		if !ref.RemoveExact(refpq.Entry{Value: el.Value, Meta: el.Meta}) {
+			t.Fatalf("pop %d: element (%d,%d) not in shard reference", i, el.Value, el.Meta)
+		}
+	}
+	if _, err := e.Pop(); !errors.Is(err, core.ErrEmpty) {
+		t.Fatalf("pop on empty engine = %v, want ErrEmpty", err)
 	}
 }
 
@@ -104,7 +99,7 @@ func TestRankRoutedPopsGloballySorted(t *testing.T) {
 // and draining after Close yields a nondecreasing sequence per shard
 // with nothing lost or invented.
 func TestHashRoutedShardExactness(t *testing.T) {
-	cfg := smallConfig(KindCore, 3)
+	cfg := smallConfig(3)
 	cfg.Routing = RouteHash
 	e, err := New(cfg)
 	if err != nil {
@@ -159,7 +154,7 @@ func TestHashRoutedShardExactness(t *testing.T) {
 // almost-full) or core.ErrFull (raced to the queue), never blocking
 // and never erroring untyped.
 func TestBackpressureTyped(t *testing.T) {
-	cfg := Config{Shards: 1, Kind: KindPIFO, Cap: 8, RingSize: 4, BatchSize: 2}
+	cfg := Config{Shards: 1, Order: 2, Levels: 2, RingSize: 4, BatchSize: 2} // capacity 6
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -178,10 +173,10 @@ func TestBackpressureTyped(t *testing.T) {
 		}
 	}
 	if refused == 0 {
-		t.Fatal("no push was refused despite 64 pushes into capacity 8")
+		t.Fatal("no push was refused despite 64 pushes into capacity 6")
 	}
-	if e.Len() != 8 {
-		t.Fatalf("Len = %d, want full capacity 8", e.Len())
+	if e.Len() != 6 {
+		t.Fatalf("Len = %d, want full capacity 6", e.Len())
 	}
 	// Draining relieves the backpressure.
 	if _, err := e.Pop(); err != nil {
@@ -195,7 +190,7 @@ func TestBackpressureTyped(t *testing.T) {
 // TestSubmitBatchMixed checks the batched submit path end to end:
 // mixed push/pop batches complete in order with one result per op.
 func TestSubmitBatchMixed(t *testing.T) {
-	e, err := New(smallConfig(KindCore, 2))
+	e, err := New(smallConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +226,7 @@ func TestSubmitBatchMixed(t *testing.T) {
 
 // TestClosedEngine pins ErrClosed after Close.
 func TestClosedEngine(t *testing.T) {
-	e, err := New(smallConfig(KindCore, 2))
+	e, err := New(smallConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,65 +240,75 @@ func TestClosedEngine(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestore round-trips every queue kind through the
-// per-shard checkpoint fan-out: push, close, checkpoint, restore into
+// TestCheckpointRestore round-trips an engine through the per-shard
+// checkpoint fan-out: push, close, checkpoint, restore into
 // a fresh engine, and drain — the restored engine must yield exactly
-// the surviving elements in merged sorted order.
-func TestCheckpointRestore(t *testing.T) {
-	for _, k := range kinds {
-		t.Run(k.String(), func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "ckpt")
-			cfg := smallConfig(k, 3)
-			e, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(23))
-			want := []core.Element{}
-			for i := 0; i < 150; i++ {
-				el := core.Element{Value: uint64(rng.Intn(1 << 16)), Meta: uint64(i)}
-				if err := e.Push(el); err == nil {
-					want = append(want, el)
-				}
-			}
-			// A few pops so the checkpoint is mid-lifecycle, not pristine.
-			for i := 0; i < 20; i++ {
-				el, err := e.Pop()
-				if err != nil {
-					t.Fatalf("pop %d: %v", i, err)
-				}
-				for j, w := range want {
-					if w == el {
-						want = append(want[:j], want[j+1:]...)
-						break
-					}
-				}
-			}
-			e.Close()
-			if err := e.Checkpoint(dir); err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
+// the surviving elements in merged sorted order. It runs under the
+// served tree's kind name.
+func TestCheckpointRestore(t *testing.T) { t.Run(manifestKind, testCheckpointRestore) }
 
-			cfg.RestoreDir = dir
-			r, err := New(cfg)
-			if err != nil {
-				t.Fatalf("restore: %v", err)
+func testCheckpointRestore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	cfg := smallConfig(3)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	want := []core.Element{}
+	for i := 0; i < 150; i++ {
+		el := core.Element{Value: uint64(rng.Intn(1 << 16)), Meta: uint64(i)}
+		if err := e.Push(el); err == nil {
+			want = append(want, el)
+		}
+	}
+	// A few pops so the checkpoint is mid-lifecycle, not pristine.
+	for i := 0; i < 20; i++ {
+		el, err := e.Pop()
+		if err != nil {
+			t.Fatalf("pop %d: %v", i, err)
+		}
+		for j, w := range want {
+			if w == el {
+				want = append(want[:j], want[j+1:]...)
+				break
 			}
-			defer r.Close()
-			if r.Len() != len(want) {
-				t.Fatalf("restored Len = %d, want %d", r.Len(), len(want))
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i].Value < want[j].Value })
-			for i := range want {
-				el, err := r.Pop()
-				if err != nil {
-					t.Fatalf("restored pop %d: %v", i, err)
-				}
-				if el.Value != want[i].Value {
-					t.Fatalf("restored pop %d: value %d, want %d", i, el.Value, want[i].Value)
-				}
-			}
-		})
+		}
+	}
+	e.Close()
+	if err := e.Checkpoint(dir); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+
+	cfg.RestoreDir = dir
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer r.Close()
+	if r.Len() != len(want) {
+		t.Fatalf("restored Len = %d, want %d", r.Len(), len(want))
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Value < want[j].Value })
+	for i := range want {
+		el, err := r.Pop()
+		if err != nil {
+			t.Fatalf("restored pop %d: %v", i, err)
+		}
+		if el.Value != want[i].Value {
+			t.Fatalf("restored pop %d: value %d, want %d", i, el.Value, want[i].Value)
+		}
+	}
+}
+
+// TestNewRefusesOtherKinds: the deprecated Kind field admits only the
+// core tree.
+func TestNewRefusesOtherKinds(t *testing.T) {
+	cfg := smallConfig(1)
+	cfg.Kind = 1
+	if e, err := New(cfg); err == nil {
+		e.Close()
+		t.Fatal("New accepted a non-core queue kind")
 	}
 }
 
@@ -311,7 +316,7 @@ func TestCheckpointRestore(t *testing.T) {
 // fan-out into a differently configured engine is refused.
 func TestRestoreConfigMismatch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	e, err := New(smallConfig(KindCore, 2))
+	e, err := New(smallConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,45 +327,9 @@ func TestRestoreConfigMismatch(t *testing.T) {
 	if err := e.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	bad := smallConfig(KindCore, 4) // shard count differs
+	bad := smallConfig(4) // shard count differs
 	bad.RestoreDir = dir
 	if _, err := New(bad); err == nil {
 		t.Fatal("restore into mismatched shard count succeeded, want error")
-	}
-}
-
-// TestSimAdapterAgainstReference validates the synchronous adapter
-// (including its head-buffer minimum invariant) against refpq over a
-// random push/pop schedule on both hardware simulators.
-func TestSimAdapterAgainstReference(t *testing.T) {
-	for _, k := range []Kind{KindRBMW, KindRPUBMW} {
-		t.Run(k.String(), func(t *testing.T) {
-			a := newShardQueue(Config{Kind: k, Order: 2, Levels: 5}.withDefaults())
-			ref := refpq.New()
-			rng := rand.New(rand.NewSource(3))
-			for i := 0; i < 4000; i++ {
-				if (rng.Intn(2) == 0 && !a.AlmostFull()) || ref.Len() == 0 {
-					el := core.Element{Value: uint64(rng.Intn(1 << 12)), Meta: uint64(i)}
-					if err := a.Push(el); err != nil {
-						t.Fatalf("push %d: %v", i, err)
-					}
-					ref.Push(refpq.Entry{Value: el.Value, Meta: el.Meta})
-				} else {
-					el, err := a.Pop()
-					if err != nil {
-						t.Fatalf("pop %d: %v", i, err)
-					}
-					if min := ref.MinValue(); el.Value != min {
-						t.Fatalf("pop %d: value %d, reference min %d", i, el.Value, min)
-					}
-					if !ref.RemoveExact(refpq.Entry{Value: el.Value, Meta: el.Meta}) {
-						t.Fatalf("pop %d: (%d,%d) not in reference", i, el.Value, el.Meta)
-					}
-				}
-				if a.Len() != ref.Len() {
-					t.Fatalf("step %d: Len %d, reference %d", i, a.Len(), ref.Len())
-				}
-			}
-		})
 	}
 }

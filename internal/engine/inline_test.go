@@ -109,7 +109,7 @@ func TestInlineAndRingDifferential(t *testing.T) {
 			for _, mix := range mixes {
 				name := fmt.Sprintf("submitters=%d/shards=%d/%s", submitters, shards, mix.name)
 				t.Run(name, func(t *testing.T) {
-					cfg := smallConfig(KindCore, shards)
+					cfg := smallConfig(shards)
 					cfg.Routing = RouteHash
 					e, err := New(cfg)
 					if err != nil {
@@ -230,7 +230,7 @@ func TestInlineAndRingDifferential(t *testing.T) {
 // Close must not race an executor (the race detector watches the queue).
 func TestCloseRacingInlineSubmitters(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		cfg := smallConfig(KindCore, 2)
+		cfg := smallConfig(2)
 		cfg.Routing = RouteHash
 		e, err := New(cfg)
 		if err != nil {
@@ -320,7 +320,7 @@ func TestCloseRacingInlineSubmitters(t *testing.T) {
 // with no contention nothing touches the ring, and the span still reads
 // enqueue <= dequeue <= apply.
 func TestSpanStampsInline(t *testing.T) {
-	e, err := New(smallConfig(KindCore, 1))
+	e, err := New(smallConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestSpanStampsInline(t *testing.T) {
 // completion of the whole batch: after the ring half ran, not when the
 // inline half finished.
 func TestSpanStampsSplitBatch(t *testing.T) {
-	e, err := New(smallConfig(KindCore, 2)) // RouteRank: low ranks to shard 0, high to shard 1
+	e, err := New(smallConfig(2)) // RouteRank: low ranks to shard 0, high to shard 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestSubmitIntoZeroAlloc(t *testing.T) {
 // it did apply is exactly what the closed shard holds.
 func TestApplyReplicaRacingClose(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		e, err := New(smallConfig(KindCore, 1))
+		e, err := New(smallConfig(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +534,7 @@ func TestClosedEngineCollectable(t *testing.T) {
 		// collected), so watch something only its hooks reach.
 		reached := new([64]byte)
 		runtime.SetFinalizer(reached, func(*[64]byte) { close(collected) })
-		e, err := New(smallConfig(KindCore, 2))
+		e, err := New(smallConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,20 +555,15 @@ func TestClosedEngineCollectable(t *testing.T) {
 	}
 }
 
-// panicQueue is a shard queue whose Push panics.
-type panicQueue struct{ shardQueue }
-
-func (panicQueue) Push(core.Element) error { panic("queue bug") }
-
 // TestOnPanicOnSubmitter: a queue panic during an inline execution is
 // shown to Hooks.OnPanic and re-panicked on the submitter's own
 // goroutine, with the execution lock released on the way out.
 func TestOnPanicOnSubmitter(t *testing.T) {
-	e, err := New(smallConfig(KindCore, 1))
+	e, err := New(smallConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.shards[0].q = panicQueue{e.shards[0].q}
+	e.shards[0].q = nil // the first push dereferences it
 	var hookShard atomic.Int32
 	var hookValue atomic.Value
 	hookShard.Store(-1)
@@ -581,10 +576,10 @@ func TestOnPanicOnSubmitter(t *testing.T) {
 		defer func() { recovered = recover() }()
 		e.Submit([]Op{PushOp(core.Element{Value: 1, Meta: 1})})
 	}()
-	if recovered != "queue bug" {
+	if _, ok := recovered.(runtime.Error); !ok {
 		t.Fatalf("submitter recovered %v, want the queue's panic value", recovered)
 	}
-	if hookShard.Load() != 0 || hookValue.Load() != "queue bug" {
+	if hookShard.Load() != 0 || hookValue.Load() != recovered {
 		t.Fatalf("OnPanic saw shard %d value %v", hookShard.Load(), hookValue.Load())
 	}
 	e.Close() // takes every execution lock: hangs if the panic leaked one

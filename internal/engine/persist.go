@@ -30,8 +30,9 @@ const EngineManifestName = manifestName
 // root → shard manifest checksums → WAL chain heads + snapshot Merkle
 // roots → every byte on disk.
 type CheckpointManifest struct {
-	Schema   string `json:"schema"`
-	Shards   int    `json:"shards"`
+	Schema string `json:"schema"`
+	Shards int    `json:"shards"`
+	// Kind and Cap are retired; see manifestKind.
 	Kind     string `json:"kind"`
 	Order    int    `json:"order,omitempty"`
 	Levels   int    `json:"levels,omitempty"`
@@ -50,6 +51,19 @@ type CheckpointManifest struct {
 
 const manifestSchema = "bmw-engine-checkpoint/v1"
 
+// The v1 manifest still carries the fields of the engine that could
+// serve four queue kinds, so fan-outs written by it keep their checksum
+// and restore, and it can restore ours: kind is always manifestKind, and
+// cap — which only ever sized the PIFO kind — is always LegacyCap, the
+// value every configuration normalised it to. A manifest naming another
+// kind is refused.
+const (
+	manifestKind = "core"
+	// LegacyCap is also what the replication hello carries in the same
+	// retired slot. Nothing is sized by it.
+	LegacyCap = 4094
+)
+
 // EngineManifestSchema is the schema string exported for tooling that
 // assembles checkpoint fan-outs outside an Engine (the bit-rot
 // harness).
@@ -60,18 +74,16 @@ const EngineManifestSchema = manifestSchema
 type manifestConfig struct {
 	Schema   string
 	Shards   int
-	Kind     string
 	Order    int
 	Levels   int
-	Cap      int
 	Routing  int
 	RankBits int
 }
 
 func (m CheckpointManifest) config() manifestConfig {
 	return manifestConfig{
-		Schema: m.Schema, Shards: m.Shards, Kind: m.Kind,
-		Order: m.Order, Levels: m.Levels, Cap: m.Cap,
+		Schema: m.Schema, Shards: m.Shards,
+		Order: m.Order, Levels: m.Levels,
 		Routing: m.Routing, RankBits: m.RankBits,
 	}
 }
@@ -80,10 +92,10 @@ func (e *Engine) manifest() CheckpointManifest {
 	return CheckpointManifest{
 		Schema:   manifestSchema,
 		Shards:   len(e.shards),
-		Kind:     e.cfg.Kind.String(),
+		Kind:     manifestKind,
 		Order:    e.cfg.Order,
 		Levels:   e.cfg.Levels,
-		Cap:      e.cfg.Cap,
+		Cap:      LegacyCap,
 		Routing:  int(e.cfg.Routing),
 		RankBits: e.cfg.RankBits,
 	}
@@ -130,8 +142,9 @@ func DecodeEngineManifest(path string, b []byte) (*CheckpointManifest, error) {
 		return nil, &persist.ManifestError{Path: path, Field: "shards",
 			Reason: fmt.Sprintf("%d, must be positive", m.Shards)}
 	}
-	if m.Kind == "" {
-		return nil, &persist.ManifestError{Path: path, Field: "kind", Reason: "empty"}
+	if m.Kind != manifestKind {
+		return nil, &persist.ManifestError{Path: path, Field: "kind",
+			Reason: fmt.Sprintf("%q, want %q: only the core tree is served", m.Kind, manifestKind)}
 	}
 	if m.Checksum == "" && len(m.ShardChecksums) == 0 && m.Root == "" {
 		return &m, nil // legacy checkpoint: nothing sealing it
@@ -196,31 +209,6 @@ func ShardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
-// shardDir is the internal alias predating the exported form.
-func shardDir(dir string, i int) string { return ShardDir(dir, i) }
-
-// checkpointTarget resolves the persist.Checkpointable behind a shard's
-// queue, settling simulator adapters into a persistable quiescent state
-// first.
-func (s *shard) checkpointTarget() (persist.Checkpointable, error) {
-	q := s.q
-	if a, ok := q.(*simAdapter); ok {
-		if err := a.flush(); err != nil {
-			return nil, fmt.Errorf("engine: shard %d flush: %w", s.id, err)
-		}
-		cq, ok := a.sim.(persist.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("engine: shard %d simulator is not checkpointable", s.id)
-		}
-		return cq, nil
-	}
-	cq, ok := q.(persist.Checkpointable)
-	if !ok {
-		return nil, fmt.Errorf("engine: shard %d queue kind is not checkpointable", s.id)
-	}
-	return cq, nil
-}
-
 // shardMetricsPrefix is where shard i's persist manager publishes.
 func (h *Hooks) shardMetricsPrefix(i int) string {
 	prefix := h.MetricsPrefix
@@ -266,10 +254,6 @@ func (e *Engine) Checkpoint(dir string) error {
 	}
 	man := e.manifest()
 	for _, s := range e.shards {
-		cq, err := s.checkpointTarget()
-		if err != nil {
-			return err
-		}
 		popts := persist.Options{}
 		if h := e.hooks.Load(); h != nil {
 			popts.Flight = h.Flight
@@ -278,7 +262,7 @@ func (e *Engine) Checkpoint(dir string) error {
 				popts.MetricsPrefix = h.shardMetricsPrefix(s.id)
 			}
 		}
-		m, err := persist.Attach(shardDir(dir, s.id), cq, popts)
+		m, err := persist.Attach(ShardDir(dir, s.id), s.q, popts)
 		if err != nil {
 			return fmt.Errorf("engine: shard %d attach: %w", s.id, err)
 		}
@@ -291,13 +275,6 @@ func (e *Engine) Checkpoint(dir string) error {
 		}
 		if err := m.Close(); err != nil {
 			return fmt.Errorf("engine: shard %d close: %w", s.id, err)
-		}
-		// Restore the adapter's head-buffer invariant so a drain after
-		// checkpointing still sees the full shard.
-		if a, ok := s.q.(*simAdapter); ok {
-			if err := a.refill(); err != nil {
-				return fmt.Errorf("engine: shard %d refill: %w", s.id, err)
-			}
 		}
 	}
 	man.Root = EngineRoot(man.ShardChecksums)
@@ -358,22 +335,12 @@ func (e *Engine) restore(dir string) error {
 		return err
 	}
 	for _, s := range e.shards {
-		sdir := shardDir(dir, s.id)
-		cq, err := s.checkpointTarget()
-		if err != nil {
-			return err
-		}
-		mgr, _, err := persist.Open(sdir, cq, persist.Options{})
+		mgr, _, err := persist.Open(ShardDir(dir, s.id), s.q, persist.Options{})
 		if err != nil {
 			return fmt.Errorf("engine: shard %d restore: %w", s.id, err)
 		}
 		if err := mgr.Close(); err != nil {
 			return fmt.Errorf("engine: shard %d close: %w", s.id, err)
-		}
-		if a, ok := s.q.(*simAdapter); ok {
-			if err := a.refill(); err != nil {
-				return fmt.Errorf("engine: shard %d refill: %w", s.id, err)
-			}
 		}
 	}
 	return nil

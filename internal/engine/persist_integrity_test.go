@@ -15,7 +15,7 @@ import (
 func checkpointSmall(t *testing.T, shards int) (string, Config) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	cfg := smallConfig(KindCore, shards)
+	cfg := smallConfig(shards)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +166,107 @@ func TestEngineManifestTornRefusedTyped(t *testing.T) {
 	e.Close()
 }
 
+// fourKindManifest is ENGINE.json byte for byte as the engine that could
+// serve four queue kinds wrote it for checkpointSmall(t, 2), the retired
+// "kind" and "cap" fields included.
+const fourKindManifest = `{
+  "schema": "bmw-engine-checkpoint/v1",
+  "shards": 2,
+  "kind": "core",
+  "order": 2,
+  "levels": 6,
+  "cap": 4094,
+  "routing": 1,
+  "rank_bits": 16,
+  "shard_checksums": [
+    "ca85729f31daff315d455854059fa495e26eb73279d91cfca9ba24a8195d004d",
+    "771bda98c2bcffdfdeb00ca4deb470bbf5de06595ad81e36a4565833b1b7553e"
+  ],
+  "root": "0e52da0c813a7b46db7b412c4d3abf1cfd86c0df06ea02a7388a99b16a7e8f88",
+  "checksum": "c61ddf03dd9d36390b6116b8380e3bd32f77d8070a5a9aae9f30329878310076"
+}
+`
+
+// TestFourKindCheckpointRestores pins checkpoint compatibility across the
+// removal of the simulator kinds. The same engine checkpoints to the
+// four-kind engine's ENGINE.json bytes exactly; the root in it seals
+// every shard manifest, which seals every snapshot and WAL byte, so the
+// fan-out on disk is the one that engine wrote. Its checksum validates,
+// and it restores and drains exactly.
+func TestFourKindCheckpointRestores(t *testing.T) {
+	dir, cfg := checkpointSmall(t, 2)
+	got, err := os.ReadFile(filepath.Join(dir, EngineManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != fourKindManifest {
+		t.Fatalf("ENGINE.json differs from the four-kind engine's:\n%s", got)
+	}
+	m, err := DecodeEngineManifest("four-kind", []byte(fourKindManifest))
+	if err != nil {
+		t.Fatalf("four-kind manifest: %v", err)
+	}
+	if m.Kind != "core" || m.Cap != 4094 {
+		t.Fatalf("four-kind manifest decoded kind %q cap %d", m.Kind, m.Cap)
+	}
+
+	cfg.RestoreDir = dir
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer r.Close()
+	// checkpointSmall pushed value i*13%97+1 with meta i: 60 distinct
+	// values in 1..97, so the drain order is fixed.
+	metaOf := map[uint64]uint64{}
+	for i := uint64(0); i < 60; i++ {
+		metaOf[i*13%97+1] = i
+	}
+	prev := uint64(0)
+	for n := 0; n < 60; n++ {
+		el, err := r.Pop()
+		if err != nil {
+			t.Fatalf("pop %d: %v", n, err)
+		}
+		if meta, ok := metaOf[el.Value]; !ok || meta != el.Meta || el.Value <= prev {
+			t.Fatalf("pop %d = %+v after %d", n, el, prev)
+		}
+		prev = el.Value
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d element(s) left after the drain", r.Len())
+	}
+}
+
+// TestManifestNamingSimulatorKindRefused: a sealed fan-out whose
+// manifest names a queue kind other than the core tree — written when
+// the engine could serve one — is refused with a typed manifest error
+// on the kind field, before any shard is read.
+func TestManifestNamingSimulatorKindRefused(t *testing.T) {
+	for _, kind := range []string{"pifo", "rbmw", "rpubmw"} {
+		t.Run(kind, func(t *testing.T) {
+			dir, cfg := checkpointSmall(t, 2)
+			m, err := LoadEngineManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Kind = kind
+			if m.Checksum, err = EngineManifestChecksum(*m); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteEngineManifest(dir, *m); err != nil {
+				t.Fatal(err)
+			}
+			cfg.RestoreDir = dir
+			_, err = New(cfg)
+			var me *persist.ManifestError
+			if !errors.As(err, &me) || me.Field != "kind" {
+				t.Fatalf("restore = %v, want *persist.ManifestError on kind", err)
+			}
+		})
+	}
+}
+
 // TestWALPoisonedReadsTheCheckpointGauges ties WALPoisoned to the gauges
 // the shards' checkpoint-time WALs really publish: after a checkpoint
 // the registry holds one poisoned gauge per shard — the WALs found the
@@ -173,7 +274,7 @@ func TestEngineManifestTornRefusedTyped(t *testing.T) {
 // any of them is what WALPoisoned reports.
 func TestWALPoisonedReadsTheCheckpointGauges(t *testing.T) {
 	const shards = 3
-	e, err := New(smallConfig(KindCore, shards))
+	e, err := New(smallConfig(shards))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 // the engine is the layer that must be clean under the race detector.
 func TestConcurrentPushPopContract(t *testing.T) {
 	cfg := Config{
-		Shards: 4, Kind: KindCore,
-		Order: 2, Levels: 8, // 510 per shard
+		Shards: 4,
+		Order:  2, Levels: 8, // 510 per shard
 		RingSize: 512, BatchSize: 32,
 		Routing: RouteHash,
 	}
@@ -118,8 +118,8 @@ func TestConcurrentPushPopContract(t *testing.T) {
 // publication and merge scan also run under the race detector.
 func TestConcurrentRankRouting(t *testing.T) {
 	cfg := Config{
-		Shards: 4, Kind: KindCore,
-		Order: 2, Levels: 8,
+		Shards: 4,
+		Order:  2, Levels: 8,
 		RingSize: 512, BatchSize: 32,
 		Routing: RouteRank, RankBits: 16,
 	}

@@ -290,8 +290,7 @@ func Start(cfg Config) (*Node, error) {
 	}
 	n.spawn(func() { n.serveErr <- n.srv.Serve(cfg.Listener) })
 	n.logger.Info("serving", "role", n.repl.Role(), "primary", cfg.Follow,
-		"shards", eng.Shards(), "queue", cfg.Engine.Kind.String(),
-		"addr", n.Addr(), "trace_sample", cfg.TraceSample)
+		"shards", eng.Shards(), "addr", n.Addr(), "trace_sample", cfg.TraceSample)
 	return n, nil
 }
 

@@ -22,7 +22,7 @@ import (
 
 // geom is a small rank-routed engine: sequential single-op pops come
 // back in exact global order, so a drain can be checked against refpq.
-var geom = engine.Config{Shards: 2, Kind: engine.KindCore, Order: 2, Levels: 8,
+var geom = engine.Config{Shards: 2, Order: 2, Levels: 8,
 	Routing: engine.RouteRank, RankBits: 16}
 
 func listen(t *testing.T) net.Listener {

@@ -154,18 +154,23 @@ type QuantileSnapshot struct {
 
 // Snapshot captures the histogram. A nil or empty histogram yields a
 // zero snapshot (all quantiles 0 — never NaN).
+//
+// Count is the sum of the buckets read in the same pass, not the count
+// word: under concurrent writers the two disagree by whatever landed
+// mid-walk. Every bucket only grows, so a Sub window of two snapshots is
+// then exactly its buckets' sum.
 func (q *QuantileHistogram) Snapshot() QuantileSnapshot {
 	var s QuantileSnapshot
 	if q == nil {
 		return s
 	}
-	s.Count = q.count.Load()
 	s.Sum = q.sum.Load()
 	for i := range q.buckets {
 		if n := q.buckets[i].Load(); n != 0 {
 			s.Buckets = append(s.Buckets, QuantileBucket{
 				Index: i, Low: qhBucketLow(i), High: qhBucketHigh(i), Count: n,
 			})
+			s.Count += n
 		}
 	}
 	if s.Count == 0 {

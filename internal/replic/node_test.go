@@ -1,6 +1,7 @@
 package replic
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -354,6 +355,42 @@ func TestManifestMismatchRefused(t *testing.T) {
 	}
 	if f.Type != wire.TError {
 		t.Fatalf("mismatched manifest got frame type %d, want TError", f.Type)
+	}
+}
+
+// TestFourKindFollowerHello is what a follower built when the engine could
+// serve four queue kinds sees attaching to a primary today: its hello for
+// a core engine of the same geometry is granted a stream, and its hello
+// for an rbmw engine — the same bytes but the kind byte — is refused on
+// the manifest-mismatch path, not streamed into a tree.
+func TestFourKindFollowerHello(t *testing.T) {
+	prim := startNode(t, testGeom, Config{})
+	defer prim.stop(2 * time.Second)
+
+	const fresh = "0000000000000000"
+	for _, tc := range []struct {
+		kind byte
+		want wire.Type
+	}{{0, wire.TReplOK}, {2, wire.TError}} {
+		conn, err := net.Dial("tcp", prim.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, wire.TReplHello, 1, fourKindHello(tc.kind, fresh, fresh)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		f, err := wire.ReadFrame(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != tc.want {
+			t.Fatalf("kind %d hello got frame type %d (%q), want %d", tc.kind, f.Type, f.Payload, tc.want)
+		}
+		if f.Type == wire.TError && !bytes.Contains(f.Payload, []byte("manifest mismatch")) {
+			t.Fatalf("kind %d refused for %q, want a manifest mismatch", tc.kind, f.Payload[1:])
+		}
 	}
 }
 

@@ -68,15 +68,17 @@ type Record struct {
 
 // Manifest is the engine geometry a follower must match before a
 // stream is granted: replaying a history against a different shard
-// count, queue kind, or capacity diverges silently, so mismatches are
-// refused at the handshake.
+// count or tree shape diverges silently, so mismatches are refused at
+// the handshake.
 type Manifest struct {
-	Shards   uint32
+	Shards uint32
+	// Kind is the retired queue-kind byte: 0, the core tree, on every
+	// engine that serves. A peer still naming a simulator kind differs
+	// here and is refused like any other mismatch.
 	Kind     uint8
 	Routing  uint8
 	Order    uint32
 	Levels   uint32
-	Cap      uint64
 	RankBits uint32
 }
 
@@ -86,11 +88,9 @@ func ManifestOf(cfg engine.Config) Manifest {
 	cfg = cfg.Normalized()
 	return Manifest{
 		Shards:   uint32(cfg.Shards),
-		Kind:     uint8(cfg.Kind),
 		Routing:  uint8(cfg.Routing),
 		Order:    uint32(cfg.Order),
 		Levels:   uint32(cfg.Levels),
-		Cap:      uint64(cfg.Cap),
 		RankBits: uint32(cfg.RankBits),
 	}
 }
@@ -112,13 +112,15 @@ const (
 // AppendReplHello encodes a TReplHello payload: the follower's
 // manifest, the stream sequence after which it wants records, and the
 // identity of the log that sequence was minted against (0 when the
-// follower has no history yet).
+// follower has no history yet). Bytes 14:22 are the retired PIFO
+// capacity: written as engine.LegacyCap, so a primary that still
+// compares them accepts us, and ignored on parse.
 func AppendReplHello(dst []byte, m Manifest, resume, logID uint64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, m.Shards)
 	dst = append(dst, m.Kind, m.Routing)
 	dst = binary.LittleEndian.AppendUint32(dst, m.Order)
 	dst = binary.LittleEndian.AppendUint32(dst, m.Levels)
-	dst = binary.LittleEndian.AppendUint64(dst, m.Cap)
+	dst = binary.LittleEndian.AppendUint64(dst, engine.LegacyCap)
 	dst = binary.LittleEndian.AppendUint32(dst, m.RankBits)
 	dst = binary.LittleEndian.AppendUint64(dst, resume)
 	return binary.LittleEndian.AppendUint64(dst, logID)
@@ -135,7 +137,6 @@ func ParseReplHello(p []byte) (Manifest, uint64, uint64, error) {
 		Routing:  p[5],
 		Order:    binary.LittleEndian.Uint32(p[6:10]),
 		Levels:   binary.LittleEndian.Uint32(p[10:14]),
-		Cap:      binary.LittleEndian.Uint64(p[14:22]),
 		RankBits: binary.LittleEndian.Uint32(p[22:26]),
 	}
 	return m, binary.LittleEndian.Uint64(p[26:34]), binary.LittleEndian.Uint64(p[34:42]), nil

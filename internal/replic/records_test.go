@@ -1,6 +1,8 @@
 package replic
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"slices"
@@ -13,7 +15,7 @@ import (
 )
 
 func TestReplHelloRoundTrip(t *testing.T) {
-	m := Manifest{Shards: 4, Kind: 2, Routing: 1, Order: 4, Levels: 6, Cap: 1 << 12, RankBits: 30}
+	m := Manifest{Shards: 4, Kind: 2, Routing: 1, Order: 4, Levels: 6, RankBits: 30}
 	p := AppendReplHello(nil, m, 77, 0xABCDEF)
 	got, resume, logID, err := ParseReplHello(p)
 	if err != nil {
@@ -24,6 +26,37 @@ func TestReplHelloRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := ParseReplHello(p[:len(p)-1]); !errors.Is(err, wire.ErrBadFrame) {
 		t.Fatalf("short hello: %v", err)
+	}
+}
+
+// fourKindHello is a TReplHello as engines that could serve four queue
+// kinds wrote it for testGeom: shards, kind byte (core), routing,
+// order, levels, the PIFO capacity every config normalised to 4094,
+// rank bits, then resume and log id, each little-endian.
+func fourKindHello(kind byte, resume, logID string) []byte {
+	b, err := hex.DecodeString("02000000" + hex.EncodeToString([]byte{kind}) + "01" + "02000000" + "0a000000" +
+		"fe0f000000000000" + "10000000" + resume + logID)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestReplHelloLayoutUnchanged pins the 42-byte hello: an engine today
+// writes exactly the bytes the four-kind engines wrote for the same
+// core geometry, and reads theirs back as its own manifest.
+func TestReplHelloLayoutUnchanged(t *testing.T) {
+	want := fourKindHello(0, "0500000000000000", "8877665544332211")
+	got := AppendReplHello(nil, ManifestOf(testGeom), 5, 0x1122334455667788)
+	if !bytes.Equal(got, want) || len(got) != 42 {
+		t.Fatalf("hello = %x (%d bytes), want %x", got, len(got), want)
+	}
+	m, resume, logID, err := ParseReplHello(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != ManifestOf(testGeom) || resume != 5 || logID != 0x1122334455667788 {
+		t.Fatalf("parsed %+v resume %d log %x", m, resume, logID)
 	}
 }
 

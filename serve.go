@@ -4,8 +4,8 @@
 //
 // The bare queues (NewBMWTree, NewPIFO, NewRBMWSim, NewRPUBMWSim) are
 // intentionally single-goroutine; Engine is the concurrency story: each
-// queue is only ever touched by the holder of its shard's execution
-// lock. A submitter that finds the lock free executes its batch on its
+// shard owns one BMW tree (NewBMWTree's type), only ever touched by the
+// holder of the shard's execution lock. A submitter that finds the lock free executes its batch on its
 // own stack; one that finds it held hands the batch to the shard's MPSC
 // ring, which a drain goroutine executes under the same lock — the
 // selector is the lock state, not an option. WireServer/WireClient carry Engine
@@ -20,32 +20,22 @@ import (
 	"repro/internal/wire"
 )
 
-// Engine is the sharded concurrent scheduler: N shards, each one queue
-// behind an execution lock — submitters execute on their own stack when
+// Engine is the sharded concurrent scheduler: N shards, each one BMW
+// tree behind an execution lock — submitters execute on their own stack when
 // the lock is free and go through a bounded MPSC request ring, drained
 // in batches, when it is not. Push routing is by Meta hash or rank
 // range; Pop is a strict merge across the shard minima.
 type Engine = engine.Engine
 
-// EngineConfig sizes an Engine: shard count, per-shard queue kind and
-// geometry, ring and batch sizes, routing policy, and an optional
-// restore directory.
+// EngineConfig sizes an Engine: shard count, per-shard tree order and
+// levels, ring and batch sizes, routing policy, and an optional restore
+// directory.
 type EngineConfig = engine.Config
 
 // EngineOp and EngineResult are one batched request and its outcome.
 type (
 	EngineOp     = engine.Op
 	EngineResult = engine.Result
-)
-
-// Queue kinds selectable per shard.
-type EngineKind = engine.Kind
-
-const (
-	EngineCore   = engine.KindCore
-	EnginePIFO   = engine.KindPIFO
-	EngineRBMW   = engine.KindRBMW
-	EngineRPUBMW = engine.KindRPUBMW
 )
 
 // Routing policies for pushes.
