@@ -285,15 +285,14 @@ func (h *harness) captures() uint64 {
 }
 
 // overloadEpisode induces one deterministic overload trip on the live
-// primary: tighten the watermarks so the next drain trips (1ns drain
-// budget), drive verified traffic until the trip's incident bundle
-// lands, then restore benign admission control and prove the shed
-// clears. Ack-checked ops flow throughout — StatusOverloaded is an
+// primary: a 1ns latency bound makes every execution slow, so the
+// second one trips; drive verified traffic until the trip's incident
+// bundle lands, then restore benign admission control and prove the
+// shed clears. Ack-checked ops flow throughout — StatusOverloaded is an
 // acked not-applied outcome, so the golden lockstep holds.
 func (h *harness) overloadEpisode(ep int) error {
 	before := h.captures()
 	h.prim.Engine().SetOverload(engine.Overload{
-		HighFrac:         0.99,
 		DrainLatencyHigh: time.Nanosecond,
 		Cooloff:          50 * time.Millisecond,
 	})

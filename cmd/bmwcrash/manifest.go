@@ -25,7 +25,6 @@ func manifestTrials(root string, kills int, seed int64) (int, error) {
 	dir := filepath.Join(root, "ckpt")
 	cfg := engine.Config{
 		Shards: 2, Order: 2, Levels: 6,
-		RingSize: 256, BatchSize: 16,
 		Routing: engine.RouteRank, RankBits: 16,
 	}
 	e, err := engine.New(cfg)

@@ -62,8 +62,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&e.Shards, "shards", 4, "number of engine shards (each owns one BMW tree)")
 	fs.IntVar(&e.Order, "m", 2, "tree order m")
 	fs.IntVar(&e.Levels, "l", 11, "tree levels")
-	fs.IntVar(&e.RingSize, "ring", 1024, "per-shard request ring size")
-	fs.IntVar(&e.BatchSize, "batch", 64, "per-shard max drain batch")
 	fs.StringVar(&o.route, "route", "hash", "push routing: hash (by Meta) or rank (by Value range)")
 	fs.IntVar(&e.RankBits, "rankbits", 30, "rank width in bits for -route rank partitioning")
 	fs.StringVar(&o.HTTPAddr, "http", "", "observability HTTP address (/metrics, /healthz, /readyz, /slo.json, /flight.json, /trace.json, pprof); empty = off")
@@ -82,8 +80,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.Follow, "follow", "", "start as a hot standby streaming from this primary address")
 	fs.BoolVar(&o.ReplSync, "repl-sync", false, "primary: hold dedup-enrolled responses until the follower acks (zero acked-op loss)")
 
-	fs.Float64Var(&e.Overload.HighFrac, "overload-high", 0.85, "ring-occupancy fraction that trips shard overload shedding (0 = off)")
-	fs.DurationVar(&e.Overload.DrainLatencyHigh, "overload-drain-latency", 20*time.Millisecond, "drain-batch latency that trips shard overload (0 = occupancy only)")
+	fs.DurationVar(&e.Overload.DrainLatencyHigh, "overload-drain-latency", 20*time.Millisecond, "execution run time that, twice in a row, trips shard overload shedding (0 = off)")
 
 	fs.StringVar(&o.IncidentDir, "incident-dir", "", "write incident bundles here on panic/SIGQUIT/overload/repl-degrade/SLO-page (empty = off)")
 	fs.StringVar(&o.SLO, "slo", "", "comma-separated SLOs, e.g. p99<10ms,availability>0.999,lag<5000 (empty = off)")

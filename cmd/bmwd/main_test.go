@@ -71,8 +71,7 @@ func parse(t *testing.T, args ...string) *options {
 
 func TestConfigFromFlags(t *testing.T) {
 	o := parse(t, "-shards", "2", "-m", "4", "-l", "6",
-		"-route", "rank", "-rankbits", "16", "-ring", "64", "-batch", "4",
-		"-overload-high", "0.2", "-overload-drain-latency", "1us",
+		"-route", "rank", "-rankbits", "16", "-overload-drain-latency", "1us",
 		"-persist", "/p", "-scrub-interval", "1s", "-scrub-rate", "0", "-repair-from", "peer:1",
 		"-follow", "prim:1", "-repl-sync", "-gossip-every", "250ms", "-cluster-node", "3",
 		"-http", ":1", "-trace-sample", "64", "-incident-dir", "/i", "-slo", "p99<1ns")
@@ -81,8 +80,8 @@ func TestConfigFromFlags(t *testing.T) {
 	}
 	cfg := o.Config
 	want := engine.Config{Shards: 2, Order: 4, Levels: 6,
-		Routing: engine.RouteRank, RankBits: 16, RingSize: 64, BatchSize: 4,
-		Overload: engine.Overload{HighFrac: 0.2, DrainLatencyHigh: time.Microsecond}}
+		Routing: engine.RouteRank, RankBits: 16,
+		Overload: engine.Overload{DrainLatencyHigh: time.Microsecond}}
 	if cfg.Engine != want {
 		t.Errorf("engine config %+v, want %+v", cfg.Engine, want)
 	}

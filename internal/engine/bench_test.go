@@ -7,12 +7,11 @@ import (
 )
 
 // BenchmarkSubmitInto times one 64-op SubmitInto (32 pushes + 32 pops)
-// on a half-filled engine. One submitter never contends, so every group
-// executes inline; four submitters share the execution locks, so the
-// ring path carries a share. allocs/op is the steady-state allocation
-// count per batch: 0.
+// on a half-filled engine. One submitter never contends; four and eight
+// share the execution locks, so a share of their groups wait on a held
+// lock. allocs/op is the steady-state allocation count per batch: 0.
 func BenchmarkSubmitInto(b *testing.B) {
-	for _, submitters := range []int{1, 4} {
+	for _, submitters := range []int{1, 4, 8} {
 		for _, shards := range []int{1, 2} {
 			b.Run(fmt.Sprintf("submitters=%d/shards=%d", submitters, shards), func(b *testing.B) {
 				e, ops, _ := zeroAllocEngine(b, shards)

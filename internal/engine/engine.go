@@ -1,8 +1,7 @@
 // Package engine is the sharded, concurrent serving layer over the
 // software BMW-Tree: N shards, each owning one *core.Tree behind an
-// execution lock, with a bounded MPSC request ring and a drain goroutine
-// for the contended case. The cycle-accurate R-BMW and RPU-BMW models
-// are not served: their lockstep tests against core already prove them
+// execution lock. The cycle-accurate R-BMW and RPU-BMW models are not
+// served: their lockstep tests against core already prove them
 // equivalent to it.
 //
 // The tree is intentionally single-goroutine — it models hardware with
@@ -11,17 +10,11 @@
 // ever touched by the holder of its shard's execution lock.
 //
 // Execution is caller-runs. A submit routes and gates its operations
-// against the published shard state, then TryLocks each target shard:
-// when it gets the lock it executes its own group on its own stack — no
-// wake-up, no hand-off, no allocation — and only when the lock is held
-// (another submitter or the drain goroutine is inside) does the group go
-// to the shard's ring, which the drain goroutine executes under the same
-// lock, a batch at a time. The selector is the lock state observed at
-// that instant; there is no option. The ring cannot starve behind inline
-// executors: sync.Mutex refuses TryLock once a waiter has been blocked
-// for 1 ms (starvation mode), so the drain goroutine goes next.
-// ApplyReplica never queues: it must not refuse and has nothing to gain
-// from a hand-off, so it blocks on the lock and executes in place.
+// against the published shard state, then takes each target shard's
+// execution lock in turn and executes that shard's group on its own
+// stack — no wake-up, no hand-off, no allocation. A submitter that finds
+// the lock held waits for it; the mutex is the only queue in front of a
+// shard. ApplyReplica takes the same lock the same way.
 //
 // Ordering semantics: each shard is an exact PIFO — every pop returns a
 // true minimum of the elements currently on that shard. Across shards
@@ -34,10 +27,10 @@
 // order is approximate while producers are concurrent. See DESIGN.md
 // section 6.
 //
-// Backpressure is typed, never blocking: a push submitted to a shard
-// whose queue reported almost-full, or whose ring is full, fails with
-// ErrBackpressure and the caller decides whether to retry, shed, or
-// slow down.
+// Backpressure is typed: a push routed to a shard whose queue published
+// almost-full fails with ErrBackpressure and the caller decides whether
+// to retry, shed, or slow down. A submit waits for executions already
+// holding a lock, never for queue space.
 package engine
 
 import (
@@ -57,14 +50,14 @@ import (
 // internal/core.
 var (
 	// ErrBackpressure reports that a push was refused before reaching
-	// the queue: the shard's ring was full or its queue almost-full.
-	// Transient — back off briefly and retry.
+	// the queue: the shard's queue published almost-full. Transient —
+	// back off briefly and retry.
 	ErrBackpressure = errors.New("engine: shard backpressured")
 	// ErrOverloaded reports that a push was shed by admission control:
-	// the shard has been running above its overload watermarks (ring
-	// occupancy or drain latency, see Overload) and is protecting
-	// itself. Distinct from ErrBackpressure so callers can back off
-	// harder — the shard is saturated, not momentarily full.
+	// the shard's executions have been running over their latency bound
+	// (see Overload) and it is protecting itself. Distinct from
+	// ErrBackpressure so callers can back off harder — the shard is
+	// saturated, not momentarily full.
 	ErrOverloaded = errors.New("engine: shard overloaded")
 	// ErrClosed reports a submit against a closed engine.
 	ErrClosed = errors.New("engine: closed")
@@ -159,11 +152,11 @@ type Config struct {
 	Kind Kind
 	// Order and Levels shape each shard's tree (defaults 2 and 11).
 	Order, Levels int
-	// RingSize bounds each shard's request ring (default 1024).
-	RingSize int
-	// BatchSize caps how many requests a shard drains and executes per
-	// ring acquisition (default 64).
-	BatchSize int
+	// RingSize and BatchSize are ignored.
+	//
+	// Deprecated: a contended submit waits on the shard's execution
+	// lock; there is no request ring to size.
+	RingSize, BatchSize int
 	// Routing selects the push-routing policy (default RouteHash).
 	Routing Routing
 	// RankBits is the width of the rank space RouteRank partitions
@@ -174,39 +167,45 @@ type Config struct {
 	// per-shard checkpoint fan-out a previous Checkpoint wrote there.
 	// A missing or empty directory is a fresh start, not an error.
 	RestoreDir string
-	// Overload sets the admission-control watermarks; the zero value
-	// disables overload shedding.
+	// Overload sets admission control; the zero value disables
+	// overload shedding.
 	Overload Overload
 }
 
 // Overload parameterises per-shard admission control. A shard trips
-// into overload when its ring occupancy at drain reaches HighFrac of
-// the ring size, or a drained batch takes DrainLatencyHigh or longer to
-// execute; while tripped, pushes routed to it are shed with
-// ErrOverloaded. It clears once occupancy falls back to LowFrac with
-// drain latency below the high mark — hysteresis, so the signal does
-// not flap at the boundary — or once Cooloff passes with no drain at
-// all: shed pushes never reach the ring, so under push-only traffic an
-// emptied ring would otherwise never drain again and the latch would
-// hold forever.
+// into overload at the second consecutive execution that runs for
+// DrainLatencyHigh or longer, and clears at the first that runs faster;
+// while tripped, pushes routed to it are shed with ErrOverloaded. An
+// execution's run time starts once its executor holds the shard's lock:
+// time spent waiting for the lock does not count, or one stall inside a
+// holder would make the holder and every waiter slow in a row. Shed
+// pushes never reach the shard, so under push-only traffic a tripped
+// shard would never execute again; the latch therefore also clears once
+// Cooloff passes with no execution.
 type Overload struct {
-	// HighFrac is the ring-occupancy fraction (0,1] that trips
-	// overload. Zero disables overload control entirely.
+	// HighFrac is ignored.
+	//
+	// Deprecated: overload is judged on execution run time alone.
 	HighFrac float64
-	// LowFrac is the occupancy fraction at or below which overload
-	// clears (default HighFrac/2).
-	LowFrac float64
-	// DrainLatencyHigh, when nonzero, also trips overload when one
-	// drained batch takes this long or longer to execute.
+	// DrainLatencyHigh is the run time at which an execution counts as
+	// slow. Zero disables overload control.
 	DrainLatencyHigh time.Duration
-	// Cooloff bounds how long a tripped shard sheds without any drain
-	// re-evaluating the signal; past it the next push is admitted and
-	// the watermarks judge afresh (default 250ms).
+	// Cooloff bounds how long a tripped shard sheds without any
+	// execution re-evaluating the signal; past it the next push is
+	// admitted and the next execution judges afresh (default 250ms).
 	Cooloff time.Duration
 }
 
 // enabled reports whether overload control is on.
-func (o Overload) enabled() bool { return o.HighFrac > 0 }
+func (o Overload) enabled() bool { return o.DrainLatencyHigh > 0 }
+
+// withDefaults fills the zero values of an enabled config.
+func (o Overload) withDefaults() Overload {
+	if o.enabled() && o.Cooloff <= 0 {
+		o.Cooloff = 250 * time.Millisecond
+	}
+	return o
+}
 
 // Normalized returns the config with all defaults applied — the form
 // New actually runs, and the form replication manifests compare.
@@ -223,21 +222,10 @@ func (c Config) withDefaults() Config {
 	if c.Levels <= 0 {
 		c.Levels = 11
 	}
-	if c.RingSize <= 0 {
-		c.RingSize = 1024
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
 	if c.RankBits <= 0 || c.RankBits > 63 {
 		c.RankBits = 16
 	}
-	if c.Overload.HighFrac > 0 && c.Overload.LowFrac <= 0 {
-		c.Overload.LowFrac = c.Overload.HighFrac / 2
-	}
-	if c.Overload.HighFrac > 0 && c.Overload.Cooloff <= 0 {
-		c.Overload.Cooloff = 250 * time.Millisecond
-	}
+	c.Overload = c.Overload.withDefaults()
 	return c
 }
 
@@ -250,14 +238,13 @@ const emptyHead = math.MaxUint64
 // Hooks are the engine's incident-wiring points, set once via
 // SetHooks before traffic: the flight recorder receives overload and
 // backpressure edges, OnOverloadTrip fires when a shard trips into
-// overload — from whichever goroutine held the shard's execution lock,
-// which may be a submitter's, so keep it non-blocking (internal/node
-// enqueues to its capture goroutine) — and OnPanic observes a queue's
-// panic value, on the drain goroutine or a submitter's, before the
-// engine re-panics.
+// overload — on the goroutine that held the shard's execution lock, a
+// submitter's, so keep it non-blocking (internal/node enqueues to its
+// capture goroutine) — and OnPanic observes a queue's panic value, on
+// the executing goroutine, before the engine re-panics.
 type Hooks struct {
 	Flight         *obs.FlightRecorder
-	OnOverloadTrip func(shard, occ int)
+	OnOverloadTrip func(shard int)
 	OnPanic        func(shard int, r any)
 	// Metrics, when non-nil, is handed to the per-shard persist
 	// managers Checkpoint attaches (prefixed <MetricsPrefix>_shard<i>),
@@ -269,22 +256,19 @@ type Hooks struct {
 	walPoisoned []*obs.Gauge // per shard, what WALPoisoned reads
 }
 
-// shard is one engine lane: a tree, the execution lock that owns it,
-// and the ring plus drain goroutine that serve the contended case.
+// shard is one engine lane: a tree and the execution lock that owns it.
 type shard struct {
 	id int
 	// exec is the execution lock. Its holder owns q, lsn, slowRuns and
 	// closed; execute and publish require it.
 	exec sync.Mutex
 	q    *core.Tree
-	// closed is set by Close once the drain goroutine has exited; an
-	// inline executor that sees it backs out to the (closed) ring.
-	closed  bool
-	ring    *ring
-	ringCap int
+	// closed is set by Close under the lock; an executor that sees it
+	// answers ErrClosed instead of executing.
+	closed bool
 	// ov is the admission-control config, swappable at runtime
 	// (SetOverload) so operators and the chaos harness can tighten or
-	// relax the watermarks on a live engine.
+	// relax the latency bound on a live engine.
 	ov    atomic.Pointer[Overload]
 	hooks *atomic.Pointer[Hooks]
 
@@ -301,7 +285,7 @@ type shard struct {
 	// routers: queue length, smallest rank (emptyHead when
 	// empty) with its metadata, the almost-full backpressure signal,
 	// and the overload admission gate. headV/headM are separate words,
-	// so a reader racing a drain can see a (value, meta) pair from two
+	// so a reader racing an execution can see a (value, meta) pair from two
 	// different heads; PeekMin documents that tear — merge routing keys
 	// on Value alone.
 	length     atomic.Int64
@@ -316,37 +300,11 @@ type shard struct {
 	overUntil atomic.Int64
 
 	// Metrics (nil-safe when the engine is uninstrumented).
-	pushes, pops     *obs.Counter
-	fulls, empties   *obs.Counter
-	backpressured    *obs.Counter
-	shed             *obs.Counter
-	ringOcc, drained *obs.Histogram
-
-	scratch []entry
-}
-
-// batch is one submit call's state: the per-shard entry slabs routing
-// fills, and the completion state — results land in place, pending
-// counts the accepted entries not yet finished, and whoever takes it to
-// zero completes the batch. sp, when non-nil, is the request-lifecycle
-// span (StageDequeue at the first execution, StageApply at completion).
-//
-// Batches are recycled through the engine's free list, so who may touch
-// one is spelled out. The submitter owns it except while entries of it
-// sit in a ring. A drain goroutine touches a batch only through such an
-// entry, and drops the entry before decrementing pending; if its
-// decrement reaches zero the submitter is by construction parked on
-// done, so the goroutine may still stamp sp and must then send on done
-// exactly once — its last access. A decrement that does not reach zero
-// is the last access outright. The submitter recycles only after it has
-// itself taken pending to zero (nobody sends) or received from done, so
-// done — capacity 1, never closed — is empty again at every reuse.
-type batch struct {
-	results []Result
-	slabs   [][]entry
-	pending atomic.Int32
-	done    chan struct{}
-	sp      *obs.Span
+	pushes, pops   *obs.Counter
+	fulls, empties *obs.Counter
+	backpressured  *obs.Counter
+	shed           *obs.Counter
+	drained        *obs.Histogram
 }
 
 // Engine is the sharded scheduling service.
@@ -357,42 +315,6 @@ type Engine struct {
 	// closed is set at the start of Close; submits that observe it fail
 	// with ErrClosed without touching a shard.
 	closed atomic.Bool
-	wg     sync.WaitGroup
-
-	// free recycles batches so a steady-state submit allocates nothing.
-	// A plain per-engine list rather than a sync.Pool field: a Pool
-	// stays on the runtime's global pool list for two GC cycles and
-	// would keep a closed engine — and everything its hooks reach —
-	// alive that long. It grows to the high-water mark of concurrent
-	// submitters.
-	freeMu sync.Mutex
-	free   []*batch
-}
-
-// getBatch takes a recycled batch, or builds one.
-func (e *Engine) getBatch(results []Result, sp *obs.Span) *batch {
-	var b *batch
-	e.freeMu.Lock()
-	if n := len(e.free); n > 0 {
-		b, e.free = e.free[n-1], e.free[:n-1]
-	}
-	e.freeMu.Unlock()
-	if b == nil {
-		b = &batch{slabs: make([][]entry, len(e.shards)), done: make(chan struct{}, 1)}
-	}
-	b.results, b.sp = results, sp
-	return b
-}
-
-// putBatch recycles b; see batch for why no one else can still hold it.
-func (e *Engine) putBatch(b *batch) {
-	b.results, b.sp = nil, nil
-	for i := range b.slabs {
-		b.slabs[i] = b.slabs[i][:0]
-	}
-	e.freeMu.Lock()
-	e.free = append(e.free, b)
-	e.freeMu.Unlock()
 }
 
 // SetHooks installs the incident-wiring points. Call once, before the
@@ -407,24 +329,19 @@ func (e *Engine) SetHooks(h Hooks) {
 	e.hooks.Store(&h)
 }
 
-// SetOverload replaces the admission-control watermarks on every shard
+// SetOverload replaces the admission-control config on every shard
 // of a live engine (defaults applied as in Config). The zero value
-// disables shedding; a currently tripped latch clears at the next
-// drain or push-path cooloff under the new config.
+// disables shedding; a latch already tripped still holds until its
+// cooloff expires.
 func (e *Engine) SetOverload(o Overload) {
-	if o.HighFrac > 0 && o.LowFrac <= 0 {
-		o.LowFrac = o.HighFrac / 2
-	}
-	if o.HighFrac > 0 && o.Cooloff <= 0 {
-		o.Cooloff = 250 * time.Millisecond
-	}
+	o = o.withDefaults()
 	for _, s := range e.shards {
 		s.ov.Store(&o)
 	}
 }
 
-// New builds the engine, restoring shards from cfg.RestoreDir when set,
-// and starts one drain goroutine per shard.
+// New builds the engine, restoring shards from cfg.RestoreDir when set.
+// It starts no goroutine: every execution runs on its submitter's.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Kind != 0 {
@@ -435,14 +352,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
-		s := &shard{
-			id:      i,
-			q:       core.New(cfg.Order, cfg.Levels),
-			ring:    newRing(cfg.RingSize),
-			ringCap: cfg.RingSize,
-			hooks:   &e.hooks,
-			scratch: make([]entry, cfg.BatchSize),
-		}
+		s := &shard{id: i, q: core.New(cfg.Order, cfg.Levels), hooks: &e.hooks}
 		ov := cfg.Overload
 		s.ov.Store(&ov)
 		e.shards = append(e.shards, s)
@@ -454,11 +364,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for _, s := range e.shards {
 		s.publish()
-		e.wg.Add(1)
-		go func(s *shard) {
-			defer e.wg.Done()
-			s.run()
-		}(s)
 	}
 	return e, nil
 }
@@ -570,7 +475,7 @@ func (e *Engine) routePopBounded(bound uint64) (int, uint64) {
 // globally minimal head, mirroring routePop's merge across shards one
 // level up. The read is advisory, exactly like routePop's snapshot:
 // concurrent mutators can change the head before the caller acts, and
-// the returned Meta may be torn relative to Value when a drain races
+// the returned Meta may be torn relative to Value when an execution races
 // the read (the merge keys on Value alone).
 func (e *Engine) PeekMin() (core.Element, bool) {
 	best := core.Element{Value: emptyHead}
@@ -587,13 +492,12 @@ func (e *Engine) PeekMin() (core.Element, bool) {
 	return best, ok
 }
 
-// Submit routes each operation to its shard, executes each per-shard
-// group — on this goroutine when the shard's execution lock is free,
-// through the shard's ring otherwise — and waits for all accepted
-// operations to complete. Refused operations (backpressure, closed
-// engine, pop on an engine publishing empty) fail in place without
-// blocking the rest of the batch. The returned slice has one Result
-// per op, in order.
+// Submit routes each operation to its shard and executes each per-shard
+// group on this goroutine under that shard's execution lock, waiting for
+// the lock while another submitter holds it. Refused operations
+// (backpressure, overload, closed engine, pop on an engine publishing
+// empty) fail in place without holding up the rest of the batch. The
+// returned slice has one Result per op, in order.
 func (e *Engine) Submit(ops []Op) []Result {
 	results := make([]Result, len(ops))
 	e.SubmitInto(ops, results)
@@ -608,11 +512,11 @@ func (e *Engine) SubmitInto(ops []Op, results []Result) {
 }
 
 // SubmitTraced is SubmitInto carrying a request-lifecycle span: the
-// engine stamps StageEnqueue immediately before the first group is
-// executed or enqueued (so it always precedes StageDequeue), StageDequeue
-// when one of the request's operations starts executing, and StageApply
-// when the last accepted operation has executed. A nil span costs one
-// branch per stamp site — the untraced path.
+// engine stamps StageEnqueue immediately before it asks for the first
+// execution lock, StageDequeue when the first group starts executing —
+// so enqueue → dequeue is the wait for that lock — and StageApply when
+// the last group has executed. A nil span costs one branch per stamp
+// site — the untraced path.
 func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 	if len(results) != len(ops) {
 		panic("engine: SubmitInto result slice length mismatch")
@@ -623,8 +527,9 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 		}
 		return
 	}
-	b := e.getBatch(results, sp)
-	accepted := 0
+	// Route every op first, each slot refused or marked routed (see
+	// routedTo); [lo, hi] spans the shards that got work.
+	lo, hi := len(e.shards), -1
 	for i, op := range ops {
 		var sh int
 		switch op.Kind {
@@ -636,7 +541,7 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 				// next one can.
 				if time.Now().UnixNano() >= s.overUntil.Load() {
 					if s.overloaded.Swap(false) {
-						s.overloadEdge(false, -1)
+						s.overloadEdge(false, 0)
 					}
 				} else {
 					s.shed.Inc()
@@ -665,60 +570,33 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 			results[i] = Result{Err: ErrInvalidOp}
 			continue
 		}
-		b.slabs[sh] = append(b.slabs[sh], entry{op: op, b: b, idx: i})
-		accepted++
+		results[i] = Result{Elem: op.Elem, Shard: int32(sh)}
+		lo, hi = min(lo, sh), max(hi, sh)
 	}
-	if accepted == 0 {
-		e.putBatch(b)
+	if hi < 0 {
 		return
 	}
-	b.pending.Store(int32(accepted))
-	// Stamp before the first group leaves: a drain goroutine may execute
-	// (and stamp StageDequeue) the instant an entry lands in its ring, so
-	// stamping after the loop could record enqueue > dequeue.
 	sp.Stamp(obs.StageEnqueue)
-	// here counts the accepted entries finished on this goroutine —
-	// executed inline or refused by a ring — and so not counted down by
-	// any drain goroutine.
-	here := int32(0)
-	for sh, es := range b.slabs {
-		if len(es) == 0 {
+	for sh := lo; sh <= hi; sh++ {
+		first := 0
+		for first < len(results) && !results[first].routedTo(sh) {
+			first++
+		}
+		if first == len(results) {
 			continue
 		}
-		s := e.shards[sh]
-		if s.exec.TryLock() {
-			if !s.closed {
-				s.executeAndUnlock(es, s.ring.len())
-				here += int32(len(es))
-				continue
-			}
-			// Closed under us: the closed ring below answers ErrClosed.
-			s.exec.Unlock()
-		}
-		n := s.ring.enqueue(es)
-		err := ErrBackpressure
-		if n < 0 {
-			n, err = 0, ErrClosed
-		}
-		for _, rej := range es[n:] {
-			if err == ErrBackpressure {
-				s.backpressured.Inc()
-			}
-			results[rej.idx] = Result{Err: err}
-			here++
-		}
+		e.shards[sh].lockAndExecute(ops[first:], results[first:], sp)
 	}
-	if here > 0 && b.pending.Add(-here) == 0 {
-		// Everything this goroutine did not finish itself was already
-		// executed (those decrements came first) without any drain
-		// goroutine seeing pending hit zero, so completion falls to us
-		// and nothing was or will be sent on done. First-wins stamp.
-		sp.Stamp(obs.StageApply)
-	} else {
-		<-b.done
-	}
-	e.putBatch(b)
+	sp.Stamp(obs.StageApply)
 }
+
+// routedTo reports whether r is a slot routed to shard sh and not yet
+// executed. Routing leaves such a slot as Result{Elem, Shard}, Elem the
+// op's element as routed (a bounded pop's bound already tightened).
+// Execution turns it into a success, which carries LSN >= 1, or a
+// failure, which carries an error, so Err == nil with LSN 0 can only
+// mean "waiting".
+func (r *Result) routedTo(sh int) bool { return r.Err == nil && r.LSN == 0 && r.Shard == int32(sh) }
 
 // Push submits one push. It returns nil on success, ErrBackpressure
 // when the shard refuses admission, core.ErrFull when the queue itself
@@ -748,20 +626,15 @@ func (e *Engine) Pop() (core.Element, error) {
 	return core.Element{}, core.ErrEmpty
 }
 
-// Close stops the drain goroutines after the rings drain, then marks
-// each shard closed under its execution lock: once Close returns, no
-// executor — drain goroutine, inline submitter or ApplyReplica — is
-// inside a queue or can enter one. Submits that raced with Close
-// complete or fail with ErrClosed; later submits fail with ErrClosed.
-// Close is idempotent.
+// Close marks the engine closed, then marks each shard closed under its
+// execution lock: once Close returns, no executor — a submitter or
+// ApplyReplica — is inside a queue or can enter one. Submits that raced
+// with Close complete or fail with ErrClosed; later submits fail with
+// ErrClosed. Close is idempotent.
 func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
 	}
-	for _, s := range e.shards {
-		s.ring.close()
-	}
-	e.wg.Wait()
 	for _, s := range e.shards {
 		s.exec.Lock()
 		s.closed = true
@@ -787,38 +660,13 @@ func (e *Engine) ShardDrain(i int) ([]core.Element, error) {
 	return out, nil
 }
 
-// run is the shard's drain goroutine: take a batch off the ring,
-// execute it under the execution lock, then complete its entries.
-func (s *shard) run() {
-	for {
-		n, occ := s.ring.drain(s.scratch)
-		if n == 0 {
-			return
-		}
-		s.ringOcc.Observe(uint64(occ))
-		s.exec.Lock()
-		s.executeAndUnlock(s.scratch[:n], occ)
-		var applyNs int64
-		for i := 0; i < n; i++ {
-			b := s.scratch[i].b
-			s.scratch[i] = entry{}
-			if b.pending.Add(-1) == 0 {
-				if b.sp != nil {
-					if applyNs == 0 {
-						applyNs = obs.SpanNow()
-					}
-					b.sp.StampAt(obs.StageApply, applyNs)
-				}
-				b.done <- struct{}{}
-			}
-		}
-	}
-}
-
-// executeAndUnlock runs execute under the already-held execution lock
-// and releases it. A queue panic is shown to Hooks.OnPanic and
-// re-panicked on whichever goroutine was executing.
-func (s *shard) executeAndUnlock(es []entry, occ int) {
+// lockAndExecute takes the execution lock, executes the ops routed to
+// this shard and releases the lock. Once Close has marked the shard it
+// executes nothing, answers those ops ErrClosed and reports false. A
+// queue panic is shown to Hooks.OnPanic and re-panicked on the
+// executing goroutine, with the lock released.
+func (s *shard) lockAndExecute(ops []Op, results []Result, sp *obs.Span) bool {
+	s.exec.Lock()
 	defer func() {
 		r := recover()
 		s.exec.Unlock()
@@ -829,51 +677,54 @@ func (s *shard) executeAndUnlock(es []entry, occ int) {
 			panic(r)
 		}
 	}()
-	s.execute(es, occ)
+	if s.closed {
+		for i := range results {
+			if results[i].routedTo(s.id) {
+				results[i] = Result{Err: ErrClosed}
+			}
+		}
+		return false
+	}
+	s.execute(ops, results, sp)
+	return true
 }
 
-// execute applies es to the queue in order, writing each result into
-// its batch, then publishes the head/length/backpressure signals and
-// re-judges overload. occ is the ring occupancy the caller observed.
-// It is the only code that mutates a serving queue — the inline path,
-// the ring drain and ApplyReplica all come through here — and the
-// caller must hold s.exec.
-func (s *shard) execute(es []entry, occ int) {
-	s.drained.Observe(uint64(len(es)))
+// execute applies, in order, each op whose result slot is routed to
+// this shard, overwriting the slot with its result; then it publishes
+// the head/length/backpressure signals and re-judges overload. It is
+// the only code that mutates a serving queue — submits and ApplyReplica
+// both come through here — and the caller must hold s.exec.
+func (s *shard) execute(ops []Op, results []Result, sp *obs.Span) {
 	ov := *s.ov.Load()
 	var start time.Time
-	if ov.DrainLatencyHigh > 0 {
+	if ov.enabled() {
 		start = time.Now()
 	}
-	// One span clock read covers every traced batch in this execution:
-	// the entries all start executing now, so this moment IS their
-	// dequeue timestamp, and sharing it keeps the per-entry cost at a
-	// nil check when tracing is off.
-	var drainNs int64
-	for i := range es {
-		en := &es[i]
-		if en.b.sp != nil {
-			if drainNs == 0 {
-				drainNs = obs.SpanNow()
-			}
-			en.b.sp.StampAt(obs.StageDequeue, drainNs)
+	sp.Stamp(obs.StageDequeue)
+	n := 0
+	for i := range ops {
+		r := &results[i]
+		if !r.routedTo(s.id) {
+			continue
 		}
-		switch en.op.Kind {
+		n++
+		el := r.Elem
+		switch ops[i].Kind {
 		case OpPush:
-			err := s.q.Push(en.op.Elem)
+			err := s.q.Push(el)
 			switch {
 			case err == nil:
 				s.pushes.Inc()
 				s.lsn++
-				en.b.results[en.idx] = Result{Err: nil, Shard: int32(s.id), LSN: s.lsn}
+				*r = Result{Shard: int32(s.id), LSN: s.lsn}
 				continue
 			case errors.Is(err, core.ErrFull):
 				s.fulls.Inc()
 			}
-			en.b.results[en.idx] = Result{Err: err}
+			*r = Result{Err: err}
 		case OpPopBounded:
-			if head, err := s.q.Peek(); err != nil || head.Value > en.op.Elem.Value {
-				en.b.results[en.idx] = Result{Err: ErrMiss}
+			if head, err := s.q.Peek(); err != nil || head.Value > el.Value {
+				*r = Result{Err: ErrMiss}
 				continue
 			}
 			fallthrough
@@ -883,54 +734,50 @@ func (s *shard) execute(es []entry, occ int) {
 			case err == nil:
 				s.pops.Inc()
 				s.lsn++
-				en.b.results[en.idx] = Result{Elem: el, Shard: int32(s.id), LSN: s.lsn}
+				*r = Result{Elem: el, Shard: int32(s.id), LSN: s.lsn}
 				continue
 			case errors.Is(err, core.ErrEmpty):
 				s.empties.Inc()
 			}
-			en.b.results[en.idx] = Result{Elem: el, Err: err}
+			*r = Result{Elem: el, Err: err}
 		default:
-			en.b.results[en.idx] = Result{Err: ErrInvalidOp}
+			*r = Result{Err: ErrInvalidOp}
 		}
 	}
+	s.drained.Observe(uint64(n))
 	s.publish()
 	if ov.enabled() {
-		s.updateOverload(ov, occ, start)
+		s.updateOverload(ov, start)
 	}
 }
 
-// updateOverload applies the admission-control hysteresis after one
-// execution: trip at the high watermarks, clear only once both signals
-// sit below them again. The latency signal is the second consecutive
-// slow execution, not the first — one slow execution is a host stall
-// that happened to land in it, two in a row is a shard that cannot keep
-// up (DESIGN.md section 6a). Edges (not levels) feed the hooks.
-func (s *shard) updateOverload(ov Overload, occ int, start time.Time) {
-	frac := float64(occ) / float64(s.ringCap)
-	if ov.DrainLatencyHigh > 0 && time.Since(start) >= ov.DrainLatencyHigh {
+// updateOverload judges one execution that started running at start:
+// the second consecutive slow one trips the latch, the first fast one
+// clears it. One slow execution is a host stall that happened to land
+// in it, two in a row is a shard that cannot keep up (DESIGN.md section
+// 6a). Edges (not levels) feed the hooks.
+func (s *shard) updateOverload(ov Overload, start time.Time) {
+	took := time.Since(start)
+	if took >= ov.DrainLatencyHigh {
 		s.slowRuns++
 	} else {
 		s.slowRuns = 0
 	}
-	switch {
-	case frac >= ov.HighFrac || s.slowRuns >= 2:
-		if !s.overloaded.Swap(true) {
-			s.overloadEdge(true, occ)
-		}
-	case s.overloaded.Load() && frac <= ov.LowFrac:
-		if s.overloaded.Swap(false) {
-			s.overloadEdge(false, occ)
-		}
-	}
-	if s.overloaded.Load() {
+	tripped := s.slowRuns >= 2
+	if tripped {
+		// Before the latch rises, so a push never sees it raised with a
+		// stale deadline.
 		s.overUntil.Store(time.Now().Add(ov.Cooloff).UnixNano())
+	}
+	if s.overloaded.Load() != tripped && s.overloaded.Swap(tripped) != tripped {
+		s.overloadEdge(tripped, took)
 	}
 }
 
 // overloadEdge reports one overload latch transition to the hooks.
-// occ is the ring occupancy at the deciding execution (-1 when the edge
-// came from the push path's cooloff expiry).
-func (s *shard) overloadEdge(tripped bool, occ int) {
+// took is the run time of the deciding execution (0 when the edge came
+// from the push path's cooloff expiry).
+func (s *shard) overloadEdge(tripped bool, took time.Duration) {
 	h := s.hooks.Load()
 	if h == nil {
 		return
@@ -939,9 +786,9 @@ func (s *shard) overloadEdge(tripped bool, occ int) {
 	if tripped {
 		b = 1
 	}
-	h.Flight.Record(obs.FlightOverload, 0, uint64(s.id), b, uint64(max(occ, 0)))
+	h.Flight.Record(obs.FlightOverload, 0, uint64(s.id), b, uint64(took))
 	if tripped && h.OnOverloadTrip != nil {
-		h.OnOverloadTrip(s.id, occ)
+		h.OnOverloadTrip(s.id)
 	}
 }
 
@@ -979,13 +826,11 @@ func (e *Engine) ShardLSN(i int) uint64 { return e.shards[i].lsnPub.Load() }
 // and every admission gate (backpressure and overload): a follower must
 // apply the primary's history verbatim, in the primary's per-shard LSN
 // order, and the history is known to fit because the primary executed
-// it against identical geometry. It never queues: it blocks on the
-// shard's execution lock — at most one execution away, or the mutex's
-// 1 ms starvation hand-off under a stream of inline submitters — and
-// executes on the caller's stack, all of ops or none. Results land one
-// per op, in order, with Shard/LSN stamped exactly as on the primary;
-// it returns ErrClosed, having applied nothing, once the engine has
-// closed.
+// it against identical geometry. Like a submit, it takes the shard's
+// execution lock, waiting while another executor holds it, and executes
+// on the caller's stack, all of ops or none. Results land one per op,
+// in order, with Shard/LSN stamped exactly as on the primary; it
+// returns ErrClosed, having applied nothing, once the engine has closed.
 func (e *Engine) ApplyReplica(sh int, ops []Op, results []Result) error {
 	if len(results) != len(ops) {
 		panic("engine: ApplyReplica result slice length mismatch")
@@ -996,23 +841,11 @@ func (e *Engine) ApplyReplica(sh int, ops []Op, results []Result) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	b := e.getBatch(results, nil)
-	es := b.slabs[sh]
 	for i, op := range ops {
-		es = append(es, entry{op: op, b: b, idx: i})
+		results[i] = Result{Elem: op.Elem, Shard: int32(sh)}
 	}
-	b.slabs[sh] = es
-	s := e.shards[sh]
-	s.exec.Lock()
-	if s.closed {
-		s.exec.Unlock()
-		for i := range results {
-			results[i] = Result{Err: ErrClosed}
-		}
-		e.putBatch(b)
+	if !e.shards[sh].lockAndExecute(ops, results, nil) {
 		return ErrClosed
 	}
-	s.executeAndUnlock(es, s.ring.len())
-	e.putBatch(b)
 	return nil
 }

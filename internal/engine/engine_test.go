@@ -15,7 +15,6 @@ import (
 func smallConfig(shards int) Config {
 	return Config{
 		Shards: shards, Order: 2, Levels: 6, // tree capacity 126 per shard
-		RingSize: 256, BatchSize: 16,
 		Routing: RouteRank, RankBits: 16,
 	}
 }
@@ -154,7 +153,7 @@ func TestHashRoutedShardExactness(t *testing.T) {
 // almost-full) or core.ErrFull (raced to the queue), never blocking
 // and never erroring untyped.
 func TestBackpressureTyped(t *testing.T) {
-	cfg := Config{Shards: 1, Order: 2, Levels: 2, RingSize: 4, BatchSize: 2} // capacity 6
+	cfg := Config{Shards: 1, Order: 2, Levels: 2} // capacity 6
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -16,67 +16,42 @@ import (
 	"repro/internal/refpq"
 )
 
-// executions reads how many executions shard i has run in total and how
-// many of them were ring drains, from the two instruments that define
-// the split: _drain_batch observes every execution, _ring_occupancy
-// ring drains only.
-func executions(reg *obs.Registry, i int) (all, ring uint64) {
-	snap := reg.Snapshot()
-	p := fmt.Sprintf("eng_shard%d", i)
-	return snap.Histograms[p+"_drain_batch"].Count, snap.Histograms[p+"_ring_occupancy"].Count
+// executions reads how many executions shard i has run, from the
+// _drain_batch histogram, which observes every one.
+func executions(reg *obs.Registry, i int) uint64 {
+	return reg.Snapshot().Histograms[fmt.Sprintf("eng_shard%d_drain_batch", i)].Count
 }
 
-// ringDrains reads how many batches shard i's drain goroutine has taken
-// off its ring. An idle drain goroutine empties the ring the moment an
-// entry lands, so a test waiting for "a group went to the ring" watches
-// this count, which only grows, as well as the ring's length (which is
-// what shows it while the goroutine is itself blocked on the lock).
-func ringDrains(reg *obs.Registry, i int) uint64 {
-	_, ring := executions(reg, i)
-	return ring
-}
-
-// forcer is the test's handle for forcing submits onto the ring.
-type forcer struct {
-	mu  sync.Mutex
-	e   *Engine
-	reg *obs.Registry
-}
-
-// viaRing runs submit with the groups it dispatches forced onto the
-// ring: the test holds each shard's execution lock until a group has
-// reached that shard's ring (so a submitter's TryLock there has failed),
-// or until submit has returned having needed no more shards. One forced
-// submit at a time: two of them, each holding one shard's lock while its
-// submit waits on the other shard, would deadlock the test.
-func (f *forcer) viaRing(submit func()) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, reg := f.e, f.reg
-	before := make([]uint64, len(e.shards))
-	held := make([]bool, len(e.shards))
-	for i, s := range e.shards {
-		s.exec.Lock()
-		before[i], held[i] = ringDrains(reg, i), true
-	}
+// blockedSubmit runs submit on its own goroutine, with a fresh span,
+// while the test holds shard sh's execution lock. It releases the lock
+// hold after submit has stamped StageEnqueue — the moment before it asks
+// for its first lock — or at once if submit returned without routing
+// anything, and returns once submit has. released is the SpanNow taken
+// just before the unlock, so a submit that waited on this lock reads
+// enqueue < released <= dequeue or apply.
+func blockedSubmit(e *Engine, sh int, hold time.Duration, submit func(sp *obs.Span)) (sp *obs.Span, released int64) {
+	sp = new(obs.Span)
 	returned := make(chan struct{})
+	e.shards[sh].exec.Lock()
 	go func() {
 		defer close(returned)
-		submit()
+		submit(sp)
 	}()
-	for done := false; !done; runtime.Gosched() {
+	for sp.Stages()[obs.StageEnqueue] == 0 {
 		select {
 		case <-returned:
-			done = true
+			released = obs.SpanNow()
+			e.shards[sh].exec.Unlock()
+			return sp, released
 		default:
-		}
-		for i, s := range e.shards {
-			if held[i] && (done || ringDrains(reg, i) > before[i] || s.ring.len() > 0) {
-				s.exec.Unlock()
-				held[i] = false
-			}
+			runtime.Gosched()
 		}
 	}
+	time.Sleep(hold)
+	released = obs.SpanNow()
+	e.shards[sh].exec.Unlock()
+	<-returned
+	return sp, released
 }
 
 // applied is one successful operation as its submitter saw it.
@@ -87,14 +62,16 @@ type applied struct {
 }
 
 // TestInlineAndRingDifferential is the differential test of caller-runs
-// execution: submitters race mixed push / pop / bounded-pop batches at
-// an engine, every fourth batch forced onto the ring by viaRing, and
-// afterwards each shard's history — the successful results ordered
-// by the LSNs the engine stamped — must be one a refpq reference
+// execution, uncontended and contended: submitters race mixed push / pop
+// / bounded-pop batches at an engine, the test holding one shard's
+// execution lock across every fourth batch (blockedSubmit), and
+// afterwards each shard's history — the successful results ordered by
+// the LSNs the engine stamped — must be one a refpq reference
 // reproduces exactly: LSNs dense from 1 with no gap or duplicate, every
 // pop the reference minimum at that point, every bounded hit at or under
-// its bound, and the shard's final drain the reference's remainder. Both
-// paths must actually have run.
+// its bound, and the shard's final drain the reference's remainder.
+// Some submit must actually have waited on a held lock. (The name is
+// older than the lock wait: contended groups used to go to a ring.)
 func TestInlineAndRingDifferential(t *testing.T) {
 	mixes := []struct {
 		name               string
@@ -115,9 +92,7 @@ func TestInlineAndRingDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					reg := obs.NewRegistry()
-					e.Instrument(reg, "eng")
-					force := &forcer{e: e, reg: reg}
+					var waited atomic.Int64
 
 					histories := make([][]applied, submitters)
 					var wg sync.WaitGroup
@@ -145,7 +120,11 @@ func TestInlineAndRingDifferential(t *testing.T) {
 									}
 								}
 								if batch%4 == 0 {
-									force.viaRing(func() { e.SubmitInto(ops, res[:len(ops)]) })
+									sp, released := blockedSubmit(e, (w+batch/4)%shards, 10*time.Microsecond,
+										func(sp *obs.Span) { e.SubmitTraced(ops, res[:len(ops)], sp) })
+									if ts := sp.Stages(); ts[obs.StageEnqueue] != 0 && ts[obs.StageEnqueue] < released && ts[obs.StageDequeue] >= released {
+										waited.Add(1)
+									}
 								} else {
 									e.SubmitInto(ops, res[:len(ops)])
 								}
@@ -171,6 +150,9 @@ func TestInlineAndRingDifferential(t *testing.T) {
 					}
 					wg.Wait()
 					e.Close()
+					if waited.Load() == 0 {
+						t.Fatal("no submit waited on a held execution lock")
+					}
 
 					perShard := make([][]applied, shards)
 					for _, h := range histories {
@@ -211,10 +193,6 @@ func TestInlineAndRingDifferential(t *testing.T) {
 							if el.Value != ref.MinValue() || !ref.RemoveExact(refpq.Entry{Value: el.Value, Meta: el.Meta}) {
 								t.Fatalf("shard %d: drained %+v, not the reference minimum", sh, el)
 							}
-						}
-						all, ring := executions(reg, sh)
-						if ring == 0 || all == ring {
-							t.Fatalf("shard %d: %d executions, %d of them ring drains — both paths must run", sh, all, ring)
 						}
 					}
 				})
@@ -316,9 +294,8 @@ func TestCloseRacingInlineSubmitters(t *testing.T) {
 	}
 }
 
-// TestSpanStampsInline checks the lifecycle stamps on the inline path:
-// with no contention nothing touches the ring, and the span still reads
-// enqueue <= dequeue <= apply.
+// TestSpanStampsInline checks the lifecycle stamps of an uncontended
+// submit: one execution, and the span reads enqueue <= dequeue <= apply.
 func TestSpanStampsInline(t *testing.T) {
 	e, err := New(smallConfig(1))
 	if err != nil {
@@ -334,16 +311,16 @@ func TestSpanStampsInline(t *testing.T) {
 		t.Fatal(res[0].Err)
 	}
 	checkStageOrder(t, sp)
-	if all, ring := executions(reg, 0); all != 1 || ring != 0 {
-		t.Fatalf("%d executions, %d ring drains; want one inline execution", all, ring)
+	if n := executions(reg, 0); n != 1 {
+		t.Fatalf("%d executions, want 1", n)
 	}
 }
 
-// TestSpanStampsSplitBatch splits one traced batch across the two
-// paths: shard 0 executes inline, shard 1 — its execution lock held by
-// the test — takes the ring. StageApply must be stamped once, by the
-// completion of the whole batch: after the ring half ran, not when the
-// inline half finished.
+// TestSpanStampsSplitBatch traces one batch split across two shards
+// whose execution locks the test holds. The submitter stamps enqueue
+// before it waits, dequeue once the first lock is released — so
+// enqueue → dequeue is the lock wait — and apply only after the second
+// group has executed, not when the first one finished.
 func TestSpanStampsSplitBatch(t *testing.T) {
 	e, err := New(smallConfig(2)) // RouteRank: low ranks to shard 0, high to shard 1
 	if err != nil {
@@ -353,6 +330,7 @@ func TestSpanStampsSplitBatch(t *testing.T) {
 	reg := obs.NewRegistry()
 	e.Instrument(reg, "eng")
 
+	e.shards[0].exec.Lock()
 	e.shards[1].exec.Lock()
 	sp := new(obs.Span)
 	res := make([]Result, 2)
@@ -364,15 +342,21 @@ func TestSpanStampsSplitBatch(t *testing.T) {
 			PushOp(core.Element{Value: 1<<16 - 1, Meta: 2}),
 		}, res, sp)
 	}()
-	// Groups are dispatched in shard order, so once shard 1's drain
-	// goroutine has the entry the inline half on shard 0 has finished.
-	for ringDrains(reg, 1) == 0 && e.shards[1].ring.len() == 0 {
+	for sp.Stages()[obs.StageEnqueue] == 0 {
+		runtime.Gosched()
+	}
+	time.Sleep(time.Millisecond)
+	released0 := obs.SpanNow()
+	e.shards[0].exec.Unlock()
+	// Groups execute in shard order: once shard 0 has run its group the
+	// submitter is waiting on shard 1.
+	for executions(reg, 0) == 0 {
 		runtime.Gosched()
 	}
 	if got := sp.Stages()[obs.StageApply]; got != 0 {
-		t.Fatalf("StageApply stamped at %d with half the batch still queued", got)
+		t.Fatalf("StageApply stamped at %d with shard 1's group still waiting", got)
 	}
-	released := obs.SpanNow()
+	released1 := obs.SpanNow()
 	e.shards[1].exec.Unlock()
 	<-returned
 
@@ -383,17 +367,43 @@ func TestSpanStampsSplitBatch(t *testing.T) {
 	}
 	checkStageOrder(t, sp)
 	ts := sp.Stages()
-	if ts[obs.StageDequeue] > released {
-		t.Fatalf("StageDequeue %d after the ring half was released at %d: the inline half did not stamp it", ts[obs.StageDequeue], released)
+	if ts[obs.StageEnqueue] >= ts[obs.StageDequeue] {
+		t.Fatalf("StageEnqueue %d not before StageDequeue %d across a lock wait", ts[obs.StageEnqueue], ts[obs.StageDequeue])
 	}
-	if ts[obs.StageApply] < released {
-		t.Fatalf("StageApply %d before the ring half was released at %d", ts[obs.StageApply], released)
+	if ts[obs.StageDequeue] < released0 {
+		t.Fatalf("StageDequeue %d before shard 0 was released at %d", ts[obs.StageDequeue], released0)
 	}
-	if all, ring := executions(reg, 0); all != 1 || ring != 0 {
-		t.Fatalf("shard 0: %d executions, %d ring drains; want one inline", all, ring)
+	if ts[obs.StageApply] < released1 {
+		t.Fatalf("StageApply %d before shard 1 was released at %d", ts[obs.StageApply], released1)
 	}
-	if all, ring := executions(reg, 1); all != 1 || ring != 1 {
-		t.Fatalf("shard 1: %d executions, %d ring drains; want one ring drain", all, ring)
+	if a, b := executions(reg, 0), executions(reg, 1); a != 1 || b != 1 {
+		t.Fatalf("executions %d and %d, want one per shard", a, b)
+	}
+}
+
+// TestContendedSubmitNeverRefusedForSpace: a submit that finds its
+// shard's execution lock held waits for it, however many operations it
+// carries. 3072 pushes — three times the request ring that contended
+// groups once had to fit into — are all accepted, in LSN order.
+func TestContendedSubmitNeverRefusedForSpace(t *testing.T) {
+	e, err := New(Config{Shards: 1, Order: 4, Levels: 6}) // capacity 5460
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ops := make([]Op, 3*1024)
+	for i := range ops {
+		ops[i] = PushOp(core.Element{Value: uint64(i*7919) % 65536, Meta: uint64(i)})
+	}
+	res := make([]Result, len(ops))
+	blockedSubmit(e, 0, time.Millisecond, func(sp *obs.Span) { e.SubmitTraced(ops, res, sp) })
+	for i, r := range res {
+		if r.Err != nil || r.LSN != uint64(i+1) {
+			t.Fatalf("push %d of %d: %+v, want accepted at LSN %d", i, len(ops), r, i+1)
+		}
+	}
+	if e.Len() != len(ops) {
+		t.Fatalf("Len = %d after %d accepted pushes", e.Len(), len(ops))
 	}
 }
 
@@ -418,9 +428,8 @@ func hashMetas(e *Engine, sh, n int) []uint64 {
 	return out
 }
 
-// zeroAllocEngine builds a half-filled engine whose recycled batch has
-// already grown every shard's slab to a full 64-op group, plus the
-// 32-push + 32-pop batch the steady state submits.
+// zeroAllocEngine builds an engine with every shard half-filled, plus
+// the 32-push + 32-pop batch the steady state submits.
 func zeroAllocEngine(tb testing.TB, shards int) (*Engine, []Op, []Result) {
 	tb.Helper()
 	e, err := New(Config{Shards: shards, Order: 4, Levels: 5, Routing: RouteHash})
@@ -446,8 +455,9 @@ func zeroAllocEngine(tb testing.TB, shards int) (*Engine, []Op, []Result) {
 	return e, ops, res
 }
 
-// TestSubmitIntoZeroAlloc pins the recycling: a warmed 64-op SubmitInto
-// allocates nothing — no batch, no completion channel, no entry slab.
+// TestSubmitIntoZeroAlloc: a 64-op SubmitInto allocates nothing — the
+// result slots double as the routing table, so there is no per-submit
+// state to build or recycle.
 func TestSubmitIntoZeroAlloc(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		e, ops, res := zeroAllocEngine(t, shards)
@@ -521,11 +531,10 @@ func TestApplyReplicaRacingClose(t *testing.T) {
 	}
 }
 
-// TestClosedEngineCollectable pins the pool trap: submit state is
-// recycled through a per-engine free list, so a closed engine nothing
-// refers to is garbage at the very next collection. A sync.Pool field
-// would sit on the runtime's global pool list for two cycles and hold
-// the engine — and whatever its hooks reach — that long.
+// TestClosedEngineCollectable pins the pool trap: a closed engine
+// nothing refers to is garbage at the very next collection. A sync.Pool
+// field would sit on the runtime's global pool list for two cycles and
+// hold the engine — and whatever its hooks reach — that long.
 func TestClosedEngineCollectable(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
@@ -553,6 +562,25 @@ func TestClosedEngineCollectable(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("what a closed, unreferenced engine's hooks reach is still alive after one runtime.GC()")
 	}
+}
+
+// TestNewStartsNoGoroutine: every execution runs on its submitter's
+// goroutine, so building an engine starts none. (Retried because a
+// goroutine an earlier test left winding down may exit in between.)
+func TestNewStartsNoGoroutine(t *testing.T) {
+	for attempt := 0; attempt < 10; attempt++ {
+		before := runtime.NumGoroutine()
+		e, err := New(smallConfig(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := runtime.NumGoroutine()
+		e.Close()
+		if after == before {
+			return
+		}
+	}
+	t.Fatal("New changed runtime.NumGoroutine() on every attempt")
 }
 
 // TestOnPanicOnSubmitter: a queue panic during an inline execution is

@@ -7,72 +7,90 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
-// testShard builds a bare shard for driving updateOverload directly.
-func testShard(ov Overload) *shard {
-	s := &shard{ringCap: 100, hooks: new(atomic.Pointer[Hooks])}
-	s.ov.Store(&ov)
-	return s
-}
-
-// TestUpdateOverloadHysteresis exercises the watermark state machine
-// directly: trip at HighFrac, hold between the watermarks, clear only
-// at or below LowFrac, and trip on drain latency alone — at the second
-// consecutive slow execution, not at one.
+// TestUpdateOverloadHysteresis exercises the latency state machine
+// directly: trip at the second consecutive slow execution, not at one,
+// and clear at the first fast one.
 func TestUpdateOverloadHysteresis(t *testing.T) {
-	s := testShard(Overload{HighFrac: 0.8, LowFrac: 0.4})
-	ov := *s.ov.Load()
-	now := time.Now()
-	s.updateOverload(ov, 85, now)
-	if !s.overloaded.Load() {
-		t.Fatal("85% occupancy did not trip HighFrac 0.8")
-	}
-	s.updateOverload(ov, 50, now)
-	if !s.overloaded.Load() {
-		t.Fatal("overload cleared between the watermarks")
-	}
-	s.updateOverload(ov, 40, now)
-	if s.overloaded.Load() {
-		t.Fatal("overload held at LowFrac")
-	}
-	s.updateOverload(ov, 50, now)
-	if s.overloaded.Load() {
-		t.Fatal("mid-band occupancy re-tripped a cleared shard")
-	}
-
-	lat := testShard(Overload{HighFrac: 0.99, LowFrac: 0.01, DrainLatencyHigh: time.Millisecond})
-	slow := func() { lat.updateOverload(*lat.ov.Load(), 1, time.Now().Add(-10*time.Millisecond)) }
+	s := &shard{hooks: new(atomic.Pointer[Hooks])}
+	ov := Overload{DrainLatencyHigh: time.Millisecond}.withDefaults()
+	slow := func() { s.updateOverload(ov, time.Now().Add(-10*time.Millisecond)) }
+	fast := func() { s.updateOverload(ov, time.Now()) }
 	slow()
-	if lat.overloaded.Load() {
+	if s.overloaded.Load() {
 		t.Fatal("one slow execution tripped overload: a single stall must not shed")
 	}
-	lat.updateOverload(*lat.ov.Load(), 1, time.Now())
+	fast()
 	slow()
-	if lat.overloaded.Load() {
+	if s.overloaded.Load() {
 		t.Fatal("two slow executions with a fast one between tripped overload")
 	}
 	slow()
-	if !lat.overloaded.Load() {
+	if !s.overloaded.Load() {
 		t.Fatal("two consecutive slow executions did not trip overload")
+	}
+	slow()
+	if !s.overloaded.Load() {
+		t.Fatal("a third slow execution cleared overload")
+	}
+	fast()
+	if s.overloaded.Load() {
+		t.Fatal("a fast execution did not clear overload")
+	}
+	slow()
+	if s.overloaded.Load() {
+		t.Fatal("one slow execution after clearing re-tripped overload")
 	}
 }
 
-// TestOverloadShedsPushes trips overload via an always-slow drain
-// watermark and checks pushes shed with the typed ErrOverloaded while
-// pops keep working.
+// TestLockWaitDoesNotTripOverload: a submitter that waits on a held
+// execution lock for twice the latency bound, and then executes fast,
+// is a fast execution. Three of them in a row leave the shard admitting:
+// if the wait counted, every waiter behind one stalled holder would look
+// slow and the second would shed.
+func TestLockWaitDoesNotTripOverload(t *testing.T) {
+	const bound = 10 * time.Millisecond
+	e, err := New(Config{Shards: 1, Order: 2, Levels: 8, Overload: Overload{DrainLatencyHigh: bound}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var trips atomic.Int32
+	e.SetHooks(Hooks{OnOverloadTrip: func(int) { trips.Add(1) }})
+	for i := 0; i < 3; i++ {
+		res := make([]Result, 1)
+		sp, _ := blockedSubmit(e, 0, 2*bound, func(sp *obs.Span) {
+			e.SubmitTraced([]Op{PushOp(core.Element{Value: uint64(i), Meta: uint64(i)})}, res, sp)
+		})
+		if res[0].Err != nil {
+			t.Fatalf("push %d: %v", i, res[0].Err)
+		}
+		if ts := sp.Stages(); time.Duration(ts[obs.StageDequeue]-ts[obs.StageEnqueue]) < 2*bound {
+			t.Fatalf("push %d waited %v on the lock, want at least %v", i, time.Duration(ts[obs.StageDequeue]-ts[obs.StageEnqueue]), 2*bound)
+		}
+	}
+	if e.OverloadedShards() != 0 || trips.Load() != 0 {
+		t.Fatalf("lock wait tripped overload: %d shard(s) overloaded, %d trip(s)", e.OverloadedShards(), trips.Load())
+	}
+}
+
+// TestOverloadShedsPushes trips overload via a 1ns latency bound, which
+// every execution exceeds, and checks pushes shed with the typed
+// ErrOverloaded while pops keep working.
 func TestOverloadShedsPushes(t *testing.T) {
 	e, err := New(Config{
 		Shards: 1, Order: 2, Levels: 8,
-		Overload: Overload{HighFrac: 0.99, DrainLatencyHigh: time.Nanosecond},
+		Overload: Overload{DrainLatencyHigh: time.Nanosecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
-	// First batch executes (overload is computed after the drain) and
-	// trips the watermark; pushes after that must shed.
+	// The first batch executes (overload is judged after an execution)
+	// and counts as slow; pushes after the second slow one must shed.
 	if res := e.Submit([]Op{PushOp(core.Element{Value: 1, Meta: 1})}); res[0].Err != nil {
 		t.Fatalf("priming push: %v", res[0].Err)
 	}
@@ -99,21 +117,21 @@ func TestOverloadShedsPushes(t *testing.T) {
 }
 
 // TestOverloadLatchExpiry covers the push-only wedge: once overload
-// trips, pushes are shed before reaching the ring, so no drain ever
+// trips, pushes are shed before reaching the shard, so no execution ever
 // re-evaluates the signal. The latch must expire after Cooloff and
 // admit the next push instead of shedding forever.
 func TestOverloadLatchExpiry(t *testing.T) {
 	e, err := New(Config{
 		Shards: 1, Order: 2, Levels: 8,
-		Overload: Overload{HighFrac: 0.99, DrainLatencyHigh: time.Nanosecond, Cooloff: 50 * time.Millisecond},
+		Overload: Overload{DrainLatencyHigh: time.Nanosecond, Cooloff: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
-	// Trip the latch: the priming push drains slowly (1ns watermark),
-	// then pushes shed.
+	// Trip the latch: every execution is slow against a 1ns bound, so
+	// pushes shed after the second.
 	if res := e.Submit([]Op{PushOp(core.Element{Value: 1, Meta: 1})}); res[0].Err != nil {
 		t.Fatalf("priming push: %v", res[0].Err)
 	}
@@ -128,8 +146,8 @@ func TestOverloadLatchExpiry(t *testing.T) {
 	if !tripped {
 		t.Fatal("overload never tripped")
 	}
-	// No pops arrive, no ring traffic: only latch expiry can admit the
-	// next push.
+	// No pops arrive, so nothing executes: only latch expiry can admit
+	// the next push.
 	time.Sleep(60 * time.Millisecond)
 	if res := e.Submit([]Op{PushOp(core.Element{Value: 3, Meta: 3})}); res[0].Err != nil {
 		t.Fatalf("push after cooloff shed: %v — latch wedged", res[0].Err)

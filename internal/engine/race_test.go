@@ -21,7 +21,6 @@ func TestConcurrentPushPopContract(t *testing.T) {
 	cfg := Config{
 		Shards: 4,
 		Order:  2, Levels: 8, // 510 per shard
-		RingSize: 512, BatchSize: 32,
 		Routing: RouteHash,
 	}
 	e, err := New(cfg)
@@ -120,7 +119,6 @@ func TestConcurrentRankRouting(t *testing.T) {
 	cfg := Config{
 		Shards: 4,
 		Order:  2, Levels: 8,
-		RingSize: 512, BatchSize: 32,
 		Routing: RouteRank, RankBits: 16,
 	}
 	e, err := New(cfg)

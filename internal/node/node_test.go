@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -313,6 +314,72 @@ func TestObsEndpoints(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(bundle, "slo.json")); err != nil {
 		t.Errorf("bundle lacks the SLO status: %v", err)
+	}
+}
+
+// Overload shedding and backpressure over the wire, through the deployed
+// assembly: on a tree of 126 a 256-op frame fills it in one execution,
+// so the next frame's pushes meet almost-full (StatusBackpressure), and
+// with a 1µs drain-latency bound every such execution is slow, so the
+// second in a row trips the latch and later pushes are shed
+// (StatusOverloaded). Both codes must show up, and no pop may be shed.
+func TestOverloadAndBackpressureOverTheWire(t *testing.T) {
+	n := start(t, Config{Engine: engine.Config{Shards: 1, Order: 2, Levels: 6,
+		Overload: engine.Overload{DrainLatencyHigh: time.Microsecond}}})
+	c, err := wire.Dial(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var mu sync.Mutex
+	pushes := map[wire.Status]int{}
+	shedPops := 0
+	seenBoth := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return pushes[wire.StatusOverloaded] > 0 && pushes[wire.StatusBackpressure] > 0
+	}
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(10 * time.Second)
+	for w := 0; w < 4; w++ { // four frames in flight on one connection
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ops := make([]wire.Op, 256)
+			for frame := 0; !seenBoth() && time.Now().Before(deadline); frame++ {
+				for i := range ops {
+					ops[i] = wire.Op{Kind: wire.OpPop}
+					if i%4 != 0 {
+						ops[i] = wire.Op{Kind: wire.OpPush, Value: uint64(i), Meta: uint64(w<<24 | frame<<8 | i)}
+					}
+				}
+				res, err := c.Do(ops)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				for i, r := range res {
+					if ops[i].Kind == wire.OpPush {
+						pushes[r.Status]++
+					} else if r.Status == wire.StatusOverloaded {
+						shedPops++
+					}
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !seenBoth() {
+		t.Fatalf("push statuses %v: want both Overloaded and Backpressure", pushes)
+	}
+	if shedPops != 0 {
+		t.Fatalf("%d pop(s) shed: overload must shed pushes only", shedPops)
+	}
+	if got := n.Registry().Snapshot().Counter("bmwd_engine_shard0_overload_shed_total"); got == 0 {
+		t.Error("bmwd_engine_shard0_overload_shed_total = 0 after shed pushes")
 	}
 }
 

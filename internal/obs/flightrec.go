@@ -36,7 +36,8 @@ const (
 	// B = whole-span latency ns, C = 1 error / 2 slow / 0 sampled-in.
 	FlightSpan FlightKind = iota + 1
 	// FlightOverload is an overload admission edge: A = shard,
-	// B = 1 trip / 0 clear, C = ring occupancy at the deciding drain.
+	// B = 1 trip / 0 clear, C = run time in ns of the deciding
+	// execution (0 for a cooloff expiry).
 	FlightOverload
 	// FlightBackpressure is an almost-full edge: A = shard,
 	// B = 1 asserted / 0 cleared, C = queue length.

@@ -1,5 +1,5 @@
 // Request-lifecycle tracing: a Span carries monotonic stage timestamps
-// for one serving-stack request (client issue → frame decode → ring
+// for one serving-stack request (client issue → frame decode → shard
 // enqueue → shard dequeue → queue apply → log/WAL group-commit →
 // replica ack → response write) as it crosses the wire server, the
 // engine shards, and the replication layer. A Tracer owns a pool of
@@ -38,13 +38,12 @@ const (
 	// StageDecode: the frame is fully read, CRC-checked and parsed.
 	StageDecode
 	// StageEnqueue: the request's operations are routed and headed for
-	// their shards (stamped immediately before the first group is
-	// executed or put on a ring, so it always precedes StageDequeue).
+	// their shards (stamped immediately before the first shard's
+	// execution lock is requested).
 	StageEnqueue
 	// StageDequeue: the first of the request's operations started
-	// executing — inline on the submitter, where it all but coincides
-	// with StageEnqueue, or on a shard's drain goroutine once the ring
-	// wait is over.
+	// executing, on the submitter, once it holds that lock: enqueue →
+	// dequeue is the wait for it, all but zero when nobody else held it.
 	StageDequeue
 	// StageApply: the last of the request's operations has executed
 	// against its shard queue.
@@ -88,9 +87,9 @@ func SpanNow() int64 { return int64(time.Since(spanEpoch)) }
 
 // Span is one request's stage-timestamp record. Fields are atomics
 // because stages are stamped from different goroutines (the connection
-// reader, the shard goroutines, the connection writer); every stamp is
-// first-wins, so racing stampers (two shards draining ops of one batch)
-// agree on the earliest event. The zero value is usable but spans
+// reader, which also runs the engine's stamps, and the connection
+// writer); every stamp is first-wins, so a stage stamped again (each
+// shard a batch touches stamps dequeue) keeps the earliest event. The zero value is usable but spans
 // normally come from a Tracer's pool via Begin and return to it via
 // Finish.
 type Span struct {
@@ -114,11 +113,10 @@ func (sp *Span) Erred() bool {
 }
 
 // Stamp records SpanNow for the stage if it is not already stamped.
-// No-op on a nil span. The load-before-CAS guard matters on the hot
-// repeated-stamp sites (a shard stamps StageDequeue per drained entry):
-// once the stage is set, later calls cost one read of a shared
-// cacheline instead of a clock read plus an RMW that bounces the line
-// between shard goroutines.
+// No-op on a nil span. The load-before-CAS guard keeps repeated stamps
+// (every shard a batch touches stamps StageDequeue) cheap: once the
+// stage is set, later calls cost one read instead of a clock read plus
+// an atomic read-modify-write.
 func (sp *Span) Stamp(st Stage) {
 	if sp == nil || sp.ts[st].Load() != 0 {
 		return

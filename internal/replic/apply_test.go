@@ -63,8 +63,7 @@ func logString(l *Log) string {
 // buffered and where the frontier lands; each case ends on the follower
 // log's content and the engine's per-shard drain.
 func TestApplyReadyReachability(t *testing.T) {
-	const ringSize = 16
-	longRun := make([]Record, 5*ringSize)
+	longRun := make([]Record, 80)
 	longLog := make([]string, len(longRun))
 	longDrain := make([]uint64, len(longRun))
 	for i := range longRun {
@@ -169,7 +168,7 @@ func TestApplyReadyReachability(t *testing.T) {
 			wantDrain: [2][]uint64{{10, 11, 12}, nil},
 		},
 		{
-			name: "run longer than the ring",
+			name: "long run in one group",
 			steps: []step{{
 				groups:       [][]Record{longRun},
 				wantFrontier: uint64(len(longRun)),
@@ -180,7 +179,7 @@ func TestApplyReadyReachability(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, eng := applyNode(t, engine.Config{Shards: 2, Order: 2, Levels: 8, RingSize: ringSize, BatchSize: 4})
+			n, eng := applyNode(t, engine.Config{Shards: 2, Order: 2, Levels: 8})
 			for _, r := range tc.pre {
 				res := make([]engine.Result, 1)
 				op := []engine.Op{engine.PushOp(core.Element{Value: r.Value, Meta: r.Meta})}

@@ -53,16 +53,16 @@ const (
 	StatusEmpty Status = 1
 	// StatusFull: push against a full shard queue.
 	StatusFull Status = 2
-	// StatusBackpressure: push refused at admission (ring full or
-	// shard almost-full); the client should back off and retry.
+	// StatusBackpressure: push refused at admission (shard
+	// almost-full); the client should back off and retry.
 	StatusBackpressure Status = 3
 	// StatusClosed: the engine is shutting down.
 	StatusClosed Status = 4
 	// StatusInvalid: the operation was malformed or unsupported.
 	StatusInvalid Status = 5
 	// StatusOverloaded: the server shed the operation at admission —
-	// sustained queue-depth or drain-latency overload, or the per-
-	// connection in-flight cap. Back off harder than for
+	// sustained drain-latency overload, or the per-connection in-flight
+	// cap. Back off harder than for
 	// StatusBackpressure; the server is protecting itself.
 	StatusOverloaded Status = 6
 	// StatusNotPrimary: this server is a replication follower and does

@@ -5,10 +5,9 @@
 // The bare queues (NewBMWTree, NewPIFO, NewRBMWSim, NewRPUBMWSim) are
 // intentionally single-goroutine; Engine is the concurrency story: each
 // shard owns one BMW tree (NewBMWTree's type), only ever touched by the
-// holder of the shard's execution lock. A submitter that finds the lock free executes its batch on its
-// own stack; one that finds it held hands the batch to the shard's MPSC
-// ring, which a drain goroutine executes under the same lock — the
-// selector is the lock state, not an option. WireServer/WireClient carry Engine
+// holder of the shard's execution lock. Every submitter executes its
+// batch on its own stack, waiting for the lock while another holds it.
+// WireServer/WireClient carry Engine
 // batches over a length-prefixed, CRC-checked binary protocol — see
 // cmd/bmwd (daemon) and cmd/bmwload (load generator), and DESIGN.md
 // section 6 for the shard model, frame layout, and backpressure
@@ -21,14 +20,13 @@ import (
 )
 
 // Engine is the sharded concurrent scheduler: N shards, each one BMW
-// tree behind an execution lock — submitters execute on their own stack when
-// the lock is free and go through a bounded MPSC request ring, drained
-// in batches, when it is not. Push routing is by Meta hash or rank
-// range; Pop is a strict merge across the shard minima.
+// tree behind an execution lock that submitters take in turn, executing
+// on their own stack. Push routing is by Meta hash or rank range; Pop is
+// a strict merge across the shard minima.
 type Engine = engine.Engine
 
 // EngineConfig sizes an Engine: shard count, per-shard tree order and
-// levels, ring and batch sizes, routing policy, and an optional restore
+// levels, routing policy, overload control, and an optional restore
 // directory.
 type EngineConfig = engine.Config
 
@@ -46,11 +44,12 @@ const (
 	EngineRouteRank = engine.RouteRank
 )
 
-// Engine errors. ErrBackpressure is the typed non-blocking reject: the
-// target shard's ring or queue is near full and the caller should back
-// off and retry, never block. ErrOverloaded is the overload-control
-// shed: the shard tripped its occupancy or drain-latency watermark and
-// is refusing new pushes until it drains below the low watermark.
+// Engine errors. ErrBackpressure is the typed reject: the target
+// shard's queue is almost full and the caller should back off and
+// retry. ErrOverloaded is the overload-control shed: two consecutive
+// executions on the shard ran over the drain-latency bound, and it
+// refuses new pushes until an execution runs fast again or the latch's
+// cooloff expires.
 var (
 	ErrBackpressure = engine.ErrBackpressure
 	ErrEngineClosed = engine.ErrClosed
@@ -69,9 +68,9 @@ type EngineHooks = engine.Hooks
 // to induce deterministic overload episodes).
 type EngineOverload = engine.Overload
 
-// NewEngine starts the shards' drain goroutines and returns the engine;
-// Close stops them and shuts every shard's execution lock, after which
-// ShardDrain and Checkpoint apply.
+// NewEngine builds the engine (it starts no goroutine); Close shuts
+// every shard's execution lock, after which ShardDrain and Checkpoint
+// apply.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // EnginePushOp and EnginePopOp build batch entries for Engine.Submit.
