@@ -213,7 +213,7 @@ func (h *harness) oneOp() error {
 	push := h.golden.Len() == 0 || h.rng.Float64() < 0.55
 	var op wire.Op
 	if push {
-		v := h.rng.Uint64() >> 34 // 30-bit rank, matching default RankBits
+		v := h.rng.Uint64() >> 34 // 30-bit rank
 		op = wire.Op{Kind: wire.OpPush, Value: v, Meta: h.pushes}
 	} else {
 		op = wire.Op{Kind: wire.OpPop}
@@ -444,7 +444,7 @@ func main() {
 		return
 	}
 
-	geom := engine.Config{Shards: *shards, Order: 2, Levels: *levels, Routing: engine.RouteRank}
+	geom := engine.Config{Shards: *shards, Order: 2, Levels: *levels}
 
 	ev := &evidence{Schema: "bmwchaos/v1", Faults: map[string]int{}}
 	incRoot := filepath.Join(*evDir, "incidents")

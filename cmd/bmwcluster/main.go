@@ -365,7 +365,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	geom := engine.Config{Shards: *shards, Order: 2, Levels: *levels, Routing: engine.RouteHash}
+	geom := engine.Config{Shards: *shards, Order: 2, Levels: *levels}
 
 	ev := &evidence{Schema: "bmwcluster/v1", Nodes: *nodes, Mode: clMode.String(), Ops: *ops}
 	start := time.Now()

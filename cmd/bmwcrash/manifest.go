@@ -23,10 +23,7 @@ import (
 // manifest is still the published one.
 func manifestTrials(root string, kills int, seed int64) (int, error) {
 	dir := filepath.Join(root, "ckpt")
-	cfg := engine.Config{
-		Shards: 2, Order: 2, Levels: 6,
-		Routing: engine.RouteRank, RankBits: 16,
-	}
+	cfg := engine.Config{Shards: 2, Order: 2, Levels: 6}
 	e, err := engine.New(cfg)
 	if err != nil {
 		return 0, err

@@ -11,7 +11,7 @@
 //
 // Examples:
 //
-//	bmwd -listen :9970 -shards 4 -route rank
+//	bmwd -listen :9970 -shards 4
 //	bmwd -listen :9970 -shards 4 -m 4 -l 6 -http :9971
 //	bmwd -listen :9970 -persist /var/lib/bmwd   # checkpoint on shutdown
 //	bmwd -listen :9970 -repl-sync               # primary, sync replication
@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/node"
 )
 
@@ -51,9 +50,9 @@ func fatalf(format string, args ...any) {
 // two differ.
 type options struct {
 	node.Config
-	listen, route, logLevel, clusterMap string
-	clusterNode                         uint
-	version                             bool
+	listen, logLevel, clusterMap string
+	clusterNode                  uint
+	version                      bool
 }
 
 func registerFlags(fs *flag.FlagSet, o *options) {
@@ -62,8 +61,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&e.Shards, "shards", 4, "number of engine shards (each owns one BMW tree)")
 	fs.IntVar(&e.Order, "m", 2, "tree order m")
 	fs.IntVar(&e.Levels, "l", 11, "tree levels")
-	fs.StringVar(&o.route, "route", "hash", "push routing: hash (by Meta) or rank (by Value range)")
-	fs.IntVar(&e.RankBits, "rankbits", 30, "rank width in bits for -route rank partitioning")
 	fs.StringVar(&o.HTTPAddr, "http", "", "observability HTTP address (/metrics, /healthz, /readyz, /slo.json, /flight.json, /trace.json, pprof); empty = off")
 	fs.IntVar(&o.TraceSample, "trace-sample", 0, "export 1 of every N request spans to the Chrome trace at /trace.json (0 = aggregate-only tracing)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
@@ -80,7 +77,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.Follow, "follow", "", "start as a hot standby streaming from this primary address")
 	fs.BoolVar(&o.ReplSync, "repl-sync", false, "primary: hold dedup-enrolled responses until the follower acks (zero acked-op loss)")
 
-	fs.DurationVar(&e.Overload.DrainLatencyHigh, "overload-drain-latency", 20*time.Millisecond, "execution run time that, twice in a row, trips shard overload shedding (0 = off)")
+	fs.DurationVar(&e.Overload.DrainLatencyHigh, "overload-drain-latency", 20*time.Millisecond, "execution run time that, twice in a row, trips overload shedding (0 = off)")
 
 	fs.StringVar(&o.IncidentDir, "incident-dir", "", "write incident bundles here on panic/SIGQUIT/overload/repl-degrade/SLO-page (empty = off)")
 	fs.StringVar(&o.SLO, "slo", "", "comma-separated SLOs, e.g. p99<10ms,availability>0.999,lag<5000 (empty = off)")
@@ -96,14 +93,6 @@ func (o *options) resolve() error {
 		return fmt.Errorf("bad -log-level %q: %v", o.logLevel, err)
 	}
 	o.Log = slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level})
-	switch o.route {
-	case "hash":
-		o.Engine.Routing = engine.RouteHash
-	case "rank":
-		o.Engine.Routing = engine.RouteRank
-	default:
-		return fmt.Errorf("unknown -route %q (want hash or rank)", o.route)
-	}
 	o.ClusterNode = uint32(o.clusterNode)
 	if o.clusterMap != "" {
 		if o.ClusterMap, err = cluster.LoadFile(o.clusterMap); err != nil {

@@ -71,7 +71,7 @@ func parse(t *testing.T, args ...string) *options {
 
 func TestConfigFromFlags(t *testing.T) {
 	o := parse(t, "-shards", "2", "-m", "4", "-l", "6",
-		"-route", "rank", "-rankbits", "16", "-overload-drain-latency", "1us",
+		"-overload-drain-latency", "1us",
 		"-persist", "/p", "-scrub-interval", "1s", "-scrub-rate", "0", "-repair-from", "peer:1",
 		"-follow", "prim:1", "-repl-sync", "-gossip-every", "250ms", "-cluster-node", "3",
 		"-http", ":1", "-trace-sample", "64", "-incident-dir", "/i", "-slo", "p99<1ns")
@@ -80,7 +80,6 @@ func TestConfigFromFlags(t *testing.T) {
 	}
 	cfg := o.Config
 	want := engine.Config{Shards: 2, Order: 4, Levels: 6,
-		Routing: engine.RouteRank, RankBits: 16,
 		Overload: engine.Overload{DrainLatencyHigh: time.Microsecond}}
 	if cfg.Engine != want {
 		t.Errorf("engine config %+v, want %+v", cfg.Engine, want)
@@ -99,7 +98,6 @@ func TestConfigFromFlags(t *testing.T) {
 func TestConfigRejectsBadValues(t *testing.T) {
 	for _, args := range [][]string{
 		{"-log-level", "loud"},
-		{"-route", "random"},
 		{"-cluster-map", "/nonexistent/map.json"},
 	} {
 		if err := parse(t, args...).resolve(); err == nil {

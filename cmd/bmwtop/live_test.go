@@ -17,8 +17,7 @@ import (
 // metric names must still find them there.
 func TestScrapeLiveNode(t *testing.T) {
 	n, err := node.Start(node.Config{
-		Engine: engine.Config{Shards: 2, Order: 2, Levels: 8,
-			Routing: engine.RouteRank, RankBits: 16},
+		Engine:   engine.Config{Shards: 2, Order: 2, Levels: 8},
 		HTTPAddr: "127.0.0.1:0",
 		SLO:      "p99<1ns",
 	})

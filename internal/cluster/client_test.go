@@ -17,7 +17,7 @@ import (
 
 // startServedMap binds n loopback listeners, lets the caller build the
 // cluster map from the real addresses, then serves every node of that
-// map (a hash-routed engine of the given shard count + owner gate + map
+// map (an engine of the given shard count + owner gate + map
 // handlers). Teardown via t.Cleanup.
 func startServedMap(t testing.TB, n, shards int, build func(addrs []string) *Map) (*Map, []*State) {
 	t.Helper()
@@ -37,7 +37,7 @@ func startServedMap(t testing.TB, n, shards int, build func(addrs []string) *Map
 	}
 	states := make([]*State, n)
 	for i, nd := range m.Nodes {
-		eng, err := engine.New(engine.Config{Shards: shards, Order: 2, Levels: 10, Routing: engine.RouteHash})
+		eng, err := engine.New(engine.Config{Shards: shards, Order: 2, Levels: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,11 +32,12 @@ var ErrBadMap = errors.New("cluster: bad map")
 // Mode selects which key the map's bands partition.
 type Mode uint8
 
-// Partitioning modes. They mirror engine.Routing one level up: rank
-// bands preserve a strict global drain order, hash bands balance load
-// with approximate global order (per-node exactness still holds).
+// Partitioning modes: which key a push is owner-routed by. The
+// cross-node merge keeps a sequential caller's pops in global order
+// under either; rank bands keep one node's elements in one contiguous
+// rank range, hash bands spread every flow's load.
 const (
-	// ModeHash partitions splitmix64(Meta) — the flow key.
+	// ModeHash partitions flowHash(Meta) — the flow key.
 	ModeHash Mode = 0
 	// ModeRank partitions the element rank (Value), clamped to the
 	// RankBits-wide rank space.
@@ -108,11 +109,9 @@ type Map struct {
 	Nodes    []Node
 }
 
-// splitmix64 is the hash-mode routing hash — the same function the
-// engine uses for shard routing, so hash-banded clusters and
-// hash-routed shards agree on the flow-key distribution. The two
-// copies must stay identical.
-func splitmix64(x uint64) uint64 {
+// flowHash is the hash-mode key of a flow id: the SplitMix64
+// finalizer — cheap, well mixed, allocation-free.
+func flowHash(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -173,8 +172,7 @@ func (m *Map) Validate() error {
 }
 
 // KeyOf maps an element to its cluster routing key: the clamped rank
-// in ModeRank (mirroring the engine's rank router), the metadata hash
-// in ModeHash.
+// in ModeRank, the metadata hash in ModeHash.
 func (m *Map) KeyOf(value, meta uint64) uint64 {
 	if m.Mode == ModeRank {
 		if max := (uint64(1) << m.RankBits) - 1; value > max {
@@ -182,7 +180,7 @@ func (m *Map) KeyOf(value, meta uint64) uint64 {
 		}
 		return value
 	}
-	return splitmix64(meta)
+	return flowHash(meta)
 }
 
 // NodeFor returns the index of the node owning key.

@@ -107,8 +107,8 @@ func TestMapRouting(t *testing.T) {
 	}
 	// Hash mode keys on the metadata hash, matching the engine's.
 	hm := &Map{Version: 1, Mode: ModeHash, Nodes: []Node{{ID: 1, Epoch: 1, Addrs: []string{"a"}}}}
-	if k := hm.KeyOf(12, 34); k != splitmix64(34) {
-		t.Errorf("hash KeyOf = %d, want splitmix64(meta)", k)
+	if k := hm.KeyOf(12, 34); k != flowHash(34) {
+		t.Errorf("hash KeyOf = %d, want flowHash(meta)", k)
 	}
 
 	s, e, ok := m.Band(2)

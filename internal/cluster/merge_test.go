@@ -71,11 +71,10 @@ func lockstepDo(t *testing.T, cl *Client, golden *refpq.Queue, ops []wire.Op) {
 // TestClientDoDifferential locksteps Do against a single golden queue
 // with mixed batches of K pops and a varying number of pushes (plus the
 // odd peek splitting the pops into two runs), over three nodes of one
-// or two hash-routed shards each, under rank-band and hash-slot maps:
-// a growing phase, a shrinking phase that runs the cluster dry, then an
-// exact final drain. K = 1 is PopMin's path; the larger runs are served
-// a node at a time and must still come out in global order — with two
-// shards a node the engine's bound tightening is part of that.
+// or two shards each, under rank-band and hash-slot maps: a growing
+// phase, a shrinking phase that runs the cluster dry, then an exact
+// final drain. K = 1 is PopMin's path; the larger runs are served a node
+// at a time and must still come out in global order.
 func TestClientDoDifferential(t *testing.T) {
 	maps := []struct {
 		name  string
@@ -258,9 +257,18 @@ func mixedBatch(rng *rand.Rand, meta *uint64, ops []wire.Op) {
 
 // TestClientPopRoundsPerPop pins what the bounded batch buys: on two
 // rank-band nodes under 8-push/8-pop calls, a call's pops cost a round
-// per node that holds part of the answer, not a round per pop.
+// per node that holds part of the answer, not a round per pop — and not
+// a round per shard boundary inside a node either, because a node's
+// bounded pops merge across its shards. At 1, 2 and 4 shards a node the
+// figure is the same and at most 0.3 rounds per OK pop.
 func TestClientPopRoundsPerPop(t *testing.T) {
-	m, _ := startServedMap(t, 2, 1, rankMap2)
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testClientPopRoundsPerPop(t, shards) })
+	}
+}
+
+func testClientPopRoundsPerPop(t *testing.T, shards int) {
+	m, _ := startServedMap(t, 2, shards, rankMap2)
 	cl := newTestClient(t, m)
 	golden := refpq.New()
 	rng := rand.New(rand.NewSource(5))
@@ -288,9 +296,11 @@ func TestClientPopRoundsPerPop(t *testing.T) {
 	if pops != calls*8 {
 		t.Fatalf("%d OK pops, want %d", pops, calls*8)
 	}
-	if per := float64(rounds) / float64(pops); per > 0.5 {
-		t.Fatalf("%d pop rounds for %d pops = %.3f per pop, want <= 0.5", rounds, pops, per)
+	per := float64(rounds) / float64(pops)
+	if per > 0.3 {
+		t.Fatalf("%d pop rounds for %d pops = %.3f per pop, want <= 0.3", rounds, pops, per)
 	}
+	t.Logf("%d pop rounds for %d pops = %.3f per pop", rounds, pops, per)
 }
 
 // BenchmarkClusterDo is one routing client against two in-process

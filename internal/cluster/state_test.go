@@ -16,7 +16,7 @@ import (
 // is the node's bootstrap; shutdown happens via t.Cleanup.
 func startNode(t *testing.T, m *Map, id uint32) (string, *State, *engine.Engine) {
 	t.Helper()
-	eng, err := engine.New(engine.Config{Shards: 2, Order: 2, Levels: 10, Routing: engine.RouteHash})
+	eng, err := engine.New(engine.Config{Shards: 2, Order: 2, Levels: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ const lineWords = 8
 // A Tree is intentionally confined to a single goroutine: as the golden
 // model for single-issue-port hardware it carries no locks on its hot
 // path. Concurrent callers go through internal/engine, where only the
-// holder of a shard's execution lock touches that shard's tree.
+// holder of the engine's execution lock touches a shard's tree.
 type Tree struct {
 	m, l     int
 	hot      []uint64 // node n: values hot[n*2M:][:M], counters hot[n*2M+M:][:M]

@@ -8,8 +8,7 @@ import (
 
 // BenchmarkSubmitInto times one 64-op SubmitInto (32 pushes + 32 pops)
 // on a half-filled engine. One submitter never contends; four and eight
-// share the execution locks, so a share of their groups wait on a held
-// lock. allocs/op is the steady-state allocation count per batch: 0.
+// share the execution lock, so a share of their batches wait on it. allocs/op is the steady-state allocation count per batch: 0.
 func BenchmarkSubmitInto(b *testing.B) {
 	for _, submitters := range []int{1, 4, 8} {
 		for _, shards := range []int{1, 2} {

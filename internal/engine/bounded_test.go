@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -68,82 +69,106 @@ func testPopBoundedHonoursBound(t *testing.T) {
 	}
 }
 
-// TestPopBoundedTightensAcrossShards is the multi-shard half: K bounded
-// pops submitted as ONE batch all route to the shard publishing the
-// smallest head, and the submit path caps their bound at the other
-// shard's head, so the batch yields a prefix of the global order and
-// misses where the sibling takes over. A sequential caller repeating
-// such batches drains the engine in globally sorted order under both
-// routing policies — under RouteHash, where ranks interleave across
-// shards, an untightened bound would take a whole shard first.
-func TestPopBoundedTightensAcrossShards(t *testing.T) {
-	for _, routing := range []Routing{RouteRank, RouteHash} {
-		name := map[Routing]string{RouteRank: "rank", RouteHash: "hash"}[routing]
-		t.Run(name, func(t *testing.T) {
-			cfg := smallConfig(2)
-			cfg.Routing = routing
-			e, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
+// TestBatchPopsGloballySorted is the multi-shard half: at 2 and 4
+// shards a sequential caller drains the engine with batches of K = 8
+// pops — plain, and separately bounded at MaxUint64 — and every batch
+// yields the next K elements of the global order, with no ErrMiss or
+// ErrEmpty until the engine is empty. A pop inside a batch takes the
+// smallest head across shards at its turn, so nothing stops a batch at a
+// shard boundary. Then bounded pops against a refilled engine miss
+// exactly when the global head ranks above their bound.
+func TestBatchPopsGloballySorted(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		for _, kind := range []OpKind{OpPop, OpPopBounded} {
+			name := fmt.Sprintf("shards=%d/%s", shards, map[OpKind]string{OpPop: "pop", OpPopBounded: "bounded"}[kind])
+			t.Run(name, func(t *testing.T) { testBatchPopsGloballySorted(t, shards, kind) })
+		}
+	}
+}
 
-			rng := rand.New(rand.NewSource(11))
-			var want []uint64
-			for i := 0; i < 120; i++ {
-				v := rng.Uint64() % (1 << 16)
-				if res := e.Submit([]Op{PushOp(core.Element{Value: v, Meta: uint64(i)})}); res[0].Err != nil {
-					t.Fatal(res[0].Err)
-				}
-				want = append(want, v)
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if e.ShardLen(0) == 0 || e.ShardLen(1) == 0 {
-				t.Fatalf("one shard empty (%d/%d): nothing to tighten against", e.ShardLen(0), e.ShardLen(1))
-			}
+func testBatchPopsGloballySorted(t *testing.T, shards int, kind OpKind) {
+	e, err := New(smallConfig(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 
-			const k = 8
-			ops := make([]Op, k)
-			for i := range ops {
-				ops[i] = PopBoundedOp(math.MaxUint64)
+	rng := rand.New(rand.NewSource(int64(11 * shards)))
+	fill := func() []uint64 {
+		var want []uint64
+		for i := 0; i < 60*shards; i++ {
+			v := rng.Uint64() % (1 << 16)
+			if res := e.Submit([]Op{PushOp(core.Element{Value: v, Meta: uint64(i)})}); res[0].Err != nil {
+				t.Fatal(res[0].Err)
 			}
-			var got []uint64
-			batches, short := 0, 0
-			for len(got) < len(want) {
-				batches++
-				if batches > len(want)+1 {
-					t.Fatalf("no progress: %d of %d after %d batches", len(got), len(want), batches)
-				}
-				hits, missed := 0, false
-				for _, r := range e.Submit(ops) {
-					switch {
-					case r.Err == nil && !missed:
-						got = append(got, r.Elem.Value)
-						hits++
-					case errors.Is(r.Err, ErrMiss):
-						missed = true
-					default:
-						t.Fatalf("batch %d: %+v (hit after a miss, or an error)", batches, r)
-					}
-				}
-				if hits == 0 {
-					t.Fatalf("batch %d took nothing with %d left", batches, len(want)-len(got))
-				}
-				if hits < k && len(got) < len(want) {
-					short++
-				}
+			want = append(want, v)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		for i := 0; i < shards; i++ {
+			if e.ShardLen(i) == 0 {
+				t.Fatalf("shard %d empty: nothing to merge across", i)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("drain[%d] = %d, want %d (not globally sorted)", i, got[i], want[i])
+		}
+		return want
+	}
+
+	want := fill()
+	const k = 8
+	ops := make([]Op, k)
+	for i := range ops {
+		ops[i] = Op{Kind: kind, Elem: core.Element{Value: math.MaxUint64}}
+	}
+	var got []uint64
+	for len(got) < len(want) {
+		for _, r := range e.Submit(ops) {
+			switch {
+			case len(got) == len(want) && kind == OpPop && errors.Is(r.Err, core.ErrEmpty):
+			case len(got) == len(want) && kind == OpPopBounded && errors.Is(r.Err, ErrMiss):
+			case len(got) < len(want) && r.Err == nil:
+				got = append(got, r.Elem.Value)
+			default:
+				t.Fatalf("pop %d of %d: %+v", len(got), len(want), r)
+			}
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("drain[%d] = %d, want %d (not globally sorted)", i, got[i], want[i])
+		}
+	}
+	if e.Len() != 0 {
+		t.Fatalf("Len %d after the drain", e.Len())
+	}
+	if kind == OpPop {
+		return
+	}
+
+	// Bounds straddling the elements still held: each is one of them, or
+	// one below, so hits and misses both happen within one batch.
+	ref := fill()
+	hits, misses := 0, 0
+	for len(ref) > 0 {
+		for i := range ops {
+			v := ref[min(i, len(ref)-1)]
+			ops[i] = PopBoundedOp(v - uint64(rng.Intn(2)))
+		}
+		for i, r := range e.Submit(ops) {
+			bound := ops[i].Elem.Value
+			switch {
+			case len(ref) > 0 && ref[0] <= bound:
+				if r.Err != nil || r.Elem.Value != ref[0] {
+					t.Fatalf("bound %d with head %d: %+v, want a hit", bound, ref[0], r)
 				}
+				ref = ref[1:]
+				hits++
+			case !errors.Is(r.Err, ErrMiss):
+				t.Fatalf("bound %d: %+v, want ErrMiss", bound, r)
+			default:
+				misses++
 			}
-			if short == 0 {
-				t.Fatal("no batch was cut short: the sibling's head never tightened a bound")
-			}
-			if ops[0].Elem.Value != math.MaxUint64 {
-				t.Fatal("Submit rewrote the caller's op with the tightened bound")
-			}
-		})
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("%d hits, %d misses: the bounds exercised one outcome only", hits, misses)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -13,79 +14,143 @@ import (
 
 // smallConfig is a low-capacity engine for functional tests.
 func smallConfig(shards int) Config {
-	return Config{
-		Shards: shards, Order: 2, Levels: 6, // tree capacity 126 per shard
-		Routing: RouteRank, RankBits: 16,
+	return Config{Shards: shards, Order: 2, Levels: 6} // tree capacity 126 per shard
+}
+
+// TestPopsMatchReference is the sequential differential of the node's
+// merge: at 1, 2 and 4 shards one caller submits mixed batches of
+// pushes, pops and bounded pops — a growing phase that fills the engine,
+// then a shrinking one that empties it — and a single refpq reference
+// replays every batch in op order. Each pop must take the reference
+// minimum (tied ranks are interchangeable, so ranks are compared and the
+// exact element removed), a pop answers ErrEmpty and a bounded pop
+// ErrMiss only when the reference says so, and a push is refused only
+// with Cap() elements held.
+func TestPopsMatchReference(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e, err := New(smallConfig(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			ref := refpq.New()
+			rng := rand.New(rand.NewSource(int64(7 + shards)))
+			var meta uint64
+			pushes, pops, misses, refused := 0, 0, 0, 0
+			const batches = 600
+			for b := 0; b < batches; b++ {
+				pushShare := 70
+				if b >= batches/2 {
+					pushShare = 25
+				}
+				ops := make([]Op, 1+rng.Intn(32))
+				for i := range ops {
+					switch r := rng.Intn(100); {
+					case r < pushShare:
+						meta++
+						ops[i] = PushOp(core.Element{Value: uint64(rng.Intn(1 << 12)), Meta: meta})
+					case r < pushShare+(100-pushShare)/2:
+						ops[i] = PopOp()
+					default:
+						ops[i] = PopBoundedOp(uint64(rng.Intn(1 << 12)))
+					}
+				}
+				for i, r := range e.Submit(ops) {
+					op := ops[i]
+					switch {
+					case op.Kind == OpPush && r.Err == nil:
+						ref.Push(refpq.Entry{Value: op.Elem.Value, Meta: op.Elem.Meta})
+						pushes++
+					case op.Kind == OpPush:
+						if !errors.Is(r.Err, ErrBackpressure) || ref.Len() != e.Cap() {
+							t.Fatalf("batch %d op %d: push refused with %v holding %d of %d", b, i, r.Err, ref.Len(), e.Cap())
+						}
+						refused++
+					case r.Err == nil:
+						if ref.Len() == 0 || r.Elem.Value != ref.MinValue() ||
+							(op.Kind == OpPopBounded && r.Elem.Value > op.Elem.Value) ||
+							!ref.RemoveExact(refpq.Entry{Value: r.Elem.Value, Meta: r.Elem.Meta}) {
+							t.Fatalf("batch %d op %d (kind %d): popped %+v, not the reference minimum", b, i, op.Kind, r.Elem)
+						}
+						pops++
+					case op.Kind == OpPop && errors.Is(r.Err, core.ErrEmpty):
+						if ref.Len() != 0 {
+							t.Fatalf("batch %d op %d: ErrEmpty with %d elements held", b, i, ref.Len())
+						}
+					case op.Kind == OpPopBounded && errors.Is(r.Err, ErrMiss):
+						if ref.Len() != 0 && ref.MinValue() <= op.Elem.Value {
+							t.Fatalf("batch %d op %d: bound %d missed a head of %d", b, i, op.Elem.Value, ref.MinValue())
+						}
+						misses++
+					default:
+						t.Fatalf("batch %d op %d (kind %d): %v", b, i, op.Kind, r.Err)
+					}
+				}
+				if e.Len() != ref.Len() {
+					t.Fatalf("batch %d: Len %d, reference %d", b, e.Len(), ref.Len())
+				}
+			}
+			for ref.Len() > 0 {
+				el, err := e.Pop()
+				if err != nil || el.Value != ref.MinValue() || !ref.RemoveExact(refpq.Entry{Value: el.Value, Meta: el.Meta}) {
+					t.Fatalf("drain: %+v %v, reference minimum %d", el, err, ref.MinValue())
+				}
+			}
+			if _, err := e.Pop(); !errors.Is(err, core.ErrEmpty) {
+				t.Fatalf("pop on a drained engine = %v, want ErrEmpty", err)
+			}
+			if refused == 0 || misses == 0 {
+				t.Fatalf("%d pushes refused, %d bounded misses: a phase never filled or never missed", refused, misses)
+			}
+			t.Logf("%d pushes, %d pops, %d bounded misses, %d pushes refused at Cap()", pushes, pops, misses, refused)
+		})
 	}
 }
 
-// TestRankRoutedPopsGloballySorted drives a sequential push/pop phase
-// through a rank-routed engine and checks the strict merge yields a
-// globally sorted drain, validated per shard against a refpq reference:
-// with rank-range routing the popped value identifies the serving
-// shard, so each pop can be checked against that shard's own reference
-// minimum — the per-shard differential drain of the acceptance
-// criteria. Like every per-tree test here it runs under the served
-// tree's kind name, the one the checkpoint manifest records.
+// TestRankRoutedPopsGloballySorted drives a sequential push phase and
+// then a full drain through a 4-shard engine. Every pop is routed to the
+// shard holding the least-ranked head, so the drain comes out globally
+// sorted and each pop equals the minimum of one refpq reference that
+// holds everything pushed. Like every per-tree test here it runs under
+// the served tree's kind name, the one the checkpoint manifest records.
 func TestRankRoutedPopsGloballySorted(t *testing.T) {
 	t.Run(manifestKind, testRankRoutedPopsGloballySorted)
 }
 
 func testRankRoutedPopsGloballySorted(t *testing.T) {
-	const shards = 4
-	e, err := New(smallConfig(shards))
+	e, err := New(smallConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-
-	width := (uint64(1) << 16) / shards
-	shardOf := func(v uint64) int {
-		s := v / width
-		if s >= shards {
-			s = shards - 1
-		}
-		return int(s)
-	}
-	refs := make([]*refpq.Queue, shards)
-	for i := range refs {
-		refs[i] = refpq.New()
-	}
-
+	ref := refpq.New()
 	rng := rand.New(rand.NewSource(7))
-	pushed := 0
 	for i := 0; i < 300; i++ {
 		el := core.Element{Value: uint64(rng.Intn(1 << 16)), Meta: uint64(i)}
-		err := e.Push(el)
-		if err == nil {
-			refs[shardOf(el.Value)].Push(refpq.Entry{Value: el.Value, Meta: el.Meta})
-			pushed++
-			continue
+		if err := e.Push(el); err != nil {
+			t.Fatalf("push %d with %d of %d held: %v", i, e.Len(), e.Cap(), err)
 		}
-		if !errors.Is(err, ErrBackpressure) && !errors.Is(err, core.ErrFull) {
-			t.Fatalf("push %d: %v", i, err)
-		}
+		ref.Push(refpq.Entry{Value: el.Value, Meta: el.Meta})
 	}
-	if e.Len() != pushed {
-		t.Fatalf("Len = %d after %d pushes", e.Len(), pushed)
+	if e.Len() != ref.Len() {
+		t.Fatalf("Len = %d after %d pushes", e.Len(), ref.Len())
 	}
-
 	prev := uint64(0)
-	for i := 0; i < pushed; i++ {
+	for i := 0; ref.Len() > 0; i++ {
 		el, err := e.Pop()
 		if err != nil {
-			t.Fatalf("pop %d/%d: %v", i, pushed, err)
+			t.Fatalf("pop %d: %v with %d held", i, err, ref.Len())
 		}
 		if el.Value < prev {
 			t.Fatalf("pop %d: value %d after %d — merge not sorted", i, el.Value, prev)
 		}
 		prev = el.Value
-		ref := refs[shardOf(el.Value)]
 		if min := ref.MinValue(); el.Value != min {
-			t.Fatalf("pop %d: value %d, shard reference min %d", i, el.Value, min)
+			t.Fatalf("pop %d: value %d, reference min %d", i, el.Value, min)
 		}
 		if !ref.RemoveExact(refpq.Entry{Value: el.Value, Meta: el.Meta}) {
-			t.Fatalf("pop %d: element (%d,%d) not in shard reference", i, el.Value, el.Meta)
+			t.Fatalf("pop %d: element (%d,%d) not in the reference", i, el.Value, el.Meta)
 		}
 	}
 	if _, err := e.Pop(); !errors.Is(err, core.ErrEmpty) {
@@ -93,13 +158,14 @@ func testRankRoutedPopsGloballySorted(t *testing.T) {
 	}
 }
 
-// TestHashRoutedShardExactness checks the per-shard exactness contract
-// under hash routing: every pop returns a true minimum of some shard,
-// and draining after Close yields a nondecreasing sequence per shard
-// with nothing lost or invented.
+// TestHashRoutedShardExactness checks that a config still naming the
+// deprecated RouteHash policy and a rank width — what older configs
+// write — is accepted and changes nothing: every pop returns an element
+// that was pushed, and draining after Close yields a nondecreasing
+// sequence per shard with nothing lost or invented.
 func TestHashRoutedShardExactness(t *testing.T) {
 	cfg := smallConfig(3)
-	cfg.Routing = RouteHash
+	cfg.Routing, cfg.RankBits = RouteHash, 16
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +212,68 @@ func TestHashRoutedShardExactness(t *testing.T) {
 			t.Fatalf("element %+v lost (%d copies unaccounted)", el, n)
 		}
 	}
+}
+
+// TestShardBalance is the balance probe on bmwd's default node (m=2
+// l=11, two shards): 10^6 ops of 32 pushes + 32 pops per batch at half
+// fill, uniform 30-bit ranks, one caller. Least-count pushes keep the
+// two shard lengths together, so no pop answers ErrEmpty while the
+// engine holds anything, no push is refused while it has room, and the
+// shard lengths never drift apart by more than 64.
+func TestShardBalance(t *testing.T) {
+	e, err := New(Config{Shards: 2, Order: 2, Levels: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]Op, 64)
+	res := make([]Result, 64)
+	for i := range ops {
+		ops[i] = PushOp(core.Element{})
+	}
+	held, maxSkew := 0, 0
+	submit := func() {
+		for i := range ops {
+			if ops[i].Kind == OpPush {
+				ops[i].Elem = core.Element{Value: rng.Uint64() >> 34, Meta: rng.Uint64() & 4095}
+			}
+		}
+		e.SubmitInto(ops, res)
+		for i, r := range res {
+			switch {
+			case r.Err == nil && ops[i].Kind == OpPush:
+				held++
+			case r.Err == nil:
+				held--
+			case ops[i].Kind == OpPush && held < e.Cap():
+				t.Fatalf("push refused with %v holding %d of %d", r.Err, held, e.Cap())
+			case ops[i].Kind == OpPop && held > 0:
+				t.Fatalf("pop answered %v holding %d", r.Err, held)
+			}
+		}
+		skew := e.ShardLen(0) - e.ShardLen(1)
+		maxSkew = max(maxSkew, skew, -skew)
+	}
+	for held < e.Cap()/2 {
+		submit()
+	}
+	for i := range ops {
+		if i%2 == 1 {
+			ops[i] = PopOp()
+		}
+	}
+	const total = 1_000_000
+	for n := 0; n < total; n += len(ops) {
+		submit()
+	}
+	if held != e.Len() {
+		t.Fatalf("caller counts %d held, Len %d", held, e.Len())
+	}
+	if maxSkew > 64 {
+		t.Fatalf("shard lengths drifted %d apart", maxSkew)
+	}
+	t.Logf("max |ShardLen(0) - ShardLen(1)| over %d ops: %d; final lengths %d / %d", total, maxSkew, e.ShardLen(0), e.ShardLen(1))
 }
 
 // TestBackpressureTyped pins the non-blocking admission contract: a

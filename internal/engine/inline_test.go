@@ -16,23 +16,23 @@ import (
 	"repro/internal/refpq"
 )
 
-// executions reads how many executions shard i has run, from the
-// _drain_batch histogram, which observes every one.
+// executions reads how many executions applied ops to shard i, from
+// the _drain_batch histogram, which observes every one.
 func executions(reg *obs.Registry, i int) uint64 {
 	return reg.Snapshot().Histograms[fmt.Sprintf("eng_shard%d_drain_batch", i)].Count
 }
 
 // blockedSubmit runs submit on its own goroutine, with a fresh span,
-// while the test holds shard sh's execution lock. It releases the lock
+// while the test holds the engine's execution lock. It releases the lock
 // hold after submit has stamped StageEnqueue — the moment before it asks
-// for its first lock — or at once if submit returned without routing
-// anything, and returns once submit has. released is the SpanNow taken
-// just before the unlock, so a submit that waited on this lock reads
+// for the lock — or at once if submit returned without asking, and
+// returns once submit has. released is the SpanNow taken just before the
+// unlock, so a submit that waited on the lock reads
 // enqueue < released <= dequeue or apply.
-func blockedSubmit(e *Engine, sh int, hold time.Duration, submit func(sp *obs.Span)) (sp *obs.Span, released int64) {
+func blockedSubmit(e *Engine, hold time.Duration, submit func(sp *obs.Span)) (sp *obs.Span, released int64) {
 	sp = new(obs.Span)
 	returned := make(chan struct{})
-	e.shards[sh].exec.Lock()
+	e.exec.Lock()
 	go func() {
 		defer close(returned)
 		submit(sp)
@@ -41,7 +41,7 @@ func blockedSubmit(e *Engine, sh int, hold time.Duration, submit func(sp *obs.Sp
 		select {
 		case <-returned:
 			released = obs.SpanNow()
-			e.shards[sh].exec.Unlock()
+			e.exec.Unlock()
 			return sp, released
 		default:
 			runtime.Gosched()
@@ -49,7 +49,7 @@ func blockedSubmit(e *Engine, sh int, hold time.Duration, submit func(sp *obs.Sp
 	}
 	time.Sleep(hold)
 	released = obs.SpanNow()
-	e.shards[sh].exec.Unlock()
+	e.exec.Unlock()
 	<-returned
 	return sp, released
 }
@@ -63,8 +63,8 @@ type applied struct {
 
 // TestInlineAndRingDifferential is the differential test of caller-runs
 // execution, uncontended and contended: submitters race mixed push / pop
-// / bounded-pop batches at an engine, the test holding one shard's
-// execution lock across every fourth batch (blockedSubmit), and
+// / bounded-pop batches at an engine, the test holding the execution
+// lock across every fourth batch (blockedSubmit), and
 // afterwards each shard's history — the successful results ordered by
 // the LSNs the engine stamped — must be one a refpq reference
 // reproduces exactly: LSNs dense from 1 with no gap or duplicate, every
@@ -86,9 +86,7 @@ func TestInlineAndRingDifferential(t *testing.T) {
 			for _, mix := range mixes {
 				name := fmt.Sprintf("submitters=%d/shards=%d/%s", submitters, shards, mix.name)
 				t.Run(name, func(t *testing.T) {
-					cfg := smallConfig(shards)
-					cfg.Routing = RouteHash
-					e, err := New(cfg)
+					e, err := New(smallConfig(shards))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -120,7 +118,7 @@ func TestInlineAndRingDifferential(t *testing.T) {
 									}
 								}
 								if batch%4 == 0 {
-									sp, released := blockedSubmit(e, (w+batch/4)%shards, 10*time.Microsecond,
+									sp, released := blockedSubmit(e, 10*time.Microsecond,
 										func(sp *obs.Span) { e.SubmitTraced(ops, res[:len(ops)], sp) })
 									if ts := sp.Stages(); ts[obs.StageEnqueue] != 0 && ts[obs.StageEnqueue] < released && ts[obs.StageDequeue] >= released {
 										waited.Add(1)
@@ -208,9 +206,7 @@ func TestInlineAndRingDifferential(t *testing.T) {
 // Close must not race an executor (the race detector watches the queue).
 func TestCloseRacingInlineSubmitters(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		cfg := smallConfig(2)
-		cfg.Routing = RouteHash
-		e, err := New(cfg)
+		e, err := New(smallConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,73 +312,8 @@ func TestSpanStampsInline(t *testing.T) {
 	}
 }
 
-// TestSpanStampsSplitBatch traces one batch split across two shards
-// whose execution locks the test holds. The submitter stamps enqueue
-// before it waits, dequeue once the first lock is released — so
-// enqueue → dequeue is the lock wait — and apply only after the second
-// group has executed, not when the first one finished.
-func TestSpanStampsSplitBatch(t *testing.T) {
-	e, err := New(smallConfig(2)) // RouteRank: low ranks to shard 0, high to shard 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	reg := obs.NewRegistry()
-	e.Instrument(reg, "eng")
-
-	e.shards[0].exec.Lock()
-	e.shards[1].exec.Lock()
-	sp := new(obs.Span)
-	res := make([]Result, 2)
-	returned := make(chan struct{})
-	go func() {
-		defer close(returned)
-		e.SubmitTraced([]Op{
-			PushOp(core.Element{Value: 1, Meta: 1}),
-			PushOp(core.Element{Value: 1<<16 - 1, Meta: 2}),
-		}, res, sp)
-	}()
-	for sp.Stages()[obs.StageEnqueue] == 0 {
-		runtime.Gosched()
-	}
-	time.Sleep(time.Millisecond)
-	released0 := obs.SpanNow()
-	e.shards[0].exec.Unlock()
-	// Groups execute in shard order: once shard 0 has run its group the
-	// submitter is waiting on shard 1.
-	for executions(reg, 0) == 0 {
-		runtime.Gosched()
-	}
-	if got := sp.Stages()[obs.StageApply]; got != 0 {
-		t.Fatalf("StageApply stamped at %d with shard 1's group still waiting", got)
-	}
-	released1 := obs.SpanNow()
-	e.shards[1].exec.Unlock()
-	<-returned
-
-	for i, r := range res {
-		if r.Err != nil || r.Shard != int32(i) || r.LSN != 1 {
-			t.Fatalf("result %d = %+v, want shard %d LSN 1", i, r, i)
-		}
-	}
-	checkStageOrder(t, sp)
-	ts := sp.Stages()
-	if ts[obs.StageEnqueue] >= ts[obs.StageDequeue] {
-		t.Fatalf("StageEnqueue %d not before StageDequeue %d across a lock wait", ts[obs.StageEnqueue], ts[obs.StageDequeue])
-	}
-	if ts[obs.StageDequeue] < released0 {
-		t.Fatalf("StageDequeue %d before shard 0 was released at %d", ts[obs.StageDequeue], released0)
-	}
-	if ts[obs.StageApply] < released1 {
-		t.Fatalf("StageApply %d before shard 1 was released at %d", ts[obs.StageApply], released1)
-	}
-	if a, b := executions(reg, 0), executions(reg, 1); a != 1 || b != 1 {
-		t.Fatalf("executions %d and %d, want one per shard", a, b)
-	}
-}
-
-// TestContendedSubmitNeverRefusedForSpace: a submit that finds its
-// shard's execution lock held waits for it, however many operations it
+// TestContendedSubmitNeverRefusedForSpace: a submit that finds the
+// execution lock held waits for it, however many operations it
 // carries. 3072 pushes — three times the request ring that contended
 // groups once had to fit into — are all accepted, in LSN order.
 func TestContendedSubmitNeverRefusedForSpace(t *testing.T) {
@@ -396,7 +327,7 @@ func TestContendedSubmitNeverRefusedForSpace(t *testing.T) {
 		ops[i] = PushOp(core.Element{Value: uint64(i*7919) % 65536, Meta: uint64(i)})
 	}
 	res := make([]Result, len(ops))
-	blockedSubmit(e, 0, time.Millisecond, func(sp *obs.Span) { e.SubmitTraced(ops, res, sp) })
+	blockedSubmit(e, time.Millisecond, func(sp *obs.Span) { e.SubmitTraced(ops, res, sp) })
 	for i, r := range res {
 		if r.Err != nil || r.LSN != uint64(i+1) {
 			t.Fatalf("push %d of %d: %+v, want accepted at LSN %d", i, len(ops), r, i+1)
@@ -416,35 +347,21 @@ func checkStageOrder(t *testing.T, sp *obs.Span) {
 	}
 }
 
-// hashMetas returns n distinct metadata values that RouteHash sends to
-// shard sh.
-func hashMetas(e *Engine, sh, n int) []uint64 {
-	var out []uint64
-	for m := uint64(1); len(out) < n; m++ {
-		if e.routePush(core.Element{Meta: m}) == sh {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // zeroAllocEngine builds an engine with every shard half-filled, plus
 // the 32-push + 32-pop batch the steady state submits.
 func zeroAllocEngine(tb testing.TB, shards int) (*Engine, []Op, []Result) {
 	tb.Helper()
-	e, err := New(Config{Shards: shards, Order: 4, Levels: 5, Routing: RouteHash})
+	e, err := New(Config{Shards: shards, Order: 4, Levels: 5})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	res := make([]Result, 64)
 	ops := make([]Op, 64)
-	for round := 0; round < 4; round++ {
-		for sh := 0; sh < shards; sh++ {
-			for i, m := range hashMetas(e, sh, 64) {
-				ops[i] = PushOp(core.Element{Value: uint64((round*64+i)*37) % 9973, Meta: m})
-			}
-			e.SubmitInto(ops, res)
+	for round := 0; round < 4*shards; round++ {
+		for i := range ops {
+			ops[i] = PushOp(core.Element{Value: uint64((round*64+i)*37) % 9973, Meta: uint64(round*64 + i)})
 		}
+		e.SubmitInto(ops, res)
 	}
 	for i := range ops {
 		ops[i] = PopOp()
@@ -456,8 +373,8 @@ func zeroAllocEngine(tb testing.TB, shards int) (*Engine, []Op, []Result) {
 }
 
 // TestSubmitIntoZeroAlloc: a 64-op SubmitInto allocates nothing — the
-// result slots double as the routing table, so there is no per-submit
-// state to build or recycle.
+// batch runs in op order straight into the caller's result slots, so
+// there is no per-submit state to build or recycle.
 func TestSubmitIntoZeroAlloc(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		e, ops, res := zeroAllocEngine(t, shards)
@@ -610,5 +527,5 @@ func TestOnPanicOnSubmitter(t *testing.T) {
 	if hookShard.Load() != 0 || hookValue.Load() != recovered {
 		t.Fatalf("OnPanic saw shard %d value %v", hookShard.Load(), hookValue.Load())
 	}
-	e.Close() // takes every execution lock: hangs if the panic leaked one
+	e.Close() // takes the execution lock: hangs if the panic leaked it
 }

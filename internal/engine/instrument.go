@@ -16,11 +16,14 @@ var batchBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 40
 //	<prefix>_shard<i>_pushes_total / _pops_total   successful operations
 //	<prefix>_shard<i>_full_total / _empty_total    queue-level refusals
 //	<prefix>_shard<i>_backpressure_total           admission refusals
-//	<prefix>_shard<i>_drain_batch                  ops per execution
+//	<prefix>_shard<i>_overload_shed_total          overload sheds
+//	<prefix>_shard<i>_overloaded                   the engine's overload latch
+//	<prefix>_shard<i>_drain_batch                  ops per execution on the shard
 //	<prefix>_shard<i>_occupancy / _capacity        queue fill
 //	<prefix>_len                                   aggregate length
 //
-// The counters are atomics written by the execution lock's holder, so
+// A refused push counts on the shard it would have gone to. The
+// counters are atomics written by the execution lock's holder, so
 // the registry is safe to serve over HTTP while the engine is loaded.
 // Call before submitting traffic; a nil registry leaves the engine
 // uninstrumented.
@@ -40,12 +43,12 @@ func (e *Engine) Instrument(reg *obs.Registry, prefix string) {
 		s.backpressured = reg.Counter(p + "_backpressure_total")
 		s.shed = reg.Counter(p + "_overload_shed_total")
 		reg.GaugeFunc(p+"_overloaded", func() float64 {
-			if s.overloaded.Load() {
+			if e.overloaded.Load() {
 				return 1
 			}
 			return 0
 		})
-		reg.Help(p+"_drain_batch", "ops per execution under the shard's execution lock")
+		reg.Help(p+"_drain_batch", "ops one execution applied to the shard")
 		s.drained = reg.Histogram(p+"_drain_batch", batchBounds)
 		reg.GaugeFunc(p+"_occupancy", func() float64 { return float64(s.length.Load()) })
 		reg.GaugeFunc(p+"_capacity", func() float64 { return float64(s.q.Cap()) })

@@ -14,40 +14,40 @@ import (
 // directly: trip at the second consecutive slow execution, not at one,
 // and clear at the first fast one.
 func TestUpdateOverloadHysteresis(t *testing.T) {
-	s := &shard{hooks: new(atomic.Pointer[Hooks])}
+	e := new(Engine)
 	ov := Overload{DrainLatencyHigh: time.Millisecond}.withDefaults()
-	slow := func() { s.updateOverload(ov, time.Now().Add(-10*time.Millisecond)) }
-	fast := func() { s.updateOverload(ov, time.Now()) }
+	slow := func() { e.updateOverload(ov, time.Now().Add(-10*time.Millisecond)) }
+	fast := func() { e.updateOverload(ov, time.Now()) }
 	slow()
-	if s.overloaded.Load() {
+	if e.overloaded.Load() {
 		t.Fatal("one slow execution tripped overload: a single stall must not shed")
 	}
 	fast()
 	slow()
-	if s.overloaded.Load() {
+	if e.overloaded.Load() {
 		t.Fatal("two slow executions with a fast one between tripped overload")
 	}
 	slow()
-	if !s.overloaded.Load() {
+	if !e.overloaded.Load() {
 		t.Fatal("two consecutive slow executions did not trip overload")
 	}
 	slow()
-	if !s.overloaded.Load() {
+	if !e.overloaded.Load() {
 		t.Fatal("a third slow execution cleared overload")
 	}
 	fast()
-	if s.overloaded.Load() {
+	if e.overloaded.Load() {
 		t.Fatal("a fast execution did not clear overload")
 	}
 	slow()
-	if s.overloaded.Load() {
+	if e.overloaded.Load() {
 		t.Fatal("one slow execution after clearing re-tripped overload")
 	}
 }
 
 // TestLockWaitDoesNotTripOverload: a submitter that waits on a held
 // execution lock for twice the latency bound, and then executes fast,
-// is a fast execution. Three of them in a row leave the shard admitting:
+// is a fast execution. Three of them in a row leave the engine admitting:
 // if the wait counted, every waiter behind one stalled holder would look
 // slow and the second would shed.
 func TestLockWaitDoesNotTripOverload(t *testing.T) {
@@ -58,10 +58,10 @@ func TestLockWaitDoesNotTripOverload(t *testing.T) {
 	}
 	defer e.Close()
 	var trips atomic.Int32
-	e.SetHooks(Hooks{OnOverloadTrip: func(int) { trips.Add(1) }})
+	e.SetHooks(Hooks{OnOverloadTrip: func() { trips.Add(1) }})
 	for i := 0; i < 3; i++ {
 		res := make([]Result, 1)
-		sp, _ := blockedSubmit(e, 0, 2*bound, func(sp *obs.Span) {
+		sp, _ := blockedSubmit(e, 2*bound, func(sp *obs.Span) {
 			e.SubmitTraced([]Op{PushOp(core.Element{Value: uint64(i), Meta: uint64(i)})}, res, sp)
 		})
 		if res[0].Err != nil {
@@ -117,7 +117,7 @@ func TestOverloadShedsPushes(t *testing.T) {
 }
 
 // TestOverloadLatchExpiry covers the push-only wedge: once overload
-// trips, pushes are shed before reaching the shard, so no execution ever
+// trips, pushes are shed before reaching a queue, so no execution ever
 // re-evaluates the signal. The latch must expire after Cooloff and
 // admit the next push instead of shedding forever.
 func TestOverloadLatchExpiry(t *testing.T) {

@@ -23,7 +23,7 @@ func testPeekMin(t *testing.T) {
 		t.Fatal("PeekMin on an empty engine reported a head")
 	}
 
-	// Rank routing spreads these across shards; the peek must
+	// Least-count pushes spread these across shards; the peek must
 	// merge to the global minimum.
 	vals := []uint64{40000, 7, 65535, 20000, 300}
 	for i, v := range vals {

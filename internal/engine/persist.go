@@ -23,7 +23,7 @@ const EngineManifestName = manifestName
 
 // CheckpointManifest pins the configuration a checkpoint fan-out was
 // written with — restore refuses a mismatched engine rather than
-// loading shards into the wrong shape or routing — and, since the
+// loading shards into the wrong shape — and, since the
 // integrity extension, binds every shard's own MANIFEST.json
 // self-checksum under one engine root and a self-checksum, so a single
 // trusted value authenticates the entire fan-out transitively: engine
@@ -32,7 +32,7 @@ const EngineManifestName = manifestName
 type CheckpointManifest struct {
 	Schema string `json:"schema"`
 	Shards int    `json:"shards"`
-	// Kind and Cap are retired; see manifestKind.
+	// Kind, Cap, Routing and RankBits are retired; see manifestKind.
 	Kind     string `json:"kind"`
 	Order    int    `json:"order,omitempty"`
 	Levels   int    `json:"levels,omitempty"`
@@ -51,17 +51,23 @@ type CheckpointManifest struct {
 
 const manifestSchema = "bmw-engine-checkpoint/v1"
 
-// The v1 manifest still carries the fields of the engine that could
-// serve four queue kinds, so fan-outs written by it keep their checksum
-// and restore, and it can restore ours: kind is always manifestKind, and
-// cap — which only ever sized the PIFO kind — is always LegacyCap, the
-// value every configuration normalised it to. A manifest naming another
-// kind is refused.
+// The v1 manifest still carries the fields of the engines that could
+// serve four queue kinds and route pushes by flow hash or rank band, so
+// fan-outs written by them keep their checksum and restore, and they
+// can restore ours: kind is always manifestKind; cap — which only ever
+// sized the PIFO kind — is always LegacyCap, the value every
+// configuration normalised it to; routing and rank_bits are always
+// LegacyRouting and LegacyRankBits, bmwd's old defaults, so an older
+// bmwd started with default flags accepts our fan-out. Restore ignores
+// cap, routing and rank_bits and refuses a manifest naming another kind.
 const (
 	manifestKind = "core"
-	// LegacyCap is also what the replication hello carries in the same
-	// retired slot. Nothing is sized by it.
-	LegacyCap = 4094
+	// LegacyCap, LegacyRouting and LegacyRankBits are also what the
+	// replication hello carries in the same retired slots. Nothing is
+	// sized or routed by them.
+	LegacyCap      = 4094
+	LegacyRouting  = 0
+	LegacyRankBits = 30
 )
 
 // EngineManifestSchema is the schema string exported for tooling that
@@ -72,20 +78,13 @@ const EngineManifestSchema = manifestSchema
 // manifestConfig is the comparable projection of the configuration
 // fields (everything the integrity extension does not cover).
 type manifestConfig struct {
-	Schema   string
-	Shards   int
-	Order    int
-	Levels   int
-	Routing  int
-	RankBits int
+	Schema        string
+	Shards        int
+	Order, Levels int
 }
 
 func (m CheckpointManifest) config() manifestConfig {
-	return manifestConfig{
-		Schema: m.Schema, Shards: m.Shards,
-		Order: m.Order, Levels: m.Levels,
-		Routing: m.Routing, RankBits: m.RankBits,
-	}
+	return manifestConfig{Schema: m.Schema, Shards: m.Shards, Order: m.Order, Levels: m.Levels}
 }
 
 func (e *Engine) manifest() CheckpointManifest {
@@ -96,8 +95,8 @@ func (e *Engine) manifest() CheckpointManifest {
 		Order:    e.cfg.Order,
 		Levels:   e.cfg.Levels,
 		Cap:      LegacyCap,
-		Routing:  int(e.cfg.Routing),
-		RankBits: e.cfg.RankBits,
+		Routing:  LegacyRouting,
+		RankBits: LegacyRankBits,
 	}
 }
 

@@ -168,7 +168,9 @@ func TestEngineManifestTornRefusedTyped(t *testing.T) {
 
 // fourKindManifest is ENGINE.json byte for byte as the engine that could
 // serve four queue kinds wrote it for checkpointSmall(t, 2), the retired
-// "kind" and "cap" fields included.
+// "kind" and "cap" fields included. That engine routed pushes by rank
+// band ("routing": 1, 16-bit ranks), so every value put all 60 elements
+// on shard 0.
 const fourKindManifest = `{
   "schema": "bmw-engine-checkpoint/v1",
   "shards": 2,
@@ -187,54 +189,109 @@ const fourKindManifest = `{
 }
 `
 
+// leastCountManifest is what the engine writes today for the same
+// fan-out: the retired routing slots carry LegacyRouting and
+// LegacyRankBits, the defaults of a bmwd that still read them.
+const leastCountManifest = `{
+  "schema": "bmw-engine-checkpoint/v1",
+  "shards": 2,
+  "kind": "core",
+  "order": 2,
+  "levels": 6,
+  "cap": 4094,
+  "routing": 0,
+  "rank_bits": 30,
+  "shard_checksums": [
+    "ca85729f31daff315d455854059fa495e26eb73279d91cfca9ba24a8195d004d",
+    "771bda98c2bcffdfdeb00ca4deb470bbf5de06595ad81e36a4565833b1b7553e"
+  ],
+  "root": "0e52da0c813a7b46db7b412c4d3abf1cfd86c0df06ea02a7388a99b16a7e8f88",
+  "checksum": "6f294b4002935e867c4f9d1cc21ecff5184d5077c80c44e0c11dad5ed319b5c1"
+}
+`
+
 // TestFourKindCheckpointRestores pins checkpoint compatibility across the
-// removal of the simulator kinds. The same engine checkpoints to the
-// four-kind engine's ENGINE.json bytes exactly; the root in it seals
-// every shard manifest, which seals every snapshot and WAL byte, so the
-// fan-out on disk is the one that engine wrote. Its checksum validates,
-// and it restores and drains exactly.
+// removal of the simulator kinds and of push routing. ApplyReplica
+// rebuilds the rank-routed engine's placement of checkpointSmall's
+// pushes, and the checkpoint of it seals the same shard manifests — so
+// the same snapshot and WAL bytes — as fourKindManifest; only the
+// retired routing slots differ. That manifest, and the same fan-out
+// labelled hash-routed, restore and drain exactly: restore ignores the
+// routing slots.
 func TestFourKindCheckpointRestores(t *testing.T) {
-	dir, cfg := checkpointSmall(t, 2)
-	got, err := os.ReadFile(filepath.Join(dir, EngineManifestName))
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	cfg := smallConfig(2)
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != fourKindManifest {
-		t.Fatalf("ENGINE.json differs from the four-kind engine's:\n%s", got)
+	res := make([]Result, 1)
+	for i := 0; i < 60; i++ {
+		if err := e.ApplyReplica(0, []Op{PushOp(core.Element{Value: uint64(i*13%97 + 1), Meta: uint64(i)})}, res); err != nil || res[0].Err != nil {
+			t.Fatalf("push %d: %v %v", i, err, res[0].Err)
+		}
 	}
-	m, err := DecodeEngineManifest("four-kind", []byte(fourKindManifest))
+	e.Close()
+	if err := e.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, EngineManifestName)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != leastCountManifest {
+		t.Fatalf("ENGINE.json differs from the pinned bytes:\n%s", got)
+	}
+
+	parent, err := DecodeEngineManifest("four-kind", []byte(fourKindManifest))
 	if err != nil {
 		t.Fatalf("four-kind manifest: %v", err)
 	}
-	if m.Kind != "core" || m.Cap != 4094 {
-		t.Fatalf("four-kind manifest decoded kind %q cap %d", m.Kind, m.Cap)
+	if parent.Kind != "core" || parent.Cap != 4094 {
+		t.Fatalf("four-kind manifest decoded kind %q cap %d", parent.Kind, parent.Cap)
 	}
-
-	cfg.RestoreDir = dir
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
+	hashRouted := *parent
+	hashRouted.Routing = 0
+	if hashRouted.Checksum, err = EngineManifestChecksum(hashRouted); err != nil {
+		t.Fatal(err)
 	}
-	defer r.Close()
-	// checkpointSmall pushed value i*13%97+1 with meta i: 60 distinct
-	// values in 1..97, so the drain order is fixed.
-	metaOf := map[uint64]uint64{}
-	for i := uint64(0); i < 60; i++ {
-		metaOf[i*13%97+1] = i
-	}
-	prev := uint64(0)
-	for n := 0; n < 60; n++ {
-		el, err := r.Pop()
+	for _, m := range []CheckpointManifest{*parent, hashRouted} {
+		if err := WriteEngineManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Routing == 1 {
+			if b, _ := os.ReadFile(path); string(b) != fourKindManifest {
+				t.Fatalf("rewritten four-kind manifest differs:\n%s", b)
+			}
+		}
+		c := cfg
+		c.RestoreDir = dir
+		r, err := New(c)
 		if err != nil {
-			t.Fatalf("pop %d: %v", n, err)
+			t.Fatalf("routing %d: restore: %v", m.Routing, err)
 		}
-		if meta, ok := metaOf[el.Value]; !ok || meta != el.Meta || el.Value <= prev {
-			t.Fatalf("pop %d = %+v after %d", n, el, prev)
+		// The pushes were value i*13%97+1 with meta i: 60 distinct values
+		// in 1..97, so the drain order is fixed.
+		metaOf := map[uint64]uint64{}
+		for i := uint64(0); i < 60; i++ {
+			metaOf[i*13%97+1] = i
 		}
-		prev = el.Value
-	}
-	if r.Len() != 0 {
-		t.Fatalf("%d element(s) left after the drain", r.Len())
+		prev := uint64(0)
+		for n := 0; n < 60; n++ {
+			el, err := r.Pop()
+			if err != nil {
+				t.Fatalf("routing %d: pop %d: %v", m.Routing, n, err)
+			}
+			if meta, ok := metaOf[el.Value]; !ok || meta != el.Meta || el.Value <= prev {
+				t.Fatalf("routing %d: pop %d = %+v after %d", m.Routing, n, el, prev)
+			}
+			prev = el.Value
+		}
+		if r.Len() != 0 {
+			t.Fatalf("routing %d: %d element(s) left after the drain", m.Routing, r.Len())
+		}
+		r.Close()
 	}
 }
 

@@ -15,15 +15,12 @@ import (
 // package): many goroutines race batched pushes and pops against a
 // shard group, and afterwards the engine must account for every
 // element exactly — nothing lost, nothing invented, every shard drain
-// sorted. The bare queues carry no locks by design (see docs_test.go);
-// the engine is the layer that must be clean under the race detector.
+// sorted. About one batch in four goes op by op through Engine.Push and
+// Engine.Pop instead. The bare queues carry no locks by design (see
+// docs_test.go); the engine is the layer that must be clean under the
+// race detector.
 func TestConcurrentPushPopContract(t *testing.T) {
-	cfg := Config{
-		Shards: 4,
-		Order:  2, Levels: 8, // 510 per shard
-		Routing: RouteHash,
-	}
-	e, err := New(cfg)
+	e, err := New(Config{Shards: 4, Order: 2, Levels: 8}) // 510 per shard
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +56,19 @@ func TestConcurrentPushPopContract(t *testing.T) {
 						ops = append(ops, PopOp())
 					}
 				}
-				for i, r := range e.Submit(ops) {
+				results := make([]Result, len(ops))
+				if done%4 == 0 {
+					for i, op := range ops {
+						if op.Kind == OpPush {
+							results[i].Err = e.Push(op.Elem)
+						} else {
+							results[i].Elem, results[i].Err = e.Pop()
+						}
+					}
+				} else {
+					e.SubmitInto(ops, results)
+				}
+				for i, r := range results {
 					switch ops[i].Kind {
 					case OpPush:
 						if r.Err == nil {
@@ -112,16 +121,12 @@ func TestConcurrentPushPopContract(t *testing.T) {
 	t.Logf("concurrent contract: %d elements remained at close across %d shards", remaining, e.Shards())
 }
 
-// TestConcurrentRankRouting repeats the race with rank-range routing
-// and the strict merge path (engine.Pop) in the mix, so the head
-// publication and merge scan also run under the race detector.
+// TestConcurrentRankRouting races single-op Engine.Push and Engine.Pop
+// calls only, so the least-count push choice and the least-head pop
+// choice run back to back under the race detector, and checks that the
+// counts balance: every accepted push was popped or is drained at close.
 func TestConcurrentRankRouting(t *testing.T) {
-	cfg := Config{
-		Shards: 4,
-		Order:  2, Levels: 8,
-		Routing: RouteRank, RankBits: 16,
-	}
-	e, err := New(cfg)
+	e, err := New(Config{Shards: 4, Order: 2, Levels: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

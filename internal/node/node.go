@@ -211,8 +211,8 @@ func Start(cfg Config) (*Node, error) {
 
 	hooks := engine.Hooks{
 		Flight: n.flight,
-		OnOverloadTrip: func(shard int) {
-			n.trigger("overload", fmt.Sprintf("shard %d tripped: two consecutive executions over the drain-latency bound", shard))
+		OnOverloadTrip: func() {
+			n.trigger("overload", "engine tripped: two consecutive executions over the drain-latency bound")
 		},
 		OnPanic: func(shard int, r any) {
 			// Synchronous: the executing goroutine is about to re-panic

@@ -21,10 +21,9 @@ import (
 	"repro/internal/wire"
 )
 
-// geom is a small rank-routed engine: sequential single-op pops come
-// back in exact global order, so a drain can be checked against refpq.
-var geom = engine.Config{Shards: 2, Order: 2, Levels: 8,
-	Routing: engine.RouteRank, RankBits: 16}
+// geom is a small two-shard engine: a sequential caller's pops come back
+// in exact global order, so a drain can be checked against refpq.
+var geom = engine.Config{Shards: 2, Order: 2, Levels: 8}
 
 func listen(t *testing.T) net.Listener {
 	t.Helper()

@@ -35,8 +35,8 @@ const (
 	// FlightSpan is a finished request span: A = track (connection id),
 	// B = whole-span latency ns, C = 1 error / 2 slow / 0 sampled-in.
 	FlightSpan FlightKind = iota + 1
-	// FlightOverload is an overload admission edge: A = shard,
-	// B = 1 trip / 0 clear, C = run time in ns of the deciding
+	// FlightOverload is an overload admission edge: A = 0 (the latch is
+	// the engine's), B = 1 trip / 0 clear, C = run time in ns of the deciding
 	// execution (0 for a cooloff expiry).
 	FlightOverload
 	// FlightBackpressure is an almost-full edge: A = shard,

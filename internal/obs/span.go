@@ -37,13 +37,12 @@ const (
 	StageIssue Stage = iota
 	// StageDecode: the frame is fully read, CRC-checked and parsed.
 	StageDecode
-	// StageEnqueue: the request's operations are routed and headed for
-	// their shards (stamped immediately before the first shard's
-	// execution lock is requested).
+	// StageEnqueue: the request's operations are headed for the engine
+	// (stamped immediately before its execution lock is requested).
 	StageEnqueue
-	// StageDequeue: the first of the request's operations started
-	// executing, on the submitter, once it holds that lock: enqueue →
-	// dequeue is the wait for it, all but zero when nobody else held it.
+	// StageDequeue: the request started executing, on the submitter,
+	// once it holds that lock: enqueue → dequeue is the wait for it, all
+	// but zero when nobody else held it.
 	StageDequeue
 	// StageApply: the last of the request's operations has executed
 	// against its shard queue.

@@ -26,7 +26,7 @@
 // A PIFO is intentionally confined to a single goroutine: it models
 // hardware with one issue port per cycle and carries no locks on its
 // hot path. Concurrent callers go through internal/engine, where only
-// the holder of a shard's execution lock touches that shard's queue.
+// the holder of the engine's execution lock touches a shard's queue.
 package pifo
 
 import (

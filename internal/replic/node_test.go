@@ -77,7 +77,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-var testGeom = engine.Config{Shards: 2, Order: 2, Levels: 10, Routing: engine.RouteRank}
+var testGeom = engine.Config{Shards: 2, Order: 2, Levels: 10}
 
 // TestReplicationCatchUpAndPromote replays a primary's history —
 // pushes and pops — onto a follower, promotes it, and drains it: the
@@ -186,12 +186,13 @@ func TestReplicationCatchUpAndPromote(t *testing.T) {
 
 // TestBoundedPopsReplicate drives a sync primary with the cluster
 // merge's frames — runs of bounded pops plus a peek, most ending in
-// misses, some cut short by the other shard's head — between pushes.
-// A hit must reach the follower as the pop it was and a miss as
-// nothing at all: same per-shard LSNs, same length, and the promoted
-// follower drains exactly what the primary still held.
+// misses — between pushes. A hit must reach the follower as the pop it
+// was and a miss as nothing at all. The primary placed every push on its
+// least-count shard and the follower applies the records where they
+// name, so each shard has the same LSN and length on both, and the
+// promoted follower drains exactly what the primary still held.
 func TestBoundedPopsReplicate(t *testing.T) {
-	geom := engine.Config{Shards: 2, Order: 2, Levels: 10, Routing: engine.RouteHash}
+	geom := engine.Config{Shards: 2, Order: 2, Levels: 10}
 	prim := startNode(t, geom, Config{Sync: true, SyncTimeout: 5 * time.Second})
 	defer prim.stop(2 * time.Second)
 	fol := startNode(t, geom, Config{PrimaryAddr: prim.addr})
@@ -261,6 +262,9 @@ func TestBoundedPopsReplicate(t *testing.T) {
 	for i := 0; i < geom.Shards; i++ {
 		if p, f := prim.eng.ShardLSN(i), fol.eng.ShardLSN(i); p != f {
 			t.Fatalf("shard %d LSN: primary %d, follower %d", i, p, f)
+		}
+		if p, f := prim.eng.ShardLen(i), fol.eng.ShardLen(i); p != f || p == 0 {
+			t.Fatalf("shard %d length: primary %d, follower %d", i, p, f)
 		}
 	}
 	if p, f := prim.eng.Len(), fol.eng.Len(); p != f || p != len(held) {
@@ -360,23 +364,24 @@ func TestManifestMismatchRefused(t *testing.T) {
 
 // TestFourKindFollowerHello is what a follower built when the engine could
 // serve four queue kinds sees attaching to a primary today: its hello for
-// a core engine of the same geometry is granted a stream, and its hello
-// for an rbmw engine — the same bytes but the kind byte — is refused on
-// the manifest-mismatch path, not streamed into a tree.
+// a core engine of the same geometry is granted a stream under either
+// routing it may name, and its hello for an rbmw engine — the same bytes
+// but the kind byte — is refused on the manifest-mismatch path, not
+// streamed into a tree.
 func TestFourKindFollowerHello(t *testing.T) {
 	prim := startNode(t, testGeom, Config{})
 	defer prim.stop(2 * time.Second)
 
 	const fresh = "0000000000000000"
 	for _, tc := range []struct {
-		kind byte
-		want wire.Type
-	}{{0, wire.TReplOK}, {2, wire.TError}} {
+		kind, routing byte
+		want          wire.Type
+	}{{0, 0, wire.TReplOK}, {0, 1, wire.TReplOK}, {2, 1, wire.TError}} {
 		conn, err := net.Dial("tcp", prim.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.WriteFrame(conn, wire.TReplHello, 1, fourKindHello(tc.kind, fresh, fresh)); err != nil {
+		if err := wire.WriteFrame(conn, wire.TReplHello, 1, fourKindHello(tc.kind, tc.routing, "10000000", fresh, fresh)); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))

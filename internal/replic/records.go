@@ -75,24 +75,15 @@ type Manifest struct {
 	// Kind is the retired queue-kind byte: 0, the core tree, on every
 	// engine that serves. A peer still naming a simulator kind differs
 	// here and is refused like any other mismatch.
-	Kind     uint8
-	Routing  uint8
-	Order    uint32
-	Levels   uint32
-	RankBits uint32
+	Kind          uint8
+	Order, Levels uint32
 }
 
 // ManifestOf derives the manifest from an engine config (after its
 // defaults are applied).
 func ManifestOf(cfg engine.Config) Manifest {
 	cfg = cfg.Normalized()
-	return Manifest{
-		Shards:   uint32(cfg.Shards),
-		Routing:  uint8(cfg.Routing),
-		Order:    uint32(cfg.Order),
-		Levels:   uint32(cfg.Levels),
-		RankBits: uint32(cfg.RankBits),
-	}
+	return Manifest{Shards: uint32(cfg.Shards), Order: uint32(cfg.Order), Levels: uint32(cfg.Levels)}
 }
 
 // Payload sizes.
@@ -112,16 +103,18 @@ const (
 // AppendReplHello encodes a TReplHello payload: the follower's
 // manifest, the stream sequence after which it wants records, and the
 // identity of the log that sequence was minted against (0 when the
-// follower has no history yet). Bytes 14:22 are the retired PIFO
-// capacity: written as engine.LegacyCap, so a primary that still
-// compares them accepts us, and ignored on parse.
+// follower has no history yet). Three slots are retired: byte 5 (push
+// routing), bytes 14:22 (the PIFO capacity) and 22:26 (rank bits). They
+// are written as engine.LegacyRouting, LegacyCap and LegacyRankBits — an
+// older primary started with default flags compares them and accepts
+// us — and ignored on parse.
 func AppendReplHello(dst []byte, m Manifest, resume, logID uint64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, m.Shards)
-	dst = append(dst, m.Kind, m.Routing)
+	dst = append(dst, m.Kind, engine.LegacyRouting)
 	dst = binary.LittleEndian.AppendUint32(dst, m.Order)
 	dst = binary.LittleEndian.AppendUint32(dst, m.Levels)
 	dst = binary.LittleEndian.AppendUint64(dst, engine.LegacyCap)
-	dst = binary.LittleEndian.AppendUint32(dst, m.RankBits)
+	dst = binary.LittleEndian.AppendUint32(dst, engine.LegacyRankBits)
 	dst = binary.LittleEndian.AppendUint64(dst, resume)
 	return binary.LittleEndian.AppendUint64(dst, logID)
 }
@@ -132,12 +125,10 @@ func ParseReplHello(p []byte) (Manifest, uint64, uint64, error) {
 		return Manifest{}, 0, 0, fmt.Errorf("%w: repl hello payload %d bytes", wire.ErrBadFrame, len(p))
 	}
 	m := Manifest{
-		Shards:   binary.LittleEndian.Uint32(p[0:4]),
-		Kind:     p[4],
-		Routing:  p[5],
-		Order:    binary.LittleEndian.Uint32(p[6:10]),
-		Levels:   binary.LittleEndian.Uint32(p[10:14]),
-		RankBits: binary.LittleEndian.Uint32(p[22:26]),
+		Shards: binary.LittleEndian.Uint32(p[0:4]),
+		Kind:   p[4],
+		Order:  binary.LittleEndian.Uint32(p[6:10]),
+		Levels: binary.LittleEndian.Uint32(p[10:14]),
 	}
 	return m, binary.LittleEndian.Uint64(p[26:34]), binary.LittleEndian.Uint64(p[34:42]), nil
 }

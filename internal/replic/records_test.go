@@ -15,7 +15,7 @@ import (
 )
 
 func TestReplHelloRoundTrip(t *testing.T) {
-	m := Manifest{Shards: 4, Kind: 2, Routing: 1, Order: 4, Levels: 6, RankBits: 30}
+	m := Manifest{Shards: 4, Kind: 2, Order: 4, Levels: 6}
 	p := AppendReplHello(nil, m, 77, 0xABCDEF)
 	got, resume, logID, err := ParseReplHello(p)
 	if err != nil {
@@ -30,12 +30,13 @@ func TestReplHelloRoundTrip(t *testing.T) {
 }
 
 // fourKindHello is a TReplHello as engines that could serve four queue
-// kinds wrote it for testGeom: shards, kind byte (core), routing,
-// order, levels, the PIFO capacity every config normalised to 4094,
-// rank bits, then resume and log id, each little-endian.
-func fourKindHello(kind byte, resume, logID string) []byte {
-	b, err := hex.DecodeString("02000000" + hex.EncodeToString([]byte{kind}) + "01" + "02000000" + "0a000000" +
-		"fe0f000000000000" + "10000000" + resume + logID)
+// kinds and route pushes wrote it for testGeom: shards, kind byte
+// (core), routing (0 hash, 1 rank), order, levels, the PIFO capacity
+// every config normalised to 4094, rank bits (hex, little-endian u32),
+// then resume and log id, each little-endian.
+func fourKindHello(kind, routing byte, rankBits, resume, logID string) []byte {
+	b, err := hex.DecodeString("02000000" + hex.EncodeToString([]byte{kind, routing}) + "02000000" + "0a000000" +
+		"fe0f000000000000" + rankBits + resume + logID)
 	if err != nil {
 		panic(err)
 	}
@@ -43,15 +44,17 @@ func fourKindHello(kind byte, resume, logID string) []byte {
 }
 
 // TestReplHelloLayoutUnchanged pins the 42-byte hello: an engine today
-// writes exactly the bytes the four-kind engines wrote for the same
-// core geometry, and reads theirs back as its own manifest.
+// writes exactly the bytes an older bmwd wrote for the same core
+// geometry with its default flags (hash routing, 30-bit ranks), and
+// reads the hello of a rank-routed one, 16-bit ranks, back as its own
+// manifest.
 func TestReplHelloLayoutUnchanged(t *testing.T) {
-	want := fourKindHello(0, "0500000000000000", "8877665544332211")
+	want := fourKindHello(0, 0, "1e000000", "0500000000000000", "8877665544332211")
 	got := AppendReplHello(nil, ManifestOf(testGeom), 5, 0x1122334455667788)
 	if !bytes.Equal(got, want) || len(got) != 42 {
 		t.Fatalf("hello = %x (%d bytes), want %x", got, len(got), want)
 	}
-	m, resume, logID, err := ParseReplHello(want)
+	m, resume, logID, err := ParseReplHello(fourKindHello(0, 1, "10000000", "0500000000000000", "8877665544332211"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,8 +88,8 @@ type liftWait struct {
 // Sim is the cycle-accurate RPU-BMW simulator. It is intentionally
 // confined to a single goroutine — it models clocked hardware with one
 // issue port per cycle and carries no synchronization; concurrent
-// callers go through internal/engine, where only the holder of a
-// shard's execution lock touches that shard's simulator.
+// callers go through internal/engine, where only the holder of the
+// engine's execution lock touches a shard's queue.
 type Sim struct {
 	m, l     int
 	capacity int

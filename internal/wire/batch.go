@@ -53,8 +53,8 @@ const (
 	StatusEmpty Status = 1
 	// StatusFull: push against a full shard queue.
 	StatusFull Status = 2
-	// StatusBackpressure: push refused at admission (shard
-	// almost-full); the client should back off and retry.
+	// StatusBackpressure: push refused at admission (every shard
+	// full); the client should back off and retry.
 	StatusBackpressure Status = 3
 	// StatusClosed: the engine is shutting down.
 	StatusClosed Status = 4

@@ -220,9 +220,8 @@ func TestPopBoundedOverTheWire(t *testing.T) {
 		res[0] != miss || res[1].Status != StatusEmpty {
 		t.Fatalf("bounded pop on an empty node: %+v %v", res, err)
 	}
-	// One flow id, so one shard of the node's two: the frame's yield is
-	// then the bound's doing alone (engine tests cover the cross-shard
-	// tightening).
+	// The node's two shards merge, so the frame yields the node's global
+	// order up to the bound (engine tests cover the merge itself).
 	for _, v := range []uint64{40, 10, 30, 20} {
 		if res, err := c.Do([]Op{{Kind: OpPush, Value: v, Meta: 7}}); err != nil || res[0].Status != StatusOK {
 			t.Fatalf("push %d: %+v %v", v, res, err)

@@ -44,7 +44,7 @@ func startServer(t *testing.T, cfg engine.Config) (string, func()) {
 // connection and checks ranks come back in merged sorted order.
 func TestClientServerRoundTrip(t *testing.T) {
 	addr, stop := startServer(t, engine.Config{
-		Shards: 4, Order: 2, Levels: 6, Routing: engine.RouteRank,
+		Shards: 4, Order: 2, Levels: 6,
 	})
 	defer stop()
 
@@ -105,7 +105,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 // server's coalescing writer.
 func TestPipelinedClients(t *testing.T) {
 	addr, stop := startServer(t, engine.Config{
-		Shards: 2, Order: 2, Levels: 8, Routing: engine.RouteHash,
+		Shards: 2, Order: 2, Levels: 8,
 	})
 	defer stop()
 

@@ -5,7 +5,7 @@
 // The bare queues (NewBMWTree, NewPIFO, NewRBMWSim, NewRPUBMWSim) are
 // intentionally single-goroutine; Engine is the concurrency story: each
 // shard owns one BMW tree (NewBMWTree's type), only ever touched by the
-// holder of the shard's execution lock. Every submitter executes its
+// holder of the engine's execution lock. Every submitter executes its
 // batch on its own stack, waiting for the lock while another holds it.
 // WireServer/WireClient carry Engine
 // batches over a length-prefixed, CRC-checked binary protocol — see
@@ -20,14 +20,14 @@ import (
 )
 
 // Engine is the sharded concurrent scheduler: N shards, each one BMW
-// tree behind an execution lock that submitters take in turn, executing
-// on their own stack. Push routing is by Meta hash or rank range; Pop is
-// a strict merge across the shard minima.
+// tree, behind one execution lock that submitters take in turn,
+// executing on their own stack. The shards are a BMW root node: a push
+// goes to the shard with the fewest elements, a pop takes the smallest
+// head across shards.
 type Engine = engine.Engine
 
 // EngineConfig sizes an Engine: shard count, per-shard tree order and
-// levels, routing policy, overload control, and an optional restore
-// directory.
+// levels, overload control, and an optional restore directory.
 type EngineConfig = engine.Config
 
 // EngineOp and EngineResult are one batched request and its outcome.
@@ -36,20 +36,11 @@ type (
 	EngineResult = engine.Result
 )
 
-// Routing policies for pushes.
-type EngineRouting = engine.Routing
-
-const (
-	EngineRouteHash = engine.RouteHash
-	EngineRouteRank = engine.RouteRank
-)
-
-// Engine errors. ErrBackpressure is the typed reject: the target
-// shard's queue is almost full and the caller should back off and
-// retry. ErrOverloaded is the overload-control shed: two consecutive
-// executions on the shard ran over the drain-latency bound, and it
-// refuses new pushes until an execution runs fast again or the latch's
-// cooloff expires.
+// Engine errors. ErrBackpressure is the typed reject: every shard's
+// queue is full and the caller should back off and retry. ErrOverloaded
+// is the overload-control shed: two consecutive executions ran over the
+// drain-latency bound, and the engine refuses new pushes until an
+// execution runs fast again or the latch's cooloff expires.
 var (
 	ErrBackpressure = engine.ErrBackpressure
 	ErrEngineClosed = engine.ErrClosed
@@ -63,14 +54,13 @@ var (
 // Engine.SetHooks so EngineConfig stays comparable.
 type EngineHooks = engine.Hooks
 
-// EngineOverload is the per-shard overload-control watermark set;
+// EngineOverload is the engine's overload-control watermark set;
 // Engine.SetOverload swaps it at runtime (the chaos harness uses this
 // to induce deterministic overload episodes).
 type EngineOverload = engine.Overload
 
 // NewEngine builds the engine (it starts no goroutine); Close shuts
-// every shard's execution lock, after which ShardDrain and Checkpoint
-// apply.
+// the execution lock, after which ShardDrain and Checkpoint apply.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // EnginePushOp and EnginePopOp build batch entries for Engine.Submit.
