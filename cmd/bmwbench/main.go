@@ -26,7 +26,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: table1|fig8|table2|fig9|table3|table4|throughput|ablation|fig10|all")
 	quick := flag.Bool("quick", false, "use the scaled-down configuration for fig10")
 	seed := flag.Int64("seed", 42, "workload seed for fig10")
-	metricsOut := flag.String("metrics-out", "", "write a machine-readable BENCH_<exp>.json report to this path")
+	metricsOut := flag.String("metrics-out", "", "write a machine-readable JSON report (metrics and claims) to this path")
 	flag.Parse()
 
 	if *metricsOut != "" {

@@ -9,10 +9,9 @@ import (
 	bmw "repro"
 )
 
-// report is the machine-readable result written by -metrics-out
-// (BENCH_<exp>.json): flat headline numbers, full metric snapshots of
-// the instrumented runs, and the paper's rate claims re-derived from
-// counted cycles.
+// report is the machine-readable result written by -metrics-out: flat
+// headline numbers, full metric snapshots of the instrumented runs, and
+// the paper's rate claims re-derived from counted cycles.
 type report struct {
 	Experiment string   `json:"experiment"`
 	GoVersion  string   `json:"go_version"`

@@ -46,7 +46,7 @@ func TestThroughputProof(t *testing.T) {
 		t.Error("mandatory idle count does not equal pop count")
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_throughput.json")
+	path := filepath.Join(t.TempDir(), "throughput.json")
 	if err := r.write(path); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // bmwload is the load generator for bmwd: it drives the wire protocol
 // with concurrent pipelined connections and reports throughput (Mops)
-// and batch latency quantiles in the bmwperf/v1 JSON schema, so engine
-// serving numbers land in the same regression machinery as the
-// in-process queue benchmarks.
+// and batch latency quantiles, on stdout and optionally as a bmwload/v1
+// JSON report.
 //
 // Two pacing modes:
 //
@@ -24,7 +23,7 @@
 // Examples:
 //
 //	bmwload -addr 127.0.0.1:9970 -conns 2 -pipeline 4 -duration 5s
-//	bmwload -inproc -shards 4 -duration 5s -out BENCH_load.json
+//	bmwload -inproc -shards 4 -duration 5s -out load.json
 //	bmwload -addr 127.0.0.1:9970 -mode open -rate 500000 -duration 10s
 //	bmwload -addr 127.0.0.1:9970 -standby 127.0.0.1:9980 -duration 30s
 //	bmwload -cluster 127.0.0.1:9970,127.0.0.1:9972 -duration 10s
@@ -65,19 +64,18 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// metric mirrors the bmwperf/v1 metric shape.
+// metric is one named measurement in the report.
 type metric struct {
 	Value     float64 `json:"value"`
 	Unit      string  `json:"unit"`
 	Direction string  `json:"direction"`
 }
 
-// report mirrors the bmwperf/v1 document so BENCH_load.json slots into
-// the same comparator as the other experiments.
+// report is the bmwload/v1 document -out writes: run metadata plus the
+// metrics map.
 type report struct {
 	Schema     string            `json:"schema"`
 	Experiment string            `json:"experiment"`
-	Quick      bool              `json:"quick"`
 	GoVersion  string            `json:"go_version"`
 	GoMaxProcs int               `json:"gomaxprocs"`
 	NumCPU     int               `json:"num_cpu"`
@@ -113,7 +111,7 @@ func main() {
 		mode     = flag.String("mode", "closed", "pacing: closed (capacity) or open (fixed -rate)")
 		rate     = flag.Float64("rate", 1e6, "target ops/sec for -mode open, across all workers")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		out      = flag.String("out", "", "write bmwperf/v1 JSON report here (default stdout summary only)")
+		out      = flag.String("out", "", "write a bmwload/v1 JSON report here (default stdout summary only)")
 		metrics  = flag.String("metrics-addr", "", "bmwd obs HTTP address (host:port) to scrape for per-stage latency quantiles and the server trace")
 		traceOut = flag.String("trace-out", "", "write the server's Chrome trace JSON here after the run (needs -metrics-addr with bmwd -trace-sample, or -inproc)")
 		sample   = flag.Int("trace-sample", 64, "inproc server: export 1 of every N request spans to the trace")
@@ -358,7 +356,7 @@ func main() {
 
 	if *out != "" {
 		r := report{
-			Schema:     "bmwperf/v1",
+			Schema:     "bmwload/v1",
 			Experiment: "load",
 			GoVersion:  runtime.Version(),
 			GoMaxProcs: runtime.GOMAXPROCS(0),

@@ -97,6 +97,23 @@ func TestTracerAggregates(t *testing.T) {
 	}
 }
 
+// TestSpanLifecycleZeroAlloc: Begin, a stamp for each of the seven
+// later stages and Finish into a registry's histograms allocate nothing
+// — spans come from the tracer's pool and observes are lock-free.
+func TestSpanLifecycleZeroAlloc(t *testing.T) {
+	tr := NewTracer(TracerOptions{Registry: NewRegistry(), Prefix: "t"})
+	if avg := testing.AllocsPerRun(1000, func() {
+		now := SpanNow()
+		sp := tr.Begin(0, now)
+		for st := StageDecode; st < NumStages; st++ {
+			sp.StampAt(st, now+int64(st))
+		}
+		tr.Finish(sp)
+	}); avg != 0 {
+		t.Errorf("%v allocations per span lifecycle, want 0", avg)
+	}
+}
+
 func TestTracerSkippedStages(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(TracerOptions{Registry: reg, Prefix: "t"})

@@ -149,6 +149,39 @@ func TestOpsPayloadTruncation(t *testing.T) {
 	}
 }
 
+// TestBatchCodecAllocs: encoding a 64-op batch into reused buffers
+// allocates nothing, and decoding it allocates at most the one []Op
+// ParseOps returns.
+func TestBatchCodecAllocs(t *testing.T) {
+	ops := make([]Op, 64)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPop}
+		if i%2 == 0 {
+			ops[i] = Op{Kind: OpPush, Value: uint64(i), Meta: uint64(i)}
+		}
+	}
+	opsBuf := make([]byte, 0, 4096)
+	frameBuf := make([]byte, 0, 4096)
+	if avg := testing.AllocsPerRun(1000, func() {
+		opsBuf = AppendOps(opsBuf[:0], ops)
+		frameBuf = AppendFrame(frameBuf[:0], TBatch, 1, opsBuf)
+	}); avg != 0 {
+		t.Errorf("%v allocations per 64-op AppendOps+AppendFrame, want 0", avg)
+	}
+	frame := AppendFrame(nil, TBatch, 1, AppendOps(nil, ops))
+	if avg := testing.AllocsPerRun(1000, func() {
+		f, _, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseOps(f.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1 {
+		t.Errorf("%v allocations per 64-op DecodeFrame+ParseOps, want <= 1", avg)
+	}
+}
+
 // TestHelloRoundTrip pins the handshake codecs.
 func TestHelloRoundTrip(t *testing.T) {
 	v, session, err := ParseHello(AppendHello(nil, 0xDEAD))

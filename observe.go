@@ -68,56 +68,6 @@ func ParseCycleTrace(b []byte) (CycleTrace, error) { return obs.ParseTrace(b) }
 // with the Chrome Trace Event schema.
 func ValidateCycleTrace(tr CycleTrace) error { return obs.ValidateTrace(tr) }
 
-// Request-lifecycle tracing: every request served by a WireServer with
-// a tracer installed gets an eight-stage span (issue → decode →
-// enqueue → dequeue → apply → commit → ack → write). Every span feeds
-// per-stage latency quantile histograms; one in SampleEvery spans is
-// additionally exported to a TraceRecorder as a Chrome-trace slice
-// track per connection. See DESIGN.md section 5e.
-
-// RequestTracer allocates, samples and aggregates request spans. A nil
-// tracer disables tracing entirely (one branch per frame).
-type RequestTracer = obs.Tracer
-
-// RequestTracerOptions configures a RequestTracer: the registry and
-// metric-name prefix for the per-stage histograms, an optional
-// recorder plus sampling period for Chrome-trace export.
-type RequestTracerOptions = obs.TracerOptions
-
-// RequestSpan is one request's stage-timestamp record; stamped
-// lock-free from server, shard, and writer goroutines.
-type RequestSpan = obs.Span
-
-// TraceStage identifies one request lifecycle stage.
-type TraceStage = obs.Stage
-
-// The request lifecycle stages, in pipeline order.
-const (
-	StageIssue     = obs.StageIssue
-	StageDecode    = obs.StageDecode
-	StageEnqueue   = obs.StageEnqueue
-	StageDequeue   = obs.StageDequeue
-	StageApply     = obs.StageApply
-	StageCommit    = obs.StageCommit
-	StageAck       = obs.StageAck
-	StageWrite     = obs.StageWrite
-	NumTraceStages = obs.NumStages
-)
-
-// NewRequestTracer builds a tracer, or nil (tracing disabled) when
-// opts provide neither a registry nor a recorder.
-func NewRequestTracer(opts RequestTracerOptions) *RequestTracer { return obs.NewTracer(opts) }
-
-// RequestSpanNow is the span clock: monotonic nanoseconds since
-// process start, comparable across goroutines. Pass it to
-// RequestTracer.Begin as the issue timestamp.
-func RequestSpanNow() int64 { return obs.SpanNow() }
-
-// StageMetricName is the registry name of one stage's latency
-// histogram under a tracer prefix (StageIssue maps to the whole-span
-// "<prefix>_stage_total_ns").
-func StageMetricName(prefix string, st TraceStage) string { return obs.StageMetricName(prefix, st) }
-
 // NewEventLogger builds the structured logger the daemons use: JSON
 // records to w at the given level, with repeated identical messages
 // suppressed within the window (errors always pass) so a flapping
@@ -126,27 +76,8 @@ func NewEventLogger(w io.Writer, level slog.Level, window time.Duration) *slog.L
 	return obs.NewEventLogger(w, level, window)
 }
 
-// Incident infrastructure: the black-box flight recorder, runtime
-// telemetry poller, SLO burn-rate engine and incident-bundle capturer.
-// See DESIGN.md section 5f.
-
-// FlightRecorder is a fixed-size lock-free ring of structured events —
-// the always-on black box a crash or incident capture freezes. A nil
-// recorder disables every probe that feeds it.
-type FlightRecorder = obs.FlightRecorder
-
-// FlightDump is a consistent snapshot of a FlightRecorder's window.
-type FlightDump = obs.FlightDump
-
-// FlightEvent is one recorded flight event.
-type FlightEvent = obs.FlightEvent
-
-// NewFlightRecorder builds a flight recorder holding (about) size
-// events; size <= 0 returns nil, the disabled recorder.
-func NewFlightRecorder(size int) *FlightRecorder { return obs.NewFlightRecorder(size) }
-
-// ParseFlightDump decodes and schema-checks a FlightDump JSON document.
-func ParseFlightDump(b []byte) (FlightDump, error) { return obs.ParseFlightDump(b) }
+// Incident infrastructure: the runtime telemetry poller, SLO burn-rate
+// engine and incident-bundle capturer. See DESIGN.md section 5f.
 
 // RuntimeCollector polls runtime/metrics (GC pauses, heap, goroutines,
 // scheduling latency) into a registry. Nil-disabled.

@@ -1,6 +1,7 @@
-// Crash-safe persistence facade: the WAL + checkpoint/restore subsystem
-// of internal/persist re-exported at the package-bmw surface, plus the
-// two one-call conveniences Checkpoint and Restore.
+// Crash-safe persistence facade: the checkpoint/restore and integrity
+// audit surface of internal/persist re-exported at the package-bmw
+// surface, as the one-call conveniences Checkpoint, Restore and
+// VerifyPersistDir.
 //
 // All four exact queues — the software BMW-Tree (NewBMWTree), the PIFO
 // baseline (NewPIFO), and both cycle-accurate simulators (NewRBMWSim,
@@ -17,60 +18,21 @@ import "repro/internal/persist"
 // post-recovery invariant check.
 type Checkpointable = persist.Checkpointable
 
-// PersistOp is one logged queue operation: kind, the clock cycle it
-// committed at (replay nop-aligns the cycle simulators to it), and the
-// element pushed or popped.
-type PersistOp = persist.Op
-
-// PersistOptions configure a PersistManager: WAL group commit and fsync
-// policy, snapshot retention and atomicity, the filesystem seam, and a
-// metrics registry for the persist counters.
-type PersistOptions = persist.Options
-
-// PersistWALOptions tune the log writer: group-commit batch size, sync
-// policy, and retry-with-backoff on transient write errors.
-type PersistWALOptions = persist.WALOptions
-
-// PersistManager couples one queue to one persistence directory: Record
-// appends operations to the WAL, Checkpoint writes an LSN-stamped
-// snapshot, Close flushes.
-type PersistManager = persist.Manager
-
 // RecoveryReport describes what a recovery found and did: the restored
 // snapshot, skipped (invalid) snapshots, replayed WAL suffix, and any
 // torn tail truncated.
 type RecoveryReport = persist.RecoveryReport
-
-// SyncPolicy selects when the WAL fsyncs.
-type SyncPolicy = persist.SyncPolicy
-
-// WAL sync policies.
-const (
-	// SyncBatch fsyncs once per group commit (the default).
-	SyncBatch = persist.SyncBatch
-	// SyncAlways fsyncs after every record.
-	SyncAlways = persist.SyncAlways
-	// SyncNone never fsyncs (durability delegated to the OS).
-	SyncNone = persist.SyncNone
-)
 
 // ErrTornRecord is the sentinel wrapped by WAL-reader errors for a
 // partial or corrupt trailing record; test with errors.Is. A torn tail
 // is recoverable by construction — everything before it is intact.
 var ErrTornRecord = persist.ErrTornRecord
 
-// OpenPersist recovers q from dir (creating the directory on first use)
-// and returns a manager appending to its WAL, plus the recovery report.
-// q must be a freshly constructed queue with the same configuration
-// (shape, protection mode) as the one that wrote the directory.
-func OpenPersist(dir string, q Checkpointable, opts PersistOptions) (*PersistManager, *RecoveryReport, error) {
-	return persist.Open(dir, q, opts)
-}
-
 // Checkpoint writes a one-shot durable snapshot of a live queue to dir,
 // superseding any history already there. The cycle simulators must be
 // quiescent (RPU-BMW always; R-BMW may also checkpoint mid-pipeline
-// through a PersistManager, which the continuous-logging path uses).
+// through internal/persist's Manager, which the continuous-logging path
+// uses).
 func Checkpoint(dir string, q Checkpointable) error {
 	m, err := persist.Attach(dir, q, persist.Options{})
 	if err != nil {
@@ -90,20 +52,6 @@ type PersistFinding = persist.Finding
 
 // PersistDirReport is the outcome of one VerifyPersistDir audit.
 type PersistDirReport = persist.DirReport
-
-// PersistScrubConfig tunes a background integrity scrubber: the
-// directories to walk, an io throttle, and the obs instruments.
-type PersistScrubConfig = persist.ScrubConfig
-
-// PersistScrubber is a resumable, io-throttled integrity walker over
-// persistence directories: manifests, WAL hash chains, snapshot Merkle
-// roots. Step verifies one directory and advances the cursor.
-type PersistScrubber = persist.Scrubber
-
-// NewPersistScrubber builds a scrubber over cfg.Dirs.
-func NewPersistScrubber(cfg PersistScrubConfig) *PersistScrubber {
-	return persist.NewScrubber(cfg)
-}
 
 // VerifyPersistDir audits one persistence directory read-only:
 // manifest self-checksum, WAL framing plus hash chain against the
