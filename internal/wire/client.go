@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,14 +48,11 @@ type ClientOptions struct {
 	Session uint64
 	// ReadTimeout bounds how long the client waits for bytes from the
 	// server while requests are in flight. It is a progress deadline,
-	// re-armed on every write and every received frame, so a slow but
-	// live server does not trip it; a dead peer does. Zero disables.
+	// re-armed before every frame read, so a slow but live server does
+	// not trip it; a dead peer does. Zero disables.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each frame write. Zero disables.
 	WriteTimeout time.Duration
-	// IdleTimeout, when nonzero, closes the connection after this long
-	// with no requests in flight and no server traffic.
-	IdleTimeout time.Duration
 }
 
 // respMsg is one request's terminal outcome inside the client.
@@ -70,12 +68,25 @@ type respMsg struct {
 // per frame, and the kernel's socket buffering across frames — so the
 // per-operation syscall cost shrinks with both the batch size and the
 // number of concurrent callers.
+//
+// There is no reader goroutine. A one-slot read token is held by
+// whichever waiting caller is reading: it reads frames and hands each
+// to its caller by id until its own response arrives, then passes the
+// token on. A lone caller therefore reads its own response, with no
+// goroutine hop; concurrent callers wait on their own response, the
+// token, or the connection's failure, whichever comes first.
 type Client struct {
 	conn net.Conn
 	info HelloInfo
 	opts ClientOptions
 
 	wmu sync.Mutex // serialises frame writes
+
+	// rtok is the read token: whoever receives from it owns conn's read
+	// side, and armed (whether a read deadline is set), until it sends
+	// it back.
+	rtok  chan struct{}
+	armed bool
 
 	nextID  atomic.Uint64
 	pmu     sync.Mutex
@@ -84,8 +95,7 @@ type Client struct {
 	done    chan struct{}
 }
 
-// Dial connects, performs the Hello handshake, and starts the response
-// reader.
+// Dial connects and performs the Hello handshake.
 func Dial(addr string) (*Client, error) {
 	return DialOptions(addr, ClientOptions{})
 }
@@ -100,7 +110,7 @@ func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 }
 
 // NewClient performs the handshake over an established connection
-// (net.Pipe in tests, TCP in production) and starts the reader.
+// (net.Pipe in tests, TCP in production).
 func NewClient(conn net.Conn) (*Client, error) {
 	return NewClientOptions(conn, ClientOptions{})
 }
@@ -110,9 +120,11 @@ func NewClientOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 	c := &Client{
 		conn:    conn,
 		opts:    opts,
+		rtok:    make(chan struct{}, 1),
 		pending: map[uint64]chan respMsg{},
 		done:    make(chan struct{}),
 	}
+	c.rtok <- struct{}{}
 	// The handshake runs under the read/write deadlines too: a dead or
 	// wedged server fails the dial instead of hanging it.
 	if opts.WriteTimeout > 0 {
@@ -144,8 +156,7 @@ func NewClientOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 		return nil, err
 	}
 	conn.SetWriteDeadline(time.Time{})
-	c.armIdleDeadline()
-	go c.readLoop()
+	conn.SetReadDeadline(time.Time{})
 	return c, nil
 }
 
@@ -198,129 +209,179 @@ func (c *Client) DoID(id uint64, ops []Op, timeout time.Duration) ([]Result, err
 		c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
 	}
 	_, err := c.conn.Write(buf)
-	if err == nil && c.opts.ReadTimeout > 0 {
-		// Arm the progress deadline: a response (any response — the
-		// reader re-arms on each frame) must arrive within ReadTimeout.
-		// SetReadDeadline is safe against a concurrently blocked read.
-		c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-	}
 	c.wmu.Unlock()
 	if err != nil {
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
+		c.forget(id)
 		return nil, err
 	}
 
-	var timer *time.Timer
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	// A free token is taken without arming a timer: the holder's
+	// deadline is the conn's read deadline.
+	select {
+	case <-c.rtok:
+		return c.readUntil(id, ch, deadline, len(ops))
+	default:
+	}
 	var expired <-chan time.Time
 	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		expired = timer.C
+		timer := time.NewTimer(timeout)
 		defer timer.Stop()
+		expired = timer.C
 	}
 	select {
 	case m := <-ch:
-		if m.err != nil {
-			return nil, m.err
-		}
-		if len(m.results) != len(ops) {
-			return m.results, fmt.Errorf("wire: %d results for %d ops", len(m.results), len(ops))
-		}
-		return m.results, nil
+		return m.check(len(ops))
+	case <-c.rtok:
+		return c.readUntil(id, ch, deadline, len(ops))
 	case <-expired:
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
+		c.forget(id)
 		c.conn.Close()
 		return nil, ErrRequestTimeout
 	case <-c.done:
-		c.pmu.Lock()
-		err := c.readErr
-		c.pmu.Unlock()
-		if err == nil {
-			err = ErrConnClosed
-		}
-		return nil, err
+		return nil, c.err()
 	}
 }
 
-// armIdleDeadline sets the read deadline for a connection with nothing
-// in flight.
-func (c *Client) armIdleDeadline() {
-	if c.opts.IdleTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.opts.IdleTimeout))
-	} else {
-		c.conn.SetReadDeadline(time.Time{})
+// readUntil runs with the read token held: it reads frames and hands
+// each to its caller until id's own response arrives, then passes the
+// token on. The conn's read deadline is the earlier of the caller's own
+// (a miss is ErrRequestTimeout) and the ReadTimeout progress deadline
+// (a miss fails the connection). A fatal read fails every pending call
+// through done; the token then stays taken.
+func (c *Client) readUntil(id uint64, ch chan respMsg, deadline time.Time, n int) ([]Result, error) {
+	select {
+	case m := <-ch: // handed over before the token came free
+		c.rtok <- struct{}{}
+		return m.check(n)
+	default:
 	}
-}
-
-// readLoop dispatches responses to their waiting Do calls.
-func (c *Client) readLoop() {
-	var fatal error
 	for {
+		own := c.armRead(deadline)
 		f, err := ReadFrame(c.conn)
 		if err != nil {
-			fatal = err
-			break
+			if own && errors.Is(err, os.ErrDeadlineExceeded) {
+				c.fail(err)
+				return nil, ErrRequestTimeout
+			}
+			return nil, c.fail(err)
 		}
 		switch f.Type {
 		case TBatchOK:
 			results, err := ParseResults(f.Payload)
 			if err != nil {
-				fatal = err
-				break
+				return nil, c.fail(err)
 			}
-			c.pmu.Lock()
-			ch := c.pending[f.ID]
-			delete(c.pending, f.ID)
-			inflight := len(c.pending)
-			c.pmu.Unlock()
-			if ch != nil {
-				ch <- respMsg{results: results}
+			if f.ID != id {
+				c.deliver(f.ID, respMsg{results: results})
+				continue
 			}
-			// Re-arm the progress deadline: each delivered response is
-			// proof of life, so a pipelined burst answered slowly but
-			// steadily never trips ReadTimeout.
-			if inflight > 0 {
-				if c.opts.ReadTimeout > 0 {
-					c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-				}
-			} else {
-				c.armIdleDeadline()
+			if c.forget(id) == 0 && c.armed {
+				c.conn.SetReadDeadline(time.Time{})
+				c.armed = false
 			}
+			c.rtok <- struct{}{}
+			return respMsg{results: results}.check(n)
 		case TError:
-			serr := parseServerError(f.Payload)
-			c.pmu.Lock()
-			ch := c.pending[f.ID]
-			delete(c.pending, f.ID)
-			c.pmu.Unlock()
-			// TError is connection-fatal by contract; any other pending
-			// requests fail with the same error via done.
-			if ch != nil {
-				ch <- respMsg{err: serr}
-				fatal = serr
-			} else {
+			// TError is connection-fatal by contract; its addressee gets
+			// the server's error and every other pending request fails
+			// with it via done.
+			var err error = parseServerError(f.Payload)
+			if f.ID == id {
+				c.fail(err)
+				return nil, err
+			}
+			if !c.deliver(f.ID, respMsg{err: err}) {
 				// No addressee: the server could not attribute the fault
 				// to a request (e.g. a frame that failed its CRC arrives
 				// with an untrustworthy id). That is transport corruption,
 				// not a semantic rejection — surface it as a plain
 				// connection error so retry layers reconnect and retry
 				// instead of giving up.
-				fatal = fmt.Errorf("wire: connection failed: %v", serr)
+				err = fmt.Errorf("wire: connection failed: %v", err)
 			}
+			return nil, c.fail(err)
 		default:
-			fatal = fmt.Errorf("wire: unexpected frame type %d", f.Type)
-		}
-		if fatal != nil {
-			break
+			return nil, c.fail(fmt.Errorf("wire: unexpected frame type %d", f.Type))
 		}
 	}
+}
+
+// armRead sets the read deadline for the token holder's next frame and
+// reports whether the caller's own deadline is the one armed.
+func (c *Client) armRead(deadline time.Time) (own bool) {
+	d := deadline
+	if c.opts.ReadTimeout > 0 {
+		if p := time.Now().Add(c.opts.ReadTimeout); d.IsZero() || p.Before(d) {
+			d = p
+		}
+	}
+	if !d.IsZero() || c.armed {
+		c.conn.SetReadDeadline(d)
+		c.armed = !d.IsZero()
+	}
+	return !deadline.IsZero() && d.Equal(deadline)
+}
+
+// check validates a response against the request's op count.
+func (m respMsg) check(n int) ([]Result, error) {
+	if m.err != nil {
+		return nil, m.err
+	}
+	if len(m.results) != n {
+		return m.results, fmt.Errorf("wire: %d results for %d ops", len(m.results), n)
+	}
+	return m.results, nil
+}
+
+// forget drops a request from the pending table and returns how many
+// remain in flight.
+func (c *Client) forget(id uint64) int {
 	c.pmu.Lock()
-	c.readErr = fatal
+	delete(c.pending, id)
+	n := len(c.pending)
 	c.pmu.Unlock()
-	close(c.done)
+	return n
+}
+
+// deliver hands a response to its waiting caller; false when nobody
+// waits for that id any more (it timed out, or the server invented it).
+func (c *Client) deliver(id uint64, m respMsg) bool {
+	c.pmu.Lock()
+	ch := c.pending[id]
+	delete(c.pending, id)
+	c.pmu.Unlock()
+	if ch != nil {
+		ch <- m
+	}
+	return ch != nil
+}
+
+// fail records the connection's first fatal error, wakes every waiting
+// call through done, closes the conn, and returns the recorded error.
+func (c *Client) fail(err error) error {
+	c.pmu.Lock()
+	if c.readErr == nil {
+		c.readErr = err
+		close(c.done)
+	}
+	err = c.readErr
+	c.pmu.Unlock()
 	c.conn.Close()
+	return err
+}
+
+// err is the connection's fatal error, once done is closed.
+func (c *Client) err() error {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	if c.readErr == nil {
+		return ErrConnClosed
+	}
+	return c.readErr
 }
 
 // parseServerError decodes a TError payload (u8 status + message).

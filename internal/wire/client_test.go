@@ -1,0 +1,107 @@
+package wire
+
+import (
+	"bytes"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+)
+
+// TestClientStartsNoReader pins the client's shape: the caller waiting
+// for a response reads it, so a dialed client that has answered a
+// request leaves no goroutine of its own behind.
+func TestClientStartsNoReader(t *testing.T) {
+	addr, stop := startServer(t, engine.Config{Shards: 1, Order: 2, Levels: 6})
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do([]Op{{Kind: OpPush, Value: 1, Meta: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1<<20)
+	stacks := buf[:runtime.Stack(buf, true)]
+	if i := bytes.Index(stacks, []byte("wire.(*Client)")); i >= 0 {
+		end := min(len(stacks), i+200)
+		t.Fatalf("a goroutine runs client code after Do returned:\n%s", stacks[i:end])
+	}
+}
+
+// TestClientTokenHandoff drives 16 concurrent callers over one client,
+// so the read token changes hands constantly, then force-closes the
+// server mid-run. Every call returns — with results before the kill,
+// with an error after it — within ReadTimeout plus a second, and once
+// the callers are done no goroutine is left behind.
+func TestClientTokenHandoff(t *testing.T) {
+	const (
+		workers     = 16
+		calls       = 500
+		readTimeout = 2 * time.Second
+	)
+	before := runtime.NumGoroutine()
+	addr, kill := killableServer(t, engine.Config{Shards: 2, Order: 2, Levels: 8})
+	c, err := DialOptions(addr, ClientOptions{ReadTimeout: readTimeout, WriteTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var ok, failed, slow atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				ops := []Op{{Kind: OpPush, Value: uint64(i), Meta: uint64(w)<<32 | uint64(i)}, {Kind: OpPop}}
+				start := time.Now()
+				res, err := c.Do(ops)
+				if time.Since(start) > readTimeout+time.Second {
+					slow.Add(1)
+				}
+				switch {
+				case err != nil:
+					failed.Add(1)
+				case len(res) != len(ops):
+					t.Errorf("worker %d call %d: %d results for %d ops", w, i, len(res), len(ops))
+				default:
+					if ok.Add(1) == workers*calls/4 {
+						go kill()
+					}
+				}
+			}
+		}(w)
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("callers hung after the kill:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	kill()
+	c.Close()
+	if n := slow.Load(); n > 0 {
+		t.Errorf("%d calls took longer than ReadTimeout + 1s", n)
+	}
+	if ok.Load() < workers*calls/4 || failed.Load() == 0 {
+		t.Errorf("ok %d, failed %d: the kill did not land mid-run", ok.Load(), failed.Load())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines after the run, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+	}
+}

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Protocol constants.
@@ -202,11 +203,18 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	}, total, nil
 }
 
+// headers recycles ReadFrame's header buffers: passed to an io.Reader,
+// a stack array escapes, so a pooled one keeps a read at the one
+// allocation of the frame itself.
+var headers = sync.Pool{New: func() any { return new([HeaderSize]byte) }}
+
 // ReadFrame reads exactly one frame from r. A clean EOF before any
 // byte is io.EOF; a stream ending mid-frame is io.ErrUnexpectedEOF —
-// the torn bytes are never returned as a frame.
+// the torn bytes are never returned as a frame. The frame's bytes are
+// one allocation, which the returned payload aliases.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [HeaderSize]byte
+	hdr := headers.Get().(*[HeaderSize]byte)
+	defer headers.Put(hdr)
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
@@ -217,15 +225,14 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if _, _, err := DecodeFrame(hdr[:]); !errors.Is(err, ErrTruncated) {
 		return Frame{}, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[16:20])
-	rest := make([]byte, int(n)+TrailerSize)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	buf := make([]byte, HeaderSize+int(binary.LittleEndian.Uint32(hdr[16:20]))+TrailerSize)
+	copy(buf, hdr[:])
+	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, err
 	}
-	buf := append(hdr[:], rest...)
 	f, _, err := DecodeFrame(buf)
 	return f, err
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -40,10 +41,10 @@ type ServerConfig struct {
 	DedupTTL time.Duration
 	// Tracer, when non-nil, traces every TBatch request's lifecycle:
 	// the server stamps issue/decode/commit/ack/write, the engine
-	// stamps enqueue/dequeue/apply, and the writer finishes the span
-	// (histogram aggregation plus sampled Chrome-trace export, one
-	// track per connection). Nil disables tracing at one branch per
-	// frame.
+	// stamps enqueue/dequeue/apply, and whichever goroutine writes the
+	// response finishes the span (histogram aggregation plus sampled
+	// Chrome-trace export, one track per connection). Nil disables
+	// tracing at one branch per frame.
 	Tracer *obs.Tracer
 }
 
@@ -111,9 +112,11 @@ type (
 
 // Server serves an engine over the wire protocol. Each accepted
 // connection gets a reader goroutine (decode, execute against the
-// engine, hand the response to the writer) and a writer goroutine that
-// coalesces responses: it collects every response already queued before
-// flushing, so a pipelined client costs one syscall per pipeline
+// engine, answer) and a writer goroutine. The reader writes an ungated
+// response itself when the writer holds nothing, so an unloaded round
+// trip costs no goroutine hop. Otherwise the response queues for the
+// writer, which coalesces: it collects every response already queued
+// before flushing, so a pipelined client costs one syscall per pipeline
 // window, not one per response. The writer is also where a response
 // gated by the batch hook waits for its gate (see writeLoop), so a
 // replication round trip never stalls the connection's reader.
@@ -271,10 +274,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// response is one encoded frame headed for a connection's writer. sp,
-// when non-nil, is the request's trace span: the writer stamps
-// StageWrite once the bytes hit the socket and finishes the span. wait,
-// when non-nil, is the batch hook's gate: the writer calls it and stamps
+// response is one frame headed for a connection. sp, when non-nil, is
+// the request's trace span: whichever goroutine writes the bytes stamps
+// StageWrite once they hit the socket and finishes the span. wait, when
+// non-nil, is the batch hook's gate: the writer calls it and stamps
 // StageAck before the response may join a write.
 type response struct {
 	typ     Type
@@ -302,18 +305,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	connID := s.connSeq.Add(1)
 	tracer.NameTrack(connID, "conn "+conn.RemoteAddr().String())
 
-	out := make(chan response, outCap)
+	in := bufio.NewReader(conn)
+	out := &connOut{conn: conn, in: in, q: make(chan response, outCap), writeTimeout: s.cfg.WriteTimeout, tracer: tracer}
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
-		writeLoop(conn, out, s.cfg.WriteTimeout, tracer)
+		out.writeLoop()
 	}()
 	writerStopped := false
 	stopWriter := func() {
 		if !writerStopped {
 			writerStopped = true
-			close(out)
+			close(out.q)
 			wwg.Wait()
 		}
 	}
@@ -340,10 +344,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		f, err := ReadFrame(conn)
+		f, err := ReadFrame(in)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				sendErr(out, 0, StatusInvalid, err)
+				out.sendErr(0, StatusInvalid, err)
 			}
 			return
 		}
@@ -351,26 +355,26 @@ func (s *Server) serveConn(conn net.Conn) {
 		case THello:
 			v, sid, err := ParseHello(f.Payload)
 			if err != nil || v != Version {
-				sendErr(out, f.ID, StatusInvalid, fmt.Errorf("unsupported version %d", v))
+				out.sendErr(f.ID, StatusInvalid, fmt.Errorf("unsupported version %d", v))
 				return
 			}
 			session = sid
 			if session != 0 {
 				sess = s.dedup.get(session)
 			}
-			out <- response{THelloOK, f.ID, AppendHelloOK(nil, HelloInfo{
+			out.send(response{THelloOK, f.ID, AppendHelloOK(nil, HelloInfo{
 				Version:  Version,
 				Shards:   uint32(s.eng.Shards()),
 				Capacity: uint64(s.eng.Cap()),
-			}), nil, nil}
+			}), nil, nil})
 		case TBatch:
 			if !s.serving.Load() {
-				sendErr(out, f.ID, StatusNotPrimary, errors.New("replication follower: not serving queue traffic"))
+				out.sendErr(f.ID, StatusNotPrimary, errors.New("replication follower: not serving queue traffic"))
 				return
 			}
 			wireOps, err := ParseOps(f.Payload)
 			if err != nil {
-				sendErr(out, f.ID, StatusInvalid, err)
+				out.sendErr(f.ID, StatusInvalid, err)
 				return
 			}
 			sp := tracer.Begin(connID, issueNs)
@@ -384,12 +388,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				sess.mu.Lock()
 				if resp, ok := sess.cache[f.ID]; ok {
 					sess.mu.Unlock()
-					out <- response{TBatchOK, f.ID, resp, sp, nil}
+					out.send(response{TBatchOK, f.ID, resp, sp, nil})
 					continue
 				}
 				if f.ID <= sess.evictedMax {
 					sess.mu.Unlock()
-					sendErr(out, f.ID, StatusDedupMiss, fmt.Errorf("request id %d outside dedup window", f.ID))
+					out.sendErr(f.ID, StatusDedupMiss, fmt.Errorf("request id %d outside dedup window", f.ID))
 					return
 				}
 			}
@@ -398,11 +402,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			// with its own pipeline; refuse cheaply instead of
 			// executing into a backlog. Shed batches are never cached —
 			// a retry may execute.
-			if s.cfg.MaxInflight > 0 && len(out) >= s.cfg.MaxInflight {
+			if s.cfg.MaxInflight > 0 && len(out.q) >= s.cfg.MaxInflight {
 				if sess != nil {
 					sess.mu.Unlock()
 				}
-				out <- response{TBatchOK, f.ID, appendShedResults(nil, len(wireOps)), sp, nil}
+				out.send(response{TBatchOK, f.ID, appendShedResults(nil, len(wireOps)), sp, nil})
 				continue
 			}
 			// Front-door triage: ownership-refused pushes and peeks are
@@ -488,66 +492,67 @@ func (s *Server) serveConn(conn net.Conn) {
 			if wait == nil {
 				sp.Stamp(obs.StageAck)
 			}
-			out <- response{TBatchOK, f.ID, payload, sp, wait}
+			out.send(response{TBatchOK, f.ID, payload, sp, wait})
 		case TAdmin:
 			cmd, err := ParseAdmin(f.Payload)
 			if err != nil {
-				sendErr(out, f.ID, StatusInvalid, err)
+				out.sendErr(f.ID, StatusInvalid, err)
 				return
 			}
 			info, err := s.adminInfo(cmd)
 			if err != nil {
-				sendErr(out, f.ID, StatusInvalid, err)
+				out.sendErr(f.ID, StatusInvalid, err)
 				return
 			}
-			out <- response{TAdminOK, f.ID, AppendAdminInfo(nil, info), nil, nil}
+			out.send(response{TAdminOK, f.ID, AppendAdminInfo(nil, info), nil, nil})
 		case TClusterHello:
 			if s.onClusterHello == nil {
-				sendErr(out, f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
+				out.sendErr(f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
 				return
 			}
 			since, err := ParseClusterHello(f.Payload)
 			if err != nil {
-				sendErr(out, f.ID, StatusInvalid, err)
+				out.sendErr(f.ID, StatusInvalid, err)
 				return
 			}
-			out <- response{TClusterMap, f.ID, s.onClusterHello(since), nil, nil}
+			out.send(response{TClusterMap, f.ID, s.onClusterHello(since), nil, nil})
 		case TClusterMap:
 			if s.onClusterSink == nil {
-				sendErr(out, f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
+				out.sendErr(f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
 				return
 			}
 			// The sink decides adoption; the reply (possibly empty)
 			// carries the local map back when it is the newer one, so a
 			// single gossip exchange converges both peers.
-			out <- response{TClusterMap, f.ID, s.onClusterSink(f.Payload), nil, nil}
+			out.send(response{TClusterMap, f.ID, s.onClusterSink(f.Payload), nil, nil})
 		case TReplFetch:
 			if s.onFetch == nil {
-				sendErr(out, f.ID, StatusInvalid, errors.New("anti-entropy fetch not enabled"))
+				out.sendErr(f.ID, StatusInvalid, errors.New("anti-entropy fetch not enabled"))
 				return
 			}
 			resp, err := s.onFetch(f.Payload)
 			if err != nil {
-				sendErr(out, f.ID, StatusInvalid, err)
+				out.sendErr(f.ID, StatusInvalid, err)
 				continue
 			}
-			out <- response{TReplChunk, f.ID, resp, nil, nil}
+			out.send(response{TReplChunk, f.ID, resp, nil, nil})
 		case TReplHello:
 			if s.onRepl == nil {
-				sendErr(out, f.ID, StatusInvalid, errors.New("replication not enabled"))
+				out.sendErr(f.ID, StatusInvalid, errors.New("replication not enabled"))
 				return
 			}
-			// Hand the raw connection to the replication layer: stop
-			// our writer first so frames cannot interleave, clear the
-			// idle deadline (the stream manages its own liveness), and
-			// run the stream to completion in this goroutine so
-			// Shutdown still accounts for it.
+			// Hand the connection, with any bytes already buffered, to
+			// the replication layer: stop our writer first so frames
+			// cannot interleave, clear the idle deadline (the stream
+			// manages its own liveness), and run the stream to
+			// completion in this goroutine so Shutdown still accounts
+			// for it.
 			stopWriter()
 			conn.SetReadDeadline(time.Time{})
-			s.onRepl(conn, f)
+			s.onRepl(bufferedConn{conn, in}, f)
 			return
 		default:
-			sendErr(out, f.ID, StatusInvalid, fmt.Errorf("unexpected frame type %d", f.Type))
+			out.sendErr(f.ID, StatusInvalid, fmt.Errorf("unexpected frame type %d", f.Type))
 			return
 		}
 	}
@@ -601,13 +606,80 @@ func statusOf(err error) Status {
 	}
 }
 
-// sendErr queues a TError frame; best-effort if the writer is gone.
-func sendErr(out chan<- response, id uint64, code Status, err error) {
-	payload := append([]byte{byte(code)}, err.Error()...)
-	select {
-	case out <- response{TError, id, payload, nil, nil}:
-	default:
+// connOut is one connection's response path. Its writer goroutine
+// (writeLoop) coalesces queued responses and runs their sync gates; the
+// reader writes an ungated response itself when the writer holds
+// nothing and no further request is already buffered. Every response
+// write holds mu, and the reader writes only when nothing queued
+// earlier is still unwritten, so bytes leave in queue order.
+type connOut struct {
+	conn         net.Conn
+	in           *bufio.Reader // the reader's input; only the reader calls send
+	q            chan response
+	writeTimeout time.Duration
+	tracer       *obs.Tracer
+
+	mu   sync.Mutex
+	held int    // responses queued, or taken but unwritten, by the writer
+	buf  []byte // the reader's encode buffer for direct writes
+}
+
+// send writes an ungated response at once when the writer holds
+// nothing and no request is waiting in the input buffer, and queues it
+// for the writer otherwise: a pipelining client's responses coalesce
+// there. A failed direct write closes the conn, which the reader's next
+// read notices.
+func (w *connOut) send(r response) { w.respond(r, true) }
+
+// sendErr sends a TError frame; best-effort if the writer is backed up.
+func (w *connOut) sendErr(id uint64, code Status, err error) {
+	w.respond(response{TError, id, append([]byte{byte(code)}, err.Error()...), nil, nil}, false)
+}
+
+func (w *connOut) respond(r response, block bool) {
+	w.mu.Lock()
+	if r.wait == nil && w.held == 0 && w.in.Buffered() == 0 {
+		w.buf = AppendFrame(w.buf[:0], r.typ, r.id, r.payload)
+		err := w.write(w.buf)
+		w.mu.Unlock()
+		w.finish(r.sp, err)
+		if err != nil {
+			w.conn.Close()
+		}
+		return
 	}
+	w.held++
+	w.mu.Unlock()
+	if block {
+		w.q <- r
+		return
+	}
+	select {
+	case w.q <- r:
+	default:
+		w.mu.Lock()
+		w.held--
+		w.mu.Unlock()
+	}
+}
+
+// write puts encoded frames on the socket; callers hold mu.
+func (w *connOut) write(b []byte) error {
+	if w.writeTimeout > 0 {
+		w.conn.SetWriteDeadline(time.Now().Add(w.writeTimeout))
+	}
+	_, err := w.conn.Write(b)
+	return err
+}
+
+// finish stamps a written response's span and finishes it. On a failed
+// write the span finishes unstamped — its last stage stays wherever
+// execution got to.
+func (w *connOut) finish(sp *obs.Span, err error) {
+	if err == nil {
+		sp.Stamp(obs.StageWrite)
+	}
+	w.tracer.Finish(sp)
 }
 
 // writeLoop is the per-connection coalescing writer: take one
@@ -622,58 +694,64 @@ func sendErr(out chan<- response, id uint64, code Status, err error) {
 // trip — and a gated response is encoded only once its gate returns, so
 // no response reaches the socket before its ack (or its sync timeout)
 // and responses leave in the order the reader queued them.
-func writeLoop(conn net.Conn, out <-chan response, writeTimeout time.Duration, tracer *obs.Tracer) {
+func (w *connOut) writeLoop() {
 	buf := make([]byte, 0, 64<<10)
 	var spans []*obs.Span
+	n := 0 // responses encoded in buf
 	// flush writes the encoded responses and finishes their spans; false
 	// means the connection is dead.
 	flush := func() bool {
-		if len(buf) == 0 {
+		if n == 0 {
 			return true
 		}
-		if writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
-		_, err := conn.Write(buf)
+		w.mu.Lock()
+		err := w.write(buf)
+		w.held -= n
+		w.mu.Unlock()
 		for _, sp := range spans {
-			// On a failed write the span finishes unstamped — its last
-			// stage stays wherever execution got to.
-			if err == nil {
-				sp.Stamp(obs.StageWrite)
-			}
-			tracer.Finish(sp)
+			w.finish(sp, err)
 		}
-		buf, spans = buf[:0], spans[:0]
+		buf, spans, n = buf[:0], spans[:0], 0
 		return err == nil
 	}
 	dead := false
-	for r := range out {
+	for r := range w.q {
 		if dead {
 			// The reader notices the dead conn on its own; until it closes
-			// out, just finish the spans of responses nobody will read.
-			tracer.Finish(r.sp)
+			// the queue, just finish the spans of responses nobody will read.
+			w.tracer.Finish(r.sp)
 			continue
 		}
 		if r.wait != nil {
 			if dead = !flush(); dead {
-				tracer.Finish(r.sp)
+				w.tracer.Finish(r.sp)
 				continue
 			}
 			r.wait()
 			r.sp.Stamp(obs.StageAck)
 		}
 		buf = AppendFrame(buf, r.typ, r.id, r.payload)
+		n++
 		if r.sp != nil {
 			spans = append(spans, r.sp)
 		}
 		// Coalesce while more is queued (this goroutine is the only
 		// receiver, so a nonempty queue cannot drain under it); write once
 		// it is not.
-		if len(out) == 0 {
+		if len(w.q) == 0 {
 			dead = !flush()
 		}
 	}
 }
+
+// bufferedConn is a connection whose first reads drain the bytes its
+// previous reader had already buffered.
+type bufferedConn struct {
+	net.Conn
+	r *bufio.Reader
+}
+
+func (c bufferedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
 // sessionState is one session's retry-dedup cache: responses by request
 // id, insertion-ordered for eviction, plus the high-water mark of

@@ -5,6 +5,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,6 +234,67 @@ func TestSyncGatePipelined(t *testing.T) {
 		}
 		if f.Type != TBatchOK || f.ID != id {
 			t.Fatalf("response type %d id %d, want TBatchOK id %d", f.Type, f.ID, id)
+		}
+	}
+}
+
+// TestDirectWriteKeepsOrder pins the reader's direct write against the
+// writer's queue. Every third batch is gated for a millisecond, and a
+// raw conn pipelines 64 frames, so the reader keeps finding the writer
+// busy with a gated response. Responses must still leave in request-id
+// order, and a gated one only after its gate has returned.
+func TestDirectWriteKeepsOrder(t *testing.T) {
+	e, err := engine.New(engine.Config{Shards: 1, Order: 2, Levels: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const frames = 64
+	var opened [frames + 1]atomic.Bool
+	srv := NewServer(e)
+	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
+		if reqID%3 != 0 {
+			return nil
+		}
+		return func() {
+			time.Sleep(time.Millisecond)
+			opened[reqID].Store(true)
+		}
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var req []byte
+	for id := uint64(1); id <= frames; id++ {
+		req = AppendFrame(req, TBatch, id, AppendOps(nil, []Op{{Kind: OpPush, Value: id, Meta: id}}))
+	}
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for id := uint64(1); id <= frames; id++ {
+		f, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != TBatchOK || f.ID != id {
+			t.Fatalf("response type %d id %d, want TBatchOK id %d", f.Type, f.ID, id)
+		}
+		if id%3 == 0 && !opened[id].Load() {
+			t.Fatalf("gated response %d read before its gate returned", id)
 		}
 	}
 }

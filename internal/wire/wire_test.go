@@ -230,3 +230,22 @@ func TestAdminRoundTrip(t *testing.T) {
 		t.Fatal("short admin info accepted")
 	}
 }
+
+// TestReadFrameOneAlloc: reading a 64-op batch frame off a stream costs
+// one allocation, the frame's own bytes, which the payload aliases.
+func TestReadFrameOneAlloc(t *testing.T) {
+	ops := make([]Op, 64)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPush, Value: uint64(i), Meta: uint64(i)}
+	}
+	frame := AppendFrame(nil, TBatch, 1, AppendOps(nil, ops))
+	r := bytes.NewReader(frame)
+	if avg := testing.AllocsPerRun(1000, func() {
+		r.Reset(frame)
+		if _, err := ReadFrame(r); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 1 {
+		t.Errorf("%v allocations per 64-op ReadFrame, want 1", avg)
+	}
+}
