@@ -56,11 +56,11 @@ type Stats struct {
 	// MapRefreshes counts map-refresh sweeps (redirects and explicit
 	// Refresh calls).
 	MapRefreshes uint64
-	// PopRounds counts the pop merge's sequential round trips: one per
-	// bounded-pop frame sent to a node, one per parallel sweep of head
-	// probes. Divided by the OK pops it is the merge's round trips per
-	// pop — 1 or more when every pop travels alone, well under 1 when
-	// runs of pops batch.
+	// PopRounds counts the pop merge's rounds: one per bounded-pop
+	// frame sent to a node — one that rides a push frame still counts
+	// as one — and one per sweep of head probes. Divided by the OK pops
+	// it is the merge's rounds per pop — 1 or more when every pop
+	// travels alone, well under 1 when runs of pops batch.
 	PopRounds uint64
 	// PerNode is keyed by node id.
 	PerNode map[uint32]NodeStats
@@ -181,6 +181,11 @@ func (c *Client) Stats() Stats {
 func (c *Client) node(n *Node) (*nodeConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.nodeLocked(n)
+}
+
+// nodeLocked is node with c.mu held.
+func (c *Client) nodeLocked(n *Node) (*nodeConn, error) {
 	if c.closed {
 		return nil, wire.ErrConnClosed
 	}
@@ -293,11 +298,13 @@ func (c *Client) Refresh(minVersion uint64) {
 // pooled so a steady Do loop does not rebuild them every call.
 // Concurrent callers each take their own, so nothing in it is shared.
 type scratch struct {
-	pushes []int       // op indices of the call's pushes
-	pops   []int       // op indices of the current run of pops
-	groups [][]int     // by map node index: the pushes routed there
-	frames [][]wire.Op // by map node index: the frame sent there
-	frame  []wire.Op   // the pop merge's frame
+	pushes []int          // op indices of the call's pushes
+	pops   []int          // op indices of the current run of pops
+	groups [][]int        // by map node index: the pushes routed there
+	frames [][]wire.Op    // by map node index: the frame sent there
+	conns  []*nodeConn    // by map node index: where a frame goes; nil for none
+	sent   []wire.Pending // by map node index: that frame, in flight
+	frame  []wire.Op      // the pop merge's frame
 }
 
 func (c *Client) getScratch() *scratch {
@@ -308,21 +315,43 @@ func (c *Client) getScratch() *scratch {
 	return &scratch{}
 }
 
+// size readies the by-node-index slices for a map of n nodes, with no
+// node picked to be sent a frame.
+func (sc *scratch) size(n int) {
+	for len(sc.groups) < n {
+		sc.groups = append(sc.groups, nil)
+		sc.frames = append(sc.frames, nil)
+		sc.conns = append(sc.conns, nil)
+		sc.sent = append(sc.sent, wire.Pending{})
+	}
+	clear(sc.conns)
+}
+
 // Do executes a batch of operations across the cluster and returns one
 // result per op, in order. Like engine.Submit, the ops in one batch
-// are logically concurrent: pushes fan out to their owner nodes in
-// parallel, then pops and peeks run through the strict merge, each
-// maximal run of pops (pushes between them do not break it) as one
-// bounded batch. An error is terminal for the whole call (a node
-// unreachable within its retry budget, or an indeterminate retry —
-// wire.ErrDedupMiss).
+// are logically concurrent: pushes fan out to their owner nodes in one
+// wave — every node's frame is written before any response is read —
+// then pops and peeks run through the strict merge, each maximal run
+// of pops (pushes between them do not break it) as one bounded batch.
+// The first run of pops rides the push wave when every node's head is
+// cached (see rider), so a steady call waits on one round fewer. An
+// error is terminal for the whole call (a node unreachable within its
+// retry budget, or an indeterminate retry — wire.ErrDedupMiss).
 func (c *Client) Do(ops []wire.Op) ([]wire.Result, error) {
 	results := make([]wire.Result, len(ops))
 	sc := c.getScratch()
 	defer c.scratch.Put(sc)
+	first := len(ops) // the first peek; the pops before it may ride
 	for i, op := range ops {
-		if op.Kind == wire.OpPush {
+		switch op.Kind {
+		case wire.OpPush:
 			sc.pushes = append(sc.pushes, i)
+		case wire.OpPop:
+			if i < first {
+				sc.pops = append(sc.pops, i)
+			}
+		case wire.OpPeek:
+			first = min(first, i)
 		}
 	}
 	if err := c.doPushes(sc, ops, results); err != nil {
@@ -332,7 +361,9 @@ func (c *Client) Do(ops []wire.Op) ([]wire.Result, error) {
 		switch op.Kind {
 		case wire.OpPush:
 		case wire.OpPop:
-			sc.pops = append(sc.pops, i)
+			if i > first {
+				sc.pops = append(sc.pops, i)
+			}
 		case wire.OpPeek:
 			if err := c.popRun(sc, results); err != nil {
 				return nil, err
@@ -363,62 +394,80 @@ func (c *Client) Push(value, meta uint64) (wire.Result, error) {
 	return results[0], err
 }
 
-// doPushes routes ops[sc.pushes] to their owners, in parallel per node,
-// re-routing StatusNotOwner refusals after a map refresh for up to
-// RedirectMax rounds. Unresolved refusals keep their StatusNotOwner
-// result — the caller sees the disagreement instead of an op silently
-// dropped.
+// doPushes routes ops[sc.pushes] to their owners, one frame per node,
+// all written before any is waited on, re-routing StatusNotOwner
+// refusals after a map refresh for up to RedirectMax rounds.
+// Unresolved refusals keep their StatusNotOwner result — the caller
+// sees the disagreement instead of an op silently dropped. The first
+// round carries the rider: pops of sc.pops served from its frame are
+// filed and taken off the front of sc.pops.
 func (c *Client) doPushes(sc *scratch, ops []wire.Op, results []wire.Result) error {
 	pending := sc.pushes
 	for round := 0; len(pending) > 0; round++ {
 		m := c.Map()
-		for len(sc.groups) < len(m.Nodes) {
-			sc.groups = append(sc.groups, nil)
-			sc.frames = append(sc.frames, nil)
-		}
-		for ni := range sc.groups {
+		sc.size(len(m.Nodes))
+		for ni := range m.Nodes {
 			sc.groups[ni] = sc.groups[ni][:0]
 		}
-		owners, last := 0, 0
 		for _, i := range pending {
 			ni := m.NodeFor(m.KeyOf(ops[i].Value, ops[i].Meta))
-			if len(sc.groups[ni]) == 0 {
-				owners, last = owners+1, ni
-			}
 			sc.groups[ni] = append(sc.groups[ni], i)
+		}
+		ride, k, bound := -1, 0, uint64(0)
+		if round == 0 {
+			ride, k, bound = c.rider(sc, m, ops)
+		}
+		c.mu.Lock()
+		for ni := range m.Nodes {
+			if len(sc.groups[ni]) == 0 && ni != ride {
+				continue
+			}
+			nc, err := c.nodeLocked(&m.Nodes[ni])
+			if err != nil {
+				c.mu.Unlock()
+				return err
+			}
+			sc.conns[ni] = nc
+		}
+		c.mu.Unlock()
+		for ni, nc := range sc.conns[:len(m.Nodes)] {
+			if nc == nil {
+				continue
+			}
+			frame := sc.frames[ni][:0]
+			for _, i := range sc.groups[ni] {
+				frame = append(frame, ops[i])
+			}
+			if ni == ride {
+				frame = appendPopRound(frame, k, bound)
+			}
+			sc.frames[ni] = frame
+			sc.sent[ni] = nc.rc.Send(frame)
+			nc.ops.Add(uint64(len(frame)))
 		}
 		var (
 			retry  []int
 			maxVer uint64
 			err    error
 		)
-		if owners == 1 {
-			// One owner (always so for a single push): no fan-out to
-			// wait for, so no goroutine either.
-			retry, maxVer, err = c.pushGroup(sc, m, last, ops, results)
-		} else {
-			var (
-				wg  sync.WaitGroup
-				gmu sync.Mutex
-			)
-			for ni := range m.Nodes {
-				if len(sc.groups[ni]) == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(ni int) {
-					defer wg.Done()
-					gretry, gver, gerr := c.pushGroup(sc, m, ni, ops, results)
-					gmu.Lock()
-					defer gmu.Unlock()
-					retry = append(retry, gretry...)
-					maxVer = max(maxVer, gver)
-					if err == nil {
-						err = gerr
-					}
-				}(ni)
+		for ni, nc := range sc.conns[:len(m.Nodes)] {
+			if nc == nil {
+				continue
 			}
-			wg.Wait()
+			res, werr := sc.sent[ni].Wait()
+			if werr != nil {
+				if err == nil {
+					err = werr
+				}
+				continue
+			}
+			id, group := m.Nodes[ni].ID, sc.groups[ni]
+			retry, maxVer = c.filePushes(id, nc, group, ops, res[:len(group)], results, retry, maxVer)
+			if ni == ride {
+				c.popRounds.Add(1)
+				left := c.fileRound(id, nc, sc.pops, res[len(group):], results)
+				sc.pops = sc.pops[:copy(sc.pops, left)]
+			}
 		}
 		if err != nil {
 			return err
@@ -435,27 +484,10 @@ func (c *Client) doPushes(sc *scratch, ops []wire.Op, results []wire.Result) err
 	return nil
 }
 
-// pushGroup sends sc.groups[ni] — the pushes map m routes to node index
-// ni — as one frame and files the results. It returns the ops refused
-// with StatusNotOwner and the newest map version a refusal named. Safe
-// to run for different ni of one scratch at once: each touches only
-// its own group, frame and result slots.
-func (c *Client) pushGroup(sc *scratch, m *Map, ni int, ops []wire.Op, results []wire.Result) (retry []int, maxVer uint64, err error) {
-	nc, err := c.node(&m.Nodes[ni])
-	if err != nil {
-		return nil, 0, err
-	}
-	gidx := sc.groups[ni]
-	frame := sc.frames[ni][:0]
-	for _, i := range gidx {
-		frame = append(frame, ops[i])
-	}
-	sc.frames[ni] = frame
-	res, err := nc.rc.Do(frame)
-	nc.ops.Add(uint64(len(frame)))
-	if err != nil {
-		return nil, 0, err
-	}
+// filePushes files the results res of the pushes gidx sent to node id,
+// appending the ops refused with StatusNotOwner to retry and raising
+// maxVer to the newest map version a refusal named.
+func (c *Client) filePushes(id uint32, nc *nodeConn, gidx []int, ops []wire.Op, res, results []wire.Result, retry []int, maxVer uint64) ([]int, uint64) {
 	acked, minAcked := uint64(0), uint64(headEmpty)
 	for k, r := range res {
 		i := gidx[k]
@@ -471,9 +503,83 @@ func (c *Client) pushGroup(sc *scratch, m *Map, ni int, ops []wire.Op, results [
 	}
 	if acked > 0 {
 		nc.pushes.Add(acked)
-		c.noteOwnPush(m.Nodes[ni].ID, minAcked)
+		c.noteOwnPush(id, minAcked)
 	}
-	return retry, maxVer, nil
+	return retry, maxVer
+}
+
+// rider picks where the first run of pops (sc.pops) rides in the first
+// push round. Every node's effective head is the least of its cached
+// head and the values this round routes to it; the node with the least
+// effective head gets, after its pushes, k bounded pops and a peek, and
+// the bound is the least effective head among the other nodes. The
+// bound so covers every value this call pushes elsewhere, and a push
+// refused anywhere can only make the rider yield less: a sequential
+// caller stays exact. ni is -1, and nothing rides, when there are no
+// pops, a head is not cached, or every effective head is empty.
+func (c *Client) rider(sc *scratch, m *Map, ops []wire.Op) (ni, k int, bound uint64) {
+	if len(sc.pops) == 0 {
+		return -1, 0, 0
+	}
+	ni, head, bound := -1, uint64(headEmpty), uint64(headEmpty)
+	c.mu.Lock()
+	for i := range m.Nodes {
+		h, ok := c.heads[m.Nodes[i].ID]
+		if !ok {
+			c.mu.Unlock()
+			return -1, 0, 0
+		}
+		for _, j := range sc.groups[i] {
+			h = min(h, ops[j].Value)
+		}
+		switch {
+		case h < head:
+			ni, head, bound = i, h, head
+		case h < bound:
+			bound = h
+		}
+	}
+	c.mu.Unlock()
+	if ni < 0 {
+		return -1, 0, 0
+	}
+	k = min(len(sc.pops), wire.MaxBatchOps-1-len(sc.groups[ni]))
+	if k <= 0 {
+		return -1, 0, 0
+	}
+	return ni, k, bound
+}
+
+// appendPopRound appends one merge round's ops to frame: k bounded pops
+// under bound, then the peek that refreshes the node's cached head.
+func appendPopRound(frame []wire.Op, k int, bound uint64) []wire.Op {
+	for range k {
+		frame = append(frame, wire.Op{Kind: wire.OpPopBounded, Value: bound})
+	}
+	return append(frame, wire.Op{Kind: wire.OpPeek})
+}
+
+// fileRound files one merge round's answer from node id — res holds
+// the bounded pops' results, then the peek's — into results[idxs] from
+// the front, and returns the indices still owed. A miss answers
+// nothing; anything else answers a pop: a hit, or a refusal (overload,
+// shutdown) the caller should see.
+func (c *Client) fileRound(id uint32, nc *nodeConn, idxs []int, res, results []wire.Result) []int {
+	peek := len(res) - 1
+	c.setHead(id, res[peek])
+	hits := uint64(0)
+	for _, r := range res[:peek] {
+		if r.Status == wire.StatusMiss {
+			continue
+		}
+		if r.Status == wire.StatusOK {
+			hits++
+		}
+		results[idxs[0]] = r
+		idxs = idxs[1:]
+	}
+	nc.pops.Add(hits)
+	return idxs
 }
 
 // noteOwnPush folds the client's own acknowledged pushes (value is the
@@ -522,7 +628,7 @@ func (c *Client) popRun(sc *scratch, results []wire.Result) error {
 		if idle > 16+4*len(m.Nodes) {
 			return errors.New("cluster: pop did not converge (heads churning faster than probes)")
 		}
-		probedAll, err := c.ensureHeads(m)
+		probedAll, err := c.ensureHeads(sc, m)
 		if err != nil {
 			return err
 		}
@@ -550,11 +656,7 @@ func (c *Client) popRun(sc *scratch, results []wire.Result) error {
 		if err != nil {
 			return err
 		}
-		frame := sc.frame[:0]
-		for range idxs[:min(len(idxs), wire.MaxBatchOps-1)] {
-			frame = append(frame, wire.Op{Kind: wire.OpPopBounded, Value: bound})
-		}
-		frame = append(frame, wire.Op{Kind: wire.OpPeek})
+		frame := appendPopRound(sc.frame[:0], min(len(idxs), wire.MaxBatchOps-1), bound)
 		sc.frame = frame
 		res, err := nc.rc.Do(frame)
 		c.popRounds.Add(1)
@@ -562,23 +664,9 @@ func (c *Client) popRun(sc *scratch, results []wire.Result) error {
 		if err != nil {
 			return err
 		}
-		peek := len(res) - 1
-		c.setHead(id, res[peek])
-		hits := uint64(0)
-		for _, r := range res[:peek] {
-			if r.Status == wire.StatusMiss {
-				continue
-			}
-			// Anything but a miss answers a pop: a hit, or a refusal
-			// (overload, shutdown) the caller should see.
-			if r.Status == wire.StatusOK {
-				hits++
-			}
-			results[idxs[0]] = r
-			idxs = idxs[1:]
-			idle = -1
+		if left := c.fileRound(id, nc, idxs, res, results); len(left) < len(idxs) {
+			idxs, idle = left, -1
 		}
-		nc.pops.Add(hits)
 	}
 	return nil
 }
@@ -586,9 +674,11 @@ func (c *Client) popRun(sc *scratch, results []wire.Result) error {
 // PeekMin reads the cluster's global minimum without removing it,
 // probing every node fresh.
 func (c *Client) PeekMin() (wire.Result, error) {
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
 	m := c.Map()
 	c.forgetHeads()
-	if _, err := c.ensureHeads(m); err != nil {
+	if _, err := c.ensureHeads(sc, m); err != nil {
 		return wire.Result{}, err
 	}
 	_, head, _, _ := c.minHeads(m)
@@ -606,51 +696,54 @@ func (c *Client) forgetHeads() {
 	c.mu.Unlock()
 }
 
-// ensureHeads probes (in parallel, one merge round) every map node
-// whose head is not cached. probedAll reports that this was all of
-// them: the cache now holds nothing older than this call.
-func (c *Client) ensureHeads(m *Map) (probedAll bool, err error) {
-	var unknown []*Node
+// peekOp is a head probe's frame; sends only read it.
+var peekOp = []wire.Op{{Kind: wire.OpPeek}}
+
+// ensureHeads probes every map node whose head is not cached, in one
+// merge round: every probe is written before any is waited on.
+// probedAll reports that this was all of them: the cache now holds
+// nothing older than this call.
+func (c *Client) ensureHeads(sc *scratch, m *Map) (probedAll bool, err error) {
+	sc.size(len(m.Nodes))
+	unknown := 0
 	c.mu.Lock()
 	for i := range m.Nodes {
-		if _, ok := c.heads[m.Nodes[i].ID]; !ok {
-			unknown = append(unknown, &m.Nodes[i])
+		if _, ok := c.heads[m.Nodes[i].ID]; ok {
+			continue
 		}
+		nc, err := c.nodeLocked(&m.Nodes[i])
+		if err != nil {
+			c.mu.Unlock()
+			return false, err
+		}
+		sc.conns[i] = nc
+		unknown++
 	}
 	c.mu.Unlock()
-	if len(unknown) == 0 {
+	if unknown == 0 {
 		return false, nil
 	}
 	c.popRounds.Add(1)
-	var (
-		wg       sync.WaitGroup
-		gmu      sync.Mutex
-		firstErr error
-	)
-	for _, n := range unknown {
-		nc, err := c.node(n)
-		if err != nil {
-			wg.Wait()
-			return false, err
-		}
-		wg.Add(1)
-		go func(id uint32, nc *nodeConn) {
-			defer wg.Done()
-			res, err := nc.rc.Do([]wire.Op{{Kind: wire.OpPeek}})
+	for i, nc := range sc.conns[:len(m.Nodes)] {
+		if nc != nil {
+			sc.sent[i] = nc.rc.Send(peekOp)
 			nc.ops.Add(1)
-			if err != nil {
-				gmu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				gmu.Unlock()
-				return
-			}
-			c.setHead(id, res[0])
-		}(n.ID, nc)
+		}
 	}
-	wg.Wait()
-	return len(unknown) == len(m.Nodes), firstErr
+	for i, nc := range sc.conns[:len(m.Nodes)] {
+		if nc == nil {
+			continue
+		}
+		res, werr := sc.sent[i].Wait()
+		if werr != nil {
+			if err == nil {
+				err = werr
+			}
+			continue
+		}
+		c.setHead(m.Nodes[i].ID, res[0])
+	}
+	return unknown == len(m.Nodes), err
 }
 
 // setHead folds a peek result into the head cache. A peek that was

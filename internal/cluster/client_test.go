@@ -21,6 +21,13 @@ import (
 // handlers). Teardown via t.Cleanup.
 func startServedMap(t testing.TB, n, shards int, build func(addrs []string) *Map) (*Map, []*State) {
 	t.Helper()
+	return startServedMapWrapped(t, n, shards, build, nil)
+}
+
+// startServedMapWrapped is startServedMap with each node serving on
+// wrap(its listener) when wrap is not nil.
+func startServedMapWrapped(t testing.TB, n, shards int, build func(addrs []string) *Map, wrap func(net.Listener) net.Listener) (*Map, []*State) {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range lns {
@@ -51,7 +58,11 @@ func startServedMap(t testing.TB, n, shards int, build func(addrs []string) *Map
 			return st.Owns(op.Value, op.Meta)
 		})
 		srv.SetClusterHandlers(st.EncodedIfNewer, st.OfferEncoded)
-		go srv.Serve(lns[i])
+		ln := lns[i]
+		if wrap != nil {
+			ln = wrap(ln)
+		}
+		go srv.Serve(ln)
 		t.Cleanup(func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()

@@ -3,7 +3,11 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/refpq"
 	"repro/internal/wire"
@@ -239,6 +243,188 @@ func TestClientEmptyRunOneConfirmRound(t *testing.T) {
 	}
 	if d := cl.Stats().PopRounds - before; d != 2 {
 		t.Fatalf("%d rounds to pop the last element and confirm empty, want 2", d)
+	}
+}
+
+// frameTap watches every node's connections from the server side: the
+// TBatch frames that arrive, and how many responses had been written
+// when each did. While slow is set every response is held back by
+// tapDelay before it goes out, so all the frames of one wave arrive
+// before any of its answers: the distinct counts seen at arrival are
+// the waves a call waited on.
+type frameTap struct {
+	slow     atomic.Bool
+	mu       sync.Mutex
+	written  int   // TBatchOK frames written, all nodes
+	arrivals []int // per TBatch frame received: written when it arrived
+}
+
+const tapDelay = 50 * time.Millisecond
+
+func (tap *frameTap) wrap(ln net.Listener) net.Listener { return tapListener{ln, tap} }
+
+// reset starts a measurement.
+func (tap *frameTap) reset() {
+	tap.mu.Lock()
+	tap.arrivals = tap.arrivals[:0]
+	tap.mu.Unlock()
+}
+
+// frames returns the TBatch frames received since reset and the waves
+// they came in.
+func (tap *frameTap) frames() (frames, waves int) {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	seen := map[int]bool{}
+	for _, w := range tap.arrivals {
+		seen[w] = true
+	}
+	return len(tap.arrivals), len(seen)
+}
+
+type tapListener struct {
+	net.Listener
+	tap *frameTap
+}
+
+func (l tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: c, tap: l.tap}, nil
+}
+
+// tapConn is one server-side connection under a frameTap; in and out
+// hold the partial frames of each direction.
+type tapConn struct {
+	net.Conn
+	tap     *frameTap
+	in, out []byte
+}
+
+// countFrames strips the whole frames off buf, counting those of type
+// typ, and returns the partial frame left.
+func countFrames(buf []byte, typ wire.Type) ([]byte, int) {
+	n := 0
+	for {
+		f, size, err := wire.DecodeFrame(buf)
+		if err != nil {
+			return buf, n
+		}
+		if f.Type == typ {
+			n++
+		}
+		buf = buf[size:]
+	}
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	var frames int
+	c.in, frames = countFrames(append(c.in, p[:n]...), wire.TBatch)
+	c.tap.mu.Lock()
+	for range frames {
+		c.tap.arrivals = append(c.tap.arrivals, c.tap.written)
+	}
+	c.tap.mu.Unlock()
+	return n, err
+}
+
+// Write counts the responses before they go out, so a frame the client
+// sends on reading one is sure to see it counted.
+func (c *tapConn) Write(p []byte) (int, error) {
+	if c.tap.slow.Load() {
+		time.Sleep(tapDelay)
+	}
+	var frames int
+	c.out, frames = countFrames(append(c.out, p...), wire.TBatchOK)
+	c.tap.mu.Lock()
+	c.tap.written += frames
+	c.tap.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestDoRidesFirstPopRound: on two rank-band nodes in steady state —
+// every head cached, the lower node drained by each call — an 8-push,
+// 8-pop Do with pushes to both bands sends 3 frames over 2 waves. The
+// lower node's pops ride its push frame, bounded by the upper node's
+// head and pushes; the upper node's pops take one more round. Without
+// the rider it is 4 frames over 3 waves: pushes, then a pop round per
+// node.
+func TestDoRidesFirstPopRound(t *testing.T) {
+	tap := &frameTap{}
+	m, _ := startServedMapWrapped(t, 2, 1, rankMap2, tap.wrap)
+	cl := newTestClient(t, m)
+	golden := refpq.New()
+	rng := rand.New(rand.NewSource(11))
+	var meta uint64
+	push := func(v uint64) wire.Op {
+		meta++
+		return wire.Op{Kind: wire.OpPush, Value: v, Meta: meta}
+	}
+	const upper = 1 << 19
+	standing := make([]wire.Op, 8) // the upper node never runs dry
+	for i := range standing {
+		standing[i] = push(upper + rng.Uint64()%upper)
+	}
+	lockstepDo(t, cl, golden, standing)
+	call := func() {
+		ops := make([]wire.Op, 16)
+		for i := range ops {
+			switch {
+			case i%2 == 1:
+				ops[i] = wire.Op{Kind: wire.OpPop}
+			case i%4 == 0:
+				ops[i] = push(rng.Uint64() % upper)
+			default:
+				ops[i] = push(upper + rng.Uint64()%upper)
+			}
+		}
+		lockstepDo(t, cl, golden, ops)
+	}
+	for i := 0; i < 3; i++ {
+		call()
+	}
+	tap.reset()
+	tap.slow.Store(true)
+	call()
+	tap.slow.Store(false)
+	if frames, waves := tap.frames(); frames != 3 || waves != 2 {
+		t.Fatalf("%d frames over %d waves, want 3 over 2", frames, waves)
+	}
+}
+
+// TestClusterDoAllocs gates a steady 16-op Do (8 pushes, 8 pops, two
+// rank-band nodes), counted process-wide, so the nodes' share is in it
+// too: 27 with every node's frame sent before any is waited on and the
+// first pop round riding the pushes (45 with a goroutine per node and
+// the pop rounds after the push round).
+func TestClusterDoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	m, _ := startServedMap(t, 2, 1, rankMap2)
+	cl := newTestClient(t, m)
+	rng := rand.New(rand.NewSource(1))
+	var meta uint64
+	ops := make([]wire.Op, 16)
+	for i := 0; i < 32; i++ {
+		for j := range ops {
+			meta++
+			ops[j] = wire.Op{Kind: wire.OpPush, Value: rng.Uint64() % (1 << 20), Meta: meta}
+		}
+		if _, err := cl.Do(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(500, func() {
+		mixedBatch(rng, &meta, ops)
+		if _, err := cl.Do(ops); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 27 {
+		t.Fatalf("%v allocations per 16-op Do, want <= 27", avg)
 	}
 }
 

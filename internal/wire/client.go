@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -77,6 +78,7 @@ type respMsg struct {
 // token, or the connection's failure, whichever comes first.
 type Client struct {
 	conn net.Conn
+	r    *bufio.Reader // conn's read side, so a response is one read
 	info HelloInfo
 	opts ClientOptions
 
@@ -119,6 +121,7 @@ func NewClient(conn net.Conn) (*Client, error) {
 func NewClientOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 	c := &Client{
 		conn:    conn,
+		r:       bufio.NewReader(conn),
 		opts:    opts,
 		rtok:    make(chan struct{}, 1),
 		pending: map[uint64]chan respMsg{},
@@ -137,7 +140,7 @@ func NewClientOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	f, err := ReadFrame(conn)
+	f, err := ReadFrame(c.r)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -173,31 +176,53 @@ func (c *Client) Do(ops []Op) ([]Result, error) {
 }
 
 // DoID is Do with a caller-assigned request id and an optional
-// per-request timeout. Explicit ids are the retry handle: a request
-// that failed with an ambiguous outcome (timeout, dead connection) can
-// be reissued on a new connection under the same session and id, and
-// the server's dedup cache guarantees at-most-once execution. Ids must
-// be unique per logical request within a session. On timeout the
-// connection is closed — a late response can no longer be matched
-// safely, so the conn is poisoned rather than left live.
+// per-request timeout: SendID, then Wait. Explicit ids are the retry
+// handle: a request that failed with an ambiguous outcome (timeout,
+// dead connection) can be reissued on a new connection under the same
+// session and id, and the server's dedup cache guarantees at-most-once
+// execution. Ids must be unique per logical request within a session.
+// On timeout the connection is closed — a late response can no longer
+// be matched safely, so the conn is poisoned rather than left live.
 func (c *Client) DoID(id uint64, ops []Op, timeout time.Duration) ([]Result, error) {
+	call := c.SendID(id, ops, timeout)
+	return call.Wait()
+}
+
+// Call is a request written to a Client whose response has not been
+// read: the first half of DoID. One goroutine can send on several
+// connections before it waits on any, so their round trips overlap.
+type Call struct {
+	c       *Client
+	id      uint64
+	n       int
+	ch      chan respMsg
+	timeout time.Duration
+	err     error // the send failed; Wait returns it
+}
+
+// SendID registers id and writes its frame; Wait on the returned Call
+// reads the response. The timeout runs from the start of Wait.
+func (c *Client) SendID(id uint64, ops []Op, timeout time.Duration) Call {
+	call := Call{c: c, id: id, n: len(ops), timeout: timeout}
 	if len(ops) == 0 {
-		return nil, nil
+		return call
 	}
 	if len(ops) > MaxBatchOps {
-		return nil, fmt.Errorf("wire: batch of %d exceeds MaxBatchOps %d", len(ops), MaxBatchOps)
+		call.err = fmt.Errorf("wire: batch of %d exceeds MaxBatchOps %d", len(ops), MaxBatchOps)
+		return call
 	}
 	ch := make(chan respMsg, 1)
 
 	c.pmu.Lock()
 	if c.readErr != nil {
-		err := c.readErr
+		call.err = c.readErr
 		c.pmu.Unlock()
-		return nil, err
+		return call
 	}
 	if _, dup := c.pending[id]; dup {
 		c.pmu.Unlock()
-		return nil, fmt.Errorf("wire: request id %d already in flight", id)
+		call.err = fmt.Errorf("wire: request id %d already in flight", id)
+		return call
 	}
 	c.pending[id] = ch
 	c.pmu.Unlock()
@@ -212,33 +237,44 @@ func (c *Client) DoID(id uint64, ops []Op, timeout time.Duration) ([]Result, err
 	c.wmu.Unlock()
 	if err != nil {
 		c.forget(id)
-		return nil, err
+		call.err = err
+		return call
 	}
+	call.ch = ch
+	return call
+}
 
+// Wait blocks for the call's results (one per op, in order), reading
+// them itself when the connection's read token is free. Call it once.
+func (call *Call) Wait() ([]Result, error) {
+	if call.ch == nil {
+		return nil, call.err
+	}
+	c := call.c
 	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
+	if call.timeout > 0 {
+		deadline = time.Now().Add(call.timeout)
 	}
 	// A free token is taken without arming a timer: the holder's
 	// deadline is the conn's read deadline.
 	select {
 	case <-c.rtok:
-		return c.readUntil(id, ch, deadline, len(ops))
+		return c.readUntil(call.id, call.ch, deadline, call.n)
 	default:
 	}
 	var expired <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
+	if call.timeout > 0 {
+		timer := time.NewTimer(call.timeout)
 		defer timer.Stop()
 		expired = timer.C
 	}
 	select {
-	case m := <-ch:
-		return m.check(len(ops))
+	case m := <-call.ch:
+		return m.check(call.n)
 	case <-c.rtok:
-		return c.readUntil(id, ch, deadline, len(ops))
+		return c.readUntil(call.id, call.ch, deadline, call.n)
 	case <-expired:
-		c.forget(id)
+		c.forget(call.id)
 		c.conn.Close()
 		return nil, ErrRequestTimeout
 	case <-c.done:
@@ -261,7 +297,7 @@ func (c *Client) readUntil(id uint64, ch chan respMsg, deadline time.Time, n int
 	}
 	for {
 		own := c.armRead(deadline)
-		f, err := ReadFrame(c.conn)
+		f, err := ReadFrame(c.r)
 		if err != nil {
 			if own && errors.Is(err, os.ErrDeadlineExceeded) {
 				c.fail(err)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -103,5 +104,78 @@ func TestClientTokenHandoff(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("%d goroutines after the run, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// countingConn counts the Read calls made on a connection.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestClientOneReadPerResponse: the client reads through a buffer, so
+// a 64-op response — header, payload and trailer — costs one read off
+// the connection, not one for the header and one for the rest.
+func TestClientOneReadPerResponse(t *testing.T) {
+	addr, stop := startServer(t, engine.Config{Shards: 1, Order: 2, Levels: 8})
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: conn}
+	c, err := NewClient(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ops := make([]Op, 64)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPush, Value: uint64(i), Meta: uint64(i)}
+	}
+	const calls = 20
+	before := cc.reads.Load()
+	for i := 0; i < calls; i++ {
+		if _, err := c.Do(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cc.reads.Load() - before; n != calls {
+		t.Fatalf("%d reads for %d 64-op responses, want one each", n, calls)
+	}
+}
+
+// TestClientDoAllocs gates a steady 16-op Do (8 pushes, 8 pops) on one
+// client, counted process-wide, so the server's share is in it too.
+func TestClientDoAllocs(t *testing.T) {
+	addr, stop := startServer(t, engine.Config{Shards: 1, Order: 2, Levels: 8})
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ops := make([]Op, 16)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPop}
+		if i%2 == 0 {
+			ops[i] = Op{Kind: OpPush, Value: uint64(i), Meta: uint64(i)}
+		}
+	}
+	do := func() {
+		if _, err := c.Do(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		do()
+	}
+	if avg := testing.AllocsPerRun(500, do); avg > 9 {
+		t.Fatalf("%v allocations per 16-op Do, want <= 9", avg)
 	}
 }

@@ -62,7 +62,9 @@ type ResilientStats struct {
 // retry lifetime; because every connection carries the same session id,
 // the server answers a retried id from its dedup cache when the
 // original did execute — an ack lost to a dead connection never becomes
-// a double-apply. Safe for concurrent use.
+// a double-apply. Do is Send plus Wait; a caller with requests for
+// several servers Sends them all before it Waits on any. Safe for
+// concurrent use.
 type ResilientClient struct {
 	opts ResilientOptions
 
@@ -147,28 +149,65 @@ func (rc *ResilientClient) Close() error {
 	return nil
 }
 
-// Do submits one batch with retries, reconnection, and failover. The
-// returned results are exactly-once: either from the first execution or
-// the server's dedup cache. A wrapped ErrDedupMiss means the outcome is
-// indeterminate; any other error is terminal for this request (closed
-// client, attempts exhausted).
+// Do submits one batch with retries, reconnection, and failover: Send,
+// then Wait. The returned results are exactly-once: either from the
+// first execution or the server's dedup cache. A wrapped ErrDedupMiss
+// means the outcome is indeterminate; any other error is terminal for
+// this request (closed client, attempts exhausted).
 func (rc *ResilientClient) Do(ops []Op) ([]Result, error) {
-	id := rc.nextID.Add(1)
+	p := rc.Send(ops)
+	return p.Wait()
+}
+
+// Pending is a request sent through a ResilientClient whose outcome has
+// not been read: Do split in two, so one goroutine can have requests in
+// flight on several servers at once. ops must stay unchanged until Wait
+// returns; a retry sends them again.
+type Pending struct {
+	rc   *ResilientClient
+	ops  []Op
+	id   uint64
+	call Call  // the current attempt, on the connection it went out on
+	err  error // the current attempt failed before it was sent
+}
+
+// Send takes a request id and makes the first attempt's write. Wait
+// reads its outcome, retrying under the same id.
+func (rc *ResilientClient) Send(ops []Op) Pending {
+	p := Pending{rc: rc, ops: ops, id: rc.nextID.Add(1)}
+	p.send()
+	return p
+}
+
+// send makes one attempt's write on the live connection, dialing it
+// when there is none.
+func (p *Pending) send() {
+	var c *Client
+	if c, p.err = p.rc.conn(); p.err == nil {
+		p.call = c.SendID(p.id, p.ops, p.rc.opts.RequestTimeout)
+	}
+}
+
+// Wait reads the request's outcome, with the same exactly-once contract
+// as Do: a failed attempt is retried under the same id after a backoff,
+// on a fresh connection or the next address. Call it once.
+func (p *Pending) Wait() ([]Result, error) {
+	rc := p.rc
 	var lastErr error
 	for attempt := 0; rc.opts.MaxAttempts == 0 || attempt < rc.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rc.retries.Add(1)
 			rc.sleepBackoff(attempt)
+			p.send()
 		}
-		c, err := rc.conn()
-		if err != nil {
-			if errors.Is(err, ErrConnClosed) {
-				return nil, err
+		if p.err != nil {
+			if errors.Is(p.err, ErrConnClosed) {
+				return nil, p.err
 			}
-			lastErr = err
+			lastErr = p.err
 			continue
 		}
-		results, err := c.DoID(id, ops, rc.opts.RequestTimeout)
+		results, err := p.call.Wait()
 		if err == nil {
 			return results, nil
 		}
@@ -177,27 +216,27 @@ func (rc *ResilientClient) Do(ops []Op) ([]Result, error) {
 		switch {
 		case errors.Is(err, ErrRequestTimeout):
 			rc.timeouts.Add(1)
-			rc.dropConn(c, false)
+			rc.dropConn(p.call.c, false)
 		case errors.As(err, &serr):
 			switch serr.Code {
 			case StatusNotPrimary:
 				// This node is (still) a follower; rotate and retry.
-				rc.dropConn(c, true)
+				rc.dropConn(p.call.c, true)
 			case StatusDedupMiss:
 				rc.dedupMisses.Add(1)
-				return nil, fmt.Errorf("%w: id %d: %v", ErrDedupMiss, id, err)
+				return nil, fmt.Errorf("%w: id %d: %v", ErrDedupMiss, p.id, err)
 			default:
 				// Other server errors are protocol-level and terminal.
-				rc.dropConn(c, false)
+				rc.dropConn(p.call.c, false)
 				return nil, err
 			}
 		default:
 			// Connection-level failure (reset, EOF, deadline on a dead
 			// peer): drop and retry on a fresh connection.
-			rc.dropConn(c, false)
+			rc.dropConn(p.call.c, false)
 		}
 	}
-	return nil, fmt.Errorf("wire: request %d failed after %d attempts: %w", id, rc.opts.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("wire: request %d failed after %d attempts: %w", p.id, rc.opts.MaxAttempts, lastErr)
 }
 
 // conn returns the live connection, dialing (with address rotation on

@@ -138,6 +138,70 @@ func TestResilientRetryDedup(t *testing.T) {
 	}
 }
 
+// TestResilientSendWait splits Do in two. One goroutine sends on two
+// clients and waits on them in reverse order: each answer finds its own
+// caller. Then a sent request loses its response (the proxy resets the
+// conn after the server applied it) before Wait is called: Wait must
+// retry under the request's own id, so the server answers from its
+// dedup cache and the push applies exactly once.
+func TestResilientSendWait(t *testing.T) {
+	addrA, stopA := startServer(t, engine.Config{Shards: 1, Order: 2, Levels: 8})
+	defer stopA()
+	addrB, stopB := startServer(t, engine.Config{Shards: 1, Order: 2, Levels: 8})
+	defer stopB()
+	proxy := startFlakyProxy(t, addrB)
+	defer proxy.ln.Close()
+	dial := func(addr string) *ResilientClient {
+		rc, err := NewResilientClient(ResilientOptions{
+			Addrs:          []string{addr},
+			RequestTimeout: 2 * time.Second,
+			BaseDelay:      time.Millisecond,
+			MaxDelay:       10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rc
+	}
+	a, b := dial(addrA), dial(proxy.ln.Addr().String())
+	defer a.Close()
+	defer b.Close()
+
+	pa := a.Send([]Op{{Kind: OpPush, Value: 1, Meta: 1}, {Kind: OpPop}})
+	pb := b.Send([]Op{{Kind: OpPush, Value: 2, Meta: 2}, {Kind: OpPush, Value: 3, Meta: 3}, {Kind: OpPop}})
+	if res, err := pb.Wait(); err != nil || len(res) != 3 || res[2].Value != 2 {
+		t.Fatalf("b: %+v %v", res, err)
+	}
+	if res, err := pa.Wait(); err != nil || len(res) != 2 || res[1].Value != 1 {
+		t.Fatalf("a: %+v %v", res, err)
+	}
+
+	proxy.mode.Store(proxyReset)
+	p := b.Send([]Op{{Kind: OpPush, Value: 4, Meta: 4}})
+	time.Sleep(150 * time.Millisecond) // the push applies; its answer dies with the conn
+	proxy.mode.Store(proxyPass)
+	if res, err := p.Wait(); err != nil || res[0].Status != StatusOK {
+		t.Fatalf("retried push: %+v %v", res, err)
+	}
+	if s := b.Stats(); s.Retries == 0 {
+		t.Fatal("lost response produced no retry")
+	}
+	var got []uint64
+	for {
+		res, err := b.Do([]Op{{Kind: OpPop}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Status == StatusEmpty {
+			break
+		}
+		got = append(got, res[0].Value)
+	}
+	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
+		t.Fatalf("drained %v, want [3 4]: the retried push applied other than once", got)
+	}
+}
+
 // TestClientReadTimeoutOnDeadPeer stalls the server→client direction
 // after the handshake: the pipelined read must fail within the read
 // timeout instead of hanging forever (the pre-timeout client hung
