@@ -149,8 +149,8 @@ var nodeSeq atomic.Uint64
 
 // start boots one in-process bmwd (internal/node) on a loopback port, as
 // a sync-replicating primary or, with follow set, its hot standby.
-// Incident rate limiting is effectively off (1ms): the harness injects
-// episodes back to back and asserts a bundle per episode.
+// Incident rate limiting is effectively off (1ms): the harness kills
+// primaries back to back and asserts a bundle per kill.
 func (h *harness) start(follow string) (*node.Node, error) {
 	return node.Start(node.Config{
 		Engine:              h.geom,
@@ -161,7 +161,7 @@ func (h *harness) start(follow string) (*node.Node, error) {
 		DialRetry:           5 * time.Millisecond,
 		IncidentDir:         filepath.Join(h.incRoot, fmt.Sprintf("node-%d", nodeSeq.Add(1))),
 		IncidentMinInterval: time.Millisecond,
-		IncidentKeep:        64, // repeated trips must not prune an episode's bundle before the audit
+		IncidentKeep:        64, // repeated captures must not prune a kill's bundle before the audit
 	})
 }
 
@@ -172,7 +172,6 @@ type evidence struct {
 	Errors           []string         `json:"errors,omitempty"`
 	Faults           map[string]int   `json:"faults"`
 	KillCycles       int              `json:"kill_cycles"`
-	OverloadEpisodes int              `json:"overload_episodes"`
 	FailoverMs       []float64        `json:"failover_ms"`
 	AckedPushes      uint64           `json:"acked_pushes"`
 	AckedPops        uint64           `json:"acked_pops"`
@@ -279,46 +278,6 @@ func (h *harness) faultPhase(nFaults int) error {
 	return nil
 }
 
-// captures reads the live primary's own tally of bundles written.
-func (h *harness) captures() uint64 {
-	return h.prim.Registry().Snapshot().Counter("bmwd_incident_captures_total")
-}
-
-// overloadEpisode induces one deterministic overload trip on the live
-// primary: a 1ns latency bound makes every execution slow, so the
-// second one trips; drive verified traffic until the trip's incident
-// bundle lands, then restore benign admission control and prove the
-// shed clears. Ack-checked ops flow throughout — StatusOverloaded is an
-// acked not-applied outcome, so the golden lockstep holds.
-func (h *harness) overloadEpisode(ep int) error {
-	before := h.captures()
-	h.prim.Engine().SetOverload(engine.Overload{
-		DrainLatencyHigh: time.Nanosecond,
-		Cooloff:          50 * time.Millisecond,
-	})
-	deadline := time.Now().Add(30 * time.Second)
-	for h.captures() == before {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("overload episode %d: no incident bundle within 30s", ep)
-		}
-		if err := h.oneOp(); err != nil {
-			return fmt.Errorf("overload episode %d: %w", ep, err)
-		}
-	}
-	// Restore benign config; the tripped latch clears via the 50ms
-	// push-path cooloff and traffic must flow cleanly again.
-	h.prim.Engine().SetOverload(engine.Overload{})
-	time.Sleep(60 * time.Millisecond)
-	for j := 0; j < 10; j++ {
-		if err := h.oneOp(); err != nil {
-			return fmt.Errorf("overload episode %d recovery: %w", ep, err)
-		}
-	}
-	h.ev.OverloadEpisodes++
-	h.logf("overload episode %d: bundle captured, latch cleared", ep)
-	return nil
-}
-
 // waitReplicated blocks until the standby has acknowledged the
 // primary's full log.
 func (h *harness) waitReplicated() error {
@@ -421,17 +380,16 @@ func (h *harness) finalDrain() error {
 
 func main() {
 	var (
-		faults    = flag.Int("faults", 25, "connection faults to inject")
-		overloads = flag.Int("overloads", 3, "induced overload episodes (each must yield an incident bundle)")
-		kills     = flag.Int("kills", 5, "primary kill-and-promote cycles")
-		shards    = flag.Int("shards", 2, "engine shards per node")
-		levels    = flag.Int("l", 10, "tree levels (capacity)")
-		stall     = flag.Duration("stall", 250*time.Millisecond, "stall fault hold time")
-		budget    = flag.Duration("failover-budget", 5*time.Second, "max allowed kill-to-first-success time")
-		seed      = flag.Int64("seed", 1, "workload and fault seed")
-		evDir     = flag.String("evidence", "chaos-evidence", "directory for the bmwchaos/v1 JSON evidence file")
-		verbose   = flag.Bool("v", false, "log each fault and cycle")
-		validate  = flag.String("validate-bundles", "", "validate every incident bundle under this directory and exit (no chaos run)")
+		faults   = flag.Int("faults", 25, "connection faults to inject")
+		kills    = flag.Int("kills", 5, "primary kill-and-promote cycles")
+		shards   = flag.Int("shards", 2, "engine shards per node")
+		levels   = flag.Int("l", 10, "tree levels (capacity)")
+		stall    = flag.Duration("stall", 250*time.Millisecond, "stall fault hold time")
+		budget   = flag.Duration("failover-budget", 5*time.Second, "max allowed kill-to-first-success time")
+		seed     = flag.Int64("seed", 1, "workload and fault seed")
+		evDir    = flag.String("evidence", "chaos-evidence", "directory for the bmwchaos/v1 JSON evidence file")
+		verbose  = flag.Bool("v", false, "log each fault and cycle")
+		validate = flag.String("validate-bundles", "", "validate every incident bundle under this directory and exit (no chaos run)")
 	)
 	flag.Parse()
 
@@ -452,9 +410,9 @@ func main() {
 		fatalf("incident dir: %v", err)
 	}
 	start := time.Now()
-	runErr := run(geom, *faults, *overloads, *kills, *stall, *budget, *seed, *verbose, incRoot, ev)
+	runErr := run(geom, *faults, *kills, *stall, *budget, *seed, *verbose, incRoot, ev)
 	ev.DurationMs = float64(time.Since(start).Microseconds()) / 1000
-	if err := auditBundles(incRoot, *kills, *overloads, ev); err != nil && runErr == nil {
+	if err := auditBundles(incRoot, *kills, ev); err != nil && runErr == nil {
 		runErr = err
 	} else if err != nil {
 		ev.Errors = append(ev.Errors, err.Error())
@@ -474,8 +432,8 @@ func main() {
 	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 		fatalf("write evidence: %v", err)
 	}
-	fmt.Printf("bmwchaos: %s — %d fault(s), %d kill cycle(s), %d overload episode(s), %d acked pushes, %d acked pops, %d incident bundle(s), evidence in %s\n",
-		ev.Result, sumFaults(ev), ev.KillCycles, ev.OverloadEpisodes,
+	fmt.Printf("bmwchaos: %s — %d fault(s), %d kill cycle(s), %d acked pushes, %d acked pops, %d incident bundle(s), evidence in %s\n",
+		ev.Result, sumFaults(ev), ev.KillCycles,
 		ev.AckedPushes, ev.AckedPops, ev.IncidentBundles, path)
 	if runErr != nil {
 		fatalf("%v", runErr)
@@ -504,8 +462,8 @@ func validateBundleDir(dir string) (int, error) {
 // auditBundles is the post-run incident acceptance check: every bundle
 // under incRoot must validate (manifest checksums, required artifacts,
 // parseable non-empty flight record), and the trigger tally must show
-// at least one bundle per kill and per overload episode.
-func auditBundles(incRoot string, kills, overloads int, ev *evidence) error {
+// at least one bundle per kill.
+func auditBundles(incRoot string, kills int, ev *evidence) error {
 	ev.BundlesByTrigger = map[string]int{}
 	nodes, err := os.ReadDir(incRoot)
 	if err != nil {
@@ -539,9 +497,6 @@ func auditBundles(incRoot string, kills, overloads int, ev *evidence) error {
 	if got := ev.BundlesByTrigger["kill"]; got < kills {
 		return fmt.Errorf("incident audit: %d kill bundle(s) for %d kill cycle(s)", got, kills)
 	}
-	if got := ev.BundlesByTrigger["overload"]; got < overloads {
-		return fmt.Errorf("incident audit: %d overload bundle(s) for %d overload episode(s)", got, overloads)
-	}
 	return nil
 }
 
@@ -558,7 +513,7 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func run(geom engine.Config, faults, overloads, kills int, stall, budget time.Duration, seed int64, verbose bool, incRoot string, ev *evidence) error {
+func run(geom engine.Config, faults, kills int, stall, budget time.Duration, seed int64, verbose bool, incRoot string, ev *evidence) error {
 	h := &harness{
 		geom:    geom,
 		rng:     rand.New(rand.NewSource(seed)),
@@ -629,11 +584,6 @@ func run(geom engine.Config, faults, overloads, kills int, stall, budget time.Du
 
 	if err := h.faultPhase(faults); err != nil {
 		return err
-	}
-	for ep := 1; ep <= overloads; ep++ {
-		if err := h.overloadEpisode(ep); err != nil {
-			return err
-		}
 	}
 	for c := 1; c <= kills; c++ {
 		if err := h.killCycle(c, budget); err != nil {

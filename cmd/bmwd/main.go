@@ -77,9 +77,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.Follow, "follow", "", "start as a hot standby streaming from this primary address")
 	fs.BoolVar(&o.ReplSync, "repl-sync", false, "primary: hold dedup-enrolled responses until the follower acks (zero acked-op loss)")
 
-	fs.DurationVar(&e.Overload.DrainLatencyHigh, "overload-drain-latency", 20*time.Millisecond, "execution run time that, twice in a row, trips overload shedding (0 = off)")
-
-	fs.StringVar(&o.IncidentDir, "incident-dir", "", "write incident bundles here on panic/SIGQUIT/overload/repl-degrade/SLO-page (empty = off)")
+	fs.StringVar(&o.IncidentDir, "incident-dir", "", "write incident bundles here on panic/SIGQUIT/repl-degrade/SLO-page (empty = off)")
 	fs.StringVar(&o.SLO, "slo", "", "comma-separated SLOs, e.g. p99<10ms,availability>0.999,lag<5000 (empty = off)")
 	fs.BoolVar(&o.version, "version", false, "print version and exit")
 }

@@ -71,7 +71,6 @@ func parse(t *testing.T, args ...string) *options {
 
 func TestConfigFromFlags(t *testing.T) {
 	o := parse(t, "-shards", "2", "-m", "4", "-l", "6",
-		"-overload-drain-latency", "1us",
 		"-persist", "/p", "-scrub-interval", "1s", "-scrub-rate", "0", "-repair-from", "peer:1",
 		"-follow", "prim:1", "-repl-sync", "-gossip-every", "250ms", "-cluster-node", "3",
 		"-http", ":1", "-trace-sample", "64", "-incident-dir", "/i", "-slo", "p99<1ns")
@@ -79,8 +78,7 @@ func TestConfigFromFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := o.Config
-	want := engine.Config{Shards: 2, Order: 4, Levels: 6,
-		Overload: engine.Overload{DrainLatencyHigh: time.Microsecond}}
+	want := engine.Config{Shards: 2, Order: 4, Levels: 6}
 	if cfg.Engine != want {
 		t.Errorf("engine config %+v, want %+v", cfg.Engine, want)
 	}

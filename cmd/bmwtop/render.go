@@ -31,14 +31,12 @@ type stageRow struct {
 
 // shardRow is one engine shard's windowed throughput line.
 type shardRow struct {
-	ID         int
-	Occupancy  float64
-	Capacity   float64
-	PushRate   float64 // ops/s
-	PopRate    float64 // ops/s
-	ShedRate   float64 // sheds/s
-	DrainMean  float64 // requests per drain, window mean
-	Overloaded bool
+	ID        int
+	Occupancy float64
+	Capacity  float64
+	PushRate  float64 // ops/s
+	PopRate   float64 // ops/s
+	DrainMean float64 // requests per drain, window mean
 }
 
 // replRow summarises the replication gauges and windowed ack latency.
@@ -143,14 +141,12 @@ func buildModel(addr string, prev, cur obs.Snapshot, dt time.Duration, probe map
 	for i := 0; i < nShards; i++ {
 		p := fmt.Sprintf("%s_shard%d", enginePrefix, i)
 		m.Shards = append(m.Shards, shardRow{
-			ID:         i,
-			Occupancy:  cur.Gauge(p + "_occupancy"),
-			Capacity:   cur.Gauge(p + "_capacity"),
-			PushRate:   rate(cur.Counter(p+"_pushes_total"), prev.Counter(p+"_pushes_total"), dt),
-			PopRate:    rate(cur.Counter(p+"_pops_total"), prev.Counter(p+"_pops_total"), dt),
-			ShedRate:   rate(cur.Counter(p+"_overload_shed_total"), prev.Counter(p+"_overload_shed_total"), dt),
-			DrainMean:  histMean(cur.Histograms[p+"_drain_batch"], prev.Histograms[p+"_drain_batch"], dt),
-			Overloaded: cur.Gauge(p+"_overloaded") != 0,
+			ID:        i,
+			Occupancy: cur.Gauge(p + "_occupancy"),
+			Capacity:  cur.Gauge(p + "_capacity"),
+			PushRate:  rate(cur.Counter(p+"_pushes_total"), prev.Counter(p+"_pushes_total"), dt),
+			PopRate:   rate(cur.Counter(p+"_pops_total"), prev.Counter(p+"_pops_total"), dt),
+			DrainMean: histMean(cur.Histograms[p+"_drain_batch"], prev.Histograms[p+"_drain_batch"], dt),
 		})
 	}
 
@@ -216,7 +212,7 @@ func fmtRate(v float64) string {
 
 // probeKeys is the display order for the /readyz detail line; any keys
 // beyond these are appended sorted so nothing is silently dropped.
-var probeKeys = []string{"ok", "role", "serving", "degraded", "caught_up", "repl_lag", "overloaded_shards"}
+var probeKeys = []string{"ok", "role", "serving", "degraded", "caught_up", "repl_lag"}
 
 // render writes one frame as plain text. Screen clearing is the
 // caller's concern so the same renderer serves -once and file output.
@@ -270,17 +266,12 @@ func render(w io.Writer, m model) {
 	}
 
 	if len(m.Shards) > 0 {
-		fmt.Fprintf(w, "\n%-6s %14s %10s %10s %8s %8s %5s\n",
-			"SHARD", "OCC/CAP", "PUSH/S", "POP/S", "SHED/S", "DRAIN", "OVLD")
+		fmt.Fprintf(w, "\n%-6s %14s %10s %10s %8s\n",
+			"SHARD", "OCC/CAP", "PUSH/S", "POP/S", "DRAIN")
 		for _, s := range m.Shards {
-			ovld := "-"
-			if s.Overloaded {
-				ovld = "YES"
-			}
-			fmt.Fprintf(w, "%-6d %6.0f/%-7.0f %10s %10s %8s %8.1f %5s\n",
+			fmt.Fprintf(w, "%-6d %6.0f/%-7.0f %10s %10s %8.1f\n",
 				s.ID, s.Occupancy, s.Capacity,
-				fmtRate(s.PushRate), fmtRate(s.PopRate), fmtRate(s.ShedRate),
-				s.DrainMean, ovld)
+				fmtRate(s.PushRate), fmtRate(s.PopRate), s.DrainMean)
 		}
 	}
 

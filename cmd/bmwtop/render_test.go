@@ -108,7 +108,7 @@ func TestRenderFrame(t *testing.T) {
 		Len:    42,
 		Probe:  map[string]any{"ok": true, "role": "primary", "repl_lag": float64(0), "extra": "x"},
 		Stages: []stageRow{{Label: "total", Rate: 1.5e6, P50: 10.5, P99: 99.9}},
-		Shards: []shardRow{{ID: 0, Occupancy: 10, Capacity: 4096, PushRate: 2500, Overloaded: true}},
+		Shards: []shardRow{{ID: 0, Occupancy: 10, Capacity: 4096, PushRate: 2500}},
 		Repl:   replRow{Present: true, Lag: 2, AckP99: 7.5},
 	}
 	var sb strings.Builder
@@ -118,7 +118,7 @@ func TestRenderFrame(t *testing.T) {
 		"127.0.0.1:9971",
 		"role=primary", "repl_lag=0", "extra=x",
 		"STAGE", "total", "1.50M",
-		"SHARD", "2.5k", "YES",
+		"SHARD", "2.5k",
 		"repl: lag=2",
 	} {
 		if !strings.Contains(out, want) {

@@ -50,12 +50,6 @@ var (
 	// the queue: every shard is full. Transient — back off briefly and
 	// retry.
 	ErrBackpressure = errors.New("engine: shard backpressured")
-	// ErrOverloaded reports that a push was shed by admission control:
-	// the engine's executions have been running over their latency
-	// bound (see Overload) and it is protecting itself. Distinct from
-	// ErrBackpressure so callers can back off harder — the engine is
-	// saturated, not momentarily full.
-	ErrOverloaded = errors.New("engine: shard overloaded")
 	// ErrClosed reports a submit against a closed engine.
 	ErrClosed = errors.New("engine: closed")
 	// ErrInvalidOp reports an operation of unknown kind.
@@ -162,44 +156,20 @@ type Config struct {
 	// per-shard checkpoint fan-out a previous Checkpoint wrote there.
 	// A missing or empty directory is a fresh start, not an error.
 	RestoreDir string
-	// Overload sets admission control; the zero value disables
-	// overload shedding.
+	// Overload is ignored.
+	//
+	// Deprecated: a push is refused only by backpressure; there is no
+	// run-time admission latch to configure.
 	Overload Overload
 }
 
-// Overload parameterises admission control. The engine trips into
-// overload at the second consecutive execution that runs for
-// DrainLatencyHigh or longer, and clears at the first that runs faster;
-// while tripped, pushes are shed with ErrOverloaded. An execution's run
-// time starts once its executor holds the execution lock: time spent
-// waiting for the lock does not count, or one stall inside a holder
-// would make the holder and every waiter slow in a row. Shed pushes
-// never reach a queue, so under push-only traffic a tripped engine
-// would never execute again; the latch therefore also clears once
-// Cooloff passes with no execution.
+// Overload is an admission-control config that nothing reads.
+//
+// Deprecated: New ignores Config.Overload; a push is refused only when
+// every shard is almost full (ErrBackpressure).
 type Overload struct {
-	// HighFrac is ignored.
-	//
-	// Deprecated: overload is judged on execution run time alone.
-	HighFrac float64
-	// DrainLatencyHigh is the run time at which an execution counts as
-	// slow. Zero disables overload control.
+	HighFrac         float64
 	DrainLatencyHigh time.Duration
-	// Cooloff bounds how long a tripped engine sheds without any
-	// execution re-evaluating the signal; past it the next push is
-	// admitted and the next execution judges afresh (default 250ms).
-	Cooloff time.Duration
-}
-
-// enabled reports whether overload control is on.
-func (o Overload) enabled() bool { return o.DrainLatencyHigh > 0 }
-
-// withDefaults fills the zero values of an enabled config.
-func (o Overload) withDefaults() Overload {
-	if o.enabled() && o.Cooloff <= 0 {
-		o.Cooloff = 250 * time.Millisecond
-	}
-	return o
 }
 
 // Normalized returns the config with all defaults applied — the form
@@ -217,7 +187,6 @@ func (c Config) withDefaults() Config {
 	if c.Levels <= 0 {
 		c.Levels = 11
 	}
-	c.Overload = c.Overload.withDefaults()
 	return c
 }
 
@@ -228,16 +197,12 @@ func (c Config) withDefaults() Config {
 const emptyHead = math.MaxUint64
 
 // Hooks are the engine's incident-wiring points, set once via
-// SetHooks before traffic: the flight recorder receives overload and
-// backpressure edges, OnOverloadTrip fires when the engine trips into
-// overload — on the goroutine that held the execution lock, a
-// submitter's, so keep it non-blocking (internal/node enqueues to its
-// capture goroutine) — and OnPanic observes a queue's panic value, on
-// the executing goroutine, before the engine re-panics.
+// SetHooks before traffic: the flight recorder receives backpressure
+// edges, and OnPanic observes a queue's panic value, on the executing
+// goroutine, before the engine re-panics.
 type Hooks struct {
-	Flight         *obs.FlightRecorder
-	OnOverloadTrip func()
-	OnPanic        func(shard int, r any)
+	Flight  *obs.FlightRecorder
+	OnPanic func(shard int, r any)
 	// Metrics, when non-nil, is handed to the per-shard persist
 	// managers Checkpoint attaches (prefixed <MetricsPrefix>_shard<i>),
 	// so WAL sticky-poisoning and fsync-retry state surface as gauges
@@ -278,7 +243,6 @@ type shard struct {
 	pushes, pops   *obs.Counter
 	fulls, empties *obs.Counter
 	backpressured  *obs.Counter
-	shed           *obs.Counter
 	drained        *obs.Histogram
 }
 
@@ -289,25 +253,11 @@ type Engine struct {
 	hooks  atomic.Pointer[Hooks]
 
 	// exec is the execution lock. Its holder owns every shard's queue
-	// and LSN, and slowRuns.
+	// and LSN.
 	exec sync.Mutex
 	// closed is set by Close under the lock; an executor that sees it
 	// answers ErrClosed instead of executing.
 	closed atomic.Bool
-
-	// ov is the admission-control config, swappable at runtime
-	// (SetOverload) so operators and the chaos harness can tighten or
-	// relax the latency bound on a live engine.
-	ov atomic.Pointer[Overload]
-	// slowRuns counts consecutive executions at or over
-	// Overload.DrainLatencyHigh.
-	slowRuns   int
-	overloaded atomic.Bool
-	// overUntil is the UnixNano deadline of the overload latch,
-	// refreshed at every execution while tripped. Past it with no
-	// execution having cleared the latch, the push gate clears it itself
-	// — no execution can, because shed pushes never reach a queue.
-	overUntil atomic.Int64
 }
 
 // SetHooks installs the incident-wiring points. Call once, before the
@@ -322,14 +272,6 @@ func (e *Engine) SetHooks(h Hooks) {
 	e.hooks.Store(&h)
 }
 
-// SetOverload replaces the admission-control config of a live engine
-// (defaults applied as in Config). The zero value disables shedding; a
-// latch already tripped still holds until its cooloff expires.
-func (e *Engine) SetOverload(o Overload) {
-	o = o.withDefaults()
-	e.ov.Store(&o)
-}
-
 // New builds the engine, restoring shards from cfg.RestoreDir when set.
 // It starts no goroutine: every execution runs on its submitter's.
 func New(cfg Config) (*Engine, error) {
@@ -341,7 +283,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: order %d below minimum %d", cfg.Order, core.MinOrder)
 	}
 	e := &Engine{cfg: cfg}
-	e.SetOverload(cfg.Overload)
 	for i := 0; i < cfg.Shards; i++ {
 		e.shards = append(e.shards, &shard{id: i, q: core.New(cfg.Order, cfg.Levels), hooks: &e.hooks})
 	}
@@ -380,16 +321,6 @@ func (e *Engine) Cap() int {
 // ShardLen returns the published length of shard i.
 func (e *Engine) ShardLen(i int) int { return int(e.shards[i].length.Load()) }
 
-// OverloadedShards counts shards currently shedding pushes under
-// admission control — the health-endpoint view of overload state.
-// Overload is engine-wide, so it is every shard or none.
-func (e *Engine) OverloadedShards() int {
-	if e.overloaded.Load() {
-		return len(e.shards)
-	}
-	return 0
-}
-
 // PeekMin returns the engine's current global minimum — the smallest
 // published shard head — without removing it, or ok=false when every
 // shard publishes empty. It is the node-local half of the cluster's
@@ -417,7 +348,7 @@ func (e *Engine) PeekMin() (core.Element, bool) {
 
 // Submit executes the batch on this goroutine under the execution lock,
 // waiting for the lock while another submitter holds it. Refused
-// operations (backpressure, overload, closed engine, pop on an empty
+// operations (backpressure, closed engine, pop on an empty
 // engine) fail in place without holding up the rest of the batch. The
 // returned slice has one Result per op, in order.
 func (e *Engine) Submit(ops []Op) []Result {
@@ -441,8 +372,7 @@ func (e *Engine) SubmitInto(ops []Op, results []Result) {
 // path.
 //
 // The batch runs in op order. A push goes to the shard with the fewest
-// elements (leftmost on ties), where the overload and backpressure gates
-// judge it; a pop or bounded pop takes the smallest head across shards
+// elements (leftmost on ties), where the backpressure gate judges it; a pop or bounded pop takes the smallest head across shards
 // (leftmost on ties), answering ErrEmpty or ErrMiss only when every
 // shard is empty or, for a bounded pop, when that head ranks above the
 // bound.
@@ -463,21 +393,17 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 		}
 		return
 	}
-	ov, start := e.begin(sp)
+	sp.Stamp(obs.StageDequeue)
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
 		case OpPush:
 			s := e.leastCount()
 			cur = s.id
-			switch {
-			case e.overloaded.Load() && !e.latchExpired():
-				s.shed.Inc()
-				results[i] = Result{Err: ErrOverloaded}
-			case s.q.AlmostFull():
+			if s.q.AlmostFull() {
 				s.backpressured.Inc()
 				results[i] = Result{Err: ErrBackpressure}
-			default:
+			} else {
 				s.apply(OpPush, op.Elem, &results[i])
 			}
 		case OpPop, OpPopBounded:
@@ -495,7 +421,7 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 			results[i] = Result{Err: ErrInvalidOp}
 		}
 	}
-	e.end(ov, start)
+	e.end()
 	sp.Stamp(obs.StageApply)
 }
 
@@ -539,8 +465,7 @@ func (e *Engine) leastHead() *shard {
 }
 
 // Push submits one push. It returns nil on success, ErrBackpressure
-// when every shard is full, ErrOverloaded when admission control sheds
-// it, or ErrClosed.
+// when every shard is full, or ErrClosed.
 func (e *Engine) Push(el core.Element) error {
 	var results [1]Result
 	e.SubmitInto([]Op{PushOp(el)}, results[:])
@@ -599,30 +524,15 @@ func (e *Engine) release(cur *int) {
 	}
 }
 
-// begin opens an execution under the held lock: it stamps StageDequeue
-// and, with overload control on, notes when the run started.
-func (e *Engine) begin(sp *obs.Span) (Overload, time.Time) {
-	ov := *e.ov.Load()
-	var start time.Time
-	if ov.enabled() {
-		start = time.Now()
-	}
-	sp.Stamp(obs.StageDequeue)
-	return ov, start
-}
-
 // end closes an execution: every shard it touched publishes its new
-// state and records how many ops it applied, then overload is re-judged.
-func (e *Engine) end(ov Overload, start time.Time) {
+// state and records how many ops it applied.
+func (e *Engine) end() {
 	for _, s := range e.shards {
 		if s.ran > 0 {
 			s.drained.Observe(s.ran)
 			s.ran = 0
 			s.publish()
 		}
-	}
-	if ov.enabled() {
-		e.updateOverload(ov, start)
 	}
 }
 
@@ -663,60 +573,6 @@ func (s *shard) apply(kind OpKind, el core.Element, r *Result) {
 	}
 }
 
-// latchExpired clears an overload latch whose cooloff has passed and
-// reports whether it did: no execution has re-judged the signal for a
-// full cooloff, so this push is admitted and the next one can be too.
-func (e *Engine) latchExpired() bool {
-	if time.Now().UnixNano() < e.overUntil.Load() {
-		return false
-	}
-	if e.overloaded.Swap(false) {
-		e.overloadEdge(false, 0)
-	}
-	return true
-}
-
-// updateOverload judges one execution that started running at start:
-// the second consecutive slow one trips the latch, the first fast one
-// clears it. One slow execution is a host stall that happened to land
-// in it, two in a row is an engine that cannot keep up (DESIGN.md
-// section 6a). Edges (not levels) feed the hooks.
-func (e *Engine) updateOverload(ov Overload, start time.Time) {
-	took := time.Since(start)
-	if took >= ov.DrainLatencyHigh {
-		e.slowRuns++
-	} else {
-		e.slowRuns = 0
-	}
-	tripped := e.slowRuns >= 2
-	if tripped {
-		// Before the latch rises, so a push never sees it raised with a
-		// stale deadline.
-		e.overUntil.Store(time.Now().Add(ov.Cooloff).UnixNano())
-	}
-	if e.overloaded.Load() != tripped && e.overloaded.Swap(tripped) != tripped {
-		e.overloadEdge(tripped, took)
-	}
-}
-
-// overloadEdge reports one overload latch transition to the hooks.
-// took is the run time of the deciding execution (0 when the edge came
-// from the push gate's cooloff expiry).
-func (e *Engine) overloadEdge(tripped bool, took time.Duration) {
-	h := e.hooks.Load()
-	if h == nil {
-		return
-	}
-	b := uint64(0)
-	if tripped {
-		b = 1
-	}
-	h.Flight.Record(obs.FlightOverload, 0, 0, b, uint64(took))
-	if tripped && h.OnOverloadTrip != nil {
-		h.OnOverloadTrip()
-	}
-}
-
 // publish refreshes the shard's published state from its queue,
 // recording almost-full (backpressure) edges into the flight recorder.
 func (s *shard) publish() {
@@ -748,7 +604,7 @@ func (e *Engine) ShardLSN(i int) uint64 { return e.shards[i].lsnPub.Load() }
 
 // ApplyReplica executes ops against shard sh directly — the replication
 // apply path. It bypasses the least-count and least-head choices and
-// every admission gate (backpressure and overload): a follower must
+// the backpressure gate: a follower must
 // apply the primary's history verbatim, in the primary's per-shard LSN
 // order, and the history is known to fit because the primary executed
 // it against identical geometry. Like a submit, it takes the execution
@@ -775,11 +631,10 @@ func (e *Engine) ApplyReplica(sh int, ops []Op, results []Result) error {
 		}
 		return ErrClosed
 	}
-	ov, start := e.begin(nil)
 	s := e.shards[sh]
 	for i, op := range ops {
 		s.apply(op.Kind, op.Elem, &results[i])
 	}
-	e.end(ov, start)
+	e.end()
 	return nil
 }

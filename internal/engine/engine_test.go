@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/refpq"
@@ -314,6 +315,23 @@ func TestBackpressureTyped(t *testing.T) {
 	}
 }
 
+// TestOverloadConfigIgnored pins the deprecated Overload shim as inert:
+// an engine built with the benchmark's overload shape and a bound every
+// execution exceeds admits every push. Backpressure is the only reason
+// a push is refused.
+func TestOverloadConfigIgnored(t *testing.T) {
+	e, err := New(Config{Overload: Overload{HighFrac: 0.85, DrainLatencyHigh: time.Nanosecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 8; i++ {
+		if err := e.Push(core.Element{Value: uint64(i), Meta: uint64(i)}); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+}
+
 // TestSubmitBatchMixed checks the batched submit path end to end:
 // mixed push/pop batches complete in order with one result per op.
 func TestSubmitBatchMixed(t *testing.T) {
@@ -458,5 +476,70 @@ func TestRestoreConfigMismatch(t *testing.T) {
 	bad.RestoreDir = dir
 	if _, err := New(bad); err == nil {
 		t.Fatal("restore into mismatched shard count succeeded, want error")
+	}
+}
+
+// TestApplyReplica drives one shard directly — the follower apply path
+// — and checks dense LSN stamping, shard isolation, and
+// element fidelity.
+func TestApplyReplica(t *testing.T) {
+	e, err := New(Config{Shards: 2, Order: 2, Levels: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	const n = 10
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = PushOp(core.Element{Value: uint64(100 - i), Meta: uint64(i)})
+	}
+	results := make([]Result, n)
+	if err := e.ApplyReplica(1, ops, results); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("apply[%d]: %v", i, r.Err)
+		}
+		if r.Shard != 1 || r.LSN != uint64(i+1) {
+			t.Fatalf("apply[%d]: shard %d lsn %d, want shard 1 lsn %d", i, r.Shard, r.LSN, i+1)
+		}
+	}
+	if got := e.ShardLSN(1); got != n {
+		t.Fatalf("ShardLSN(1) = %d, want %d", got, n)
+	}
+	if got := e.ShardLSN(0); got != 0 {
+		t.Fatalf("ShardLSN(0) = %d — replica apply leaked across shards", got)
+	}
+
+	// Pops through the same path come back rank-ordered with their LSNs
+	// continuing the chain.
+	pops := make([]Op, n)
+	for i := range pops {
+		pops[i] = PopOp()
+	}
+	popRes := make([]Result, n)
+	if err := e.ApplyReplica(1, pops, popRes); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range popRes {
+		if r.Err != nil {
+			t.Fatalf("pop[%d]: %v", i, r.Err)
+		}
+		if want := uint64(100 - (n - 1) + i); r.Elem.Value != want {
+			t.Fatalf("pop[%d] value %d, want %d", i, r.Elem.Value, want)
+		}
+		if r.LSN != uint64(n+i+1) {
+			t.Fatalf("pop[%d] lsn %d, want %d", i, r.LSN, n+i+1)
+		}
+	}
+
+	if err := e.ApplyReplica(5, ops, results); err == nil {
+		t.Fatal("out-of-range shard accepted")
+	}
+	e.Close()
+	if err := e.ApplyReplica(1, ops, results); !errors.Is(err, ErrClosed) {
+		t.Fatalf("apply after close: %v, want ErrClosed", err)
 	}
 }

@@ -16,8 +16,6 @@ var batchBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 40
 //	<prefix>_shard<i>_pushes_total / _pops_total   successful operations
 //	<prefix>_shard<i>_full_total / _empty_total    queue-level refusals
 //	<prefix>_shard<i>_backpressure_total           admission refusals
-//	<prefix>_shard<i>_overload_shed_total          overload sheds
-//	<prefix>_shard<i>_overloaded                   the engine's overload latch
 //	<prefix>_shard<i>_drain_batch                  ops per execution on the shard
 //	<prefix>_shard<i>_occupancy / _capacity        queue fill
 //	<prefix>_len                                   aggregate length
@@ -41,13 +39,6 @@ func (e *Engine) Instrument(reg *obs.Registry, prefix string) {
 		s.fulls = reg.Counter(p + "_full_total")
 		s.empties = reg.Counter(p + "_empty_total")
 		s.backpressured = reg.Counter(p + "_backpressure_total")
-		s.shed = reg.Counter(p + "_overload_shed_total")
-		reg.GaugeFunc(p+"_overloaded", func() float64 {
-			if e.overloaded.Load() {
-				return 1
-			}
-			return 0
-		})
 		reg.Help(p+"_drain_batch", "ops one execution applied to the shard")
 		s.drained = reg.Histogram(p+"_drain_batch", batchBounds)
 		reg.GaugeFunc(p+"_occupancy", func() float64 { return float64(s.length.Load()) })

@@ -211,9 +211,6 @@ func Start(cfg Config) (*Node, error) {
 
 	hooks := engine.Hooks{
 		Flight: n.flight,
-		OnOverloadTrip: func() {
-			n.trigger("overload", "engine tripped: two consecutive executions over the drain-latency bound")
-		},
 		OnPanic: func(shard int, r any) {
 			// Synchronous: the executing goroutine is about to re-panic
 			// and kill the process — this bundle is the last chance.
@@ -311,11 +308,9 @@ func (n *Node) newSLO() (*obs.SLOEngine, error) {
 	}
 	for i := 0; i < n.eng.Shards(); i++ {
 		p := fmt.Sprintf("bmwd_engine_shard%d", i)
-		names.BadCounters = append(names.BadCounters,
-			p+"_overload_shed_total", p+"_backpressure_total")
+		names.BadCounters = append(names.BadCounters, p+"_backpressure_total")
 		names.TotalCounters = append(names.TotalCounters,
-			p+"_pushes_total", p+"_pops_total",
-			p+"_overload_shed_total", p+"_backpressure_total")
+			p+"_pushes_total", p+"_pops_total", p+"_backpressure_total")
 	}
 	objectives, err := obs.ParseSLOSpec(n.cfg.SLO, names)
 	if err != nil {
@@ -490,13 +485,12 @@ func (n *Node) Capture(name, reason string) (string, error) {
 func (n *Node) Detail() map[string]any {
 	st := n.repl.Status()
 	d := map[string]any{
-		"role":              n.repl.Role(),
-		"serving":           st.Serving,
-		"degraded":          st.Degraded,
-		"caught_up":         n.repl.Ready(),
-		"repl_lag":          n.repl.Lag(),
-		"overloaded_shards": n.eng.OverloadedShards(),
-		"persist_ok":        n.persistOK(),
+		"role":       n.repl.Role(),
+		"serving":    st.Serving,
+		"degraded":   st.Degraded,
+		"caught_up":  n.repl.Ready(),
+		"repl_lag":   n.repl.Lag(),
+		"persist_ok": n.persistOK(),
 	}
 	if n.state != nil {
 		s, e, _ := n.state.Current().Band(n.state.Self())

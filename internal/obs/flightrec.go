@@ -1,6 +1,6 @@
 // Black-box flight recorder: a fixed-size, lock-free ring of recent
 // structured events — finished request spans (every error/slow span,
-// a 1-in-N sample of the rest), overload and backpressure edges,
+// a 1-in-N sample of the rest), backpressure edges,
 // replication state transitions, WAL fsync stalls, error log records —
 // recording continuously at a handful of atomic stores per event, with
 // a Dump that snapshots a consistent recent window for incident
@@ -35,10 +35,6 @@ const (
 	// FlightSpan is a finished request span: A = track (connection id),
 	// B = whole-span latency ns, C = 1 error / 2 slow / 0 sampled-in.
 	FlightSpan FlightKind = iota + 1
-	// FlightOverload is an overload admission edge: A = 0 (the latch is
-	// the engine's), B = 1 trip / 0 clear, C = run time in ns of the deciding
-	// execution (0 for a cooloff expiry).
-	FlightOverload
 	// FlightBackpressure is an almost-full edge: A = shard,
 	// B = 1 asserted / 0 cleared, C = queue length.
 	FlightBackpressure
@@ -73,7 +69,6 @@ const (
 // flightKindNames spell the kinds in dumps.
 var flightKindNames = map[FlightKind]string{
 	FlightSpan:         "span",
-	FlightOverload:     "overload",
 	FlightBackpressure: "backpressure",
 	FlightReplState:    "repl_state",
 	FlightWALStall:     "wal_stall",

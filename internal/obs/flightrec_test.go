@@ -35,7 +35,7 @@ func TestFlightRecorderSizeRounding(t *testing.T) {
 
 func TestFlightRecordAndDump(t *testing.T) {
 	f := NewFlightRecorder(64)
-	f.Record(FlightOverload, 0, 3, 1, 900)
+	f.Record(FlightBackpressure, 0, 3, 1, 900)
 	f.RecordMsg(FlightReplState, 0, "promoted", 42, 0, 0)
 	f.Record(FlightWALStall, 0, 80e6, 50e6, 1)
 
@@ -49,8 +49,8 @@ func TestFlightRecordAndDump(t *testing.T) {
 			t.Fatalf("event %d has seq %d", i, ev.Seq)
 		}
 	}
-	if d.Events[0].Kind != "overload" || d.Events[0].A != 3 || d.Events[0].C != 900 {
-		t.Fatalf("overload event: %+v", d.Events[0])
+	if d.Events[0].Kind != "backpressure" || d.Events[0].A != 3 || d.Events[0].C != 900 {
+		t.Fatalf("backpressure event: %+v", d.Events[0])
 	}
 	if d.Events[1].Kind != "repl_state" || d.Events[1].Msg != "promoted" || d.Events[1].A != 42 {
 		t.Fatalf("repl event: %+v", d.Events[1])

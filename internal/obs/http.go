@@ -30,7 +30,7 @@ type HandlerOptions struct {
 	// Ready gates /readyz; nil falls back to Healthy.
 	Ready func() bool
 	// Detail, when set, is sampled per probe request and merged into
-	// the probe's JSON body (role, replication lag, overload state…) so
+	// the probe's JSON body (role, replication lag, persistence state…) so
 	// operators and dashboards can tell *why* a node is unready.
 	Detail func() map[string]any
 	// Trace, when set, serves the recorder's accumulated Chrome trace

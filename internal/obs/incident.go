@@ -2,8 +2,8 @@
 // diagnostic state — flight-recorder dump, metrics snapshot, Chrome
 // trace slice, SLO status, probe detail, goroutine and heap profiles,
 // build identity — into a versioned, self-checksummed incident-<ts>/
-// directory the moment something goes wrong (panic, SIGQUIT, overload
-// trip, follower fatal-degrade, readiness flip, SLO page).
+// directory the moment something goes wrong (panic, SIGQUIT, follower
+// fatal-degrade, readiness flip, SLO page).
 //
 // Bundles are rate-limited (a flapping trigger cannot fill the disk),
 // retention-capped (oldest pruned past MaxBundles), and validated by

@@ -60,10 +60,10 @@ const (
 	StatusClosed Status = 4
 	// StatusInvalid: the operation was malformed or unsupported.
 	StatusInvalid Status = 5
-	// StatusOverloaded: the server shed the operation at admission —
-	// sustained drain-latency overload, or the per-connection in-flight
-	// cap. Back off harder than for
-	// StatusBackpressure; the server is protecting itself.
+	// StatusOverloaded: the server shed the whole batch unexecuted,
+	// every op kind alike, because the connection already had
+	// ServerConfig.MaxInflight responses queued. Read the pipeline
+	// down before retrying; the server is protecting itself.
 	StatusOverloaded Status = 6
 	// StatusNotPrimary: this server is a replication follower and does
 	// not accept queue operations; fail over to the primary (or the

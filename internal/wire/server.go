@@ -593,8 +593,6 @@ func statusOf(err error) Status {
 		return StatusEmpty
 	case errors.Is(err, core.ErrFull):
 		return StatusFull
-	case errors.Is(err, engine.ErrOverloaded):
-		return StatusOverloaded
 	case errors.Is(err, engine.ErrBackpressure):
 		return StatusBackpressure
 	case errors.Is(err, engine.ErrClosed):

@@ -298,3 +298,163 @@ func TestDirectWriteKeepsOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxInflightShedsWholeBatch pins the per-connection in-flight cap,
+// the one producer of StatusOverloaded. A shut sync gate holds the
+// first response in the writer, so the next two queue behind it and
+// the conn sits at its cap of 2. The frame after that is shed whole:
+// every op, pops and peeks included, answers StatusOverloaded and
+// nothing executes. A retry of an id already cached is still answered
+// verbatim, because dedup comes before shedding. Once the gate opens,
+// a retry of the shed id executes, exactly once: shed responses are
+// never cached.
+func TestMaxInflightShedsWholeBatch(t *testing.T) {
+	e, err := engine.New(engine.Config{Shards: 1, Order: 2, Levels: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	gate := make(chan struct{})
+	gated := make(chan struct{}, 1)
+	hooked := make(chan uint64, 8) // one per executed frame; the test executes five
+	srv := NewServerConfig(e, ServerConfig{MaxInflight: 2})
+	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
+		hooked <- reqID
+		return func() {
+			select {
+			case gated <- struct{}{}:
+			default:
+			}
+			<-gate
+		}
+	})
+	admin := make(chan struct{}, 1)
+	srv.SetAdminHandler(func(AdminCmd) (AdminInfo, error) {
+		admin <- struct{}{}
+		return AdminInfo{Role: RolePrimary, Serving: true}, nil
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	opened := false
+	defer func() {
+		if !opened {
+			close(gate)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	write := func(typ Type, id uint64, payload []byte) {
+		t.Helper()
+		if err := WriteFrame(conn, typ, id, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(id uint64) []Result {
+		t.Helper()
+		f, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != TBatchOK || f.ID != id {
+			t.Fatalf("response type %d id %d, want TBatchOK id %d", f.Type, f.ID, id)
+		}
+		res, err := ParseResults(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	wait := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	executed := func(want uint64) {
+		t.Helper()
+		select {
+		case got := <-hooked:
+			if got != want {
+				t.Fatalf("hook saw request %d, want %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d never executed", want)
+		}
+	}
+	write(THello, 0, AppendHello(nil, 7)) // a session: enrolled in dedup
+	if f, err := ReadFrame(conn); err != nil || f.Type != THelloOK {
+		t.Fatalf("hello: %v %+v", err, f)
+	}
+
+	push := func(v uint64) Op { return Op{Kind: OpPush, Value: v, Meta: v} }
+	// Frame 1 executes and its response parks in the writer's gate;
+	// frames 2 and 3 execute and queue behind it.
+	write(TBatch, 1, AppendOps(nil, []Op{push(10), push(11)}))
+	wait(gated, "the writer to block in frame 1's gate")
+	write(TBatch, 2, AppendOps(nil, []Op{push(20)}))
+	write(TBatch, 3, AppendOps(nil, []Op{push(30)}))
+	for id := uint64(1); id <= 3; id++ {
+		executed(id)
+	}
+	before := e.Len()
+	// Over the cap: frame 4 is shed, the retry of cached id 1 is
+	// answered from the cache, and the admin frame marks that the
+	// reader has passed both.
+	shed := []Op{push(1), {Kind: OpPop}, {Kind: OpPopBounded, Value: 0}, {Kind: OpPeek}, push(2), push(3)}
+	write(TBatch, 4, AppendOps(nil, shed))
+	write(TBatch, 1, AppendOps(nil, []Op{push(10), push(11)}))
+	write(TAdmin, 5, AppendAdmin(nil, AdminStatus))
+	wait(admin, "the reader to reach the admin frame")
+	if got := e.Len(); got != before {
+		t.Fatalf("engine Len %d after the shed frame, want %d: the shed frame executed", got, before)
+	}
+
+	close(gate)
+	opened = true
+	first := read(1)
+	read(2)
+	read(3)
+	for i, r := range read(4) {
+		if r.Status != StatusOverloaded {
+			t.Fatalf("shed frame op %d (kind %d): status %v, want overloaded", i, shed[i].Kind, r.Status)
+		}
+	}
+	if got := read(1); len(got) != len(first) || got[0] != first[0] || got[1] != first[1] {
+		t.Fatalf("cached id 1 answered %+v over the cap, want the original %+v", got, first)
+	}
+	if f, err := ReadFrame(conn); err != nil || f.Type != TAdminOK || f.ID != 5 {
+		t.Fatalf("admin response: %v %+v", err, f)
+	}
+
+	// The shed id was never executed, so its retry runs now, once; a
+	// second retry is the cached answer.
+	for try := 0; try < 2; try++ {
+		write(TBatch, 4, AppendOps(nil, shed))
+		for i, r := range read(4) {
+			if r.Status == StatusOverloaded {
+				t.Fatalf("retry %d of the shed id: op %d still overloaded: the shed answer was cached", try, i)
+			}
+		}
+	}
+	executed(4)
+	if len(hooked) != 0 {
+		t.Fatal("the shed id executed more than once")
+	}
+	// Three pushes in, one pop out; the bounded pop misses.
+	if got := e.Len(); got != before+2 {
+		t.Fatalf("engine Len %d after the retries, want %d", got, before+2)
+	}
+}
