@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/refpq"
@@ -71,6 +72,55 @@ func FuzzTreeAgainstReference(f *testing.F) {
 		}
 		if tr.Len() != ref.Len() {
 			t.Fatalf("size mismatch %d vs %d", tr.Len(), ref.Len())
+		}
+	})
+}
+
+// FuzzSnapshotRestore feeds arbitrary payloads to RestoreSnapshot on an
+// order-2 and an order-4 receiver. It must never panic; a payload it
+// accepts must re-encode to the same bytes, and one it refuses must
+// leave the receiver as empty as it was. The seeds are real payloads
+// of both orders, whole and truncated. Run with
+// `go test -fuzz=FuzzSnapshotRestore ./internal/core` to explore.
+func FuzzSnapshotRestore(f *testing.F) {
+	for _, m := range []int{2, 4} {
+		tr := New(m, 3)
+		for i := 0; i < 3*tr.Cap()/4; i++ {
+			if err := tr.Push(Element{Value: uint64(i * 7919 % 1000), Meta: uint64(i)}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		for i := 0; i < tr.Cap()/4; i++ {
+			if _, err := tr.Pop(); err != nil {
+				f.Fatal(err)
+			}
+		}
+		p, err := tr.EncodeSnapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, cut := range []int{len(p), len(p) - 1, snapHeaderBytes + snapSlotBytes, snapHeaderBytes, 7, 0} {
+			f.Add(p[:cut])
+		}
+	}
+	empty := map[int][]byte{}
+	for _, m := range []int{2, 4} {
+		empty[m], _ = New(m, 3).EncodeSnapshot()
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, m := range []int{2, 4} {
+			r := New(m, 3)
+			err := r.RestoreSnapshot(coreSnapVersion, payload)
+			got, _ := r.EncodeSnapshot()
+			if err != nil {
+				if !bytes.Equal(got, empty[m]) {
+					t.Fatalf("m=%d: refused payload (%v) changed the receiver", m, err)
+				}
+				continue
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("m=%d: accepted %d-byte payload re-encodes to %d different bytes", m, len(payload), len(got))
+			}
 		}
 	})
 }

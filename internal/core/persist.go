@@ -9,6 +9,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/hw"
@@ -17,6 +18,10 @@ import (
 
 // coreSnapVersion is the current snapshot codec version.
 const coreSnapVersion = 1
+
+// snapHeaderBytes is the encoded size of the header: m (U32), l (U32),
+// size, pushes, pops, high-water mark (U64 each), slot count (U32).
+const snapHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8 + 4
 
 // snapSlotBytes is the encoded size of one slot, as EncodeSnapshot
 // writes it: val (U64), meta (U64), count (U32), born (U32).
@@ -30,33 +35,39 @@ func (t *Tree) SnapshotKind() string { return "core" }
 // SnapshotVersion returns the codec version EncodeSnapshot writes.
 func (t *Tree) SnapshotVersion() uint32 { return coreSnapVersion }
 
-// EncodeSnapshot serialises the complete tree state.
+// EncodeSnapshot serialises the complete tree state into one buffer
+// allocated at its exact length: the header, then every slot at its
+// fixed offset.
 func (t *Tree) EncodeSnapshot() ([]byte, error) {
-	var e persist.Enc
-	e.U32(uint32(t.m))
-	e.U32(uint32(t.l))
-	e.U64(uint64(t.size))
-	e.U64(t.pushes)
-	e.U64(t.pops)
-	e.U64(uint64(t.maxSize))
-	e.U32(uint32(len(t.cold)))
+	b := make([]byte, snapHeaderBytes+len(t.cold)*snapSlotBytes)
+	le := binary.LittleEndian
+	le.PutUint32(b[0:], uint32(t.m))
+	le.PutUint32(b[4:], uint32(t.l))
+	le.PutUint64(b[8:], uint64(t.size))
+	le.PutUint64(b[16:], t.pushes)
+	le.PutUint64(b[24:], t.pops)
+	le.PutUint64(b[32:], uint64(t.maxSize))
+	le.PutUint32(b[40:], uint32(len(t.cold)))
+	p := b[snapHeaderBytes:]
 	for n := 0; n < t.numNodes; n++ {
-		for i := 0; i < t.m; i++ {
-			c := &t.cold[n*t.m+i]
-			e.U64(t.val(n, i))
-			e.U64(c.meta)
-			e.U32(uint32(t.count(n, i)))
-			e.U32(c.born)
+		node := t.hot[2*t.m*n : 2*t.m*(n+1)]
+		for i, c := range t.cold[n*t.m : (n+1)*t.m] {
+			s := p[:snapSlotBytes]
+			le.PutUint64(s[0:], node[i])
+			le.PutUint64(s[8:], c.meta)
+			le.PutUint32(s[16:], uint32(node[t.m+i]))
+			le.PutUint32(s[20:], c.born)
+			p = p[snapSlotBytes:]
 		}
 	}
-	return e.B, nil
+	return b, nil
 }
 
 // RestoreSnapshot loads a payload into the receiver, which must have
 // the same shape as the tree that wrote it. The payload is fully
 // validated before any receiver state changes: once the header and the
 // payload length check out, no slot can fail to decode, so the slots
-// decode straight into the receiver.
+// decode straight from the payload's tail into the receiver.
 func (t *Tree) RestoreSnapshot(version uint32, payload []byte) error {
 	if version != coreSnapVersion {
 		return fmt.Errorf("core: unsupported snapshot version %d (have %d)", version, coreSnapVersion)
@@ -80,12 +91,19 @@ func (t *Tree) RestoreSnapshot(version uint32, payload []byte) error {
 	if got, want := d.Remaining(), n*snapSlotBytes; got != want {
 		return fmt.Errorf("core: snapshot has %d slot bytes, want %d for %d slots", got, want, n)
 	}
-	for s := range t.cold {
-		base := 2 * m * (s / m)
-		t.hot[base+s%m] = d.U64()
-		t.cold[s].meta = d.U64()
-		t.hot[base+m+s%m] = uint64(d.U32())
-		t.cold[s].born = d.U32()
+	p := payload[len(payload)-d.Remaining():]
+	le := binary.LittleEndian
+	for n := 0; n < t.numNodes; n++ {
+		node := t.hot[2*m*n : 2*m*(n+1)]
+		cold := t.cold[n*m : (n+1)*m]
+		for i := range cold {
+			s := p[:snapSlotBytes]
+			node[i] = le.Uint64(s[0:])
+			cold[i].meta = le.Uint64(s[8:])
+			node[m+i] = uint64(le.Uint32(s[16:]))
+			cold[i].born = le.Uint32(s[20:])
+			p = p[snapSlotBytes:]
+		}
 	}
 	t.size = size
 	t.pushes, t.pops = pushes, pops

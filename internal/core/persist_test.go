@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -192,6 +195,122 @@ func TestSnapshotBytesStable(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.drain {
 			t.Errorf("m=%d l=%d: restored drain sha256 %s, want %s", c.m, c.l, got, c.drain)
+		}
+	}
+}
+
+// TestSnapshotCodecAllocs gates the codec's allocations: EncodeSnapshot
+// allocates only its payload, RestoreSnapshot nothing.
+func TestSnapshotCodecAllocs(t *testing.T) {
+	a := New(4, 4)
+	drive(t, a, 5, 2*a.Cap())
+	var payload []byte
+	if n := testing.AllocsPerRun(100, func() { payload, _ = a.EncodeSnapshot() }); n > 1 {
+		t.Errorf("EncodeSnapshot: %.1f allocs, want <= 1", n)
+	}
+	b := New(4, 4)
+	var err error
+	if n := testing.AllocsPerRun(100, func() { err = b.RestoreSnapshot(coreSnapVersion, payload) }); n != 0 {
+		t.Errorf("RestoreSnapshot: %.1f allocs, want 0", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// compatChunkSize makes the fixture's 8 KiB snapshot span 129 Merkle
+// chunks, enough for MerkleLeaves to hash them on several goroutines.
+const compatChunkSize = 64
+
+// compatTree is the state checkpointed in testdata/ckpt-v1: an order-4
+// four-level tree driven through capacity, then half drained.
+func compatTree(t *testing.T) *Tree {
+	t.Helper()
+	tr := New(4, 4)
+	drive(t, tr, 40, 4*tr.Cap())
+	for i := 0; i < tr.Cap()/2; i++ {
+		if _, err := tr.Pop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// TestCheckpointDirCompat pins the checkpoint directory across codec
+// rewrites, in both directions. testdata/ckpt-v1 is compatTree as
+// persist.Attach + Checkpoint wrote it with the earlier field-at-a-time
+// codec (persist.Enc appends, persist.Dec reads). That directory must
+// verify and restore here to a tree that drains like compatTree; and a
+// checkpoint of compatTree written here must equal it file for file, so
+// the earlier codec restores what this one writes.
+func TestCheckpointDirCompat(t *testing.T) {
+	golden := filepath.Join("testdata", "ckpt-v1")
+	names, err := os.ReadDir(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	m, err := persist.Attach(dir, compatTree(t), persist.Options{ChunkSize: compatChunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != len(names) {
+		t.Fatalf("checkpoint wrote %d files, the fixture holds %d", len(written), len(names))
+	}
+	restoreDir := t.TempDir()
+	for _, e := range names {
+		want, err := os.ReadFile(filepath.Join(golden, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: written file (%d bytes) differs from the fixture (%d bytes)", e.Name(), len(got), len(want))
+		}
+		if err := os.WriteFile(filepath.Join(restoreDir, e.Name()), want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if r := persist.VerifyDir(nil, restoreDir); !r.Clean() {
+		t.Fatalf("fixture fails VerifyDir: %s", r.Findings[0].String())
+	}
+	got := New(4, 4)
+	m, rep, err := persist.Open(restoreDir, got, persist.Options{ChunkSize: compatChunkSize, StrictIntegrity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.SnapshotSeq != 1 || !rep.SnapshotRootVerified {
+		t.Fatalf("fixture restored snapshot seq %d, root verified %v", rep.SnapshotSeq, rep.SnapshotRootVerified)
+	}
+	want := compatTree(t)
+	gp, gq := got.OpStats()
+	wp, wq := want.OpStats()
+	if gp != wp || gq != wq || got.Len() != want.Len() || got.HighWatermark() != want.HighWatermark() {
+		t.Fatalf("restored counters (%d,%d,%d,%d), want (%d,%d,%d,%d)",
+			gp, gq, got.Len(), got.HighWatermark(), wp, wq, want.Len(), want.HighWatermark())
+	}
+	dg, dw := drain(t, got), drain(t, want)
+	for i := range dw {
+		if dg[i] != dw[i] {
+			t.Fatalf("pop %d: restored %+v, want %+v", i, dg[i], dw[i])
 		}
 	}
 }

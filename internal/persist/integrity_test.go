@@ -3,10 +3,12 @@ package persist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -168,6 +170,54 @@ func TestMerkleProofs(t *testing.T) {
 				t.Fatalf("n=%d leaf %d: wrong index accepted", n, i)
 			}
 		}
+	}
+}
+
+// TestMerkleLeavesParallel checks MerkleLeaves against a one-digest
+// serial reference at chunk counts on both sides of the serial cutoff,
+// even and odd, with full and short final chunks, at GOMAXPROCS 1 and
+// 4, and pins one root computed before the leaves were parallel.
+func TestMerkleLeavesParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const cs = 100
+	ref := func(b []byte) [][sha256.Size]byte {
+		var out [][sha256.Size]byte
+		for off := 0; off < len(b); off += cs {
+			out = append(out, sha256.Sum256(append([]byte{0x00}, b[off:min(off+cs, len(b))]...)))
+		}
+		return out
+	}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2*merkleRunChunks - 1, 2 * merkleRunChunks, 2*merkleRunChunks + 1, 5*merkleRunChunks + 3} {
+			for _, short := range []int{0, 37} {
+				size := n * cs
+				if n > 0 && short > 0 {
+					size -= cs - short
+				}
+				b := make([]byte, size)
+				for i := range b {
+					b[i] = byte(i * 31)
+				}
+				got, want := MerkleLeaves(b, cs), ref(b)
+				if len(got) != len(want) {
+					t.Fatalf("procs=%d n=%d short=%d: %d leaves, want %d", procs, n, short, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("procs=%d n=%d short=%d: leaf %d differs", procs, n, short, i)
+					}
+				}
+			}
+		}
+	}
+	b := make([]byte, 97*DefaultChunkSize+1234)
+	for i := range b {
+		b[i] = byte(i * 31 >> 3)
+	}
+	root := MerkleRoot(MerkleLeaves(b, 0))
+	if got := hex.EncodeToString(root[:]); got != "9a7a4c82a3ab0e3e6a5c50fb14a9fd2fff3f861e67401a097277a95ead10e4e8" {
+		t.Fatalf("98-leaf root %s moved", got)
 	}
 }
 

@@ -12,7 +12,11 @@
 
 package persist
 
-import "crypto/sha256"
+import (
+	"crypto/sha256"
+	"runtime"
+	"sync"
+)
 
 // DefaultChunkSize is the snapshot chunking granularity: small enough
 // to localise single-sector rot, large enough that the manifest's leaf
@@ -22,39 +26,58 @@ const DefaultChunkSize = 4096
 // merkleEmpty is the root of a zero-byte file (no leaves).
 var merkleEmpty = sha256.Sum256([]byte("bmw-merkle-empty/v1"))
 
-func merkleLeaf(chunk []byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte{0x00})
-	h.Write(chunk)
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
+// leafPrefix is the leaf hash's domain-separation byte; merkleNode
+// writes the interior one, 0x01, itself.
+var leafPrefix = []byte{0x00}
 
 func merkleNode(l, r [sha256.Size]byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte{0x01})
-	h.Write(l[:])
-	h.Write(r[:])
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	var b [1 + 2*sha256.Size]byte
+	b[0] = 0x01
+	copy(b[1:], l[:])
+	copy(b[1+sha256.Size:], r[:])
+	return sha256.Sum256(b[:])
 }
 
+// merkleRunChunks is the fewest chunks MerkleLeaves hands one
+// goroutine: 128 KiB at the default chunk size, about 60 microseconds
+// of hashing with SHA extensions, well above what starting a goroutine
+// costs.
+const merkleRunChunks = 32
+
 // MerkleLeaves chunks b and hashes each chunk. The final chunk may be
-// short; a zero-byte file has no leaves.
+// short; a zero-byte file has no leaves. The chunks are split into
+// contiguous runs of at least merkleRunChunks, hashed on up to
+// GOMAXPROCS goroutines that each reuse one digest; below two runs the
+// caller hashes them all. The leaves are the same either way.
 func MerkleLeaves(b []byte, chunkSize int) [][sha256.Size]byte {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	var leaves [][sha256.Size]byte
-	for off := 0; off < len(b); off += chunkSize {
-		end := off + chunkSize
-		if end > len(b) {
-			end = len(b)
-		}
-		leaves = append(leaves, merkleLeaf(b[off:end]))
+	n := (len(b) + chunkSize - 1) / chunkSize
+	if n == 0 {
+		return nil
 	}
+	leaves := make([][sha256.Size]byte, n)
+	hashRun := func(lo, hi int) {
+		h := sha256.New()
+		for i := lo; i < hi; i++ {
+			h.Reset()
+			h.Write(leafPrefix)
+			h.Write(b[i*chunkSize : min((i+1)*chunkSize, len(b))])
+			h.Sum(leaves[i][:0])
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), n/merkleRunChunks)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			hashRun(lo, hi)
+		}(w*n/workers, (w+1)*n/workers)
+	}
+	hashRun(0, n/max(workers, 1))
+	wg.Wait()
 	return leaves
 }
 

@@ -37,12 +37,14 @@ type SnapshotHeader struct {
 	LSN     uint64
 }
 
-// EncodeSnapshotFile wraps a payload in the checksummed envelope.
+// EncodeSnapshotFile wraps a payload in the checksummed envelope. The
+// file is built in one buffer of its exact length, so the payload is
+// copied once.
 func EncodeSnapshotFile(h SnapshotHeader, payload []byte) ([]byte, error) {
 	if len(h.Kind) == 0 || len(h.Kind) > maxSnapKind {
 		return nil, fmt.Errorf("persist: snapshot kind %q length out of range", h.Kind)
 	}
-	var e Enc
+	e := Enc{B: make([]byte, 0, len(snapMagic)+1+len(h.Kind)+4+8+8+4+len(payload)+4)}
 	e.B = append(e.B, snapMagic...)
 	e.U8(uint8(len(h.Kind)))
 	e.B = append(e.B, h.Kind...)

@@ -86,3 +86,17 @@ func TestSnapshotTrailingGarbageRejected(t *testing.T) {
 		t.Fatal("trailing byte accepted")
 	}
 }
+
+// TestSnapshotEnvelopeOneAlloc: the envelope is built in one buffer of
+// its exact length, so wrapping a payload copies it once.
+func TestSnapshotEnvelopeOneAlloc(t *testing.T) {
+	payload := make([]byte, 1<<16)
+	h := SnapshotHeader{Kind: "core", Version: 1, Seq: 2, LSN: 3}
+	var b []byte
+	if n := testing.AllocsPerRun(50, func() { b, _ = EncodeSnapshotFile(h, payload) }); n > 1 {
+		t.Errorf("EncodeSnapshotFile: %.1f allocs, want 1", n)
+	}
+	if len(b) != cap(b) {
+		t.Errorf("envelope len %d, cap %d: not sized exactly", len(b), cap(b))
+	}
+}

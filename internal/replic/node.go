@@ -166,19 +166,27 @@ type Node struct {
 	lastRecvNs atomic.Int64
 	remoteSeq  atomic.Uint64
 
-	// Instruments (nil-safe until Instrument is called).
-	ackLatency    *obs.QuantileHistogram
-	reorderDepth  *obs.Histogram
-	recordsInc    *obs.Counter
-	acksInc       *obs.Counter
-	reconnectsInc *obs.Counter
-	heartbeatsInc *obs.Counter
+	// inst holds the instruments. Instrument may publish them after
+	// the follower loop and the batch hook have started, so they are
+	// read through one atomic pointer; Attach stores the empty set,
+	// whose nil instruments are no-ops.
+	inst atomic.Pointer[instruments]
 
 	promote     chan struct{}
 	promoteOnce sync.Once
 	closed      chan struct{}
 	closeOnce   sync.Once
 	wg          sync.WaitGroup
+}
+
+// instruments are the node's histograms and counters.
+type instruments struct {
+	ackLatency    *obs.QuantileHistogram
+	reorderDepth  *obs.Histogram
+	recordsInc    *obs.Counter
+	acksInc       *obs.Counter
+	reconnectsInc *obs.Counter
+	heartbeatsInc *obs.Counter
 }
 
 // Attach builds the node, installs its hooks on srv, and (for a
@@ -196,6 +204,7 @@ func Attach(eng *engine.Engine, srv *wire.Server, cfg Config) *Node {
 		promote:       make(chan struct{}),
 		closed:        make(chan struct{}),
 	}
+	n.inst.Store(&instruments{})
 	srv.SetBatchHook(n.onBatch)
 	srv.SetAdminHandler(n.admin)
 	srv.SetReplHandler(n.handleRepl)
@@ -380,14 +389,16 @@ func (n *Node) Instrument(reg *obs.Registry, prefix string) {
 	reg.Help(prefix+"_heartbeat_age_seconds", "follower: seconds since the last stream frame from the primary")
 	reg.GaugeFunc(prefix+"_heartbeat_age_seconds", func() float64 { return n.HeartbeatAge().Seconds() })
 	reg.Help(prefix+"_ack_latency_ns", "sync-mode response gating: how long a response waited for its follower ack")
-	n.ackLatency = reg.QuantileHistogram(prefix + "_ack_latency_ns")
 	reg.Help(prefix+"_reorder_depth", "groups buffered out of LSN order after each apply pass")
-	n.reorderDepth = reg.Histogram(prefix+"_reorder_depth",
-		[]uint64{0, 1, 2, 4, 8, 16, 32, 64, 128})
-	n.recordsInc = reg.Counter(prefix + "_records_applied_total")
-	n.acksInc = reg.Counter(prefix + "_acks_total")
-	n.reconnectsInc = reg.Counter(prefix + "_reconnects_total")
-	n.heartbeatsInc = reg.Counter(prefix + "_heartbeats_total")
+	n.inst.Store(&instruments{
+		ackLatency: reg.QuantileHistogram(prefix + "_ack_latency_ns"),
+		reorderDepth: reg.Histogram(prefix+"_reorder_depth",
+			[]uint64{0, 1, 2, 4, 8, 16, 32, 64, 128}),
+		recordsInc:    reg.Counter(prefix + "_records_applied_total"),
+		acksInc:       reg.Counter(prefix + "_acks_total"),
+		reconnectsInc: reg.Counter(prefix + "_reconnects_total"),
+		heartbeatsInc: reg.Counter(prefix + "_heartbeats_total"),
+	})
 }
 
 // b2f renders a bool as a 0/1 gauge value.
@@ -446,7 +457,7 @@ func (n *Node) onBatch(session, reqID uint64, ops []engine.Op, results []engine.
 	// The gate runs later, on the connection's writer; the ack round
 	// trip it reports starts here, where the group entered the log.
 	var logged time.Time
-	if n.ackLatency != nil {
+	if n.inst.Load().ackLatency != nil {
 		logged = time.Now()
 	}
 	return func() { n.waitAck(seq, logged) }
@@ -458,7 +469,7 @@ func (n *Node) onBatch(session, reqID uint64, ops []engine.Op, results []engine.
 // group was appended; the ack-latency histogram gets the time since.
 func (n *Node) waitAck(seq uint64, logged time.Time) {
 	if !logged.IsZero() {
-		defer func() { n.ackLatency.Observe(uint64(time.Since(logged))) }()
+		defer func() { n.inst.Load().ackLatency.Observe(uint64(time.Since(logged))) }()
 	}
 	n.amu.Lock()
 	if n.ackSeq >= seq {
@@ -484,7 +495,7 @@ func (n *Node) waitAck(seq uint64, logged time.Time) {
 
 // updateAck records a follower ack and releases waiters it covers.
 func (n *Node) updateAck(seq uint64) {
-	n.acksInc.Inc()
+	n.inst.Load().acksInc.Inc()
 	n.amu.Lock()
 	if seq > n.ackSeq {
 		n.ackSeq = seq
@@ -732,7 +743,7 @@ func (n *Node) runFollower() {
 		}
 		if err != nil {
 			n.event(slog.LevelWarn, "replic: stream ended", "err", err)
-			n.reconnectsInc.Inc()
+			n.inst.Load().reconnectsInc.Inc()
 			t := time.NewTimer(delay)
 			select {
 			case <-t.C:
@@ -858,7 +869,7 @@ func (n *Node) streamOnce() error {
 			return err
 		}
 		if len(recs) == 0 {
-			n.heartbeatsInc.Inc()
+			n.inst.Load().heartbeatsInc.Inc()
 			continue // heartbeat
 		}
 		if first != recvSeq+1 {
@@ -1044,7 +1055,7 @@ func (n *Node) applyReady(buffered []grp) ([]grp, error) {
 		applied += len(run)
 	}
 	n.refs, n.ready, n.ops, n.res = refs, ready, ops, res
-	n.recordsInc.Add(uint64(applied))
+	n.inst.Load().recordsInc.Add(uint64(applied))
 	// Every ready group is now fully in the engine: log it, install its
 	// dedup entry, and record it for frontier advance.
 	rest := buffered[:0]
@@ -1061,7 +1072,7 @@ func (n *Node) applyReady(buffered []grp) ([]grp, error) {
 		}
 		n.appliedGroups[g.start] = g.end
 	}
-	n.reorderDepth.Observe(uint64(len(rest)))
+	n.inst.Load().reorderDepth.Observe(uint64(len(rest)))
 	return rest, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,3 +143,70 @@ func TestStructuredEventsJSON(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestInstrumentWhileStreaming publishes the instruments the way
+// node.Start does, after Attach: the follower is already streaming and
+// sync batches are flowing through the primary's batch hook when
+// Instrument runs on both nodes. Run under -race; once published, the
+// instruments count the traffic that follows.
+func TestInstrumentWhileStreaming(t *testing.T) {
+	prim := startNode(t, testGeom, Config{Sync: true, SyncTimeout: 5 * time.Second})
+	defer prim.stop(2 * time.Second)
+	fol := startNode(t, testGeom, Config{PrimaryAddr: prim.addr})
+	defer fol.stop(2 * time.Second)
+	waitUntil(t, "follower attached", func() bool { return fol.node.attached.Load() })
+
+	c, err := wire.NewResilientClient(wire.ResilientOptions{Addrs: []string{prim.addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var batches atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		ops := make([]wire.Op, 8)
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			for j := range ops {
+				ops[j] = wire.Op{Kind: wire.OpPush, Value: i, Meta: i<<8 | uint64(j)}
+			}
+			if i%2 == 1 {
+				for j := range ops {
+					ops[j] = wire.Op{Kind: wire.OpPop}
+				}
+			}
+			if _, err := c.Do(ops); err != nil {
+				done <- err
+				return
+			}
+			batches.Add(1)
+		}
+	}()
+	waitUntil(t, "follower applying", func() bool { return fol.node.streamPos.Load() > 0 })
+
+	preg, freg := obs.NewRegistry(), obs.NewRegistry()
+	prim.node.Instrument(preg, "repl")
+	fol.node.Instrument(freg, "repl")
+	from := batches.Load()
+	waitUntil(t, "traffic after Instrument", func() bool { return batches.Load() > from+20 })
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "follower caught up", func() bool { return fol.node.Lag() == 0 })
+
+	ps, fs := preg.Snapshot(), freg.Snapshot()
+	if ps.Counter("repl_acks_total") == 0 || ps.Quantile("repl_ack_latency_ns").Count == 0 {
+		t.Errorf("primary counted %v acks and %d ack latencies after Instrument",
+			ps.Counter("repl_acks_total"), ps.Quantile("repl_ack_latency_ns").Count)
+	}
+	if fs.Counter("repl_records_applied_total") == 0 {
+		t.Error("follower counted no applied records after Instrument")
+	}
+}

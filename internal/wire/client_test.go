@@ -52,13 +52,23 @@ func TestClientTokenHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The kill fires after a quarter of the calls. Callers already in
+	// Do then race it, so the token changes hands on a dying conn; a
+	// call that has not started waits until kill has returned, so the
+	// rest of the run cannot finish inside Shutdown's grace.
 	var ok, failed, slow atomic.Int64
+	fired, killed := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
+				select {
+				case <-fired:
+					<-killed
+				default:
+				}
 				ops := []Op{{Kind: OpPush, Value: uint64(i), Meta: uint64(w)<<32 | uint64(i)}, {Kind: OpPop}}
 				start := time.Now()
 				res, err := c.Do(ops)
@@ -72,7 +82,11 @@ func TestClientTokenHandoff(t *testing.T) {
 					t.Errorf("worker %d call %d: %d results for %d ops", w, i, len(res), len(ops))
 				default:
 					if ok.Add(1) == workers*calls/4 {
-						go kill()
+						close(fired)
+						go func() {
+							kill()
+							close(killed)
+						}()
 					}
 				}
 			}

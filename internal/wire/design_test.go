@@ -19,44 +19,9 @@ var statusEntry = regexp.MustCompile(`\b(\d+) ([A-Z][A-Za-z]*)`)
 // Status constants: its status lines must name every code exactly as
 // the constant does, minus the Status prefix, and name nothing else.
 func TestDesignStatusTable(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "batch.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]string{}
-	for _, d := range f.Decls {
-		g, ok := d.(*ast.GenDecl)
-		if !ok || g.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range g.Specs {
-			vs := spec.(*ast.ValueSpec)
-			if typ, ok := vs.Type.(*ast.Ident); !ok || typ.Name != "Status" {
-				continue
-			}
-			for i, name := range vs.Names {
-				lit, ok := vs.Values[i].(*ast.BasicLit)
-				if !ok {
-					t.Fatalf("%s is not a literal code", name.Name)
-				}
-				code, err := strconv.Atoi(lit.Value)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[code] = strings.TrimPrefix(name.Name, "Status")
-			}
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("no Status constants found in batch.go")
-	}
-
-	doc, err := os.ReadFile("../../DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := batchConsts(t, "Status", "Status")
 	var table []string
-	lines := strings.Split(string(doc), "\n")
+	lines := strings.Split(designDoc(t), "\n")
 	for i, line := range lines {
 		if !strings.HasPrefix(line, "status  ") {
 			continue
@@ -80,14 +45,113 @@ func TestDesignStatusTable(t *testing.T) {
 		}
 		got[code] = m[2]
 	}
+	sameNames(t, "status", "Status", want, got)
+}
+
+// sameNames reports every code whose DESIGN.md name (got) differs from
+// its constant's (want), and every documented code with no constant.
+func sameNames(t *testing.T, what, typeName string, want, got map[int]string) {
+	t.Helper()
 	for code, name := range want {
 		if got[code] != name {
-			t.Errorf("status %d is %s, DESIGN.md says %q", code, name, got[code])
+			t.Errorf("%s %d is %s, DESIGN.md says %q", what, code, name, got[code])
 		}
 	}
 	for code, name := range got {
 		if _, ok := want[code]; !ok {
-			t.Errorf("DESIGN.md names status %d %s, which is not a Status constant", code, name)
+			t.Errorf("DESIGN.md names %s %d %s, and no %s constant has that code", what, code, name, typeName)
 		}
 	}
+}
+
+// batchConsts returns batch.go's constants of the named type by code,
+// each named without prefix.
+func batchConsts(t *testing.T, typeName, prefix string) map[int]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "batch.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := map[int]string{}
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range g.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if typ, ok := vs.Type.(*ast.Ident); !ok || typ.Name != typeName {
+				continue
+			}
+			for i, name := range vs.Names {
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok {
+					t.Fatalf("%s is not a literal code", name.Name)
+				}
+				code, err := strconv.Atoi(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				consts[code] = strings.TrimPrefix(name.Name, prefix)
+			}
+		}
+	}
+	if len(consts) == 0 {
+		t.Fatalf("no %s constants found in batch.go", typeName)
+	}
+	return consts
+}
+
+// designDoc returns DESIGN.md.
+func designDoc(t *testing.T) string {
+	t.Helper()
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(doc)
+}
+
+// opRow matches one row of DESIGN.md's op-kind table: code, name and
+// encoded size.
+var opRow = regexp.MustCompile(`^(\d+) +([A-Za-z]+) +(\d+) `)
+
+// TestDesignOpTable pins the op-kind table in DESIGN.md §6 to the
+// OpKind constants and the codec: its rows must name every code exactly
+// as the constant does, minus the Op prefix, name nothing else, and
+// give each kind's size as the bytes AppendOps writes for one op of
+// that kind.
+func TestDesignOpTable(t *testing.T) {
+	want := batchConsts(t, "OpKind", "Op")
+	lines := strings.Split(designDoc(t), "\n")
+	start := -1
+	for i, line := range lines {
+		if strings.HasPrefix(line, "kind  name  ") && strings.Contains(line, " bytes ") {
+			start = i + 1
+			break
+		}
+	}
+	if start < 0 {
+		t.Fatal("DESIGN.md has no op-kind table")
+	}
+	got := map[int]string{}
+	for _, line := range lines[start:] {
+		m := opRow.FindStringSubmatch(line)
+		if m == nil {
+			break
+		}
+		code, _ := strconv.Atoi(m[1])
+		size, _ := strconv.Atoi(m[3])
+		if prev, dup := got[code]; dup {
+			t.Errorf("DESIGN.md names op kind %d twice: %s and %s", code, prev, m[2])
+		}
+		got[code] = m[2]
+		if _, ok := want[code]; !ok {
+			continue
+		}
+		if n := len(AppendOps(nil, []Op{{Kind: OpKind(code)}})) - 4; size != n {
+			t.Errorf("DESIGN.md gives %s %d bytes, AppendOps writes %d", m[2], size, n)
+		}
+	}
+	sameNames(t, "op kind", "OpKind", want, got)
 }
