@@ -34,7 +34,6 @@ import (
 	"repro/internal/calendarq"
 	"repro/internal/core"
 	"repro/internal/drr"
-	"repro/internal/faultinject"
 	"repro/internal/fpga"
 	"repro/internal/gearbox"
 	"repro/internal/hsched"
@@ -321,70 +320,6 @@ func (PIFOSim) PopAvailable() bool { return true }
 
 // NewPIFOSim returns the single-cycle PIFO baseline as a CycleSim.
 func NewPIFOSim(capacity int) PIFOSim { return PIFOSim{pifo.New(capacity)} }
-
-// ErrCorrupt is the sentinel wrapped by every corruption error a
-// protected hardware simulator detects; test with errors.Is.
-var ErrCorrupt = hw.ErrCorrupt
-
-// CorruptionError describes one detected storage corruption: the unit
-// (register file or SRAM macro), word, chunk and cycle, plus the
-// underlying invariant violation when the online checker found it.
-type CorruptionError = hw.CorruptionError
-
-// FaultTarget is bit-addressable storage a fault plan can corrupt; the
-// protected simulators expose their register files and SRAMs as
-// targets.
-type FaultTarget = hw.FaultTarget
-
-// Fault-injection plumbing (see internal/faultinject): a FaultPlan is a
-// seeded deterministic schedule of bit flips and stuck-at faults over
-// registered targets.
-type (
-	// FaultConfig parameterises NewFaultPlan.
-	FaultConfig = faultinject.Config
-	// FaultPlan is the seeded injector.
-	FaultPlan = faultinject.Plan
-	// FaultInjection is one logged corruption.
-	FaultInjection = faultinject.Injection
-	// ECCMode selects the SRAM protection coding.
-	ECCMode = faultinject.ECCMode
-	// ECCStats aggregates correction/detection/scrub activity.
-	ECCStats = faultinject.ECCStats
-)
-
-// SRAM protection modes for NewProtectedRPUBMWSim.
-const (
-	EccOff    = faultinject.EccOff
-	EccParity = faultinject.EccParity
-	EccSECDED = faultinject.EccSECDED
-)
-
-// NewFaultPlan builds a seeded deterministic fault plan. Register the
-// simulator's fault targets on it, attach it with the simulator's
-// AttachFaults, and it fires between clock edges.
-func NewFaultPlan(cfg FaultConfig) *FaultPlan { return faultinject.NewPlan(cfg) }
-
-// NewProtectedRBMWSim returns an R-BMW simulator with per-slot register
-// parity and, when checkEvery > 0, the online tree-invariant checker.
-// Detected corruptions latch a sticky error (errors.Is ErrCorrupt);
-// Recover drains the survivors and rebuilds a clean tree.
-func NewProtectedRBMWSim(m, l int, checkEvery uint64) *rbmw.Sim {
-	s := rbmw.New(m, l)
-	s.Protect(true)
-	s.CheckEvery = checkEvery
-	return s
-}
-
-// NewProtectedRPUBMWSim returns an RPU-BMW simulator whose level SRAMs
-// are ECC-protected in the given mode (with a background scrubber every
-// scrubEvery ticks when SECDED) and whose root latches carry parity;
-// checkEvery > 0 additionally enables the online invariant checker.
-func NewProtectedRPUBMWSim(m, l int, mode ECCMode, scrubEvery int, checkEvery uint64) *rpubmw.Sim {
-	s := rpubmw.New(m, l)
-	s.Protect(mode, scrubEvery)
-	s.CheckEvery = checkEvery
-	return s
-}
 
 // Packet is the per-packet metadata seen by rank functions.
 type Packet = sched.Packet

@@ -1,18 +1,21 @@
 // bmwcrash is the kill-point crash-recovery harness for the persistence
-// subsystem: it runs a seeded workload against each exact queue while a
-// WAL and periodic checkpoints stream to a simulated crash disk, kills
+// subsystem: it runs a seeded workload against the software BMW-Tree
+// (the served queue) while a WAL and periodic checkpoints stream to a
+// simulated crash disk, kills
 // the "process" at a random persisted-byte offset — including mid-WAL-
 // record and mid-snapshot — recovers from the torn directory, and
 // differentially drains the recovered queue against an uninterrupted
 // golden replay of the durable log. Any difference in pop order, any
 // invariant-checker failure after recovery, or any durable record that
-// was never issued is a reported divergence.
+// was never issued is a reported divergence. A second family kills the
+// engine checkpoint-manifest write and checks that every torn or rotted
+// manifest is refused typed.
 //
 // Examples:
 //
 //	bmwcrash -kills 100
-//	bmwcrash -queue rpubmw -kills 25 -ops 3000 -seed 7
-//	bmwcrash -queue rbmw -kills 200 -ckpt 32 -batch 8
+//	bmwcrash -kills 25 -ops 3000 -seed 7
+//	bmwcrash -kills 200 -ckpt 32 -batch 8
 //
 // The run is reproducible from the printed command line: the seed
 // drives the workload, the kill-point budgets and the torn-suffix
@@ -25,7 +28,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 func fatalf(format string, args ...any) {
@@ -35,13 +37,11 @@ func fatalf(format string, args ...any) {
 
 func main() {
 	var (
-		queue   = flag.String("queue", "all", "queue under test: core | pifo | rbmw | rpubmw | all")
-		kills   = flag.Int("kills", 100, "kill trials per queue kind")
+		kills   = flag.Int("kills", 100, "kill trials per family")
 		ops     = flag.Int("ops", 1500, "workload steps per run")
 		seed    = flag.Int64("seed", 1, "seed for the workload, kill points and torn suffixes")
 		m       = flag.Int("m", 4, "tree order")
 		l       = flag.Int("l", 3, "tree levels")
-		pifoCap = flag.Int("cap", 64, "PIFO capacity")
 		ckpt    = flag.Int("ckpt", 64, "recorded ops between checkpoints")
 		batch   = flag.Int("batch", 4, "WAL group-commit threshold")
 		scratch = flag.String("dir", "", "scratch directory (default: a fresh temp dir)")
@@ -50,16 +50,6 @@ func main() {
 	flag.Parse()
 	if *kills < 1 || *ops < 1 {
 		fatalf("-kills and -ops must be positive")
-	}
-
-	var kinds []string
-	switch *queue {
-	case "all":
-		kinds = []string{"core", "pifo", "rbmw", "rpubmw"}
-	case "core", "pifo", "rbmw", "rpubmw":
-		kinds = []string{*queue}
-	default:
-		fatalf("unknown -queue %q (want core, pifo, rbmw, rpubmw or all)", *queue)
 	}
 
 	root := *scratch
@@ -74,58 +64,51 @@ func main() {
 		}
 	}
 
-	fmt.Printf("bmwcrash -queue %s -kills %d -ops %d -seed %d -m %d -l %d -cap %d -ckpt %d -batch %d\n",
-		strings.Join(kinds, ","), *kills, *ops, *seed, *m, *l, *pifoCap, *ckpt, *batch)
+	fmt.Printf("bmwcrash -kills %d -ops %d -seed %d -m %d -l %d -ckpt %d -batch %d\n",
+		*kills, *ops, *seed, *m, *l, *ckpt, *batch)
 	fmt.Printf("scratch: %s\n", root)
 
+	pm := &persistMetrics{}
+	cfg := config{m: *m, l: *l, ops: *ops, ckptEvery: *ckpt, batch: *batch, metrics: pm}
+	calDir := filepath.Join(root, "core-calibrate")
+	totalBytes, err := calibrate(calDir, cfg, *seed)
+	if err != nil {
+		fatalf("calibration: %v", err)
+	}
+	if totalBytes < 1 {
+		fatalf("calibration wrote no bytes")
+	}
+	if !*keep {
+		os.RemoveAll(calDir)
+	}
+
+	// The kill budgets and torn-suffix seeds draw from their own stream
+	// so -kills does not perturb the workload schedule.
+	krng := rand.New(rand.NewSource(*seed ^ 0x9e3779b9))
 	divergences := 0
-	for _, kind := range kinds {
-		pm := &persistMetrics{}
-		cfg := config{
-			kind: kind, m: *m, l: *l, pifoCap: *pifoCap,
-			ops: *ops, ckptEvery: *ckpt, batch: *batch, metrics: pm,
-		}
-		calDir := filepath.Join(root, kind+"-calibrate")
-		totalBytes, err := calibrate(calDir, cfg, *seed)
+	for trial := 0; trial < *kills; trial++ {
+		budget := 1 + krng.Int63n(totalBytes)
+		tearSeed := krng.Int63()
+		tcfg := cfg
+		tcfg.nonAtomic = trial%2 == 1 // exercise torn .snap files too
+		dir := filepath.Join(root, fmt.Sprintf("core-kill-%04d", trial))
+		diag, err := killTrial(dir, tcfg, *seed, budget, tearSeed)
 		if err != nil {
-			fatalf("%s: calibration: %v", kind, err)
+			fatalf("trial %d (budget %d): %v", trial, budget, err)
 		}
-		if totalBytes < 1 {
-			fatalf("%s: calibration wrote no bytes", kind)
+		if diag != "" {
+			divergences++
+			fmt.Printf("core trial %d DIVERGED (budget %d bytes, nonatomic=%v): %s\n",
+				trial, budget, tcfg.nonAtomic, diag)
+			fmt.Printf("  evidence kept in %s\n", dir)
+			continue
 		}
 		if !*keep {
-			os.RemoveAll(calDir)
+			os.RemoveAll(dir)
 		}
-
-		// The kill budgets and torn-suffix seeds draw from their own
-		// stream so -kills does not perturb the workload schedule.
-		krng := rand.New(rand.NewSource(*seed ^ 0x9e3779b9))
-		failed := 0
-		for trial := 0; trial < *kills; trial++ {
-			budget := 1 + krng.Int63n(totalBytes)
-			tearSeed := krng.Int63()
-			tcfg := cfg
-			tcfg.nonAtomic = trial%2 == 1 // exercise torn .snap files too
-			dir := filepath.Join(root, fmt.Sprintf("%s-kill-%04d", kind, trial))
-			diag, err := killTrial(dir, tcfg, *seed, budget, tearSeed)
-			if err != nil {
-				fatalf("%s trial %d (budget %d): %v", kind, trial, budget, err)
-			}
-			if diag != "" {
-				failed++
-				divergences++
-				fmt.Printf("%s trial %d DIVERGED (budget %d bytes, nonatomic=%v): %s\n",
-					kind, trial, budget, tcfg.nonAtomic, diag)
-				fmt.Printf("  evidence kept in %s\n", dir)
-				continue
-			}
-			if !*keep {
-				os.RemoveAll(dir)
-			}
-		}
-		fmt.Printf("%-6s %4d kills over %7d persisted bytes: %d divergence(s); recoveries=%d replayed-ops=%d torn-tails=%d snapshots-skipped=%d\n",
-			kind, *kills, totalBytes, failed, pm.recoveries, pm.replayed, pm.tornTails, pm.skipped)
 	}
+	fmt.Printf("core   %4d kills over %7d persisted bytes: %d divergence(s); recoveries=%d replayed-ops=%d torn-tails=%d snapshots-skipped=%d\n",
+		*kills, totalBytes, divergences, pm.recoveries, pm.replayed, pm.tornTails, pm.skipped)
 
 	// Kill-points inside the engine checkpoint-manifest write: torn or
 	// rotted ENGINE.json must be refused typed, never decode-panicked.
@@ -137,7 +120,7 @@ func main() {
 	fmt.Printf("manifest %4d kill-point trials: %d refusal failure(s)\n", *kills, mfails)
 
 	if divergences > 0 {
-		fatalf("%d divergence(s) across %d kill trials per kind", divergences, *kills)
+		fatalf("%d divergence(s) across %d kill trials per family", divergences, *kills)
 	}
 	fmt.Println("all kill trials recovered bit-identically")
 }

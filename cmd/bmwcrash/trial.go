@@ -8,170 +8,64 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/persist"
-	"repro/internal/pifo"
-	"repro/internal/rbmw"
-	"repro/internal/rpubmw"
 )
 
-// config describes one crash-trial family: the queue under test and the
-// knobs shared by its calibration run and every kill trial.
+// config describes one crash-trial family: the knobs shared by its
+// calibration run and every kill trial.
 type config struct {
-	kind      string // core | pifo | rbmw | rpubmw
-	m, l      int    // tree shape (ignored by pifo)
-	pifoCap   int
+	m, l      int // tree shape
 	ops       int // workload steps per run
 	ckptEvery int // recorded ops between checkpoints
 	batch     int // WAL group-commit threshold
 	nonAtomic bool
-	metrics   *persistMetrics // optional per-kind counter rollup
+	metrics   *persistMetrics // optional counter rollup
 }
 
-// persistMetrics accumulates recovery counters across a kind's trials.
+// persistMetrics accumulates recovery counters across trials.
 type persistMetrics struct {
 	recoveries, replayed, tornTails, skipped uint64
 }
 
-// queueDriver adapts one exact-queue implementation to the uniform
-// trial protocol: step the seeded workload, fence the pipeline, drain.
-type queueDriver struct {
-	q         persist.Checkpointable
-	issued    []persist.Op // ops successfully handed to the WAL
-	step      func(rng *rand.Rand, i int) (persist.Op, bool, error)
-	quiescent func() bool
-	settle    func() error
-	drain     func() []core.Element
+// driver runs the seeded workload against the software BMW-Tree and
+// remembers every op it handed to the WAL.
+type driver struct {
+	t      *core.Tree
+	issued []persist.Op
 }
 
-const settleBound = 100000
+func newDriver(cfg config) *driver { return &driver{t: core.New(cfg.m, cfg.l)} }
 
-func newDriver(cfg config) (*queueDriver, error) {
-	switch cfg.kind {
-	case "core":
-		t := core.New(cfg.m, cfg.l)
-		d := &queueDriver{q: t}
-		d.step = func(rng *rand.Rand, i int) (persist.Op, bool, error) {
-			if t.Len() > 0 && (rng.Intn(3) == 0 || t.AlmostFull()) {
-				e, err := t.Pop()
-				if err != nil {
-					return persist.Op{}, false, err
-				}
-				p, q := t.OpStats()
-				return persist.Op{Kind: hw.Pop, Cycle: p + q, Value: e.Value, Meta: e.Meta}, true, nil
-			}
-			e := core.Element{Value: uint64(rng.Intn(1000)), Meta: uint64(i)}
-			if err := t.Push(e); err != nil {
-				return persist.Op{}, false, err
-			}
-			p, q := t.OpStats()
-			return persist.Op{Kind: hw.Push, Cycle: p + q, Value: e.Value, Meta: e.Meta}, true, nil
+// step applies workload step i: a pop one time in three (or whenever the
+// tree is full), otherwise a push.
+func (d *driver) step(rng *rand.Rand, i int) (persist.Op, error) {
+	t := d.t
+	if t.Len() > 0 && (rng.Intn(3) == 0 || t.AlmostFull()) {
+		e, err := t.Pop()
+		if err != nil {
+			return persist.Op{}, err
 		}
-		d.quiescent = func() bool { return true }
-		d.settle = func() error { return nil }
-		d.drain = func() []core.Element {
-			var out []core.Element
-			for t.Len() > 0 {
-				e, err := t.Pop()
-				if err != nil {
-					break
-				}
-				out = append(out, e)
-			}
-			return out
-		}
-		return d, nil
-	case "pifo":
-		p := pifo.New(cfg.pifoCap)
-		d := &queueDriver{q: p}
-		d.step = func(rng *rand.Rand, i int) (persist.Op, bool, error) {
-			if p.Len() > 0 && (rng.Intn(3) == 0 || p.AlmostFull()) {
-				e, err := p.Pop()
-				if err != nil {
-					return persist.Op{}, false, err
-				}
-				ps, qs := p.Stats()
-				return persist.Op{Kind: hw.Pop, Cycle: ps + qs, Value: e.Value, Meta: e.Meta}, true, nil
-			}
-			e := core.Element{Value: uint64(rng.Intn(1000)), Meta: uint64(i)}
-			if err := p.Push(e); err != nil {
-				return persist.Op{}, false, err
-			}
-			ps, qs := p.Stats()
-			return persist.Op{Kind: hw.Push, Cycle: ps + qs, Value: e.Value, Meta: e.Meta}, true, nil
-		}
-		d.quiescent = func() bool { return true }
-		d.settle = func() error { return nil }
-		d.drain = func() []core.Element {
-			var out []core.Element
-			for p.Len() > 0 {
-				e, err := p.Pop()
-				if err != nil {
-					break
-				}
-				out = append(out, e)
-			}
-			return out
-		}
-		return d, nil
-	case "rbmw":
-		s := rbmw.New(cfg.m, cfg.l)
-		return cycleDriver(s, s.Quiescent, s.Drain), nil
-	case "rpubmw":
-		s := rpubmw.New(cfg.m, cfg.l)
-		return cycleDriver(s, s.Quiescent, s.Drain), nil
-	default:
-		return nil, fmt.Errorf("unknown queue kind %q", cfg.kind)
+		p, q := t.OpStats()
+		return persist.Op{Kind: hw.Pop, Cycle: p + q, Value: e.Value, Meta: e.Meta}, nil
 	}
+	e := core.Element{Value: uint64(rng.Intn(1000)), Meta: uint64(i)}
+	if err := t.Push(e); err != nil {
+		return persist.Op{}, err
+	}
+	p, q := t.OpStats()
+	return persist.Op{Kind: hw.Push, Cycle: p + q, Value: e.Value, Meta: e.Meta}, nil
 }
 
-// cycleSim is the per-cycle surface the two hardware designs share.
-type cycleSim interface {
-	persist.Checkpointable
-	Tick(hw.Op) (*core.Element, error)
-	Cycle() uint64
-	Len() int
-	AlmostFull() bool
-	PushAvailable() bool
-	PopAvailable() bool
-}
-
-func cycleDriver(s cycleSim, quiescent func() bool, drain func() []core.Element) *queueDriver {
-	d := &queueDriver{q: s}
-	d.step = func(rng *rand.Rand, i int) (persist.Op, bool, error) {
-		switch {
-		case s.PopAvailable() && s.Len() > 0 && rng.Intn(3) == 0:
-			e, err := s.Tick(hw.PopOp())
-			if err != nil {
-				return persist.Op{}, false, err
-			}
-			if e == nil {
-				return persist.Op{}, false, nil
-			}
-			return persist.Op{Kind: hw.Pop, Cycle: s.Cycle(), Value: e.Value, Meta: e.Meta}, true, nil
-		case s.PushAvailable() && !s.AlmostFull() && rng.Intn(2) == 0:
-			op := hw.PushOp(uint64(rng.Intn(1000)), uint64(i))
-			if _, err := s.Tick(op); err != nil {
-				return persist.Op{}, false, err
-			}
-			return persist.Op{Kind: hw.Push, Cycle: s.Cycle(), Value: op.Value, Meta: op.Meta}, true, nil
-		default:
-			_, err := s.Tick(hw.NopOp())
-			return persist.Op{}, false, err
+// drain pops every element of t in dequeue order.
+func drain(t *core.Tree) ([]core.Element, error) {
+	var out []core.Element
+	for t.Len() > 0 {
+		e, err := t.Pop()
+		if err != nil {
+			return out, err
 		}
+		out = append(out, e)
 	}
-	d.quiescent = quiescent
-	d.settle = func() error {
-		for i := 0; !quiescent(); i++ {
-			if i > settleBound {
-				return fmt.Errorf("pipeline did not quiesce within %d cycles", settleBound)
-			}
-			if _, err := s.Tick(hw.NopOp()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	d.drain = drain
-	return d
+	return out, nil
 }
 
 func options(cfg config, fs persist.FS) persist.Options {
@@ -185,23 +79,19 @@ func options(cfg config, fs persist.FS) persist.Options {
 // runWorkload drives the seeded schedule, logging every accepted op and
 // checkpointing on cadence. It returns the manager's first error —
 // persist.ErrKilled is the expected abort in a kill trial.
-func runWorkload(d *queueDriver, m *persist.Manager, rng *rand.Rand, cfg config) error {
+func runWorkload(d *driver, m *persist.Manager, rng *rand.Rand, cfg config) error {
 	sinceCkpt := 0
 	for i := 0; i < cfg.ops; i++ {
-		op, ok, err := d.step(rng, i)
+		op, err := d.step(rng, i)
 		if err != nil {
 			return fmt.Errorf("workload step %d: %w", i, err)
 		}
-		if ok {
-			if err := m.Record(op); err != nil {
-				return err
-			}
-			d.issued = append(d.issued, op)
-			sinceCkpt++
+		if err := m.Record(op); err != nil {
+			return err
 		}
-		// The register pipeline snapshots mid-flight waves, so it may
-		// checkpoint any cycle; the others only in quiescent windows.
-		if sinceCkpt >= cfg.ckptEvery && (d.quiescent() || cfg.kind == "rbmw") {
+		d.issued = append(d.issued, op)
+		sinceCkpt++
+		if sinceCkpt >= cfg.ckptEvery {
 			if err := m.Checkpoint(); err != nil {
 				return err
 			}
@@ -216,11 +106,8 @@ func runWorkload(d *queueDriver, m *persist.Manager, rng *rand.Rand, cfg config)
 // sample space for kill-point budgets.
 func calibrate(dir string, cfg config, seed int64) (int64, error) {
 	disk := persist.NewCrashDisk(1<<62, seed)
-	d, err := newDriver(cfg)
-	if err != nil {
-		return 0, err
-	}
-	m, rep, err := persist.Open(dir, d.q, options(cfg, disk))
+	d := newDriver(cfg)
+	m, rep, err := persist.Open(dir, d.t, options(cfg, disk))
 	if err != nil {
 		return 0, err
 	}
@@ -242,11 +129,8 @@ func calibrate(dir string, cfg config, seed int64) (int64, error) {
 // failures unrelated to the property under test.
 func killTrial(dir string, cfg config, seed, budget, tearSeed int64) (string, error) {
 	disk := persist.NewCrashDisk(budget, tearSeed)
-	d, err := newDriver(cfg)
-	if err != nil {
-		return "", err
-	}
-	m, _, err := persist.Open(dir, d.q, options(cfg, disk))
+	d := newDriver(cfg)
+	m, _, err := persist.Open(dir, d.t, options(cfg, disk))
 	if err == nil {
 		err = runWorkload(d, m, rand.New(rand.NewSource(seed)), cfg)
 	}
@@ -256,11 +140,8 @@ func killTrial(dir string, cfg config, seed, budget, tearSeed int64) (string, er
 	// The process "dies" here: the manager is abandoned un-closed, and
 	// the crash disk has already torn every unsynced file suffix.
 
-	rec, err := newDriver(cfg)
-	if err != nil {
-		return "", err
-	}
-	m2, rep, err := persist.Open(dir, rec.q, options(cfg, persist.OSFS{}))
+	rec := core.New(cfg.m, cfg.l)
+	m2, rep, err := persist.Open(dir, rec, options(cfg, persist.OSFS{}))
 	if err != nil {
 		return fmt.Sprintf("recovery failed: %v", err), nil
 	}
@@ -294,16 +175,13 @@ func killTrial(dir string, cfg config, seed, budget, tearSeed int64) (string, er
 		return gerr, nil
 	}
 
-	// 3. The recovered queue settles and passes its invariant checker.
-	if err := rec.settle(); err != nil {
-		return fmt.Sprintf("recovered queue did not settle: %v", err), nil
-	}
-	if err := rec.q.VerifyRecovered(); err != nil {
+	// 3. The recovered queue passes its invariant checker.
+	if err := rec.VerifyRecovered(); err != nil {
 		return fmt.Sprintf("recovered queue failed verification: %v", err), nil
 	}
 
 	// 4. Differential drain: bit-identical pop order.
-	got := rec.drain()
+	got, _ := drain(rec)
 	if len(got) != len(want) {
 		return fmt.Sprintf("drain lengths diverged: recovered %d vs golden %d", len(got), len(want)), nil
 	}
@@ -315,41 +193,18 @@ func killTrial(dir string, cfg config, seed, budget, tearSeed int64) (string, er
 	return "", nil
 }
 
-// goldenDrain replays the durable log into an uninterrupted reference
-// queue and drains it. The software tree is the golden model for every
-// tree-ordered queue; the PIFO is its own reference because its FIFO
-// tie order legitimately differs from the tree's.
+// goldenDrain replays the durable log into an uninterrupted software
+// tree and drains it.
 func goldenDrain(cfg config, ops []persist.Op) ([]core.Element, string) {
-	if cfg.kind == "pifo" {
-		p := pifo.New(cfg.pifoCap)
-		for i, op := range ops {
-			if err := p.Replay(op); err != nil {
-				return nil, fmt.Sprintf("golden replay op %d: %v", i, err)
-			}
-		}
-		var out []core.Element
-		for p.Len() > 0 {
-			e, err := p.Pop()
-			if err != nil {
-				return nil, fmt.Sprintf("golden drain: %v", err)
-			}
-			out = append(out, e)
-		}
-		return out, ""
-	}
 	t := core.New(cfg.m, cfg.l)
 	for i, op := range ops {
 		if err := t.Replay(op); err != nil {
 			return nil, fmt.Sprintf("golden replay op %d: %v", i, err)
 		}
 	}
-	var out []core.Element
-	for t.Len() > 0 {
-		e, err := t.Pop()
-		if err != nil {
-			return nil, fmt.Sprintf("golden drain: %v", err)
-		}
-		out = append(out, e)
+	out, err := drain(t)
+	if err != nil {
+		return nil, fmt.Sprintf("golden drain: %v", err)
 	}
 	return out, ""
 }

@@ -7,40 +7,37 @@ import (
 )
 
 // TestKillTrialsRecoverBitIdentically is the in-tree smoke version of
-// the harness: a handful of kill points per queue kind must all recover
-// with bit-identical drains.
+// the harness: a handful of kill points must all recover with
+// bit-identical drains.
 func TestKillTrialsRecoverBitIdentically(t *testing.T) {
-	for _, kind := range []string{"core", "pifo", "rbmw", "rpubmw"} {
-		kind := kind
-		t.Run(kind, func(t *testing.T) {
-			root := t.TempDir()
-			cfg := config{kind: kind, m: 4, l: 3, pifoCap: 64, ops: 500, ckptEvery: 32, batch: 4}
-			total, err := calibrate(filepath.Join(root, "cal"), cfg, 11)
+	t.Run("core", func(t *testing.T) {
+		root := t.TempDir()
+		cfg := config{m: 4, l: 3, ops: 500, ckptEvery: 32, batch: 4}
+		total, err := calibrate(filepath.Join(root, "cal"), cfg, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		krng := rand.New(rand.NewSource(99))
+		for trial := 0; trial < 6; trial++ {
+			tcfg := cfg
+			tcfg.nonAtomic = trial%2 == 1
+			budget := 1 + krng.Int63n(total)
+			dir := filepath.Join(root, "kill", string(rune('a'+trial)))
+			diag, err := killTrial(dir, tcfg, 11, budget, krng.Int63())
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("trial %d (budget %d): %v", trial, budget, err)
 			}
-			krng := rand.New(rand.NewSource(99))
-			for trial := 0; trial < 6; trial++ {
-				tcfg := cfg
-				tcfg.nonAtomic = trial%2 == 1
-				budget := 1 + krng.Int63n(total)
-				dir := filepath.Join(root, "kill", string(rune('a'+trial)))
-				diag, err := killTrial(dir, tcfg, 11, budget, krng.Int63())
-				if err != nil {
-					t.Fatalf("trial %d (budget %d): %v", trial, budget, err)
-				}
-				if diag != "" {
-					t.Fatalf("trial %d (budget %d) diverged: %s", trial, budget, diag)
-				}
+			if diag != "" {
+				t.Fatalf("trial %d (budget %d) diverged: %s", trial, budget, diag)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestKillTrialBudgetSweep pins the tiniest budgets, which crash inside
 // the very first WAL record or the directory bootstrap.
 func TestKillTrialBudgetSweep(t *testing.T) {
-	cfg := config{kind: "core", m: 2, l: 2, ops: 120, ckptEvery: 16, batch: 2}
+	cfg := config{m: 2, l: 2, ops: 120, ckptEvery: 16, batch: 2}
 	for budget := int64(1); budget <= 40; budget += 13 {
 		dir := filepath.Join(t.TempDir(), "d")
 		diag, err := killTrial(dir, cfg, 3, budget, budget*7+1)

@@ -82,52 +82,6 @@ func TestPriorityQueueBoundaries(t *testing.T) {
 	}
 }
 
-// TestProtectedSimFacade exercises the fault-tolerance surface through
-// the public package: a seeded plan flipping a register bit must
-// surface a typed ErrCorrupt from the protected simulator, and Recover
-// must return the pipeline to service.
-func TestProtectedSimFacade(t *testing.T) {
-	s := bmw.NewProtectedRBMWSim(2, 3, 0)
-	plan := bmw.NewFaultPlan(bmw.FaultConfig{Seed: 5})
-	plan.Register(s)
-	s.AttachFaults(plan)
-	plan.ScheduleFlip(3, s.TargetName(), 0, 17)
-
-	for i := 0; i < 3; i++ {
-		if _, err := s.Tick(bmw.PushOp(uint64(10-i), uint64(i))); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-	}
-	// Popping reads node 0's registers through the parity check, which
-	// must trip over the flipped value bit.
-	var tickErr error
-	for i := 0; i < 10 && tickErr == nil; i++ {
-		if s.PopAvailable() {
-			_, tickErr = s.Tick(bmw.PopOp())
-		} else {
-			_, tickErr = s.Tick(bmw.NopOp())
-		}
-	}
-	if !errors.Is(tickErr, bmw.ErrCorrupt) {
-		t.Fatalf("flip went undetected: %v", tickErr)
-	}
-	var ce *bmw.CorruptionError
-	if !errors.As(tickErr, &ce) || ce.Unit != s.TargetName() {
-		t.Fatalf("error = %v, want CorruptionError in %s", tickErr, s.TargetName())
-	}
-	if plan.Injected() != 1 {
-		t.Fatalf("Injected = %d, want 1", plan.Injected())
-	}
-
-	survivors, _ := s.Recover()
-	if len(survivors) == 0 {
-		t.Fatal("recovery harvested nothing")
-	}
-	if _, err := s.Tick(bmw.NopOp()); err != nil {
-		t.Fatalf("tick after recovery: %v", err)
-	}
-}
-
 // TestMetricsSnapshotInvariants drives every PriorityQueue through a
 // randomized workload behind the interface-level probes and checks the
 // accounting identities any correct queue-plus-instrumentation pair
@@ -363,104 +317,5 @@ func TestRestoredQueueSojournContract(t *testing.T) {
 		}
 		p, q := b.OpStats()
 		checkSojourn(t, reg, restored, pops, p+q)
-	})
-
-	t.Run("pifo", func(t *testing.T) {
-		dir := t.TempDir()
-		a := bmw.NewPIFO(30)
-		rega := bmw.NewMetricsRegistry()
-		a.Instrument(rega, name) // instrumented source: born tags persist
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < 300; i++ {
-			if rng.Intn(3) != 0 {
-				a.Push(bmw.Element{Value: uint64(rng.Intn(512)), Meta: uint64(i)})
-			} else {
-				a.Pop()
-			}
-		}
-		if err := bmw.Checkpoint(dir, a); err != nil {
-			t.Fatal(err)
-		}
-
-		b := bmw.NewPIFO(30)
-		reg := bmw.NewMetricsRegistry()
-		b.Instrument(reg, name)
-		if _, err := bmw.Restore(dir, b); err != nil {
-			t.Fatal(err)
-		}
-		restored := base(reg)
-		var pops uint64
-		for b.Len() > 0 {
-			if _, err := b.Pop(); err != nil {
-				t.Fatal(err)
-			}
-			pops++
-		}
-		p, q := b.Stats()
-		checkSojourn(t, reg, restored, pops, p+q)
-	})
-
-	t.Run("rbmw", func(t *testing.T) {
-		dir := t.TempDir()
-		a := bmw.NewRBMWSim(2, 4)
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < 600; i++ {
-			switch {
-			case a.PushAvailable() && !a.AlmostFull() && rng.Intn(3) != 0:
-				a.Tick(bmw.PushOp(uint64(rng.Intn(512)), uint64(i)))
-			case a.PopAvailable() && a.Len() > 0:
-				a.Tick(bmw.PopOp())
-			default:
-				a.Tick(bmw.NopOp())
-			}
-		}
-		for !a.Quiescent() {
-			a.Tick(bmw.NopOp())
-		}
-		if err := bmw.Checkpoint(dir, a); err != nil {
-			t.Fatal(err)
-		}
-
-		b := bmw.NewRBMWSim(2, 4)
-		reg := bmw.NewMetricsRegistry()
-		b.Instrument(reg, name)
-		if _, err := bmw.Restore(dir, b); err != nil {
-			t.Fatal(err)
-		}
-		restored := base(reg)
-		pops := uint64(len(b.Drain()))
-		checkSojourn(t, reg, restored, pops, b.Cycle())
-	})
-
-	t.Run("rpubmw", func(t *testing.T) {
-		dir := t.TempDir()
-		a := bmw.NewRPUBMWSim(2, 4)
-		rng := rand.New(rand.NewSource(6))
-		for i := 0; i < 600; i++ {
-			switch {
-			case a.PushAvailable() && !a.AlmostFull() && rng.Intn(3) != 0:
-				a.Tick(bmw.PushOp(uint64(rng.Intn(512)), uint64(i)))
-			case a.PopAvailable() && a.Len() > 0 && rng.Intn(4) == 0:
-				a.Tick(bmw.PopOp())
-			default:
-				a.Tick(bmw.NopOp())
-			}
-		}
-		for !a.Quiescent() {
-			a.Tick(bmw.NopOp())
-		}
-		if err := bmw.Checkpoint(dir, a); err != nil {
-			t.Fatal(err)
-		}
-
-		b := bmw.NewRPUBMWSim(2, 4)
-		reg := bmw.NewMetricsRegistry()
-		b.Instrument(reg, name)
-		if _, err := bmw.Restore(dir, b); err != nil {
-			t.Fatal(err)
-		}
-		restored := base(reg)
-		pops := uint64(len(b.Drain()))
-		checkSojourn(t, reg, restored, pops, b.Cycle())
 	})
 }

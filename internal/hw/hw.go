@@ -12,102 +12,7 @@
 // is the property Section 5.2.3 exploits for operation hiding.
 package hw
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrCorrupt is the sentinel for storage corruption detected by a
-// protection mechanism (ECC, parity, or an online invariant checker).
-// Concrete detections are reported as *CorruptionError values wrapping
-// this sentinel, so callers can test with errors.Is(err, ErrCorrupt)
-// and then inspect the detail.
-var ErrCorrupt = errors.New("hw: storage corruption detected")
-
-// CorruptionError describes one detected corruption event: where it was
-// observed and, when known, which structure reported it. A simulator
-// that returns a CorruptionError from Tick has latched a fault status
-// and refuses further operations until recovered.
-type CorruptionError struct {
-	// Unit names the detecting structure ("sram3", "rbmw-regs", ...).
-	Unit string
-	// Word and Chunk locate the corrupt storage word (Chunk is the
-	// ECC-protected sub-word, -1 when not applicable).
-	Word, Chunk int
-	// Cycle is the clock cycle of detection.
-	Cycle uint64
-	// Detail is the mechanism-specific description.
-	Detail string
-	// Cause optionally carries the underlying typed error (for
-	// example a *treecheck.Violation from an online invariant check).
-	Cause error
-}
-
-// Error formats the detection report.
-func (e *CorruptionError) Error() string {
-	if e.Chunk >= 0 {
-		return fmt.Sprintf("hw: corruption detected in %s word %d chunk %d at cycle %d: %s",
-			e.Unit, e.Word, e.Chunk, e.Cycle, e.Detail)
-	}
-	return fmt.Sprintf("hw: corruption detected in %s word %d at cycle %d: %s",
-		e.Unit, e.Word, e.Cycle, e.Detail)
-}
-
-// Unwrap lets errors.Is(err, ErrCorrupt) match every detection and
-// errors.As reach the underlying cause when one is recorded.
-func (e *CorruptionError) Unwrap() []error {
-	if e.Cause != nil {
-		return []error{ErrCorrupt, e.Cause}
-	}
-	return []error{ErrCorrupt}
-}
-
-// FaultStepper is the per-cycle hook of a fault plan: a simulator with
-// an attached stepper calls Step once at the end of every consumed
-// clock cycle, so injected faults land between clock edges (the
-// semantics of an upset striking an idle array). Implemented by
-// faultinject.Plan.
-type FaultStepper interface {
-	Step(cycle uint64)
-}
-
-// FaultTarget is the injection interface of the fault subsystem: any
-// bit-addressable storage structure (an SRAM's code words, a register
-// file) exposes its bits so a fault plan can flip them or pin them
-// (stuck-at). Implementations are expected to model the *storage* only;
-// data already latched into port output registers is not disturbed,
-// matching the physics of a single-event upset in an array.
-type FaultTarget interface {
-	// TargetName identifies the structure in fault plans and reports.
-	TargetName() string
-	// Words is the number of addressable storage words.
-	Words() int
-	// WordBits is the width of one word in bits, including any check
-	// bits the protection scheme stores alongside the payload.
-	WordBits() int
-	// PeekBit reports the current value of a stored bit.
-	PeekBit(word, bit int) bool
-	// FlipBit inverts a stored bit in place.
-	FlipBit(word, bit int)
-}
-
-// RAM is the port-level contract of the Simple Dual-Port RAM model:
-// one read port, one write port, write-first collision semantics, and
-// a one-cycle read latency. SDPRAM is the unprotected implementation;
-// internal/faultinject provides an ECC-protected, fault-injectable one.
-// Peek and Poke are maintenance paths (testbench/scrub/rebuild), not
-// functional ports.
-type RAM[T any] interface {
-	Words() int
-	Read(addr int)
-	Write(addr int, data T)
-	Tick()
-	Data() (data T, ok bool)
-	Pending() bool
-	Peek(addr int) T
-	Poke(addr int, data T)
-	Stats() (reads, writes, collisions uint64)
-}
+import "fmt"
 
 // OpKind identifies an external operation presented to a flow scheduler
 // in one clock cycle.
@@ -260,11 +165,6 @@ func (r *SDPRAM[T]) Pending() bool { return r.readPending || r.writePending }
 // Peek returns the committed contents of a word without using the read
 // port. Test and checker helper; not part of the hardware interface.
 func (r *SDPRAM[T]) Peek(addr int) T { return r.mem[addr] }
-
-// Poke overwrites the committed contents of a word without using the
-// write port. Maintenance path used by testbenches and by recovery
-// rebuilds; not part of the hardware interface.
-func (r *SDPRAM[T]) Poke(addr int, data T) { r.mem[addr] = data }
 
 // Stats reports the port activity since construction: total reads,
 // total writes, and read-during-write collisions (the operation-hiding

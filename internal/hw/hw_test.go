@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -196,41 +195,5 @@ func TestSDPRAMInBoundsEdgeAddresses(t *testing.T) {
 	r.Tick()
 	if d, _ := r.Data(); d != 13 {
 		t.Fatalf("word 3 = %d", d)
-	}
-}
-
-// TestSDPRAMPoke checks the maintenance write path commits immediately
-// and is observable by both Peek and the functional read port.
-func TestSDPRAMPoke(t *testing.T) {
-	r := NewSDPRAM[int](2)
-	r.Poke(1, 99)
-	if r.Peek(1) != 99 {
-		t.Fatalf("Peek after Poke = %d", r.Peek(1))
-	}
-	r.Read(1)
-	r.Tick()
-	if d, _ := r.Data(); d != 99 {
-		t.Fatalf("port read after Poke = %d", d)
-	}
-}
-
-// TestCorruptionError checks the typed fault status wraps ErrCorrupt
-// and formats its location.
-func TestCorruptionError(t *testing.T) {
-	withChunk := &CorruptionError{Unit: "sram3", Word: 7, Chunk: 2, Cycle: 41, Detail: "double-bit error"}
-	if !errors.Is(withChunk, ErrCorrupt) {
-		t.Fatal("CorruptionError does not match ErrCorrupt")
-	}
-	for _, want := range []string{"sram3", "word 7", "chunk 2", "cycle 41", "double-bit error"} {
-		if !strings.Contains(withChunk.Error(), want) {
-			t.Fatalf("error %q missing %q", withChunk.Error(), want)
-		}
-	}
-	noChunk := &CorruptionError{Unit: "rbmw-regs", Word: 3, Chunk: -1, Cycle: 9, Detail: "parity mismatch"}
-	if strings.Contains(noChunk.Error(), "chunk") {
-		t.Fatalf("chunk-less error mentions chunk: %q", noChunk.Error())
-	}
-	if !errors.Is(noChunk, ErrCorrupt) {
-		t.Fatal("chunk-less CorruptionError does not match ErrCorrupt")
 	}
 }

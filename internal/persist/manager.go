@@ -163,8 +163,7 @@ type Manager struct {
 
 // Open recovers the queue from dir (creating it on first use) and
 // returns a Manager appending to its WAL. The queue must be a freshly
-// constructed instance with the same configuration (shape, protection
-// mode) as the one that wrote the directory; on a fresh directory it is
+// constructed instance with the same configuration (shape) as the one that wrote the directory; on a fresh directory it is
 // simply left empty and the report is all zeroes.
 func Open(dir string, q Checkpointable, opts Options) (*Manager, *RecoveryReport, error) {
 	m, err := newManager(dir, q, opts)

@@ -1,5 +1,5 @@
-// Package persist makes the exact priority queues of this module
-// durable: a CRC32C-framed write-ahead log of push/pop operations
+// Package persist makes the served priority queue (the software
+// BMW-Tree of internal/core) durable: a CRC32C-framed write-ahead log of push/pop operations
 // (wal.go), versioned self-checksummed snapshots (snapshot.go), and a
 // Manager that composes the two into checkpoint/recover (manager.go).
 //
@@ -19,13 +19,11 @@
 // corrupt *snapshot* fails its checksum and recovery falls back to the
 // previous one.
 //
-// Replay determinism: the cycle simulators (rbmw, rpubmw) schedule
-// internal pipeline waves off the clock cycle an operation is issued
-// in, so each WAL record carries the commit cycle and the queues'
-// Replay implementations nop-align to it. Replaying the identical ops
-// at the identical cycles reproduces the identical registers — and
-// therefore a pop order bit-identical to the uninterrupted run,
-// metadata of tied ranks included.
+// Replay determinism: the tree is a deterministic function of its op
+// sequence, so replaying the identical ops in the identical order
+// reproduces the identical slots — and therefore a pop order
+// bit-identical to the uninterrupted run, metadata of tied ranks
+// included.
 //
 // The package depends only on the standard library, internal/hw (the
 // operation vocabulary) and internal/obs (nil-safe counters); the queue
@@ -41,8 +39,7 @@ import (
 )
 
 // Op is one logged queue operation. Cycle is the clock value at which
-// the operation completed (the logical push+pop tick for the untimed
-// models): replay uses it to reproduce the exact issue schedule. For a
+// the operation completed (the tree's logical push+pop tick). For a
 // pop, Value and Meta record the element that left the queue, so replay
 // can audit that the recovered machine pops the identical element.
 type Op struct {
@@ -52,8 +49,8 @@ type Op struct {
 	Meta  uint64
 }
 
-// ToHW converts the logged operation to the per-cycle external signal
-// the simulators consume. For a pop the logged Value/Meta are the audit
+// ToHW converts the logged operation to a cycle simulator's per-cycle
+// external signal. For a pop the logged Value/Meta are the audit
 // record, not an input, and are not carried.
 func (o Op) ToHW() hw.Op {
 	if o.Kind == hw.Push {
@@ -63,16 +60,16 @@ func (o Op) ToHW() hw.Op {
 }
 
 // Checkpointable is the surface a queue exposes to the persistence
-// layer. All four exact queues (core, pifo, rbmw, rpubmw) implement it.
+// layer. The software BMW-Tree (core.Tree) implements it.
 type Checkpointable interface {
-	// SnapshotKind names the implementation ("core", "pifo", "rbmw",
-	// "rpubmw"); a snapshot restores only into the kind that wrote it.
+	// SnapshotKind names the implementation ("core"); a snapshot
+	// restores only into the kind that wrote it.
 	SnapshotKind() string
 	// SnapshotVersion is the codec version EncodeSnapshot writes;
 	// RestoreSnapshot rejects versions it does not understand.
 	SnapshotVersion() uint32
 	// EncodeSnapshot serialises the complete queue state — storage,
-	// counters, in-flight pipeline state, protection bits — such that
+	// counters, clocks — such that
 	// RestoreSnapshot on a same-configured fresh instance reproduces
 	// behaviour bit-for-bit.
 	EncodeSnapshot() ([]byte, error)
@@ -80,13 +77,11 @@ type Checkpointable interface {
 	// given version into the receiver.
 	RestoreSnapshot(version uint32, payload []byte) error
 	// Replay applies one logged operation, reproducing the original
-	// schedule (nop-aligning to op.Cycle where the clock matters) and
-	// auditing pop results against the log.
+	// schedule and auditing pop results against the log.
 	Replay(op Op) error
 	// VerifyRecovered runs the queue's structural invariant checker
-	// (treecheck for the trees); recovery refuses to declare a queue
-	// live while it fails. Implementations may defer the check when
-	// transient in-flight state makes invariants unevaluable.
+	// (treecheck for the tree); recovery refuses to declare a queue
+	// live while it fails.
 	VerifyRecovered() error
 }
 

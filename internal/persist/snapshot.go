@@ -6,7 +6,7 @@
 //	offset  size  field
 //	0       8     magic "BMWSNAP1"
 //	8       1     kind length K
-//	9       K     kind ("core", "pifo", "rbmw", "rpubmw")
+//	9       K     kind ("core")
 //	9+K     4     codec version (the queue's SnapshotVersion)
 //	13+K    8     sequence number (monotonic per directory)
 //	21+K    8     LSN: WAL records this snapshot covers

@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/treecheck"
 )
 
 // FuzzRBMWVsCore interprets fuzz bytes as a legal issue schedule for the
 // R-BMW wave pipeline and cross-checks every pop against the golden
 // software model. The first byte selects the tree geometry and whether
-// parity protection and the online checker are engaged, so the fuzzer
-// also proves the fault-tolerance machinery is passive on clean runs.
+// the shared treecheck invariants run on every quiescent tick; they
+// always run once the drained pipeline has settled.
 // Run with `go test -fuzz=FuzzRBMWVsCore ./internal/rbmw`.
 func FuzzRBMWVsCore(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x90, 0x20, 0xA0, 0x30})
@@ -26,12 +27,7 @@ func FuzzRBMWVsCore(f *testing.F) {
 		m := 2 + int(cfg&0x03) // order 2..5
 		const l = 3
 		s := New(m, l)
-		if cfg&0x04 != 0 {
-			s.Protect(true)
-		}
-		if cfg&0x08 != 0 {
-			s.CheckEvery = 4
-		}
+		checkEvery := cfg&0x0C != 0
 		g := core.New(m, l)
 		for i, b := range data {
 			var op hw.Op
@@ -63,6 +59,11 @@ func FuzzRBMWVsCore(f *testing.F) {
 					t.Fatalf("tick %d: sim %v golden %v", i, got, want)
 				}
 			}
+			if checkEvery && s.Quiescent() {
+				if err := treecheck.Check(s); err != nil {
+					t.Fatalf("tick %d: %v", i, err)
+				}
+			}
 		}
 		for g.Len() > 0 {
 			if !s.PopAvailable() {
@@ -78,8 +79,11 @@ func FuzzRBMWVsCore(f *testing.F) {
 				t.Fatalf("drain: sim %v golden %v", got, want)
 			}
 		}
-		if s.Detected() != 0 {
-			t.Fatalf("clean run detected %d corruptions", s.Detected())
+		for !s.Quiescent() {
+			s.Tick(hw.NopOp())
+		}
+		if err := treecheck.Check(s); err != nil {
+			t.Fatalf("drained: %v", err)
 		}
 	})
 }

@@ -39,9 +39,8 @@ func (s *Sim) instrState() *instrumentation {
 
 // Instrument registers this simulator's pipeline probes in reg under
 // the given metric-name prefix (e.g. "rbmw"). Counters and gauges for
-// per-cycle facts are owned atomics; per-level occupancy, operation
-// totals and fault-layer counters are snapshot-time callbacks that
-// read simulator state — take snapshots only while the simulator is
+// per-cycle facts are owned atomics; per-level occupancy and operation
+// totals are snapshot-time callbacks that read simulator state — take snapshots only while the simulator is
 // not mid-Tick. A nil registry leaves the simulator uninstrumented.
 func (s *Sim) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
@@ -66,9 +65,6 @@ func (s *Sim) Instrument(reg *obs.Registry, prefix string) {
 
 	reg.CounterFunc(prefix+"_pushes_total", func() uint64 { return s.pushes })
 	reg.CounterFunc(prefix+"_pops_total", func() uint64 { return s.pops })
-	reg.CounterFunc(prefix+"_fault_detected_total", func() uint64 { return s.detected })
-	reg.CounterFunc(prefix+"_fault_recoveries_total", func() uint64 { return s.recoveries })
-	reg.CounterFunc(prefix+"_fault_check_runs_total", func() uint64 { return s.checkRuns })
 	reg.GaugeFunc(prefix+"_occupancy", func() float64 { return float64(s.size) })
 	reg.GaugeFunc(prefix+"_capacity", func() float64 { return float64(s.capacity) })
 	reg.GaugeFunc(prefix+"_inflight_waves", func() float64 { return float64(len(s.next)) })

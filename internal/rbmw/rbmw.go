@@ -44,7 +44,7 @@ import (
 // bits of the clock cycle when the element entered the machine — the
 // sojourn-probe tag, carried in the padding after count so the slot
 // stays 24 bytes. It is observability side-state, not part of the
-// fault-addressable storage word (see fault.go).
+// modelled register word.
 type slot struct {
 	val   uint64
 	meta  uint64
@@ -103,31 +103,6 @@ type Sim struct {
 	cur []wave
 
 	pushes, pops uint64
-
-	// Fault-tolerance state (see fault.go). protected enables parity
-	// maintenance and checking on the register file; parity holds one
-	// bit per slot. stepper is the attached fault plan's clock hook.
-	// faultErr latches the first detected corruption: the machine
-	// refuses operations until Recover is called.
-	protected  bool
-	parity     []uint8
-	stepper    hw.FaultStepper
-	faultErr   error
-	detected   uint64
-	recoveries uint64
-	// stranded records waves that could not be applied because a fault
-	// latched mid-cycle: unapplied push waves still carry a live element,
-	// unapplied pop waves mark a node whose minimum is a stale duplicate.
-	// Recover consumes this to harvest the exact surviving multiset.
-	stranded []wave
-
-	// CheckEvery enables the online invariant checker: once CheckEvery
-	// cycles have elapsed since the last check, the first quiescent
-	// cycle runs the shared treecheck invariants over the registers and
-	// latches a fault on violation. 0 disables (the default).
-	CheckEvery uint64
-	lastCheck  uint64
-	checkRuns  uint64
 }
 
 // New creates an R-BMW simulator for an order-m, l-level tree.
@@ -188,9 +163,6 @@ func (s *Sim) Stats() (pushes, pops uint64) { return s.pushes, s.pops }
 // pop_available is 0 — return an error without consuming the cycle,
 // matching a testbench that respects the handshake.
 func (s *Sim) Tick(op hw.Op) (*core.Element, error) {
-	if s.faultErr != nil {
-		return nil, s.faultErr
-	}
 	switch op.Kind {
 	case hw.Push:
 		if s.pushCooldown > 0 {
@@ -233,27 +205,13 @@ func (s *Sim) Tick(op hw.Op) (*core.Element, error) {
 	// Phase 2: pop waves, including a newly issued pop at the root.
 	var result *core.Element
 	if op.Kind == hw.Pop {
-		s.checkNode(0)
-		if s.faultErr == nil {
-			if j := s.minSlot(0); j >= 0 {
-				sl := s.nodes[j]
-				s.stepPop(wave{node: 0})
-				if s.faultErr == nil {
-					result = &core.Element{Value: sl.val, Meta: sl.meta}
-					s.size--
-					s.pops++
-					if s.instr != nil {
-						s.instr.sojourn.Observe(uint64(uint32(s.cycle) - sl.born))
-					}
-				} else if n := len(s.stranded); n > 0 {
-					// The pop aborted mid-flight and no element left the
-					// machine: drop the stale-duplicate marker stepPop
-					// recorded so recovery harvests the element instead.
-					if last := s.stranded[n-1]; !last.push && last.node == 0 {
-						s.stranded = s.stranded[:n-1]
-					}
-				}
-			}
+		sl := s.nodes[s.minSlot(0)]
+		s.stepPop(wave{node: 0})
+		result = &core.Element{Value: sl.val, Meta: sl.meta}
+		s.size--
+		s.pops++
+		if s.instr != nil {
+			s.instr.sojourn.Observe(uint64(uint32(s.cycle) - sl.born))
 		}
 	}
 	for _, w := range s.cur {
@@ -281,15 +239,9 @@ func (s *Sim) Tick(op hw.Op) (*core.Element, error) {
 		}
 	}
 
-	// End of cycle: record observability facts, run the online invariant
-	// checker if due, then let an attached fault plan strike between the
-	// clock edges (see fault.go).
+	// End of cycle: record observability facts.
 	if s.instr != nil {
 		s.instr.endCycle(s, ckind)
-	}
-	s.endOfCycle()
-	if s.faultErr != nil {
-		return nil, s.faultErr
 	}
 	return result, nil
 }
@@ -303,16 +255,10 @@ func (s *Sim) stepPush(w wave) {
 		lvl = s.level(w.node)
 		s.instr.traceWave(s.cycle, lvl, true)
 	}
-	s.checkNode(w.node)
-	if s.faultErr != nil {
-		s.stranded = append(s.stranded, w)
-		return
-	}
 	base := w.node * s.m
 	for i := 0; i < s.m; i++ {
 		if s.nodes[base+i].count == 0 {
 			s.nodes[base+i] = slot{val: w.val, meta: w.meta, count: 1, born: w.born}
-			s.touch(base + i)
 			if s.instr != nil {
 				s.instr.pushDepth.Observe(uint64(lvl))
 			}
@@ -333,22 +279,11 @@ func (s *Sim) stepPush(w wave) {
 		meta, sl.meta = sl.meta, meta
 		born, sl.born = sl.born, born
 	}
-	s.touch(base + min)
 	child := w.node*s.m + min + 1
 	if child >= s.numNodes {
 		// Descending below the last level is impossible when the
 		// almost_full handshake is respected: the counters steer pushes
-		// into sub-trees with vacancies. With fault tolerance engaged a
-		// corrupted counter can route a push off the tree; latch the
-		// detection instead of crashing the simulation.
-		if s.tolerant() {
-			s.fail(&hw.CorruptionError{
-				Unit: "rbmw-regs", Word: base + min, Chunk: -1, Cycle: s.cycle,
-				Detail: "push descended past the last level (corrupt sub-tree counter)",
-			})
-			s.stranded = append(s.stranded, wave{push: true, val: val, meta: meta, born: born})
-			return
-		}
+		// into sub-trees with vacancies.
 		panic("rbmw: push descended past the last level")
 	}
 	s.next = append(s.next, wave{node: child, push: true, val: val, meta: meta, born: born})
@@ -365,21 +300,11 @@ func (s *Sim) stepPop(w wave) {
 		lvl = s.level(w.node)
 		s.instr.traceWave(s.cycle, lvl, false)
 	}
-	s.checkNode(w.node)
-	if s.faultErr != nil {
-		s.stranded = append(s.stranded, w)
-		return
-	}
 	j := s.minSlot(w.node)
-	if j < 0 {
-		s.stranded = append(s.stranded, w)
-		return // corruption latched by minSlot in tolerant mode
-	}
 	sl := &s.nodes[j]
 	sl.count--
 	if sl.count == 0 {
 		*sl = slot{}
-		s.touch(j)
 		if s.instr != nil {
 			s.instr.popDepth.Observe(uint64(lvl))
 		}
@@ -387,20 +312,9 @@ func (s *Sim) stepPop(w wave) {
 	}
 	si := j - w.node*s.m
 	child := w.node*s.m + si + 1
-	s.checkNode(child)
-	if s.faultErr != nil {
-		s.stranded = append(s.stranded, w)
-		return
-	}
-	cj := s.minSlot(child)
-	if cj < 0 {
-		s.stranded = append(s.stranded, w)
-		return
-	}
-	cs := s.nodes[cj]
+	cs := s.nodes[s.minSlot(child)]
 	sl.val, sl.meta = cs.val, cs.meta
 	sl.born = cs.born
-	s.touch(j)
 	s.next = append(s.next, wave{node: child})
 }
 
@@ -421,16 +335,7 @@ func (s *Sim) minSlot(n int) int {
 	}
 	if min < 0 {
 		// An occupied parent slot guarantees a non-empty child in a
-		// healthy tree; an all-empty node here means a counter was
-		// corrupted somewhere above. Latch the detection in tolerant
-		// mode rather than crashing the simulation.
-		if s.tolerant() {
-			s.fail(&hw.CorruptionError{
-				Unit: "rbmw-regs", Word: base, Chunk: -1, Cycle: s.cycle,
-				Detail: fmt.Sprintf("minSlot on empty node %d (corrupt counter above)", n),
-			})
-			return -1
-		}
+		// healthy tree.
 		panic(fmt.Sprintf("rbmw: minSlot on empty node %d", n))
 	}
 	return base + min

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/hw"
+	"repro/internal/treecheck"
 )
 
 // FuzzPipelineEquivalence interprets fuzz bytes as a legal issue
@@ -67,11 +67,11 @@ func FuzzPipelineEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzRPUBMWVsCore is the protected-pipeline differential target: the
-// first byte selects geometry, ECC mode, scrub cadence and the online
-// checker, and the rest drives a legal issue schedule cross-checked
-// against the golden model. With no faults injected every protection
-// combination must be fully transparent. Run with
+// FuzzRPUBMWVsCore is the geometry-sweeping differential target: the
+// first byte selects the tree order and whether the shared treecheck
+// invariants run on every quiescent tick (they always run once the
+// drained pipeline has settled), and the rest drives a legal issue
+// schedule cross-checked against the golden model. Run with
 // `go test -fuzz=FuzzRPUBMWVsCore ./internal/rpubmw`.
 func FuzzRPUBMWVsCore(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x90, 0x20, 0xA0, 0x30})
@@ -86,17 +86,7 @@ func FuzzRPUBMWVsCore(f *testing.F) {
 		m := 2 + int(cfg&0x03) // order 2..5
 		const l = 3
 		s := New(m, l)
-		switch (cfg >> 2) & 0x03 {
-		case 1:
-			s.Protect(faultinject.EccParity, 0)
-		case 2:
-			s.Protect(faultinject.EccSECDED, 0)
-		case 3:
-			s.Protect(faultinject.EccSECDED, 2)
-		}
-		if cfg&0x10 != 0 {
-			s.CheckEvery = 4
-		}
+		checkEvery := cfg&0x1C != 0
 		g := core.New(m, l)
 		for i, b := range data {
 			var op hw.Op
@@ -128,6 +118,11 @@ func FuzzRPUBMWVsCore(f *testing.F) {
 					t.Fatalf("tick %d: sim %v golden %v", i, got, want)
 				}
 			}
+			if checkEvery && s.Quiescent() {
+				if err := treecheck.Check(s); err != nil {
+					t.Fatalf("tick %d: %v", i, err)
+				}
+			}
 		}
 		for g.Len() > 0 {
 			if !s.PopAvailable() {
@@ -143,8 +138,11 @@ func FuzzRPUBMWVsCore(f *testing.F) {
 				t.Fatalf("drain: sim %v golden %v", got, want)
 			}
 		}
-		if s.Detected() != 0 {
-			t.Fatalf("clean run detected %d corruptions", s.Detected())
+		for !s.Quiescent() {
+			s.Tick(hw.NopOp())
+		}
+		if err := treecheck.Check(s); err != nil {
+			t.Fatalf("drained: %v", err)
 		}
 	})
 }

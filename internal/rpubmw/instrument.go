@@ -68,8 +68,8 @@ func (s *Sim) instrState() *instrumentation {
 // the given metric-name prefix (e.g. "rpubmw"). Per-cycle facts are
 // owned atomics; operation totals, per-level occupancy, SRAM port
 // activity (reads, writes, and write-first hits — the operation-hiding
-// events of Section 5.2.3) and fault/ECC counters are snapshot-time
-// callbacks reading simulator state — snapshot only between Ticks.
+// events of Section 5.2.3) are snapshot-time callbacks reading
+// simulator state — snapshot only between Ticks.
 // A nil registry leaves the simulator uninstrumented.
 func (s *Sim) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
@@ -98,12 +98,6 @@ func (s *Sim) Instrument(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_sram_reads_total", func() uint64 { r, _, _ := s.RAMStats(); return r })
 	reg.CounterFunc(prefix+"_sram_writes_total", func() uint64 { _, w, _ := s.RAMStats(); return w })
 	reg.CounterFunc(prefix+"_sram_write_first_hits_total", func() uint64 { _, _, c := s.RAMStats(); return c })
-	reg.CounterFunc(prefix+"_fault_detected_total", func() uint64 { return s.detected })
-	reg.CounterFunc(prefix+"_fault_recoveries_total", func() uint64 { return s.recoveries })
-	reg.CounterFunc(prefix+"_fault_check_runs_total", func() uint64 { return s.checkRuns })
-	reg.CounterFunc(prefix+"_ecc_corrected_reads_total", func() uint64 { return s.ECCTotals().CorrectedReads })
-	reg.CounterFunc(prefix+"_ecc_detected_reads_total", func() uint64 { return s.ECCTotals().DetectedReads })
-	reg.CounterFunc(prefix+"_ecc_scrub_corrected_total", func() uint64 { return s.ECCTotals().ScrubCorrected })
 	reg.GaugeFunc(prefix+"_occupancy", func() float64 { return float64(s.size) })
 	reg.GaugeFunc(prefix+"_capacity", func() float64 { return float64(s.capacity) })
 	for lvl := 1; lvl <= s.l; lvl++ {

@@ -49,9 +49,7 @@ const MaxOrder = 16
 // (0 = empty). born is the low 32 bits of the clock cycle when the
 // element entered the machine — the sojourn-probe tag. It rides in the
 // padding after count (the slot stays 24 bytes) and is observability
-// side-state: not part of the fault-addressable root register word,
-// though the SRAM codec round-trips it through the counter chunk's
-// unused upper half (see fault.go).
+// side-state, not part of the modelled storage word.
 type slot struct {
 	val   uint64
 	meta  uint64
@@ -95,11 +93,11 @@ type Sim struct {
 	capacity int
 	size     int
 
-	root     [MaxOrder]slot // level 1: the root node in RPU_1 registers
-	rams     []hw.RAM[node] // rams[i] backs level i+2 (levels 2..L)
-	fetchQ   []fetch        // fetchQ[i] for level i+2
-	liftQ    []liftWait     // liftQ[i] for level i+2
-	rootLift liftWait       // root's pending substitute slot
+	root     [MaxOrder]slot     // level 1: the root node in RPU_1 registers
+	rams     []*hw.SDPRAM[node] // rams[i] backs level i+2 (levels 2..L)
+	fetchQ   []fetch            // fetchQ[i] for level i+2
+	liftQ    []liftWait         // liftQ[i] for level i+2
+	rootLift liftWait           // root's pending substitute slot
 
 	cycle     uint64
 	available bool // push/pop availability (drops for the cycle after a pop)
@@ -126,49 +124,6 @@ type Sim struct {
 	cooldown int
 
 	pushes, pops uint64
-
-	// Fault-tolerance state (see fault.go). protected enables SECDED (or
-	// parity) SRAMs and parity over the root registers; rootParity is
-	// false in the EccOff ablation, where storage stays injectable but
-	// every coding bit is dropped; faultErr latches the first detected
-	// corruption and Tick refuses operations until Recover is called.
-	protected  bool
-	rootParity bool
-	parity     [MaxOrder]uint8
-	stepper    hw.FaultStepper
-	faultErr   error
-	detected   uint64
-	recoveries uint64
-	// stranded records operations voided because a fault latched
-	// mid-cycle: push entries carry live payloads for recovery to
-	// harvest; pop entries stranded after their lift delivered mark a
-	// node whose minimum is a stale duplicate of the lifted value,
-	// while pops voided before processing leave their node intact.
-	stranded []levelFetch
-	// liftDelivered is transient per-arrival state: stepPop sets it
-	// once the popped minimum has been handed to the level above, so
-	// the panic-recovery path knows whether the fetched node's minimum
-	// is now a stale duplicate.
-	liftDelivered bool
-
-	// CheckEvery enables the online invariant checker: once CheckEvery
-	// cycles have elapsed since the last check, the first quiescent
-	// cycle runs the shared treecheck invariants over the committed
-	// tree state. 0 disables (the default).
-	CheckEvery uint64
-	lastCheck  uint64
-	checkRuns  uint64
-}
-
-// levelFetch is a stranded operation: the level it was bound for plus
-// the fetch-register contents. lifted records whether a pop had
-// already delivered its minimum to the level above when it was
-// stranded — only then is the fetched node's minimum a stale
-// duplicate that recovery must skip.
-type levelFetch struct {
-	lvl    int
-	ar     fetch
-	lifted bool
 }
 
 // New creates an RPU-BMW simulator for an order-m, l-level tree.
@@ -276,9 +231,6 @@ func (s *Sim) locate(n int) (level, local int) {
 // returning the popped element for a pop (combinational in the issuing
 // cycle, the root being register-resident).
 func (s *Sim) Tick(op hw.Op) (*core.Element, error) {
-	if s.faultErr != nil {
-		return nil, s.faultErr
-	}
 	// Issue legality.
 	switch op.Kind {
 	case hw.Push:
@@ -325,28 +277,11 @@ func (s *Sim) Tick(op hw.Op) (*core.Element, error) {
 		if !ar.valid {
 			continue
 		}
-		lvl := idx + 2
-		if s.faultErr != nil {
-			// A fault latched earlier this cycle; this arrival is voided
-			// and preserved for recovery.
-			s.strand(lvl, ar)
-			continue
-		}
-		if err := readError(s.rams[idx]); err != nil {
-			// The ECC layer caught an uncorrectable error on the word
-			// this RPU was about to operate on.
-			s.failErr(err)
-			s.strand(lvl, ar)
-			continue
-		}
-		s.processArrival(idx, lvl, ar)
+		s.processArrival(idx, idx+2, ar)
 	}
 
 	// External operation at the root (RPU_1 registers).
-	var result *core.Element
-	if s.faultErr == nil {
-		result = s.rootOp(op)
-	}
+	result := s.rootOp(op)
 
 	s.available = op.Kind != hw.Pop
 	if s.Plain {
@@ -364,40 +299,18 @@ func (s *Sim) Tick(op hw.Op) (*core.Element, error) {
 		}
 	}
 
-	// End of cycle: record observability facts, then the online
-	// invariant checker and the attached fault plan (see fault.go).
+	// End of cycle: record observability facts.
 	if s.instr != nil {
 		s.instr.endCycle(s, ckind, op, wasAvailable)
-	}
-	s.endOfCycle()
-	if s.faultErr != nil {
-		return nil, s.faultErr
 	}
 	return result, nil
 }
 
-// processArrival runs one level's RPU for the cycle. In tolerant mode
-// (protection or injection attached) a panic raised by corrupt state —
-// an impossible minimum, a busy latch, a routing violation — is
-// converted into a latched fault and the arrival is stranded for
-// recovery; a bare simulator keeps the fail-fast panics.
+// processArrival runs one level's RPU for the cycle.
 func (s *Sim) processArrival(idx, lvl int, ar fetch) {
 	if s.instr != nil {
 		s.instr.traceOp(s.cycle, int64(lvl), ar.kind)
 	}
-	s.liftDelivered = false
-	defer func() {
-		if !s.tolerant() {
-			return
-		}
-		if p := recover(); p != nil {
-			s.fail(&hw.CorruptionError{
-				Unit: s.sramName(lvl), Word: ar.addr, Chunk: -1, Cycle: s.cycle,
-				Detail: fmt.Sprintf("structural hazard: %v", p),
-			})
-			s.strandLifted(lvl, ar, s.liftDelivered)
-		}
-	}()
 	nd, ok := s.rams[idx].Data()
 	if !ok {
 		panic("rpubmw: arrival without SRAM data")
@@ -410,52 +323,20 @@ func (s *Sim) processArrival(idx, lvl int, ar fetch) {
 	}
 }
 
-// rootOp applies the external operation to the register-resident root,
-// with the same tolerant-mode panic conversion as processArrival. When
-// a fault latches mid-operation the op is voided: no element leaves the
-// machine and no counters move, so every live element remains
-// harvestable by Recover.
+// rootOp applies the external operation to the register-resident root.
 func (s *Sim) rootOp(op hw.Op) (result *core.Element) {
-	defer func() {
-		if !s.tolerant() {
-			return
-		}
-		if p := recover(); p != nil {
-			s.fail(&hw.CorruptionError{
-				Unit: s.TargetName(), Word: -1, Chunk: -1, Cycle: s.cycle,
-				Detail: fmt.Sprintf("structural hazard: %v", p),
-			})
-			if op.Kind == hw.Pop {
-				// Abort the half-issued pop: forgetting the pending lift
-				// leaves the minimum in its slot for recovery to harvest.
-				s.rootLift = liftWait{}
-			}
-			result = nil
-		}
-	}()
 	if s.instr != nil {
 		s.instr.traceOp(s.cycle, 1, op.Kind)
 	}
 	switch op.Kind {
 	case hw.Push:
-		s.checkRoot()
-		if s.faultErr != nil {
-			s.strand(2, fetch{valid: true, kind: hw.Push, val: op.Value, meta: op.Meta, born: uint32(s.cycle)})
-			return nil
-		}
 		s.rootPush(op.Value, op.Meta)
 		s.size++
 		s.pushes++
 	case hw.Pop:
-		s.checkRoot()
-		if s.faultErr != nil {
-			return nil
-		}
 		result = s.rootPop()
-		if result != nil {
-			s.size--
-			s.pops++
-		}
+		s.size--
+		s.pops++
 	}
 	return result
 }
@@ -468,7 +349,6 @@ func (s *Sim) rootPush(val, meta uint64) {
 	for i := 0; i < s.m; i++ {
 		if s.root[i].count == 0 {
 			s.root[i] = slot{val: val, meta: meta, count: 1, born: born}
-			s.touchRoot(i)
 			if s.instr != nil {
 				s.instr.pushDepth.Observe(1)
 			}
@@ -487,11 +367,7 @@ func (s *Sim) rootPush(val, meta uint64) {
 		meta, s.root[min].meta = s.root[min].meta, meta
 		born, s.root[min].born = s.root[min].born, born
 	}
-	s.touchRoot(min)
-	f := fetch{valid: true, kind: hw.Push, addr: min, val: val, meta: meta, born: born}
-	if !s.issueRead(2, min, f) {
-		s.strand(2, f) // preserve the displaced element for recovery
-	}
+	s.issueRead(2, min, fetch{valid: true, kind: hw.Push, addr: min, val: val, meta: meta, born: born})
 }
 
 // rootPop pops the root's minimum and, if the sub-tree below still holds
@@ -503,21 +379,14 @@ func (s *Sim) rootPop() *core.Element {
 	s.root[j].count--
 	if s.root[j].count == 0 {
 		s.root[j] = slot{}
-		s.touchRoot(j)
 		if s.instr != nil {
 			s.instr.popDepth.Observe(1)
 			s.instr.sojourn.Observe(uint64(uint32(s.cycle) - born))
 		}
 		return out
 	}
-	s.touchRoot(j)
 	s.rootLift = liftWait{valid: true, vac: j}
-	if !s.issueRead(2, j, fetch{valid: true, kind: hw.Pop, addr: j}) {
-		// The substitute read could not issue: abort the pop so the
-		// minimum stays in its slot for recovery to harvest.
-		s.rootLift = liftWait{}
-		return nil
-	}
+	s.issueRead(2, j, fetch{valid: true, kind: hw.Pop, addr: j})
 	if s.instr != nil {
 		s.instr.sojourn.Observe(uint64(uint32(s.cycle) - born))
 	}
@@ -552,22 +421,13 @@ func (s *Sim) stepPush(lvl int, ar fetch, nd node) {
 			meta, nd.slots[min].meta = nd.slots[min].meta, meta
 			born, nd.slots[min].born = nd.slots[min].born, born
 		}
-		forward := fetch{valid: true, kind: hw.Push, addr: ar.addr*s.m + min, val: val, meta: meta, born: born}
 		if lvl == s.l {
-			// Possible only when a corrupted counter routed the push into
-			// a full sub-tree; in tolerant mode latch and preserve the
-			// loser, otherwise fail fast.
-			if !s.tolerant() {
-				panic("rpubmw: push descended past the last level")
-			}
-			s.fail(&hw.CorruptionError{
-				Unit: s.sramName(lvl), Word: ar.addr, Chunk: -1, Cycle: s.cycle,
-				Detail: "push descended past the last level (corrupt sub-tree counter)",
-			})
-			s.strand(lvl, forward)
-		} else if !s.issueRead(lvl+1, forward.addr, forward) {
-			s.strand(lvl+1, forward)
+			// Impossible when the almost_full handshake is respected:
+			// the counters steer pushes into sub-trees with vacancies.
+			panic("rpubmw: push descended past the last level")
 		}
+		addr := ar.addr*s.m + min
+		s.issueRead(lvl+1, addr, fetch{valid: true, kind: hw.Push, addr: addr, val: val, meta: meta, born: born})
 	}
 	s.rams[lvl-2].Write(ar.addr, nd)
 }
@@ -587,7 +447,6 @@ func (s *Sim) stepPop(lvl int, ar fetch, nd node) {
 		s.root[s.rootLift.vac].val = lifted.val
 		s.root[s.rootLift.vac].meta = lifted.meta
 		s.root[s.rootLift.vac].born = lifted.born
-		s.touchRoot(s.rootLift.vac)
 		s.rootLift = liftWait{}
 	} else {
 		lw := &s.liftQ[lvl-3]
@@ -600,7 +459,6 @@ func (s *Sim) stepPop(lvl int, ar fetch, nd node) {
 		s.rams[lvl-3].Write(lw.addr, lw.node)
 		*lw = liftWait{}
 	}
-	s.liftDelivered = true
 
 	// Remove the lifted element from this node.
 	nd.slots[j].count--
@@ -620,38 +478,17 @@ func (s *Sim) stepPop(lvl int, ar fetch, nd node) {
 		panic("rpubmw: RPU lift register busy (schedule violates pipeline spacing)")
 	}
 	s.liftQ[lvl-2] = liftWait{valid: true, addr: ar.addr, node: nd, vac: j}
-	// On failure the fault is latched and the liftWait entry stays
-	// valid; recovery treats the held node as authoritative.
 	s.issueRead(lvl+1, ar.addr*s.m+j, fetch{valid: true, kind: hw.Pop, addr: ar.addr*s.m + j})
 }
 
 // issueRead presents the read address to the level's SRAM and parks the
 // operation in the level's fetch register; the data arrives next cycle.
-// It reports whether the read was issued: in tolerant mode a busy fetch
-// register or an out-of-range address (both only reachable through
-// corrupted routing state) latch a fault and return false instead of
-// panicking, so callers can preserve in-flight payloads for recovery.
-func (s *Sim) issueRead(lvl, addr int, f fetch) bool {
+func (s *Sim) issueRead(lvl, addr int, f fetch) {
 	if s.fetchQ[lvl-2].valid {
-		if s.tolerant() {
-			s.fail(&hw.CorruptionError{
-				Unit: s.sramName(lvl), Word: addr, Chunk: -1, Cycle: s.cycle,
-				Detail: "fetch register busy (corrupt routing state)",
-			})
-			return false
-		}
 		panic(fmt.Sprintf("rpubmw: level %d fetch register busy (double read)", lvl))
-	}
-	if s.tolerant() && (addr < 0 || addr >= s.rams[lvl-2].Words()) {
-		s.fail(&hw.CorruptionError{
-			Unit: s.sramName(lvl), Word: addr, Chunk: -1, Cycle: s.cycle,
-			Detail: "read address out of range (corrupt routing state)",
-		})
-		return false
 	}
 	s.rams[lvl-2].Read(addr)
 	s.fetchQ[lvl-2] = f
-	return true
 }
 
 // minSlotOf returns the index of the leftmost minimum-value occupied

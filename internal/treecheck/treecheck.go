@@ -4,10 +4,10 @@
 // simulations. Sharing one checker guarantees all implementations are
 // held to identical invariants.
 //
-// Violations are reported as typed *Violation errors so callers — in
-// particular the online checker mode of the hardware simulators and the
-// chaos-soak harness — can classify what kind of corruption the
-// invariants caught and where.
+// Violations are reported as typed *Violation errors so callers — the
+// simulators' tests and fuzzers, and the persistence layer's recovery
+// check — can classify what kind of corruption the invariants caught
+// and where.
 package treecheck
 
 import "fmt"

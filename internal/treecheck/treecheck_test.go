@@ -98,8 +98,8 @@ func TestEmptyTree(t *testing.T) {
 }
 
 // TestTypedViolations checks that each violation class surfaces as a
-// *Violation with the right Kind and location, so the online checker
-// mode of the hardware simulators can classify detections.
+// *Violation with the right Kind and location, so callers can classify
+// detections.
 func TestTypedViolations(t *testing.T) {
 	cases := []struct {
 		name   string

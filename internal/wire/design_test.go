@@ -19,7 +19,7 @@ var statusEntry = regexp.MustCompile(`\b(\d+) ([A-Z][A-Za-z]*)`)
 // Status constants: its status lines must name every code exactly as
 // the constant does, minus the Status prefix, and name nothing else.
 func TestDesignStatusTable(t *testing.T) {
-	want := batchConsts(t, "Status", "Status")
+	want := fileConsts(t, "batch.go", "Status", "Status")
 	var table []string
 	lines := strings.Split(designDoc(t), "\n")
 	for i, line := range lines {
@@ -64,11 +64,11 @@ func sameNames(t *testing.T, what, typeName string, want, got map[int]string) {
 	}
 }
 
-// batchConsts returns batch.go's constants of the named type by code,
-// each named without prefix.
-func batchConsts(t *testing.T, typeName, prefix string) map[int]string {
+// fileConsts returns the named file's constants of the named type by
+// code, each named without prefix.
+func fileConsts(t *testing.T, file, typeName, prefix string) map[int]string {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "batch.go", nil, 0)
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func batchConsts(t *testing.T, typeName, prefix string) map[int]string {
 		}
 	}
 	if len(consts) == 0 {
-		t.Fatalf("no %s constants found in batch.go", typeName)
+		t.Fatalf("no %s constants found in %s", typeName, file)
 	}
 	return consts
 }
@@ -112,6 +112,44 @@ func designDoc(t *testing.T) string {
 	return string(doc)
 }
 
+// frameEntry matches one "<Name>=<code>" entry of the frame header's
+// type row.
+var frameEntry = regexp.MustCompile(`\b([A-Z][A-Za-z]*)=(\d+)`)
+
+// TestDesignFrameTable pins the type row of the frame header table in
+// DESIGN.md §6 to the Type constants: it must name every code exactly
+// as the constant does, minus the T prefix, and name nothing else.
+func TestDesignFrameTable(t *testing.T) {
+	want := fileConsts(t, "frame.go", "Type", "T")
+	var row []string
+	lines := strings.Split(designDoc(t), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "5       1     type (") {
+			continue
+		}
+		row = append(row, line)
+		for _, cont := range lines[i+1:] {
+			if !strings.HasPrefix(cont, "              ") {
+				break
+			}
+			row = append(row, cont)
+		}
+		break
+	}
+	if len(row) == 0 {
+		t.Fatal("DESIGN.md has no frame type row")
+	}
+	got := map[int]string{}
+	for _, m := range frameEntry.FindAllStringSubmatch(strings.Join(row, "\n"), -1) {
+		code, _ := strconv.Atoi(m[2])
+		if prev, dup := got[code]; dup {
+			t.Errorf("DESIGN.md names frame type %d twice: %s and %s", code, prev, m[1])
+		}
+		got[code] = m[1]
+	}
+	sameNames(t, "frame type", "Type", want, got)
+}
+
 // opRow matches one row of DESIGN.md's op-kind table: code, name and
 // encoded size.
 var opRow = regexp.MustCompile(`^(\d+) +([A-Za-z]+) +(\d+) `)
@@ -122,7 +160,7 @@ var opRow = regexp.MustCompile(`^(\d+) +([A-Za-z]+) +(\d+) `)
 // give each kind's size as the bytes AppendOps writes for one op of
 // that kind.
 func TestDesignOpTable(t *testing.T) {
-	want := batchConsts(t, "OpKind", "Op")
+	want := fileConsts(t, "batch.go", "OpKind", "Op")
 	lines := strings.Split(designDoc(t), "\n")
 	start := -1
 	for i, line := range lines {

@@ -3,12 +3,10 @@
 // surface, as the one-call conveniences Checkpoint, Restore and
 // VerifyPersistDir.
 //
-// All four exact queues — the software BMW-Tree (NewBMWTree), the PIFO
-// baseline (NewPIFO), and both cycle-accurate simulators (NewRBMWSim,
-// NewRPUBMWSim, including their protected variants) — implement
-// Checkpointable. See DESIGN.md section 5d for the on-disk formats and
-// the recovery state machine, and cmd/bmwcrash for the kill-point crash
-// harness that validates them.
+// The software BMW-Tree (NewBMWTree) — the queue the engine serves —
+// implements Checkpointable. See DESIGN.md section 5d for the on-disk
+// formats and the recovery state machine, and cmd/bmwcrash for the
+// kill-point crash harness that validates them.
 package bmw
 
 import "repro/internal/persist"
@@ -29,10 +27,7 @@ type RecoveryReport = persist.RecoveryReport
 var ErrTornRecord = persist.ErrTornRecord
 
 // Checkpoint writes a one-shot durable snapshot of a live queue to dir,
-// superseding any history already there. The cycle simulators must be
-// quiescent (RPU-BMW always; R-BMW may also checkpoint mid-pipeline
-// through internal/persist's Manager, which the continuous-logging path
-// uses).
+// superseding any history already there.
 func Checkpoint(dir string, q Checkpointable) error {
 	m, err := persist.Attach(dir, q, persist.Options{})
 	if err != nil {
