@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -35,9 +34,9 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/refpq"
 	"repro/internal/wire"
 )
 
@@ -151,15 +150,15 @@ var nodeSeq atomic.Uint64
 // a sync-replicating primary or, with follow set, its hot standby.
 // Incident rate limiting is effectively off (1ms): the harness kills
 // primaries back to back and asserts a bundle per kill.
-func (h *harness) start(follow string) (*node.Node, error) {
+func (s *scenario) start(follow string) (*node.Node, error) {
 	return node.Start(node.Config{
-		Engine:              h.geom,
-		Log:                 h.log,
+		Engine:              s.cfg.geom,
+		Log:                 s.log,
 		Follow:              follow,
 		ReplSync:            true,
 		SyncTimeout:         10 * time.Second,
 		DialRetry:           5 * time.Millisecond,
-		IncidentDir:         filepath.Join(h.incRoot, fmt.Sprintf("node-%d", nodeSeq.Add(1))),
+		IncidentDir:         filepath.Join(s.incRoot, fmt.Sprintf("node-%d", nodeSeq.Add(1))),
 		IncidentMinInterval: time.Millisecond,
 		IncidentKeep:        64, // repeated captures must not prune a kill's bundle before the audit
 	})
@@ -184,197 +183,124 @@ type evidence struct {
 	BundlesByTrigger map[string]int   `json:"incident_bundles_by_trigger,omitempty"`
 }
 
-// harness owns the run's moving parts and the golden lockstep state.
-type harness struct {
-	geom    engine.Config
+// config is one run's flags.
+type config struct {
+	faults, kills int
+	geom          engine.Config
+	stall, budget time.Duration
+	seed          int64
+	evDir         string // incident bundles go under evDir/incidents
+	verbose       bool
+}
+
+// scenario owns the run's moving parts and the golden lockstep.
+type scenario struct {
+	cfg     config
 	rng     *rand.Rand
 	proxy   *chaosProxy
 	rc      *wire.ResilientClient
-	golden  *refpq.Queue
-	prim    *node.Node
-	standby *node.Node
+	golden  *harness.Lockstep
+	pair    harness.Pair
 	ev      *evidence
 	incRoot string
 	log     slog.Handler // nil unless -v
-	pushes  uint64
-	pops    uint64
 }
 
-func (h *harness) logf(format string, args ...any) {
-	if h.log != nil {
+func (s *scenario) logf(format string, args ...any) {
+	if s.log != nil {
 		fmt.Fprintf(os.Stderr, "bmwchaos: "+format+"\n", args...)
 	}
 }
 
 // oneOp issues one op through the proxy and applies its acked outcome
-// to the golden queue, failing on any divergence.
-func (h *harness) oneOp() error {
-	push := h.golden.Len() == 0 || h.rng.Float64() < 0.55
-	var op wire.Op
-	if push {
-		v := h.rng.Uint64() >> 34 // 30-bit rank
-		op = wire.Op{Kind: wire.OpPush, Value: v, Meta: h.pushes}
-	} else {
-		op = wire.Op{Kind: wire.OpPop}
+// to the golden lockstep, failing on any divergence.
+func (s *scenario) oneOp() error {
+	op := wire.Op{Kind: wire.OpPop}
+	if s.golden.Len() == 0 || s.rng.Float64() < 0.55 {
+		op = wire.Op{Kind: wire.OpPush, Value: s.rng.Uint64() >> 34, Meta: s.golden.Pushes} // 30-bit rank
 	}
-	res, err := h.rc.Do([]wire.Op{op})
+	res, err := s.rc.Do([]wire.Op{op})
 	if err != nil {
 		return fmt.Errorf("op failed permanently: %w", err)
 	}
-	r := res[0]
-	switch {
-	case push && r.Status == wire.StatusOK:
-		h.golden.Push(refpq.Entry{Value: op.Value, Meta: op.Meta})
-		h.pushes++
-	case push: // Full/Backpressure/Overloaded: acked as not-applied
-		if r.Status != wire.StatusFull && r.Status != wire.StatusBackpressure && r.Status != wire.StatusOverloaded {
-			return fmt.Errorf("push acked with status %v", r.Status)
-		}
-	case r.Status == wire.StatusOK:
-		if h.golden.Len() == 0 {
-			return fmt.Errorf("pop returned value %d from an empty reference queue — duplicated apply", r.Value)
-		}
-		want := h.golden.PopMin()
-		if r.Value != want.Value {
-			return fmt.Errorf("pop returned value %d, reference says %d — acked-op divergence", r.Value, want.Value)
-		}
-		h.pops++
-	case r.Status == wire.StatusEmpty:
-		if h.golden.Len() != 0 {
-			return fmt.Errorf("pop says empty, reference holds %d — acked-op loss", h.golden.Len())
-		}
-	default:
-		return fmt.Errorf("pop acked with status %v", r.Status)
+	if op.Kind == wire.OpPush {
+		return s.golden.Push(op.Value, op.Meta, res[0].Status)
 	}
-	return nil
+	return s.golden.Pop(res[0])
 }
 
 // faultPhase injects nFaults connection faults, cycling kinds, with
 // lockstep-verified traffic around each.
-func (h *harness) faultPhase(nFaults int) error {
+func (s *scenario) faultPhase(nFaults int) error {
 	kinds := []int32{faultReset, faultStall, faultPartial, faultCorrupt}
 	for i := 0; i < nFaults; i++ {
 		kind := kinds[i%len(kinds)]
-		h.proxy.arm(kind, kind == faultCorrupt && i%8 >= 4)
-		before := h.proxy.consumed.Load()
+		s.proxy.arm(kind, kind == faultCorrupt && i%8 >= 4)
+		before := s.proxy.consumed.Load()
 		deadline := time.Now().Add(30 * time.Second)
-		for h.proxy.consumed.Load() == before {
+		for s.proxy.consumed.Load() == before {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("fault %d (%s) never consumed", i, faultNames[kind])
 			}
-			if err := h.oneOp(); err != nil {
+			if err := s.oneOp(); err != nil {
 				return fmt.Errorf("during fault %d (%s): %w", i, faultNames[kind], err)
 			}
 		}
-		h.ev.Faults[faultNames[kind]]++
+		s.ev.Faults[faultNames[kind]]++
 		// A few verified ops after the fault to prove recovery.
 		for j := 0; j < 5; j++ {
-			if err := h.oneOp(); err != nil {
+			if err := s.oneOp(); err != nil {
 				return fmt.Errorf("recovering from fault %d (%s): %w", i, faultNames[kind], err)
 			}
 		}
-		h.logf("fault %d/%d (%s) injected and survived", i+1, nFaults, faultNames[kind])
+		s.logf("fault %d/%d (%s) injected and survived", i+1, nFaults, faultNames[kind])
 	}
 	return nil
 }
 
-// waitReplicated blocks until the standby has acknowledged the
-// primary's full log.
-func (h *harness) waitReplicated() error {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if tip := h.prim.Repl().LogSeq(); h.prim.Repl().AckSeq() == tip && h.standby.Repl().Ready() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("standby never caught up: ack %d, tip %d", h.prim.Repl().AckSeq(), h.prim.Repl().LogSeq())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// killCycle kills the primary, promotes the standby, measures
-// kill-to-first-success, and brings up a fresh standby.
-func (h *harness) killCycle(cycle int, budget time.Duration) error {
-	// Some traffic, then make sure the standby holds everything acked.
+// killCycle kills the primary, promotes the standby at the replicated
+// tip, measures kill-to-first-success, and brings up a fresh standby.
+func (s *scenario) killCycle(cycle int) error {
 	for i := 0; i < 50; i++ {
-		if err := h.oneOp(); err != nil {
+		if err := s.oneOp(); err != nil {
 			return fmt.Errorf("cycle %d pre-kill: %w", cycle, err)
 		}
 	}
-	if err := h.waitReplicated(); err != nil {
-		return err
-	}
-	tip := h.prim.Repl().LogSeq()
-
-	h.logf("cycle %d: killing primary %s at log tip %d", cycle, h.prim.Addr(), tip)
+	prim := s.pair.Primary
+	tip := prim.Repl().LogSeq()
+	s.logf("cycle %d: killing primary %s at log tip %d", cycle, prim.Addr(), tip)
 	// The kill bundle: captured synchronously on the victim before
 	// teardown, the way a production bmwd's SIGQUIT/shutdown hook
 	// would freeze its state.
-	if _, err := h.prim.Capture("kill", fmt.Sprintf("cycle %d: primary killed at log tip %d", cycle, tip)); err != nil {
+	if _, err := prim.Capture("kill", fmt.Sprintf("cycle %d: primary killed at log tip %d", cycle, tip)); err != nil {
 		return fmt.Errorf("cycle %d: kill bundle: %w", cycle, err)
 	}
-	h.prim.Kill()
-	t0 := time.Now()
-	h.standby.Promote()
-	if got := h.standby.Repl().LogSeq(); got != tip {
-		return fmt.Errorf("cycle %d: promoted at log seq %d, want replicated tip %d", cycle, got, tip)
+	tip, killed, err := s.pair.Failover()
+	if err != nil {
+		return fmt.Errorf("cycle %d: %w", cycle, err)
 	}
-	h.ev.PromotedAtTip = append(h.ev.PromotedAtTip, tip)
-	h.proxy.upstream.Store(h.standby.Addr())
-	h.prim = h.standby
+	s.ev.PromotedAtTip = append(s.ev.PromotedAtTip, tip)
+	s.proxy.upstream.Store(s.pair.Primary.Addr())
 
 	// First post-kill op: the client must reconnect through the proxy
 	// to the promoted standby within the failover budget.
-	if err := h.oneOp(); err != nil {
+	if err := s.oneOp(); err != nil {
 		return fmt.Errorf("cycle %d post-promotion: %w", cycle, err)
 	}
-	failover := time.Since(t0)
-	h.ev.FailoverMs = append(h.ev.FailoverMs, float64(failover.Microseconds())/1000)
-	if failover > budget {
-		return fmt.Errorf("cycle %d: failover took %v, budget %v", cycle, failover, budget)
+	failover := time.Since(killed)
+	s.ev.FailoverMs = append(s.ev.FailoverMs, float64(failover.Microseconds())/1000)
+	if failover > s.cfg.budget {
+		return fmt.Errorf("cycle %d: failover took %v, budget %v", cycle, failover, s.cfg.budget)
 	}
-	h.logf("cycle %d: failover in %v", cycle, failover)
+	s.logf("cycle %d: failover in %v", cycle, failover)
 
-	fresh, err := h.start(h.prim.Addr())
-	if err != nil {
+	if s.pair.Standby, err = s.start(s.pair.Primary.Addr()); err != nil {
 		return fmt.Errorf("cycle %d: fresh standby: %w", cycle, err)
 	}
-	h.standby = fresh
-	if err := h.waitReplicated(); err != nil {
+	if err := s.pair.WaitReplicated(); err != nil {
 		return fmt.Errorf("cycle %d: fresh standby catch-up: %w", cycle, err)
 	}
-	h.ev.KillCycles++
-	return nil
-}
-
-// finalDrain pops everything and checks the full sequence against the
-// reference queue.
-func (h *harness) finalDrain() error {
-	n := 0
-	for {
-		res, err := h.rc.Do([]wire.Op{{Kind: wire.OpPop}})
-		if err != nil {
-			return fmt.Errorf("final drain: %w", err)
-		}
-		if res[0].Status == wire.StatusEmpty {
-			break
-		}
-		if res[0].Status != wire.StatusOK {
-			return fmt.Errorf("final drain status %v", res[0].Status)
-		}
-		if h.golden.Len() == 0 {
-			return fmt.Errorf("final drain returned value %d beyond the reference — duplicated apply", res[0].Value)
-		}
-		if want := h.golden.PopMin(); res[0].Value != want.Value {
-			return fmt.Errorf("final drain value %d, reference says %d", res[0].Value, want.Value)
-		}
-		n++
-	}
-	if h.golden.Len() != 0 {
-		return fmt.Errorf("engine empty but reference holds %d elements — acked-op loss", h.golden.Len())
-	}
-	h.ev.FinalDrain = n
+	s.ev.KillCycles++
 	return nil
 }
 
@@ -402,35 +328,14 @@ func main() {
 		return
 	}
 
-	geom := engine.Config{Shards: *shards, Order: 2, Levels: *levels}
-
-	ev := &evidence{Schema: "bmwchaos/v1", Faults: map[string]int{}}
-	incRoot := filepath.Join(*evDir, "incidents")
-	if err := os.MkdirAll(incRoot, 0o755); err != nil {
-		fatalf("incident dir: %v", err)
-	}
-	start := time.Now()
-	runErr := run(geom, *faults, *kills, *stall, *budget, *seed, *verbose, incRoot, ev)
-	ev.DurationMs = float64(time.Since(start).Microseconds()) / 1000
-	if err := auditBundles(incRoot, *kills, ev); err != nil && runErr == nil {
-		runErr = err
-	} else if err != nil {
-		ev.Errors = append(ev.Errors, err.Error())
-	}
-	if runErr != nil {
-		ev.Result = "fail"
-		ev.Errors = append(ev.Errors, runErr.Error())
-	} else {
-		ev.Result = "pass"
-	}
-
-	if err := os.MkdirAll(*evDir, 0o755); err != nil {
-		fatalf("evidence dir: %v", err)
-	}
-	path := filepath.Join(*evDir, "bmwchaos.json")
-	b, _ := json.MarshalIndent(ev, "", "  ")
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		fatalf("write evidence: %v", err)
+	ev, runErr := run(config{
+		faults: *faults, kills: *kills,
+		geom:  engine.Config{Shards: *shards, Order: 2, Levels: *levels},
+		stall: *stall, budget: *budget, seed: *seed, evDir: *evDir, verbose: *verbose,
+	})
+	path, err := harness.WriteEvidence(*evDir, "bmwchaos.json", ev)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	fmt.Printf("bmwchaos: %s — %d fault(s), %d kill cycle(s), %d acked pushes, %d acked pops, %d incident bundle(s), evidence in %s\n",
 		ev.Result, sumFaults(ev), ev.KillCycles,
@@ -513,36 +418,56 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func run(geom engine.Config, faults, kills int, stall, budget time.Duration, seed int64, verbose bool, incRoot string, ev *evidence) error {
-	h := &harness{
-		geom:    geom,
-		rng:     rand.New(rand.NewSource(seed)),
-		golden:  refpq.New(),
+// run plays the scenario, audits the incident bundles and returns the
+// evidence, whose Result is "pass" exactly when the error is nil.
+func run(cfg config) (*evidence, error) {
+	ev := &evidence{Schema: "bmwchaos/v1", Faults: map[string]int{}}
+	s := &scenario{
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.seed)),
+		golden:  harness.NewLockstep(),
 		ev:      ev,
-		incRoot: incRoot,
+		incRoot: filepath.Join(cfg.evDir, "incidents"),
 	}
-	if verbose {
-		h.log = slog.NewTextHandler(os.Stderr, nil)
+	if cfg.verbose {
+		s.log = slog.NewTextHandler(os.Stderr, nil)
+	}
+	start := time.Now()
+	runErr := s.run()
+	ev.DurationMs = float64(time.Since(start).Microseconds()) / 1000
+	if err := auditBundles(s.incRoot, cfg.kills, ev); err != nil && runErr == nil {
+		runErr = err
+	} else if err != nil {
+		ev.Errors = append(ev.Errors, err.Error())
+	}
+	if runErr != nil {
+		ev.Result = "fail"
+		ev.Errors = append(ev.Errors, runErr.Error())
+	} else {
+		ev.Result = "pass"
+	}
+	return ev, runErr
+}
+
+func (s *scenario) run() error {
+	if err := os.MkdirAll(s.incRoot, 0o755); err != nil {
+		return fmt.Errorf("incident dir: %w", err)
+	}
+	defer s.pair.Kill()
+	prim, err := s.start("")
+	if err != nil {
+		return err
+	}
+	s.pair.Primary = prim
+	if s.pair.Standby, err = s.start(prim.Addr()); err != nil {
+		return err
 	}
 
-	prim, err := h.start("")
+	proxy, err := startProxy(prim.Addr(), s.cfg.stall)
 	if err != nil {
 		return err
 	}
-	h.prim = prim
-	defer func() { h.prim.Kill() }()
-	standby, err := h.start(prim.Addr())
-	if err != nil {
-		return err
-	}
-	h.standby = standby
-	defer func() { h.standby.Kill() }()
-
-	proxy, err := startProxy(prim.Addr(), stall)
-	if err != nil {
-		return err
-	}
-	h.proxy = proxy
+	s.proxy = proxy
 	defer proxy.ln.Close()
 
 	rc, err := wire.NewResilientClient(wire.ResilientOptions{
@@ -558,46 +483,54 @@ func run(geom engine.Config, faults, kills int, stall, budget time.Duration, see
 	if err != nil {
 		return err
 	}
-	h.rc = rc
+	s.rc = rc
 	defer rc.Close()
 	defer func() {
-		s := rc.Stats()
-		ev.ClientStats = map[string]int64{
-			"retries": int64(s.Retries), "timeouts": int64(s.Timeouts),
-			"reconnects": int64(s.Reconnects), "failovers": int64(s.Failovers),
-			"dedup_misses": int64(s.DedupMisses),
+		st := rc.Stats()
+		s.ev.ClientStats = map[string]int64{
+			"retries": int64(st.Retries), "timeouts": int64(st.Timeouts),
+			"reconnects": int64(st.Reconnects), "failovers": int64(st.Failovers),
+			"dedup_misses": int64(st.DedupMisses),
 		}
-		ev.ProxyConns = h.proxy.totalConns.Load()
-		ev.AckedPushes = h.pushes
-		ev.AckedPops = h.pops
+		s.ev.ProxyConns = proxy.totalConns.Load()
+		s.ev.AckedPushes = s.golden.Pushes
+		s.ev.AckedPops = s.golden.Pops
 	}()
 
-	if err := h.waitReplicated(); err != nil {
+	if err := s.pair.WaitReplicated(); err != nil {
 		return err
 	}
 	// Warm-up traffic in lockstep before any fault.
 	for i := 0; i < 100; i++ {
-		if err := h.oneOp(); err != nil {
+		if err := s.oneOp(); err != nil {
 			return fmt.Errorf("warm-up: %w", err)
 		}
 	}
 
-	if err := h.faultPhase(faults); err != nil {
+	if err := s.faultPhase(s.cfg.faults); err != nil {
 		return err
 	}
-	for c := 1; c <= kills; c++ {
-		if err := h.killCycle(c, budget); err != nil {
+	for c := 1; c <= s.cfg.kills; c++ {
+		if err := s.killCycle(c); err != nil {
 			return err
 		}
 	}
-	if err := h.waitReplicated(); err != nil {
+	if err := s.pair.WaitReplicated(); err != nil {
 		return err
 	}
-	if err := h.finalDrain(); err != nil {
+	n, err := s.golden.Drain(func() (wire.Result, error) {
+		res, err := rc.Do([]wire.Op{{Kind: wire.OpPop}})
+		if err != nil {
+			return wire.Result{}, err
+		}
+		return res[0], nil
+	})
+	s.ev.FinalDrain = n
+	if err != nil {
 		return err
 	}
-	if s := rc.Stats(); s.DedupMisses > 0 {
-		return fmt.Errorf("%d dedup misses — indeterminate acked-op outcomes", s.DedupMisses)
+	if st := rc.Stats(); st.DedupMisses > 0 {
+		return fmt.Errorf("%d dedup misses — indeterminate acked-op outcomes", st.DedupMisses)
 	}
 	return nil
 }

@@ -27,21 +27,18 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"net"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/node"
-	"repro/internal/refpq"
-	"repro/internal/wire"
 )
 
 func fatalf(format string, args ...any) {
@@ -53,11 +50,11 @@ func fatalf(format string, args ...any) {
 // listener — the listeners exist before the map so the map can name
 // their addresses. A group's standby follows its primary and holds the
 // live map too, so promotion can mint its successor.
-func (h *harness) start(m *cluster.Map, id uint32, follow string, ln net.Listener) (*node.Node, error) {
+func (s *scenario) start(m *cluster.Map, id uint32, follow string, ln net.Listener) (*node.Node, error) {
 	return node.Start(node.Config{
-		Engine:         h.geom,
+		Engine:         s.cfg.geom,
 		Listener:       ln,
-		Log:            h.log,
+		Log:            s.log,
 		ClusterMap:     m,
 		ClusterNode:    id,
 		GossipInterval: 100 * time.Millisecond,
@@ -68,11 +65,11 @@ func (h *harness) start(m *cluster.Map, id uint32, follow string, ln net.Listene
 	})
 }
 
-// group is one replica group: the serving head plus its standby.
+// group is one replica group: the serving head plus its standby, nil
+// once promoted.
 type group struct {
-	id      uint32
-	prim    *node.Node
-	standby *node.Node // nil once promoted
+	id uint32
+	harness.Pair
 }
 
 // evidence is the bmwcluster/v1 result document.
@@ -98,97 +95,60 @@ type evidence struct {
 	DurationMs      float64           `json:"duration_ms"`
 }
 
-// harness owns the cluster's moving parts and the golden lockstep
-// state.
-type harness struct {
-	geom   engine.Config
+// config is one run's flags.
+type config struct {
+	geom        engine.Config
+	mode        cluster.Mode
+	nodes, ops  int
+	kill, rebal bool
+	seed        int64
+	verbose     bool
+}
+
+// scenario owns the cluster's moving parts and the golden lockstep.
+type scenario struct {
+	cfg    config
 	rng    *rand.Rand
 	cl     *cluster.Client
-	golden *refpq.Queue
+	golden *harness.Lockstep
 	groups []*group
 	ev     *evidence
 	log    slog.Handler // nil unless -v
-	pushes uint64
-	pops   uint64
 }
 
-func (h *harness) logf(format string, args ...any) {
-	if h.log != nil {
+func (s *scenario) logf(format string, args ...any) {
+	if s.log != nil {
 		fmt.Fprintf(os.Stderr, "bmwcluster: "+format+"\n", args...)
 	}
 }
 
 // oneOp issues one op through the routing client and applies its
-// acked outcome to the golden queue, failing on any divergence.
-func (h *harness) oneOp() error {
-	push := h.golden.Len() == 0 || h.rng.Float64() < 0.55
-	if push {
-		v := h.rng.Uint64() >> 34 // 30-bit rank, matching the map's RankBits
-		meta := h.pushes
-		r, err := h.cl.Push(v, meta)
+// acked outcome to the golden lockstep, failing on any divergence.
+func (s *scenario) oneOp() error {
+	if s.golden.Len() == 0 || s.rng.Float64() < 0.55 {
+		v, meta := s.rng.Uint64()>>34, s.golden.Pushes // 30-bit rank, matching the map's RankBits
+		r, err := s.cl.Push(v, meta)
 		if err != nil {
 			return fmt.Errorf("push failed permanently: %w", err)
 		}
-		switch r.Status {
-		case wire.StatusOK:
-			h.golden.Push(refpq.Entry{Value: v, Meta: meta})
-			h.pushes++
-		case wire.StatusFull, wire.StatusBackpressure, wire.StatusOverloaded:
-			// Acked as not-applied.
-		default:
-			return fmt.Errorf("push acked with status %v", r.Status)
-		}
-		return nil
+		return s.golden.Push(v, meta, r.Status)
 	}
-	r, err := h.cl.PopMin()
+	r, err := s.cl.PopMin()
 	if err != nil {
 		return fmt.Errorf("pop failed permanently: %w", err)
 	}
-	switch {
-	case r.Status == wire.StatusOK:
-		if h.golden.Len() == 0 {
-			return fmt.Errorf("pop returned value %d from an empty reference queue — duplicated apply", r.Value)
-		}
-		want := h.golden.PopMin()
-		if r.Value != want.Value {
-			return fmt.Errorf("pop returned value %d, reference says %d — global order broken", r.Value, want.Value)
-		}
-		h.pops++
-	case r.Status == wire.StatusEmpty:
-		if h.golden.Len() != 0 {
-			return fmt.Errorf("pop says empty, reference holds %d — acked-op loss", h.golden.Len())
-		}
-	default:
-		return fmt.Errorf("pop acked with status %v", r.Status)
-	}
-	return nil
-}
-
-// waitReplicated blocks until g's standby has acknowledged the
-// primary's full log.
-func (h *harness) waitReplicated(g *group) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if tip := g.prim.Repl().LogSeq(); g.prim.Repl().AckSeq() == tip && g.standby.Repl().Ready() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("node %d standby never caught up: ack %d, tip %d",
-				g.id, g.prim.Repl().AckSeq(), g.prim.Repl().LogSeq())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return s.golden.Pop(r)
 }
 
 // waitMapSpread blocks until every live member's state holds a map at
 // or past version, and returns how long the spread took.
-func (h *harness) waitMapSpread(version uint64) (time.Duration, error) {
+func (s *scenario) waitMapSpread(version uint64) (time.Duration, error) {
 	t0 := time.Now()
 	deadline := t0.Add(15 * time.Second)
 	for {
 		behind := 0
-		for _, g := range h.groups {
-			for _, mb := range []*node.Node{g.prim, g.standby} {
+		for _, g := range s.groups {
+			for _, mb := range []*node.Node{g.Primary, g.Standby} {
 				if mb != nil && mb.Cluster().Version() < version {
 					behind++
 				}
@@ -205,50 +165,47 @@ func (h *harness) waitMapSpread(version uint64) (time.Duration, error) {
 }
 
 // killCycle kills one group's primary mid-stream: the standby
-// promotes (minting map version+1 with its epoch bumped), gossip
-// spreads the successor map, and the client converges with zero
-// acked-op loss — all verified by the lockstep staying intact.
-func (h *harness) killCycle(g *group) error {
+// promotes at the replicated tip (minting map version+1 with its epoch
+// bumped), gossip spreads the successor map, and the client converges
+// with zero acked-op loss — all verified by the lockstep staying
+// intact.
+func (s *scenario) killCycle(g *group) error {
 	for i := 0; i < 50; i++ {
-		if err := h.oneOp(); err != nil {
+		if err := s.oneOp(); err != nil {
 			return fmt.Errorf("pre-kill: %w", err)
 		}
 	}
-	if err := h.waitReplicated(g); err != nil {
-		return err
-	}
-	wantVer := g.standby.Cluster().Version() + 1
+	wantVer := g.Standby.Cluster().Version() + 1
 
-	h.logf("killing node %d primary %s", g.id, g.prim.Addr())
-	g.prim.Kill()
-	t0 := time.Now()
-	g.standby.Promote()
-	g.prim = g.standby
-	g.standby = nil
+	s.logf("killing node %d primary %s", g.id, g.Primary.Addr())
+	_, killed, err := g.Failover()
+	if err != nil {
+		return fmt.Errorf("node %d: %w", g.id, err)
+	}
 
 	// The client is not told: its per-node connection must fail over to
 	// the standby on its own, and the first post-kill op lands once
 	// promotion finishes serving.
-	if err := h.oneOp(); err != nil {
+	if err := s.oneOp(); err != nil {
 		return fmt.Errorf("post-promotion: %w", err)
 	}
-	failover := time.Since(t0)
-	h.ev.FailoverMs = append(h.ev.FailoverMs, float64(failover.Microseconds())/1000)
-	h.ev.KillCycles++
+	failover := time.Since(killed)
+	s.ev.FailoverMs = append(s.ev.FailoverMs, float64(failover.Microseconds())/1000)
+	s.ev.KillCycles++
 
-	if got := g.prim.Cluster().Version(); got != wantVer {
+	if got := g.Primary.Cluster().Version(); got != wantVer {
 		return fmt.Errorf("promotion minted map version %d, want %d", got, wantVer)
 	}
-	h.ev.PromotedVersion = wantVer
-	spread, err := h.waitMapSpread(wantVer)
+	s.ev.PromotedVersion = wantVer
+	spread, err := s.waitMapSpread(wantVer)
 	if err != nil {
 		return err
 	}
-	h.ev.GossipSpreadMs = append(h.ev.GossipSpreadMs, float64(spread.Microseconds())/1000)
-	h.logf("failover in %v, map version %d spread in %v", failover, wantVer, spread)
+	s.ev.GossipSpreadMs = append(s.ev.GossipSpreadMs, float64(spread.Microseconds())/1000)
+	s.logf("failover in %v, map version %d spread in %v", failover, wantVer, spread)
 
 	for i := 0; i < 50; i++ {
-		if err := h.oneOp(); err != nil {
+		if err := s.oneOp(); err != nil {
 			return fmt.Errorf("post-failover traffic: %w", err)
 		}
 	}
@@ -260,8 +217,8 @@ func (h *harness) killCycle(g *group) error {
 // pushes must re-route via StatusNotOwner redirects (elements already
 // queued under the old bands stay put — the strict merge drains them
 // from wherever they sit).
-func (h *harness) rebalance() error {
-	cur, err := cluster.FetchMap(h.groups[0].prim.Addr(), 0, 2*time.Second)
+func (s *scenario) rebalance() error {
+	cur, err := cluster.FetchMap(s.groups[0].Primary.Addr(), 0, 2*time.Second)
 	if err != nil {
 		return fmt.Errorf("rebalance: fetch map: %w", err)
 	}
@@ -287,62 +244,32 @@ func (h *harness) rebalance() error {
 	if err := next.Validate(); err != nil {
 		return fmt.Errorf("rebalance: bad successor map: %w", err)
 	}
-	if _, err := cluster.OfferMap(h.groups[0].prim.Addr(), next, 2*time.Second); err != nil {
+	if _, err := cluster.OfferMap(s.groups[0].Primary.Addr(), next, 2*time.Second); err != nil {
 		return fmt.Errorf("rebalance: offer: %w", err)
 	}
-	spread, err := h.waitMapSpread(next.Version)
+	spread, err := s.waitMapSpread(next.Version)
 	if err != nil {
 		return err
 	}
-	h.ev.RebalanceVer = next.Version
-	h.ev.GossipSpreadMs = append(h.ev.GossipSpreadMs, float64(spread.Microseconds())/1000)
-	h.logf("rebalance map version %d spread in %v", next.Version, spread)
+	s.ev.RebalanceVer = next.Version
+	s.ev.GossipSpreadMs = append(s.ev.GossipSpreadMs, float64(spread.Microseconds())/1000)
+	s.logf("rebalance map version %d spread in %v", next.Version, spread)
 
 	// Traffic across the moved boundaries: the client still routes by
 	// the old map until a refused push teaches it otherwise.
-	before := h.cl.Stats().Redirects
+	before := s.cl.Stats().Redirects
 	for i := 0; i < 200; i++ {
-		if err := h.oneOp(); err != nil {
+		if err := s.oneOp(); err != nil {
 			return fmt.Errorf("post-rebalance traffic: %w", err)
 		}
 	}
-	after := h.cl.Stats()
+	after := s.cl.Stats()
 	if after.Redirects == before {
 		return fmt.Errorf("rebalance moved every boundary but the client saw no StatusNotOwner redirect")
 	}
 	if after.MapVersion < next.Version {
 		return fmt.Errorf("client holds map version %d after redirects, want >= %d", after.MapVersion, next.Version)
 	}
-	return nil
-}
-
-// finalDrain pops the whole cluster through the strict merge and
-// checks the full global sequence against the reference queue.
-func (h *harness) finalDrain() error {
-	n := 0
-	for {
-		r, err := h.cl.PopMin()
-		if err != nil {
-			return fmt.Errorf("final drain: %w", err)
-		}
-		if r.Status == wire.StatusEmpty {
-			break
-		}
-		if r.Status != wire.StatusOK {
-			return fmt.Errorf("final drain status %v", r.Status)
-		}
-		if h.golden.Len() == 0 {
-			return fmt.Errorf("final drain returned value %d beyond the reference — duplicated apply", r.Value)
-		}
-		if want := h.golden.PopMin(); r.Value != want.Value {
-			return fmt.Errorf("final drain value %d, reference says %d — global order broken", r.Value, want.Value)
-		}
-		n++
-	}
-	if h.golden.Len() != 0 {
-		return fmt.Errorf("cluster empty but reference holds %d elements — acked-op loss", h.golden.Len())
-	}
-	h.ev.FinalDrain = n
 	return nil
 }
 
@@ -365,26 +292,14 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	geom := engine.Config{Shards: *shards, Order: 2, Levels: *levels}
-
-	ev := &evidence{Schema: "bmwcluster/v1", Nodes: *nodes, Mode: clMode.String(), Ops: *ops}
-	start := time.Now()
-	runErr := run(geom, clMode, *nodes, *ops, *kill, *rebal, *seed, *verbose, ev)
-	ev.DurationMs = float64(time.Since(start).Microseconds()) / 1000
-	if runErr != nil {
-		ev.Result = "fail"
-		ev.Errors = append(ev.Errors, runErr.Error())
-	} else {
-		ev.Result = "pass"
-	}
-
-	if err := os.MkdirAll(*evDir, 0o755); err != nil {
-		fatalf("evidence dir: %v", err)
-	}
-	path := filepath.Join(*evDir, "bmwcluster.json")
-	b, _ := json.MarshalIndent(ev, "", "  ")
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		fatalf("write evidence: %v", err)
+	ev, runErr := run(config{
+		geom: engine.Config{Shards: *shards, Order: 2, Levels: *levels},
+		mode: clMode, nodes: *nodes, ops: *ops,
+		kill: *kill, rebal: *rebal, seed: *seed, verbose: *verbose,
+	})
+	path, err := harness.WriteEvidence(*evDir, "bmwcluster.json", ev)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	fmt.Printf("bmwcluster: %s — %d node(s), %d acked pushes, %d acked pops, %d kill cycle(s), %d redirect(s), %d drained, evidence in %s\n",
 		ev.Result, ev.Nodes, ev.AckedPushes, ev.AckedPops, ev.KillCycles, ev.Redirects, ev.FinalDrain, path)
@@ -393,22 +308,37 @@ func main() {
 	}
 }
 
-func run(geom engine.Config, clMode cluster.Mode, nodes, ops int, kill, rebal bool, seed int64, verbose bool, ev *evidence) error {
-	h := &harness{
-		geom:   geom,
-		rng:    rand.New(rand.NewSource(seed)),
-		golden: refpq.New(),
+// run plays the scenario and returns the evidence, whose Result is
+// "pass" exactly when the error is nil.
+func run(cfg config) (*evidence, error) {
+	ev := &evidence{Schema: "bmwcluster/v1", Nodes: cfg.nodes, Mode: cfg.mode.String(), Ops: cfg.ops}
+	s := &scenario{
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.seed)),
+		golden: harness.NewLockstep(),
 		ev:     ev,
 	}
-	if verbose {
-		h.log = slog.NewTextHandler(os.Stderr, nil)
+	if cfg.verbose {
+		s.log = slog.NewTextHandler(os.Stderr, nil)
 	}
+	start := time.Now()
+	err := s.run()
+	ev.DurationMs = float64(time.Since(start).Microseconds()) / 1000
+	if err != nil {
+		ev.Result = "fail"
+		ev.Errors = append(ev.Errors, err.Error())
+	} else {
+		ev.Result = "pass"
+	}
+	return ev, err
+}
 
+func (s *scenario) run() error {
 	// Listeners first: the map names real addresses, so every port is
 	// bound before the map that advertises it exists.
 	const rankBits = 30
 	type pair struct{ prim, standby net.Listener }
-	lns := make([]pair, nodes)
+	lns := make([]pair, s.cfg.nodes)
 	for i := range lns {
 		for _, which := range []*net.Listener{&lns[i].prim, &lns[i].standby} {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -419,15 +349,15 @@ func run(geom engine.Config, clMode cluster.Mode, nodes, ops int, kill, rebal bo
 			defer ln.Close()
 		}
 	}
-	m := &cluster.Map{Version: 1, Mode: clMode}
+	m := &cluster.Map{Version: 1, Mode: s.cfg.mode}
 	span := uint64(1) << rankBits
-	if clMode == cluster.ModeRank {
+	if s.cfg.mode == cluster.ModeRank {
 		m.RankBits = rankBits
 	} else {
 		span = 0 // full 64-bit hash space; /nodes below uses wraparound width
 	}
-	width := (span - 1) / uint64(nodes)
-	for i := 0; i < nodes; i++ {
+	width := (span - 1) / uint64(s.cfg.nodes)
+	for i := 0; i < s.cfg.nodes; i++ {
 		m.Nodes = append(m.Nodes, cluster.Node{
 			ID:    uint32(i + 1),
 			Epoch: 1,
@@ -439,29 +369,22 @@ func run(geom engine.Config, clMode cluster.Mode, nodes, ops int, kill, rebal bo
 		return fmt.Errorf("bootstrap map: %w", err)
 	}
 
-	for i := 0; i < nodes; i++ {
-		id := uint32(i + 1)
-		prim, err := h.start(m, id, "", lns[i].prim)
+	for i := 0; i < s.cfg.nodes; i++ {
+		g := &group{id: uint32(i + 1)}
+		defer g.Kill()
+		prim, err := s.start(m, g.id, "", lns[i].prim)
 		if err != nil {
 			return err
 		}
-		g := &group{id: id, prim: prim}
-		h.groups = append(h.groups, g)
-		defer func() { g.prim.Kill() }()
-		standby, err := h.start(m, id, prim.Addr(), lns[i].standby)
-		if err != nil {
+		g.Primary = prim
+		s.groups = append(s.groups, g)
+		if g.Standby, err = s.start(m, g.id, prim.Addr(), lns[i].standby); err != nil {
 			return err
 		}
-		g.standby = standby
-		defer func() {
-			if g.standby != nil {
-				g.standby.Kill()
-			}
-		}()
 	}
-	for _, g := range h.groups {
-		if err := h.waitReplicated(g); err != nil {
-			return err
+	for _, g := range s.groups {
+		if err := g.WaitReplicated(); err != nil {
+			return fmt.Errorf("node %d: %w", g.id, err)
 		}
 	}
 
@@ -474,46 +397,47 @@ func run(geom engine.Config, clMode cluster.Mode, nodes, ops int, kill, rebal bo
 	if err != nil {
 		return err
 	}
-	h.cl = cl
+	s.cl = cl
 	defer cl.Close()
 	defer func() {
-		s := cl.Stats()
-		ev.Redirects = s.Redirects
-		ev.MapRefreshes = s.MapRefreshes
-		ev.ClientMapVer = s.MapVersion
-		ev.AckedPushes = h.pushes
-		ev.AckedPops = h.pops
-		ev.PerNodeOps = map[string]uint64{}
-		for id, ns := range s.PerNode {
-			ev.PerNodeOps[fmt.Sprintf("node%d", id)] = ns.Ops
+		st := cl.Stats()
+		s.ev.Redirects = st.Redirects
+		s.ev.MapRefreshes = st.MapRefreshes
+		s.ev.ClientMapVer = st.MapVersion
+		s.ev.AckedPushes = s.golden.Pushes
+		s.ev.AckedPops = s.golden.Pops
+		s.ev.PerNodeOps = map[string]uint64{}
+		for id, ns := range st.PerNode {
+			s.ev.PerNodeOps[fmt.Sprintf("node%d", id)] = ns.Ops
 		}
 	}()
 
 	// Main mixed-traffic phase in golden lockstep.
-	for i := 0; i < ops; i++ {
-		if err := h.oneOp(); err != nil {
+	for i := 0; i < s.cfg.ops; i++ {
+		if err := s.oneOp(); err != nil {
 			return fmt.Errorf("op %d: %w", i, err)
 		}
 	}
 
-	if kill {
+	if s.cfg.kill {
 		// Kill the middle group: its band has neighbours on both sides,
 		// so post-failover routing and merging cross it.
-		if err := h.killCycle(h.groups[len(h.groups)/2]); err != nil {
+		if err := s.killCycle(s.groups[len(s.groups)/2]); err != nil {
 			return err
 		}
 	}
-	if rebal {
-		if err := h.rebalance(); err != nil {
+	if s.cfg.rebal {
+		if err := s.rebalance(); err != nil {
 			return err
 		}
 	}
-	for _, g := range h.groups {
-		if g.standby != nil {
-			if err := h.waitReplicated(g); err != nil {
-				return err
+	for _, g := range s.groups {
+		if g.Standby != nil {
+			if err := g.WaitReplicated(); err != nil {
+				return fmt.Errorf("node %d: %w", g.id, err)
 			}
 		}
 	}
-	return h.finalDrain()
+	s.ev.FinalDrain, err = s.golden.Drain(cl.PopMin)
+	return err
 }

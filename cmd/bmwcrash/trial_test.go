@@ -49,3 +49,17 @@ func TestKillTrialBudgetSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestManifestTrials runs the manifest kill-point family through all
+// three damage modes twice (torn prefix, rotted byte, tmp file left
+// behind): every damaged ENGINE.json must be refused typed and the
+// tmp-left-behind case must restore cleanly.
+func TestManifestTrials(t *testing.T) {
+	failed, err := manifestTrials(t.TempDir(), 6, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed != 0 {
+		t.Fatalf("%d refusal failure(s), want 0", failed)
+	}
+}

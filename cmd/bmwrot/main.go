@@ -25,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -36,6 +35,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -192,15 +192,12 @@ func run(corruptions, shards, ops int, seed int64, evDir string, verbose bool) e
 	}
 	ev.Pass = ev.Escapes == 0 && ev.Failures == 0
 
-	if err := os.MkdirAll(evDir, 0o755); err != nil {
-		return err
-	}
-	b, _ := json.MarshalIndent(ev, "", "  ")
-	if err := os.WriteFile(filepath.Join(evDir, "bmwrot.json"), append(b, '\n'), 0o644); err != nil {
+	path, err := harness.WriteEvidence(evDir, "bmwrot.json", ev)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("bmwrot: %d corruptions, %d classes, %d escapes, %d failures → %s\n",
-		corruptions, len(ev.ByClass), ev.Escapes, ev.Failures, filepath.Join(evDir, "bmwrot.json"))
+		corruptions, len(ev.ByClass), ev.Escapes, ev.Failures, path)
 	if !ev.Pass {
 		return fmt.Errorf("%d escapes, %d failures", ev.Escapes, ev.Failures)
 	}

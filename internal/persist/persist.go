@@ -49,16 +49,6 @@ type Op struct {
 	Meta  uint64
 }
 
-// ToHW converts the logged operation to a cycle simulator's per-cycle
-// external signal. For a pop the logged Value/Meta are the audit
-// record, not an input, and are not carried.
-func (o Op) ToHW() hw.Op {
-	if o.Kind == hw.Push {
-		return hw.Op{Kind: hw.Push, Value: o.Value, Meta: o.Meta}
-	}
-	return hw.Op{Kind: o.Kind}
-}
-
 // Checkpointable is the surface a queue exposes to the persistence
 // layer. The software BMW-Tree (core.Tree) implements it.
 type Checkpointable interface {
