@@ -244,44 +244,6 @@ func TestApproximateQueuesViaPublicAPI(t *testing.T) {
 	})
 }
 
-// TestSIMDPQViaPublicAPI drives the systolic queue through the shared
-// CycleSim contract at one op per cycle.
-func TestSIMDPQViaPublicAPI(t *testing.T) {
-	var s bmw.CycleSim = bmw.NewSIMDPQ(128)
-	for i := 0; i < 64; i++ {
-		if _, err := s.Tick(bmw.PushOp(uint64((i*37)%100), uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var prev uint64
-	for i := 0; i < 64; i++ {
-		e, err := s.Tick(bmw.PopOp())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && e.Value < prev {
-			t.Fatal("unsorted")
-		}
-		prev = e.Value
-	}
-	if s.Cycle() != 128 {
-		t.Fatalf("cycles = %d, want one op per cycle", s.Cycle())
-	}
-}
-
-// TestPIEOViaPublicAPI checks smallest-eligible-first extraction.
-func TestPIEOViaPublicAPI(t *testing.T) {
-	l := bmw.NewPIEO(8)
-	l.Push(bmw.PIEOEntry{Rank: 1, Eligible: 50, Meta: 1})
-	l.Push(bmw.PIEOEntry{Rank: 9, Eligible: 0, Meta: 2})
-	if e, ok := l.ExtractEligible(10); !ok || e.Meta != 2 {
-		t.Fatalf("extract = %v,%v", e, ok)
-	}
-	if e, ok := l.ExtractEligible(60); !ok || e.Meta != 1 {
-		t.Fatalf("extract = %v,%v", e, ok)
-	}
-}
-
 // TestSchedulerTreeViaPublicAPI builds a two-class HPFQ hierarchy over
 // BMW-Trees.
 func TestSchedulerTreeViaPublicAPI(t *testing.T) {
@@ -306,61 +268,6 @@ func TestSchedulerTreeViaPublicAPI(t *testing.T) {
 	}
 	if counts[1] != 10 || counts[2] != 10 {
 		t.Fatalf("shares = %v", counts)
-	}
-}
-
-// TestDRRViaPublicAPI checks byte fairness through the facade.
-func TestDRRViaPublicAPI(t *testing.T) {
-	d := bmw.NewDRR(1500, 256)
-	for i := 0; i < 20; i++ {
-		d.Enqueue(1, 1500, nil)
-		d.Enqueue(2, 750, nil)
-		d.Enqueue(2, 750, nil)
-	}
-	bytes := map[uint32]uint64{}
-	for i := 0; i < 30; i++ {
-		id, n, _, err := d.Dequeue()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytes[id] += uint64(n)
-	}
-	ratio := float64(bytes[1]) / float64(bytes[2])
-	if ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("byte fairness broken: %v", bytes)
-	}
-}
-
-// TestTrafficManagerViaPublicAPI wires BMW-Tree-backed ports into the
-// multi-port TM.
-func TestTrafficManagerViaPublicAPI(t *testing.T) {
-	tmgr := bmw.NewTrafficManager(bmw.TMConfig{
-		Ports:       4,
-		BufferBytes: 1 << 20,
-		NewScheduler: func(port int) bmw.PriorityQueue {
-			return bmw.NewBMWTree(2, 8)
-		},
-		NewRanker: func(port int) bmw.Ranker { return bmw.NewSTFQ(1) },
-	})
-	for port := 0; port < 4; port++ {
-		for i := 0; i < 5; i++ {
-			if err := tmgr.Enqueue(port, bmw.Packet{Flow: uint32(i), Bytes: 1000}, port*100+i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if tmgr.TotalLen() != 20 {
-		t.Fatalf("TotalLen = %d", tmgr.TotalLen())
-	}
-	for port := 0; port < 4; port++ {
-		for i := 0; i < 5; i++ {
-			if _, _, err := tmgr.Dequeue(port); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if tmgr.BufferUsed() != 0 {
-		t.Fatalf("BufferUsed = %d after full drain", tmgr.BufferUsed())
 	}
 }
 

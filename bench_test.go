@@ -444,44 +444,6 @@ func BenchmarkExtension_HierarchyThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkExtension_SIMDPQ measures the systolic queue's software
-// cost per cycle (each Tick sweeps the array once).
-func BenchmarkExtension_SIMDPQ(b *testing.B) {
-	s := bmw.NewSIMDPQ(3000) // the design point the paper quotes
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1500; i++ {
-		s.Tick(bmw.PushOp(uint64(rng.Intn(1<<16)), 0))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			s.Tick(bmw.PushOp(uint64(rng.Intn(1<<16)), 0))
-		} else {
-			s.Tick(bmw.PopOp())
-		}
-	}
-}
-
-// BenchmarkExtension_TrafficManager measures multi-port TM
-// enqueue+dequeue with BMW-Tree-backed ports.
-func BenchmarkExtension_TrafficManager(b *testing.B) {
-	tmgr := bmw.NewTrafficManager(bmw.TMConfig{
-		Ports:        8,
-		NewScheduler: func(int) bmw.PriorityQueue { return bmw.NewBMWTree(2, 11) },
-		NewRanker:    func(int) bmw.Ranker { return bmw.NewSTFQ(1) },
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		port := i % 8
-		if err := tmgr.Enqueue(port, bmw.Packet{Flow: uint32(i % 64), Bytes: 1500}, nil); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := tmgr.Dequeue(port); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblation_OperationHiding quantifies the Section 5.2.2-5.2.3
 // optimisations: the plain sequential RPU (Section 5.2.1) needs 9
 // cycles per push-pop pair; combinational logic plus operation hiding

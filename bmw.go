@@ -33,14 +33,12 @@ import (
 	"repro/internal/asic"
 	"repro/internal/calendarq"
 	"repro/internal/core"
-	"repro/internal/drr"
 	"repro/internal/fpga"
 	"repro/internal/gearbox"
 	"repro/internal/hsched"
 	"repro/internal/hw"
 	"repro/internal/netsim"
 	"repro/internal/pheap"
-	"repro/internal/pieo"
 	"repro/internal/pifo"
 	"repro/internal/pifoblock"
 	"repro/internal/pipeheap"
@@ -48,10 +46,8 @@ import (
 	"repro/internal/refpq"
 	"repro/internal/rpubmw"
 	"repro/internal/sched"
-	"repro/internal/simdpq"
 	"repro/internal/sppifo"
 	"repro/internal/stats"
-	"repro/internal/tm"
 	"repro/internal/trafficgen"
 )
 
@@ -122,19 +118,6 @@ func NewGearbox(gears, buckets int, width uint64, capacity int) *gearbox.Queue {
 	return gearbox.New(gears, buckets, width, capacity)
 }
 
-// NewSIMDPQ returns the systolic-array priority queue of Benacer et
-// al. (Section 7.2): exact, one operation per cycle, but register-
-// bound in scale. It implements CycleSim.
-func NewSIMDPQ(capacity int) *simdpq.Sim { return simdpq.New(capacity) }
-
-// PIEOEntry is one element of a PIEO list: rank plus eligibility time.
-type PIEOEntry = pieo.Entry
-
-// NewPIEO returns a PIEO list (Shrivastav, SIGCOMM 2019 — Section
-// 7.1): extract the smallest-ranked *eligible* element, expressing
-// non-work-conserving schedules natively.
-func NewPIEO(capacity int) *pieo.List { return pieo.New(capacity) }
-
 // SchedulerTree is a hierarchy of PIFOs (the scheduling-tree model;
 // the "logical PIFOs" of Figure 1), enabling HPFQ-style policies.
 type SchedulerTree = hsched.Tree
@@ -144,41 +127,6 @@ type SchedulerTree = hsched.Tree
 // with AddNode.
 func NewSchedulerTree(pq PriorityQueue, r Ranker) *SchedulerTree {
 	return hsched.New(pq, r)
-}
-
-// NewDRR returns a Deficit Round Robin scheduler (Shreedhar &
-// Varghese) — the conventional non-programmable fair scheduler the
-// paper's introduction contrasts with PIFO.
-func NewDRR(quantumBytes uint64, capacity int) *drr.Scheduler {
-	return drr.New(quantumBytes, capacity)
-}
-
-// TrafficManager is a multi-port traffic manager of per-port PIFO
-// blocks over a shared packet buffer.
-type TrafficManager = tm.TM
-
-// TMConfig parameterises NewTrafficManager.
-type TMConfig struct {
-	Ports       int
-	BufferBytes uint64 // shared buffer budget (0 = unlimited)
-	PortBytes   uint64 // per-port cap (0 = unlimited)
-
-	// NewScheduler and NewRanker build each port's flow scheduler and
-	// rank policy.
-	NewScheduler func(port int) PriorityQueue
-	NewRanker    func(port int) Ranker
-}
-
-// NewTrafficManager builds the multi-port traffic manager the paper's
-// conclusion positions BMW-Tree for.
-func NewTrafficManager(cfg TMConfig) *TrafficManager {
-	return tm.New(tm.Config{
-		Ports:        cfg.Ports,
-		BufferBytes:  cfg.BufferBytes,
-		PortBytes:    cfg.PortBytes,
-		NewScheduler: func(p int) pifoblock.FlowScheduler { return cfg.NewScheduler(p) },
-		NewRanker:    func(p int) sched.Ranker { return cfg.NewRanker(p) },
-	})
 }
 
 // InversionMeter measures dequeue-order accuracy (see

@@ -53,7 +53,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *replay != "":
-		if err := doReplay(*replay, *queue, *metricsOut); err != nil {
+		if _, err := doReplay(*replay, *queue, *metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -132,14 +132,21 @@ func newQueue(name string) (bmw.PriorityQueue, error) {
 	}
 }
 
+// replayCounts is one replay's tally: accepted pushes, pops, pops that
+// returned more than the reference minimum, and refused pushes.
+type replayCounts struct {
+	pushes, pops, nonMin, drops uint64
+}
+
 // doReplay drives the scheduler with the trace and scores accuracy.
 // With metricsOut, the queue is wrapped in interface-level probes and
 // the final snapshot (push/pop/rejection counts, occupancy highwater,
 // accuracy gauges) is dumped as JSON.
-func doReplay(path, queueName, metricsOut string) error {
+func doReplay(path, queueName, metricsOut string) (replayCounts, error) {
+	var n replayCounts
 	q, err := newQueue(queueName)
 	if err != nil {
-		return err
+		return n, err
 	}
 	var reg *bmw.MetricsRegistry
 	if metricsOut != "" {
@@ -148,12 +155,11 @@ func doReplay(path, queueName, metricsOut string) error {
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return n, err
 	}
 	defer f.Close()
 
 	ref := refpq.New() // exact reference mirror of the queue's contents
-	var pushes, pops, nonMin, drops uint64
 	var meter bmw.InversionMeter
 	t0 := time.Now()
 	sc := bufio.NewScanner(f)
@@ -161,16 +167,16 @@ func doReplay(path, queueName, metricsOut string) error {
 	for sc.Scan() {
 		var o op
 		if err := json.Unmarshal(sc.Bytes(), &o); err != nil {
-			return fmt.Errorf("bad trace line: %w", err)
+			return n, fmt.Errorf("bad trace line: %w", err)
 		}
 		switch o.Kind {
 		case "push":
 			if err := q.Push(bmw.Element{Value: o.Value, Meta: o.Meta}); err != nil {
-				drops++
+				n.drops++
 				continue
 			}
 			ref.Push(refpq.Entry{Value: o.Value, Meta: o.Meta})
-			pushes++
+			n.pushes++
 		case "pop":
 			if ref.Len() == 0 {
 				continue
@@ -180,44 +186,44 @@ func doReplay(path, queueName, metricsOut string) error {
 			if err != nil {
 				continue
 			}
-			pops++
+			n.pops++
 			meter.Observe(e.Value)
 			if e.Value > min {
-				nonMin++
+				n.nonMin++
 			}
 			if !ref.RemoveExact(refpq.Entry{Value: e.Value, Meta: e.Meta}) {
-				return fmt.Errorf("scheduler popped an element it was never given: %+v", e)
+				return n, fmt.Errorf("scheduler popped an element it was never given: %+v", e)
 			}
 		default:
-			return fmt.Errorf("bad trace op %q", o.Kind)
+			return n, fmt.Errorf("bad trace op %q", o.Kind)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return n, err
 	}
 	elapsed := time.Since(t0)
 	fmt.Printf("queue %s: %d pushes, %d pops, %d drops in %v (%.1f Mops/s)\n",
-		queueName, pushes, pops, drops, elapsed.Round(time.Millisecond),
-		float64(pushes+pops)/elapsed.Seconds()/1e6)
+		queueName, n.pushes, n.pops, n.drops, elapsed.Round(time.Millisecond),
+		float64(n.pushes+n.pops)/elapsed.Seconds()/1e6)
 	fmt.Printf("accuracy: %d non-minimal pops (%.2f%%), inversion rate %.2f%%, mean displacement %.1f\n",
-		nonMin, pct(nonMin, pops), 100*meter.Rate(), meter.MeanMagnitude())
-	if nonMin == 0 {
+		n.nonMin, pct(n.nonMin, n.pops), 100*meter.Rate(), meter.MeanMagnitude())
+	if n.nonMin == 0 {
 		fmt.Println("exact PIFO behaviour: every pop returned the current minimum")
 	}
 	if metricsOut != "" {
-		reg.Gauge(queueName + "_non_minimal_pop_pct").Set(pct(nonMin, pops))
+		reg.Gauge(queueName + "_non_minimal_pop_pct").Set(pct(n.nonMin, n.pops))
 		reg.Gauge(queueName + "_inversion_rate_pct").Set(100 * meter.Rate())
 		reg.Gauge(queueName + "_mean_displacement").Set(meter.MeanMagnitude())
 		b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 		if err != nil {
-			return err
+			return n, err
 		}
 		if err := os.WriteFile(metricsOut, append(b, '\n'), 0o644); err != nil {
-			return err
+			return n, err
 		}
 		fmt.Printf("replay metrics written to %s\n", metricsOut)
 	}
-	return nil
+	return n, nil
 }
 
 func pct(a, b uint64) float64 {

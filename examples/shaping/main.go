@@ -1,10 +1,7 @@
-// Shaping: non-work-conserving scheduling two ways.
-//
-// First, the PIFO way (the paper's Section 2.1: Token Bucket as a rank
-// function): ranks are departure times, and the PIFO block's gated
-// dequeue holds the head until its time arrives. Second, the PIEO way
-// (Section 7.1): eligibility times are first-class, and extraction
-// returns the smallest-ranked *eligible* element.
+// Shaping: non-work-conserving scheduling the PIFO way (the paper's
+// Section 2.1: Token Bucket as a rank function). Ranks are departure
+// times, and the PIFO block's gated dequeue holds the head until its
+// time arrives.
 //
 //	go run ./examples/shaping
 package main
@@ -17,7 +14,6 @@ import (
 )
 
 func main() {
-	// --- Token bucket over a PIFO block -------------------------------
 	// Flow 1 shaped to 1 MB/s with no burst; three back-to-back 10 kB
 	// packets must leave 10 ms apart.
 	tb := bmw.NewTokenBucket(1_000_000, 0)
@@ -37,30 +33,4 @@ func main() {
 			fmt.Printf("  t=%2d ms: packet %v of flow %d released\n", now/1e6, payload, p.Flow)
 		}
 	}
-
-	// --- PIEO ----------------------------------------------------------
-	l := bmw.NewPIEO(16)
-	// Two tenants: tenant 10's packets are high priority (low rank) but
-	// shaped to depart at 10 ms spacing; tenant 20 is best-effort,
-	// always eligible.
-	for i := uint64(0); i < 3; i++ {
-		if err := l.Push(bmw.PIEOEntry{Rank: i, Eligible: i * 10, Meta: 10}); err != nil {
-			log.Fatal(err)
-		}
-		if err := l.Push(bmw.PIEOEntry{Rank: 100 + i, Eligible: 0, Meta: 20}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println("\nPIEO (smallest eligible first), tenant 10 shaped, tenant 20 best-effort:")
-	for now := uint64(0); l.Len() > 0; now += 5 {
-		for {
-			e, ok := l.ExtractEligible(now)
-			if !ok {
-				break
-			}
-			fmt.Printf("  t=%2d: rank %3d from tenant %d\n", now, e.Rank, e.Meta)
-		}
-	}
-	fmt.Println("\nnote how best-effort packets fill the gaps the shaper leaves idle —")
-	fmt.Println("the \"smallest eligible packet first\" generalisation of PIFO")
 }

@@ -270,10 +270,6 @@ func (s *Sim) onDequeue(p sched.Packet, rank uint64) {
 // distribution collected so far.
 func (s *Sim) SojournSnapshot() obs.QuantileSnapshot { return s.sojournNs.Snapshot() }
 
-// InversionStats exposes the rank-inversion meter (read between runs;
-// the event loop writes it).
-func (s *Sim) InversionStats() *stats.InversionMeter { return &s.inv }
-
 // wireBytes returns a segment's size on the wire.
 func (s *Sim) wireBytes(seg tcp.Segment) uint32 { return seg.Len + s.cfg.HeaderBytes }
 

@@ -179,17 +179,12 @@ func WithFlightRecorder(inner slog.Handler, fr *FlightRecorder) slog.Handler {
 	return &flightLogHandler{inner: inner, fr: fr}
 }
 
-// NewEventLogger builds the daemons' standard structured logger: JSON
-// records to w at the given level, identical lines suppressed within
-// window (default 5s), errors never suppressed.
-func NewEventLogger(w io.Writer, level slog.Leveler, window time.Duration) *slog.Logger {
-	inner := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})
-	return slog.New(NewDedupHandler(inner, window, slog.LevelError))
-}
-
-// NewEventLoggerFlight is NewEventLogger with error-level records
-// mirrored into the flight recorder (errors bypass dedup, so the
-// black box sees every error line the logger emits).
+// NewEventLoggerFlight builds the daemons' standard structured logger:
+// JSON records to w at the given level, identical lines suppressed
+// within window (default 5s), errors never suppressed. Error-level
+// records are also mirrored into fr (errors bypass dedup, so the black
+// box sees every error line the logger emits); a nil fr mirrors
+// nothing.
 func NewEventLoggerFlight(w io.Writer, level slog.Leveler, window time.Duration, fr *FlightRecorder) *slog.Logger {
 	inner := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})
 	return slog.New(NewDedupHandler(WithFlightRecorder(inner, fr), window, slog.LevelError))

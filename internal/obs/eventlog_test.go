@@ -100,7 +100,7 @@ func TestEventLoggerConcurrent(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	lg := NewEventLogger(w, slog.LevelInfo, time.Minute)
+	lg := NewEventLoggerFlight(w, slog.LevelInfo, time.Minute, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

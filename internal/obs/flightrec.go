@@ -7,20 +7,23 @@
 // bundles, /flight.json, and post-mortems.
 //
 // Concurrency model: the cursor is a single atomic counter, so each
-// recorded event owns exactly one slot generation (single writer per
-// slot per lap). A writer invalidates its slot (seq=0), fills the
-// fields, then publishes by storing seq=generation+1; Dump validates
-// seq before and after copying and drops torn slots. Every slot field
-// is an atomic, so concurrent writer/reader access is race-detector
-// clean; the residual hazard — a writer lapping the entire ring while
-// another writer is mid-publish on the same slot — can at worst make
-// Dump drop or misattribute that one slot, never corrupt the rest,
-// which is the right trade for a diagnostics black box.
+// recorded event owns exactly one slot generation. Two writers can
+// still meet on one slot when one laps the whole ring while the other
+// is mid-write, so a writer claims its slot by swapping seq to a busy
+// marker (waiting while another writer holds it), fills the fields,
+// then publishes by storing seq=generation+1. A writer that finds a
+// newer generation already published there drops its own event, which
+// the ring has overwritten anyway. Dump validates seq before and after
+// copying and drops slots that changed: fields are written only under
+// the claim, so an event is never returned with another's fields.
+// Every slot field is an atomic, so concurrent writer/reader access is
+// race-detector clean.
 package obs
 
 import (
 	"encoding/json"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -90,7 +93,8 @@ func (k FlightKind) String() string {
 
 // flightSlot is one ring slot. All fields are atomics so writers and
 // Dump never race at the memory-model level; seq is the publication
-// tag (generation+1, 0 while a writer owns the slot).
+// tag (generation+1, 0 before the first write, slotBusy while a writer
+// owns the slot).
 type flightSlot struct {
 	seq atomic.Uint64
 	ts  atomic.Int64  // SpanNow at record time
@@ -100,6 +104,10 @@ type flightSlot struct {
 	c   atomic.Uint64
 	msg atomic.Pointer[string]
 }
+
+// slotBusy is the seq of a slot a writer has claimed; no generation
+// reaches it.
+const slotBusy = ^uint64(0)
 
 // FlightRecorder is the black-box ring. Nil-disabled like every obs
 // probe: Record on a nil recorder is a no-op costing one branch.
@@ -158,7 +166,19 @@ func (f *FlightRecorder) record(kind FlightKind, code int32, a, b, c uint64, msg
 	}
 	gen := f.cursor.Add(1) - 1
 	s := &f.slots[gen&f.mask]
-	s.seq.Store(0) // invalidate: readers mid-copy see the tear
+	for {
+		cur := s.seq.Load()
+		if cur == slotBusy {
+			runtime.Gosched() // a lapping writer holds the slot
+			continue
+		}
+		if cur > gen+1 {
+			return // a newer generation already overwrote this event
+		}
+		if s.seq.CompareAndSwap(cur, slotBusy) {
+			break
+		}
+	}
 	s.ts.Store(SpanNow())
 	s.kc.Store(uint64(kind) | uint64(uint32(code))<<8)
 	s.a.Store(a)

@@ -8,22 +8,8 @@ import (
 	"time"
 )
 
-// Handler serves the registry over HTTP for long-running commands:
-//
-//	/metrics       Prometheus text exposition
-//	/metrics.json  Snapshot as JSON
-//	/debug/vars    expvar (Go runtime memstats etc.)
-//	/debug/pprof/  CPU/heap/goroutine profiles
-//
-// Only owned instruments (atomics) should live in a registry served
-// live — callback instruments would be sampled concurrently with the
-// producer. Long-running commands sample mutable sim state into
-// gauges from their own loop instead.
-func Handler(r *Registry) http.Handler {
-	return HandlerOpts(r, HandlerOptions{})
-}
-
-// HandlerOptions parameterise HandlerOpts beyond the bare probes.
+// HandlerOptions parameterise HandlerOpts; the zero value serves the
+// bare registry and probes.
 type HandlerOptions struct {
 	// Healthy gates /healthz; nil means always live.
 	Healthy func() bool
@@ -43,11 +29,24 @@ type HandlerOptions struct {
 	Flight *FlightRecorder
 }
 
-// HandlerOpts is Handler plus /healthz (liveness) and /readyz
-// (readiness: 200 only when Ready returns true) and the optional
-// exports. The probes answer with a JSON body — {"ok":bool, ...detail}
+// HandlerOpts serves the registry over HTTP for long-running commands:
+//
+//	/metrics       Prometheus text exposition
+//	/metrics.json  Snapshot as JSON
+//	/debug/vars    expvar (Go runtime memstats etc.)
+//	/debug/pprof/  CPU/heap/goroutine profiles
+//	/healthz       liveness (200 unless Healthy returns false)
+//	/readyz        readiness (200 only when Ready returns true)
+//
+// plus /trace.json, /slo.json and /flight.json when opts names their
+// source. The probes answer with a JSON body — {"ok":bool, ...detail}
 // — so a load balancer checks the status code while curl and bmwtop get
 // the reason a node is out of rotation.
+//
+// Only owned instruments (atomics) should live in a registry served
+// live — callback instruments would be sampled concurrently with the
+// producer. Long-running commands sample mutable sim state into
+// gauges from their own loop instead.
 func HandlerOpts(r *Registry, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	probe := func(check func() bool) http.HandlerFunc {
@@ -107,9 +106,9 @@ func HandlerOpts(r *Registry, opts HandlerOptions) http.Handler {
 	return mux
 }
 
-// NewServer builds the metrics server for addr without starting it,
-// so callers own its lifecycle — in particular http.Server.Shutdown
-// for a graceful drain on SIGINT/SIGTERM.
+// NewServerOpts builds the HandlerOpts server for addr without
+// starting it, so callers own its lifecycle — in particular
+// http.Server.Shutdown for a graceful drain on SIGINT/SIGTERM.
 //
 // The server carries header/read/idle timeouts so a stalled or
 // malicious scraper cannot pin a connection (and its goroutine)
@@ -117,12 +116,6 @@ func HandlerOpts(r *Registry, opts HandlerOptions) http.Handler {
 // generous. WriteTimeout stays 0 because /debug/pprof/profile and
 // /debug/pprof/trace legitimately stream for their full -seconds
 // argument.
-func NewServer(addr string, r *Registry) *http.Server {
-	return NewServerOpts(addr, r, HandlerOptions{})
-}
-
-// NewServerOpts is NewServer with full handler options (probe detail,
-// trace export).
 func NewServerOpts(addr string, r *Registry, opts HandlerOptions) *http.Server {
 	return &http.Server{
 		Addr:              addr,
@@ -131,15 +124,4 @@ func NewServerOpts(addr string, r *Registry, opts HandlerOptions) *http.Server {
 		ReadTimeout:       10 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-}
-
-// Serve starts an HTTP server for the registry on addr in a new
-// goroutine and returns immediately. Errors (e.g. port in use) are
-// delivered on the returned channel. Commands that need a graceful
-// shutdown use NewServer instead.
-func Serve(addr string, r *Registry) <-chan error {
-	errc := make(chan error, 1)
-	srv := NewServer(addr, r)
-	go func() { errc <- srv.ListenAndServe() }()
-	return errc
 }

@@ -12,7 +12,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total").Add(2)
 	r.Gauge("occ").Set(4)
-	h := Handler(r)
+	h := HandlerOpts(r, HandlerOptions{})
 
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -72,7 +72,7 @@ func TestHandlerEndpoints(t *testing.T) {
 // lifetime. WriteTimeout is intentionally zero (pprof profile/trace
 // stream for their full duration).
 func TestNewServerTimeouts(t *testing.T) {
-	srv := NewServer("127.0.0.1:0", NewRegistry())
+	srv := NewServerOpts("127.0.0.1:0", NewRegistry(), HandlerOptions{})
 	if srv.ReadHeaderTimeout <= 0 {
 		t.Error("ReadHeaderTimeout not set")
 	}
@@ -99,7 +99,7 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 
 	r := NewRegistry()
-	plain := httptest.NewServer(Handler(r))
+	plain := httptest.NewServer(HandlerOpts(r, HandlerOptions{}))
 	defer plain.Close()
 	if s := status(t, plain, "/healthz"); s != 200 {
 		t.Fatalf("nil-probe /healthz = %d", s)

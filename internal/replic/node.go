@@ -206,7 +206,6 @@ func Attach(eng *engine.Engine, srv *wire.Server, cfg Config) *Node {
 	}
 	n.inst.Store(&instruments{})
 	srv.SetBatchHook(n.onBatch)
-	srv.SetAdminHandler(n.admin)
 	srv.SetReplHandler(n.handleRepl)
 	if cfg.PrimaryAddr != "" {
 		n.role.Store(roleFollower)
@@ -266,35 +265,41 @@ func (n *Node) Ready() bool {
 	return n.attached.Load() && n.caughtUp.Load()
 }
 
-// Status snapshots the node for the admin frame and /readyz.
-func (n *Node) Status() wire.AdminInfo {
-	info := wire.AdminInfo{
+// Status is a node's replication and serving state.
+type Status struct {
+	// Serving reports whether TBatch traffic is accepted (followers
+	// refuse it until promoted).
+	Serving bool
+	// Degraded reports that a synchronous-replication ack wait timed
+	// out at least once, so some acknowledged ops may not have reached
+	// the follower.
+	Degraded bool
+	// LogSeq is the replication log tip (records appended); AckSeq is
+	// the attached follower's contiguous applied position (0 when no
+	// follower is attached). On a follower, LogSeq is its own rebuilt
+	// log tip and AckSeq its applied position in the primary's stream.
+	LogSeq uint64
+	AckSeq uint64
+	// Followers is the number of attached replication followers.
+	Followers uint32
+}
+
+// Status snapshots the node for /readyz and incident bundles.
+func (n *Node) Status() Status {
+	st := Status{
 		Serving:   n.srv.Serving(),
 		Degraded:  n.degraded.Load(),
 		Followers: uint32(n.followers.Load()),
 		LogSeq:    n.log.Seq(),
 	}
 	if n.role.Load() == rolePrimary {
-		info.Role = wire.RolePrimary
 		n.amu.Lock()
-		info.AckSeq = n.ackSeq
+		st.AckSeq = n.ackSeq
 		n.amu.Unlock()
 	} else {
-		info.Role = wire.RoleFollower
-		info.AckSeq = n.streamPos.Load()
+		st.AckSeq = n.streamPos.Load()
 	}
-	for i := 0; i < n.eng.Shards(); i++ {
-		info.ShardLSNs = append(info.ShardLSNs, n.eng.ShardLSN(i))
-	}
-	return info
-}
-
-// admin answers TAdmin frames.
-func (n *Node) admin(cmd wire.AdminCmd) (wire.AdminInfo, error) {
-	if cmd == wire.AdminPromote {
-		n.Promote()
-	}
-	return n.Status(), nil
+	return st
 }
 
 // event emits one structured replication event.

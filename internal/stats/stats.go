@@ -125,29 +125,6 @@ func (f *FCT) OverallMeanNorm() float64 {
 	return sum / float64(n)
 }
 
-// NormQuantiles returns the requested quantiles of the normalised-FCT
-// (slowdown) distribution across all flows with a finite slowdown,
-// sorting once. NaN entries are returned if there are no such flows.
-func (f *FCT) NormQuantiles(ps ...float64) []float64 {
-	var norm []float64
-	for _, r := range f.records {
-		v := r.Normalized()
-		if !math.IsNaN(v) && !math.IsInf(v, 0) {
-			norm = append(norm, v)
-		}
-	}
-	sort.Float64s(norm)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if len(norm) == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = percentileSorted(norm, p)
-	}
-	return out
-}
-
 // percentileSorted returns the p-quantile of an ascending slice.
 func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {

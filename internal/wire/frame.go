@@ -88,11 +88,8 @@ const (
 	// TReplAck reports the follower's contiguous applied stream
 	// position back to the primary (u64 sequence).
 	TReplAck Type = 9
-	// TAdmin carries an administrative command: payload is a u8 command
-	// (status, promote).
-	TAdmin Type = 10
-	// TAdminOK answers TAdmin: payload is an encoded AdminInfo.
-	TAdminOK Type = 11
+	// Types 10 and 11 are unassigned: they carried a retired admin
+	// command, and no later type was renumbered when it went.
 	// TReplFetch asks a peer for a piece of its durable state during
 	// anti-entropy repair: an engine or shard manifest, a WAL LSN range,
 	// or Merkle-proof-carrying snapshot chunks. The payload codec lives
@@ -113,7 +110,9 @@ const (
 )
 
 // valid reports whether t is a defined frame type.
-func (t Type) valid() bool { return t >= THello && t <= TClusterMap }
+func (t Type) valid() bool {
+	return t >= THello && t <= TReplAck || t >= TReplFetch && t <= TClusterMap
+}
 
 // Decoder errors.
 var (

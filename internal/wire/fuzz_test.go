@@ -26,10 +26,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, TBatchOK, 5, AppendResults(nil, []Result{
 		{Status: StatusOK, Value: 5, Meta: 6}, {Status: StatusMiss}, {Status: StatusOK, Value: 9},
 	})))
-	f.Add(AppendFrame(nil, TAdmin, 6, AppendAdmin(nil, AdminPromote)))
-	f.Add(AppendFrame(nil, TAdminOK, 7, AppendAdminInfo(nil, AdminInfo{
-		Role: RoleFollower, Serving: false, LogSeq: 12, AckSeq: 11, ShardLSNs: []uint64{5, 6},
-	})))
+	f.Add(AppendFrame(nil, Type(10), 6, []byte{2})) // unassigned type
+	f.Add(AppendFrame(nil, Type(11), 7, make([]byte, 27)))
 	f.Add(AppendFrame(nil, TReplHello, 8, []byte{1, 2, 3, 4}))
 	f.Add(AppendFrame(nil, TReplOK, 9, make([]byte, 8)))
 	f.Add(AppendFrame(nil, TReplRecords, 10, make([]byte, 20)))
@@ -69,10 +67,6 @@ func FuzzFrameDecode(f *testing.F) {
 				_, _, _ = ParseHello(fr.Payload)
 			case THelloOK:
 				_, _ = ParseHelloOK(fr.Payload)
-			case TAdmin:
-				_, _ = ParseAdmin(fr.Payload)
-			case TAdminOK:
-				_, _ = ParseAdminInfo(fr.Payload)
 			}
 		case errors.Is(err, ErrTruncated):
 			// A truncated verdict promises completability: appending

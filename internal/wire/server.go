@@ -75,13 +75,12 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // the hook ran on.
 type BatchHook func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func()
 
-// AdminHandler answers TAdmin frames. ReplHandler takes ownership of a
-// connection that opened a replication stream (TReplHello): the server
-// has stopped its reader and writer for that conn; the handler runs the
-// replication protocol and returns when the stream ends.
 type (
-	AdminHandler func(cmd AdminCmd) (AdminInfo, error)
-	ReplHandler  func(conn net.Conn, hello Frame)
+	// ReplHandler takes ownership of a connection that opened a
+	// replication stream (TReplHello): the server has stopped its
+	// reader and writer for that conn; the handler runs the replication
+	// protocol and returns when the stream ends.
+	ReplHandler func(conn net.Conn, hello Frame)
 	// FetchHandler answers TReplFetch frames (anti-entropy repair
 	// reads): it receives the request payload and returns the TReplChunk
 	// payload. The codec is internal/replic's; wire treats both as
@@ -130,7 +129,6 @@ type Server struct {
 	serving atomic.Bool
 
 	onBatch BatchHook
-	onAdmin AdminHandler
 	onRepl  ReplHandler
 	onFetch FetchHandler
 
@@ -176,9 +174,6 @@ func (s *Server) Serving() bool { return s.serving.Load() }
 
 // SetBatchHook installs the batch tap. Call before Serve.
 func (s *Server) SetBatchHook(h BatchHook) { s.onBatch = h }
-
-// SetAdminHandler installs the TAdmin responder. Call before Serve.
-func (s *Server) SetAdminHandler(h AdminHandler) { s.onAdmin = h }
 
 // SetReplHandler installs the replication-stream acceptor. Call before
 // Serve.
@@ -493,18 +488,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				sp.Stamp(obs.StageAck)
 			}
 			out.send(response{TBatchOK, f.ID, payload, sp, wait})
-		case TAdmin:
-			cmd, err := ParseAdmin(f.Payload)
-			if err != nil {
-				out.sendErr(f.ID, StatusInvalid, err)
-				return
-			}
-			info, err := s.adminInfo(cmd)
-			if err != nil {
-				out.sendErr(f.ID, StatusInvalid, err)
-				return
-			}
-			out.send(response{TAdminOK, f.ID, AppendAdminInfo(nil, info), nil, nil})
 		case TClusterHello:
 			if s.onClusterHello == nil {
 				out.sendErr(f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
@@ -556,22 +539,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// adminInfo answers a TAdmin command, via the installed handler or with
-// the bare serving state when standalone.
-func (s *Server) adminInfo(cmd AdminCmd) (AdminInfo, error) {
-	if s.onAdmin != nil {
-		return s.onAdmin(cmd)
-	}
-	if cmd == AdminPromote {
-		return AdminInfo{}, errors.New("not a replication node")
-	}
-	info := AdminInfo{Role: RolePrimary, Serving: s.serving.Load()}
-	for i := 0; i < s.eng.Shards(); i++ {
-		info.ShardLSNs = append(info.ShardLSNs, s.eng.ShardLSN(i))
-	}
-	return info, nil
 }
 
 // appendShedResults encodes a TBatchOK payload of n StatusOverloaded

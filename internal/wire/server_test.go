@@ -328,10 +328,10 @@ func TestMaxInflightShedsWholeBatch(t *testing.T) {
 			<-gate
 		}
 	})
-	admin := make(chan struct{}, 1)
-	srv.SetAdminHandler(func(AdminCmd) (AdminInfo, error) {
-		admin <- struct{}{}
-		return AdminInfo{Role: RolePrimary, Serving: true}, nil
+	fetched := make(chan struct{}, 1)
+	srv.SetFetchHandler(func([]byte) ([]byte, error) {
+		fetched <- struct{}{}
+		return nil, nil
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -411,13 +411,13 @@ func TestMaxInflightShedsWholeBatch(t *testing.T) {
 	}
 	before := e.Len()
 	// Over the cap: frame 4 is shed, the retry of cached id 1 is
-	// answered from the cache, and the admin frame marks that the
+	// answered from the cache, and the fetch frame marks that the
 	// reader has passed both.
 	shed := []Op{push(1), {Kind: OpPop}, {Kind: OpPopBounded, Value: 0}, {Kind: OpPeek}, push(2), push(3)}
 	write(TBatch, 4, AppendOps(nil, shed))
 	write(TBatch, 1, AppendOps(nil, []Op{push(10), push(11)}))
-	write(TAdmin, 5, AppendAdmin(nil, AdminStatus))
-	wait(admin, "the reader to reach the admin frame")
+	write(TReplFetch, 5, nil)
+	wait(fetched, "the reader to reach the fetch frame")
 	if got := e.Len(); got != before {
 		t.Fatalf("engine Len %d after the shed frame, want %d: the shed frame executed", got, before)
 	}
@@ -435,8 +435,8 @@ func TestMaxInflightShedsWholeBatch(t *testing.T) {
 	if got := read(1); len(got) != len(first) || got[0] != first[0] || got[1] != first[1] {
 		t.Fatalf("cached id 1 answered %+v over the cap, want the original %+v", got, first)
 	}
-	if f, err := ReadFrame(conn); err != nil || f.Type != TAdminOK || f.ID != 5 {
-		t.Fatalf("admin response: %v %+v", err, f)
+	if f, err := ReadFrame(conn); err != nil || f.Type != TReplChunk || f.ID != 5 {
+		t.Fatalf("fetch response: %v %+v", err, f)
 	}
 
 	// The shed id was never executed, so its retry runs now, once; a

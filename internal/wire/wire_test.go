@@ -12,7 +12,8 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 1000)}
 	for _, typ := range []Type{THello, THelloOK, TBatch, TBatchOK, TError,
-		TReplHello, TReplOK, TReplRecords, TReplAck, TAdmin, TAdminOK} {
+		TReplHello, TReplOK, TReplRecords, TReplAck, TReplFetch, TReplChunk,
+		TClusterHello, TClusterMap} {
 		for _, p := range payloads {
 			buf := AppendFrame(nil, typ, 42, p)
 			f, n, err := DecodeFrame(buf)
@@ -69,6 +70,10 @@ func TestBadFrames(t *testing.T) {
 		"length":      corrupt(func(b []byte) { b[16] = 0xFF; b[17] = 0xFF; b[18] = 0xFF }),
 		"payload":     corrupt(func(b []byte) { b[HeaderSize] ^= 0x01 }),
 		"payload-crc": corrupt(func(b []byte) { b[len(b)-1] ^= 0x01 }),
+		// Well formed in every other field: types 10 and 11 are
+		// unassigned.
+		"type-10": AppendFrame(nil, 10, 1, []byte{1}),
+		"type-11": AppendFrame(nil, 11, 1, []byte{1}),
 	}
 	for name, b := range cases {
 		if _, _, err := DecodeFrame(b); !errors.Is(err, ErrBadFrame) {
@@ -192,42 +197,6 @@ func TestHelloRoundTrip(t *testing.T) {
 	got, err := ParseHelloOK(AppendHelloOK(nil, info))
 	if err != nil || got != info {
 		t.Fatalf("hello-ok: %+v err=%v", got, err)
-	}
-}
-
-// TestAdminRoundTrip pins the admin codecs.
-func TestAdminRoundTrip(t *testing.T) {
-	for _, cmd := range []AdminCmd{AdminStatus, AdminPromote} {
-		got, err := ParseAdmin(AppendAdmin(nil, cmd))
-		if err != nil || got != cmd {
-			t.Fatalf("admin cmd %d: got %d err=%v", cmd, got, err)
-		}
-	}
-	if _, err := ParseAdmin([]byte{9}); err == nil {
-		t.Fatal("unknown admin command accepted")
-	}
-	infos := []AdminInfo{
-		{Role: RolePrimary, Serving: true, Followers: 1, LogSeq: 99, AckSeq: 98, ShardLSNs: []uint64{3, 0, 7, 1}},
-		{Role: RoleFollower, Degraded: true},
-	}
-	for i, info := range infos {
-		got, err := ParseAdminInfo(AppendAdminInfo(nil, info))
-		if err != nil {
-			t.Fatalf("info %d: %v", i, err)
-		}
-		if got.Role != info.Role || got.Serving != info.Serving || got.Degraded != info.Degraded ||
-			got.Followers != info.Followers || got.LogSeq != info.LogSeq || got.AckSeq != info.AckSeq ||
-			len(got.ShardLSNs) != len(info.ShardLSNs) {
-			t.Fatalf("info %d: %+v != %+v", i, got, info)
-		}
-		for j := range info.ShardLSNs {
-			if got.ShardLSNs[j] != info.ShardLSNs[j] {
-				t.Fatalf("info %d shard %d: %d != %d", i, j, got.ShardLSNs[j], info.ShardLSNs[j])
-			}
-		}
-	}
-	if _, err := ParseAdminInfo([]byte{0, 0}); err == nil {
-		t.Fatal("short admin info accepted")
 	}
 }
 
