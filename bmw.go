@@ -129,10 +129,6 @@ func NewSchedulerTree(pq PriorityQueue, r Ranker) *SchedulerTree {
 	return hsched.New(pq, r)
 }
 
-// InversionMeter measures dequeue-order accuracy (see
-// AccuracyExperiment).
-type InversionMeter = stats.InversionMeter
-
 // AccuracyResult reports one scheduler's dequeue-order accuracy under
 // AccuracyExperiment: the fraction of pops returning a rank above the
 // queue's true minimum at that moment ("accurate" PIFO behaviour means

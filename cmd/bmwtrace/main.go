@@ -133,9 +133,19 @@ func newQueue(name string) (bmw.PriorityQueue, error) {
 }
 
 // replayCounts is one replay's tally: accepted pushes, pops, pops that
-// returned more than the reference minimum, and refused pushes.
+// returned more than the reference minimum, by how much in total (the
+// sum of popped rank − reference minimum), and refused pushes.
 type replayCounts struct {
-	pushes, pops, nonMin, drops uint64
+	pushes, pops, nonMin, displaced, drops uint64
+}
+
+// meanDisplacement is how far above the reference minimum a non-minimal
+// pop ranked, on average; 0 when every pop took the minimum.
+func (n replayCounts) meanDisplacement() float64 {
+	if n.nonMin == 0 {
+		return 0
+	}
+	return float64(n.displaced) / float64(n.nonMin)
 }
 
 // doReplay drives the scheduler with the trace and scores accuracy.
@@ -160,7 +170,6 @@ func doReplay(path, queueName, metricsOut string) (replayCounts, error) {
 	defer f.Close()
 
 	ref := refpq.New() // exact reference mirror of the queue's contents
-	var meter bmw.InversionMeter
 	t0 := time.Now()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -187,9 +196,9 @@ func doReplay(path, queueName, metricsOut string) (replayCounts, error) {
 				continue
 			}
 			n.pops++
-			meter.Observe(e.Value)
 			if e.Value > min {
 				n.nonMin++
+				n.displaced += e.Value - min
 			}
 			if !ref.RemoveExact(refpq.Entry{Value: e.Value, Meta: e.Meta}) {
 				return n, fmt.Errorf("scheduler popped an element it was never given: %+v", e)
@@ -205,15 +214,13 @@ func doReplay(path, queueName, metricsOut string) (replayCounts, error) {
 	fmt.Printf("queue %s: %d pushes, %d pops, %d drops in %v (%.1f Mops/s)\n",
 		queueName, n.pushes, n.pops, n.drops, elapsed.Round(time.Millisecond),
 		float64(n.pushes+n.pops)/elapsed.Seconds()/1e6)
-	fmt.Printf("accuracy: %d non-minimal pops (%.2f%%), inversion rate %.2f%%, mean displacement %.1f\n",
-		n.nonMin, pct(n.nonMin, n.pops), 100*meter.Rate(), meter.MeanMagnitude())
+	fmt.Printf("accuracy: %d non-minimal pops (%.2f%%), mean displacement %.1f above the minimum\n",
+		n.nonMin, pct(n.nonMin, n.pops), n.meanDisplacement())
 	if n.nonMin == 0 {
 		fmt.Println("exact PIFO behaviour: every pop returned the current minimum")
 	}
 	if metricsOut != "" {
 		reg.Gauge(queueName + "_non_minimal_pop_pct").Set(pct(n.nonMin, n.pops))
-		reg.Gauge(queueName + "_inversion_rate_pct").Set(100 * meter.Rate())
-		reg.Gauge(queueName + "_mean_displacement").Set(meter.MeanMagnitude())
 		b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 		if err != nil {
 			return n, err

@@ -16,10 +16,10 @@ var exactQueues = map[string]bool{"bmwtree": true, "pifo": true, "pheap": true, 
 // TestRun records a small trace per rank pattern and replays it on
 // every queue bmwtrace knows. A nil error means every popped element
 // was one the queue had accepted (doReplay mirrors the contents in an
-// exact reference). The exact queues pop no non-minimal element, and
-// no queue refuses a push: the traces stay under 513 in flight, far
-// below every queue's 8190-slot capacity, where AIFO admits every
-// packet too.
+// exact reference). The exact queues pop no non-minimal element, so
+// their displacement above the minimum is 0, and no queue refuses a
+// push: the traces stay under 513 in flight, far below every queue's
+// 8190-slot capacity, where AIFO admits every packet too.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	queues := []string{"bmwtree", "pifo", "pheap", "pipeheap", "sppifo", "aifo", "calendarq", "gearbox"}
@@ -39,8 +39,12 @@ func TestRun(t *testing.T) {
 			if n.drops != 0 {
 				t.Errorf("%s/%s: %d drops", pattern, q, n.drops)
 			}
-			if exactQueues[q] && n.nonMin != 0 {
-				t.Errorf("%s/%s: %d non-minimal pops from an exact queue", pattern, q, n.nonMin)
+			if exactQueues[q] && (n.nonMin != 0 || n.displaced != 0) {
+				t.Errorf("%s/%s: %d non-minimal pops displaced by %d from an exact queue",
+					pattern, q, n.nonMin, n.displaced)
+			}
+			if (n.nonMin == 0) != (n.displaced == 0) {
+				t.Errorf("%s/%s: %d non-minimal pops displaced by %d in total", pattern, q, n.nonMin, n.displaced)
 			}
 		}
 	}

@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"repro/internal/obs"
@@ -84,6 +85,10 @@ type Tree struct {
 	// latency of every popped element in logical clock ticks (one tick
 	// per push or pop). Nil when uninstrumented; Observe is nil-safe.
 	sojourn *obs.QuantileHistogram
+
+	// touched keeps the sum of PopRun's look-ahead loads, so the
+	// compiler cannot drop them.
+	touched uint64
 }
 
 // clock returns the logical clock: one tick per completed operation.
@@ -326,6 +331,46 @@ func (t *Tree) Pop() (Element, error) {
 	return e, nil
 }
 
+// PopRun pops into out, in order, while the head ranks at most bound,
+// and returns how many it popped: at most len(out), fewer when the tree
+// empties or its head ranks above bound. The elements, sojourns,
+// counters and slots it leaves are those of that many Pop calls.
+//
+// At M = 4 a run walks with a branch-free node scan (min4Run) and, before
+// it scans a node, loads each of that node's children's hot and cold
+// lines, so the next level's misses overlap the scan. A run of pops
+// follows paths the branch predictor cannot learn; a lone pop, which
+// usually retraces the push before it, keeps the branchy pop4 (DESIGN.md
+// §4, EXPERIMENTS.md E24). Every other order loops the per-op walk.
+func (t *Tree) PopRun(out []Element, bound uint64) int {
+	n := 0
+	if t.m != 4 {
+		for ; n < len(out); n++ {
+			if head, err := t.Peek(); err != nil || head.Value > bound {
+				break
+			}
+			out[n], _ = t.pop(t.m)
+		}
+		return n
+	}
+	root := (*[8]uint64)(t.hot)
+	var touched uint64
+	for ; n < len(out) && t.size > 0; n++ {
+		k := min4Run(root)
+		if root[k] > bound {
+			break
+		}
+		val, c, x := pop4Run(t.hot, t.cold, k)
+		touched += x
+		t.sojourn.Observe(uint64(t.clock() - c.born))
+		t.size--
+		t.pops++
+		out[n] = Element{Value: val, Meta: c.meta}
+	}
+	t.touched = touched
+	return n
+}
+
 // pop walks one pop down a non-empty tree with the node scan of width w
 // (as for push) and returns the element with its sojourn in clock ticks.
 func (t *Tree) pop(w int) (Element, uint64) {
@@ -384,6 +429,64 @@ func popM(h []uint64, c []cold, m int) (uint64, cold) {
 		n, k, vals, cnts = s+1, j, cv, cc
 	}
 }
+
+// pop4Run is pop4 for a pop of a run, starting at root slot k. It scans
+// each node with min4Run, and before it does, it loads one word of each
+// of that node's children's hot and cold lines (adjacent in BFS order),
+// summed into the returned value so the loads stay.
+func pop4Run(h []uint64, c []cold, k int) (uint64, cold, uint64) {
+	nd := (*[8]uint64)(h)
+	val, out := nd[k], c[k]
+	var touched uint64
+	for n := 0; ; {
+		s := 4*n + k
+		nd[4+k]--
+		if nd[4+k] == 0 {
+			nd[k], c[s] = 0, cold{}
+			return val, out, touched
+		}
+		// Node s+1's children are the four adjacent nodes from g.
+		if g := 4*(s+1) + 1; 8*g+32 <= len(h) {
+			gh, gc := (*[32]uint64)(h[8*g:]), (*[16]cold)(c[4*g:])
+			touched += gh[0] + gh[8] + gh[16] + gh[24] + gc[0].meta + gc[4].meta + gc[8].meta + gc[12].meta
+		}
+		cd := (*[8]uint64)(h[8*(s+1):])
+		j := min4Run(cd)
+		nd[k], c[s] = cd[j], c[4*(s+1)+j]
+		n, k, nd = s+1, j, cd
+	}
+}
+
+// min4Run is min4 as a fixed comparator tree: an empty slot is keyed
+// MaxUint64, and the two pairs and then their winners are compared, the
+// left side winning ties. Only when the least key is MaxUint64, where an
+// empty slot and a stored MaxUint64 cannot be told apart, does it fall
+// back to min4.
+func min4Run(nd *[8]uint64) int {
+	k0 := nd[0] | (occupied(nd[4]) - 1)
+	k1 := nd[1] | (occupied(nd[5]) - 1)
+	k2 := nd[2] | (occupied(nd[6]) - 1)
+	k3 := nd[3] | (occupied(nd[7]) - 1)
+	a, ka := 0, k0
+	if k1 < k0 {
+		a, ka = 1, k1
+	}
+	b, kb := 2, k2
+	if k3 < k2 {
+		b, kb = 3, k3
+	}
+	if kb < ka {
+		a, ka = b, kb
+	}
+	if ka == math.MaxUint64 {
+		return min4(nd)
+	}
+	return a
+}
+
+// occupied is 1 for a non-zero counter and 0 for zero, without a branch.
+// Counters never reach 2^63.
+func occupied(cnt uint64) uint64 { return (cnt | -cnt) >> 63 }
 
 // min4 and minM return the leftmost occupied slot holding the least
 // value of a non-empty node.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -522,4 +523,52 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// BenchmarkCorePopRun times pops on the sawtooth shape of the ladder's
+// engine_sawtooth_b256 workload: m = 4, l = 8, runs of 256 pops from
+// 90 % fill down to 10 %, then pushes (untimed) back up, ranks uniform
+// on 30 bits. "pop" calls Pop per op, "run" hands each run to PopRun;
+// ns/op is per popped element.
+func BenchmarkCorePopRun(b *testing.B) {
+	for _, run := range []bool{false, true} {
+		name := "pop"
+		if run {
+			name = "run"
+		}
+		b.Run(name, func(b *testing.B) {
+			tr := New(4, 8)
+			rng := rand.New(rand.NewSource(1))
+			tape := make([]Element, 1<<16)
+			for i := range tape {
+				tape[i] = Element{Value: uint64(rng.Int63n(1 << 30)), Meta: uint64(rng.Intn(4096))}
+			}
+			lo, hi := tr.Cap()/10, tr.Cap()*9/10
+			pos := 0
+			refill := func() {
+				for tr.Len() < hi {
+					tr.Push(tape[pos%len(tape)])
+					pos++
+				}
+			}
+			refill()
+			var out [256]Element
+			b.ResetTimer()
+			for popped := 0; popped < b.N; {
+				if tr.Len()-len(out) < lo {
+					b.StopTimer()
+					refill()
+					b.StartTimer()
+				}
+				if run {
+					popped += tr.PopRun(out[:], math.MaxUint64)
+					continue
+				}
+				for i := range out {
+					out[i], _ = tr.Pop()
+				}
+				popped += len(out)
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/refpq"
@@ -10,15 +11,25 @@ import (
 // FuzzTreeAgainstReference interprets fuzz bytes as a tree shape and
 // an operation stream. The first byte picks the order (2, 3, 4 or 8: the
 // fixed-width walk at 4, the runtime-M walk otherwise) and 1 to 4
-// levels; every later byte is a push or a pop. Every pop is validated against the
-// reference queue, and against a twin tree driven through the runtime-M
-// walks, plus the structural invariants. Run with
+// levels; every later byte is a push, a pop, or a bounded PopRun: a byte
+// from 0xE0 up pops a run of 1 + 8·(b & 0x1F) under the bound the next
+// byte names (its low 7 bits, or no bound when its top bit is set).
+// Every pop is validated against the reference queue, and against a
+// twin tree driven through the runtime-M walks, plus the structural
+// invariants. Run with
 // `go test -fuzz=FuzzTreeAgainstReference ./internal/core` to explore;
 // the seed corpus runs under plain `go test`.
 func FuzzTreeAgainstReference(f *testing.F) {
-	f.Add([]byte{0x01, 0x82, 0x43, 0xFF, 0x00, 0x7E})
+	f.Add([]byte{0x01, 0x82, 0x43, 0xDF, 0x00, 0x7E})
 	f.Add([]byte("push-pop-push-pop"))
-	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 255})
+	f.Add([]byte{0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80})
+	// Bounded runs on an order-4 tree, 3 levels: one stopped by its
+	// bound, one by the empty tree.
+	run := []byte{0x0A}
+	for i := 0; i < 120; i++ {
+		run = append(run, byte(i*37)&0x7F)
+	}
+	f.Add(append(run, 0xE3, 0x40, 0xFF, 0x80))
 	// Fill-then-drain runs on an order-2 and an order-4 tree, 4 levels.
 	for _, shape := range []byte{0x0C, 0x0E} {
 		run := []byte{shape}
@@ -26,7 +37,7 @@ func FuzzTreeAgainstReference(f *testing.F) {
 			run = append(run, byte(i*37)&0x7F)
 		}
 		for i := 0; i < 400; i++ {
-			run = append(run, 0x80|byte(i), byte(i*11)&0x7F, 0x80)
+			run = append(run, 0x80+byte(i%0x60), byte(i*11)&0x7F, 0x80)
 		}
 		f.Add(run)
 	}
@@ -38,8 +49,32 @@ func FuzzTreeAgainstReference(f *testing.F) {
 		twin := New(tr.Order(), tr.Levels())
 		data = data[1:]
 		ref := refpq.New()
-		for i, b := range data {
-			if b&0x80 != 0 && ref.Len() > 0 {
+		out := make([]Element, 1+8*0x1F)
+		for i := 0; i < len(data); i++ {
+			b := data[i]
+			if b >= 0xE0 && i+1 < len(data) {
+				i++
+				bound := uint64(data[i] & 0x7F)
+				if data[i]&0x80 != 0 {
+					bound = math.MaxUint64
+				}
+				want := 1 + 8*int(b&0x1F)
+				n := tr.PopRun(out[:want], bound)
+				for _, e := range out[:n] {
+					te, _, _ := slowPop(twin)
+					switch {
+					case te != e:
+						t.Fatalf("run popped %+v, runtime-M twin popped %+v", e, te)
+					case e.Value != ref.MinValue() || e.Value > bound:
+						t.Fatalf("run popped %d, reference min %d, bound %d", e.Value, ref.MinValue(), bound)
+					case !ref.RemoveExact(refpq.Entry{Value: e.Value, Meta: e.Meta}):
+						t.Fatal("popped element not in reference")
+					}
+				}
+				if n < want && ref.Len() > 0 && ref.MinValue() <= bound {
+					t.Fatalf("run stopped at %d of %d, reference min %d under bound %d", n, want, ref.MinValue(), bound)
+				}
+			} else if b&0x80 != 0 && ref.Len() > 0 {
 				e, err := tr.Pop()
 				if err != nil {
 					t.Fatalf("pop: %v", err)

@@ -375,7 +375,10 @@ func (e *Engine) SubmitInto(ops []Op, results []Result) {
 // elements (leftmost on ties), where the backpressure gate judges it; a pop or bounded pop takes the smallest head across shards
 // (leftmost on ties), answering ErrEmpty or ErrMiss only when every
 // shard is empty or, for a bounded pop, when that head ranks above the
-// bound.
+// bound. At order 4, a run of two or more consecutive pops of one kind
+// and bound goes to the trees as runs (popRun), with the same results;
+// at other orders Tree.PopRun loops the per-op walk, so there is
+// nothing for a run to gain and every pop takes the per-op path.
 func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 	if len(results) != len(ops) {
 		panic("engine: SubmitInto result slice length mismatch")
@@ -394,7 +397,7 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 		return
 	}
 	sp.Stamp(obs.StageDequeue)
-	for i := range ops {
+	for i := 0; i < len(ops); i++ {
 		op := &ops[i]
 		switch op.Kind {
 		case OpPush:
@@ -407,6 +410,13 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 				s.apply(OpPush, op.Elem, &results[i])
 			}
 		case OpPop, OpPopBounded:
+			if e.cfg.Order == 4 {
+				if j := runEnd(ops, i); j-i >= 2 {
+					e.popRun(ops[i:j], results[i:j], &cur)
+					i = j - 1
+					continue
+				}
+			}
 			s := e.leastHead()
 			switch {
 			case s != nil:
@@ -423,6 +433,70 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 	}
 	e.end()
 	sp.Stamp(obs.StageApply)
+}
+
+// popChunk is how many elements a shard's popRun takes from its tree
+// per PopRun call, into a stack array.
+const popChunk = 64
+
+// runEnd returns the end of the run of pops that starts at the pop
+// ops[i]: the consecutive ops of its kind and, for bounded pops, its
+// bound.
+func runEnd(ops []Op, i int) int {
+	k, b := ops[i].Kind, ops[i].Elem.Value
+	j := i + 1
+	for j < len(ops) && ops[j].Kind == k && (k == OpPop || ops[j].Elem.Value == b) {
+		j++
+	}
+	return j
+}
+
+// popRun executes a run of pops of one kind and bound with the results
+// of the per-op loop. Each pass takes the least-head shard and pops it
+// while its head ranks at most the run's bound, at most every other
+// shard's head to its right, and below every head to its left: exactly
+// the pops for which the per-op loop would pick that shard again. A
+// pass that stops short re-picks; one that takes nothing has met a head
+// above the bound, so every op left misses on that shard.
+func (e *Engine) popRun(ops []Op, results []Result, cur *int) {
+	kind, bound := ops[0].Kind, ops[0].Elem.Value
+	if kind == OpPop {
+		bound = math.MaxUint64
+	}
+	for done := 0; done < len(ops); {
+		s := e.leastHead()
+		if s == nil {
+			err := ErrMiss
+			if kind == OpPop {
+				err = core.ErrEmpty
+			}
+			for i := done; i < len(results); i++ {
+				results[i] = Result{Err: err}
+			}
+			return
+		}
+		*cur = s.id
+		limit := bound
+		for _, o := range e.shards {
+			if o == s {
+				continue
+			}
+			if h, err := o.q.Peek(); err == nil {
+				if o.id < s.id {
+					h.Value-- // above s's head, which wins ties only to its left
+				}
+				limit = min(limit, h.Value)
+			}
+		}
+		n := s.popRun(limit, results[done:])
+		if n == 0 {
+			for i := done; i < len(ops); i++ {
+				s.apply(kind, ops[i].Elem, &results[i])
+			}
+			return
+		}
+		done += n
+	}
 }
 
 // leastCount returns the shard holding the fewest elements, leftmost on
@@ -498,15 +572,8 @@ func (e *Engine) ShardDrain(i int) ([]core.Element, error) {
 		return nil, errors.New("engine: ShardDrain before Close")
 	}
 	s := e.shards[i]
-	out := make([]core.Element, 0, s.q.Len())
-	for s.q.Len() > 0 {
-		el, err := s.q.Pop()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, el)
-	}
-	return out, nil
+	out := make([]core.Element, s.q.Len())
+	return out[:s.q.PopRun(out, math.MaxUint64)], nil
 }
 
 // release ends an execution: it drops the execution lock and, when the
@@ -537,9 +604,9 @@ func (e *Engine) end() {
 }
 
 // apply runs one op on the shard's tree and writes its result to r. It
-// is the only code that mutates a serving queue — submits and
-// ApplyReplica both come through here — and the caller must hold the
-// execution lock.
+// and popRun are the only code that mutates a serving queue — submits
+// come through both, ApplyReplica through apply — and the caller must
+// hold the execution lock.
 func (s *shard) apply(kind OpKind, el core.Element, r *Result) {
 	s.ran++
 	switch kind {
@@ -571,6 +638,29 @@ func (s *shard) apply(kind OpKind, el core.Element, r *Result) {
 	default:
 		*r = Result{Err: ErrInvalidOp}
 	}
+}
+
+// popRun pops the shard's tree into rs, in order, while its head ranks
+// at most bound, and returns how many it popped. Each pop's result, LSN
+// and counters are those apply(OpPop) would give it. The caller must
+// hold the execution lock.
+func (s *shard) popRun(bound uint64, rs []Result) int {
+	var buf [popChunk]core.Element
+	done := 0
+	for done < len(rs) {
+		n := s.q.PopRun(buf[:min(len(buf), len(rs)-done)], bound)
+		for i, el := range buf[:n] {
+			s.lsn++
+			rs[done+i] = Result{Elem: el, Shard: int32(s.id), LSN: s.lsn}
+		}
+		done += n
+		if n < len(buf) {
+			break
+		}
+	}
+	s.ran += uint64(done)
+	s.pops.Add(uint64(done))
+	return done
 }
 
 // publish refreshes the shard's published state from its queue,

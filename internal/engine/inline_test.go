@@ -374,12 +374,30 @@ func zeroAllocEngine(tb testing.TB, shards int) (*Engine, []Op, []Result) {
 
 // TestSubmitIntoZeroAlloc: a 64-op SubmitInto allocates nothing — the
 // batch runs in op order straight into the caller's result slots, so
-// there is no per-submit state to build or recycle.
+// there is no per-submit state to build or recycle. Nor does a batch of
+// 256 pops, which goes to the trees as a run through a stack array,
+// after a batch of 256 pushes that refills what it takes.
 func TestSubmitIntoZeroAlloc(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		e, ops, res := zeroAllocEngine(t, shards)
 		if avg := testing.AllocsPerRun(200, func() { e.SubmitInto(ops, res) }); avg != 0 {
 			t.Errorf("%d shard(s): %v allocations per 64-op SubmitInto, want 0", shards, avg)
+		}
+		pushes, pops, res := make([]Op, 256), make([]Op, 256), make([]Result, 256)
+		for i := range pushes {
+			pushes[i] = PushOp(core.Element{Value: uint64(i*7919) % 9973, Meta: uint64(i)})
+			pops[i] = PopOp()
+		}
+		if avg := testing.AllocsPerRun(200, func() {
+			e.SubmitInto(pushes, res)
+			e.SubmitInto(pops, res)
+		}); avg != 0 {
+			t.Errorf("%d shard(s): %v allocations per 256-push + 256-pop SubmitInto pair, want 0", shards, avg)
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("%d shard(s): pop %d of the run: %v", shards, i, r.Err)
+			}
 		}
 		e.Close()
 	}

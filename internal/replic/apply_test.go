@@ -1,7 +1,10 @@
 package replic
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -262,5 +265,90 @@ func TestApplyReadyDetectsDivergence(t *testing.T) {
 				t.Fatalf("frontier %d moved over a diverged group", fr)
 			}
 		})
+	}
+}
+
+// TestApplyReadyPopRunBitIdentical replicates groups that hold runs of
+// pops: the primary executes each batch through SubmitInto, which hands
+// a run to the trees whole, and the follower applies the group's
+// records through applyReady, which hands each shard's records to
+// ApplyReplica in one call, applied op by op. After every group both engines must publish the
+// same per-shard LSN and length, and at the end each shard's snapshot
+// must match byte for byte.
+func TestApplyReadyPopRunBitIdentical(t *testing.T) {
+	geom := engine.Config{Shards: 2, Order: 4, Levels: 5}
+	prim, err := engine.New(geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, fol := applyNode(t, geom)
+	var seq, meta uint64
+	for b := 0; b < 40; b++ {
+		ops := make([]engine.Op, 96+b%3*32) // pushes
+		if b%2 == 1 {
+			ops = ops[:48+b%5*8] // a run of pops, fewer than the pushes before it
+		}
+		for i := range ops {
+			meta++
+			ops[i] = engine.PushOp(core.Element{Value: meta * 2654435761 % 1000, Meta: meta})
+			if b%2 == 1 {
+				ops[i] = engine.PopOp()
+			}
+		}
+		res := prim.Submit(ops)
+		var recs []Record
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("batch %d op %d: %v", b, i, r.Err)
+			}
+			rec := Record{Kind: RecOp, Op: OpPush, Shard: uint32(r.Shard), LSN: r.LSN,
+				Value: ops[i].Elem.Value, Meta: ops[i].Elem.Meta}
+			if ops[i].Kind == engine.OpPop {
+				rec.Op, rec.Value, rec.Meta = OpPop, r.Elem.Value, r.Elem.Meta
+			}
+			recs = append(recs, rec)
+		}
+		recs[len(recs)-1].End = true
+		g := grp{start: seq + 1, end: seq + uint64(len(recs)), recs: recs}
+		seq = g.end
+		if rest, err := n.applyReady([]grp{g}); err != nil || len(rest) != 0 {
+			t.Fatalf("batch %d: apply %v, %d groups left", b, err, len(rest))
+		}
+		for sh := 0; sh < geom.Shards; sh++ {
+			if p, f := prim.ShardLSN(sh), fol.ShardLSN(sh); p != f || prim.ShardLen(sh) != fol.ShardLen(sh) {
+				t.Fatalf("batch %d shard %d: lsn %d len %d (primary) vs lsn %d len %d (follower)",
+					b, sh, p, prim.ShardLen(sh), f, fol.ShardLen(sh))
+			}
+		}
+	}
+	if prim.Len() == 0 {
+		t.Fatal("the batches left nothing to compare")
+	}
+	prim.Close()
+	fol.Close()
+	pdir, fdir := t.TempDir(), t.TempDir()
+	if err := prim.Checkpoint(pdir); err != nil {
+		t.Fatal(err)
+	}
+	if err := fol.Checkpoint(fdir); err != nil {
+		t.Fatal(err)
+	}
+	for sh := 0; sh < geom.Shards; sh++ {
+		ps, _ := filepath.Glob(filepath.Join(engine.ShardDir(pdir, sh), "*.snap"))
+		fs, _ := filepath.Glob(filepath.Join(engine.ShardDir(fdir, sh), "*.snap"))
+		if len(ps) != 1 || len(fs) != 1 {
+			t.Fatalf("shard %d: snapshots %v and %v, want one each", sh, ps, fs)
+		}
+		pb, err := os.ReadFile(ps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := os.ReadFile(fs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pb, fb) {
+			t.Fatalf("shard %d: follower snapshot differs from the primary's", sh)
+		}
 	}
 }
