@@ -40,22 +40,18 @@ func popRec(shard uint32, lsn, value uint64) Record {
 
 // logString renders a log as one token per record — s<shard>@<lsn> for
 // an op, d for a dedup record — with | closing each group.
-func logString(l *Log) string {
+func logString(t testing.TB, l *Log) string {
 	var b strings.Builder
-	for seq := uint64(0); seq < l.Seq(); {
-		recs := l.ReadFrom(seq, MaxRecordsPerFrame)
-		for _, r := range recs {
-			if r.Kind == RecDedup {
-				b.WriteString("d")
-			} else {
-				fmt.Fprintf(&b, "s%d@%d", r.Shard, r.LSN)
-			}
-			if r.End {
-				b.WriteString("|")
-			}
-			b.WriteString(" ")
+	for _, r := range readLog(t, l, 0, MaxRecordsPerFrame, frameBytes) {
+		if r.Kind == RecDedup {
+			b.WriteString("d")
+		} else {
+			fmt.Fprintf(&b, "s%d@%d", r.Shard, r.LSN)
 		}
-		seq += uint64(len(recs))
+		if r.End {
+			b.WriteString("|")
+		}
+		b.WriteString(" ")
 	}
 	return strings.TrimSpace(b.String())
 }
@@ -212,7 +208,7 @@ func TestApplyReadyReachability(t *testing.T) {
 					t.Errorf("step %d: frontier %d, want %d", si, fr, st.wantFrontier)
 				}
 			}
-			if got := logString(n.log); got != tc.wantLog {
+			if got := logString(t, n.log); got != tc.wantLog {
 				t.Errorf("follower log:\n got %s\nwant %s", got, tc.wantLog)
 			}
 			if n.streamFatal.Load() {
@@ -259,7 +255,7 @@ func TestApplyReadyDetectsDivergence(t *testing.T) {
 				t.Fatalf("err %v, fatal latch %v: divergence not detected", err, n.streamFatal.Load())
 			}
 			if n.log.Seq() != 0 {
-				t.Fatalf("diverged group reached the log (%s)", logString(n.log))
+				t.Fatalf("diverged group reached the log (%s)", logString(t, n.log))
 			}
 			if fr, _ := n.advanceFrontier(); fr != 0 {
 				t.Fatalf("frontier %d moved over a diverged group", fr)

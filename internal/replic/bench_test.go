@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // benchGroup is the group shape of the serving ladder's serve_sync_b64
@@ -21,28 +22,45 @@ const benchChunk = 1024
 var benchGeom = engine.Config{Shards: 2, Order: 2, Levels: 11}
 
 // reportPerRecord adds ns/record beside the per-group ns/op.
-func reportPerRecord(b *testing.B) {
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchGroup), "ns/record")
+func reportPerRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
-// BenchmarkLogAppend appends 64-record groups to a log that starts
-// empty every benchChunk groups — growing from nothing is part of what
-// a log costs.
-func BenchmarkLogAppend(b *testing.B) {
-	group := make([]Record, benchGroup)
-	for i := range group {
-		group[i] = pushRec(uint32(i%2), uint64(i), uint64(i))
+// tapBatch is one executed batch as the wire server hands it to the
+// batch tap: 64 ops over 2 shards, pushes and pops in equal parts, all
+// successful, and the encoded 64-result response.
+func tapBatch() ([]engine.Op, []engine.Result, []byte) {
+	ops := make([]engine.Op, benchGroup)
+	res := make([]engine.Result, benchGroup)
+	wres := make([]wire.Result, benchGroup)
+	for i := range ops {
+		el := core.Element{Value: uint64(i) << 20, Meta: uint64(i)}
+		ops[i] = engine.PushOp(el)
+		if i%2 == 1 {
+			ops[i] = engine.PopOp()
+		}
+		res[i] = engine.Result{Elem: el, Shard: int32(i % 2), LSN: uint64(i/2 + 1)}
+		wres[i] = wire.Result{Status: wire.StatusOK, Value: el.Value, Meta: el.Meta}
 	}
+	return ops, res, wire.AppendResults(nil, wres)
+}
+
+// BenchmarkLogAppend drives the primary's batch tap with 64-op batches
+// of a dedup-enrolled session — 65 records a group — into a log that
+// starts empty every benchChunk groups: growing from nothing is part of
+// what a log costs. B/op is the log memory a group takes.
+func BenchmarkLogAppend(b *testing.B) {
+	n, _ := applyNode(b, benchGeom)
+	ops, res, resp := tapBatch()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var l *Log
 	for i := 0; i < b.N; i++ {
 		if i%benchChunk == 0 {
-			l = NewLog()
+			n.log = NewLog()
 		}
-		l.AppendGroup(group)
+		n.onBatch(1, uint64(i+1), ops, res, resp)
 	}
-	reportPerRecord(b)
+	reportPerRecord(b, benchGroup+1)
 }
 
 // BenchmarkFollowerApply times applyReady on one in-order group per
@@ -117,5 +135,5 @@ func BenchmarkFollowerApply(b *testing.B) {
 		apply(chunk[0])
 		chunk = chunk[1:]
 	}
-	reportPerRecord(b)
+	reportPerRecord(b, benchGroup)
 }

@@ -32,3 +32,44 @@ func FuzzRecordsDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLogStream appends fuzzed groups to a log and streams them back
+// through a cursor, seeked to a fuzzed resume point, under fuzzed frame
+// bounds, parsing every run as a TReplRecords payload: the records must
+// come back as appended, in order, with End on each group's last record
+// alone, every run inside its bounds.
+//
+// Each script byte is one record: bit 0 picks an op (0) or a dedup
+// record (1), bit 1 ends the group, and the upper six bits p pick the
+// op's kind and shard, or size the dedup response at p×2200 bytes —
+// past a segment from p = 60 on.
+func FuzzLogStream(f *testing.F) {
+	f.Add([]byte{0x00, 0x04, 0x0B}, uint16(MaxRecordsPerFrame), uint32(frameBytes), uint16(0))
+	f.Add([]byte{0x02, 0xF3, 0x00, 0x81, 0xFE, 0x43}, uint16(1), uint32(1), uint16(2))
+	f.Add(bytes.Repeat([]byte{0x00, 0x04, 0x08, 0x0E, 0x7B}, 400), uint16(100), uint32(40<<10), uint16(777))
+	f.Fuzz(func(t *testing.T, script []byte, maxRecs uint16, maxBytes uint32, resume uint16) {
+		l := NewLog()
+		var want, group []Record
+		for i, c := range script {
+			p := uint64(c >> 2)
+			if c&1 == 0 {
+				r := pushRec(uint32(p>>1&3), uint64(len(want)+len(group)+1), p<<32|uint64(i))
+				if p&1 == 1 {
+					r.Op = OpPop
+				}
+				group = append(group, r)
+			} else {
+				resp := bytes.Repeat([]byte{c}, int(p)*2200)
+				group = append(group, Record{Kind: RecDedup, Session: p, ReqID: uint64(i), Resp: resp})
+			}
+			if c&2 != 0 || i == len(script)-1 {
+				l.AppendGroup(group)
+				group[len(group)-1].End = true
+				want, group = append(want, group...), nil
+			}
+		}
+		after := uint64(resume) % (l.Seq() + 1)
+		got := readLog(t, l, after, 1+int(maxRecs)%MaxRecordsPerFrame, 1+int(maxBytes)%frameBytes)
+		sameRecords(t, got, want[after:])
+	})
+}

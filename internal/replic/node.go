@@ -129,9 +129,10 @@ type Node struct {
 	log   *Log
 	logID uint64 // identity of this node's own log
 
-	role      atomic.Int32
-	degraded  atomic.Bool
-	followers atomic.Int32
+	role        atomic.Int32
+	degraded    atomic.Bool
+	followers   atomic.Int32
+	hadFollower atomic.Bool // a follower has attached to this primary
 
 	// Primary-side ack state.
 	amu     sync.Mutex
@@ -417,46 +418,26 @@ func b2f(v bool) float64 {
 // ---------------------------------------------------------------------
 // Primary side: batch tap, sync gating, follower streams.
 
-// onBatch is the wire server's batch tap: turn one executed request
-// into an atomic log group — its successful ops' records, then (for
-// enrolled sessions) the dedup record — and, in synchronous mode,
+// onBatch is the wire server's batch tap: encode one executed request
+// into the log as an atomic group — its successful ops' records, then
+// (for enrolled sessions) the dedup record — and, in synchronous mode,
 // return the ack gate for the response.
-func (n *Node) onBatch(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
+func (n *Node) onBatch(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() bool {
 	if n.role.Load() != rolePrimary {
 		return nil
 	}
-	group := make([]Record, 0, len(ops)+1)
-	for i, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		rec := Record{Kind: RecOp, Shard: uint32(r.Shard), LSN: r.LSN}
-		if ops[i].Kind == engine.OpPush {
-			rec.Op = OpPush
-			rec.Value = ops[i].Elem.Value
-			rec.Meta = ops[i].Elem.Meta
-		} else {
-			// A pop record carries the popped element so the follower
-			// can check its own pop against it — divergence detection.
-			rec.Op = OpPop
-			rec.Value = r.Elem.Value
-			rec.Meta = r.Elem.Meta
-		}
-		group = append(group, rec)
-	}
-	if session != 0 {
-		group = append(group, Record{
-			Kind:    RecDedup,
-			Session: session,
-			ReqID:   reqID,
-			Resp:    append([]byte(nil), resp...),
-		})
-	}
-	if len(group) == 0 {
+	seq := n.log.AppendBatch(session, reqID, ops, results, resp)
+	if seq == 0 || !n.cfg.Sync {
 		return nil
 	}
-	seq := n.log.AppendGroup(group)
-	if !n.cfg.Sync || n.followers.Load() == 0 {
+	if n.followers.Load() == 0 {
+		// No follower to wait for. A live primary answers at once, and
+		// so does one that never had a follower. One shutting down after
+		// a follower attached answers nothing unacked — its stream may
+		// have died first; see unacked.
+		if n.hadFollower.Load() && n.srv.Closing() {
+			return withhold
+		}
 		return nil
 	}
 	// The gate runs later, on the connection's writer; the ack round
@@ -465,26 +446,29 @@ func (n *Node) onBatch(session, reqID uint64, ops []engine.Op, results []engine.
 	if n.inst.Load().ackLatency != nil {
 		logged = time.Now()
 	}
-	return func() { n.waitAck(seq, logged) }
+	return func() bool { return n.waitAck(seq, logged) }
 }
 
-// waitAck blocks until a follower acknowledges seq or SyncTimeout
-// passes (which marks the node Degraded: the response is released
-// without proof of replication). logged, when nonzero, is when the
-// group was appended; the ack-latency histogram gets the time since.
-func (n *Node) waitAck(seq uint64, logged time.Time) {
+// withhold is the gate of a response that must not be sent.
+func withhold() bool { return false }
+
+// waitAck blocks until a follower acknowledges seq, the follower
+// detaches, or SyncTimeout passes, and reports whether the response may
+// be sent: always after an ack; without one, as unacked decides. logged,
+// when nonzero, is when the group was appended; the ack-latency
+// histogram gets the time since.
+func (n *Node) waitAck(seq uint64, logged time.Time) bool {
 	if !logged.IsZero() {
 		defer func() { n.inst.Load().ackLatency.Observe(uint64(time.Since(logged))) }()
 	}
 	n.amu.Lock()
 	if n.ackSeq >= seq {
 		n.amu.Unlock()
-		return
+		return true
 	}
 	if n.followers.Load() == 0 {
 		n.amu.Unlock()
-		n.setDegraded("sync response released with no follower attached")
-		return
+		return n.unacked("sync response released with no follower attached")
 	}
 	w := ackWaiter{seq: seq, ch: make(chan struct{})}
 	n.waiters = append(n.waiters, w)
@@ -493,9 +477,30 @@ func (n *Node) waitAck(seq uint64, logged time.Time) {
 	defer t.Stop()
 	select {
 	case <-w.ch:
+		if n.AckSeq() >= seq {
+			return true
+		}
+		return n.unacked("follower detached with sync waiters blocked")
 	case <-t.C:
-		n.setDegraded("sync ack timeout")
+		return n.unacked("sync ack timeout")
 	}
+}
+
+// unacked decides a gated response whose ack will not come. A live
+// primary releases it and marks itself Degraded: from here on an acked
+// op may be missing on the follower (DESIGN.md §6a). A primary whose
+// server is shutting down withholds it instead — its follower is about
+// to be promoted, and the stream's end may only be the shutdown closing
+// connections in some order — so the writer drops the response and
+// closes the connection, and the client's retry is answered by the
+// promoted follower: from its dedup cache if the group reached it,
+// executed afresh if not.
+func (n *Node) unacked(reason string) bool {
+	if n.srv.Closing() {
+		return false
+	}
+	n.setDegraded(reason)
+	return true
 }
 
 // updateAck records a follower ack and releases waiters it covers.
@@ -517,20 +522,15 @@ func (n *Node) updateAck(seq uint64) {
 	n.amu.Unlock()
 }
 
-// releaseWaiters frees every sync waiter (the follower detached; their
-// acks will never come) and marks the node Degraded if any were
-// blocked.
+// releaseWaiters frees every sync waiter: the follower detached, so
+// their acks will never come, and each decides through unacked.
 func (n *Node) releaseWaiters() {
 	n.amu.Lock()
-	blocked := len(n.waiters) > 0
 	for _, w := range n.waiters {
 		close(w.ch)
 	}
 	n.waiters = nil
 	n.amu.Unlock()
-	if blocked {
-		n.setDegraded("follower detached with sync waiters blocked")
-	}
 }
 
 // AckSeq returns the highest follower-acknowledged log sequence.
@@ -589,6 +589,7 @@ func (n *Node) handleRepl(conn net.Conn, hello wire.Frame) {
 	n.transition("follower_attached", resume, n.log.Seq())
 	n.event(slog.LevelInfo, "replic: follower attached", "seq", resume)
 	n.followers.Add(1)
+	n.hadFollower.Store(true)
 	defer func() {
 		if n.followers.Add(-1) == 0 {
 			n.releaseWaiters()
@@ -632,9 +633,12 @@ func (n *Node) handleRepl(conn net.Conn, hello wire.Frame) {
 		}
 	}()
 
-	next := resume
+	// The log holds the records' wire encoding, so a frame is a header
+	// plus a run of log bytes: nothing is re-encoded. Both buffers are
+	// reused; Write is done with them when it returns.
+	cur := n.log.Cursor(resume)
 	lastSent := time.Now()
-	var payload []byte // reused: WriteFrame is done with it when it returns
+	var payload, frame []byte
 	for !stop.Load() {
 		select {
 		case <-n.closed:
@@ -644,55 +648,22 @@ func (n *Node) handleRepl(conn net.Conn, hello wire.Frame) {
 		if stop.Load() {
 			break
 		}
-		recs := n.log.ReadFrom(next, MaxRecordsPerFrame)
-		if len(recs) == 0 {
-			// Woken with nothing new: heartbeat if it has been a while.
-			if time.Since(lastSent) < heartbeatEvery {
-				continue
-			}
+		first, cnt, recs := cur.Next(MaxRecordsPerFrame, frameBytes)
+		// Woken with nothing new: heartbeat if it has been a while.
+		if cnt == 0 && time.Since(lastSent) < heartbeatEvery {
+			continue
 		}
-		ok := true
-		for _, chunk := range chunkRecords(recs) {
-			payload = AppendReplRecords(payload[:0], next+1, chunk)
-			conn.SetWriteDeadline(time.Now().Add(n.cfg.StreamTimeout))
-			if err := wire.WriteFrame(conn, wire.TReplRecords, 0, payload); err != nil {
-				ok = false
-				break
-			}
-			next += uint64(len(chunk))
-			lastSent = time.Now()
-		}
-		if !ok {
+		payload = append(appendRecordsHeader(payload[:0], first, cnt), recs...)
+		frame = wire.AppendFrame(frame[:0], wire.TReplRecords, 0, payload)
+		conn.SetWriteDeadline(time.Now().Add(n.cfg.StreamTimeout))
+		if _, err := conn.Write(frame); err != nil {
 			break
 		}
+		lastSent = time.Now()
 	}
 	close(hbStop)
 	conn.Close()
 	rwg.Wait()
-}
-
-// chunkRecords splits records into frame-sized chunks: bounded count
-// and bounded encoded size (dedup responses can be large). An empty
-// input yields one empty chunk — the heartbeat frame.
-func chunkRecords(recs []Record) [][]Record {
-	if len(recs) == 0 {
-		return [][]Record{nil}
-	}
-	const sizeBudget = 512 << 10
-	var chunks [][]Record
-	start, size := 0, 0
-	for i, r := range recs {
-		sz := recOpSize
-		if r.Kind == RecDedup {
-			sz = recDedupMin + len(r.Resp)
-		}
-		if i > start && (size+sz > sizeBudget || i-start >= MaxRecordsPerFrame) {
-			chunks = append(chunks, recs[start:i])
-			start, size = i, 0
-		}
-		size += sz
-	}
-	return append(chunks, recs[start:])
 }
 
 // ---------------------------------------------------------------------

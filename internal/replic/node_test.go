@@ -756,3 +756,107 @@ func TestSyncReleaseWithoutFollowerIsAnIncident(t *testing.T) {
 		t.Fatalf("degraded %v, incidents %v: want one repl_degraded", n.Status().Degraded, triggers)
 	}
 }
+
+// TestShutdownWithholdsUnackedResponses: a sync primary that is
+// shutting down must not answer OK for a group its follower never
+// acknowledged. The shutdown's force-close can end the replication
+// stream before a client's connection; the gated response then loses
+// its ack for good, and an OK written on the still-open connection
+// would be an acked op the promoted follower does not hold. Both ways
+// in are checked: a response already waiting in its gate when the
+// stream dies, and a batch executed after it died. A primary that never
+// had a follower is not affected.
+func TestShutdownWithholdsUnackedResponses(t *testing.T) {
+	prim := startNode(t, testGeom, Config{Sync: true, SyncTimeout: 5 * time.Second})
+	defer prim.stop(50 * time.Millisecond)
+
+	// A follower that attaches and never acknowledges.
+	fconn, err := net.Dial("tcp", prim.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fconn.Close()
+	if err := wire.WriteFrame(fconn, wire.TReplHello, 1, AppendReplHello(nil, ManifestOf(testGeom), 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wire.ReadFrame(fconn); err != nil || f.Type != wire.TReplOK {
+		t.Fatalf("attach: frame %d, %v", f.Type, err)
+	}
+	waitUntil(t, "follower attach", func() bool { return prim.node.Status().Followers == 1 })
+
+	gated, err := wire.Dial(prim.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gated.Close()
+	late, err := wire.Dial(prim.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	// A pop of the empty queue logs nothing and is not gated: it only
+	// proves late's connection is served before shutdown begins.
+	if res, err := late.Do([]wire.Op{{Kind: wire.OpPop}}); err != nil || res[0].Status != wire.StatusEmpty {
+		t.Fatalf("pop on the empty primary: %v, %v", res, err)
+	}
+
+	answered := make(chan error, 1)
+	go func() {
+		res, err := gated.Do([]wire.Op{{Kind: wire.OpPush, Value: 7, Meta: 7}})
+		if err == nil {
+			err = fmt.Errorf("answered %v", res)
+		} else {
+			err = nil
+		}
+		answered <- err
+	}()
+	waitUntil(t, "the push to reach the log", func() bool { return prim.node.LogSeq() == 1 })
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shut <- prim.srv.Shutdown(ctx)
+	}()
+	waitUntil(t, "shutdown to begin", prim.srv.Closing)
+	fconn.Close() // the stream dies first
+
+	if err := <-answered; err != nil {
+		t.Fatalf("push waiting on an ack that never came: %v", err)
+	}
+	waitUntil(t, "the follower to detach", func() bool { return prim.node.Status().Followers == 0 })
+	if res, err := late.Do([]wire.Op{{Kind: wire.OpPush, Value: 8, Meta: 8}}); err == nil {
+		t.Fatalf("push executed after the follower detached: answered %v", res)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("shutdown did not drain: %v", err)
+	}
+	if prim.node.Status().Degraded {
+		t.Fatal("primary degraded, but it released no unreplicated response")
+	}
+
+	// A sync primary that never had a follower has nobody to hand over
+	// to: shutting down, it still answers what it executes.
+	solo := startNode(t, testGeom, Config{Sync: true})
+	defer solo.stop(50 * time.Millisecond)
+	c, err := wire.Dial(solo.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Do([]wire.Op{{Kind: wire.OpPop}}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shut <- solo.srv.Shutdown(ctx)
+	}()
+	waitUntil(t, "shutdown to begin", solo.srv.Closing)
+	if res, err := c.Do([]wire.Op{{Kind: wire.OpPush, Value: 9, Meta: 9}}); err != nil || res[0].Status != wire.StatusOK {
+		t.Fatalf("push on a shutting-down primary with no follower: %v, %v", res, err)
+	}
+	c.Close()
+	if err := <-shut; err != nil {
+		t.Fatalf("shutdown did not drain: %v", err)
+	}
+}

@@ -96,8 +96,11 @@ const (
 	// of an atomic log group.
 	recEndFlag = 0x80
 	// MaxRecordsPerFrame bounds one TReplRecords frame; together with
-	// the response-size bound it keeps frames under wire.MaxPayload.
+	// frameBytes it keeps frames under wire.MaxPayload.
 	MaxRecordsPerFrame = 512
+	// frameBytes bounds the record bytes of one TReplRecords frame. A
+	// single record larger than it still ships, alone.
+	frameBytes = 512 << 10
 )
 
 // AppendReplHello encodes a TReplHello payload: the follower's
@@ -171,35 +174,58 @@ func AppendReplRecords(dst []byte, first uint64, recs []Record) []byte {
 	if len(recs) > MaxRecordsPerFrame {
 		panic(fmt.Sprintf("replic: %d records exceed MaxRecordsPerFrame %d", len(recs), MaxRecordsPerFrame))
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, first)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(recs)))
-	for _, r := range recs {
-		k := byte(r.Kind)
-		if r.End {
-			k |= recEndFlag
-		}
+	dst = appendRecordsHeader(dst, first, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		at := len(dst)
 		switch r.Kind {
 		case RecOp:
-			dst = append(dst, k)
-			dst = binary.LittleEndian.AppendUint32(dst, r.Shard)
-			dst = binary.LittleEndian.AppendUint64(dst, r.LSN)
-			dst = append(dst, r.Op)
-			dst = binary.LittleEndian.AppendUint64(dst, r.Value)
-			dst = binary.LittleEndian.AppendUint64(dst, r.Meta)
+			dst = appendOp(dst, r.Shard, r.LSN, r.Op, r.Value, r.Meta)
 		case RecDedup:
 			if len(r.Resp) > wire.MaxPayload {
 				panic(fmt.Sprintf("replic: dedup response %d bytes", len(r.Resp)))
 			}
-			dst = append(dst, k)
-			dst = binary.LittleEndian.AppendUint64(dst, r.Session)
-			dst = binary.LittleEndian.AppendUint64(dst, r.ReqID)
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Resp)))
-			dst = append(dst, r.Resp...)
+			dst = appendDedup(dst, r.Session, r.ReqID, r.Resp)
 		default:
 			panic(fmt.Sprintf("replic: record kind %d", r.Kind))
 		}
+		if r.End {
+			dst[at] |= recEndFlag
+		}
 	}
 	return dst
+}
+
+// appendRecordsHeader encodes a TReplRecords payload's header: the
+// sequence of its first record and the record count.
+func appendRecordsHeader(dst []byte, first uint64, n int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, first)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// appendOp and appendDedup are the one record encoder, shared by the
+// frame codec and the log: a record's log bytes are its wire bytes.
+// Neither sets the End flag; the caller ORs recEndFlag into the kind
+// byte of a group's last record.
+func appendOp(dst []byte, shard uint32, lsn uint64, op uint8, value, meta uint64) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, recOpSize)...)
+	b := dst[at : at+recOpSize]
+	b[0] = byte(RecOp)
+	binary.LittleEndian.PutUint32(b[1:5], shard)
+	binary.LittleEndian.PutUint64(b[5:13], lsn)
+	b[13] = op
+	binary.LittleEndian.PutUint64(b[14:22], value)
+	binary.LittleEndian.PutUint64(b[22:30], meta)
+	return dst
+}
+
+func appendDedup(dst []byte, session, reqID uint64, resp []byte) []byte {
+	dst = append(dst, byte(RecDedup))
+	dst = binary.LittleEndian.AppendUint64(dst, session)
+	dst = binary.LittleEndian.AppendUint64(dst, reqID)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp)))
+	return append(dst, resp...)
 }
 
 // ParseReplRecords decodes a TReplRecords payload. Arbitrary input

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -143,28 +144,98 @@ func TestReplRecordsRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestLogGroupsAndReadFrom(t *testing.T) {
+// TestReplRecordsGolden pins the record encoding: these bytes are what
+// every earlier primary sent for this group, so a follower and a
+// primary of different versions still understand each other. The log
+// stores the same bytes, so a cursor over it must produce them too.
+func TestReplRecordsGolden(t *testing.T) {
+	const golden = "0700000000000000" + "02000000" + // first seq 7, 2 records
+		"01" + "01000000" + "0200000000000000" + "01" + "0807060504030201" + "0900000000000000" + // push, shard 1, lsn 2
+		"82" + "edfe000000000000" + "2a00000000000000" + "02000000" + "6f6b" // dedup (End), session 0xFEED, req 42, "ok"
+	group := []Record{
+		{Kind: RecOp, Shard: 1, LSN: 2, Op: OpPush, Value: 0x0102030405060708, Meta: 9},
+		{Kind: RecDedup, Session: 0xFEED, ReqID: 42, Resp: []byte("ok"), End: true},
+	}
+	if got := hex.EncodeToString(AppendReplRecords(nil, 7, group)); got != golden {
+		t.Fatalf("AppendReplRecords:\n got %s\nwant %s", got, golden)
+	}
+	l := NewLog()
+	for i := range 6 {
+		l.AppendGroup([]Record{pushRec(0, uint64(i+1), 0)})
+	}
+	l.AppendGroup(group)
+	first, n, b := l.Cursor(6).Next(MaxRecordsPerFrame, frameBytes)
+	if got := hex.EncodeToString(append(appendRecordsHeader(nil, first, n), b...)); got != golden {
+		t.Fatalf("log bytes:\n got %s\nwant %s", got, golden)
+	}
+}
+
+// readLog streams l after sequence after through one cursor the way a
+// stream sender does — runs of at most maxRecs records and maxBytes
+// bytes, one record always — parses each run as a TReplRecords payload,
+// and returns the records.
+func readLog(t testing.TB, l *Log, after uint64, maxRecs, maxBytes int) []Record {
+	t.Helper()
+	var out []Record
+	c := l.Cursor(after)
+	for seq := after; seq < l.Seq(); {
+		first, n, b := c.Next(maxRecs, maxBytes)
+		if n == 0 || first != seq+1 {
+			t.Fatalf("read after %d below the tip %d: first %d, %d records", seq, l.Seq(), first, n)
+		}
+		if n > maxRecs || (n > 1 && len(b) > maxBytes) {
+			t.Fatalf("run of %d records, %d bytes breaks the bounds %d/%d", n, len(b), maxRecs, maxBytes)
+		}
+		got, recs, err := ParseReplRecords(append(appendRecordsHeader(nil, first, n), b...))
+		if err != nil || got != first || len(recs) != n {
+			t.Fatalf("run after %d does not parse: first %d, %d of %d records, %v", seq, got, len(recs), n, err)
+		}
+		out = append(out, recs...)
+		seq += uint64(n)
+	}
+	return out
+}
+
+// sameRecords compares record lists, an empty response equal to none.
+func sameRecords(t testing.TB, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if len(g.Resp) == 0 && len(w.Resp) == 0 {
+			g.Resp, w.Resp = nil, nil
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, g, w)
+		}
+	}
+}
+
+func TestLogGroupsAndCursor(t *testing.T) {
 	l := NewLog()
 	if l.Seq() != 0 {
 		t.Fatalf("fresh log seq = %d", l.Seq())
 	}
+	c := l.Cursor(0) // seeked on an empty log, it reads what comes later
 	tip := l.AppendGroup([]Record{
-		{Kind: RecOp, Shard: 0, LSN: 1, Op: OpPush},
+		{Kind: RecOp, Shard: 0, LSN: 1, Op: OpPush, End: true},
 		{Kind: RecDedup, Session: 1, ReqID: 1},
 	})
 	if tip != 2 || l.Seq() != 2 {
 		t.Fatalf("tip = %d seq = %d", tip, l.Seq())
 	}
-	recs := l.ReadFrom(0, 10)
-	if len(recs) != 2 || recs[1].Kind != RecDedup {
-		t.Fatalf("ReadFrom(0) = %+v", recs)
-	}
 	// AppendGroup stamps the group boundary: End on the last record only.
-	if recs[0].End || !recs[1].End {
-		t.Fatalf("group-end flags: %v/%v, want false/true", recs[0].End, recs[1].End)
+	sameRecords(t, readLog(t, l, 0, 10, frameBytes), []Record{
+		{Kind: RecOp, Shard: 0, LSN: 1, Op: OpPush},
+		{Kind: RecDedup, Session: 1, ReqID: 1, End: true},
+	})
+	if first, n, _ := c.Next(10, frameBytes); first != 1 || n != 2 {
+		t.Fatalf("cursor seeked on the empty log read %d records from %d", n, first)
 	}
-	if recs := l.ReadFrom(1, 1); len(recs) != 1 || recs[0].Kind != RecDedup {
-		t.Fatalf("ReadFrom(1,1) = %+v", recs)
+	if recs := readLog(t, l, 1, 1, frameBytes); len(recs) != 1 || recs[0].Kind != RecDedup {
+		t.Fatalf("read after 1 = %+v", recs)
 	}
 
 	// A reader blocked at the tip is released by an append…
@@ -172,8 +243,8 @@ func TestLogGroupsAndReadFrom(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if recs := l.ReadFrom(2, 10); len(recs) != 1 {
-			t.Errorf("blocked ReadFrom woke with %+v", recs)
+		if first, n, _ := c.Next(10, frameBytes); first != 3 || n != 1 {
+			t.Errorf("blocked Next woke with %d records from %d", n, first)
 		}
 	}()
 	l.AppendGroup([]Record{{Kind: RecOp, Shard: 0, LSN: 2, Op: OpPop}})
@@ -184,8 +255,8 @@ func TestLogGroupsAndReadFrom(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if recs := l.ReadFrom(3, 10); len(recs) != 0 {
-			t.Errorf("woken ReadFrom returned %+v", recs)
+		if first, n, _ := c.Next(10, frameBytes); first != 4 || n != 0 {
+			t.Errorf("woken Next returned %d records from %d", n, first)
 		}
 	}()
 	for {
@@ -198,94 +269,142 @@ func TestLogGroupsAndReadFrom(t *testing.T) {
 	}
 }
 
-// TestLogSegmentBoundaries appends across a segment boundary: a group
-// that straddles it keeps its single End, sequence numbers run on, no
-// read crosses a segment, and a reader can resume anywhere inside one.
-// Every record's LSN is its own sequence, so a misplaced one shows.
-func TestLogSegmentBoundaries(t *testing.T) {
+// segmentLog builds a log of several segments from a seeded mix of
+// groups — op runs, dedup records of assorted sizes, one dedup record
+// larger than a segment — and returns it with the records as a reader
+// must see them: End on each group's last record. Every op record's LSN
+// is its own sequence, so a misplaced one shows.
+func segmentLog(t testing.TB) (*Log, []Record) {
+	t.Helper()
 	l := NewLog()
-	next := uint64(0)
-	group := func(n int) []Record {
-		recs := make([]Record, n)
-		for i := range recs {
-			next++
-			recs[i] = Record{Kind: RecOp, Op: OpPush, LSN: next}
+	rng := rand.New(rand.NewSource(1))
+	var want []Record
+	for g := 0; len(l.segs) < 4 || g < 300; g++ {
+		var group []Record
+		for range rng.Intn(70) {
+			group = append(group, pushRec(uint32(rng.Intn(4)), uint64(len(want)+len(group)+1), rng.Uint64()))
 		}
-		return recs
-	}
-	if tip := l.AppendGroup(group(segRecords - 2)); tip != segRecords-2 {
-		t.Fatalf("tip %d, want %d", tip, segRecords-2)
-	}
-	// Two records of this group close segment 0, three open segment 1.
-	if tip := l.AppendGroup(group(5)); tip != segRecords+3 || l.Seq() != segRecords+3 {
-		t.Fatalf("tip %d seq %d, want %d", tip, l.Seq(), segRecords+3)
-	}
-	l.AppendGroup(group(2*segRecords + 7)) // a group longer than a segment
-
-	head := l.ReadFrom(segRecords-2, MaxRecordsPerFrame)
-	tail := l.ReadFrom(segRecords, 3)
-	if len(head) != 2 || len(tail) != 3 {
-		t.Fatalf("straddling group read as %d + %d records, want 2 + 3", len(head), len(tail))
-	}
-	for i, r := range slices.Concat(head, tail) {
-		if want := uint64(segRecords - 1 + i); r.LSN != want || r.End != (i == 4) {
-			t.Fatalf("straddling group record %d: lsn %d end %v, want lsn %d end %v", i, r.LSN, r.End, want, i == 4)
-		}
-	}
-
-	// Stream the whole log the way a sender does, from a resume point in
-	// the middle of segment 0.
-	const resume = 1000
-	ends := 0
-	for seq := uint64(resume); seq < l.Seq(); {
-		recs := l.ReadFrom(seq, MaxRecordsPerFrame)
-		if len(recs) == 0 {
-			t.Fatalf("empty read at %d below the tip %d", seq, l.Seq())
-		}
-		if first, last := seq/segRecords, (seq+uint64(len(recs))-1)/segRecords; first != last {
-			t.Fatalf("read of %d records after %d spans segments %d..%d", len(recs), seq, first, last)
-		}
-		for i, r := range recs {
-			if want := seq + uint64(i) + 1; r.LSN != want {
-				t.Fatalf("sequence %d holds the record appended as %d", want, r.LSN)
+		if len(group) == 0 || g == 100 || rng.Intn(2) == 0 {
+			resp := make([]byte, rng.Intn(3000))
+			if g == 100 {
+				resp = make([]byte, segBytes+100)
 			}
-			if r.End {
-				ends++
-			}
+			rng.Read(resp)
+			group = append(group, Record{Kind: RecDedup, Session: uint64(g + 1), ReqID: uint64(g), Resp: resp})
 		}
-		seq += uint64(len(recs))
+		if tip := l.AppendGroup(group); tip != uint64(len(want)+len(group)) {
+			t.Fatalf("group %d: tip %d, want %d", g, tip, len(want)+len(group))
+		}
+		group[len(group)-1].End = true
+		want = append(want, group...)
 	}
-	if ends != 3 {
-		t.Fatalf("%d group ends past the resume point, want 3", ends)
+	return l, want
+}
+
+// TestLogSegmentBoundaries checks the segment layout — records whole
+// inside one segment, an oversized dedup record alone in its own, the
+// index numbering each segment's first record — and that a cursor
+// seeked to every sequence reads the right records with each group's
+// single End intact, also for groups that straddle a boundary.
+func TestLogSegmentBoundaries(t *testing.T) {
+	l, want := segmentLog(t)
+	if len(l.segs) < 3 {
+		t.Fatalf("%d segments, want at least 3", len(l.segs))
+	}
+	seq, straddles, oversized := uint64(1), 0, 0
+	for i, seg := range l.segs {
+		if l.firsts[i] != seq {
+			t.Fatalf("segment %d indexed at %d, starts at %d", i, l.firsts[i], seq)
+		}
+		if i > 0 && !want[seq-2].End {
+			straddles++
+		}
+		for off := 0; off < len(seg); seq++ {
+			sz := recSize(seg[off:])
+			if off+sz > len(seg) {
+				t.Fatalf("record %d straddles the end of segment %d", seq, i)
+			}
+			if sz > segBytes {
+				oversized++
+				if off != 0 || sz != len(seg) {
+					t.Fatalf("oversized record %d shares segment %d", seq, i)
+				}
+			}
+			off += sz
+		}
+	}
+	if seq-1 != l.Seq() || straddles == 0 || oversized != 1 {
+		t.Fatalf("%d records in segments (tip %d), %d groups straddling, %d oversized records",
+			seq-1, l.Seq(), straddles, oversized)
+	}
+	sameRecords(t, readLog(t, l, 0, MaxRecordsPerFrame, frameBytes), want)
+
+	// A cursor seeked anywhere reads on from exactly there.
+	for after := uint64(0); after < l.Seq(); after++ {
+		first, n, b := l.Cursor(after).Next(1, frameBytes)
+		_, recs, err := ParseReplRecords(append(appendRecordsHeader(nil, first, n), b...))
+		if err != nil || first != after+1 || n != 1 {
+			t.Fatalf("cursor after %d: first %d, %d records, %v", after, first, n, err)
+		}
+		sameRecords(t, recs, want[after:after+1])
 	}
 }
 
-func TestChunkRecords(t *testing.T) {
-	if got := chunkRecords(nil); len(got) != 1 || got[0] != nil {
-		t.Fatalf("empty input: %+v", got)
+// TestCursorFrameBounds streams runs under both frame bounds: the
+// record count splits a long op run, the byte budget splits large
+// dedup records, and a record larger than the budget still ships,
+// alone.
+func TestCursorFrameBounds(t *testing.T) {
+	l := NewLog()
+	var want []Record
+	ops := make([]Record, MaxRecordsPerFrame+3)
+	for i := range ops {
+		ops[i] = pushRec(0, uint64(i+1), uint64(i))
 	}
-	recs := make([]Record, MaxRecordsPerFrame+3)
-	for i := range recs {
-		recs[i] = Record{Kind: RecOp, Op: OpPush, LSN: uint64(i + 1)}
-	}
-	chunks := chunkRecords(recs)
-	if len(chunks) != 2 || len(chunks[0]) != MaxRecordsPerFrame || len(chunks[1]) != 3 {
-		t.Fatalf("count split: %d chunks, sizes %d/%d", len(chunks), len(chunks[0]), len(chunks[len(chunks)-1]))
-	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	if total != len(recs) {
-		t.Fatalf("chunks cover %d of %d records", total, len(recs))
+	l.AppendGroup(ops)
+	ops[len(ops)-1].End = true
+	want = append(want, ops...)
+	for _, n := range []int{30 << 10, 30 << 10, 30 << 10, 600 << 10} {
+		d := Record{Kind: RecDedup, Session: 1, ReqID: uint64(n), Resp: make([]byte, n)}
+		l.AppendGroup([]Record{d})
+		d.End = true
+		want = append(want, d)
 	}
 
-	// Size budget: a few large dedup responses split early.
-	big := []Record{
-		{Kind: RecDedup, Resp: make([]byte, 400<<10)},
-		{Kind: RecDedup, Resp: make([]byte, 400<<10)},
+	const budget = 64 << 10
+	c := l.Cursor(0)
+	var runs []int
+	for seq := uint64(0); seq < l.Seq(); {
+		_, n, b := c.Next(MaxRecordsPerFrame, budget)
+		runs = append(runs, n)
+		if n > 1 && len(b) > budget {
+			t.Fatalf("run of %d records is %d bytes", n, len(b))
+		}
+		seq += uint64(n)
 	}
-	if chunks := chunkRecords(big); len(chunks) != 2 {
-		t.Fatalf("size split: %d chunks", len(chunks))
+	// 512 ops; the other 3 and two dedup records, under the budget; the
+	// third, the end of the segment; the record larger than the budget
+	// (and than a segment), alone.
+	if !slices.Equal(runs, []int{MaxRecordsPerFrame, 5, 1, 1}) {
+		t.Fatalf("runs %v", runs)
+	}
+	sameRecords(t, readLog(t, l, 0, MaxRecordsPerFrame, budget), want)
+}
+
+// TestTapAllocates nothing: the batch tap encodes a 64-op batch and its
+// dedup record straight into the log, so the only allocations are new
+// segments, which amortise to zero per batch.
+func TestTapAllocates(t *testing.T) {
+	n, _ := applyNode(t, benchGeom)
+	ops, res, resp := tapBatch()
+	id := uint64(0)
+	if avg := testing.AllocsPerRun(500, func() {
+		id++
+		n.onBatch(1, id, ops, res, resp)
+	}); avg != 0 {
+		t.Fatalf("%v allocations per tapped batch", avg)
+	}
+	if n.log.Seq() != 501*(benchGroup+1) {
+		t.Fatalf("log tip %d after 501 batches", n.log.Seq())
 	}
 }

@@ -68,12 +68,15 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // implementations must copy what they keep. A non-nil returned func is
 // the response's gate (synchronous replication): the connection's
 // writer calls it — once, after flushing the responses ahead of this
-// one — and only encodes the response when it returns, so the reader
-// is already executing the connection's next frame while the gate
-// blocks. It must return in bounded time (replic bounds it with
-// SyncTimeout) and be safe to call from a goroutine other than the one
-// the hook ran on.
-type BatchHook func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func()
+// one — and only encodes the response when it returns true, so the
+// reader is already executing the connection's next frame while the
+// gate blocks. A gate that returns false withholds the response: the
+// writer drops it and everything queued behind it and closes the
+// connection, so the client sees a failed request — which it retries —
+// rather than an answer nobody can vouch for. A gate must return in
+// bounded time (replic bounds it with SyncTimeout) and be safe to call
+// from a goroutine other than the one the hook ran on.
+type BatchHook func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() bool
 
 type (
 	// ReplHandler takes ownership of a connection that opened a
@@ -143,10 +146,12 @@ type Server struct {
 	// lane in the viewer.
 	connSeq atomic.Int64
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]struct{}
+	// closed is set, under mu, when Shutdown begins; Closing reads it
+	// without the lock.
+	closed atomic.Bool
 	wg     sync.WaitGroup
 }
 
@@ -211,7 +216,7 @@ func (s *Server) InstallDedup(session, reqID uint64, resp []byte) {
 // net.ErrClosed here) or a fatal accept error.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return net.ErrClosed
 	}
@@ -223,7 +228,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return net.ErrClosed
@@ -238,13 +243,16 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
+// Closing reports whether Shutdown has begun.
+func (s *Server) Closing() bool { return s.closed.Load() }
+
 // Shutdown stops accepting, then waits for every connection to drain
 // (clients closing after their final response) until ctx expires, at
 // which point remaining connections are closed forcibly. The engine is
 // not touched — the caller owns its Close/Checkpoint sequence.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	ln := s.ln
 	s.mu.Unlock()
 	if ln != nil {
@@ -272,14 +280,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // response is one frame headed for a connection. sp, when non-nil, is
 // the request's trace span: whichever goroutine writes the bytes stamps
 // StageWrite once they hit the socket and finishes the span. wait, when
-// non-nil, is the batch hook's gate: the writer calls it and stamps
-// StageAck before the response may join a write.
+// non-nil, is the batch hook's gate: the writer calls it and, when it
+// returns true, stamps StageAck before the response may join a write.
 type response struct {
 	typ     Type
 	id      uint64
 	payload []byte
 	sp      *obs.Span
-	wait    func()
+	wait    func() bool
 }
 
 // serveConn runs one connection's read-execute loop plus its coalescing
@@ -468,7 +476,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			payload := make([]byte, 0, 4+len(wres)*resultSize)
 			payload = AppendResults(payload, wres)
-			var wait func()
+			var wait func() bool
 			if s.onBatch != nil {
 				wait = s.onBatch(session, f.ID, ops, results, payload)
 			}
@@ -658,7 +666,8 @@ func (w *connOut) finish(sp *obs.Span, err error) {
 // those responses are released and must not sit behind another's round
 // trip — and a gated response is encoded only once its gate returns, so
 // no response reaches the socket before its ack (or its sync timeout)
-// and responses leave in the order the reader queued them.
+// and responses leave in the order the reader queued them. A gate that
+// withholds its response kills the connection.
 func (w *connOut) writeLoop() {
 	buf := make([]byte, 0, 64<<10)
 	var spans []*obs.Span
@@ -692,7 +701,14 @@ func (w *connOut) writeLoop() {
 				w.tracer.Finish(r.sp)
 				continue
 			}
-			r.wait()
+			if !r.wait() {
+				// Withheld: no byte of it, or of what queued behind it,
+				// may reach the client.
+				w.tracer.Finish(r.sp)
+				w.conn.Close()
+				dead = true
+				continue
+			}
 			r.sp.Stamp(obs.StageAck)
 		}
 		buf = AppendFrame(buf, r.typ, r.id, r.payload)

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -180,9 +182,9 @@ func TestSyncGatePipelined(t *testing.T) {
 		gates[i] = make(chan struct{})
 	}
 	srv := NewServer(e)
-	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
+	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() bool {
 		hooked <- reqID
-		return func() { <-gates[reqID] }
+		return func() bool { <-gates[reqID]; return true }
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -238,6 +240,54 @@ func TestSyncGatePipelined(t *testing.T) {
 	}
 }
 
+// TestWithheldResponseClosesConn: a gate that returns false withholds
+// its response — the responses ahead of it are delivered, then the
+// connection closes with neither the withheld response nor any queued
+// behind it on the wire.
+func TestWithheldResponseClosesConn(t *testing.T) {
+	e, err := engine.New(engine.Config{Shards: 1, Order: 2, Levels: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	srv := NewServer(e)
+	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() bool {
+		return func() bool { return reqID != 2 }
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var frames []byte
+	for id := uint64(1); id <= 3; id++ {
+		frames = AppendFrame(frames, TBatch, id, AppendOps(nil, []Op{{Kind: OpPush, Value: id, Meta: id}}))
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f, err := ReadFrame(conn); err != nil || f.Type != TBatchOK || f.ID != 1 {
+		t.Fatalf("first response: type %d id %d, %v", f.Type, f.ID, err)
+	}
+	if f, err := ReadFrame(conn); err == nil {
+		t.Fatalf("response %d written after a withheld one", f.ID)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("connection left open after a withheld response")
+	}
+}
+
 // TestDirectWriteKeepsOrder pins the reader's direct write against the
 // writer's queue. Every third batch is gated for a millisecond, and a
 // raw conn pipelines 64 frames, so the reader keeps finding the writer
@@ -252,13 +302,14 @@ func TestDirectWriteKeepsOrder(t *testing.T) {
 	const frames = 64
 	var opened [frames + 1]atomic.Bool
 	srv := NewServer(e)
-	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
+	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() bool {
 		if reqID%3 != 0 {
 			return nil
 		}
-		return func() {
+		return func() bool {
 			time.Sleep(time.Millisecond)
 			opened[reqID].Store(true)
+			return true
 		}
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -318,14 +369,15 @@ func TestMaxInflightShedsWholeBatch(t *testing.T) {
 	gated := make(chan struct{}, 1)
 	hooked := make(chan uint64, 8) // one per executed frame; the test executes five
 	srv := NewServerConfig(e, ServerConfig{MaxInflight: 2})
-	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
+	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() bool {
 		hooked <- reqID
-		return func() {
+		return func() bool {
 			select {
 			case gated <- struct{}{}:
 			default:
 			}
 			<-gate
+			return true
 		}
 	})
 	fetched := make(chan struct{}, 1)

@@ -62,8 +62,8 @@ func TestSpanStageMonotonic(t *testing.T) {
 	const block = 200 * time.Microsecond
 	t.Run("ungated", func(t *testing.T) { testSpanStages(t, nil, 0) })
 	t.Run("gated", func(t *testing.T) {
-		testSpanStages(t, func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
-			return func() { time.Sleep(block) }
+		testSpanStages(t, func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() bool {
+			return func() bool { time.Sleep(block); return true }
 		}, block)
 	})
 }
