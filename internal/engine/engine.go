@@ -361,7 +361,7 @@ func (e *Engine) Submit(ops []Op) []Result {
 // (len(results) must equal len(ops)), saving the allocation on hot
 // paths: a steady-state SubmitInto allocates nothing.
 func (e *Engine) SubmitInto(ops []Op, results []Result) {
-	e.SubmitTraced(ops, results, nil)
+	e.SubmitTraced(ops, results, nil, nil)
 }
 
 // SubmitTraced is SubmitInto carrying a request-lifecycle span: the
@@ -371,6 +371,12 @@ func (e *Engine) SubmitInto(ops []Op, results []Result) {
 // executed. A nil span costs one branch per stamp site — the untraced
 // path.
 //
+// then, when non-nil, runs exactly once, still under the execution
+// lock, after the batch's state is published — also for an empty batch
+// and on a closed engine. Whatever then starts is ordered as the
+// batches executed: the wire server takes its batch-tap lock there, so
+// its tap sees batches in execution order.
+//
 // The batch runs in op order. A push goes to the shard with the fewest
 // elements (leftmost on ties), where the backpressure gate judges it; a pop or bounded pop takes the smallest head across shards
 // (leftmost on ties), answering ErrEmpty or ErrMiss only when every
@@ -379,11 +385,11 @@ func (e *Engine) SubmitInto(ops []Op, results []Result) {
 // and bound goes to the trees as runs (popRun), with the same results;
 // at other orders Tree.PopRun loops the per-op walk, so there is
 // nothing for a run to gain and every pop takes the per-op path.
-func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
+func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span, then func()) {
 	if len(results) != len(ops) {
 		panic("engine: SubmitInto result slice length mismatch")
 	}
-	if len(ops) == 0 {
+	if len(ops) == 0 && then == nil {
 		return
 	}
 	sp.Stamp(obs.StageEnqueue)
@@ -393,6 +399,9 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 	if e.closed.Load() {
 		for i := range results {
 			results[i] = Result{Err: ErrClosed}
+		}
+		if then != nil {
+			then()
 		}
 		return
 	}
@@ -433,6 +442,9 @@ func (e *Engine) SubmitTraced(ops []Op, results []Result, sp *obs.Span) {
 	}
 	e.end()
 	sp.Stamp(obs.StageApply)
+	if then != nil {
+		then()
+	}
 }
 
 // popChunk is how many elements a shard's popRun takes from its tree

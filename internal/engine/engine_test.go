@@ -385,6 +385,55 @@ func TestClosedEngine(t *testing.T) {
 	}
 }
 
+// TestSubmitThenUnderLock pins SubmitTraced's then: it runs exactly
+// once per call, while the execution lock is held and after the
+// batch's state is published — for a full batch, an empty one, and on
+// a closed engine.
+func TestSubmitThenUnderLock(t *testing.T) {
+	e, err := New(smallConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	then := func(wantLen int) func() {
+		return func() {
+			calls++
+			if e.exec.TryLock() {
+				e.exec.Unlock()
+				t.Error("then ran without the execution lock")
+			}
+			if got := e.Len(); got != wantLen {
+				t.Errorf("then saw length %d, want the published %d", got, wantLen)
+			}
+		}
+	}
+	push := PushOp(core.Element{Value: 7, Meta: 1})
+	for _, tc := range []struct {
+		name    string
+		ops     []Op
+		close   bool
+		wantLen int
+	}{
+		{"batch", []Op{push, push, PopOp()}, false, 1},
+		{"empty batch", nil, false, 1},
+		{"closed engine", []Op{push}, true, 1},
+		{"closed, empty batch", nil, true, 1},
+	} {
+		if tc.close {
+			e.Close()
+		}
+		calls = 0
+		e.SubmitTraced(tc.ops, make([]Result, len(tc.ops)), nil, then(tc.wantLen))
+		if calls != 1 {
+			t.Errorf("%s: then ran %d times, want once", tc.name, calls)
+		}
+		if !e.exec.TryLock() {
+			t.Fatalf("%s: execution lock still held after SubmitTraced", tc.name)
+		}
+		e.exec.Unlock()
+	}
+}
+
 // TestCheckpointRestore round-trips an engine through the per-shard
 // checkpoint fan-out: push, close, checkpoint, restore into
 // a fresh engine, and drain — the restored engine must yield exactly

@@ -119,7 +119,7 @@ func TestInlineAndRingDifferential(t *testing.T) {
 								}
 								if batch%4 == 0 {
 									sp, released := blockedSubmit(e, 10*time.Microsecond,
-										func(sp *obs.Span) { e.SubmitTraced(ops, res[:len(ops)], sp) })
+										func(sp *obs.Span) { e.SubmitTraced(ops, res[:len(ops)], sp, nil) })
 									if ts := sp.Stages(); ts[obs.StageEnqueue] != 0 && ts[obs.StageEnqueue] < released && ts[obs.StageDequeue] >= released {
 										waited.Add(1)
 									}
@@ -302,7 +302,7 @@ func TestSpanStampsInline(t *testing.T) {
 	e.Instrument(reg, "eng")
 	sp := new(obs.Span)
 	res := make([]Result, 2)
-	e.SubmitTraced([]Op{PushOp(core.Element{Value: 5, Meta: 1}), PopOp()}, res, sp)
+	e.SubmitTraced([]Op{PushOp(core.Element{Value: 5, Meta: 1}), PopOp()}, res, sp, nil)
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
@@ -327,7 +327,7 @@ func TestContendedSubmitNeverRefusedForSpace(t *testing.T) {
 		ops[i] = PushOp(core.Element{Value: uint64(i*7919) % 65536, Meta: uint64(i)})
 	}
 	res := make([]Result, len(ops))
-	blockedSubmit(e, time.Millisecond, func(sp *obs.Span) { e.SubmitTraced(ops, res, sp) })
+	blockedSubmit(e, time.Millisecond, func(sp *obs.Span) { e.SubmitTraced(ops, res, sp, nil) })
 	for i, r := range res {
 		if r.Err != nil || r.LSN != uint64(i+1) {
 			t.Fatalf("push %d of %d: %+v, want accepted at LSN %d", i, len(ops), r, i+1)

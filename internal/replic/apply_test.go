@@ -14,8 +14,8 @@ import (
 	"repro/internal/wire"
 )
 
-// applyNode is a Node with no stream behind it: the tests hand groups
-// straight to applyReady, the way streamOnce does after reassembly.
+// applyNode is a Node with no stream behind it: the tests hand a
+// frame's records straight to applyReady, the way streamOnce does.
 func applyNode(t testing.TB, geom engine.Config) (*Node, *engine.Engine) {
 	t.Helper()
 	eng, err := engine.New(geom)
@@ -56,12 +56,20 @@ func logString(t testing.TB, l *Log) string {
 	return strings.TrimSpace(b.String())
 }
 
-// TestApplyReadyReachability drives applyReady through the stream
-// orders a follower can see. Each step hands it more groups (numbered
-// on from the previous step, as the stream would) and checks what stays
-// buffered and where the frontier lands; each case ends on the follower
-// log's content and the engine's per-shard drain.
-func TestApplyReadyReachability(t *testing.T) {
+// end marks r as its group's last record.
+func end(r Record) Record {
+	r.End = true
+	return r
+}
+
+// TestApplyReadyInOrder drives applyReady through the streams a
+// follower can see, one frame per step: each step checks where the
+// frontier lands and the engine's per-shard LSNs, and each case ends on
+// the follower log's content and the engine's per-shard drain. A gap or
+// an inversion in a shard's LSNs is divergence: the step fails, the
+// stream latches fatal, and nothing of that frame is applied, logged or
+// acknowledged.
+func TestApplyReadyInOrder(t *testing.T) {
 	longRun := make([]Record, 80)
 	longLog := make([]string, len(longRun))
 	longDrain := make([]uint64, len(longRun))
@@ -70,110 +78,126 @@ func TestApplyReadyReachability(t *testing.T) {
 		longLog[i] = fmt.Sprintf("s0@%d", i+1)
 		longDrain[len(longRun)-1-i] = uint64(1000 - i)
 	}
+	longRun[len(longRun)-1].End = true
 
-	type step struct {
-		groups       [][]Record
-		wantBuffered int
+	type frame struct {
+		recs         []Record
 		wantFrontier uint64
+		wantLSN      [2]uint64
+		wantErr      bool
 	}
 	dedup := Record{Kind: RecDedup, Session: 9, ReqID: 1, Resp: []byte{1}}
 	cases := []struct {
 		name      string
-		pre       []Record // applied to the engine before the first step
-		steps     []step
+		pre       []Record // applied to the engine before the first frame
+		frames    []frame
 		wantLog   string
 		wantDrain [2][]uint64
 	}{
 		{
 			name: "in order",
-			steps: []step{{
-				groups: [][]Record{
-					{pushRec(0, 1, 10), pushRec(1, 1, 20), dedup},
-					{pushRec(0, 2, 5), popRec(0, 3, 5)},
-				},
+			frames: []frame{{
+				recs:         []Record{pushRec(0, 1, 10), pushRec(1, 1, 20), end(dedup), pushRec(0, 2, 5), end(popRec(0, 3, 5))},
 				wantFrontier: 5,
+				wantLSN:      [2]uint64{3, 1},
 			}},
 			wantLog:   "s0@1 s1@1 d| s0@2 s0@3|",
 			wantDrain: [2][]uint64{{10}, {20}},
 		},
 		{
-			// The later group holds the earlier LSN: applied in LSN order,
-			// logged in stream order. The pop proves the order — it only
-			// matches if 3 went in before it.
-			name: "cross-group inversion on one shard",
-			steps: []step{{
-				groups: [][]Record{
-					{popRec(0, 2, 3), pushRec(0, 3, 7)},
-					{pushRec(0, 1, 3)},
-				},
-				wantFrontier: 3,
-			}},
-			wantLog:   "s0@2 s0@3| s0@1|",
-			wantDrain: [2][]uint64{{7}, nil},
-		},
-		{
-			// The doc comment's pair: neither group is applyable before
-			// the other, only both together.
-			name: "mutual inversion",
-			pre:  []Record{pushRec(0, 1, 1), pushRec(0, 2, 2), pushRec(0, 3, 3)},
-			steps: []step{{
-				groups: [][]Record{
-					{pushRec(0, 5, 50), pushRec(1, 1, 60)},
-					{pushRec(0, 4, 40), pushRec(1, 2, 70)},
-				},
-				wantFrontier: 4,
-			}},
-			wantLog:   "s0@5 s1@1| s0@4 s1@2|",
-			wantDrain: [2][]uint64{{1, 2, 3, 40, 50}, {60, 70}},
-		},
-		{
-			// A gap holds its group back, and the groups that chained
-			// through it on another shard with it; the missing LSN's
-			// arrival releases them all.
-			name: "gap stays buffered",
-			steps: []step{
+			// A group's head leaves no engine trace until the frame that
+			// ends it arrives; a frame may end inside a group and end
+			// another that a previous frame began.
+			name: "group split across frames",
+			frames: []frame{
 				{
-					groups: [][]Record{
-						{pushRec(0, 1, 10)},
-						{pushRec(0, 3, 30), pushRec(1, 1, 60)},
-						{pushRec(1, 2, 70)},
-					},
-					wantBuffered: 2,
+					recs:         []Record{end(pushRec(0, 1, 10)), pushRec(0, 2, 20), pushRec(1, 1, 60)},
 					wantFrontier: 1,
+					wantLSN:      [2]uint64{1, 0},
 				},
 				{
-					groups:       [][]Record{{pushRec(0, 2, 20)}},
+					recs:         []Record{pushRec(1, 2, 70)},
+					wantFrontier: 1,
+					wantLSN:      [2]uint64{1, 0},
+				},
+				{
+					recs:         []Record{end(popRec(0, 3, 10)), pushRec(0, 4, 30)},
 					wantFrontier: 5,
+					wantLSN:      [2]uint64{3, 2},
+				},
+				{
+					recs:         []Record{end(dedup)},
+					wantFrontier: 7,
+					wantLSN:      [2]uint64{4, 2},
 				},
 			},
-			wantLog:   "s0@1| s0@3 s1@1| s1@2| s0@2|",
-			wantDrain: [2][]uint64{{10, 20, 30}, {60, 70}},
+			wantLog:   "s0@1| s0@2 s1@1 s1@2 s0@3| s0@4 d|",
+			wantDrain: [2][]uint64{{20, 30}, {60, 70}},
 		},
 		{
-			// A group the engine already holds (a stream death cut its
-			// bookkeeping short) is not applied again, but it is logged,
-			// its dedup entry installed, and the frontier moves over it.
-			// The second group is half replay, half new.
+			// A group the engine already holds (a follower restored from
+			// a checkpoint) is not applied again, but it is logged, its
+			// dedup entry installed, and the frontier moves over it. The
+			// second group is half replay, half new.
 			name: "replay at or below the shard lsn",
 			pre:  []Record{pushRec(0, 1, 10), pushRec(0, 2, 11)},
-			steps: []step{{
-				groups: [][]Record{
-					{pushRec(0, 1, 10), dedup},
-					{pushRec(0, 2, 11), pushRec(0, 3, 12)},
-				},
+			frames: []frame{{
+				recs:         []Record{pushRec(0, 1, 10), end(dedup), pushRec(0, 2, 11), end(pushRec(0, 3, 12))},
 				wantFrontier: 4,
+				wantLSN:      [2]uint64{3, 0},
 			}},
 			wantLog:   "s0@1 d| s0@2 s0@3|",
 			wantDrain: [2][]uint64{{10, 11, 12}, nil},
 		},
 		{
 			name: "long run in one group",
-			steps: []step{{
-				groups:       [][]Record{longRun},
+			frames: []frame{{
+				recs:         longRun,
 				wantFrontier: uint64(len(longRun)),
+				wantLSN:      [2]uint64{uint64(len(longRun)), 0},
 			}},
 			wantLog:   strings.Join(longLog, " ") + "|",
 			wantDrain: [2][]uint64{longDrain, nil},
+		},
+		{
+			// Shard 0 skips LSN 2. The frame's sound first group is not
+			// applied either: the frame is judged before any of it lands.
+			name: "gap latches divergence",
+			frames: []frame{
+				{
+					recs:         []Record{end(pushRec(0, 1, 10))},
+					wantFrontier: 1,
+					wantLSN:      [2]uint64{1, 0},
+				},
+				{
+					recs:         []Record{end(pushRec(1, 1, 60)), pushRec(0, 3, 30), end(pushRec(1, 2, 70))},
+					wantFrontier: 1,
+					wantLSN:      [2]uint64{1, 0},
+					wantErr:      true,
+				},
+			},
+			wantLog:   "s0@1|",
+			wantDrain: [2][]uint64{{10}, nil},
+		},
+		{
+			// The batch that took shard 0's LSN 3 is logged ahead of the
+			// one that took LSN 2: completion order, not execution order.
+			name: "inversion latches divergence",
+			frames: []frame{
+				{
+					recs:         []Record{end(pushRec(0, 1, 10))},
+					wantFrontier: 1,
+					wantLSN:      [2]uint64{1, 0},
+				},
+				{
+					recs:         []Record{end(pushRec(1, 1, 60)), end(pushRec(0, 3, 30)), end(pushRec(0, 2, 20))},
+					wantFrontier: 1,
+					wantLSN:      [2]uint64{1, 0},
+					wantErr:      true,
+				},
+			},
+			wantLog:   "s0@1|",
+			wantDrain: [2][]uint64{{10}, nil},
 		},
 	}
 	for _, tc := range cases {
@@ -186,33 +210,22 @@ func TestApplyReadyReachability(t *testing.T) {
 					t.Fatalf("pre-apply %+v: %v %+v", r, err, res[0])
 				}
 			}
-			var (
-				buffered []grp
-				seq      uint64
-			)
-			for si, st := range tc.steps {
-				for _, recs := range st.groups {
-					recs = slices.Clone(recs)
-					recs[len(recs)-1].End = true
-					buffered = append(buffered, grp{start: seq + 1, end: seq + uint64(len(recs)), recs: recs})
-					seq += uint64(len(recs))
+			var seq uint64
+			for fi, f := range tc.frames {
+				_, err := n.applyReady(seq+1, slices.Clone(f.recs))
+				seq += uint64(len(f.recs))
+				if (err != nil) != f.wantErr || n.streamFatal.Load() != f.wantErr {
+					t.Fatalf("frame %d: err %v, fatal latch %v; want error %v", fi, err, n.streamFatal.Load(), f.wantErr)
 				}
-				var err error
-				if buffered, err = n.applyReady(buffered); err != nil {
-					t.Fatalf("step %d: %v", si, err)
+				if fr := n.streamPos.Load(); fr != f.wantFrontier {
+					t.Errorf("frame %d: frontier %d, want %d", fi, fr, f.wantFrontier)
 				}
-				if len(buffered) != st.wantBuffered {
-					t.Errorf("step %d: %d groups stay buffered, want %d", si, len(buffered), st.wantBuffered)
-				}
-				if fr, _ := n.advanceFrontier(); fr != st.wantFrontier {
-					t.Errorf("step %d: frontier %d, want %d", si, fr, st.wantFrontier)
+				if got := [2]uint64{eng.ShardLSN(0), eng.ShardLSN(1)}; got != f.wantLSN {
+					t.Errorf("frame %d: shard lsns %v, want %v", fi, got, f.wantLSN)
 				}
 			}
 			if got := logString(t, n.log); got != tc.wantLog {
 				t.Errorf("follower log:\n got %s\nwant %s", got, tc.wantLog)
-			}
-			if n.streamFatal.Load() {
-				t.Error("stream latched fatal")
 			}
 			eng.Close()
 			for sh, want := range tc.wantDrain {
@@ -250,14 +263,14 @@ func TestApplyReadyDetectsDivergence(t *testing.T) {
 			n, _ := applyNode(t, engine.Config{Shards: 2, Order: 2, Levels: 8})
 			recs := slices.Clone(tc.recs)
 			recs[len(recs)-1].End = true
-			_, err := n.applyReady([]grp{{start: 1, end: uint64(len(recs)), recs: recs}})
+			_, err := n.applyReady(1, recs)
 			if err == nil || !n.streamFatal.Load() {
 				t.Fatalf("err %v, fatal latch %v: divergence not detected", err, n.streamFatal.Load())
 			}
 			if n.log.Seq() != 0 {
 				t.Fatalf("diverged group reached the log (%s)", logString(t, n.log))
 			}
-			if fr, _ := n.advanceFrontier(); fr != 0 {
+			if fr := n.streamPos.Load(); fr != 0 {
 				t.Fatalf("frontier %d moved over a diverged group", fr)
 			}
 		})
@@ -305,11 +318,10 @@ func TestApplyReadyPopRunBitIdentical(t *testing.T) {
 			recs = append(recs, rec)
 		}
 		recs[len(recs)-1].End = true
-		g := grp{start: seq + 1, end: seq + uint64(len(recs)), recs: recs}
-		seq = g.end
-		if rest, err := n.applyReady([]grp{g}); err != nil || len(rest) != 0 {
-			t.Fatalf("batch %d: apply %v, %d groups left", b, err, len(rest))
+		if moved, err := n.applyReady(seq+1, recs); err != nil || !moved {
+			t.Fatalf("batch %d: apply %v, frontier moved %v", b, err, moved)
 		}
+		seq += uint64(len(recs))
 		for sh := 0; sh < geom.Shards; sh++ {
 			if p, f := prim.ShardLSN(sh), fol.ShardLSN(sh); p != f || prim.ShardLen(sh) != fol.ShardLen(sh) {
 				t.Fatalf("batch %d shard %d: lsn %d len %d (primary) vs lsn %d len %d (follower)",

@@ -63,8 +63,8 @@ func BenchmarkLogAppend(b *testing.B) {
 	reportPerRecord(b, benchGroup+1)
 }
 
-// BenchmarkFollowerApply times applyReady on one in-order group per
-// call, as a follower keeping up with its primary sees them. The
+// BenchmarkFollowerApply times applyReady on one frame holding one
+// group per call, as a follower keeping up with its primary sees them. The
 // history is a real one: a second engine plays the primary, untimed,
 // a chunk of groups ahead.
 func BenchmarkFollowerApply(b *testing.B) {
@@ -108,12 +108,12 @@ func BenchmarkFollowerApply(b *testing.B) {
 		recs[len(recs)-1].End = true
 		return recs
 	}
-	one := make([]grp, 1)
+	var seq uint64
 	apply := func(recs []Record) {
-		one[0] = grp{start: 1, end: uint64(len(recs)), recs: recs}
-		if rest, err := n.applyReady(one); err != nil || len(rest) != 0 {
-			b.Fatalf("apply: %v, %d groups left buffered", err, len(rest))
+		if moved, err := n.applyReady(seq+1, recs); err != nil || !moved {
+			b.Fatalf("apply: %v, frontier moved %v", err, moved)
 		}
+		seq += uint64(len(recs))
 	}
 	for i := 0; i < 32; i++ { // half fill, so no pop finds its shard empty
 		apply(nextGroup(false))
@@ -129,7 +129,6 @@ func BenchmarkFollowerApply(b *testing.B) {
 				chunk = append(chunk, nextGroup(true))
 			}
 			n.log = NewLog()
-			clear(n.appliedGroups)
 			b.StartTimer()
 		}
 		apply(chunk[0])

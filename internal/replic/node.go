@@ -1,7 +1,6 @@
 package replic
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -90,21 +89,6 @@ type ackWaiter struct {
 	ch  chan struct{}
 }
 
-// grp is one wholly-received, not-yet-applied log group: the records
-// at stream sequences start..end, ending with the End-flagged record.
-type grp struct {
-	start, end uint64
-	recs       []Record
-}
-
-// opRef locates one buffered op record for an apply pass: the shard
-// and LSN it sorts by, and the group and record index to find it again.
-type opRef struct {
-	shard      uint32
-	lsn        uint64
-	group, idx int32
-}
-
 // newLogID mints a random nonzero log identity. Each node stamps its
 // own log with one at birth; a resume position is only honoured
 // against the log identity it was minted on.
@@ -140,7 +124,7 @@ type Node struct {
 	waiters []ackWaiter
 
 	// Follower-side stream state.
-	streamPos   atomic.Uint64 // frontier: contiguous applied stream prefix
+	streamPos   atomic.Uint64 // frontier: end of the last applied group
 	tipAtAttach atomic.Uint64
 	attached    atomic.Bool
 	caughtUp    atomic.Bool
@@ -148,18 +132,14 @@ type Node struct {
 	primLogID   atomic.Uint64 // identity of the log streamPos was minted on (0 = none yet)
 	fconn       atomic.Pointer[net.Conn]
 
-	// appliedGroups maps start → end stream sequence of every group
-	// applied ahead of the frontier; the frontier advances over it and
-	// deletes entries as they become contiguous. Owned by the follower
-	// goroutine — no lock.
-	appliedGroups map[uint64]uint64
-
-	// applyReady's scratch, reused across passes. Owned by the follower
-	// goroutine — no lock.
-	refs  []opRef
-	ready []bool
-	ops   []engine.Op
-	res   []engine.Result
+	// pending is the head of a group a frame split, waiting for the
+	// frame that ends it; the rest is applyReady's scratch, reused
+	// across frames. Owned by the follower goroutine — no lock.
+	pending []Record
+	groups  [][]Record
+	runs    [][]*Record // per shard: the op records to apply, in LSN order
+	ops     []engine.Op
+	res     []engine.Result
 
 	// Telemetry state (follower side): when the last stream frame
 	// arrived (UnixNano) and the highest stream sequence received —
@@ -183,7 +163,6 @@ type Node struct {
 // instruments are the node's histograms and counters.
 type instruments struct {
 	ackLatency    *obs.QuantileHistogram
-	reorderDepth  *obs.Histogram
 	recordsInc    *obs.Counter
 	acksInc       *obs.Counter
 	reconnectsInc *obs.Counter
@@ -195,15 +174,15 @@ type instruments struct {
 func Attach(eng *engine.Engine, srv *wire.Server, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	n := &Node{
-		cfg:           cfg,
-		man:           ManifestOf(cfg.Engine),
-		eng:           eng,
-		srv:           srv,
-		log:           NewLog(),
-		logID:         newLogID(),
-		appliedGroups: map[uint64]uint64{},
-		promote:       make(chan struct{}),
-		closed:        make(chan struct{}),
+		cfg:     cfg,
+		man:     ManifestOf(cfg.Engine),
+		eng:     eng,
+		srv:     srv,
+		log:     NewLog(),
+		logID:   newLogID(),
+		runs:    make([][]*Record, eng.Shards()),
+		promote: make(chan struct{}),
+		closed:  make(chan struct{}),
 	}
 	n.inst.Store(&instruments{})
 	srv.SetBatchHook(n.onBatch)
@@ -368,9 +347,9 @@ func (n *Node) HeartbeatAge() time.Duration {
 
 // Instrument registers the node's replication telemetry in reg under
 // prefix: role/serving/degraded/sync-mode state gauges, log and ack
-// sequence gauges, the LSN lag gauge, heartbeat age, sync-ack latency
-// and reorder-buffer-depth histograms, and apply/ack/reconnect
-// counters. Nil registry disables everything.
+// sequence gauges, the LSN lag gauge, heartbeat age, the sync-ack
+// latency histogram, and apply/ack/reconnect counters. Nil registry
+// disables everything.
 func (n *Node) Instrument(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -395,11 +374,8 @@ func (n *Node) Instrument(reg *obs.Registry, prefix string) {
 	reg.Help(prefix+"_heartbeat_age_seconds", "follower: seconds since the last stream frame from the primary")
 	reg.GaugeFunc(prefix+"_heartbeat_age_seconds", func() float64 { return n.HeartbeatAge().Seconds() })
 	reg.Help(prefix+"_ack_latency_ns", "sync-mode response gating: how long a response waited for its follower ack")
-	reg.Help(prefix+"_reorder_depth", "groups buffered out of LSN order after each apply pass")
 	n.inst.Store(&instruments{
-		ackLatency: reg.QuantileHistogram(prefix + "_ack_latency_ns"),
-		reorderDepth: reg.Histogram(prefix+"_reorder_depth",
-			[]uint64{0, 1, 2, 4, 8, 16, 32, 64, 128}),
+		ackLatency:    reg.QuantileHistogram(prefix + "_ack_latency_ns"),
 		recordsInc:    reg.Counter(prefix + "_records_applied_total"),
 		acksInc:       reg.Counter(prefix + "_acks_total"),
 		reconnectsInc: reg.Counter(prefix + "_reconnects_total"),
@@ -746,10 +722,12 @@ func (n *Node) runFollower() {
 func (n *Node) finishPromotion() {
 	n.role.Store(rolePrimary)
 	n.attached.Store(false)
-	n.srv.SetServing(true)
+	// Recorded before the gate opens: Promote returns once the node
+	// serves, and by then the promotion is in the log.
 	n.transition("promoted", n.streamPos.Load(), n.log.Seq())
 	n.event(slog.LevelInfo, "replic: promoted to primary",
 		"stream_seq", n.streamPos.Load(), "log_seq", n.log.Seq())
+	n.srv.SetServing(true)
 	if n.cfg.OnPromote != nil {
 		n.cfg.OnPromote()
 	}
@@ -819,17 +797,11 @@ func (n *Node) streamOnce() error {
 	n.event(slog.LevelInfo, "replic: attached to primary",
 		"addr", n.cfg.PrimaryAddr, "seq", resume, "tip", tip)
 
-	// Per-attach reassembly state. Frames deliver records in log order
-	// but can split a group; pending accumulates the tail group until
-	// its End record arrives, and buffered holds wholly-received groups
-	// until applyReady finds them LSN-reachable.
-	var (
-		pending      []Record
-		pendingStart uint64
-		buffered     []grp
-	)
+	// A frame may end inside a group; its head waits in pending for
+	// the frame that ends it, and a new attach starts clean.
+	n.pending = nil
 	recvSeq := resume
-
+	var ack []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(n.cfg.StreamTimeout))
 		f, err := wire.ReadFrame(conn)
@@ -851,47 +823,20 @@ func (n *Node) streamOnce() error {
 		if first != recvSeq+1 {
 			return fmt.Errorf("replic: stream gap: got seq %d, want %d", first, recvSeq+1)
 		}
-		// A group wholly inside this frame is handed on as a slice of the
-		// frame's own records; only one that straddles frames is copied
-		// into pending.
-		from := 0
-		for i := range recs {
-			if !recs[i].End {
-				continue
-			}
-			g := grp{start: first + uint64(from), end: first + uint64(i), recs: recs[from : i+1]}
-			if len(pending) > 0 {
-				g.start, g.recs = pendingStart, append(pending, g.recs...)
-				pending = nil
-			}
-			from = i + 1
-			// A stream that died and resumed at the frontier re-sends
-			// groups already applied ahead of it — skip those; their
-			// frontier bookkeeping is still in appliedGroups.
-			if _, done := n.appliedGroups[g.start]; done || g.end <= n.streamPos.Load() {
-				continue
-			}
-			buffered = append(buffered, g)
-		}
-		if from < len(recs) {
-			if len(pending) == 0 {
-				pendingStart = first + uint64(from)
-			}
-			pending = append(pending, recs[from:]...)
-		}
 		recvSeq = first + uint64(len(recs)) - 1
 		n.remoteSeq.Store(recvSeq)
 
-		if buffered, err = n.applyReady(buffered); err != nil {
+		moved, err := n.applyReady(first, recs)
+		if err != nil {
 			return err
 		}
-
 		// Acknowledge the new frontier: an ack covers only groups whose
 		// ops and dedup entries have fully landed.
-		fr, moved := n.advanceFrontier()
+		fr := n.streamPos.Load()
 		if moved {
+			ack = AppendSeq(ack[:0], fr)
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.StreamTimeout))
-			if err := wire.WriteFrame(conn, wire.TReplAck, 0, AppendSeq(nil, fr)); err != nil {
+			if err := wire.WriteFrame(conn, wire.TReplAck, 0, ack); err != nil {
 				return err
 			}
 		}
@@ -901,155 +846,116 @@ func (n *Node) streamOnce() error {
 	}
 }
 
-// advanceFrontier moves the stream position over every contiguously
-// applied group and reports the new frontier and whether it moved.
-func (n *Node) advanceFrontier() (uint64, bool) {
-	old := n.streamPos.Load()
-	fr := old
-	for {
-		end, ok := n.appliedGroups[fr+1]
-		if !ok {
-			break
-		}
-		delete(n.appliedGroups, fr+1)
-		fr = end
-	}
-	if fr != old {
-		n.streamPos.Store(fr)
-	}
-	return fr, fr != old
-}
-
-// applyReady applies every buffered group that is LSN-reachable and
-// returns the rest. Stream order can invert per-shard LSN order across
-// groups (concurrent batches append in completion order) — even
-// mutually, as in group A carrying shard-1 LSN 5 with shard-2 LSN 1
-// while group B carries shard-1 LSN 4 with shard-2 LSN 2 — so judging
-// one group at a time would deadlock. Instead start from the whole
-// buffer and iteratively drop any group with an op not reachable from
-// the engine's applied LSNs through the ops of the groups that remain;
-// the fixpoint is the largest set applyable together.
+// applyReady applies the groups a frame's records complete — first is
+// the stream sequence of recs[0] — in stream order, and moves the
+// frontier to the end of the last one, reporting whether it moved. A
+// group the frame leaves open waits in pending.
 //
-// The pass pays its fixed costs once, not once per record: the op
-// records of every buffered group are gathered into one slice sorted by
-// (shard, LSN), reachability is a walk along each shard's run of it,
-// and each shard's run goes to the engine in a single ApplyReplica
-// call. Every result is still checked against its record — error, LSN,
-// and for a pop the element — and any mismatch is divergence: the
+// The log is the primary's execution order, so each shard's op records
+// arrive with LSNs rising by one. The frame's op records are gathered
+// per shard in stream order, and each shard's go to the engine in one
+// ApplyReplica call: one acquisition of the execution lock per shard
+// per frame. An op at or below the shard's applied LSN, ahead of the
+// shard's first new op, is a replay of history the follower already
+// holds (one restored from a checkpoint) and is skipped; its group
+// still completes now. Any other LSN but the next one — a gap or an
+// inversion — is divergence, found before anything of the frame is
+// applied. Every result is checked against its record too — error,
+// LSN, and for a pop the element — and any mismatch is divergence: the
 // follower's state is no longer the primary's, re-streaming cannot
 // repair it (the replay filter would skip the very op that went wrong),
 // so the stream is latched fatal and nothing past it is acknowledged.
 //
-// Each surviving group lands whole: its ops (per shard, in LSN order),
-// then its log append and dedup install as one unit. Engine state, own
-// log, and dedup cache therefore always agree at group granularity —
-// the invariant promotion relies on.
-func (n *Node) applyReady(buffered []grp) ([]grp, error) {
-	if len(buffered) == 0 {
-		return buffered, nil
+// Then each group lands whole, in stream order: its log append and
+// dedup install follow its ops as one unit. Engine state, own log, and
+// dedup cache therefore always agree at group granularity — the
+// invariant promotion relies on.
+func (n *Node) applyReady(first uint64, recs []Record) (bool, error) {
+	// A group wholly inside the frame is a slice of the frame's own
+	// records; only one that straddles frames is copied, into pending.
+	groups, from := n.groups[:0], 0
+	for i := range recs {
+		if !recs[i].End {
+			continue
+		}
+		g := recs[from : i+1]
+		if len(n.pending) > 0 {
+			g = append(n.pending, g...)
+			n.pending = nil
+		}
+		groups = append(groups, g)
+		from = i + 1
 	}
-	refs := n.refs[:0]
-	for gi := range buffered {
-		for ri := range buffered[gi].recs {
-			r := &buffered[gi].recs[ri]
+	n.pending = append(n.pending, recs[from:]...)
+	n.groups = groups
+	if len(groups) == 0 {
+		return false, nil
+	}
+	for sh := range n.runs {
+		n.runs[sh] = n.runs[sh][:0]
+	}
+	for _, g := range groups {
+		for i := range g {
+			r := &g[i]
 			if r.Kind != RecOp {
 				continue
 			}
-			if int(r.Shard) >= n.eng.Shards() {
-				return nil, n.diverged("record names shard %d of %d", r.Shard, n.eng.Shards())
+			if int(r.Shard) >= len(n.runs) {
+				return false, n.diverged("record names shard %d of %d", r.Shard, len(n.runs))
 			}
-			refs = append(refs, opRef{shard: r.Shard, lsn: r.LSN, group: int32(gi), idx: int32(ri)})
-		}
-	}
-	slices.SortFunc(refs, func(a, b opRef) int {
-		if c := cmp.Compare(a.shard, b.shard); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.lsn, b.lsn)
-	})
-	ready := n.ready[:0]
-	for range buffered {
-		ready = append(ready, true)
-	}
-	// Walk each shard's chain from the engine's applied LSN as far as the
-	// candidate groups' ops reach; an op beyond a gap drops its group,
-	// which may break another shard's chain, hence the repeat.
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(refs); {
-			shard := refs[i].shard
-			l := n.eng.ShardLSN(int(shard))
-			for ; i < len(refs) && refs[i].shard == shard; i++ {
-				switch ref := refs[i]; {
-				case !ready[ref.group], ref.lsn <= l:
-				case ref.lsn == l+1:
-					l++
-				default:
-					ready[ref.group] = false
-					changed = true
-				}
+			run := n.runs[r.Shard]
+			next := n.eng.ShardLSN(int(r.Shard)) + uint64(len(run)) + 1
+			switch {
+			case r.LSN == next:
+				n.runs[r.Shard] = append(run, r)
+			case r.LSN < next && len(run) == 0: // replay
+			default:
+				return false, n.diverged("shard %d lsn %d out of log order, want %d", r.Shard, r.LSN, next)
 			}
 		}
 	}
-	// Apply the ready set's ops, one engine hand-off per shard. An op at
-	// or below the applied LSN is a replay of a group the follower already
-	// holds — skip it; the group still completes now.
-	applied, ops, res := 0, n.ops, n.res
-	for i := 0; i < len(refs); {
-		shard := refs[i].shard
-		base := n.eng.ShardLSN(int(shard))
-		run := refs[i:i]
-		ops = ops[:0]
-		for ; i < len(refs) && refs[i].shard == shard; i++ {
-			ref := refs[i]
-			if !ready[ref.group] || ref.lsn <= base {
-				continue
-			}
-			run = append(run, ref) // compacts in place: len(run) never passes i
-			if r := &buffered[ref.group].recs[ref.idx]; r.Op == OpPush {
+	applied := 0
+	for sh, run := range n.runs {
+		if len(run) == 0 {
+			continue
+		}
+		ops := n.ops[:0]
+		for _, r := range run {
+			if r.Op == OpPush {
 				ops = append(ops, engine.PushOp(core.Element{Value: r.Value, Meta: r.Meta}))
 			} else {
 				ops = append(ops, engine.PopOp())
 			}
 		}
-		res = slices.Grow(res[:0], len(ops))[:len(ops)]
-		if err := n.eng.ApplyReplica(int(shard), ops, res); err != nil {
-			return nil, err
+		res := slices.Grow(n.res[:0], len(ops))[:len(ops)]
+		n.ops, n.res = ops, res
+		if err := n.eng.ApplyReplica(sh, ops, res); err != nil {
+			return false, err
 		}
-		for k, ref := range run {
-			rec, r := &buffered[ref.group].recs[ref.idx], res[k]
-			switch {
+		for k, rec := range run {
+			switch r := res[k]; {
 			case r.Err != nil:
-				return nil, n.diverged("apply shard %d lsn %d: %v", rec.Shard, rec.LSN, r.Err)
+				return false, n.diverged("apply shard %d lsn %d: %v", rec.Shard, rec.LSN, r.Err)
 			case r.LSN != rec.LSN:
-				return nil, n.diverged("shard %d applied lsn %d, primary says %d", rec.Shard, r.LSN, rec.LSN)
+				return false, n.diverged("shard %d applied lsn %d, primary says %d", rec.Shard, r.LSN, rec.LSN)
 			case rec.Op == OpPop && (r.Elem.Value != rec.Value || r.Elem.Meta != rec.Meta):
-				return nil, n.diverged("shard %d lsn %d popped (%d,%d), primary popped (%d,%d)",
+				return false, n.diverged("shard %d lsn %d popped (%d,%d), primary popped (%d,%d)",
 					rec.Shard, rec.LSN, r.Elem.Value, r.Elem.Meta, rec.Value, rec.Meta)
 			}
 		}
 		applied += len(run)
 	}
-	n.refs, n.ready, n.ops, n.res = refs, ready, ops, res
 	n.inst.Load().recordsInc.Add(uint64(applied))
-	// Every ready group is now fully in the engine: log it, install its
-	// dedup entry, and record it for frontier advance.
-	rest := buffered[:0]
-	for i, g := range buffered {
-		if !ready[i] {
-			rest = append(rest, g)
-			continue
-		}
-		n.log.AppendGroup(g.recs)
-		for _, r := range g.recs {
+	for _, g := range groups {
+		n.log.AppendGroup(g)
+		for _, r := range g {
 			if r.Kind == RecDedup {
 				n.srv.InstallDedup(r.Session, r.ReqID, r.Resp)
 			}
 		}
-		n.appliedGroups[g.start] = g.end
 	}
-	n.inst.Load().reorderDepth.Observe(uint64(len(rest)))
-	return rest, nil
+	n.streamPos.Store(first + uint64(from) - 1)
+	return true, nil
 }
 
 // diverged latches the stream fatal and returns the error that ends it:

@@ -546,12 +546,11 @@ func TestFailoverNoAckedOpLoss(t *testing.T) {
 
 // TestConcurrentFailoverNoDuplicates drives several clients in
 // parallel through a primary kill and standby promotion. Concurrent
-// batches are what interleave per-shard LSNs across log groups, so this
-// exercises the follower's group-atomic reorder apply: a group the
-// standby applied ahead of the acked frontier carries its dedup entry
-// with it, so the unacked client's retry is answered from cache, and a
-// group not applied leaves no engine trace, so its retry re-executes
-// freshly. After failover every pushed value must be present exactly
+// batches interleave their groups in the log, so this exercises the
+// follower's group-atomic apply under load: a group the standby applied
+// past the primary's last ack carries its dedup entry with it, so the
+// unacked client's retry is answered from cache, and a group not
+// applied leaves no engine trace, so its retry re-executes freshly. After failover every pushed value must be present exactly
 // once.
 func TestConcurrentFailoverNoDuplicates(t *testing.T) {
 	prim := startNode(t, testGeom, Config{Sync: true, SyncTimeout: 5 * time.Second})
@@ -647,6 +646,58 @@ func TestConcurrentFailoverNoDuplicates(t *testing.T) {
 	}
 	if len(got) != clients*perClient {
 		t.Fatalf("drained %d distinct values, want %d", len(got), clients*perClient)
+	}
+}
+
+// TestLogIsExecutionOrder drives a primary from concurrent connections
+// and reads its log back through a cursor: each shard's op LSNs must
+// run 1, 2, 3, ... in log order, up to the engine's — the log records
+// the order the engine executed the batches in, which is the order a
+// follower applies them in.
+func TestLogIsExecutionOrder(t *testing.T) {
+	prim := startNode(t, testGeom, Config{})
+	defer prim.stop(2 * time.Second)
+
+	const conns, batches = 4, 400
+	var wg sync.WaitGroup
+	for ci := 0; ci < conns; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			c, err := wire.Dial(prim.addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for b := 0; b < batches; b++ {
+				v := uint64(ci*batches + b)
+				if _, err := c.Do([]wire.Op{{Kind: wire.OpPush, Value: v, Meta: v}, {Kind: wire.OpPush, Value: v, Meta: v}, {Kind: wire.OpPop}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(ci)
+	}
+	wg.Wait()
+	var last [2]uint64
+	inversions := 0
+	for _, r := range readLog(t, prim.node.log, 0, MaxRecordsPerFrame, frameBytes) {
+		if r.Kind != RecOp {
+			continue
+		}
+		if r.LSN != last[r.Shard]+1 {
+			inversions++
+		}
+		last[r.Shard] = r.LSN
+	}
+	if inversions != 0 {
+		t.Errorf("%d op records out of their shard's LSN order", inversions)
+	}
+	for sh := range last {
+		if want := prim.eng.ShardLSN(sh); last[sh] != want {
+			t.Errorf("shard %d: log ends at lsn %d, the engine at %d", sh, last[sh], want)
+		}
 	}
 }
 

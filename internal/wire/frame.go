@@ -238,7 +238,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 
 // WriteFrame writes one frame to w.
 func WriteFrame(w io.Writer, typ Type, id uint64, payload []byte) error {
-	buf := AppendFrame(make([]byte, 0, HeaderSize+len(payload)), typ, id, payload)
+	buf := AppendFrame(make([]byte, 0, HeaderSize+len(payload)+TrailerSize), typ, id, payload)
 	_, err := w.Write(buf)
 	return err
 }

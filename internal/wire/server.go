@@ -64,7 +64,12 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // successful mutations), the dedup identity (session is 0 for
 // unenrolled connections), and the already-encoded TBatchOK payload.
 // It is the replication tap — the node layer turns each call into an
-// atomic log group. The ops/results slices are reused across requests;
+// atomic log group. Calls never overlap and come in the order the
+// engine executed the batches, so per shard the results' LSNs rise
+// from call to call: the server takes a tap lock under the engine's
+// execution lock (SubmitTraced's then) and releases it when the hook
+// returns, hand over hand, so the next batch executes while this one
+// is tapped. The ops/results slices are reused across requests;
 // implementations must copy what they keep. A non-nil returned func is
 // the response's gate (synchronous replication): the connection's
 // writer calls it — once, after flushing the responses ahead of this
@@ -132,6 +137,7 @@ type Server struct {
 	serving atomic.Bool
 
 	onBatch BatchHook
+	tapMu   sync.Mutex // orders and serialises onBatch calls
 	onRepl  ReplHandler
 	onFetch FetchHandler
 
@@ -448,7 +454,14 @@ func (s *Server) serveConn(conn net.Conn) {
 				results = make([]engine.Result, len(ops))
 			}
 			results = results[:len(ops)]
-			s.eng.SubmitTraced(ops, results, sp)
+			// With a hook, the tap lock is taken under the execution lock
+			// and released after the hook: hook calls run one at a time,
+			// in execution order.
+			var tapLock func()
+			if s.onBatch != nil {
+				tapLock = s.tapMu.Lock
+			}
+			s.eng.SubmitTraced(ops, results, sp, tapLock)
 			if sp != nil {
 				for i := range results {
 					// A bounded pop's miss is the merge finding where a
@@ -479,6 +492,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			var wait func() bool
 			if s.onBatch != nil {
 				wait = s.onBatch(session, f.ID, ops, results, payload)
+				s.tapMu.Unlock()
 			}
 			// Commit and ack are stamped unconditionally: without a
 			// replication/WAL hook (or without sync mode) they are

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -236,6 +237,83 @@ func TestSyncGatePipelined(t *testing.T) {
 		}
 		if f.Type != TBatchOK || f.ID != id {
 			t.Fatalf("response type %d id %d, want TBatchOK id %d", f.Type, f.ID, id)
+		}
+	}
+}
+
+// TestBatchHookExecutionOrder pins the batch hook's ordering contract
+// under concurrent connections: calls never overlap, and per shard the
+// successful results' LSNs run on from call to call with no gap and no
+// inversion — the hook sees batches in the order the engine ran them.
+func TestBatchHookExecutionOrder(t *testing.T) {
+	e, err := engine.New(engine.Config{Shards: 2, Order: 2, Levels: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var (
+		inflight atomic.Int32
+		overlaps atomic.Int32
+		disorder atomic.Int32
+		last     [2]atomic.Uint64
+	)
+	srv := NewServer(e)
+	srv.SetBatchHook(func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() bool {
+		if inflight.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		for _, r := range results {
+			if r.Err == nil && r.LSN != last[r.Shard].Add(1) {
+				disorder.Add(1)
+				last[r.Shard].Store(r.LSN)
+			}
+		}
+		runtime.Gosched() // give an overlapping call its chance
+		inflight.Add(-1)
+		return nil
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+
+	const conns, batches = 4, 400
+	var wg sync.WaitGroup
+	for ci := 0; ci < conns; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			c, err := Dial(ln.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for b := 0; b < batches; b++ {
+				v := uint64(ci*batches + b)
+				if _, err := c.Do([]Op{{Kind: OpPush, Value: v, Meta: v}, {Kind: OpPush, Value: v, Meta: v}, {Kind: OpPop}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(ci)
+	}
+	wg.Wait()
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d hook calls overlapped another", n)
+	}
+	if n := disorder.Load(); n != 0 {
+		t.Errorf("%d results broke their shard's LSN order across hook calls", n)
+	}
+	for sh := range last {
+		if got, want := last[sh].Load(), e.ShardLSN(sh); got != want {
+			t.Errorf("shard %d: hook saw LSNs up to %d, the engine is at %d", sh, got, want)
 		}
 	}
 }

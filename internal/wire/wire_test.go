@@ -218,3 +218,16 @@ func TestReadFrameOneAlloc(t *testing.T) {
 		t.Errorf("%v allocations per 64-op ReadFrame, want 1", avg)
 	}
 }
+
+// TestWriteFrameOneAlloc: writing a frame costs one allocation, the
+// frame's own bytes, sized for header, payload and CRC trailer at once.
+func TestWriteFrameOneAlloc(t *testing.T) {
+	payload := make([]byte, 1000)
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := WriteFrame(io.Discard, TReplAck, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 1 {
+		t.Errorf("%v allocations per 1000-byte WriteFrame, want 1", avg)
+	}
+}
