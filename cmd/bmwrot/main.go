@@ -82,9 +82,8 @@ type trialEvidence struct {
 	Repaired   bool     `json:"repaired"`
 	Identical  bool     `json:"bit_identical"`
 	DrainOK    bool     `json:"drain_ok"`
-	OpsFetched int      `json:"ops_fetched"`
-	Chunks     int      `json:"chunks_fetched"`
-	Manifests  int      `json:"manifests_fetched"`
+	Files      int      `json:"files_fetched"`
+	Bytes      int64    `json:"bytes_fetched"`
 	Err        string   `json:"error,omitempty"`
 }
 
@@ -527,9 +526,8 @@ func runTrial(id int, class, victimDir, peerAddr, pristine string, shards int, g
 		return tr
 	}
 	tr.Repaired = rep.Clean && len(detect(victimDir, shards)) == 0
-	tr.OpsFetched = rep.OpsFetched
-	tr.Chunks = rep.ChunksFetched
-	tr.Manifests = rep.ManifestsFetched
+	tr.Files = rep.FilesFetched
+	tr.Bytes = rep.BytesFetched
 
 	identical, err := treesIdentical(victimDir, pristine)
 	if err != nil {

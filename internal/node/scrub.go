@@ -96,8 +96,7 @@ func (n *Node) repair() bool {
 		return false
 	}
 	n.logger.Warn("scrub: anti-entropy repair converged, durable state restored",
-		"peer", peer, "ops_fetched", rep.OpsFetched,
-		"chunks_fetched", rep.ChunksFetched, "manifests_fetched", rep.ManifestsFetched)
+		"peer", peer, "files_fetched", rep.FilesFetched, "bytes_fetched", rep.BytesFetched)
 	return true
 }
 

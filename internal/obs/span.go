@@ -106,11 +106,6 @@ func (sp *Span) MarkError() {
 	}
 }
 
-// Erred reports whether MarkError was called (false on nil).
-func (sp *Span) Erred() bool {
-	return sp != nil && sp.erred.Load()
-}
-
 // Stamp records SpanNow for the stage if it is not already stamped.
 // No-op on a nil span. The load-before-CAS guard keeps repeated stamps
 // (every shard a batch touches stamps StageDequeue) cheap: once the

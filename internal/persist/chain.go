@@ -17,9 +17,7 @@
 //
 // Chain-points carry no queue state: readers skip them, the LSN does
 // not advance, and their deterministic placement (after every
-// ChainEvery-th record) makes the byte offset of any LSN computable —
-// the property anti-entropy repair uses to splice a fetched LSN range
-// back into a damaged log.
+// ChainEvery-th record) makes the byte offset of any LSN computable.
 
 package persist
 

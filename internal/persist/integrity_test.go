@@ -56,7 +56,7 @@ func TestChainImageRoundTrip(t *testing.T) {
 
 func TestChainWriterMatchesBuilder(t *testing.T) {
 	// The live writer must produce byte-identical images to
-	// BuildWALImage so splice repair can reconstruct its output.
+	// BuildWALImage, so tests can build a writer's log directly.
 	f := &fakeFile{}
 	w := NewWAL(f, 0, WALOptions{BatchOps: 3, ChainEvery: 4})
 	ops := chainOps(11)
@@ -144,32 +144,6 @@ func TestChainTornTailStaysTorn(t *testing.T) {
 	}
 	if rep.ValidBytes != int64(9*RecordLen) {
 		t.Fatalf("valid bytes %d", rep.ValidBytes)
-	}
-}
-
-func TestMerkleProofs(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 13} {
-		b := make([]byte, n*100+37)
-		for i := range b {
-			b[i] = byte(i * 31)
-		}
-		leaves := MerkleLeaves(b, 100)
-		root := MerkleRoot(leaves)
-		for i := range leaves {
-			proof := MerkleProof(leaves, i)
-			if !VerifyMerkleProof(leaves[i], i, len(leaves), proof, root) {
-				t.Fatalf("n=%d leaf %d: valid proof rejected", n, i)
-			}
-			var wrong [sha256.Size]byte
-			copy(wrong[:], leaves[i][:])
-			wrong[0] ^= 1
-			if VerifyMerkleProof(wrong, i, len(leaves), proof, root) {
-				t.Fatalf("n=%d leaf %d: corrupt leaf accepted", n, i)
-			}
-			if i+1 < len(leaves) && VerifyMerkleProof(leaves[i], i+1, len(leaves), proof, root) {
-				t.Fatalf("n=%d leaf %d: wrong index accepted", n, i)
-			}
-		}
 	}
 }
 

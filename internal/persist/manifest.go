@@ -37,7 +37,7 @@ type Manifest struct {
 	// WALRecords and ChainHead seal the log prefix this checkpoint
 	// covers: ChainHead is the hex sha256 chain head after record
 	// WALRecords. ChainEvery is the writer's chain-point interval,
-	// which makes record byte offsets computable for splice repair.
+	// which makes record byte offsets computable.
 	WALRecords uint64 `json:"wal_records"`
 	ChainEvery int    `json:"chain_every"`
 	ChainHead  string `json:"wal_chain_head"`
@@ -164,11 +164,6 @@ func (m *Manifest) Leaves() ([][sha256.Size]byte, error) {
 		leaves = append(leaves, h)
 	}
 	return leaves, nil
-}
-
-// Root decodes the manifest's snapshot Merkle root.
-func (m *Manifest) Root() ([sha256.Size]byte, error) {
-	return hexHash("", "snapshot_root", m.SnapshotRoot)
 }
 
 // Head decodes the manifest's sealed WAL chain head.

@@ -1,13 +1,12 @@
 // Merkle tree over fixed-size file chunks. Snapshots get their leaf
 // hashes and root published in the checkpoint manifest, so recovery can
-// tell *which chunk* rotted (leaf comparison) and anti-entropy repair
-// can accept a single fetched chunk from an untrusted peer by checking
-// its inclusion proof against the locally trusted root.
+// tell *which chunk* rotted (leaf comparison), and anti-entropy repair
+// can check a snapshot fetched from an untrusted peer against the
+// locally trusted leaves.
 //
 // Construction: leaves are sha256(0x00 || chunk); interior nodes are
 // sha256(0x01 || left || right). An odd node at any level is paired
-// with itself (the duplicate-last rule), so every leaf has a complete
-// sibling path and proofs are a plain hash list. The domain-separation
+// with itself (the duplicate-last rule). The domain-separation
 // prefixes prevent a leaf being reinterpreted as an interior node.
 
 package persist
@@ -99,60 +98,4 @@ func MerkleRoot(leaves [][sha256.Size]byte) [sha256.Size]byte {
 		level = next
 	}
 	return level[0]
-}
-
-// MerkleProof returns leaf i's sibling path, bottom-up. The proof plus
-// the leaf count is everything VerifyMerkleProof needs.
-func MerkleProof(leaves [][sha256.Size]byte, i int) [][sha256.Size]byte {
-	if i < 0 || i >= len(leaves) {
-		return nil
-	}
-	var proof [][sha256.Size]byte
-	level := append([][sha256.Size]byte(nil), leaves...)
-	for len(level) > 1 {
-		sib := i ^ 1
-		if sib >= len(level) {
-			sib = i // odd tail: self-paired
-		}
-		proof = append(proof, level[sib])
-		next := level[: 0 : len(level)/2+1]
-		for j := 0; j < len(level); j += 2 {
-			if j+1 < len(level) {
-				next = append(next, merkleNode(level[j], level[j+1]))
-			} else {
-				next = append(next, merkleNode(level[j], level[j]))
-			}
-		}
-		level = next
-		i /= 2
-	}
-	return proof
-}
-
-// VerifyMerkleProof checks that leaf sits at index i of an n-leaf tree
-// with the given root. It recomputes the path with the same
-// duplicate-last pairing the builder used.
-func VerifyMerkleProof(leaf [sha256.Size]byte, i, n int, proof [][sha256.Size]byte, root [sha256.Size]byte) bool {
-	if i < 0 || i >= n || n <= 0 {
-		return false
-	}
-	h := leaf
-	size := n
-	for _, sib := range proof {
-		if size <= 1 {
-			return false // proof longer than the tree is tall
-		}
-		if i%2 == 0 {
-			// sibling on the right — or self when this is the odd tail.
-			if i == size-1 && sib != h {
-				return false
-			}
-			h = merkleNode(h, sib)
-		} else {
-			h = merkleNode(sib, h)
-		}
-		i /= 2
-		size = (size + 1) / 2
-	}
-	return size == 1 && h == root
 }

@@ -98,8 +98,9 @@ const (
 	// MaxRecordsPerFrame bounds one TReplRecords frame; together with
 	// frameBytes it keeps frames under wire.MaxPayload.
 	MaxRecordsPerFrame = 512
-	// frameBytes bounds the record bytes of one TReplRecords frame. A
-	// single record larger than it still ships, alone.
+	// frameBytes bounds the record bytes of one TReplRecords frame (a
+	// single record larger than it still ships, alone) and the file
+	// bytes of one TReplChunk answer.
 	frameBytes = 512 << 10
 )
 

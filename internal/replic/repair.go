@@ -1,244 +1,114 @@
 // Anti-entropy repair: when the scrubber (or recovery) localises bit
-// rot in a checkpoint fan-out, the repairer fetches exactly the damaged
-// pieces from a peer — a missing WAL LSN range, Merkle-proof-carrying
-// snapshot chunks, a manifest — over the wire protocol's TReplFetch /
-// TReplChunk frames, re-verifies everything against the trusted
-// manifest roots, and splices the directory back to a state that passes
+// rot in a checkpoint fan-out, the repairer fetches each damaged file
+// whole from a peer, by offset, over the wire protocol's TReplFetch /
+// TReplChunk frames, checks it against the seals the local checkpoint
+// already holds, and installs it, until the directory passes
 // persist.VerifyDir clean.
 //
 // Trust model: fetched bytes are never installed on the peer's word.
-// A fetched WAL range is spliced into a rebuilt image whose hash chain
-// must reproduce the manifest's sealed head; a fetched snapshot chunk
-// must carry a Merkle proof to the manifest's sealed root; a fetched
-// shard manifest must carry the self-checksum the engine manifest
-// sealed. Only a fetched engine manifest bottoms out on its own
-// self-checksum — it authenticates the peer's checkpoint, and the
-// caller decides whether that peer is trusted (see DESIGN.md §5g).
+// A fetched WAL must reproduce the manifest's sealed chain head; a
+// fetched snapshot must match every sealed Merkle leaf; a fetched shard
+// manifest must carry the self-checksum the engine manifest sealed.
+// Only a fetched engine manifest bottoms out on its own self-checksum —
+// it authenticates the peer's checkpoint, and the caller decides
+// whether that peer is trusted (see DESIGN.md §5g).
 
 package replic
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/wire"
 )
 
-// Fetch request kinds.
+// Fetch file kinds: the four files of a checkpoint fan-out.
 const (
-	// FetchEngineManifest asks for the peer's raw ENGINE.json bytes.
+	// FetchEngineManifest names the peer's ENGINE.json.
 	FetchEngineManifest uint8 = 1
-	// FetchShardManifest asks for one shard's raw MANIFEST.json bytes.
+	// FetchShardManifest names one shard's MANIFEST.json.
 	FetchShardManifest uint8 = 2
-	// FetchWALOps asks for a shard's verified WAL records in an
-	// inclusive LSN range.
-	FetchWALOps uint8 = 3
-	// FetchSnapChunks asks for snapshot chunks by index, each with its
-	// Merkle proof against the shard manifest's sealed root.
-	FetchSnapChunks uint8 = 4
+	// FetchWAL names one shard's wal.log.
+	FetchWAL uint8 = 3
+	// FetchSnapshot names the snapshot one shard's manifest covers.
+	FetchSnapshot uint8 = 4
 )
 
-// Fetch batching bounds, chosen so every response stays well inside
-// wire.MaxPayload (ops are 33 encoded bytes; a chunk is ChunkSize plus
-// a ~1 KiB proof).
-const (
-	MaxFetchOps    = 4096
-	MaxFetchChunks = 64
-)
-
-// FetchReq is one anti-entropy read. Kind selects which fields matter.
+// FetchReq asks a peer for the bytes of one checkpoint file from
+// Offset on. Shard is ignored for the engine manifest; Seq matters only
+// for FetchSnapshot, where it must equal the shard manifest's
+// SnapshotSeq.
 type FetchReq struct {
-	Kind   uint8
+	File   uint8
 	Shard  uint32
-	From   uint64 // FetchWALOps: first LSN (inclusive)
-	To     uint64 // FetchWALOps: last LSN (inclusive)
-	Seq    uint64 // FetchSnapChunks: snapshot sequence
-	Chunks []uint32
+	Seq    uint64
+	Offset uint64
 }
 
 // AppendFetchReq encodes a TReplFetch payload.
 func AppendFetchReq(dst []byte, r FetchReq) []byte {
 	var e persist.Enc
 	e.B = dst
-	e.U8(r.Kind)
+	e.U8(r.File)
 	e.U32(r.Shard)
-	e.U64(r.From)
-	e.U64(r.To)
 	e.U64(r.Seq)
-	e.U32(uint32(len(r.Chunks)))
-	for _, c := range r.Chunks {
-		e.U32(c)
-	}
+	e.U64(r.Offset)
 	return e.B
 }
 
 // ParseFetchReq decodes a TReplFetch payload.
 func ParseFetchReq(p []byte) (FetchReq, error) {
 	d := persist.NewDec(p)
-	r := FetchReq{
-		Kind:  d.U8(),
-		Shard: d.U32(),
-		From:  d.U64(),
-		To:    d.U64(),
-		Seq:   d.U64(),
-	}
-	n := d.Len(MaxFetchChunks)
-	for i := 0; i < n; i++ {
-		r.Chunks = append(r.Chunks, d.U32())
-	}
+	r := FetchReq{File: d.U8(), Shard: d.U32(), Seq: d.U64(), Offset: d.U64()}
 	if err := d.Done(); err != nil {
 		return FetchReq{}, fmt.Errorf("%w: fetch request: %v", wire.ErrBadFrame, err)
 	}
-	if r.Kind < FetchEngineManifest || r.Kind > FetchSnapChunks {
-		return FetchReq{}, fmt.Errorf("%w: fetch kind %d", wire.ErrBadFrame, r.Kind)
+	if r.File < FetchEngineManifest || r.File > FetchSnapshot {
+		return FetchReq{}, fmt.Errorf("%w: fetch file kind %d", wire.ErrBadFrame, r.File)
 	}
 	return r, nil
 }
 
-// FetchedOp is one WAL record shipped for splice repair.
-type FetchedOp struct {
-	LSN uint64
-	Op  persist.Op
+// FetchResp answers a FetchReq: the file's total size and at most
+// frameBytes of its bytes from the request's offset.
+type FetchResp struct {
+	Size uint64
+	Data []byte
 }
 
-// FetchedChunk is one snapshot chunk with its Merkle proof.
-type FetchedChunk struct {
-	Index uint32
-	Data  []byte
-	Proof [][sha256.Size]byte
-}
-
-// AppendOpsResp encodes a FetchWALOps TReplChunk payload.
-func AppendOpsResp(dst []byte, ops []FetchedOp) []byte {
-	if len(ops) > MaxFetchOps {
-		panic(fmt.Sprintf("replic: %d ops exceed MaxFetchOps", len(ops)))
-	}
+// AppendFetchResp encodes a TReplChunk payload.
+func AppendFetchResp(dst []byte, r FetchResp) []byte {
 	var e persist.Enc
 	e.B = dst
-	e.U8(FetchWALOps)
-	e.U32(uint32(len(ops)))
-	for _, o := range ops {
-		e.U64(o.LSN)
-		e.U8(uint8(o.Op.Kind))
-		e.U64(o.Op.Cycle)
-		e.U64(o.Op.Value)
-		e.U64(o.Op.Meta)
-	}
+	e.U64(r.Size)
+	e.Bytes(r.Data)
 	return e.B
 }
 
-// ParseOpsResp decodes a FetchWALOps TReplChunk payload.
-func ParseOpsResp(p []byte) ([]FetchedOp, error) {
+// ParseFetchResp decodes a TReplChunk payload. Data aliases p.
+func ParseFetchResp(p []byte) (FetchResp, error) {
 	d := persist.NewDec(p)
-	if k := d.U8(); k != FetchWALOps {
-		return nil, fmt.Errorf("%w: ops response kind %d", wire.ErrBadFrame, k)
-	}
-	n := d.Len(MaxFetchOps)
-	ops := make([]FetchedOp, 0, n)
-	for i := 0; i < n; i++ {
-		o := FetchedOp{LSN: d.U64()}
-		o.Op.Kind = hw.OpKind(d.U8())
-		o.Op.Cycle = d.U64()
-		o.Op.Value = d.U64()
-		o.Op.Meta = d.U64()
-		if !o.Op.Kind.Valid() || o.Op.Kind == hw.Nop {
-			return nil, fmt.Errorf("%w: op kind %d at %d", wire.ErrBadFrame, o.Op.Kind, i)
-		}
-		ops = append(ops, o)
-	}
+	r := FetchResp{Size: d.U64(), Data: d.Bytes()}
 	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("%w: ops response: %v", wire.ErrBadFrame, err)
+		return FetchResp{}, fmt.Errorf("%w: fetch response: %v", wire.ErrBadFrame, err)
 	}
-	return ops, nil
-}
-
-// AppendChunksResp encodes a FetchSnapChunks TReplChunk payload.
-func AppendChunksResp(dst []byte, chunks []FetchedChunk) []byte {
-	if len(chunks) > MaxFetchChunks {
-		panic(fmt.Sprintf("replic: %d chunks exceed MaxFetchChunks", len(chunks)))
+	if len(r.Data) > frameBytes || uint64(len(r.Data)) > r.Size {
+		return FetchResp{}, fmt.Errorf("%w: fetch response carries %d bytes of a %d-byte file", wire.ErrBadFrame, len(r.Data), r.Size)
 	}
-	var e persist.Enc
-	e.B = dst
-	e.U8(FetchSnapChunks)
-	e.U32(uint32(len(chunks)))
-	for _, c := range chunks {
-		e.U32(c.Index)
-		e.Bytes(c.Data)
-		e.U32(uint32(len(c.Proof)))
-		for _, h := range c.Proof {
-			e.Bytes(h[:])
-		}
-	}
-	return e.B
-}
-
-// ParseChunksResp decodes a FetchSnapChunks TReplChunk payload.
-func ParseChunksResp(p []byte) ([]FetchedChunk, error) {
-	d := persist.NewDec(p)
-	if k := d.U8(); k != FetchSnapChunks {
-		return nil, fmt.Errorf("%w: chunks response kind %d", wire.ErrBadFrame, k)
-	}
-	n := d.Len(MaxFetchChunks)
-	chunks := make([]FetchedChunk, 0, n)
-	for i := 0; i < n; i++ {
-		c := FetchedChunk{Index: d.U32(), Data: append([]byte(nil), d.Bytes()...)}
-		pn := d.Len(64)
-		for j := 0; j < pn; j++ {
-			var h [sha256.Size]byte
-			pb := d.Bytes()
-			if len(pb) != sha256.Size {
-				return nil, fmt.Errorf("%w: proof hash %d bytes", wire.ErrBadFrame, len(pb))
-			}
-			copy(h[:], pb)
-			c.Proof = append(c.Proof, h)
-		}
-		chunks = append(chunks, c)
-	}
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("%w: chunks response: %v", wire.ErrBadFrame, err)
-	}
-	return chunks, nil
-}
-
-// AppendRawResp encodes a manifest-bytes TReplChunk payload.
-func AppendRawResp(dst []byte, kind uint8, raw []byte) []byte {
-	var e persist.Enc
-	e.B = dst
-	e.U8(kind)
-	e.Bytes(raw)
-	return e.B
-}
-
-// ParseRawResp decodes a manifest-bytes TReplChunk payload.
-func ParseRawResp(p []byte, wantKind uint8) ([]byte, error) {
-	d := persist.NewDec(p)
-	if k := d.U8(); k != wantKind {
-		return nil, fmt.Errorf("%w: raw response kind %d, want %d", wire.ErrBadFrame, k, wantKind)
-	}
-	raw := append([]byte(nil), d.Bytes()...)
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("%w: raw response: %v", wire.ErrBadFrame, err)
-	}
-	return raw, nil
+	return r, nil
 }
 
 // FetchServer answers anti-entropy fetches from a checkpoint fan-out
-// directory (ENGINE.json plus shard-NNN subtrees). It serves only data
-// it can itself verify: WAL records come from the verified portion of
-// its own log, snapshot chunks are cut from the manifest-covered
-// snapshot with proofs derived from the manifest leaves. Handle is
-// wire.FetchHandler-shaped.
+// directory (ENGINE.json plus shard-NNN subtrees). It serves bytes and
+// verifies nothing: the repairer checks every fetched file against the
+// seals it already trusts. Handle is wire.FetchHandler-shaped.
 type FetchServer struct {
 	Dir string
 }
@@ -249,68 +119,50 @@ func (s *FetchServer) Handle(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch req.Kind {
-	case FetchEngineManifest:
-		raw, err := os.ReadFile(filepath.Join(s.Dir, engine.EngineManifestName))
-		if err != nil {
-			return nil, fmt.Errorf("replic: engine manifest: %w", err)
-		}
-		return AppendRawResp(nil, FetchEngineManifest, raw), nil
-	case FetchShardManifest:
-		raw, err := os.ReadFile(filepath.Join(engine.ShardDir(s.Dir, int(req.Shard)), persist.ManifestName))
-		if err != nil {
-			return nil, fmt.Errorf("replic: shard %d manifest: %w", req.Shard, err)
-		}
-		return AppendRawResp(nil, FetchShardManifest, raw), nil
-	case FetchWALOps:
-		if req.To < req.From || req.To-req.From+1 > MaxFetchOps {
-			return nil, fmt.Errorf("replic: wal range %d-%d", req.From, req.To)
-		}
-		b, err := os.ReadFile(filepath.Join(engine.ShardDir(s.Dir, int(req.Shard)), persist.WALName))
-		if err != nil {
-			return nil, fmt.Errorf("replic: shard %d wal: %w", req.Shard, err)
-		}
-		rep := persist.VerifyWALImage(b, nil)
-		var ops []FetchedOp
-		for _, v := range rep.Ops {
-			if v.LSN >= req.From && v.LSN <= req.To {
-				ops = append(ops, FetchedOp{LSN: v.LSN, Op: v.Op})
-			}
-		}
-		return AppendOpsResp(nil, ops), nil
-	case FetchSnapChunks:
-		sdir := engine.ShardDir(s.Dir, int(req.Shard))
-		man, err := persist.LoadManifest(nil, sdir)
-		if err != nil {
-			return nil, fmt.Errorf("replic: shard %d manifest: %w", req.Shard, err)
-		}
-		if man.SnapshotSeq != req.Seq {
-			return nil, fmt.Errorf("replic: shard %d snapshot seq %d not covered (manifest seals %d)", req.Shard, req.Seq, man.SnapshotSeq)
-		}
-		b, err := os.ReadFile(filepath.Join(sdir, persist.SnapFileName(req.Seq)))
-		if err != nil {
-			return nil, fmt.Errorf("replic: shard %d snapshot: %w", req.Shard, err)
-		}
-		leaves := persist.MerkleLeaves(b, man.ChunkSize)
-		var chunks []FetchedChunk
-		for _, i := range req.Chunks {
-			if int(i) >= len(leaves) {
-				return nil, fmt.Errorf("replic: chunk %d of %d", i, len(leaves))
-			}
-			lo := int(i) * man.ChunkSize
-			hi := lo + man.ChunkSize
-			if hi > len(b) {
-				hi = len(b)
-			}
-			chunks = append(chunks, FetchedChunk{
-				Index: i,
-				Data:  append([]byte(nil), b[lo:hi]...),
-				Proof: persist.MerkleProof(leaves, int(i)),
-			})
-		}
-		return AppendChunksResp(nil, chunks), nil
+	path, err := s.path(req)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("replic: fetch kind %d", req.Kind)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("replic: fetch: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("replic: fetch: %w", err)
+	}
+	size := uint64(fi.Size())
+	if req.Offset > size {
+		return nil, fmt.Errorf("replic: fetch offset %d past the end of %s (%d bytes)", req.Offset, path, size)
+	}
+	data := make([]byte, min(size-req.Offset, frameBytes))
+	if _, err := f.ReadAt(data, int64(req.Offset)); err != nil {
+		return nil, fmt.Errorf("replic: fetch: %w", err)
+	}
+	return AppendFetchResp(nil, FetchResp{Size: size, Data: data}), nil
+}
+
+// path names the file req asks for. A snapshot is served only at the
+// sequence the shard manifest covers.
+func (s *FetchServer) path(req FetchReq) (string, error) {
+	sdir := engine.ShardDir(s.Dir, int(req.Shard))
+	switch req.File {
+	case FetchEngineManifest:
+		return filepath.Join(s.Dir, engine.EngineManifestName), nil
+	case FetchShardManifest:
+		return filepath.Join(sdir, persist.ManifestName), nil
+	case FetchWAL:
+		return filepath.Join(sdir, persist.WALName), nil
+	}
+	man, err := persist.LoadManifest(nil, sdir)
+	if err != nil {
+		return "", fmt.Errorf("replic: shard %d manifest: %w", req.Shard, err)
+	}
+	if man.SnapshotSeq != req.Seq {
+		return "", fmt.Errorf("replic: shard %d snapshot seq %d not covered (manifest seals %d)", req.Shard, req.Seq, man.SnapshotSeq)
+	}
+	return filepath.Join(sdir, persist.SnapFileName(req.Seq)), nil
 }
 
 // FetchPeer is the transport seam the repairer pulls from: Fetcher over
@@ -362,11 +214,7 @@ func (f *Fetcher) Fetch(req FetchReq) ([]byte, error) {
 		case wire.TReplChunk:
 			return append([]byte(nil), fr.Payload...), nil
 		case wire.TError:
-			msg := ""
-			if len(fr.Payload) > 1 {
-				msg = string(fr.Payload[1:])
-			}
-			return nil, fmt.Errorf("replic: peer refused fetch: %s", msg)
+			return nil, fmt.Errorf("replic: peer refused fetch: %s", errString(fr.Payload))
 		default:
 			return nil, fmt.Errorf("replic: unexpected %d frame answering fetch", fr.Type)
 		}
@@ -391,14 +239,10 @@ type RepairReport struct {
 	// Findings are every fault VerifyDir localised before repair, in
 	// shard order (engine-manifest faults carry shard -1).
 	Findings []ShardFinding `json:"findings"`
-	// OpsFetched / ChunksFetched / ManifestsFetched count what came
-	// over the wire.
-	OpsFetched       int `json:"ops_fetched"`
-	ChunksFetched    int `json:"chunks_fetched"`
-	ManifestsFetched int `json:"manifests_fetched"`
-	// Resealed counts WAL images rebuilt purely from local verified
-	// records (a rotted seal with intact ops needs no peer data).
-	Resealed int `json:"resealed"`
+	// FilesFetched / BytesFetched count the whole files that came over
+	// the wire and their bytes.
+	FilesFetched int   `json:"files_fetched"`
+	BytesFetched int64 `json:"bytes_fetched"`
 	// Clean reports the post-repair VerifyDir outcome for every shard.
 	Clean bool `json:"clean"`
 }
@@ -411,22 +255,21 @@ type ShardFinding struct {
 
 // repairer carries the run's counters.
 type repairer struct {
-	cfg       RepairConfig
-	peer      FetchPeer
-	rep       *RepairReport
-	dirs      *obs.Counter
-	ops       *obs.Counter
-	chunks    *obs.Counter
-	manifests *obs.Counter
-	failed    *obs.Counter
+	cfg    RepairConfig
+	peer   FetchPeer
+	rep    *RepairReport
+	dirs   *obs.Counter
+	files  *obs.Counter
+	bytes  *obs.Counter
+	failed *obs.Counter
 }
 
-// RepairCheckpoint audits the checkpoint fan-out at dir and repairs
-// every localised fault by fetching the minimal missing pieces from
-// peer, verifying each against the manifest chain of trust before
-// installing it. It returns the report and an error when any fault
-// could not be repaired; the directory is only modified with verified
-// data, so a failed repair never makes things worse.
+// RepairCheckpoint audits the checkpoint fan-out at dir and replaces
+// every damaged file with the peer's copy, installing a fetched file
+// only once it verifies against the seal the local checkpoint already
+// trusts. It returns the report and an error when any fault could not
+// be repaired; the directory is only modified with verified files, so
+// a failed repair never makes things worse.
 func RepairCheckpoint(dir string, peer FetchPeer, cfg RepairConfig) (*RepairReport, error) {
 	if cfg.Prefix == "" {
 		cfg.Prefix = "repl"
@@ -435,9 +278,8 @@ func RepairCheckpoint(dir string, peer FetchPeer, cfg RepairConfig) (*RepairRepo
 	if reg := cfg.Metrics; reg != nil {
 		p := cfg.Prefix
 		r.dirs = reg.Counter(p + "_repair_dirs_total")
-		r.ops = reg.Counter(p + "_repair_ops_fetched_total")
-		r.chunks = reg.Counter(p + "_repair_chunks_fetched_total")
-		r.manifests = reg.Counter(p + "_repair_manifests_fetched_total")
+		r.files = reg.Counter(p + "_repair_files_fetched_total")
+		r.bytes = reg.Counter(p + "_repair_bytes_fetched_total")
 		r.failed = reg.Counter(p + "_repair_failed_total")
 	}
 	err := r.run(dir)
@@ -451,6 +293,44 @@ func (r *repairer) flight(shard int, f persist.Finding) {
 	r.rep.Findings = append(r.rep.Findings, ShardFinding{Shard: shard, Finding: f})
 	if r.cfg.Flight != nil {
 		r.cfg.Flight.RecordMsg(obs.FlightIntegrity, 0, "repair "+f.String(), f.FromLSN, f.ToLSN, uint64(shard))
+	}
+}
+
+// fetch pulls the whole file req names from the peer, frameBytes at a
+// time. The file's size must not change between responses: a peer
+// that checkpoints mid-fetch denies the repair.
+func (r *repairer) fetch(req FetchReq) ([]byte, error) {
+	var b []byte
+	var size uint64
+	for {
+		req.Offset = uint64(len(b))
+		raw, err := r.peer.Fetch(req)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := ParseFetchResp(raw)
+		if err != nil {
+			return nil, err
+		}
+		if req.Offset == 0 {
+			size = resp.Size
+		}
+		switch {
+		case resp.Size != size:
+			return nil, fmt.Errorf("peer file changed size mid-fetch (%d, then %d bytes)", size, resp.Size)
+		case uint64(len(resp.Data)) > size-req.Offset:
+			return nil, fmt.Errorf("peer sent %d bytes past offset %d of a %d-byte file", len(resp.Data), req.Offset, size)
+		case len(resp.Data) == 0 && req.Offset < size:
+			return nil, fmt.Errorf("peer sent no bytes at offset %d of a %d-byte file", req.Offset, size)
+		}
+		b = append(b, resp.Data...)
+		if uint64(len(b)) == size {
+			r.files.Inc()
+			r.bytes.Add(size)
+			r.rep.FilesFetched++
+			r.rep.BytesFetched += int64(size)
+			return b, nil
+		}
 	}
 }
 
@@ -483,37 +363,28 @@ func (r *repairer) run(dir string) error {
 // replacement from the peer when the local one is torn, rotted or
 // missing.
 func (r *repairer) trustedEngineManifest(dir string) (*engine.CheckpointManifest, error) {
+	path := filepath.Join(dir, engine.EngineManifestName)
 	m, err := engine.LoadEngineManifest(dir)
 	if err == nil {
 		return m, nil
 	}
-	r.flight(-1, persist.Finding{
-		Path: filepath.Join(dir, engine.EngineManifestName), Class: persist.ClassManifest, Detail: err.Error(),
-	})
-	raw, ferr := r.peer.Fetch(FetchReq{Kind: FetchEngineManifest})
+	r.flight(-1, persist.Finding{Path: path, Class: persist.ClassManifest, Detail: err.Error()})
+	raw, ferr := r.fetch(FetchReq{File: FetchEngineManifest})
 	if ferr != nil {
 		return nil, fmt.Errorf("replic: engine manifest unrepairable: %v (fetch: %w)", err, ferr)
 	}
-	rawBytes, ferr := ParseRawResp(raw, FetchEngineManifest)
-	if ferr != nil {
-		return nil, ferr
-	}
-	m, ferr = engine.DecodeEngineManifest("(fetched)", rawBytes)
+	m, ferr = engine.DecodeEngineManifest("(fetched)", raw)
 	if ferr != nil {
 		return nil, fmt.Errorf("replic: peer engine manifest invalid: %w", ferr)
 	}
-	if werr := os.WriteFile(filepath.Join(dir, engine.EngineManifestName), rawBytes, 0o644); werr != nil {
-		return nil, werr
-	}
-	r.manifests.Inc()
-	r.rep.ManifestsFetched++
-	return m, nil
+	return m, writeFileAtomic(path, raw)
 }
 
 // trustedShardManifest returns shard i's validated MANIFEST.json,
 // fetching a replacement when the local one fails its self-checksum or
 // disagrees with the engine seal.
 func (r *repairer) trustedShardManifest(sdir string, shard int, sealed string) (*persist.Manifest, error) {
+	path := filepath.Join(sdir, persist.ManifestName)
 	man, err := persist.LoadManifest(nil, sdir)
 	if err == nil && (sealed == "" || man.Checksum == sealed) {
 		return man, nil
@@ -522,30 +393,19 @@ func (r *repairer) trustedShardManifest(sdir string, shard int, sealed string) (
 	if err != nil {
 		detail = err.Error()
 	}
-	r.flight(shard, persist.Finding{
-		Path: filepath.Join(sdir, persist.ManifestName), Class: persist.ClassManifest, Detail: detail,
-	})
-	raw, ferr := r.peer.Fetch(FetchReq{Kind: FetchShardManifest, Shard: uint32(shard)})
+	r.flight(shard, persist.Finding{Path: path, Class: persist.ClassManifest, Detail: detail})
+	raw, ferr := r.fetch(FetchReq{File: FetchShardManifest, Shard: uint32(shard)})
 	if ferr != nil {
 		return nil, fmt.Errorf("shard manifest unrepairable: %v (fetch: %w)", detail, ferr)
 	}
-	rawBytes, ferr := ParseRawResp(raw, FetchShardManifest)
-	if ferr != nil {
-		return nil, ferr
-	}
-	man, ferr = persist.DecodeManifest("(fetched)", rawBytes)
+	man, ferr = persist.DecodeManifest("(fetched)", raw)
 	if ferr != nil {
 		return nil, fmt.Errorf("peer shard manifest invalid: %w", ferr)
 	}
 	if sealed != "" && man.Checksum != sealed {
 		return nil, fmt.Errorf("peer shard manifest checksum %.12s not sealed by engine root (%.12s)", man.Checksum, sealed)
 	}
-	if werr := os.WriteFile(filepath.Join(sdir, persist.ManifestName), rawBytes, 0o644); werr != nil {
-		return nil, werr
-	}
-	r.manifests.Inc()
-	r.rep.ManifestsFetched++
-	return man, nil
+	return man, writeFileAtomic(path, raw)
 }
 
 // repairShard brings one shard directory back to a clean VerifyDir.
@@ -566,10 +426,10 @@ func (r *repairer) repairShard(dir string, shard int, sealed string) error {
 }
 
 // repairWAL verifies the shard's log against the manifest's sealed
-// chain head and, on damage, rebuilds the image: locally verified
-// records are kept, missing LSN ranges are fetched from the peer, and
-// the splice is only installed if its recomputed chain reproduces the
-// sealed head exactly.
+// chain head and, on damage, replaces it with the peer's log. The
+// peer's log is installed only if it reproduces the sealed head with no
+// bad range and no torn tail; its records past the seal are trusted
+// only because they chain onto it, and they replace any local tail.
 func (r *repairer) repairWAL(sdir string, shard int, man *persist.Manifest) error {
 	expect, err := man.Head()
 	if err != nil {
@@ -591,210 +451,60 @@ func (r *repairer) repairWAL(sdir string, shard int, man *persist.Manifest) erro
 			Path: path, Class: bad.Class, Detail: bad.Detail, FromLSN: bad.FromLSN, ToLSN: bad.ToLSN,
 		})
 	}
-	if rep.HeadMismatch || len(rep.Bad) == 0 {
+	if rep.HeadMismatch {
 		r.flight(shard, persist.Finding{
 			Path: path, Class: persist.ClassWALChainPoint, Detail: "sealed head unreachable from local records",
 		})
 	}
-
-	// Collect what survives locally, then fetch the gaps.
-	have := map[uint64]persist.Op{}
-	for _, v := range rep.Ops {
-		if v.LSN <= man.WALRecords {
-			have[v.LSN] = v.Op
-		}
+	img, err := r.fetch(FetchReq{File: FetchWAL, Shard: uint32(shard)})
+	if err != nil {
+		return fmt.Errorf("wal unrepairable: %w", err)
 	}
-	var missing []uint64
-	for lsn := uint64(1); lsn <= man.WALRecords; lsn++ {
-		if _, ok := have[lsn]; !ok {
-			missing = append(missing, lsn)
-		}
-	}
-	fetched := 0
-	for len(missing) > 0 {
-		from := missing[0]
-		to := from
-		for len(missing) > 0 && missing[0] == to {
-			missing = missing[1:]
-			to++
-		}
-		to--
-		for lo := from; lo <= to; lo += MaxFetchOps {
-			hi := lo + MaxFetchOps - 1
-			if hi > to {
-				hi = to
-			}
-			raw, err := r.peer.Fetch(FetchReq{Kind: FetchWALOps, Shard: uint32(shard), From: lo, To: hi})
-			if err != nil {
-				return fmt.Errorf("wal range %d-%d unrepairable: %w", lo, hi, err)
-			}
-			ops, err := ParseOpsResp(raw)
-			if err != nil {
-				return err
-			}
-			for _, o := range ops {
-				if o.LSN >= lo && o.LSN <= hi {
-					have[o.LSN] = o.Op
-					fetched++
-				}
-			}
-		}
-	}
-
-	ordered := make([]persist.Op, 0, man.WALRecords)
-	for lsn := uint64(1); lsn <= man.WALRecords; lsn++ {
-		op, ok := have[lsn]
-		if !ok {
-			return fmt.Errorf("wal LSN %d unavailable locally and from peer", lsn)
-		}
-		ordered = append(ordered, op)
-	}
-	// Keep the contiguous locally-verified tail past the seal — records
-	// the manifest does not cover cannot be authenticated, but they
-	// chain onto the sealed prefix, so a rebuilt image revalidates them.
-	tail := 0
-	for lsn := man.WALRecords + 1; ; lsn++ {
-		op, ok := tailOp(rep.Ops, lsn)
-		if !ok {
-			break
-		}
-		ordered = append(ordered, op)
-		tail++
-	}
-	// No local tail survived (whole-file truncation or deletion):
-	// converge on the peer's unsealed suffix instead. Like the local
-	// tail, it is trusted only transitively — it must chain onto the
-	// sealed head when the rebuilt image is verified below.
-	for tail == 0 {
-		lo := uint64(len(ordered)) + 1
-		hi := lo + MaxFetchOps - 1
-		raw, err := r.peer.Fetch(FetchReq{Kind: FetchWALOps, Shard: uint32(shard), From: lo, To: hi})
-		if err != nil {
-			break // a peer without the range just ends the tail
-		}
-		ops, err := ParseOpsResp(raw)
-		if err != nil {
-			return err
-		}
-		got := 0
-		for _, o := range ops {
-			if o.LSN == uint64(len(ordered))+1 {
-				ordered = append(ordered, o.Op)
-				fetched++
-				got++
-			}
-		}
-		if got == 0 || uint64(got) < hi-lo+1 {
-			break
-		}
-	}
-
-	img, _ := persist.BuildWALImage(ordered, man.ChainEvery)
 	check := persist.VerifyWALImage(img, &expect)
 	if len(check.Bad) != 0 || check.HeadMismatch || check.TornTail {
-		return fmt.Errorf("rebuilt wal image does not reproduce sealed chain head %.12s", man.ChainHead)
+		return fmt.Errorf("peer wal does not reproduce sealed chain head %.12s", man.ChainHead)
 	}
-	if err := writeFileAtomic(path, img); err != nil {
-		return err
-	}
-	if fetched == 0 {
-		r.rep.Resealed++
-	}
-	r.ops.Add(uint64(fetched))
-	r.rep.OpsFetched += fetched
-	return nil
+	return writeFileAtomic(path, img)
 }
 
-// tailOp finds the op verified at lsn beyond the sealed prefix.
-func tailOp(ops []persist.VerifiedOp, lsn uint64) (persist.Op, bool) {
-	i := sort.Search(len(ops), func(i int) bool { return ops[i].LSN >= lsn })
-	if i < len(ops) && ops[i].LSN == lsn {
-		return ops[i].Op, true
-	}
-	return persist.Op{}, false
-}
-
-// repairSnapshot re-fetches exactly the chunks of the manifest-covered
-// snapshot that fail their leaves, verifying each fetched chunk's
-// Merkle proof against the sealed root before splicing it in.
+// repairSnapshot replaces the manifest-covered snapshot when any chunk
+// fails its sealed leaf. The peer's copy is installed only if it has
+// exactly the sealed length and matches every sealed leaf, and so the
+// root.
 func (r *repairer) repairSnapshot(sdir string, shard int, man *persist.Manifest) error {
 	if man.SnapshotSeq == 0 {
 		return nil
-	}
-	root, err := man.Root()
-	if err != nil {
-		return err
-	}
-	leaves, err := man.Leaves()
-	if err != nil {
-		return err
 	}
 	path := filepath.Join(sdir, persist.SnapFileName(man.SnapshotSeq))
 	b, rerr := os.ReadFile(path)
 	if rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
 		return rerr
 	}
-	if int64(len(b)) != man.SnapshotBytes {
-		nb := make([]byte, man.SnapshotBytes)
-		copy(nb, b)
-		b = nb
-	}
 	bad := persist.SnapshotBadChunks(man, b)
-	if len(bad) == 0 {
+	if len(bad) == 0 && int64(len(b)) == man.SnapshotBytes {
 		return nil
 	}
 	r.flight(shard, persist.Finding{
 		Path: path, Class: persist.ClassSnapshotChunk, Seq: man.SnapshotSeq, Chunks: bad,
-		Detail: fmt.Sprintf("%d of %d chunks fail the manifest leaves", len(bad), len(leaves)),
+		Detail: fmt.Sprintf("%d of %d chunks fail the manifest leaves", len(bad), len(man.SnapshotLeaves)),
 	})
-	for lo := 0; lo < len(bad); lo += MaxFetchChunks {
-		hi := lo + MaxFetchChunks
-		if hi > len(bad) {
-			hi = len(bad)
-		}
-		idx := make([]uint32, 0, hi-lo)
-		for _, c := range bad[lo:hi] {
-			idx = append(idx, uint32(c))
-		}
-		raw, err := r.peer.Fetch(FetchReq{Kind: FetchSnapChunks, Shard: uint32(shard), Seq: man.SnapshotSeq, Chunks: idx})
-		if err != nil {
-			return fmt.Errorf("snapshot chunks %v unrepairable: %w", idx, err)
-		}
-		chunks, err := ParseChunksResp(raw)
-		if err != nil {
-			return err
-		}
-		got := map[uint32]bool{}
-		for _, c := range chunks {
-			leaf := sha256.Sum256(append([]byte{0x00}, c.Data...))
-			if !persist.VerifyMerkleProof(leaf, int(c.Index), len(leaves), c.Proof, root) {
-				return fmt.Errorf("fetched chunk %d fails its Merkle proof against the sealed root", c.Index)
-			}
-			off := int(c.Index) * man.ChunkSize
-			if off+len(c.Data) > len(b) {
-				return fmt.Errorf("fetched chunk %d overruns snapshot length %d", c.Index, len(b))
-			}
-			copy(b[off:], c.Data)
-			got[c.Index] = true
-			r.chunks.Inc()
-			r.rep.ChunksFetched++
-		}
-		for _, i := range idx {
-			if !got[i] {
-				return fmt.Errorf("peer did not return chunk %d", i)
-			}
-		}
+	nb, err := r.fetch(FetchReq{File: FetchSnapshot, Shard: uint32(shard), Seq: man.SnapshotSeq})
+	if err != nil {
+		return fmt.Errorf("snapshot unrepairable: %w", err)
 	}
-	if still := persist.SnapshotBadChunks(man, b); len(still) != 0 {
-		return fmt.Errorf("snapshot chunks %v still fail after repair", still)
+	if int64(len(nb)) != man.SnapshotBytes {
+		return fmt.Errorf("peer snapshot is %d bytes, manifest seals %d", len(nb), man.SnapshotBytes)
 	}
-	return writeFileAtomic(path, b)
+	if still := persist.SnapshotBadChunks(man, nb); len(still) != 0 {
+		return fmt.Errorf("peer snapshot chunks %v fail the sealed leaves", still)
+	}
+	return writeFileAtomic(path, nb)
 }
 
 // dropRottedStaleSnapshots removes fallback snapshots (sequences the
 // manifest does not cover) whose envelopes fail — they cannot be
-// authenticated or repaired chunk-wise, and recovery never needs them
-// once the covered snapshot verifies.
+// authenticated or repaired, and recovery never needs them once the
+// covered snapshot verifies.
 func (r *repairer) dropRottedStaleSnapshots(sdir string, shard int, man *persist.Manifest) error {
 	v := persist.VerifyDir(nil, sdir)
 	for _, f := range v.Findings {
@@ -815,18 +525,4 @@ func writeFileAtomic(path string, b []byte) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// equalFiles reports whether two files hold identical bytes (test and
-// harness helper for bit-identical repair assertions).
-func equalFiles(a, b string) (bool, error) {
-	ab, err := os.ReadFile(a)
-	if err != nil {
-		return false, err
-	}
-	bb, err := os.ReadFile(b)
-	if err != nil {
-		return false, err
-	}
-	return bytes.Equal(ab, bb), nil
 }

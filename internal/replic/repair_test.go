@@ -3,11 +3,12 @@ package replic
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
+	"errors"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,6 +124,19 @@ func mustEqualFiles(t *testing.T, a, b string) {
 	}
 }
 
+// equalFiles reports whether two files hold identical bytes.
+func equalFiles(a, b string) (bool, error) {
+	ab, err := os.ReadFile(a)
+	if err != nil {
+		return false, err
+	}
+	bb, err := os.ReadFile(b)
+	if err != nil {
+		return false, err
+	}
+	return bytes.Equal(ab, bb), nil
+}
+
 // assertRepaired runs the repair against an in-process peer and checks
 // the fan-out verifies clean and bit-identical to the peer afterwards.
 func assertRepaired(t *testing.T, local, peer string) *RepairReport {
@@ -186,72 +200,200 @@ func newPair(t *testing.T) (local, peer string) {
 }
 
 func TestFetchCodecsRoundTrip(t *testing.T) {
-	req := FetchReq{Kind: FetchSnapChunks, Shard: 3, From: 10, To: 20, Seq: 2, Chunks: []uint32{0, 5, 9}}
+	req := FetchReq{File: FetchSnapshot, Shard: 3, Seq: 2, Offset: 1 << 20}
 	got, err := ParseFetchReq(AppendFetchReq(nil, req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != req.Kind || got.Shard != req.Shard || got.Seq != req.Seq || len(got.Chunks) != 3 {
-		t.Fatalf("request round trip: %+v", got)
+	if got != req {
+		t.Fatalf("request round trip: %+v, want %+v", got, req)
 	}
 
-	ops := []FetchedOp{
-		{LSN: 7, Op: persist.Op{Kind: hw.Push, Cycle: 1, Value: 9, Meta: 2}},
-		{LSN: 8, Op: persist.Op{Kind: hw.Pop, Cycle: 2, Value: 9, Meta: 2}},
-	}
-	back, err := ParseOpsResp(AppendOpsResp(nil, ops))
+	resp := FetchResp{Size: 9000, Data: bytes.Repeat([]byte{0xAB}, 256)}
+	back, err := ParseFetchResp(AppendFetchResp(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || back[0] != ops[0] || back[1] != ops[1] {
-		t.Fatalf("ops round trip: %+v", back)
-	}
-
-	chunks := []FetchedChunk{{
-		Index: 4,
-		Data:  bytes.Repeat([]byte{0xAB}, 256),
-		Proof: [][sha256.Size]byte{sha256.Sum256([]byte("a")), sha256.Sum256([]byte("b"))},
-	}}
-	cback, err := ParseChunksResp(AppendChunksResp(nil, chunks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cback) != 1 || cback[0].Index != 4 || !bytes.Equal(cback[0].Data, chunks[0].Data) || len(cback[0].Proof) != 2 {
-		t.Fatalf("chunks round trip: %+v", cback)
-	}
-
-	raw, err := ParseRawResp(AppendRawResp(nil, FetchEngineManifest, []byte(`{"x":1}`)), FetchEngineManifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != `{"x":1}` {
-		t.Fatalf("raw round trip: %q", raw)
+	if back.Size != resp.Size || !bytes.Equal(back.Data, resp.Data) {
+		t.Fatalf("response round trip: size %d, %d bytes", back.Size, len(back.Data))
 	}
 
 	// Arbitrary garbage never panics and errors typed.
-	if _, err := ParseFetchReq([]byte{0xFF, 1, 2}); err == nil {
-		t.Fatal("garbage fetch request accepted")
+	for _, p := range [][]byte{
+		{0xFF, 1, 2},
+		AppendFetchReq(nil, FetchReq{File: 9}),
+		append(AppendFetchReq(nil, req), 0),
+	} {
+		if _, err := ParseFetchReq(p); !errors.Is(err, wire.ErrBadFrame) {
+			t.Fatalf("fetch request %x: err %v, want ErrBadFrame", p, err)
+		}
 	}
-	if _, err := ParseOpsResp([]byte{FetchWALOps, 0xFF}); err == nil {
-		t.Fatal("garbage ops response accepted")
+	for _, p := range [][]byte{
+		{0xFF},
+		AppendFetchResp(nil, FetchResp{Size: 3, Data: []byte("four")}),
+		AppendFetchResp(nil, FetchResp{Size: 1 << 30, Data: make([]byte, frameBytes+1)}),
+	} {
+		if _, err := ParseFetchResp(p); !errors.Is(err, wire.ErrBadFrame) {
+			t.Fatalf("fetch response of %d bytes: err %v, want ErrBadFrame", len(p), err)
+		}
 	}
 }
 
+// serveFetch answers TReplFetch frames from dir on a loopback
+// wire.Server and dials a Fetcher to it.
+func serveFetch(t *testing.T, dir string) *Fetcher {
+	t.Helper()
+	eng, err := engine.New(engine.Config{Shards: 1, Order: 2, Levels: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv := wire.NewServer(eng)
+	srv.SetFetchHandler((&FetchServer{Dir: dir}).Handle)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	f, err := DialFetcher(ln.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// TestFetchServerRefusals sends the server requests it must refuse:
+// each gets a TError over the wire, never a panic and never another
+// file's bytes, and the connection keeps serving afterwards.
+func TestFetchServerRefusals(t *testing.T) {
+	_, peer := newPair(t)
+	f := serveFetch(t, peer)
+	man, err := persist.LoadManifest(nil, engine.ShardDir(peer, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		req  FetchReq
+		want string
+	}{
+		{"unknown file kind", FetchReq{File: 9}, "fetch file kind 9"},
+		{"shard with no directory", FetchReq{File: FetchWAL, Shard: repairShards}, "no such file"},
+		{"snapshot seq not covered", FetchReq{File: FetchSnapshot, Seq: man.SnapshotSeq + 1}, "not covered"},
+		{"offset past the end", FetchReq{File: FetchSnapshot, Seq: man.SnapshotSeq, Offset: uint64(man.SnapshotBytes) + 1}, "past the end"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := f.Fetch(c.req)
+			if err == nil {
+				t.Fatalf("served %d bytes, want a refusal", len(resp))
+			}
+			if !strings.Contains(err.Error(), "peer refused fetch") || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err %q, want a TError naming %q", err, c.want)
+			}
+		})
+	}
+	resp, err := f.Fetch(FetchReq{File: FetchEngineManifest})
+	if err != nil {
+		t.Fatalf("fetch after refusals: %v", err)
+	}
+	got, err := ParseFetchResp(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(peer, engine.EngineManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, want) {
+		t.Fatal("engine manifest fetched after refusals differs from the file")
+	}
+}
+
+// TestFetchWholeFile fetches a WAL larger than one response over the
+// wire and gets it back byte-identical; a file that grows between
+// responses aborts the fetch.
+func TestFetchWholeFile(t *testing.T) {
+	dir := t.TempDir()
+	sdir := engine.ShardDir(dir, 0)
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]persist.Op, 20000)
+	for i := range ops {
+		ops[i] = persist.Op{Kind: hw.Push, Cycle: uint64(i), Value: uint64(i * 7), Meta: uint64(i)}
+	}
+	img, _ := persist.BuildWALImage(ops, persist.DefaultChainEvery)
+	if len(img) <= frameBytes {
+		t.Fatalf("wal image %d bytes fits one response (%d)", len(img), frameBytes)
+	}
+	path := filepath.Join(sdir, persist.WALName)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := &repairer{peer: serveFetch(t, dir), rep: &RepairReport{}}
+	got, err := r.fetch(FetchReq{File: FetchWAL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, img) {
+		t.Fatalf("fetched %d bytes, not the %d-byte file", len(got), len(img))
+	}
+	if r.rep.FilesFetched != 1 || r.rep.BytesFetched != int64(len(img)) {
+		t.Fatalf("report counts %d files, %d bytes; want 1, %d", r.rep.FilesFetched, r.rep.BytesFetched, len(img))
+	}
+
+	grow := growingPeer{inner: LocalPeer{&FetchServer{Dir: dir}}, path: path}
+	r = &repairer{peer: grow, rep: &RepairReport{}}
+	if _, err := r.fetch(FetchReq{File: FetchWAL}); err == nil || !strings.Contains(err.Error(), "changed size") {
+		t.Fatalf("fetch of a growing file: err %v, want a size-change abort", err)
+	}
+}
+
+// growingPeer appends a record to the file at path after every
+// response, as a peer still recording would.
+type growingPeer struct {
+	inner FetchPeer
+	path  string
+}
+
+func (g growingPeer) Fetch(req FetchReq) ([]byte, error) {
+	resp, err := g.inner.Fetch(req)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(g.path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	_, err = f.Write(persist.AppendRecord(nil, persist.Op{Kind: hw.Push}))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return resp, err
+}
+
 // TestRepairWALRecordRot rots a record body inside the sealed prefix:
-// the repairer must fetch exactly the lost LSN range and splice the log
-// back bit-identically.
+// the repairer must fetch the peer's log, and only it, and install it
+// bit-identically.
 func TestRepairWALRecordRot(t *testing.T) {
 	local, peer := newPair(t)
 	corrupt(t, filepath.Join(engine.ShardDir(local, 0), persist.WALName), 5*int(persist.RecordLen)+10)
 	rep := assertRepaired(t, local, peer)
-	if rep.OpsFetched == 0 {
-		t.Fatal("record rot repaired without fetching any ops")
+	if rep.FilesFetched != 1 {
+		t.Fatalf("record rot repaired with %d files fetched, want 1", rep.FilesFetched)
 	}
 }
 
 // TestRepairWALChainPointRot rots a seal: the records around it are
-// intact but unverifiable, so the repairer refetches the gap and the
-// rebuilt image must reproduce the sealed head.
+// intact but unverifiable, so the repairer refetches the log, which
+// must reproduce the sealed head.
 func TestRepairWALChainPointRot(t *testing.T) {
 	local, peer := newPair(t)
 	// The first chain-point sits after repairChainEvery records.
@@ -272,8 +414,8 @@ func TestRepairWALTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := assertRepaired(t, local, peer)
-	if rep.OpsFetched == 0 {
-		t.Fatal("truncation repaired without fetching ops")
+	if rep.FilesFetched != 1 {
+		t.Fatalf("truncation repaired with %d files fetched, want 1", rep.FilesFetched)
 	}
 }
 
@@ -287,8 +429,8 @@ func TestRepairWALMissing(t *testing.T) {
 }
 
 // TestRepairSnapshotChunkRot rots bytes inside the manifest-covered
-// snapshot: only the failing chunks may be fetched, each verified by
-// Merkle proof against the sealed root.
+// snapshot: the repairer fetches that one file whole and checks it
+// against every sealed leaf.
 func TestRepairSnapshotChunkRot(t *testing.T) {
 	local, peer := newPair(t)
 	sdir := engine.ShardDir(local, 1)
@@ -299,11 +441,9 @@ func TestRepairSnapshotChunkRot(t *testing.T) {
 	snap := filepath.Join(sdir, persist.SnapFileName(man.SnapshotSeq))
 	corrupt(t, snap, int(man.SnapshotBytes)/2)
 	rep := assertRepaired(t, local, peer)
-	if rep.ChunksFetched == 0 {
-		t.Fatal("chunk rot repaired without fetching chunks")
-	}
-	if rep.ChunksFetched > 2 {
-		t.Fatalf("single-byte rot fetched %d chunks, want minimal", rep.ChunksFetched)
+	if rep.FilesFetched != 1 || rep.BytesFetched != man.SnapshotBytes {
+		t.Fatalf("chunk rot fetched %d files, %d bytes; want 1 file, the %d-byte snapshot",
+			rep.FilesFetched, rep.BytesFetched, man.SnapshotBytes)
 	}
 }
 
@@ -313,8 +453,8 @@ func TestRepairShardManifestTamper(t *testing.T) {
 	local, peer := newPair(t)
 	corrupt(t, filepath.Join(engine.ShardDir(local, 0), persist.ManifestName), 40)
 	rep := assertRepaired(t, local, peer)
-	if rep.ManifestsFetched == 0 {
-		t.Fatal("manifest tamper repaired without fetching a manifest")
+	if rep.FilesFetched != 1 {
+		t.Fatalf("manifest tamper repaired with %d files fetched, want 1", rep.FilesFetched)
 	}
 }
 
@@ -339,8 +479,8 @@ func TestRepairSwappedShardManifests(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := assertRepaired(t, local, peer)
-	if rep.ManifestsFetched != 2 {
-		t.Fatalf("swap repaired with %d manifests fetched, want 2", rep.ManifestsFetched)
+	if rep.FilesFetched != 2 {
+		t.Fatalf("swap repaired with %d files fetched, want 2", rep.FilesFetched)
 	}
 }
 
@@ -361,58 +501,73 @@ func TestRepairEngineManifestTorn(t *testing.T) {
 }
 
 // TestRepairRefusesUnprovablePeerData pins the trust model: a peer
-// serving tampered chunks (valid framing, wrong bytes) must be caught
-// by the Merkle proof check and the repair must fail without
+// serving a tampered file (valid framing, one wrong byte) must be
+// caught by the seal check, and the repair must fail without
 // installing anything.
 func TestRepairRefusesUnprovablePeerData(t *testing.T) {
-	local, peer := newPair(t)
-	sdir := engine.ShardDir(local, 0)
-	man, err := persist.LoadManifest(nil, sdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := filepath.Join(sdir, persist.SnapFileName(man.SnapshotSeq))
-	corrupt(t, snap, 10)
-	before, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Run("snapshot", func(t *testing.T) {
+		local, peer := newPair(t)
+		sdir := engine.ShardDir(local, 0)
+		man, err := persist.LoadManifest(nil, sdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := filepath.Join(sdir, persist.SnapFileName(man.SnapshotSeq))
+		corrupt(t, snap, 10)
+		assertRefused(t, local, peer, snap, FetchSnapshot, uint64(man.SnapshotBytes)/2, "fail the sealed leaves")
+	})
+	t.Run("wal", func(t *testing.T) {
+		local, peer := newPair(t)
+		wal := filepath.Join(engine.ShardDir(local, 0), persist.WALName)
+		corrupt(t, wal, 5*int(persist.RecordLen)+10)
+		// The peer flips a byte of a record two seals into the prefix
+		// the manifest seals.
+		assertRefused(t, local, peer, wal, FetchWAL, 2*repairChainEvery*uint64(persist.RecordLen)+20, "does not reproduce sealed chain head")
+	})
+}
 
-	evil := evilPeer{inner: LocalPeer{&FetchServer{Dir: peer}}}
-	_, err = RepairCheckpoint(local, evil, RepairConfig{})
-	if err == nil {
-		t.Fatal("repair accepted tampered peer chunks")
+// assertRefused repairs local from an evilPeer that flips the byte at
+// off of every file of kind file it relays, and checks the repair fails
+// naming want, with path byte-identical to before.
+func assertRefused(t *testing.T, local, peer, path string, file uint8, off uint64, want string) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	after, err := os.ReadFile(snap)
+	evil := evilPeer{inner: LocalPeer{&FetchServer{Dir: peer}}, file: file, off: off}
+	if _, err := RepairCheckpoint(local, evil, RepairConfig{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("repair from a tampered peer file: err %v, want a refusal naming %q", err, want)
+	}
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
-		t.Fatal("failed repair modified the snapshot")
+		t.Fatal("failed repair modified the local file")
 	}
 }
 
-// evilPeer flips a byte in every chunk payload it relays.
-type evilPeer struct{ inner FetchPeer }
+// evilPeer flips the byte at off of every file of kind file it relays.
+type evilPeer struct {
+	inner FetchPeer
+	file  uint8
+	off   uint64
+}
 
 func (e evilPeer) Fetch(req FetchReq) ([]byte, error) {
-	resp, err := e.inner.Fetch(req)
+	raw, err := e.inner.Fetch(req)
+	if err != nil || req.File != e.file {
+		return raw, err
+	}
+	resp, err := ParseFetchResp(raw)
 	if err != nil {
 		return nil, err
 	}
-	if req.Kind == FetchSnapChunks {
-		chunks, err := ParseChunksResp(resp)
-		if err != nil {
-			return nil, err
-		}
-		for i := range chunks {
-			if len(chunks[i].Data) > 0 {
-				chunks[i].Data[0] ^= 0x01
-			}
-		}
-		return AppendChunksResp(nil, chunks), nil
+	if e.off >= req.Offset && e.off-req.Offset < uint64(len(resp.Data)) {
+		resp.Data[e.off-req.Offset] ^= 0x01
 	}
-	return resp, nil
+	return AppendFetchResp(nil, resp), nil
 }
 
 // TestRepairOverWire runs a full repair through real TReplFetch /
@@ -421,33 +576,10 @@ func (e evilPeer) Fetch(req FetchReq) ([]byte, error) {
 // recover and drain the same element sequence.
 func TestRepairOverWire(t *testing.T) {
 	local, peer := newPair(t)
-	eng, err := engine.New(engine.Config{Shards: 1, Order: 2, Levels: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	srv := wire.NewServer(eng)
-	fs := &FetchServer{Dir: peer}
-	srv.SetFetchHandler(fs.Handle)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-
+	f := serveFetch(t, peer)
 	corrupt(t, filepath.Join(engine.ShardDir(local, 0), persist.WALName), 7*int(persist.RecordLen)+4)
 	corrupt(t, filepath.Join(engine.ShardDir(local, 1), persist.ManifestName), 30)
 
-	f, err := DialFetcher(ln.Addr().String(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	reg := obs.NewRegistry()
 	rep, err := RepairCheckpoint(local, f, RepairConfig{Metrics: reg, Prefix: "repl"})
 	if err != nil {
@@ -457,8 +589,10 @@ func TestRepairOverWire(t *testing.T) {
 		t.Fatal("repair over wire not clean")
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["repl_repair_dirs_total"] == 0 {
-		t.Fatal("repair counters not exported")
+	if snap.Counters["repl_repair_dirs_total"] != repairShards ||
+		snap.Counters["repl_repair_files_fetched_total"] != uint64(rep.FilesFetched) ||
+		snap.Counters["repl_repair_bytes_fetched_total"] != uint64(rep.BytesFetched) || rep.FilesFetched != 2 {
+		t.Fatalf("repair counters %v, report %d files / %d bytes; want 2 files", snap.Counters, rep.FilesFetched, rep.BytesFetched)
 	}
 
 	drain := func(dir string) [][2]uint64 {

@@ -90,13 +90,13 @@ const (
 	TReplAck Type = 9
 	// Types 10 and 11 are unassigned: they carried a retired admin
 	// command, and no later type was renumbered when it went.
-	// TReplFetch asks a peer for a piece of its durable state during
-	// anti-entropy repair: an engine or shard manifest, a WAL LSN range,
-	// or Merkle-proof-carrying snapshot chunks. The payload codec lives
-	// in internal/replic.
+	// TReplFetch asks a peer for the bytes of one checkpoint file from
+	// an offset during anti-entropy repair: an engine or shard
+	// manifest, a WAL, or a snapshot. The payload codec lives in
+	// internal/replic.
 	TReplFetch Type = 12
-	// TReplChunk answers TReplFetch with the requested bytes (plus
-	// proofs, for snapshot chunks).
+	// TReplChunk answers TReplFetch with the file's size and the
+	// requested bytes.
 	TReplChunk Type = 13
 	// TClusterHello asks a node for its cluster map: payload is the
 	// sender's current map version (u64), so an up-to-date peer answers

@@ -93,8 +93,8 @@ type (
 	// reads): it receives the request payload and returns the TReplChunk
 	// payload. The codec is internal/replic's; wire treats both as
 	// opaque. An error answers the request with TError without killing
-	// the connection — one unservable range must not abort a repair
-	// session fetching many.
+	// the connection — one unservable file must not abort a repair
+	// session fetching several.
 	FetchHandler func(payload []byte) ([]byte, error)
 	// OwnerGate vets each push against the node's owned slice of the
 	// cluster key space, before the op reaches the engine. A refused
