@@ -90,8 +90,8 @@ func TestLayoutLockstep(t *testing.T) {
 
 func sameSnapshot(t *testing.T, fast, slow *Tree, op int) {
 	t.Helper()
-	a, _ := fast.EncodeSnapshot()
-	b, _ := slow.EncodeSnapshot()
+	a := snapshotPayload(fast)
+	b := snapshotPayload(slow)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("m=%d op %d: snapshots differ (fast vs runtime-M)", fast.m, op)
 	}

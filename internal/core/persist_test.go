@@ -55,13 +55,10 @@ func drain(t *testing.T, tr *Tree) []Element {
 func TestSnapshotRoundTrip(t *testing.T) {
 	a := New(4, 3)
 	drive(t, a, 1, 300)
-	payload, err := a.EncodeSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := snapshotPayload(a)
 
 	b := New(4, 3)
-	if err := b.RestoreSnapshot(a.SnapshotVersion(), payload); err != nil {
+	if err := restorePayload(b, a.SnapshotVersion(), payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.VerifyRecovered(); err != nil {
@@ -83,15 +80,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestRestoreRejectsShapeMismatch(t *testing.T) {
 	a := New(4, 3)
-	payload, err := a.EncodeSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := snapshotPayload(a)
 	b := New(2, 3)
-	if err := b.RestoreSnapshot(1, payload); err == nil || !strings.Contains(err.Error(), "shape") {
+	if err := restorePayload(b, 1, payload); err == nil || !strings.Contains(err.Error(), "shape") {
 		t.Fatalf("shape mismatch accepted: %v", err)
 	}
-	if err := New(4, 3).RestoreSnapshot(99, payload); err == nil {
+	if err := restorePayload(New(4, 3), 99, payload); err == nil {
 		t.Fatal("unknown version accepted")
 	}
 }
@@ -99,13 +93,10 @@ func TestRestoreRejectsShapeMismatch(t *testing.T) {
 func TestRestoreRejectsTruncatedPayload(t *testing.T) {
 	a := New(2, 3)
 	drive(t, a, 2, 50)
-	payload, err := a.EncodeSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := snapshotPayload(a)
 	for _, cut := range []int{0, 1, len(payload) / 2, len(payload) - 1} {
 		b := New(2, 3)
-		if err := b.RestoreSnapshot(1, payload[:cut]); err == nil {
+		if err := restorePayload(b, 1, payload[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 		// A failed restore must leave the receiver untouched and usable.
@@ -177,16 +168,13 @@ func TestSnapshotBytesStable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		payload, err := tr.EncodeSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := snapshotPayload(tr)
 		sum := sha256.Sum256(payload)
 		if got := hex.EncodeToString(sum[:]); got != c.payload {
 			t.Errorf("m=%d l=%d: payload sha256 %s, want %s", c.m, c.l, got, c.payload)
 		}
 		r := New(c.m, c.l)
-		if err := r.RestoreSnapshot(coreSnapVersion, payload); err != nil {
+		if err := restorePayload(r, coreSnapVersion, payload); err != nil {
 			t.Fatal(err)
 		}
 		h := sha256.New()
@@ -200,22 +188,94 @@ func TestSnapshotBytesStable(t *testing.T) {
 }
 
 // TestSnapshotCodecAllocs gates the codec's allocations: EncodeSnapshot
-// allocates only its payload, RestoreSnapshot nothing.
+// and RestoreSnapshot allocate nothing, whole or block by block.
 func TestSnapshotCodecAllocs(t *testing.T) {
 	a := New(4, 4)
 	drive(t, a, 5, 2*a.Cap())
-	var payload []byte
-	if n := testing.AllocsPerRun(100, func() { payload, _ = a.EncodeSnapshot() }); n > 1 {
-		t.Errorf("EncodeSnapshot: %.1f allocs, want <= 1", n)
+	payload := make([]byte, a.SnapshotSize())
+	if n := testing.AllocsPerRun(100, func() { a.EncodeSnapshot(0, payload) }); n != 0 {
+		t.Errorf("EncodeSnapshot: %.1f allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { encodeBlocks(a, payload, 1000) }); n != 0 {
+		t.Errorf("EncodeSnapshot in 1000-byte blocks: %.1f allocs, want 0", n)
 	}
 	b := New(4, 4)
 	var err error
-	if n := testing.AllocsPerRun(100, func() { err = b.RestoreSnapshot(coreSnapVersion, payload) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { err = restorePayload(b, coreSnapVersion, payload) }); n != 0 {
 		t.Errorf("RestoreSnapshot: %.1f allocs, want 0", n)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := testing.AllocsPerRun(100, func() { err = restoreBlocks(b, payload, 1000) }); n != 0 {
+		t.Errorf("RestoreSnapshot in 1000-byte blocks: %.1f allocs, want 0", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotBlocksMatchWhole encodes and restores the payload in
+// blocks that cut the header and slots at every kind of offset: the
+// bytes must equal the one-call encoding, and a tree restored from them
+// must encode back to the same bytes.
+func TestSnapshotBlocksMatchWhole(t *testing.T) {
+	a := New(3, 4)
+	drive(t, a, 6, 3*a.Cap())
+	whole := snapshotPayload(a)
+	for _, block := range []int{1, 7, snapSlotBytes - 1, snapSlotBytes, snapSlotBytes + 1, 4096, len(whole)} {
+		got := make([]byte, len(whole))
+		encodeBlocks(a, got, block)
+		if !bytes.Equal(got, whole) {
+			t.Fatalf("%d-byte blocks encode differently from one call", block)
+		}
+		b := New(3, 4)
+		restore := max(block, snapHeaderBytes)
+		if err := restoreBlocks(b, whole, restore); err != nil {
+			t.Fatalf("%d-byte blocks: %v", restore, err)
+		}
+		if !bytes.Equal(snapshotPayload(b), whole) {
+			t.Fatalf("restored from %d-byte blocks, the tree encodes differently", restore)
+		}
+	}
+	// A first block that cuts the header is refused before the tree
+	// changes.
+	b := New(3, 4)
+	if err := b.RestoreSnapshot(coreSnapVersion, len(whole), 0, whole[:snapHeaderBytes-1]); err == nil {
+		t.Fatal("cut header accepted")
+	}
+	if !bytes.Equal(snapshotPayload(b), snapshotPayload(New(3, 4))) {
+		t.Fatal("refused header changed the receiver")
+	}
+}
+
+// snapshotPayload encodes the tree's whole payload in one call.
+func snapshotPayload(t *Tree) []byte {
+	b := make([]byte, t.SnapshotSize())
+	t.EncodeSnapshot(0, b)
+	return b
+}
+
+// restorePayload restores a whole payload in one call.
+func restorePayload(t *Tree, version uint32, p []byte) error {
+	return t.RestoreSnapshot(version, len(p), 0, p)
+}
+
+// encodeBlocks encodes the payload into dst block bytes at a time.
+func encodeBlocks(t *Tree, dst []byte, block int) {
+	for off := 0; off < len(dst); off += block {
+		t.EncodeSnapshot(off, dst[off:min(off+block, len(dst))])
+	}
+}
+
+// restoreBlocks restores p block bytes at a time.
+func restoreBlocks(t *Tree, p []byte, block int) error {
+	for off := 0; off < len(p); off += block {
+		if err := t.RestoreSnapshot(coreSnapVersion, len(p), off, p[off:min(off+block, len(p))]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // compatChunkSize makes the fixture's 8 KiB snapshot span 129 Merkle

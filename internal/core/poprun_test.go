@@ -123,8 +123,8 @@ func TestPopRunLockstep(t *testing.T) {
 
 func samePayload(t *testing.T, a, b *Tree, step int) {
 	t.Helper()
-	pa, _ := a.EncodeSnapshot()
-	pb, _ := b.EncodeSnapshot()
+	pa := snapshotPayload(a)
+	pb := snapshotPayload(b)
 	if !bytes.Equal(pa, pb) {
 		t.Fatalf("m=%d step %d: snapshots differ (run vs per-op)", a.m, step)
 	}

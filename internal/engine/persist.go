@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/persist"
 )
@@ -241,9 +242,11 @@ func (e *Engine) WALPoisoned() bool {
 // takes on SIGTERM, reusing the same snapshot envelope and recovery
 // machinery as the single-queue persistence subsystem.
 //
-// The engine manifest is written last and by tmp+rename: every shard's
-// own manifest (chain head, Merkle root) is durable before the engine
-// root that binds them is published.
+// The shards checkpoint at once, one goroutine each; a failure names
+// its shard, and failures join in shard order. The engine manifest is
+// written last and by tmp+rename, and only when every shard succeeded:
+// every shard's own manifest (chain head, Merkle root) is durable
+// before the engine root that binds them is published.
 func (e *Engine) Checkpoint(dir string) error {
 	if !e.closed.Load() {
 		return errors.New("engine: Checkpoint before Close")
@@ -251,31 +254,14 @@ func (e *Engine) Checkpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	man := e.manifest()
-	for _, s := range e.shards {
-		popts := persist.Options{}
-		if h := e.hooks.Load(); h != nil {
-			popts.Flight = h.Flight
-			if h.Metrics != nil {
-				popts.Metrics = h.Metrics
-				popts.MetricsPrefix = h.shardMetricsPrefix(s.id)
-			}
-		}
-		m, err := persist.Attach(ShardDir(dir, s.id), s.q, popts)
-		if err != nil {
-			return fmt.Errorf("engine: shard %d attach: %w", s.id, err)
-		}
-		if err := m.Checkpoint(); err != nil {
-			m.Close()
-			return fmt.Errorf("engine: shard %d checkpoint: %w", s.id, err)
-		}
-		if sm := m.Manifest(); sm != nil {
-			man.ShardChecksums = append(man.ShardChecksums, sm.Checksum)
-		}
-		if err := m.Close(); err != nil {
-			return fmt.Errorf("engine: shard %d close: %w", s.id, err)
-		}
+	sums := make([]string, len(e.shards))
+	errs := make([]error, len(e.shards))
+	e.eachShard(func(s *shard) { sums[s.id], errs[s.id] = e.checkpointShard(dir, s) })
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
+	man := e.manifest()
+	man.ShardChecksums = sums
 	man.Root = EngineRoot(man.ShardChecksums)
 	sum, err := EngineManifestChecksum(man)
 	if err != nil {
@@ -283,6 +269,46 @@ func (e *Engine) Checkpoint(dir string) error {
 	}
 	man.Checksum = sum
 	return WriteEngineManifest(dir, man)
+}
+
+// eachShard runs fn on every shard at once, one goroutine each, and
+// returns when all are done. Checkpoint and restore stream each shard's
+// snapshot on its own goroutine.
+func (e *Engine) eachShard(fn func(s *shard)) {
+	var wg sync.WaitGroup
+	for _, s := range e.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(s)
+		}()
+	}
+	wg.Wait()
+}
+
+// checkpointShard writes shard s's persist directory under dir and
+// returns its manifest's self-checksum.
+func (e *Engine) checkpointShard(dir string, s *shard) (string, error) {
+	popts := persist.Options{}
+	if h := e.hooks.Load(); h != nil {
+		popts.Flight = h.Flight
+		if h.Metrics != nil {
+			popts.Metrics = h.Metrics
+			popts.MetricsPrefix = h.shardMetricsPrefix(s.id)
+		}
+	}
+	m, err := persist.Attach(ShardDir(dir, s.id), s.q, popts)
+	if err != nil {
+		return "", fmt.Errorf("engine: shard %d attach: %w", s.id, err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		m.Close()
+		return "", fmt.Errorf("engine: shard %d checkpoint: %w", s.id, err)
+	}
+	if err := m.Close(); err != nil {
+		return "", fmt.Errorf("engine: shard %d close: %w", s.id, err)
+	}
+	return m.Manifest().Checksum, nil
 }
 
 // WriteEngineManifest publishes an engine manifest atomically
@@ -314,8 +340,9 @@ func WriteEngineManifest(dir string, m CheckpointManifest) error {
 }
 
 // restore loads every shard from a checkpoint fan-out written by
-// Checkpoint. A directory without a manifest is a fresh start. Called
-// from New before anything can execute, so it owns the queues.
+// Checkpoint, one goroutine per shard, joining failures in shard order.
+// A directory without a manifest is a fresh start. Called from New
+// before anything can execute, so it owns the queues.
 func (e *Engine) restore(dir string) error {
 	m, err := LoadEngineManifest(dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -333,14 +360,16 @@ func (e *Engine) restore(dir string) error {
 	if err := m.VerifyBinding(dir); err != nil {
 		return err
 	}
-	for _, s := range e.shards {
+	errs := make([]error, len(e.shards))
+	e.eachShard(func(s *shard) {
 		mgr, _, err := persist.Open(ShardDir(dir, s.id), s.q, persist.Options{})
 		if err != nil {
-			return fmt.Errorf("engine: shard %d restore: %w", s.id, err)
+			errs[s.id] = fmt.Errorf("engine: shard %d restore: %w", s.id, err)
+			return
 		}
 		if err := mgr.Close(); err != nil {
-			return fmt.Errorf("engine: shard %d close: %w", s.id, err)
+			errs[s.id] = fmt.Errorf("engine: shard %d close: %w", s.id, err)
 		}
-	}
-	return nil
+	})
+	return errors.Join(errs...)
 }

@@ -20,6 +20,7 @@ package persist
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 )
@@ -146,9 +147,12 @@ func (d *CrashDisk) Remove(name string) error {
 	return d.inner.Remove(name)
 }
 
-// ReadFile and ReadDirNames pass through: recovery reads with a fresh
-// FS after the "reboot", and the manager's open-time scan happens
+// Open, ReadFile and ReadDirNames pass through: recovery reads with a
+// fresh FS after the "reboot", and the manager's open-time scan happens
 // before any budget is spent.
+func (d *CrashDisk) Open(name string) (io.ReadCloser, error) { return d.inner.Open(name) }
+
+// ReadFile reads a whole file.
 func (d *CrashDisk) ReadFile(name string) ([]byte, error) { return d.inner.ReadFile(name) }
 
 // ReadDirNames lists dir's entries.
@@ -161,6 +165,16 @@ func (d *CrashDisk) Truncate(name string, size int64) error {
 		return ErrKilled
 	}
 	return d.inner.Truncate(name, size)
+}
+
+// SyncDir fails after death and is otherwise a no-op: directory
+// metadata is outside the crash model, so a rename that returned is
+// durable here, and a rename lost after it returned is not modelled.
+func (d *CrashDisk) SyncDir(dir string) error {
+	if d.killed {
+		return ErrKilled
+	}
+	return nil
 }
 
 // trackedFile is the File handed to the Manager.

@@ -29,10 +29,15 @@ type FS interface {
 	Create(name string) (File, error)
 	Rename(oldname, newname string) error
 	Remove(name string) error
+	// Open opens a file for reading; snapshots stream through it.
+	Open(name string) (io.ReadCloser, error)
 	ReadFile(name string) ([]byte, error)
 	// ReadDirNames lists the file names (not paths) in dir, sorted.
 	ReadDirNames(dir string) ([]string, error)
 	Truncate(name string, size int64) error
+	// SyncDir makes dir's entries durable: a rename into it survives a
+	// power loss only once the directory is synced.
+	SyncDir(dir string) error
 }
 
 // OSFS is the pass-through FS over the os package.
@@ -55,6 +60,9 @@ func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, ne
 // Remove deletes a file.
 func (OSFS) Remove(name string) error { return os.Remove(name) }
 
+// Open opens name for reading.
+func (OSFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
+
 // ReadFile reads a whole file.
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
@@ -74,6 +82,50 @@ func (OSFS) ReadDirNames(dir string) ([]string, error) {
 
 // Truncate truncates name to size bytes.
 func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
+
+// SyncDir fsyncs a directory.
+func (OSFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// WriteFileDurable installs b at path so that a crash at any point
+// leaves the old file or the new one, never a torn one: it writes a
+// temporary file beside path, fsyncs it, renames it over path, then
+// fsyncs the directory so the rename itself is durable. A nil fsys is
+// the real os package.
+func WriteFileDurable(fsys FS, path string, b []byte) error {
+	if fsys == nil {
+		fsys = OSFS{}
+	}
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(b); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
+}
 
 // join is filepath.Join, aliased so manager.go reads cleanly.
 func join(dir, name string) string { return filepath.Join(dir, name) }

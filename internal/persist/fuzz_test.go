@@ -1,7 +1,12 @@
 package persist
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"hash/crc32"
+	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/hw"
@@ -130,4 +135,139 @@ func FuzzChainVerify(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSnapshotScan feeds arbitrary bytes through the snapshot stream
+// scanner at chunk sizes 16 and the default, each with blocks of 1, 7
+// and one chunk's bytes (rounded up to the scanner's smallest block,
+// and read that many bytes at a time) and of the default block. Every
+// pass must agree with a one-shot reading of the same bytes
+// (oneShotScan): the same header and envelope verdict; no bad chunk
+// against a manifest sealing the input's own one-shot leaves, so every
+// streamed leaf is the one-shot one; the same bad chunks against a
+// manifest sealing the seed envelope; and a clean file hands its
+// restore exactly its payload, in order, from offset 0.
+func FuzzSnapshotScan(f *testing.F) {
+	payload := make([]byte, 3000)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	seed, err := encodeSnapshotFile(SnapshotHeader{Kind: "core", Version: 1, Seq: 4, LSN: 77}, payload)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	for _, cut := range []int{0, 11, 12, 40, 41, len(seed) / 2, len(seed) - 4, len(seed) - 1} {
+		f.Add(append([]byte(nil), seed[:cut]...))
+	}
+	for _, i := range []int{0, 8, 9, 14, 37, 41, 1000, len(seed) - 1} {
+		mut := append([]byte(nil), seed...)
+		mut[i] ^= 0x24
+		f.Add(mut)
+	}
+	f.Add(append(append([]byte(nil), seed...), 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkScan(t, seed, data)
+		// The same bytes as a payload give a valid envelope of every
+		// length, so the trailer lands on every block offset.
+		env, err := encodeSnapshotFile(SnapshotHeader{Kind: "k", Version: 2, Seq: 1, LSN: 3}, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkScan(t, seed, env)
+	})
+}
+
+// checkScan holds the scanner to oneShotScan on data, for
+// FuzzSnapshotScan.
+func checkScan(t *testing.T, seed, data []byte) {
+	for _, cs := range []int{16, DefaultChunkSize} {
+		h, ok, leaves, _ := oneShotScan(data, cs, nil)
+		_, _, sealed, _ := oneShotScan(seed, cs, nil)
+		_, _, _, bad := oneShotScan(data, cs, sealed)
+		seals := []struct {
+			man *Manifest
+			bad []int
+		}{
+			{nil, nil},
+			{&Manifest{ChunkSize: cs, leaves: leaves}, nil},
+			{&Manifest{ChunkSize: cs, leaves: sealed}, bad},
+		}
+		for _, block := range []int{1, 7, cs, snapBlockBytes} {
+			for _, seal := range seals {
+				var got []byte
+				sc := snapScanner{man: seal.man, chunk: cs, block: block,
+					restore: func(rh SnapshotHeader, size, off int, b []byte) error {
+						if off != len(got) || off+len(b) > size {
+							t.Fatalf("cs %d block %d: restore of [%d,%d) of %d after %d bytes", cs, block, off, off+len(b), size, len(got))
+						}
+						got = append(got, b...)
+						return nil
+					}}
+				res := sc.scan(&shortReader{b: data, n: block})
+				if (res.err == nil) != ok {
+					t.Fatalf("cs %d block %d: scanner verdict %v, one-shot ok %v", cs, block, res.err, ok)
+				}
+				if ok && res.hdr != h {
+					t.Fatalf("cs %d block %d: header %+v, one-shot %+v", cs, block, res.hdr, h)
+				}
+				if !slices.Equal(res.bad, seal.bad) {
+					t.Fatalf("cs %d block %d: bad chunks %v, want %v", cs, block, res.bad, seal.bad)
+				}
+				if res.clean() {
+					head := snapHeadLen(h.Kind)
+					if !bytes.Equal(got, data[head:len(data)-4]) {
+						t.Fatalf("cs %d block %d: restore got %d bytes, not the %d-byte payload", cs, block, len(got), len(data)-head-4)
+					}
+				}
+			}
+		}
+	}
+}
+
+// oneShotScan reads a whole in-memory snapshot file the way the
+// envelope was checked before the stream: CRC32C over everything before
+// the trailer, then the header and exactly its payload. It also returns
+// every chunk's leaf, hashed one chunk at a time, and the chunks that
+// disagree with sealed.
+func oneShotScan(b []byte, chunk int, sealed [][sha256.Size]byte) (SnapshotHeader, bool, [][sha256.Size]byte, []int) {
+	var h SnapshotHeader
+	ok := len(b) >= len(snapMagic)+4 && bytes.Equal(b[:len(snapMagic)], snapMagic) &&
+		crc32.Checksum(b[:len(b)-4], castagnoli) == getU32(b[len(b)-4:])
+	if ok {
+		d := NewDec(b[len(snapMagic) : len(b)-4])
+		h.Kind = string(d.take(int(d.U8())))
+		h.Version, h.Seq, h.LSN = d.U32(), d.U64(), d.U64()
+		d.Bytes()
+		ok = d.Done() == nil && h.Kind != ""
+	}
+	var leaves [][sha256.Size]byte
+	for off := 0; off < len(b); off += chunk {
+		leaves = append(leaves, sha256.Sum256(append([]byte{0}, b[off:min(off+chunk, len(b))]...)))
+	}
+	var bad []int
+	if sealed != nil {
+		for i := 0; i < max(len(leaves), len(sealed)); i++ {
+			if i >= len(leaves) || i >= len(sealed) || leaves[i] != sealed[i] {
+				bad = append(bad, i)
+			}
+		}
+	}
+	return h, ok, leaves, bad
+}
+
+// shortReader returns at most n bytes per Read.
+type shortReader struct {
+	b []byte
+	n int
+}
+
+func (r *shortReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), r.n)], r.b)
+	r.b = r.b[k:]
+	return k, nil
 }

@@ -9,8 +9,9 @@
 //
 // and the checkpoint discipline
 //
-//	commit+sync WAL -> encode snapshot -> write (tmp+rename when
-//	  atomic) -> write manifest -> retire old snapshots.
+//	commit+sync WAL -> stream snapshot (encode, CRC32C and Merkle
+//	  leaves block by block; tmp+rename when atomic) -> write manifest
+//	  -> retire old snapshots.
 //
 // Recovery distinguishes a *torn tail* (unparseable bytes at EOF —
 // what a crash leaves; truncated and counted) from *mid-log
@@ -348,43 +349,47 @@ func (m *Manager) recover() (*RecoveryReport, error) {
 	// Newest valid snapshot wins; anything that fails checksum, kind,
 	// version, LSN plausibility or the queue's own decoder is skipped.
 	// The manifest-covered snapshot is additionally held to its Merkle
-	// root, with chunk-level localisation on mismatch.
+	// leaves, with chunk-level localisation on mismatch. The queue is
+	// restored as the file streams past, so a snapshot that fails
+	// anywhere leaves the queue reset before the next one is tried: no
+	// queue state outlives a byte that did not authenticate.
 	m.scanSnaps()
 	for i := len(m.snaps) - 1; i >= 0 && rep.SnapshotSeq == 0; i-- {
 		seq := m.snaps[i]
 		path := join(m.dir, snapName(seq))
-		b, err := m.fsys.ReadFile(path)
+		sc := snapScanner{restore: func(h SnapshotHeader, size, off int, b []byte) error {
+			if off == 0 && (h.Kind != m.q.SnapshotKind() || h.LSN > uint64(len(ops))) {
+				return fmt.Errorf("persist: snapshot %d (kind %q, LSN %d) does not fit this queue and log", seq, h.Kind, h.LSN)
+			}
+			return m.q.RestoreSnapshot(h.Version, size, off, b)
+		}}
+		covered := man != nil && seq == man.SnapshotSeq
+		if covered {
+			sc.man = man
+		}
+		res, err := sc.scanFile(m.fsys, path)
 		if err != nil {
 			rep.SnapshotsSkipped++
 			continue
 		}
-		if man != nil && seq == man.SnapshotSeq {
-			if bad := snapshotBadChunks(man, b); len(bad) > 0 {
+		if !res.clean() {
+			m.q.ResetSnapshot()
+			if len(res.bad) > 0 {
 				m.corruptions.Inc()
 				if m.opts.Flight != nil {
-					m.opts.Flight.RecordMsg(obs.FlightIntegrity, 0, ClassSnapshotChunk, uint64(seq), uint64(len(bad)), 0)
+					m.opts.Flight.RecordMsg(obs.FlightIntegrity, 0, ClassSnapshotChunk, uint64(seq), uint64(len(res.bad)), 0)
 				}
-				ierr := &IntegrityError{Path: path, Chunks: bad,
-					Reason: fmt.Sprintf("snapshot %d fails manifest Merkle root (%d bad chunks)", seq, len(bad))}
 				if m.opts.StrictIntegrity {
-					return nil, ierr
+					return nil, &IntegrityError{Path: path, Chunks: res.bad,
+						Reason: fmt.Sprintf("snapshot %d fails manifest Merkle root (%d bad chunks)", seq, len(res.bad))}
 				}
-				rep.SnapshotsSkipped++
-				continue
 			}
-			rep.SnapshotRootVerified = true
-		}
-		h, payload, err := DecodeSnapshotFile(b)
-		if err != nil || h.Kind != m.q.SnapshotKind() || h.LSN > uint64(len(ops)) {
 			rep.SnapshotsSkipped++
 			continue
 		}
-		if err := m.q.RestoreSnapshot(h.Version, payload); err != nil {
-			rep.SnapshotsSkipped++
-			continue
-		}
-		rep.SnapshotSeq = h.Seq
-		rep.SnapshotLSN = h.LSN
+		rep.SnapshotRootVerified = covered
+		rep.SnapshotSeq = res.hdr.Seq
+		rep.SnapshotLSN = res.hdr.LSN
 	}
 	m.snapshotsSkipped.Add(uint64(rep.SnapshotsSkipped))
 
@@ -451,20 +456,13 @@ func (m *Manager) Checkpoint() error {
 	if err := m.wal.Sync(); err != nil {
 		return err
 	}
-	payload, err := m.q.EncodeSnapshot()
-	if err != nil {
-		return fmt.Errorf("persist: encode snapshot: %w", err)
-	}
-	b, err := EncodeSnapshotFile(SnapshotHeader{
+	h := SnapshotHeader{
 		Kind:    m.q.SnapshotKind(),
 		Version: m.q.SnapshotVersion(),
 		Seq:     m.nextSeq,
 		LSN:     m.wal.LSN(),
-	}, payload)
-	if err != nil {
-		return err
 	}
-	final := join(m.dir, snapName(m.nextSeq))
+	final := join(m.dir, snapName(h.Seq))
 	name := final
 	if !m.opts.NonAtomicSnapshots {
 		name = final + ".tmp"
@@ -473,7 +471,8 @@ func (m *Manager) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("persist: create snapshot: %w", err)
 	}
-	if _, err := f.Write(b); err != nil {
+	leaves, size, err := writeSnapshot(f, h, m.q, m.opts.ChunkSize)
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("persist: write snapshot: %w", err)
 	}
@@ -489,21 +488,15 @@ func (m *Manager) Checkpoint() error {
 			return fmt.Errorf("persist: publish snapshot: %w", err)
 		}
 	}
-	seq := m.nextSeq
-	m.snaps = append(m.snaps, seq)
+	m.snaps = append(m.snaps, h.Seq)
 	m.nextSeq++
 	m.snapshots.Inc()
-	m.snapshotBytes.Add(uint64(len(b)))
+	m.snapshotBytes.Add(uint64(size))
 
 	// The manifest seals what is now durable: the WAL chain head and
 	// the snapshot's Merkle root. Written last, so it can only ever be
 	// stale, never ahead of the state it authenticates.
-	man, err := NewManifest(m.wal.Chain(), m.chainEvery(), SnapshotHeader{
-		Kind:    m.q.SnapshotKind(),
-		Version: m.q.SnapshotVersion(),
-		Seq:     seq,
-		LSN:     m.wal.LSN(),
-	}, b, m.opts.ChunkSize)
+	man, err := NewManifest(m.wal.Chain(), m.chainEvery(), h, size, leaves, m.opts.ChunkSize)
 	if err != nil {
 		return err
 	}
@@ -562,26 +555,27 @@ func (m *Manager) retire() error {
 }
 
 // verifySnap re-reads one snapshot from disk and validates it: envelope
-// checksum, kind, and the manifest Merkle root when this seq is the
+// checksum, kind, and the manifest Merkle leaves when this seq is the
 // manifest-covered one.
 func (m *Manager) verifySnap(seq uint64) error {
 	path := join(m.dir, snapName(seq))
-	b, err := m.fsys.ReadFile(path)
+	var sc snapScanner
+	if m.manifest != nil && seq == m.manifest.SnapshotSeq {
+		sc.man = m.manifest
+	}
+	res, err := sc.scanFile(m.fsys, path)
 	if err != nil {
 		return fmt.Errorf("read snapshot %d: %w", seq, err)
 	}
-	if m.manifest != nil && seq == m.manifest.SnapshotSeq {
-		if bad := snapshotBadChunks(m.manifest, b); len(bad) > 0 {
-			return &IntegrityError{Path: path, Chunks: bad,
-				Reason: fmt.Sprintf("snapshot %d fails manifest Merkle root", seq)}
-		}
+	if len(res.bad) > 0 {
+		return &IntegrityError{Path: path, Chunks: res.bad,
+			Reason: fmt.Sprintf("snapshot %d fails manifest Merkle root", seq)}
 	}
-	h, _, err := DecodeSnapshotFile(b)
-	if err != nil {
-		return fmt.Errorf("snapshot %d: %w", seq, err)
+	if res.err != nil {
+		return fmt.Errorf("snapshot %d: %w", seq, res.err)
 	}
-	if h.Kind != m.q.SnapshotKind() {
-		return fmt.Errorf("snapshot %d kind %q, want %q", seq, h.Kind, m.q.SnapshotKind())
+	if res.hdr.Kind != m.q.SnapshotKind() {
+		return fmt.Errorf("snapshot %d kind %q, want %q", seq, res.hdr.Kind, m.q.SnapshotKind())
 	}
 	return nil
 }

@@ -14,29 +14,44 @@ import (
 // toyQueue is a minimal Checkpointable: a FIFO of pushed values whose
 // pops are audited against the log, with a running op count as clock.
 type toyQueue struct {
-	vals    []uint64
-	applied uint64 // clock: total ops applied
-	verify  error  // injected VerifyRecovered failure
+	vals      []uint64
+	applied   uint64 // clock: total ops applied
+	verify    error  // injected VerifyRecovered failure
+	restoring []byte // payload blocks of a restore in progress
 }
 
 func (q *toyQueue) SnapshotKind() string    { return "toy" }
 func (q *toyQueue) SnapshotVersion() uint32 { return 1 }
 
-func (q *toyQueue) EncodeSnapshot() ([]byte, error) {
+func (q *toyQueue) payload() []byte {
 	var e Enc
 	e.U64(q.applied)
 	e.U32(uint32(len(q.vals)))
 	for _, v := range q.vals {
 		e.U64(v)
 	}
-	return e.B, nil
+	return e.B
 }
 
-func (q *toyQueue) RestoreSnapshot(version uint32, payload []byte) error {
+func (q *toyQueue) SnapshotSize() int { return len(q.payload()) }
+
+func (q *toyQueue) EncodeSnapshot(off int, dst []byte) { copy(dst, q.payload()[off:]) }
+
+// RestoreSnapshot gathers the blocks and decodes the payload at the
+// last one.
+func (q *toyQueue) RestoreSnapshot(version uint32, size, off int, b []byte) error {
 	if version != 1 {
 		return fmt.Errorf("toy: bad version %d", version)
 	}
-	d := NewDec(payload)
+	if off != len(q.restoring) {
+		return fmt.Errorf("toy: block at %d, have %d bytes", off, len(q.restoring))
+	}
+	q.restoring = append(q.restoring, b...)
+	if len(q.restoring) < size {
+		return nil
+	}
+	d := NewDec(q.restoring)
+	q.restoring = nil
 	applied := d.U64()
 	n := d.Len(1 << 20)
 	vals := make([]uint64, n)
@@ -49,6 +64,8 @@ func (q *toyQueue) RestoreSnapshot(version uint32, payload []byte) error {
 	q.applied, q.vals = applied, vals
 	return nil
 }
+
+func (q *toyQueue) ResetSnapshot() { q.vals, q.applied, q.restoring = nil, 0, nil }
 
 func (q *toyQueue) Replay(op Op) error {
 	switch op.Kind {

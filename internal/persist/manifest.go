@@ -53,6 +53,10 @@ type Manifest struct {
 	// Checksum is the self-checksum: hex sha256 over the canonical JSON
 	// of the manifest with Checksum itself empty.
 	Checksum string `json:"checksum"`
+
+	// leaves is SnapshotLeaves decoded, kept by validate and
+	// NewManifest so a loaded manifest decodes its hex once.
+	leaves [][sha256.Size]byte
 }
 
 // ErrManifest is the sentinel every manifest refusal wraps.
@@ -133,7 +137,7 @@ func (m *Manifest) validate(path string) error {
 		if _, err := hexHash(path, "snapshot_root", m.SnapshotRoot); err != nil {
 			return err
 		}
-		leaves, err := m.Leaves()
+		leaves, err := decodeLeaves(m.SnapshotLeaves)
 		if err != nil {
 			return err
 		}
@@ -141,6 +145,7 @@ func (m *Manifest) validate(path string) error {
 		if hex.EncodeToString(root[:]) != m.SnapshotRoot {
 			return &ManifestError{Path: path, Field: "snapshot_root", Reason: "root does not match snapshot_leaves"}
 		}
+		m.leaves = leaves
 	}
 	want, err := ManifestChecksum(*m)
 	if err != nil {
@@ -153,10 +158,18 @@ func (m *Manifest) validate(path string) error {
 	return nil
 }
 
-// Leaves decodes the manifest's leaf hashes.
+// Leaves returns the manifest's leaf hashes, decoded.
 func (m *Manifest) Leaves() ([][sha256.Size]byte, error) {
-	leaves := make([][sha256.Size]byte, 0, len(m.SnapshotLeaves))
-	for i, s := range m.SnapshotLeaves {
+	if m.leaves != nil || len(m.SnapshotLeaves) == 0 {
+		return m.leaves, nil
+	}
+	return decodeLeaves(m.SnapshotLeaves)
+}
+
+// decodeLeaves decodes hex leaf hashes.
+func decodeLeaves(hexLeaves []string) ([][sha256.Size]byte, error) {
+	leaves := make([][sha256.Size]byte, 0, len(hexLeaves))
+	for i, s := range hexLeaves {
 		h, err := hexHash("", fmt.Sprintf("snapshot_leaves[%d]", i), s)
 		if err != nil {
 			return nil, err
@@ -175,14 +188,13 @@ func (m *Manifest) Head() (ChainState, error) {
 	return ChainState{LSN: m.WALRecords, Head: h}, nil
 }
 
-// NewManifest builds a manifest for a just-written checkpoint and
-// stamps its self-checksum. snapshot is the encoded snapshot file's
-// full byte image.
-func NewManifest(chain ChainState, chainEvery int, h SnapshotHeader, snapshot []byte, chunkSize int) (Manifest, error) {
+// NewManifest builds a manifest for a just-written checkpoint from the
+// snapshot file's length and Merkle leaves, as writeSnapshot returns
+// them, and stamps its self-checksum.
+func NewManifest(chain ChainState, chainEvery int, h SnapshotHeader, size int64, leaves [][sha256.Size]byte, chunkSize int) (Manifest, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	leaves := MerkleLeaves(snapshot, chunkSize)
 	root := MerkleRoot(leaves)
 	m := Manifest{
 		Schema:          ManifestSchema,
@@ -193,10 +205,11 @@ func NewManifest(chain ChainState, chainEvery int, h SnapshotHeader, snapshot []
 		SnapshotSeq:     h.Seq,
 		SnapshotVersion: h.Version,
 		SnapshotLSN:     h.LSN,
-		SnapshotBytes:   int64(len(snapshot)),
+		SnapshotBytes:   size,
 		ChunkSize:       chunkSize,
 		SnapshotRoot:    hex.EncodeToString(root[:]),
 		SnapshotLeaves:  make([]string, 0, len(leaves)),
+		leaves:          leaves,
 	}
 	for _, l := range leaves {
 		m.SnapshotLeaves = append(m.SnapshotLeaves, hex.EncodeToString(l[:]))
@@ -208,34 +221,6 @@ func NewManifest(chain ChainState, chainEvery int, h SnapshotHeader, snapshot []
 	m.Checksum = sum
 	return m, nil
 }
-
-// snapshotBadChunks compares a snapshot file's chunk hashes against a
-// validated manifest's leaves, returning the indices that disagree —
-// including indices present on only one side when the lengths differ.
-// Empty means the file matches the manifest root bit-for-bit.
-func snapshotBadChunks(man *Manifest, b []byte) []int {
-	leaves, err := man.Leaves()
-	if err != nil {
-		// Unreachable for a validated manifest; treat as all-bad.
-		return []int{0}
-	}
-	got := MerkleLeaves(b, man.ChunkSize)
-	n := len(got)
-	if len(leaves) > n {
-		n = len(leaves)
-	}
-	var bad []int
-	for i := 0; i < n; i++ {
-		if i >= len(got) || i >= len(leaves) || got[i] != leaves[i] {
-			bad = append(bad, i)
-		}
-	}
-	return bad
-}
-
-// SnapshotBadChunks is the exported form the scrubber and anti-entropy
-// repair use to localise snapshot damage.
-func SnapshotBadChunks(man *Manifest, b []byte) []int { return snapshotBadChunks(man, b) }
 
 // LoadManifest reads and fully validates dir's manifest. A missing file
 // returns fs.ErrNotExist unwrapped (legacy directories have none); any

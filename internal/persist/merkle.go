@@ -13,7 +13,9 @@ package persist
 
 import (
 	"crypto/sha256"
+	"hash"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -44,40 +46,52 @@ func merkleNode(l, r [sha256.Size]byte) [sha256.Size]byte {
 const merkleRunChunks = 32
 
 // MerkleLeaves chunks b and hashes each chunk. The final chunk may be
-// short; a zero-byte file has no leaves. The chunks are split into
-// contiguous runs of at least merkleRunChunks, hashed on up to
-// GOMAXPROCS goroutines that each reuse one digest; below two runs the
-// caller hashes them all. The leaves are the same either way.
+// short; a zero-byte file has no leaves.
 func MerkleLeaves(b []byte, chunkSize int) [][sha256.Size]byte {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
+	return appendMerkleLeaves(nil, b, chunkSize, sha256.New())
+}
+
+// appendMerkleLeaves appends the leaves of b's chunks to dst, hashing
+// with h (reset per chunk). The chunks are split into contiguous runs
+// of at least merkleRunChunks, hashed on up to GOMAXPROCS goroutines
+// that each take a digest of their own; below two runs the caller
+// hashes them all with h. The leaves are the same either way. The
+// snapshot stream calls it once per block, so a block must start on a
+// chunk boundary of its file.
+func appendMerkleLeaves(dst [][sha256.Size]byte, b []byte, chunkSize int, h hash.Hash) [][sha256.Size]byte {
 	n := (len(b) + chunkSize - 1) / chunkSize
-	if n == 0 {
-		return nil
-	}
-	leaves := make([][sha256.Size]byte, n)
-	hashRun := func(lo, hi int) {
-		h := sha256.New()
-		for i := lo; i < hi; i++ {
-			h.Reset()
-			h.Write(leafPrefix)
-			h.Write(b[i*chunkSize : min((i+1)*chunkSize, len(b))])
-			h.Sum(leaves[i][:0])
-		}
-	}
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	leaves := dst[base:]
 	workers := min(runtime.GOMAXPROCS(0), n/merkleRunChunks)
+	if workers < 2 {
+		hashChunks(h, leaves, b, chunkSize, 0, n)
+		return dst
+	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			hashRun(lo, hi)
+			hashChunks(sha256.New(), leaves, b, chunkSize, lo, hi)
 		}(w*n/workers, (w+1)*n/workers)
 	}
-	hashRun(0, n/max(workers, 1))
+	hashChunks(h, leaves, b, chunkSize, 0, n/workers)
 	wg.Wait()
-	return leaves
+	return dst
+}
+
+// hashChunks hashes chunks [lo, hi) of b into leaves[lo:hi].
+func hashChunks(h hash.Hash, leaves [][sha256.Size]byte, b []byte, chunkSize, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		h.Reset()
+		h.Write(leafPrefix)
+		h.Write(b[i*chunkSize : min((i+1)*chunkSize, len(b))])
+		h.Sum(leaves[i][:0])
+	}
 }
 
 // MerkleRoot folds leaves up to the root (duplicate-last pairing).

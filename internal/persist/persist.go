@@ -58,14 +58,27 @@ type Checkpointable interface {
 	// SnapshotVersion is the codec version EncodeSnapshot writes;
 	// RestoreSnapshot rejects versions it does not understand.
 	SnapshotVersion() uint32
-	// EncodeSnapshot serialises the complete queue state — storage,
-	// counters, clocks — such that
-	// RestoreSnapshot on a same-configured fresh instance reproduces
-	// behaviour bit-for-bit.
-	EncodeSnapshot() ([]byte, error)
-	// RestoreSnapshot loads a payload written by EncodeSnapshot at the
-	// given version into the receiver.
-	RestoreSnapshot(version uint32, payload []byte) error
+	// SnapshotSize is the length of the payload EncodeSnapshot writes
+	// for the current state.
+	SnapshotSize() int
+	// EncodeSnapshot writes payload bytes [off, off+len(dst)) into dst.
+	// The payload is the complete queue state — storage, counters,
+	// clocks — such that restoring it into a same-configured fresh
+	// instance reproduces behaviour bit-for-bit. A checkpoint calls it
+	// with contiguous ranges from offset 0 to SnapshotSize, one stream
+	// block at a time, and does not mutate the queue in between.
+	EncodeSnapshot(off int, dst []byte)
+	// RestoreSnapshot loads payload bytes [off, off+len(b)) of a
+	// size-byte payload written at the given version. Recovery calls it
+	// with contiguous ranges from offset 0, the first holding at least
+	// min(size, SnapshotHeadBytes) bytes; for the snapshot the manifest
+	// covers, each range only once its chunks matched the manifest's
+	// leaves. An error ends the restore, and so does an integrity fault
+	// found later in the file; recovery then calls ResetSnapshot.
+	RestoreSnapshot(version uint32, size, off int, b []byte) error
+	// ResetSnapshot returns the queue to the state of a freshly
+	// constructed instance, discarding a partial restore.
+	ResetSnapshot()
 	// Replay applies one logged operation, reproducing the original
 	// schedule and auditing pop results against the log.
 	Replay(op Op) error

@@ -125,7 +125,12 @@ func VerifyDir(fsys FS, dir string) *DirReport {
 			continue
 		}
 		path := join(dir, name)
-		sb, err := fsys.ReadFile(path)
+		var sc snapScanner
+		if man != nil && seq == man.SnapshotSeq {
+			manifestSeqSeen = true
+			sc.man = man // a leaf match authenticates the file bit-for-bit
+		}
+		res, err := sc.scanFile(fsys, path)
 		if err != nil {
 			r.Findings = append(r.Findings, Finding{
 				Path: path, Class: ClassSnapshotChunk, Seq: seq, Detail: "read: " + err.Error(),
@@ -133,20 +138,16 @@ func VerifyDir(fsys FS, dir string) *DirReport {
 			continue
 		}
 		r.Files++
-		r.Bytes += int64(len(sb))
-		if man != nil && seq == man.SnapshotSeq {
-			manifestSeqSeen = true
-			if bad := snapshotBadChunks(man, sb); len(bad) > 0 {
-				r.Findings = append(r.Findings, Finding{
-					Path: path, Class: ClassSnapshotChunk, Seq: seq, Chunks: bad,
-					Detail: fmt.Sprintf("%d of %d chunks fail the manifest leaves", len(bad), len(man.SnapshotLeaves)),
-				})
-			}
-			continue // root match authenticates the file bit-for-bit
-		}
-		if _, _, err := DecodeSnapshotFile(sb); err != nil {
+		r.Bytes += res.size
+		switch {
+		case len(res.bad) > 0:
 			r.Findings = append(r.Findings, Finding{
-				Path: path, Class: ClassSnapshotChunk, Seq: seq, Detail: err.Error(),
+				Path: path, Class: ClassSnapshotChunk, Seq: seq, Chunks: res.bad,
+				Detail: fmt.Sprintf("%d of %d chunks fail the manifest leaves", len(res.bad), len(man.SnapshotLeaves)),
+			})
+		case res.err != nil:
+			r.Findings = append(r.Findings, Finding{
+				Path: path, Class: ClassSnapshotChunk, Seq: seq, Detail: res.err.Error(),
 			})
 		}
 	}

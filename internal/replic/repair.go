@@ -377,7 +377,7 @@ func (r *repairer) trustedEngineManifest(dir string) (*engine.CheckpointManifest
 	if ferr != nil {
 		return nil, fmt.Errorf("replic: peer engine manifest invalid: %w", ferr)
 	}
-	return m, writeFileAtomic(path, raw)
+	return m, persist.WriteFileDurable(nil, path, raw)
 }
 
 // trustedShardManifest returns shard i's validated MANIFEST.json,
@@ -405,7 +405,7 @@ func (r *repairer) trustedShardManifest(sdir string, shard int, sealed string) (
 	if sealed != "" && man.Checksum != sealed {
 		return nil, fmt.Errorf("peer shard manifest checksum %.12s not sealed by engine root (%.12s)", man.Checksum, sealed)
 	}
-	return man, writeFileAtomic(path, raw)
+	return man, persist.WriteFileDurable(nil, path, raw)
 }
 
 // repairShard brings one shard directory back to a clean VerifyDir.
@@ -464,7 +464,7 @@ func (r *repairer) repairWAL(sdir string, shard int, man *persist.Manifest) erro
 	if len(check.Bad) != 0 || check.HeadMismatch || check.TornTail {
 		return fmt.Errorf("peer wal does not reproduce sealed chain head %.12s", man.ChainHead)
 	}
-	return writeFileAtomic(path, img)
+	return persist.WriteFileDurable(nil, path, img)
 }
 
 // repairSnapshot replaces the manifest-covered snapshot when any chunk
@@ -498,7 +498,7 @@ func (r *repairer) repairSnapshot(sdir string, shard int, man *persist.Manifest)
 	if still := persist.SnapshotBadChunks(man, nb); len(still) != 0 {
 		return fmt.Errorf("peer snapshot chunks %v fail the sealed leaves", still)
 	}
-	return writeFileAtomic(path, nb)
+	return persist.WriteFileDurable(nil, path, nb)
 }
 
 // dropRottedStaleSnapshots removes fallback snapshots (sequences the
@@ -516,13 +516,4 @@ func (r *repairer) dropRottedStaleSnapshots(sdir string, shard int, man *persist
 		}
 	}
 	return nil
-}
-
-// writeFileAtomic publishes b at path via tmp+rename.
-func writeFileAtomic(path string, b []byte) error {
-	tmp := path + ".repair"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

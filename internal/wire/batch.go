@@ -85,10 +85,20 @@ const (
 	// head ranked above the bound. A normal outcome of the cluster merge,
 	// not a fault: nothing changed, nothing was replicated.
 	StatusMiss Status = 10
+	// StatusRefused: a handler refused this one request (a peer cannot
+	// serve an anti-entropy fetch). Sent in TError frames, never per-op;
+	// the only TError that does not end its connection.
+	StatusRefused Status = 11
 )
 
 // maxStatus is the largest defined status, for decode validation.
-const maxStatus = StatusMiss
+const maxStatus = StatusRefused
+
+// EndsConn reports whether a TError carrying s ends its connection.
+// Every TError does — the server closes after sending it and the client
+// fails every request pending there — except a Refused one, which fails
+// only the request it answers.
+func (s Status) EndsConn() bool { return s != StatusRefused }
 
 // String names the status for logs.
 func (s Status) String() string {
@@ -115,6 +125,8 @@ func (s Status) String() string {
 		return "not-owner"
 	case StatusMiss:
 		return "miss"
+	case StatusRefused:
+		return "refused"
 	}
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }

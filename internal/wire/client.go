@@ -26,8 +26,9 @@ var (
 
 // ServerError is a TError frame surfaced as a typed error, so callers
 // can branch on the status code (StatusNotPrimary → fail over,
-// StatusDedupMiss → the op's fate is indeterminate). A TError is always
-// connection-fatal: the server closes after sending it.
+// StatusDedupMiss → the op's fate is indeterminate). Whether it ended
+// the connection is the status's Status.EndsConn: a StatusRefused one
+// failed only its own request, every other one the whole connection.
 type ServerError struct {
 	Code Status
 	Msg  string
@@ -315,17 +316,25 @@ func (c *Client) readUntil(id uint64, ch chan respMsg, deadline time.Time, n int
 				c.deliver(f.ID, respMsg{results: results})
 				continue
 			}
-			if c.forget(id) == 0 && c.armed {
-				c.conn.SetReadDeadline(time.Time{})
-				c.armed = false
-			}
-			c.rtok <- struct{}{}
+			c.release(id)
 			return respMsg{results: results}.check(n)
 		case TError:
-			// TError is connection-fatal by contract; its addressee gets
+			serr := parseServerError(f.Payload)
+			if !serr.Code.EndsConn() {
+				// A refusal of one request: it fails alone and the
+				// connection keeps serving the others.
+				if f.ID == id {
+					c.release(id)
+					return nil, serr
+				}
+				if c.deliver(f.ID, respMsg{err: serr}) {
+					continue
+				}
+			}
+			// Any other TError ends the connection: its addressee gets
 			// the server's error and every other pending request fails
 			// with it via done.
-			var err error = parseServerError(f.Payload)
+			var err error = serr
 			if f.ID == id {
 				c.fail(err)
 				return nil, err
@@ -344,6 +353,17 @@ func (c *Client) readUntil(id uint64, ch chan respMsg, deadline time.Time, n int
 			return nil, c.fail(fmt.Errorf("wire: unexpected frame type %d", f.Type))
 		}
 	}
+}
+
+// release ends the token holder's wait for its own response: it drops
+// id, disarms the read deadline when nothing else is pending, and
+// passes the token on.
+func (c *Client) release(id uint64) {
+	if c.forget(id) == 0 && c.armed {
+		c.conn.SetReadDeadline(time.Time{})
+		c.armed = false
+	}
+	c.rtok <- struct{}{}
 }
 
 // armRead sets the read deadline for the token holder's next frame and
@@ -421,7 +441,7 @@ func (c *Client) err() error {
 }
 
 // parseServerError decodes a TError payload (u8 status + message).
-func parseServerError(p []byte) error {
+func parseServerError(p []byte) *ServerError {
 	if len(p) == 0 {
 		return &ServerError{Code: StatusInvalid, Msg: "server error"}
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -191,5 +192,63 @@ func TestClientDoAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(500, do); avg > 9 {
 		t.Fatalf("%v allocations per 16-op Do, want <= 9", avg)
+	}
+}
+
+// TestClientRefusalFailsOneRequest: a TError has one meaning per
+// status. Two requests are pending on one connection and the server
+// answers the first with a TError, then the second with its results. A
+// Refused TError fails the first alone: the second gets its results and
+// the connection serves a third. Any other status (Invalid here) ends
+// the connection, failing the second as well.
+func TestClientRefusalFailsOneRequest(t *testing.T) {
+	ops := []Op{{Kind: OpPush, Value: 1, Meta: 1}}
+	ok := AppendResults(nil, []Result{{Status: StatusOK}})
+	for _, code := range []Status{StatusRefused, StatusInvalid} {
+		srv, cli := net.Pipe()
+		go func() {
+			defer srv.Close()
+			if _, err := ReadFrame(srv); err != nil {
+				return
+			}
+			WriteFrame(srv, THelloOK, 0, AppendHelloOK(nil, HelloInfo{Version: Version, Shards: 1, Capacity: 8}))
+			for i := 0; i < 2; i++ {
+				if _, err := ReadFrame(srv); err != nil {
+					return
+				}
+			}
+			WriteFrame(srv, TError, 1, append([]byte{byte(code)}, "no such file"...))
+			if WriteFrame(srv, TBatchOK, 2, ok) != nil {
+				return
+			}
+			if f, err := ReadFrame(srv); err == nil {
+				WriteFrame(srv, TBatchOK, f.ID, ok)
+			}
+		}()
+		c, err := NewClient(cli)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, second := c.SendID(1, ops, 0), c.SendID(2, ops, 0)
+		_, err1 := first.Wait()
+		var serr *ServerError
+		if !errors.As(err1, &serr) || serr.Code != code {
+			t.Fatalf("%s: first request got %v, want a ServerError with that status", code, err1)
+		}
+		res, err2 := second.Wait()
+		if code.EndsConn() {
+			if err2 == nil {
+				t.Fatalf("%s: the second request was answered on a connection the TError ended", code)
+			}
+			c.Close()
+			continue
+		}
+		if err2 != nil || len(res) != 1 || res[0].Status != StatusOK {
+			t.Fatalf("%s: second request got %v, %v; want its result", code, res, err2)
+		}
+		if _, err := c.DoID(3, ops, 0); err != nil {
+			t.Fatalf("%s: the connection stopped serving after the refusal: %v", code, err)
+		}
+		c.Close()
 	}
 }

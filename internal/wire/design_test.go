@@ -12,12 +12,17 @@ import (
 )
 
 // statusEntry matches one "<code> <Name>" entry of DESIGN.md's status
-// lines.
-var statusEntry = regexp.MustCompile(`\b(\d+) ([A-Z][A-Za-z]*)`)
+// lines; keepsConn one annotated as a TError that keeps its connection.
+var (
+	statusEntry = regexp.MustCompile(`\b(\d+) ([A-Z][A-Za-z]*)`)
+	keepsConn   = regexp.MustCompile(`\b(\d+) [A-Z][A-Za-z]* \(TError only, keeps the conn\)`)
+)
 
 // TestDesignStatusTable pins the wire table in DESIGN.md §6 to the
 // Status constants: its status lines must name every code exactly as
-// the constant does, minus the Status prefix, and name nothing else.
+// the constant does, minus the Status prefix, and name nothing else;
+// and exactly the statuses whose TError does not end the connection
+// (Status.EndsConn) must say "keeps the conn".
 func TestDesignStatusTable(t *testing.T) {
 	want := fileConsts(t, "batch.go", "Status", "Status")
 	var table []string
@@ -46,6 +51,16 @@ func TestDesignStatusTable(t *testing.T) {
 		got[code] = m[2]
 	}
 	sameNames(t, "status", "Status", want, got)
+	kept := map[int]bool{}
+	for _, m := range keepsConn.FindAllStringSubmatch(strings.Join(table, "\n"), -1) {
+		code, _ := strconv.Atoi(m[1])
+		kept[code] = true
+	}
+	for code, name := range want {
+		if ends := Status(code).EndsConn(); kept[code] == ends {
+			t.Errorf("status %d %s: EndsConn is %v, and DESIGN.md says keeps the conn: %v", code, name, ends, kept[code])
+		}
+	}
 }
 
 // sameNames reports every code whose DESIGN.md name (got) differs from

@@ -72,8 +72,10 @@ const (
 	TBatch Type = 3
 	// TBatchOK carries the batch's results (see AppendResults).
 	TBatchOK Type = 4
-	// TError reports a connection-fatal protocol error: payload is a
-	// u8 status code followed by a UTF-8 message.
+	// TError reports an error: payload is a u8 status code followed by
+	// a UTF-8 message. It ends the connection unless its status is
+	// StatusRefused (see Status.EndsConn), which fails only the request
+	// whose id it carries.
 	TError Type = 5
 	// TReplHello opens a replication stream: a follower's manifest
 	// (engine geometry) plus the stream sequence to resume from. The

@@ -92,9 +92,9 @@ type (
 	// FetchHandler answers TReplFetch frames (anti-entropy repair
 	// reads): it receives the request payload and returns the TReplChunk
 	// payload. The codec is internal/replic's; wire treats both as
-	// opaque. An error answers the request with TError without killing
-	// the connection — one unservable file must not abort a repair
-	// session fetching several.
+	// opaque. An error answers the request with a StatusRefused TError
+	// without killing the connection — one unservable file must not
+	// abort a repair session fetching several.
 	FetchHandler func(payload []byte) ([]byte, error)
 	// OwnerGate vets each push against the node's owned slice of the
 	// cluster key space, before the op reaches the engine. A refused
@@ -537,7 +537,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			resp, err := s.onFetch(f.Payload)
 			if err != nil {
-				out.sendErr(f.ID, StatusInvalid, err)
+				out.sendErr(f.ID, StatusRefused, err)
 				continue
 			}
 			out.send(response{TReplChunk, f.ID, resp, nil, nil})
